@@ -6,9 +6,23 @@ branch domain, minus the hole.  Every component therefore has explicit exact
 endpoints, and forward image lengths come from endpoint images of the
 monotone composition.
 
-Uniform affine maps with a common integer slope magnitude (the d-adic family
-in particular) run on a scaled-integer fast path; everything else uses the
-generic Fraction/float kernels.  Both paths produce identical trees.
+One driver loop in :func:`refine` owns the levels, extinction and the
+component cap, and builds each level from the previous one with one of two
+kernels, chosen per level:
+
+* the generic kernel keeps Python lists of Fraction (exact) or float
+  endpoints and handles any map;
+* the int64 kernel keeps numpy arrays of endpoints scaled to integers over
+  ``D0 * d**n`` and vectorises each branch step.  It runs only for exact
+  uniform-affine maps (one integer slope magnitude ``d``; the d-adic family in
+  particular), from a level of at least ``_ARRAY_MIN_COMPONENTS`` components,
+  and while the next level's scaled values fit in int64.  A stored component
+  then takes ~21 bytes (two int64 endpoints, an int32 parent, a uint8
+  branch) instead of four Python objects.
+
+numpy is imported only when the int64 kernel first runs, so shallow
+refinements and every non-affine map never load it.  A level is converted
+exactly when the kernel changes, and both kernels build identical trees.
 """
 
 from __future__ import annotations
@@ -55,24 +69,42 @@ class Cylinder:
 
 
 class _Level:
-    """Flat per-level component storage: parallel arrays plus parent links."""
+    """One level's components as parallel columns plus parent links.
+
+    Generic levels hold Python lists of raw endpoints and ``den`` is None.
+    Int64 levels hold numpy arrays: endpoints as int64 scaled by ``den``,
+    ``parent`` as int32 and ``branch`` as the smallest unsigned type that
+    holds every branch index.
+    """
 
     __slots__ = ("den", "lo", "hi", "parent", "branch")
 
-    def __init__(self, den: Optional[int]):
-        self.den = den          # scaled-integer denominator, None on the generic path
-        self.lo: list = []
-        self.hi: list = []
-        self.parent: list[int] = []
-        self.branch: list[int] = []
+    def __init__(self, den: Optional[int] = None, lo=None, hi=None,
+                 parent=None, branch=None):
+        self.den = den
+        self.lo = [] if lo is None else lo
+        self.hi = [] if hi is None else hi
+        self.parent = [] if parent is None else parent
+        self.branch = [] if branch is None else branch
 
     def __len__(self):
         return len(self.lo)
 
-    def interval_raw(self, i: int):
+    def endpoints(self) -> tuple[list, list]:
+        """Raw (lo, hi) columns as plain Python values."""
         if self.den is None:
-            return self.lo[i], self.hi[i]
-        return Fraction(self.lo[i], self.den), Fraction(self.hi[i], self.den)
+            return self.lo, self.hi
+        # tolist() first: Fraction(np.int64(x), den) would keep the numpy
+        # numerator, which later overflows silently
+        den = self.den
+        return ([Fraction(v, den) for v in self.lo.tolist()],
+                [Fraction(v, den) for v in self.hi.tolist()])
+
+    def links(self) -> tuple[list[int], list[int]]:
+        """(branch, parent) columns as Python ints."""
+        if self.den is None:
+            return self.branch, self.parent
+        return self.branch.tolist(), self.parent.tolist()
 
 
 class RefinementTree:
@@ -109,32 +141,33 @@ class RefinementTree:
             if self._extinct:
                 return []
             raise InvalidParameterError(f"tree was only refined to depth {self.depth}")
-        lv = self._levels[n - 1]
-        return [lv.interval_raw(i) for i in range(len(lv))]
+        return list(zip(*self._levels[n - 1].endpoints()))
 
     def itinerary(self, n: int, i: int) -> tuple[int, ...]:
         word = []
-        level = n
-        while level >= 1:
-            lv = self._levels[level - 1]
-            word.append(lv.branch[i])
-            i = lv.parent[i]
-            level -= 1
+        for lv in reversed(self._levels[:n]):
+            word.append(int(lv.branch[i]))
+            i = int(lv.parent[i])
         return tuple(word)
 
     def itineraries(self, n: int) -> list[tuple[int, ...]]:
         if n > self.depth and self._extinct:
             return []
-        return [self.itinerary(n, i) for i in range(len(self._levels[n - 1]))]
+        idx = range(len(self._levels[n - 1]))
+        columns = []
+        for lv in reversed(self._levels[:n]):
+            branch, parent = lv.links()
+            columns.append([branch[i] for i in idx])
+            idx = [parent[i] for i in idx]
+        return list(zip(*columns))
 
     def cylinders(self, n: int) -> list[Cylinder]:
         """Components grouped by itinerary, groups ordered by first appearance."""
+        if n > self.depth:
+            return []
         eps = None if self.map.is_exact else self.map.epsilon
         groups: dict[tuple, list[IntervalOpen]] = {}
-        lv = self._levels[n - 1] if n <= self.depth else _Level(None)
-        for i in range(len(lv)):
-            lo, hi = lv.interval_raw(i)
-            word = self.itinerary(n, i)
+        for (lo, hi), word in zip(self.component_intervals(n), self.itineraries(n)):
             groups.setdefault(word, []).append(
                 IntervalOpen(Scalar(lo, eps), Scalar(hi, eps)))
         return [Cylinder(w, tuple(sorted(cs, key=lambda c: c.lo.value)))
@@ -142,14 +175,25 @@ class RefinementTree:
 
 
 # ---------------------------------------------------------------------------
-# fast path detection
+# refinement kernels
 # ---------------------------------------------------------------------------
 
+# The int64 kernel runs only on levels of at least this many components.
+# Importing numpy costs ~0.13 s, while the generic kernel costs ~30 us per
+# affine component: a level of 10^3 components already costs a quarter of
+# that import, and the levels after it grow geometrically.
+_ARRAY_MIN_COMPONENTS = 1000
+
+
 class _UniformAffine:
-    """Scaled-integer refinement data for maps with a common |slope| = d."""
+    """Scaled-integer data for exact maps with a common integer |slope| = d.
+
+    Level-n endpoints are integers over ``den(n) = D0 * d**n``, and pulling a
+    level-n endpoint back through a branch is one integer subtraction at
+    scale ``den(n + 1)``.
+    """
 
     def __init__(self, pmap: PiecewiseMap, hole: Hole):
-        self.d = None
         sigs = []
         for b in pmap.branches:
             if not isinstance(b.kind, Affine):
@@ -162,28 +206,30 @@ class _UniformAffine:
         if len(mags) != 1:
             raise ValueError
         self.d = mags.pop()
-        dens = [pmap.codomain.lo.value.denominator, pmap.codomain.hi.value.denominator]
-        for b in pmap.branches:
-            dens += [b.domain.lo.value.denominator, b.domain.hi.value.denominator,
-                     b.kind.offset.value.denominator]
-        for lo, hi in hole.pieces:
-            dens += [lo.denominator, hi.denominator]
+        ends = [pmap.codomain.lo.value, pmap.codomain.hi.value]
+        offsets = [b.kind.offset.value for b in pmap.branches]
+        images = [b.image_raw() for b in pmap.branches]
+        for lo, hi in [*pmap.branch_domains_raw(), *images, *hole.pieces]:
+            ends += [lo, hi]
         D0 = 1
-        for q in dens:
+        for q in [v.denominator for v in ends + offsets]:
             D0 = D0 * q // math.gcd(D0, q)
         self.D0 = D0
         self.signs = [1 if s > 0 else -1 for s in sigs]
-        self.offsets0 = [int(b.kind.offset.value * D0) for b in pmap.branches]
-        self.dom0 = [(int(lo * D0), int(hi * D0))
-                     for lo, hi in pmap.branch_domains_raw()]
-        self.img0 = []
-        for b in pmap.branches:
-            w1, w2 = b.image_raw()
-            self.img0.append((int(w1 * D0), int(w2 * D0)))
+        self.offsets0 = [int(o * D0) for o in offsets]
+        self.img0 = [(int(w1 * D0), int(w2 * D0)) for w1, w2 in images]
         self.hole0 = [(int(lo * D0), int(hi * D0)) for lo, hi in hole.pieces]
+        # largest magnitude, in units of 1/D0, of any value the kernel
+        # stores at scale den(n) (offsets enter one level coarser); D0
+        # itself for maps on [0, 1], so the int64 rule is D0 * d**n < 2**63
+        self.bound = max([D0] + [abs(int(v * D0)) for v in ends]
+                         + [-(-abs(o) // self.d) for o in self.offsets0])
 
     def den(self, level: int) -> int:
         return self.D0 * self.d ** level
+
+    def fits_int64(self, level: int) -> bool:
+        return self.bound * self.d ** level < 2 ** 63
 
 
 def _try_uniform_affine(pmap: PiecewiseMap, hole: Hole) -> Optional[_UniformAffine]:
@@ -195,141 +241,159 @@ def _try_uniform_affine(pmap: PiecewiseMap, hole: Hole) -> Optional[_UniformAffi
         return None
 
 
-# ---------------------------------------------------------------------------
-# refinement
-# ---------------------------------------------------------------------------
-
-def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,
-           component_cap: int = DEFAULT_COMPONENT_CAP) -> RefinementTree:
-    """Survivor components for levels 1..n_max.
-
-    Raises :class:`ResourceLimitError` if any level exceeds ``component_cap``
-    components.  Stops early (with the zero-count convention) once a level
-    dies out entirely.
-    """
-    if n_max < 1:
-        raise InvalidParameterError("n_max must be >= 1")
-    _require_same_mode(pmap, hole)
-    fast = _try_uniform_affine(pmap, hole)
-    if fast is not None:
-        return _refine_scaled(pmap, hole, n_max, component_cap, fast)
-    return _refine_generic(pmap, hole, n_max, component_cap)
+def _cap_exceeded(cap: int, level: int) -> ResourceLimitError:
+    return ResourceLimitError(f"component cap {cap} exceeded at level {level}")
 
 
-def _refine_scaled(pmap, hole, n_max, cap, u: _UniformAffine) -> RefinementTree:
-    d = u.d
-    nb = len(pmap.branches)
-    levels: list[_Level] = []
+class _GenericKernel:
+    """Python lists of Fraction or float endpoints; any map."""
 
-    den1 = u.den(1)
-    lv = _Level(den1)
-    hole_s = [(lo * d, hi * d) for lo, hi in u.hole0]
-    for b in range(nb):
-        dlo, dhi = u.dom0[b][0] * d, u.dom0[b][1] * d
-        for lo, hi in subtract_pieces(dlo, dhi, hole_s, 0):
-            lv.lo.append(lo)
-            lv.hi.append(hi)
-            lv.parent.append(-1)
-            lv.branch.append(b)
-    levels.append(lv)
+    def __init__(self, pmap: PiecewiseMap, hole: Hole):
+        self.exact = pmap.is_exact
+        self.tol = 0 if pmap.is_exact else pmap.epsilon
+        self.doms = pmap.branch_domains_raw()
+        self.imgs = [b.image_raw() for b in pmap.branches]
+        self.invs = [b.invert_raw for b in pmap.branches]
+        self.signs = [b.orientation for b in pmap.branches]
+        self.pieces = hole.pieces
 
-    extinct = len(lv) == 0
-    n = 1
-    img_s = [(u.img0[b][0] * d, u.img0[b][1] * d) for b in range(nb)]
-    off_s = [u.offsets0[b] * d for b in range(nb)]
-    while n < n_max and not extinct:
-        cur = levels[-1]
-        nxt = _Level(cur.den * d)
-        hole_s = [(lo * d, hi * d) for lo, hi in hole_s]
-        for b in range(nb):
-            ilo, ihi = img_s[b]
-            on = off_s[b]
-            sign = u.signs[b]
-            order = range(len(cur)) if sign > 0 else range(len(cur) - 1, -1, -1)
+    def first_level(self, cap: int) -> _Level:
+        lv = _Level()
+        for b, (dlo, dhi) in enumerate(self.doms):
+            self._store(lv, subtract_pieces(dlo, dhi, self.pieces, self.tol),
+                        -1, b, cap, 1)
+        return lv
+
+    def step(self, cur: _Level, n: int, cap: int) -> _Level:
+        """Level n+1 from level n, one branch at a time."""
+        tol, pieces = self.tol, self.pieces
+        los, his = cur.endpoints()
+        nxt = _Level()
+        for b in range(len(self.doms)):
+            ilo, ihi = self.imgs[b]
+            inv = self.invs[b]
+            order = range(len(cur)) if self.signs[b] > 0 else range(len(cur) - 1, -1, -1)
             for i in order:
-                ylo = cur.lo[i]
-                yhi = cur.hi[i]
-                if ylo < ilo:
-                    ylo = ilo
-                if yhi > ihi:
-                    yhi = ihi
-                if yhi <= ylo:
-                    continue
-                if sign > 0:
-                    xlo, xhi = ylo - on, yhi - on
-                else:
-                    xlo, xhi = on - yhi, on - ylo
-                for lo, hi in subtract_pieces(xlo, xhi, hole_s, 0):
-                    nxt.lo.append(lo)
-                    nxt.hi.append(hi)
-                    nxt.parent.append(i)
-                    nxt.branch.append(b)
-            if len(nxt) > cap:
-                raise ResourceLimitError(
-                    f"component cap {cap} exceeded at level {n + 1}")
-        levels.append(nxt)
-        extinct = len(nxt) == 0
-        img_s = [(lo * d, hi * d) for lo, hi in img_s]
-        off_s = [o * d for o in off_s]
-        n += 1
-    return RefinementTree(pmap, hole, levels, extinct)
-
-
-def _refine_generic(pmap, hole, n_max, cap) -> RefinementTree:
-    tol = 0 if pmap.is_exact else pmap.epsilon
-    nb = len(pmap.branches)
-    doms = pmap.branch_domains_raw()
-    imgs = [b.image_raw() for b in pmap.branches]
-    invs = [b.invert_raw for b in pmap.branches]
-    signs = [b.orientation for b in pmap.branches]
-    pieces = hole.pieces
-
-    levels: list[_Level] = []
-    lv = _Level(None)
-    for b in range(nb):
-        dlo, dhi = doms[b]
-        for lo, hi in subtract_pieces(dlo, dhi, pieces, tol):
-            lv.lo.append(lo)
-            lv.hi.append(hi)
-            lv.parent.append(-1)
-            lv.branch.append(b)
-    levels.append(lv)
-
-    extinct = len(lv) == 0
-    n = 1
-    while n < n_max and not extinct:
-        cur = levels[-1]
-        nxt = _Level(None)
-        for b in range(nb):
-            ilo, ihi = imgs[b]
-            inv = invs[b]
-            order = range(len(cur)) if signs[b] > 0 else range(len(cur) - 1, -1, -1)
-            for i in order:
-                ylo = max(cur.lo[i], ilo)
-                yhi = min(cur.hi[i], ihi)
+                ylo = max(los[i], ilo)
+                yhi = min(his[i], ihi)
                 if yhi - ylo <= tol:
                     continue
                 a, c = inv(ylo), inv(yhi)
                 if a > c:
                     a, c = c, a
                 # clamp float-path drift back into the branch domain
-                if not pmap.is_exact:
-                    a = max(a, doms[b][0])
-                    c = min(c, doms[b][1])
+                if not self.exact:
+                    a = max(a, self.doms[b][0])
+                    c = min(c, self.doms[b][1])
                     if c - a <= tol:
                         continue
-                for lo, hi in subtract_pieces(a, c, pieces, tol):
-                    nxt.lo.append(lo)
-                    nxt.hi.append(hi)
-                    nxt.parent.append(i)
-                    nxt.branch.append(b)
-            if len(nxt) > cap:
-                raise ResourceLimitError(
-                    f"component cap {cap} exceeded at level {n + 1}")
-        levels.append(nxt)
-        extinct = len(nxt) == 0
-        n += 1
-    return RefinementTree(pmap, hole, levels, extinct)
+                self._store(nxt, subtract_pieces(a, c, pieces, tol), i, b, cap, n + 1)
+        return nxt
+
+    @staticmethod
+    def _store(lv: _Level, comps, parent: int, b: int, cap: int, level: int):
+        if len(lv) + len(comps) > cap:
+            raise _cap_exceeded(cap, level)
+        for lo, hi in comps:
+            lv.lo.append(lo)
+            lv.hi.append(hi)
+            lv.parent.append(parent)
+            lv.branch.append(b)
+
+
+class _Int64Kernel:
+    """numpy int64 arrays scaled by den(n); exact uniform-affine maps only.
+
+    Valid for a step n -> n+1 while ``u.fits_int64(n + 1)``: every stored
+    value and every offset then fits in an int64, and a difference whose
+    true value fits is exact in wrapping int64 arithmetic.
+    """
+
+    def __init__(self, u: _UniformAffine):
+        import numpy as np
+        self.np = np
+        self.u = u
+        self.branch_type = np.min_scalar_type(len(u.signs) - 1)
+
+    def step(self, cur: _Level, n: int, cap: int) -> _Level:
+        """Level n+1 from level n, one branch at a time."""
+        np, u = self.np, self.u
+        if cur.den is None:
+            den = u.den(n)
+            lo = np.array([int(v * den) for v in cur.lo], dtype=np.int64)
+            hi = np.array([int(v * den) for v in cur.hi], dtype=np.int64)
+        else:
+            lo, hi = cur.lo, cur.hi
+        scale = u.d ** n
+        # gaps of the hole complement at scale den(n+1), sorted and disjoint
+        # (Hole merges touching pieces); the outer gaps are unbounded
+        ext = np.iinfo(np.int64)
+        gap_lo = np.array([ext.min] + [h * scale * u.d for _, h in u.hole0],
+                          dtype=np.int64)
+        gap_hi = np.array([l * scale * u.d for l, _ in u.hole0] + [ext.max],
+                          dtype=np.int64)
+        parent_type = np.int32 if len(cur) <= np.iinfo(np.int32).max else np.int64
+        batches = []
+        total = 0
+        for b, sign in enumerate(u.signs):
+            ilo, ihi = u.img0[b]
+            on = u.offsets0[b] * scale
+            ylo = np.maximum(lo, ilo * scale)
+            yhi = np.minimum(hi, ihi * scale)
+            idx = np.flatnonzero(yhi > ylo)
+            if sign > 0:
+                xlo, xhi = ylo[idx] - on, yhi[idx] - on
+            else:
+                idx = idx[::-1]
+                xlo, xhi = on - yhi[idx], on - ylo[idx]
+            # (xlo, xhi) meets the gaps first .. first + cnt - 1
+            first = np.searchsorted(gap_hi, xlo, side="right")
+            cnt = np.searchsorted(gap_lo, xhi, side="left") - first
+            k = int(cnt.sum())
+            total += k
+            if total > cap:
+                raise _cap_exceeded(cap, n + 1)
+            gap = np.repeat(first - (np.cumsum(cnt) - cnt), cnt) + np.arange(k)
+            batches.append((
+                np.maximum(np.repeat(xlo, cnt), gap_lo[gap]),
+                np.minimum(np.repeat(xhi, cnt), gap_hi[gap]),
+                np.repeat(idx.astype(parent_type), cnt),
+                np.full(k, b, dtype=self.branch_type)))
+        cols = [np.concatenate(c) for c in zip(*batches)]
+        return _Level(u.den(n + 1), *cols)
+
+
+def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,
+           component_cap: int = DEFAULT_COMPONENT_CAP) -> RefinementTree:
+    """Survivor components for levels 1..n_max.
+
+    Raises :class:`ResourceLimitError` before storing a batch that would
+    take any level past ``component_cap`` components.  Stops early (with the
+    zero-count convention) once a level dies out entirely.
+
+    Each level is built by one of two kernels.  The int64 kernel takes the
+    step from level n when the map is exact uniform-affine, level n has at
+    least ``_ARRAY_MIN_COMPONENTS`` components and level n+1 still fits in
+    int64; the generic kernel takes every other step.  Both build identical
+    trees.
+    """
+    if n_max < 1:
+        raise InvalidParameterError("n_max must be >= 1")
+    _require_same_mode(pmap, hole)
+    generic = _GenericKernel(pmap, hole)
+    uniform = _try_uniform_affine(pmap, hole)
+    arrays = None
+    levels = [generic.first_level(component_cap)]
+    while len(levels) < n_max and len(levels[-1]):
+        cur, n = levels[-1], len(levels)
+        kernel = generic
+        if (uniform is not None and len(cur) >= _ARRAY_MIN_COMPONENTS
+                and uniform.fits_int64(n + 1)):
+            if arrays is None:
+                arrays = _Int64Kernel(uniform)
+            kernel = arrays
+        levels.append(kernel.step(cur, n, component_cap))
+    return RefinementTree(pmap, hole, levels, len(levels[-1]) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +457,8 @@ def pressure_estimate(pmap: PiecewiseMap, weight: LocallyConstantWeight,
     if tree.count(n) == 0:
         return float("-inf")
     total = Fraction(0) if pmap.is_exact else 0.0
-    lv = tree._levels[n - 1]
     prod_cache: dict[tuple, object] = {}
-    for i in range(len(lv)):
-        word = tree.itinerary(n, i)
+    for word in tree.itineraries(n):
         prod = prod_cache.get(word)
         if prod is None:
             prod = Fraction(1) if pmap.is_exact else 1.0
@@ -529,10 +591,7 @@ def expansion_diagnostics(pmap: PiecewiseMap, n: int, hole: Hole | None = None,
         lam_best = None
         xi_best = None
         sup_by_word = {}
-        lv = tree0._levels[n - 1]
-        for i in range(len(lv)):
-            lo, hi = lv.interval_raw(i)
-            word = tree0.itinerary(n, i)
+        for (lo, hi), word in zip(tree0.component_intervals(n), tree0.itineraries(n)):
             sup, m_img = _sup_deriv_and_image(pmap, word, lo, hi)
             sup_by_word[word] = (sup, m_img)
             l_val = _log_ratio(sup) / n
@@ -574,10 +633,8 @@ def expansion_diagnostics(pmap: PiecewiseMap, n: int, hole: Hole | None = None,
 
     treeH = refine(pmap, hole, n, component_cap)
     groups: dict[tuple, list] = {}
-    if treeH.count(n) > 0:
-        lv = treeH._levels[n - 1]
-        for i in range(len(lv)):
-            groups.setdefault(treeH.itinerary(n, i), []).append(lv.interval_raw(i))
+    for interval, word in zip(treeH.component_intervals(n), treeH.itineraries(n)):
+        groups.setdefault(word, []).append(interval)
 
     theta_best = None
     a_best = 0.0

@@ -270,6 +270,17 @@ class RootResult:
     bracket: tuple[float, float]
 
 
+def _exact_sign(poly, x: float) -> int:
+    """Sign of the integer polynomial at x, by integer Horner on
+    x = num/den, scaled by den**degree."""
+    num, den = x.as_integer_ratio()
+    acc, scale = 0, 1
+    for c in reversed(poly):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
+
+
 def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootResult:
     """Locate the unique sign change of the determinant in (0, 1) by bisection
     with a float Newton polish.
@@ -291,9 +302,11 @@ def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootRes
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         fm = float(series.evaluate(mid))
-        if fm > 0:
+        # a float zero settles nothing; only an exact root closes the bracket
+        sign = fm if fm != 0 else _exact_sign(poly, mid)
+        if sign > 0:
             lo, flo = mid, fm
-        elif fm < 0:
+        elif sign < 0:
             hi, fhi = mid, fm
         else:
             lo = hi = mid

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 from holed_entropy.cli import main
 from holed_entropy.mapmodel import map_from_config
@@ -12,6 +16,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_oracle_cold_start_does_not_import_numpy():
+    # a shallow refine never reaches the int64 kernel, which alone needs numpy
+    probe = ("import runpy, sys\n"
+             "sys.argv = ['holed_entropy.cli', 'oracle', '--map', 'doubling',"
+             " '--hole', '3/4,1', '--depth', '10']\n"
+             "try:\n"
+             "    runpy.run_module('holed_entropy.cli', run_name='__main__')\n"
+             "except SystemExit as exc:\n"
+             "    assert not exc.code, exc.code\n"
+             "import holed_entropy\n"
+             "print('numpy' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "level 10: count 144" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_entropy_kneading(capsys):

@@ -1,16 +1,21 @@
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holed_entropy import (EmptyPartitionError, Hole, LocallyConstantWeight,
                            ResourceLimitError, Scalar, build_d_adic,
                            build_scaled_farey, compare_engines, entropy_estimate,
                            expansion_diagnostics, export_level_counts,
                            pressure_estimate, refine)
-from holed_entropy.cylinders import _refine_generic, left_hole_parameter
+from holed_entropy import cylinders
+from holed_entropy.cylinders import left_hole_parameter
+from holed_entropy.mapmodel import map_from_config
 
 
 def ex(x):
@@ -89,15 +94,112 @@ def test_interior_hole_level1_components():
         (Fraction(5, 6), Fraction(1))]
 
 
+# -- the two refinement kernels -------------------------------------------------
+
+@contextmanager
+def only_kernel(name):
+    """The int64 kernel takes every uniform-affine step it can ("int64"), or
+    none of them ("generic")."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cylinders, "_ARRAY_MIN_COMPONENTS",
+                   1 if name == "int64" else math.inf)
+        yield
+
+
+def refine_on(name, pmap, hole, n):
+    with only_kernel(name):
+        return refine(pmap, hole, n)
+
+
+def int64_levels(tree):
+    return [lv.den is not None for lv in tree._levels]
+
+
+def assert_same_tree(fast, slow):
+    assert fast.counts == slow.counts
+    for n in range(1, fast.depth + 1):
+        assert fast.component_intervals(n) == slow.component_intervals(n)
+        assert fast.itineraries(n) == slow.itineraries(n)
+
+
 def test_generic_path_agrees_with_scaled_path():
     m = build_d_adic(2)
     for hole in (RIGHT_HOLE, H((Fraction(3, 4), Fraction(5, 6)))):
-        fast = refine(m, hole, 12)
-        slow = _refine_generic(m, hole, 12, 10 ** 7)
+        fast = refine_on("int64", m, hole, 12)
+        slow = refine_on("generic", m, hole, 12)
+        assert int64_levels(fast) == [False] + [True] * 11
+        assert not any(int64_levels(slow))
         assert fast.counts == slow.counts
         for n in (1, 5, 12):
             assert fast.component_intervals(n) == slow.component_intervals(n)
             assert fast.itineraries(n) == slow.itineraries(n)
+
+
+@st.composite
+def exact_holes(draw):
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        q = draw(st.integers(1, 64))
+        lo = draw(st.integers(0, q))
+        hi = draw(st.integers(lo, q))
+        pieces.append((Fraction(lo, q), Fraction(hi, q)))
+    return H(*pieces)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hole=exact_holes(), d=st.sampled_from([2, 3]))
+def test_kernels_agree_on_random_exact_holes(hole, d):
+    depth = 9 if d == 2 else 6
+    m = build_d_adic(d)
+    fast = refine_on("int64", m, hole, depth)
+    assert all(int64_levels(fast)[1:])
+    assert_same_tree(fast, refine_on("generic", m, hole, depth))
+
+
+TENT = map_from_config({"codomain": ["0", "1"], "branches": [
+    {"domain": ["0", "1/2"], "kind": "affine", "coeffs": ["2", "0"]},
+    {"domain": ["1/2", "1"], "kind": "affine", "coeffs": ["-2", "2"]}]})[0]
+
+
+def test_kernels_agree_on_orientation_reversing_map():
+    for hole in (Hole.empty(), H((Fraction(3, 5), Fraction(7, 10))),
+                 H((Fraction(1, 8), Fraction(1, 6)), (Fraction(5, 6), Fraction(1)))):
+        fast = refine_on("int64", TENT, hole, 10)
+        assert all(int64_levels(fast)[1:])
+        assert_same_tree(fast, refine_on("generic", TENT, hole, 10))
+
+
+def test_int64_kernel_hands_back_past_two_to_the_63():
+    # D0 = 4 on the doubling map: level 60 is the last with 4 * 2**n < 2**63
+    m = build_d_adic(2)
+    hole = H((Fraction(1, 4), Fraction(1, 2)))
+    fast = refine_on("int64", m, hole, 64)
+    assert int64_levels(fast) == [False] + [True] * 59 + [False] * 4
+    slow = refine_on("generic", m, hole, 64)
+    assert_same_tree(fast, slow)
+    assert fast.component_intervals(64)[0][1] == Fraction(1, 2 ** 65)
+
+
+def test_int64_levels_return_python_values():
+    m = build_d_adic(2)
+    tree = refine(m, RIGHT_HOLE, 16)   # level 15 has 1597 components
+    assert int64_levels(tree)[-1]
+    for lo, hi in tree.component_intervals(16):
+        assert type(lo) is Fraction and type(hi) is Fraction
+        assert type(lo.numerator) is int and type(lo.denominator) is int
+        assert type(hi.numerator) is int and type(hi.denominator) is int
+    words = tree.itineraries(16)
+    assert all(type(b) is int for w in words for b in w)
+    assert all(type(b) is int for b in tree.itinerary(16, len(words) - 1))
+    for cyl in tree.cylinders(16)[:50]:
+        for c in cyl.components:
+            assert type(c.lo.value) is Fraction and type(c.lo.value.numerator) is int
+    w = LocallyConstantWeight((ex(Fraction(2, 3)), ex(Fraction(5, 7))))
+    with only_kernel("generic"):
+        want = (pressure_estimate(m, w, RIGHT_HOLE, 16),
+                expansion_diagnostics(m, 16, RIGHT_HOLE, w))
+    assert (pressure_estimate(m, w, RIGHT_HOLE, 16),
+            expansion_diagnostics(m, 16, RIGHT_HOLE, w)) == want
 
 
 def test_exact_float_count_agreement():
@@ -121,6 +223,23 @@ def test_exact_float_count_agreement():
 def test_component_cap():
     with pytest.raises(ResourceLimitError):
         refine(build_d_adic(2), Hole.empty(), 12, component_cap=100)
+
+
+def test_component_cap_boundary():
+    # levels up to 10 of the full shift come from the generic kernel, levels
+    # 11 and 12 from the int64 kernel
+    tree = refine(build_d_adic(2), Hole.empty(), 9, component_cap=512)
+    assert not any(int64_levels(tree))
+    with pytest.raises(ResourceLimitError, match="cap 511 exceeded at level 9$"):
+        refine(build_d_adic(2), Hole.empty(), 9, component_cap=511)
+    tree = refine(build_d_adic(2), Hole.empty(), 12, component_cap=4096)
+    assert max(tree.counts) == 4096 and int64_levels(tree)[-1]
+    with pytest.raises(ResourceLimitError, match="cap 4095 exceeded at level 12$"):
+        refine(build_d_adic(2), Hole.empty(), 12, component_cap=4095)
+    tree = refine(build_d_adic(2), RIGHT_HOLE, 18, component_cap=FIB_COUNTS[17])
+    assert tree.counts == FIB_COUNTS[:18]
+    with pytest.raises(ResourceLimitError, match="at level 18$"):
+        refine(build_d_adic(2), RIGHT_HOLE, 18, component_cap=FIB_COUNTS[17] - 1)
 
 
 def test_count_beyond_depth_requires_extinction():

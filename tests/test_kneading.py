@@ -169,6 +169,25 @@ def test_leading_root_no_root():
         leading_root(ser, 1e-12)
 
 
+def _sign_by_integer_horner(poly, x: float) -> int:
+    # x = num / 2**e; the sign of den**deg * P(num/den) is the sign of P(x)
+    num, den = x.as_integer_ratio()
+    deg = len(poly) - 1
+    total = sum(c * num ** k * den ** (deg - k) for k, c in enumerate(poly))
+    return (total > 0) - (total < 0)
+
+
+def test_leading_root_float_zero_midpoint_keeps_bisecting():
+    # bisection hits a midpoint where the float evaluation is exactly 0.0
+    for a in (Fraction(3392, 3399), Fraction(6893, 6901)):
+        res = entropy_left_hole(ex(a))
+        lo, hi = res.root.bracket
+        poly = res.series.polynomial
+        assert lo < hi
+        assert res.root.error_bound >= hi - lo > 0
+        assert _sign_by_integer_horner(poly, lo) > 0 > _sign_by_integer_horner(poly, hi)
+
+
 def test_root_derivative_negative_at_root():
     for a in (Fraction(3, 4), Fraction(2, 3), Fraction(7, 10), Fraction(7, 8)):
         res = entropy_left_hole(ex(a))
