@@ -28,7 +28,7 @@ from typing import Optional
 
 from .errors import (AmbiguousBoundaryError, InvalidParameterError,
                      NoRootError, TruncationError)
-from .polyexact import poly_eval, poly_trim
+from .polyexact import poly_eval, poly_trim, sign_at
 from .scalar import Scalar, as_scalar
 
 DEFAULT_TRUNCATION = 4096
@@ -261,24 +261,18 @@ def determinant(orbit: TowerOrbit, K: int | None = None) -> DeterminantSeries:
 
 @dataclass(frozen=True)
 class RootResult:
-    """Leading determinant root r in (0, 1) and the entropy -log r."""
+    """Leading determinant root r in (0, 1) and the entropy -log r.
+
+    ``certified`` is True when the bracket of an exact polynomial passed the
+    exact sign check; float-mode (truncated) series are never certified.
+    """
 
     r: float
     residual: float
     entropy: float
     error_bound: float
     bracket: tuple[float, float]
-
-
-def _exact_sign(poly, x: float) -> int:
-    """Sign of the integer polynomial at x, by integer Horner on
-    x = num/den, scaled by den**degree."""
-    num, den = x.as_integer_ratio()
-    acc, scale = 0, 1
-    for c in reversed(poly):
-        acc = acc * num + c * scale
-        scale *= den
-    return (acc > 0) - (acc < 0)
+    certified: bool = False
 
 
 def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootResult:
@@ -303,7 +297,7 @@ def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootRes
         mid = 0.5 * (lo + hi)
         fm = float(series.evaluate(mid))
         # a float zero settles nothing; only an exact root closes the bracket
-        sign = fm if fm != 0 else _exact_sign(poly, mid)
+        sign = fm if fm != 0 else sign_at(poly, *mid.as_integer_ratio())
         if sign > 0:
             lo, flo = mid, fm
         elif sign < 0:
@@ -320,17 +314,17 @@ def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootRes
         cand = r - step
         if lo <= cand <= hi:
             r = cand
-    # exact sign certification of the bracket for modest exact polynomials
-    if series.exact and len(poly) <= 512 and lo < hi:
-        flo_x = poly_eval(poly, Fraction(lo))
-        fhi_x = poly_eval(poly, Fraction(hi))
-        if not (flo_x > 0 and fhi_x < 0):
-            raise NoRootError("bracket failed exact sign certification")
+    # exact sign certification of the bracket; a zero-width bracket is an
+    # exact root, already settled by sign_at in the loop
+    if series.exact and lo < hi and not (
+            sign_at(poly, *lo.as_integer_ratio()) > 0
+            > sign_at(poly, *hi.as_integer_ratio())):
+        raise NoRootError("bracket failed exact sign certification")
     residual = abs(float(series.evaluate(r)))
     tail = series.tail_bound(hi)
     error = (hi - lo) + tail
     entropy = -math.log(r)
-    return RootResult(r, residual, entropy, error, (lo, hi))
+    return RootResult(r, residual, entropy, error, (lo, hi), series.exact)
 
 
 @dataclass(frozen=True)

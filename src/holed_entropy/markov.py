@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -168,9 +169,12 @@ class SpectralReport:
     """Perron root with its Jordan data.
 
     ``pole_order_p`` is the smallest q at which rank((M - rho I)^q)
-    stabilizes, i.e. the size of the largest Jordan block of rho.
-    ``min_poly`` (ascending, integer) is the exact minimal polynomial of rho
-    when the exact path ran.
+    stabilizes, i.e. the size of the largest Jordan block of rho.  When the
+    exact path ran, ``rho_bracket`` is an exact bracket of rho and
+    ``rho_factor`` (ascending, integer) the square-free factor of the
+    characteristic polynomial that vanishes on it.  ``min_poly`` is computed
+    from these two on first read, so a caller that never reads it never
+    factors over the integers.
     """
 
     rho: float
@@ -178,19 +182,34 @@ class SpectralReport:
     geometric_multiplicity: int
     pole_order_p: int
     second_eigenvalue_modulus: float
-    min_poly: Optional[tuple[int, ...]] = None
     rho_bracket: Optional[tuple[Fraction, Fraction]] = None
+    rho_factor: Optional[tuple[int, ...]] = None
+
+    @cached_property
+    def min_poly(self) -> Optional[tuple[int, ...]]:
+        """Exact minimal polynomial of rho (ascending, integer), or None
+        when the exact path did not run.
+
+        Computed on first read by factoring ``rho_factor`` (this loads
+        sympy) and cached on the instance.
+        """
+        if self.rho_factor is None:
+            return None
+        return tuple(_min_poly_of_root(self.rho_factor, *self.rho_bracket))
 
 
-def _second_modulus(char, rho: float, alg: int) -> float:
+def _second_modulus(decomp, alg: int) -> float:
+    """Largest eigenvalue modulus after alg copies of rho, from the roots of
+    the square-free factors counted with their multiplicities."""
     import numpy as np
-    if poly_degree(list(char)) <= alg:
-        return 0.0
-    roots = np.roots(list(map(float, reversed(char))))
-    moduli = sorted((abs(complex(z)) for z in roots), reverse=True)
+    moduli = []
+    for factor, mult in decomp:
+        roots = np.roots([float(c) for c in reversed(factor)])
+        moduli.extend(float(abs(z)) for z in roots for _ in range(mult))
+    moduli.sort(reverse=True)
     # drop the alg copies of rho (largest in modulus by Perron domination)
     rest = moduli[alg:]
-    return float(rest[0]) if rest else 0.0
+    return rest[0] if rest else 0.0
 
 
 def _min_poly_of_root(factor, lo: Fraction, hi: Fraction):
@@ -224,9 +243,10 @@ def spectral_report(M: TransitionMatrix, tol: float = 1e-12,
                     exact: bool = True) -> SpectralReport:
     """Perron root, multiplicities, and pole order of a transition matrix.
 
-    The exact path isolates the root with Sturm brackets, takes the algebraic
-    multiplicity from the square-free decomposition of the characteristic
-    polynomial, and computes ranks over Q(rho); the numeric path clusters
+    The exact path brackets the root of each square-free factor with
+    :func:`largest_real_root`, takes the algebraic multiplicity from the
+    square-free decomposition of the characteristic polynomial, and, for a
+    multiple root only, computes ranks over Q(rho); the numeric path clusters
     float eigenvalues within ``tol`` and raises
     :class:`AmbiguousMultiplicityError` when the clustering is borderline.
     """
@@ -252,11 +272,10 @@ def spectral_report(M: TransitionMatrix, tol: float = 1e-12,
         raise AmbiguousMultiplicityError("characteristic polynomial has no real roots")
     rho, bracket, factor, alg = best
     rho = max(rho, 0.0)
-    second = _second_modulus(char, rho, alg)
+    second = _second_modulus(decomp, alg)
     if alg == 1:
         # a simple eigenvalue is semisimple: one Jordan block of size one
-        return SpectralReport(rho, 1, 1, 1, second, tuple(_min_poly_of_root(
-            factor, bracket[0], bracket[1])), bracket)
+        return SpectralReport(rho, 1, 1, 1, second, bracket, tuple(factor))
     minpoly = _min_poly_of_root(factor, bracket[0], bracket[1])
     field = NumberField(minpoly)
     gen = field.generator()
@@ -279,7 +298,9 @@ def spectral_report(M: TransitionMatrix, tol: float = 1e-12,
     if p is None:
         p = alg
     geo = M.size - ranks[0]
-    return SpectralReport(rho, alg, geo, p, second, tuple(minpoly), bracket)
+    report = SpectralReport(rho, alg, geo, p, second, bracket, tuple(factor))
+    report.__dict__["min_poly"] = tuple(minpoly)  # seed the cached property
+    return report
 
 
 def _spectral_numeric(M: TransitionMatrix, tol: float) -> SpectralReport:
@@ -329,6 +350,18 @@ class MarkovEntropy:
     matrix: TransitionMatrix
     report: SpectralReport
     entropy: float
+
+    @property
+    def error_bound(self) -> float:
+        """Bound on |entropy - max(log rho, 0)| for the true rho: the exact
+        rho bracket mapped through max(log x, 0), each end rounded outward
+        by one ulp.  0 when there is no bracket (no surviving states)."""
+        if self.report.rho_bracket is None:
+            return 0.0
+        lo, hi = self.report.rho_bracket
+        h_lo = math.nextafter(math.log(lo), -math.inf) if lo > 1 else 0.0
+        h_hi = math.nextafter(math.log(hi), math.inf) if hi > 1 else 0.0
+        return math.nextafter(h_hi - max(h_lo, 0.0), math.inf)
 
     def to_json(self) -> dict:
         return {

@@ -4,10 +4,25 @@ Polynomials are dense coefficient lists in ascending order (``p[k]`` is the
 coefficient of x**k) over Python ints or Fractions.  Everything here is
 exact; floats only appear as seeds for bracketing, and every bracket is
 certified by exact sign evaluation.
+
+Signs at rational points come from :func:`sign_at`, integer Horner on
+``den**deg * p(num/den)``, so no Fraction is normalised along the way.
+:func:`largest_real_root` works on the dyadic grid ``2**-e``, with ``e`` the
+smallest exponent whose step is at most ``tol``: the numpy seed is rounded
+outward to grid points ``lo``, ``hi``, and the grid-scaled polynomial
+``P(z) = 2**(e*deg) * p(z / 2**e)`` has integer coefficients.  Descartes'
+rule of signs on the Taylor shift ``P(z + lo)`` certifies the seed bracket:
+one sign variation means exactly one real root above ``lo``, and a sign
+change of ``P`` on ``(lo, hi]`` puts it there.  Bisection then halves the
+integer bracket.  When there is no usable seed or the variation count is not
+one (roots closer than the seed pad, or complex roots near the real axis to
+the right of ``lo``), the root is isolated by a Sturm chain over Fractions
+instead (:func:`isolate_largest_real_root`, :func:`refine_root_bisect`).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import gcd as int_gcd
 
@@ -36,6 +51,25 @@ def poly_eval(p: Poly, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def sign_at(p: Poly, num: int, den: int = 1) -> int:
+    """Sign of p at num/den (den > 0), exact at every degree: integer
+    Horner on den**deg * p(num/den)."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
+
+
+def taylor_shift(p: Poly, c) -> Poly:
+    """Coefficients of p(x + c), ascending, by repeated synthetic division."""
+    a = list(p)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += c * a[j + 1]
+    return a
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
@@ -213,13 +247,14 @@ def sturm_chain(p: Poly) -> list[Poly]:
     return chain
 
 
+def _variations(values) -> int:
+    """Sign changes along the nonzero entries of a sequence."""
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def _sign_variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = poly_eval(q, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return _variations([poly_eval(q, x) for q in chain])
 
 
 def count_roots_halfopen(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
@@ -256,19 +291,18 @@ def refine_root_bisect(p: Poly, lo: Fraction, hi: Fraction,
                        width: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink a sign-changing bracket (lo, hi] by exact bisection.
 
-    Requires p(lo) and p(hi) of opposite (nonzero-or-endpoint) signs; a zero
-    endpoint value collapses the bracket onto the root.
+    Requires p(lo) and p(hi) of opposite (nonzero-or-endpoint) signs.  A
+    zero at hi collapses the bracket onto that root; a zero at lo lies
+    outside the half-open bracket and is divided out of p.
     """
     flo = poly_eval(p, lo)
     fhi = poly_eval(p, hi)
     if fhi == 0:
         return hi, hi
-    if flo == 0:
-        # nudge off a root sitting exactly on the left end
-        step = (hi - lo) / 4
-        while poly_eval(p, lo + step) == 0:
-            step /= 2
-        lo = lo + step
+    while flo == 0:
+        # a root on the left end lies outside (lo, hi]: dividing it out keeps
+        # every sign on (lo, hi], where x - lo > 0
+        p, _ = poly_divmod(p, [-lo, 1])
         flo = poly_eval(p, lo)
     if (flo > 0) == (fhi > 0):
         raise InvalidParameterError("bracket endpoints have equal signs")
@@ -284,42 +318,71 @@ def refine_root_bisect(p: Poly, lo: Fraction, hi: Fraction,
     return lo, hi
 
 
+def _seed_bracket(p: Poly, scaled: Poly, e: int) -> tuple[int, int] | None:
+    """Grid bracket (lo, hi] of the largest real root of p around its numpy
+    seed, in units of 2**-e; ``scaled`` is p on that grid.  None when there
+    is no seed or the Descartes certificate fails."""
+    import numpy as np
+    try:
+        roots = np.roots([float(c) for c in reversed(p)])
+    except (OverflowError, np.linalg.LinAlgError):
+        return None
+    seed = max((float(r.real) for r in roots if abs(r.imag) <= 1e-8 * (1 + abs(r))),
+               default=math.nan)
+    if not math.isfinite(seed):
+        return None
+    pad = max(1e-7, 1e-9 * (1 + abs(seed)))
+    n, d = (seed - pad).as_integer_ratio()
+    lo = (n << e) // d
+    n, d = (seed + pad).as_integer_ratio()
+    hi = -((-n << e) // d)
+    shifted = taylor_shift(scaled, lo)
+    # one variation: exactly one root above lo, and scaled(lo) = shifted[0]
+    if shifted[0] == 0 or _variations(shifted) != 1:
+        return None
+    s_hi = sign_at(scaled, hi)
+    if s_hi == (1 if shifted[0] > 0 else -1):
+        return None  # the root lies above hi
+    return (hi, hi) if s_hi == 0 else (lo, hi)
+
+
 def largest_real_root(p: Poly, tol: float = 1e-14) -> tuple[float, Fraction, Fraction]:
     """Largest real root of a squarefree integer polynomial.
 
     Returns (float approximation, exact bracket lo, exact bracket hi) with
-    hi - lo <= tol.  Uses a numpy seed when it certifies, exact Sturm
-    bisection otherwise.
+    hi - lo <= tol and the float inside the bracket.  A numpy seed certified
+    by Descartes' rule is bisected on the dyadic grid; otherwise the root is
+    isolated by a Sturm chain.
     """
     p = poly_trim(list(p))
     if poly_degree(p) < 1:
         raise InvalidParameterError("constant polynomial has no roots")
-    bracket = None
-    try:
-        import numpy as np
-        roots = np.roots(list(map(float, reversed(p))))
-        reals = sorted(float(r.real) for r in roots
-                       if abs(r.imag) <= 1e-8 * (1 + abs(r)))
-        if reals:
-            seed = reals[-1]
-            pad = max(1e-7, 1e-9 * (1 + abs(seed)))
-            lo = Fraction(seed - pad).limit_denominator(10**15)
-            hi = Fraction(seed + pad).limit_denominator(10**15)
-            flo, fhi = poly_eval(p, lo), poly_eval(p, hi)
-            if flo != 0 and fhi != 0 and (flo > 0) != (fhi > 0):
-                chain = sturm_chain(p)
-                # certify: exactly one root inside, none above
-                if count_roots_halfopen(chain, lo, hi) == 1 and \
-                        count_roots_halfopen(chain, hi, cauchy_root_bound(p)) == 0:
-                    bracket = (lo, hi)
-    except Exception:
-        bracket = None
-    if bracket is None:
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError("tol must be positive and finite")
+    # grid step 2**-e <= tol; bisect until the bracket spans <= width steps
+    e = max(0, 1 - math.frexp(tol)[1])
+    width = max(1, math.floor(Fraction(tol) * (1 << e)))
+    deg = len(p) - 1
+    scaled = [c * (1 << (e * (deg - k))) for k, c in enumerate(p)]
+    grid = _seed_bracket(p, scaled, e)
+    if grid is None:
         bracket = isolate_largest_real_root(p)
         if bracket is None:
             raise InvalidParameterError("polynomial has no real roots")
-    lo, hi = refine_root_bisect(p, bracket[0], bracket[1],
-                                Fraction(tol).limit_denominator(10**18))
+        lo, hi = refine_root_bisect(p, bracket[0], bracket[1], Fraction(tol))
+    else:
+        lo_z, hi_z = grid
+        s_lo = sign_at(scaled, lo_z)
+        while hi_z - lo_z > width:
+            mid = (lo_z + hi_z) >> 1
+            s = sign_at(scaled, mid)
+            if s == 0:
+                lo_z = hi_z = mid
+            elif s == s_lo:
+                lo_z = mid
+            else:
+                hi_z = mid
+        lo, hi = Fraction(lo_z, 1 << e), Fraction(hi_z, 1 << e)
     r = float((lo + hi) / 2)
     dp = poly_deriv(p)
     for _ in range(3):
@@ -327,7 +390,7 @@ def largest_real_root(p: Poly, tol: float = 1e-14) -> tuple[float, Fraction, Fra
         if slope == 0:
             break
         cand = r - float(poly_eval(p, r)) / slope
-        if float(lo) - tol <= cand <= float(hi) + tol:
+        if float(lo) <= cand <= float(hi):
             r = cand
     return r, lo, hi
 

@@ -109,7 +109,7 @@ def entropy_at(family, s: Fraction, engine: str, params: dict | None = None
         res = entropy_markov(family.map(), family.hole(s),
                              orbit_cap=params.get("orbit_cap", 10_000),
                              tol=params.get("tol", 1e-12))
-        return res.entropy, res.report.pole_order_p, params.get("tol", 1e-12)
+        return res.entropy, res.report.pole_order_p, res.error_bound
     if engine == "oracle":
         n = params.get("n", 20)
         tree = refine(family.map(), family.hole(s), n,

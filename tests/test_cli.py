@@ -64,6 +64,7 @@ def test_spectrum_json(capsys, tmp_path):
     data = json.loads(path.read_text())
     assert data["char_poly_coeffs"] == [0, 1, 2, -1, -2, 1]
     assert data["p"] == 2 and data["alg_mult"] == 2 and data["geo_mult"] == 1
+    assert data["min_poly"] == [-1, -1, 1]
 
 
 def test_spectrum_dot(capsys, tmp_path):

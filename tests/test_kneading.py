@@ -161,6 +161,16 @@ def test_leading_root_golden():
     assert abs(res.entropy - LOG_GOLDEN) < 1e-13
     assert res.residual < 1e-12
     assert res.error_bound < 1e-12
+    assert res.certified
+
+
+def test_leading_root_certified_at_every_degree():
+    res = entropy_left_hole(ex(Fraction(6893, 6901)))
+    assert len(res.series.polynomial) == 879
+    assert res.root.certified is True
+    # a truncated (float-mode) series gets no certificate
+    ser = DeterminantSeries((1, 1), (1, -1, -1), False, None)
+    assert leading_root(ser, 1e-14).certified is False
 
 
 def test_leading_root_no_root():

@@ -9,8 +9,9 @@ from holed_entropy import (AmbiguousMultiplicityError, Hole,
                            build_scaled_farey, entropy_left_hole, entropy_markov,
                            refine, refine_markov, spectral_report, to_dot,
                            transition_matrix)
-from holed_entropy.markov import TransitionMatrix
-from holed_entropy.polyexact import berkowitz_char_poly, char_poly_cofactor
+from holed_entropy.markov import TransitionMatrix, _min_poly_of_root
+from holed_entropy.polyexact import (berkowitz_char_poly, char_poly_cofactor,
+                                     poly_eval)
 
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -113,6 +114,18 @@ def test_spectral_double_pole():
     assert rep.min_poly == (-1, -1, 1)
     assert abs(res.entropy - LOG_GOLDEN) < 1e-12
     assert abs(rep.second_eigenvalue_modulus - (GOLDEN - 1)) < 1e-6
+    assert abs(rep.second_eigenvalue_modulus - 1 / GOLDEN) < 1e-12
+
+
+def test_min_poly_read_on_demand_matches_direct_factoring():
+    for s in (F(7, 10), F(71, 100), F(18, 25), F(29, 40), F(37, 50)):
+        rep = entropy_markov(build_d_adic(2), H((s, s + F(1, 12)))).report
+        assert rep.algebraic_multiplicity == 1
+        assert "min_poly" not in vars(rep)  # nothing computed it yet
+        expected = tuple(_min_poly_of_root(rep.rho_factor, *rep.rho_bracket))
+        assert rep.min_poly == expected
+        lo, hi = rep.rho_bracket
+        assert poly_eval(list(expected), lo) * poly_eval(list(expected), hi) <= 0
 
 
 def test_spectral_simple_root():

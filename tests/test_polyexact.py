@@ -1,17 +1,21 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from holed_entropy import polyexact
 from holed_entropy.errors import InvalidParameterError, ResourceLimitError
 from holed_entropy.polyexact import (NumberField, berkowitz_char_poly,
                                      cauchy_root_bound, char_poly_cofactor,
                                      clear_denominators, count_roots_halfopen,
                                      isolate_largest_real_root, largest_real_root,
                                      poly_divmod, poly_eval, poly_gcd_int,
-                                     poly_mul, refine_root_bisect,
+                                     poly_mul, refine_root_bisect, sign_at,
                                      square_free_decomposition, square_free_part,
-                                     sturm_chain)
+                                     sturm_chain, taylor_shift)
 
 
 # -- characteristic polynomial: two independent routes -------------------------
@@ -149,12 +153,124 @@ def test_no_real_roots():
         largest_real_root([1, 0, 1])  # x^2 + 1
 
 
+def _product(factors):
+    p = [1]
+    for f in factors:
+        p = poly_mul(p, f)
+    return p
+
+
+def _reference_bracket(p, tol):
+    lo, hi = isolate_largest_real_root(p)
+    return refine_root_bisect(p, lo, hi, Fraction(tol))
+
+
+def _assert_brackets_same_root(p, tol):
+    """largest_real_root brackets the root the Sturm reference brackets."""
+    r, lo, hi = largest_real_root(p, tol=tol)
+    ref_lo, ref_hi = _reference_bracket(p, tol)
+    assert max(lo, ref_lo) <= min(hi, ref_hi)
+    s_lo = sign_at(p, lo.numerator, lo.denominator)
+    s_hi = sign_at(p, hi.numerator, hi.denominator)
+    assert s_lo * s_hi < 0 or s_lo == 0 or s_hi == 0
+    assert hi - lo <= Fraction(tol)
+    assert float(lo) <= r <= float(hi)
+
+
+def _irreducible_quadratics():
+    # x^2 + b x + c with a discriminant that is not a square: no rational roots
+    return st.tuples(st.integers(-3, 3), st.integers(-3, 5)).filter(
+        lambda bc: bc[0] ** 2 - 4 * bc[1] < 0
+        or math.isqrt(bc[0] ** 2 - 4 * bc[1]) ** 2 != bc[0] ** 2 - 4 * bc[1]
+    ).map(lambda bc: [bc[1], bc[0], 1])
+
+
+_rational_roots = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=64),
+    min_size=1, max_size=5, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(roots=_rational_roots, quad=_irreducible_quadratics(),
+       tol=st.sampled_from([1e-8, 1e-13, 1e-14]))
+def test_largest_real_root_matches_sturm_reference(roots, quad, tol):
+    p = _product([clear_denominators([-r, 1]) for r in roots] + [quad])
+    _assert_brackets_same_root(p, tol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(base=st.fractions(min_value=-4, max_value=4, max_denominator=64),
+       gap=st.integers(1, 10), quad=_irreducible_quadratics())
+def test_largest_real_root_close_roots(base, gap, quad):
+    # the two largest roots lie closer than 1e-6 apart
+    top = base + Fraction(gap, 10 ** 7)
+    p = _product([clear_denominators([-base, 1]), clear_denominators([-top, 1]), quad])
+    _assert_brackets_same_root(p, 1e-13)
+
+
+def test_largest_real_root_close_roots_use_sturm(monkeypatch):
+    # roots 1/2 and 1/2 + 1e-8 both sit inside the seed pad: two sign
+    # variations, so the Sturm chain isolates the root
+    calls = []
+    original = polyexact.isolate_largest_real_root
+    monkeypatch.setattr(polyexact, "isolate_largest_real_root",
+                        lambda p: calls.append(p) or original(p))
+    p = poly_mul([-1, 2], clear_denominators([-(Fraction(1, 2) + Fraction(1, 10 ** 8)), 1]))
+    r, lo, hi = largest_real_root(p, tol=1e-13)
+    assert calls == [p]
+    assert lo <= Fraction(1, 2) + Fraction(1, 10 ** 8) <= hi
+
+
+@pytest.mark.parametrize("seed", [1.0, 2.999, 3.5])
+def test_largest_real_root_rejects_a_wrong_seed(monkeypatch, seed):
+    # roots 1 and 3 plus a complex pair; a seed bracket around the smaller
+    # root, below 3 or above 3 fails the Descartes certificate
+    import numpy as np
+    monkeypatch.setattr(np, "roots", lambda coeffs: np.array([seed]))
+    p = _product([[-1, 1], [-3, 1], [1, 0, 1]])
+    r, lo, hi = largest_real_root(p, tol=1e-13)
+    assert lo <= 3 <= hi and r == 3.0
+
+
+def test_largest_real_root_dyadic_root():
+    # roots on the dyadic grid, where the bracket may collapse onto the root
+    for p, root in (([-1, 1], 1), (poly_mul([-1, 1], [1, 0, 1]), 1), ([-3, 2], 1.5)):
+        _assert_brackets_same_root(p, 1e-13)
+        assert largest_real_root(p, tol=1e-13)[0] == root
+
+
+def test_largest_real_root_rejects_bad_tol():
+    for tol in (0.0, -1e-12, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError):
+            largest_real_root([-1, -1, 1], tol=tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.lists(st.integers(-50, 50), min_size=1, max_size=9),
+       x=st.fractions(min_value=-8, max_value=8, max_denominator=1000),
+       c=st.integers(-1000, 1000))
+def test_sign_at_and_taylor_shift_match_fraction_evaluation(p, x, c):
+    value = poly_eval(p, x)
+    assert sign_at(p, x.numerator, x.denominator) == (value > 0) - (value < 0)
+    shifted = taylor_shift(p, c)
+    assert poly_eval(shifted, x) == poly_eval(p, x + c)
+
+
 def test_refine_root_bisect_width():
     p = [-2, 0, 1]  # sqrt 2
     lo, hi = refine_root_bisect(p, Fraction(1), Fraction(2), Fraction(1, 10 ** 9))
     assert hi - lo <= Fraction(1, 10 ** 9)
     assert lo <= Fraction(2 ** 61, 2 ** 61) * 0 + lo  # bracket stays exact fractions
     assert poly_eval(p, lo) < 0 < poly_eval(p, hi)
+
+
+def test_refine_root_bisect_root_on_left_end():
+    # x (17x - 1)(x^2 + 1) on (0, 1/4]: the root 1/17 sits within a quarter
+    # of the bracket from the root 0 on its left end
+    p = _product([[0, 1], [-1, 17], [1, 0, 1]])
+    lo, hi = refine_root_bisect(p, Fraction(0), Fraction(1, 4), Fraction(1, 10 ** 12))
+    assert lo <= Fraction(1, 17) <= hi and hi - lo <= Fraction(1, 10 ** 12)
+    assert largest_real_root(p, tol=1e-13)[0] == pytest.approx(1 / 17, abs=1e-13)
 
 
 # -- number field -------------------------------------------------------------------

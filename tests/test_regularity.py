@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,7 @@ from holed_entropy import (CustomFamily, Hole, InvalidParameterError,
                            LeftHoleFamily, Scalar, SlidingHoleFamily, SweepSpec,
                            build_d_adic, emit_csv, emit_svg_plot, hole_dist,
                            holder_estimate, run_sweep, verify_holder_bound)
+from holed_entropy.markov import entropy_markov
 from holed_entropy.regularity import entropy_at
 
 LOG2 = math.log(2)
@@ -73,6 +78,38 @@ def test_sweep_left_hole_monotone_kneading():
     for h1, h2 in zip(hs, hs[1:]):
         assert h1 <= h2 + 1e-10
     assert all(0 <= h <= LOG2 + 1e-12 for h in hs)
+
+
+def test_markov_sweep_error_bound_covers_rho_bracket():
+    fam = SlidingHoleFamily(F(1, 12))
+    spec = SweepSpec(fam, F(71, 100), F(79, 100), 9, engine="markov")
+    rows = run_sweep(spec).rows
+    assert F(3, 4) in [r.s for r in rows]  # the double pole is one of them
+    for row in rows:
+        assert row.status == "ok"
+        assert 0 <= row.error_bound < 1e-12
+        lo, hi = entropy_markov(fam.map(), fam.hole(row.s)).report.rho_bracket
+        for end in (lo, hi):
+            assert abs(row.entropy - max(math.log(end), 0.0)) <= row.error_bound
+
+
+def test_markov_sweep_does_not_import_sympy():
+    # simple leading roots need no minimal polynomial, hence no sympy
+    probe = ("import sys\n"
+             "from fractions import Fraction as F\n"
+             "from holed_entropy import SlidingHoleFamily, SweepSpec, run_sweep\n"
+             "spec = SweepSpec(SlidingHoleFamily(F(1, 12)), F(7, 10), F(37, 50), 9,"
+             " engine='markov')\n"
+             "rows = run_sweep(spec).rows\n"
+             "assert [(r.p, r.status) for r in rows] == [(1, 'ok')] * 9, rows\n"
+             "print('sympy' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_sweep_rows_sorted_and_ok():
