@@ -29,8 +29,7 @@ from .mapmodel import (Hole, build_d_adic, build_scaled_farey, load_map_config,
                        map_to_config)
 from .markov import entropy_markov, to_dot
 from .regularity import (LeftHoleFamily, SlidingHoleFamily, SweepSpec, emit_csv,
-                         emit_svg_plot, holder_estimate, run_sweep,
-                         verify_holder_bound)
+                         emit_svg_plot, holder_estimate, run_sweep)
 from .scalar import DEFAULT_EPSILON, Scalar, parse_rational
 
 _INPUT_ERRORS = (InvalidParameterError, ModeMismatchError)
@@ -93,13 +92,6 @@ def _emit_json(obj, path: str | None):
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("HOLED_ENTROPY_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +196,7 @@ def _cmd_sweep(args) -> int:
                      _parse_fraction_arg(args.end), args.count,
                      engine=args.engine, engine_params=params,
                      extra_points=extra)
-    result = run_sweep(spec, threads=_threads(args))
+    result = run_sweep(spec)
     flagged = sum(1 for r in result.rows if r.status != "ok")
     print(f"swept {len(result.rows)} points with engine {args.engine}"
           + (f" ({flagged} flagged)" if flagged else ""))
@@ -227,8 +219,7 @@ def _cmd_holder(args) -> int:
     xi = args.xi if args.xi is not None else math.log(2)
     scales = [Fraction(1, 2 ** k) for k in range(args.scale_from, args.scale_to + 1)]
     est = holder_estimate(family, t, args.p, xi, scales, engine=args.engine)
-    rep = verify_holder_bound(family, t, args.p, xi, scales, engine=args.engine,
-                              exponent_offset=args.inflate)
+    rep = est.bound_check(args.inflate)
     out = {
         "t": str(t),
         "alpha_target": est.alpha_target,
@@ -287,8 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--hole", help="pieces lo,hi separated by ';'")
         p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                        help="float-mode classification tolerance")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (default HOLED_ENTROPY_THREADS or 1)")
         p.add_argument("--json", help="write a JSON report to this path")
 
     p = sub.add_parser("entropy", help="entropy of one map/hole pair")

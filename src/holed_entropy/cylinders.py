@@ -559,11 +559,13 @@ def expansion_diagnostics(pmap: PiecewiseMap, n: int, hole: Hole | None = None,
                           ) -> ExpansionDiagnostics:
     """Compute the level-n expansion and Lasota-Yorke diagnostics.
 
-    Full-branch affine maps take a closed-form path (the unrestricted level-n
-    partition is never enumerated); everything else walks the level-n
-    cylinders explicitly.  With a hole, the weight is multiplied by the
-    indicator of the survivor set and the variation term is counted from the
-    component structure inside each cylinder.
+    A full-branch affine map with an empty hole takes a closed form (the
+    unrestricted level-n partition is never enumerated).  Every other case
+    builds one table word -> (cylinder interval, sup |D T^n|, image length)
+    and walks the survivors grouped by word: the weight is multiplied by the
+    indicator of the survivor set and the variation term counts the component
+    ends inside each cylinder (none without a hole, where the survivors are
+    the unrestricted cylinders themselves).
     """
     if n < 1:
         raise InvalidParameterError("level must be >= 1")
@@ -580,92 +582,49 @@ def expansion_diagnostics(pmap: PiecewiseMap, n: int, hole: Hole | None = None,
 
     fast = _is_full_branch_affine(pmap)
     if fast:
-        max_slope = max(abs(b.kind.slope.value) for b in pmap.branches)
-        lambda_n = _log_ratio(max_slope)
+        slopes = [abs(b.kind.slope.value) for b in pmap.branches]
+        lambda_n = _log_ratio(max(slopes))
         xi_n = lambda_n - _log_ratio(m_I) / n
-        sup_by_word = None
+        if hole.is_empty:
+            # all itineraries exist; extremes come from repeating one branch
+            max_w = max(wvals)
+            theta_n = float("-inf") if max_w == 0 else _log_ratio(max_w)
+            best_ws = max(w * s for w, s in zip(wvals, slopes)) ** n
+            A_n = float(best_ws) * float(2 / Fraction(m_I) + 1)
+            return ExpansionDiagnostics(n, theta_n, lambda_n, xi_n,
+                                        3.0 * float(max_w) ** n, A_n)
+        survivors = refine(pmap, hole, n, component_cap)
     else:
         tree0 = refine(pmap, Hole.empty(), n, component_cap)
         if tree0.count(n) == 0:
             raise EmptyPartitionError(f"no level-{n} cylinders")
-        lam_best = None
-        xi_best = None
-        sup_by_word = {}
+        table = {}
         for (lo, hi), word in zip(tree0.component_intervals(n), tree0.itineraries(n)):
-            sup, m_img = _sup_deriv_and_image(pmap, word, lo, hi)
-            sup_by_word[word] = (sup, m_img)
-            l_val = _log_ratio(sup) / n
-            x_val = _log_ratio(Fraction(sup) / m_img if isinstance(sup, (int, Fraction))
-                               else sup / m_img) / n
-            lam_best = l_val if lam_best is None else max(lam_best, l_val)
-            xi_best = x_val if xi_best is None else max(xi_best, x_val)
-        lambda_n, xi_n = lam_best, xi_best
+            table[word] = ((lo, hi), *_sup_deriv_and_image(pmap, word, lo, hi))
+        lambda_n = max(_log_ratio(sup) / n for _, sup, _ in table.values())
+        xi_n = max(_log_ratio(Fraction(sup) / m_img if isinstance(sup, (int, Fraction))
+                              else sup / m_img) / n for _, sup, m_img in table.values())
+        survivors = tree0 if hole.is_empty else refine(pmap, hole, n, component_cap)
 
-    # survivor structure for the (weight x indicator) diagnostics
-    if hole.is_empty:
-        if fast:
-            # all itineraries exist; extremes come from repeating one branch
-            max_w = max(wvals)
-            theta_n = float("-inf") if max_w == 0 else _log_ratio(max_w)
-            a_n = 3.0 * float(max_w) ** n
-            slopes = [abs(b.kind.slope.value) for b in pmap.branches]
-            best_ws = max(w * s for w, s in zip(wvals, slopes)) ** n
-            A_n = float(best_ws) * float(2 / Fraction(m_I) + 1)
-            return ExpansionDiagnostics(n, theta_n, lambda_n, xi_n, a_n, A_n)
-        theta_best = None
-        a_best = 0.0
-        A_best = 0.0
-        for word, (sup, m_img) in sup_by_word.items():
-            prod = 1
-            for w in word:
-                prod = prod * wvals[w]
-            if prod > 0:
-                t = _log_ratio(prod) / n
-                theta_best = t if theta_best is None else max(theta_best, t)
-            a_best = max(a_best, 3.0 * float(prod))
-            if isinstance(sup, (int, Fraction)):
-                coeff = float(2 * Fraction(sup) / m_img + sup)
-            else:
-                coeff = 2 * sup / m_img + sup
-            A_best = max(A_best, float(prod) * coeff)
-        theta_n = float("-inf") if theta_best is None else theta_best
-        return ExpansionDiagnostics(n, theta_n, lambda_n, xi_n, a_best, A_best)
-
-    treeH = refine(pmap, hole, n, component_cap)
     groups: dict[tuple, list] = {}
-    for interval, word in zip(treeH.component_intervals(n), treeH.itineraries(n)):
+    for interval, word in zip(survivors.component_intervals(n), survivors.itineraries(n)):
         groups.setdefault(word, []).append(interval)
-
-    theta_best = None
-    a_best = 0.0
-    A_best = 0.0
+    if fast:
+        table = {word: (_cylinder_interval(pmap, word),
+                        math.prod(slopes[w] for w in word), m_I) for word in groups}
+    theta_n = float("-inf")
+    a_n = A_n = 0.0
     for word, comps in groups.items():
-        prod = 1
-        for w in word:
-            prod = prod * wvals[w]
+        prod = math.prod(wvals[w] for w in word)
         if prod > 0:
-            t = _log_ratio(prod) / n
-            theta_best = t if theta_best is None else max(theta_best, t)
-        zlo, zhi = _cylinder_interval(pmap, word)
-        var = 0
-        for lo, hi in comps:
-            var += (1 if lo > zlo else 0) + (1 if hi < zhi else 0)
-        if fast:
-            sup = 1
-            for w in word:
-                sup *= abs(pmap.branches[w].kind.slope.value)
-            m_img = m_I
-        else:
-            sup, m_img = sup_by_word[word]
-        a_best = max(a_best, float(prod) * (3.0 + var))
+            # indicator weights give exactly 0.0; `or 0.0` avoids -0.0
+            theta_n = max(theta_n, _log_ratio(prod) / n or 0.0)
+        (zlo, zhi), sup, m_img = table[word]
+        var = sum((lo > zlo) + (hi < zhi) for lo, hi in comps)
+        a_n = max(a_n, float(prod) * (3.0 + var))
         A_prime = float(prod) * (2.0 + var) * float(Fraction(sup) / m_img)
-        A_best = max(A_best, A_prime + float(prod) * float(sup))
-    if theta_best is None:
-        theta_n = float("-inf")
-    else:
-        # indicator weights give exactly 0.0; avoid -0.0 artifacts
-        theta_n = 0.0 if theta_best == 0 else theta_best
-    return ExpansionDiagnostics(n, theta_n, lambda_n, xi_n, a_best, A_best)
+        A_n = max(A_n, A_prime + float(prod) * float(sup))
+    return ExpansionDiagnostics(n, theta_n, lambda_n, xi_n, a_n, A_n)
 
 
 # ---------------------------------------------------------------------------

@@ -98,10 +98,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     return poly_trim(out)
 
 
-def poly_scale(p: Poly, c) -> Poly:
-    return poly_trim([a * c for a in p])
-
-
 def poly_deriv(p: Poly) -> Poly:
     return poly_trim([k * p[k] for k in range(1, len(p))])
 
@@ -213,12 +209,6 @@ def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     if poly_degree(c) > 0:
         out.append((c, i))
     return out
-
-
-def square_free_part(p: Poly) -> Poly:
-    g = poly_gcd_int(p, poly_deriv(p))
-    q, _ = poly_divmod(p, g)
-    return clear_denominators(q)
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +528,6 @@ class NumberField:
         c = Fraction(r1[0])
         inv = [x / c for x in s1]
         inv = inv[:self.degree] + [Fraction(0)] * max(0, self.degree - len(inv))
-        # reduce in case the Bezout coefficient overflows the degree
-        if len(inv) > self.degree:
-            red = self.zero
-            for k in reversed(range(len(inv))):
-                red = self.add(self.mul(red, self.generator()), self.from_const(inv[k]))
-            return red
         return tuple(inv)
 
     def matmul(self, A, B):

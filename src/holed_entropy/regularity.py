@@ -1,19 +1,18 @@
 """Parameter sweeps over hole families and empirical regularity estimates.
 
 A sweep evaluates one entropy engine over an exact rational grid of hole
-parameters.  The regularity estimators sample entropy differences around a
-base point across a geometric ladder of scales, fit a log-log exponent, and
-check boundedness of the fitted constant: a genuine exponent keeps the
-per-mesh constants within a fixed factor across the ladder, while an
-overshot exponent makes them grow geometrically.  No limit claims are made
-anywhere; everything is reported per mesh.
+parameters, serially and in grid order.  The regularity estimator samples
+entropy differences around a base point once across a geometric ladder of
+scales and fits a log-log exponent; its bound check tests boundedness of the
+fitted constant on the same samples: a genuine exponent keeps the per-mesh
+constants within a fixed factor across the ladder, while an overshot
+exponent makes them grow geometrically.  No limit claims are made anywhere;
+everything is reported per mesh.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -169,9 +168,10 @@ class SweepResult:
         return [r.entropy for r in self.rows if r.entropy is not None]
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
-    """Evaluate the engine on every grid point; failures flag the row and the
-    sweep continues.  Rows come back in grid order regardless of threads."""
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate the engine on every grid point, serially and in grid order;
+    failures flag the row and the sweep continues.  The metadata carries no
+    wall clock, so identical specs give identical results."""
     pts = spec.grid()
     for s in pts:
         if not spec.family.admissible(s):
@@ -185,18 +185,13 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
             return SweepRow(s, None, None, spec.engine, None,
                             f"error:{type(exc).__name__}")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, pts))
-    else:
-        rows = [work(s) for s in pts]
+    rows = [work(s) for s in pts]
     meta = {
         "family": getattr(spec.family, "name", "custom"),
         "engine": spec.engine,
         "count": len(rows),
         "start": str(pts[0]),
         "end": str(pts[-1]),
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     return SweepResult(rows, meta)
 
@@ -204,84 +199,6 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
 # ---------------------------------------------------------------------------
 # regularity estimation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HolderEstimate:
-    """Per-mesh regularity data around a base parameter.
-
-    ``alpha_target`` is h(t) / (p * xi).  ``constant_per_mesh[k]`` is the
-    worst ratio |h(s) - h(t)| / |s - t|**alpha_target at scale k;
-    ``constant`` is the max over the ladder.  ``fitted_exponent`` is the
-    log-log regression slope over the nonzero differences (None when the
-    entropy is constant across every sampled scale).
-    """
-
-    t: Fraction
-    alpha_target: float
-    fitted_exponent: Optional[float]
-    fit_residual: Optional[float]
-    constant: float
-    mesh_sizes: tuple[float, ...]
-    constant_per_mesh: tuple[float, ...]
-    locally_constant: bool
-    entropy_at_t: float
-
-
-def _sample_diffs(family, t: Fraction, scales, engine: str, params: dict | None):
-    h_t, _, _ = entropy_at(family, t, engine, params)
-    diffs = []
-    for delta in scales:
-        delta = Fraction(delta)
-        if delta <= 0:
-            raise InvalidParameterError("scales must be positive")
-        best = 0.0
-        for s in (t - delta, t + delta):
-            if family.admissible(s):
-                h_s, _, _ = entropy_at(family, s, engine, params)
-                best = max(best, abs(h_s - h_t))
-        diffs.append((float(delta), best))
-    return h_t, diffs
-
-
-def holder_estimate(family, t, p: int, xi: float, scales: Sequence,
-                    engine: str = "kneading",
-                    engine_params: dict | None = None) -> HolderEstimate:
-    """Sample h(t +- delta) across the scale ladder and report the target
-    exponent h(t)/(p*xi), the fitted log-log exponent, and per-mesh constants.
-
-    Entropy constant across every scale is flagged, not an error: the
-    exponent is undefined on a plateau.
-    """
-    t = Fraction(t)
-    if p < 1:
-        raise InvalidParameterError("pole order must be >= 1")
-    if len(scales) < 2:
-        raise InvalidParameterError("need at least two scales")
-    sc = [Fraction(d) for d in scales]
-    if any(b >= a for a, b in zip(sc, sc[1:])):
-        raise InvalidParameterError("scales must be strictly decreasing")
-    h_t, diffs = _sample_diffs(family, t, sc, engine, engine_params)
-    alpha = h_t / (p * xi) if h_t > 0 else 0.0
-    mesh = tuple(d for d, _ in diffs)
-    if alpha == 0.0:
-        return HolderEstimate(t, 0.0, None, None, 0.0, mesh,
-                              tuple(0.0 for _ in diffs),
-                              all(dh == 0 for _, dh in diffs), h_t)
-    consts = tuple(dh / d ** alpha for d, dh in diffs)
-    xs = [math.log(d) for d, dh in diffs if dh > 0]
-    ys = [math.log(dh) for _, dh in diffs if dh > 0]
-    fitted = residual = None
-    if len(xs) >= 2:
-        n = len(xs)
-        mx, my = sum(xs) / n, sum(ys) / n
-        sxx = sum((x - mx) ** 2 for x in xs)
-        if sxx > 0:
-            fitted = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
-            residual = math.sqrt(sum((y - (my + fitted * (x - mx))) ** 2
-                                     for x, y in zip(xs, ys)) / n)
-    return HolderEstimate(t, alpha, fitted, residual, max(consts), mesh, consts,
-                          all(dh == 0 for _, dh in diffs), h_t)
-
 
 @dataclass(frozen=True)
 class HolderBoundReport:
@@ -297,41 +214,125 @@ class HolderBoundReport:
     detail: str
 
 
+@dataclass(frozen=True)
+class HolderEstimate:
+    """Per-mesh regularity data around a base parameter.
+
+    ``alpha_target`` is h(t) / (p * xi).  ``differences[k]`` is the largest
+    |h(s) - h(t)| over the admissible s = t +- delta_k, and
+    ``constant_per_mesh[k]`` is that difference over delta_k**alpha_target;
+    ``constant`` is the max over the ladder.  ``fitted_exponent`` is the
+    log-log regression slope over the nonzero differences (None when the
+    entropy is constant across every sampled scale).
+    """
+
+    t: Fraction
+    alpha_target: float
+    fitted_exponent: Optional[float]
+    fit_residual: Optional[float]
+    constant: float
+    mesh_sizes: tuple[float, ...]
+    constant_per_mesh: tuple[float, ...]
+    locally_constant: bool
+    entropy_at_t: float
+    differences: tuple[float, ...]
+
+    def bound_check(self, exponent_offset: float = 0.0,
+                    stability_factor: float = 4.0) -> HolderBoundReport:
+        """Check |h(s) - h(t)| <= C |s - t|**alpha with one C across the
+        sampled ladder, without evaluating the entropy again.
+
+        alpha is h(t)/(p*xi) plus ``exponent_offset``.  Passes when every
+        per-mesh constant is positive and the largest exceeds the smallest by
+        at most ``stability_factor`` across the whole ladder; a constant
+        entropy passes trivially with C = 0.  Failure is a report outcome,
+        not an error.
+        """
+        if self.entropy_at_t <= 0:
+            raise InvalidParameterError("the bound applies only where entropy is positive")
+        alpha = self.alpha_target + exponent_offset
+        mesh = self.mesh_sizes
+        consts = tuple(dh / d ** alpha for d, dh in zip(mesh, self.differences))
+        if all(c == 0 for c in consts):
+            return HolderBoundReport(True, alpha, 0.0, mesh, consts, None, True,
+                                     "entropy locally constant across all scales")
+        if any(c == 0 for c in consts):
+            return HolderBoundReport(False, alpha, max(consts), mesh, consts, None,
+                                     False, "mixed zero and nonzero constants")
+        ratio = max(consts) / min(consts)
+        ok = ratio <= stability_factor
+        detail = (f"constant varies by factor {ratio:.3g} across the ladder; "
+                  f"{'within' if ok else 'exceeds'} the stability factor "
+                  f"{stability_factor:g}")
+        return HolderBoundReport(ok, alpha, max(consts), mesh, consts, ratio,
+                                 False, detail)
+
+
+def holder_estimate(family, t, p: int, xi: float, scales: Sequence,
+                    engine: str = "kneading",
+                    engine_params: dict | None = None) -> HolderEstimate:
+    """Sample h(t +- delta) once across the scale ladder and report the target
+    exponent h(t)/(p*xi), the fitted log-log exponent, and per-mesh constants.
+
+    Needs p >= 1, 0 < xi < inf, and at least two positive, strictly
+    decreasing scales; anything else is an ``InvalidParameterError`` before
+    any entropy is evaluated.  Entropy constant across every scale is
+    flagged, not an error: the exponent is undefined on a plateau.
+    ``HolderEstimate.bound_check`` tests a bound on the same samples.
+    """
+    t = Fraction(t)
+    if not p >= 1:
+        raise InvalidParameterError("pole order must be >= 1")
+    if not 0 < xi < math.inf:
+        raise InvalidParameterError("xi must be positive and finite")
+    sc = [Fraction(d) for d in scales]
+    if len(sc) < 2:
+        raise InvalidParameterError("need at least two scales")
+    if any(b >= a for a, b in zip(sc, sc[1:])):
+        raise InvalidParameterError("scales must be strictly decreasing")
+    if sc[-1] <= 0:
+        raise InvalidParameterError("scales must be positive")
+    h_t, _, _ = entropy_at(family, t, engine, engine_params)
+    diffs = []
+    for delta in sc:
+        best = 0.0
+        for s in (t - delta, t + delta):
+            if family.admissible(s):
+                h_s, _, _ = entropy_at(family, s, engine, engine_params)
+                best = max(best, abs(h_s - h_t))
+        diffs.append(best)
+    diffs = tuple(diffs)
+    mesh = tuple(float(d) for d in sc)
+    alpha = h_t / (p * xi) if h_t > 0 else 0.0
+    if alpha == 0.0:
+        return HolderEstimate(t, 0.0, None, None, 0.0, mesh,
+                              tuple(0.0 for _ in diffs),
+                              all(dh == 0 for dh in diffs), h_t, diffs)
+    consts = tuple(dh / d ** alpha for d, dh in zip(mesh, diffs))
+    xs = [math.log(d) for d, dh in zip(mesh, diffs) if dh > 0]
+    ys = [math.log(dh) for dh in diffs if dh > 0]
+    fitted = residual = None
+    if len(xs) >= 2:
+        n = len(xs)
+        mx, my = sum(xs) / n, sum(ys) / n
+        sxx = sum((x - mx) ** 2 for x in xs)
+        if sxx > 0:
+            fitted = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+            residual = math.sqrt(sum((y - (my + fitted * (x - mx))) ** 2
+                                     for x, y in zip(xs, ys)) / n)
+    return HolderEstimate(t, alpha, fitted, residual, max(consts), mesh, consts,
+                          all(dh == 0 for dh in diffs), h_t, diffs)
+
+
 def verify_holder_bound(family, t, p: int, xi: float, scales: Sequence,
                         engine: str = "kneading",
                         engine_params: dict | None = None,
                         exponent_offset: float = 0.0,
                         stability_factor: float = 4.0) -> HolderBoundReport:
-    """Check |h(s) - h(t)| <= C |s - t|**alpha with one C across all scales.
-
-    alpha is h(t)/(p*xi) plus ``exponent_offset``.  Passes when every
-    per-mesh constant is positive and the largest exceeds the smallest by at
-    most ``stability_factor`` across the whole ladder; a constant entropy
-    passes trivially with C = 0.  Failure is a report outcome, not an error.
-    """
-    t = Fraction(t)
-    sc = [Fraction(d) for d in scales]
-    if len(sc) < 2 or any(b >= a for a, b in zip(sc, sc[1:])):
-        raise InvalidParameterError("scales must be >= 2 values, strictly decreasing")
-    h_t, diffs = _sample_diffs(family, t, sc, engine, engine_params)
-    if h_t <= 0:
-        raise InvalidParameterError("the bound applies only where entropy is positive")
-    alpha = h_t / (p * xi) + exponent_offset
-    mesh = tuple(d for d, _ in diffs)
-    consts = tuple(dh / d ** alpha for d, dh in diffs)
-    if all(c == 0 for c in consts):
-        return HolderBoundReport(True, alpha, 0.0, mesh, consts, None, True,
-                                 "entropy locally constant across all scales")
-    if any(c == 0 for c in consts):
-        return HolderBoundReport(False, alpha, max(consts), mesh, consts, None,
-                                 False, "mixed zero and nonzero constants")
-    ratio = max(consts) / min(consts)
-    ok = ratio <= stability_factor
-    detail = (f"constant varies by factor {ratio:.3g} across the ladder; "
-              f"{'within' if ok else 'exceeds'} the stability factor "
-              f"{stability_factor:g}")
-    return HolderBoundReport(ok, alpha, max(consts), mesh, consts, ratio,
-                             False, detail)
+    """``holder_estimate(...).bound_check(exponent_offset, stability_factor)``:
+    sample the ladder once and check one constant C across all scales."""
+    est = holder_estimate(family, t, p, xi, scales, engine, engine_params)
+    return est.bound_check(exponent_offset, stability_factor)
 
 
 # ---------------------------------------------------------------------------

@@ -198,10 +198,37 @@ def test_json_config_map_source(capsys, tmp_path):
     assert "count 21," in out
 
 
-def test_threads_flag(capsys):
-    code, out, _ = run(capsys, "sweep", "--family", "left", "--start", "5/8",
-                       "--end", "3/4", "--count", "5", "--threads", "3")
-    assert code == 0 and "swept 5 points" in out
+def test_deterministic_sweep_json(capsys, tmp_path):
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    for p in (p1, p2):
+        run(capsys, "sweep", "--family", "left", "--start", "5/8", "--end", "3/4",
+            "--count", "5", "--json", str(p))
+    assert p1.read_bytes() == p2.read_bytes()
+    assert "generated_at" not in json.loads(p1.read_text())["metadata"]
+
+
+def test_holder_rejects_bad_xi(capsys):
+    for xi in ("0", "-1"):
+        code, out, err = run(capsys, "holder", "--family", "left", "--t", "3/4",
+                             "--xi", xi)
+        assert code == 2 and out == ""
+        assert "xi" in err
+
+
+def test_holder_samples_the_ladder_once(capsys, monkeypatch):
+    from holed_entropy import regularity
+    calls = []
+    real = regularity.entropy_at
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regularity, "entropy_at", counted)
+    code, _, _ = run(capsys, "holder", "--family", "left", "--t", "3/4",
+                     "--scale-from", "6", "--scale-to", "16")
+    assert code == 0
+    assert len(calls) == 23  # h(3/4) plus h(3/4 +- 2^-k) for k = 6..16
 
 
 def test_sweep_oracle_engine(capsys, tmp_path):

@@ -414,6 +414,63 @@ def test_empty_partition_error():
         expansion_diagnostics(PiecewiseMap(I, (b,)), 2)
 
 
+def fl(x):
+    return Scalar.approx(x)
+
+
+def W(*vals):
+    return LocallyConstantWeight(tuple(ex(v) for v in vals))
+
+
+FAREY_F08 = build_scaled_farey(fl(0.8))
+Q = Fraction
+
+# (map, hole, n, weight) -> (theta_n, lambda_n, xi_n, a_n, A_n), recorded from
+# an implementation with a separate loop per case: full-branch affine maps
+# without a hole (closed form), other maps without a hole, any map with a hole.
+DIAG_GOLDEN = [
+    (build_d_adic(2), Hole.empty(), 5, W(Q(2, 3), Q(3, 4)),
+     (-0.2876820724517808, 0.6931471805599453, 0.6931471805599453, 0.7119140625,
+      22.78125)),
+    (TENT, Hole.empty(), 4, None,
+     (0.0, 0.6931471805599453, 0.6931471805599453, 3.0, 48.0)),
+    (build_d_adic(3), Hole.empty(), 3, W(0, 1, 0),
+     (0.0, 1.0986122886681098, 1.0986122886681098, 3.0, 81.0)),
+    (build_scaled_farey(ex(1)), Hole.empty(), 3, None,
+     (0.0, 1.2647466565905874, 1.2647466565905874, 3.0, 133.33333333333334)),
+    (build_scaled_farey(ex(Q(4, 5))), Hole.empty(), 4, W(Q(2, 3), Q(3, 4)),
+     (-0.2876820724517808, 1.040548487713349, 1.1682548936548462, 0.94921875,
+      88.0410101046882)),
+    (FAREY_F08, Hole.empty(), 3, W(Q(2, 3), Q(3, 4)),
+     (-0.2876820724517808, 1.0814159284107931, 1.2516911363327896, 1.265625,
+      46.87753846153847)),
+    (build_scaled_farey(ex(Q(2, 5))), Hole.empty(), 8, None,
+     (0.0, -0.46916872531470544, 0.310204400849718, 3.0, 23.945052754223717)),
+    (build_d_adic(2), RIGHT_HOLE, 6, W(Q(2, 3), Q(3, 4)),
+     (-0.34657359027997264, 0.6931471805599453, 0.6931471805599453, 0.5, 32.0)),
+    (TENT, H((Q(1, 8), Q(1, 6)), (Q(5, 6), Q(1))), 5, W(0, 1),
+     (0.0, 0.6931471805599453, 0.6931471805599453, 4.0, 128.0)),
+    (build_d_adic(3), H((Q(1, 3), Q(2, 5))), 4, None,
+     (0.0, 1.0986122886681098, 1.0986122886681098, 4.0, 324.0)),
+    (build_scaled_farey(ex(Q(4, 5))), H((Q(3, 4), Q(5, 6))), 5, W(Q(2, 3), Q(3, 4)),
+     (-0.28768207245178096, 1.0076325842869118, 1.10979770904011, 0.94921875,
+      219.5350780001084)),
+    (FAREY_F08, Hole([(fl(0.75), fl(1.0))]), 6, None,
+     (0.0, 0.9856886486692921, 1.0708262526302874, 5.0, 2221.3965668528754)),
+    (build_scaled_farey(ex(1)), H((Q(0), Q(1))), 2, None,
+     (float("-inf"), 1.3862943611198906, 1.3862943611198906, 0.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(DIAG_GOLDEN)))
+def test_diagnostics_golden_table(case):
+    m, hole, n, w, (theta, lam, xi, a, A) = DIAG_GOLDEN[case]
+    d = expansion_diagnostics(m, n, hole, w)
+    assert (d.theta_n, d.lambda_n, d.xi_n, d.a_n) == (theta, lam, xi, a)
+    # summing the A_n coefficient in another order may move its last bit
+    assert abs(d.A_n - A) <= math.ulp(A)
+
+
 # -- Farey cylinder invariants --------------------------------------------------
 
 def test_farey_small_parameter_at_most_two():

@@ -14,7 +14,7 @@ from holed_entropy.polyexact import (NumberField, berkowitz_char_poly,
                                      isolate_largest_real_root, largest_real_root,
                                      poly_divmod, poly_eval, poly_gcd_int,
                                      poly_mul, refine_root_bisect, sign_at,
-                                     square_free_decomposition, square_free_part,
+                                     square_free_decomposition,
                                      sturm_chain, taylor_shift)
 
 
@@ -97,11 +97,6 @@ def test_square_free_decomposition_double_factor():
     decomp = square_free_decomposition(p)
     assert ([0, 1], 1) in decomp
     assert ([-1, -1, 1], 2) in decomp
-
-
-def test_square_free_part():
-    p = poly_mul(poly_mul([-1, 1], [-1, 1]), [-2, 1])
-    assert square_free_part(p) == clear_denominators(poly_mul([-1, 1], [-2, 1]))
 
 
 def test_poly_divmod_roundtrip():
@@ -284,6 +279,17 @@ def test_number_field_golden_arithmetic():
     assert K.mul(inv, g) == K.from_const(1)
     # 1/g = g - 1
     assert inv == K.sub(g, K.from_const(1))
+
+
+def test_number_field_inverse_at_full_degree():
+    K = NumberField([-1, -1, 0, 1])  # Q[x]/(x^3 - x - 1), the plastic number
+    one = K.from_const(1)
+    for a in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (-2, 0, 3),
+              (Fraction(1, 2), -1, Fraction(5, 3)), (7, -3, 0)]:
+        a = tuple(Fraction(x) for x in a)
+        inv = K.inv(a)
+        assert len(inv) == 3
+        assert K.mul(inv, a) == one and K.mul(a, inv) == one
 
 
 def test_number_field_rank_double_pole_matrix():

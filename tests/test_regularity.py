@@ -152,13 +152,6 @@ def test_sweep_flagged_rows_continue():
     assert statuses[1] == "ok" and statuses[2] == "ok"
 
 
-def test_sweep_threads_deterministic():
-    spec = SweepSpec(LeftHoleFamily(), F(5, 8), F(7, 8), 9, engine="kneading")
-    r1 = run_sweep(spec, threads=1)
-    r4 = run_sweep(spec, threads=4)
-    assert [(r.s, r.entropy) for r in r1.rows] == [(r.s, r.entropy) for r in r4.rows]
-
-
 def test_sliding_sweep_dip_at_three_quarters():
     fam = SlidingHoleFamily(F(1, 12))
     spec = SweepSpec(fam, F(7, 10), F(4, 5), 17, engine="markov",
@@ -235,6 +228,37 @@ def test_verify_requires_positive_entropy():
 def test_scales_must_decrease():
     with pytest.raises(InvalidParameterError):
         holder_estimate(LeftHoleFamily(), F(3, 4), 1, LOG2, [F(1, 64), F(1, 32)])
+
+
+@pytest.mark.parametrize("fn", [holder_estimate, verify_holder_bound])
+@pytest.mark.parametrize("p, xi, scales", [
+    (0, LOG2, SCALES[:2]),
+    (1, 0.0, SCALES[:2]),
+    (1, -1.0, SCALES[:2]),
+    (1, math.inf, SCALES[:2]),
+    (1, math.nan, SCALES[:2]),
+    (1, LOG2, SCALES[:1]),
+    (1, LOG2, [F(1, 64), F(0)]),
+])
+def test_holder_rejects_bad_input_before_sampling(monkeypatch, fn, p, xi, scales):
+    from holed_entropy import regularity
+
+    def never(*args, **kwargs):
+        raise AssertionError("entropy evaluated before validation")
+
+    monkeypatch.setattr(regularity, "entropy_at", never)
+    with pytest.raises(InvalidParameterError):
+        fn(LeftHoleFamily(), F(3, 4), p, xi, scales)
+
+
+def test_bound_check_matches_verify_holder_bound():
+    est = holder_estimate(LeftHoleFamily(), F(3, 4), 1, LOG2, SCALES)
+    assert len(est.differences) == len(SCALES)
+    assert all(dh > 0 for dh in est.differences)
+    assert est.bound_check().constant_per_mesh == est.constant_per_mesh
+    for offset in (0.0, 0.3):
+        assert est.bound_check(offset) == verify_holder_bound(
+            LeftHoleFamily(), F(3, 4), 1, LOG2, SCALES, exponent_offset=offset)
 
 
 def test_entropy_at_engine_mismatch():
