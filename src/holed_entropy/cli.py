@@ -73,7 +73,13 @@ def _resolve_map(name: str, param: str | None, epsilon: float):
     if name == "doubling":
         return build_d_adic(2)
     if name.startswith("d-adic:"):
-        return build_d_adic(int(name.split(":", 1)[1]))
+        text = name.split(":", 1)[1]
+        try:
+            d = int(text)
+        except ValueError as exc:
+            raise InvalidParameterError(
+                f"d-adic map needs an integer d >= 2, got {text!r}") from exc
+        return build_d_adic(d)
     if name == "farey":
         if param is None:
             raise InvalidParameterError("the farey map needs --param a in (0, 1]")

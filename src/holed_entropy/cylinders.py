@@ -7,22 +7,27 @@ endpoints, and forward image lengths come from endpoint images of the
 monotone composition.
 
 One driver loop in :func:`refine` owns the levels, extinction and the
-component cap, and builds each level from the previous one with one of two
-kernels, chosen per level:
+component cap, and builds each level from the previous one with a kernel
+chosen per level.  A level is stored in one of three forms:
 
-* the generic kernel keeps Python lists of Fraction (exact) or float
-  endpoints and handles any map;
-* the int64 kernel keeps numpy arrays of endpoints scaled to integers over
-  ``D0 * d**n`` and vectorises each branch step.  It runs only for exact
-  uniform-affine maps (one integer slope magnitude ``d``; the d-adic family in
-  particular), from a level of at least ``_ARRAY_MIN_COMPONENTS`` components,
-  and while the next level's scaled values fit in int64.  A stored component
-  then takes ~21 bytes (two int64 endpoints, an int32 parent, a uint8
-  branch) instead of four Python objects.
+* integer pairs: Python lists of ``(num, den)`` endpoints with ``den > 0``,
+  for exact maps (any branches).  Branch inverses are 2x2 integer matrices,
+  so a step does no Fraction arithmetic; values become Fraction only when a
+  level is read;
+* floats: Python lists of float endpoints, for float maps, compared with
+  the map's epsilon;
+* int64 arrays: numpy arrays of endpoints scaled to integers over
+  ``D0 * d**n``, with each branch step vectorised.  They are used only for
+  exact uniform-affine maps (one integer slope magnitude ``d``; the d-adic
+  family in particular), from a level of at least ``_ARRAY_MIN_COMPONENTS``
+  components, and while the next level's scaled values fit in int64.  A
+  stored component then takes ~21 bytes (two int64 endpoints, an int32
+  parent, a uint8 branch) instead of four Python objects.
 
 numpy is imported only when the int64 kernel first runs, so shallow
 refinements and every non-affine map never load it.  A level is converted
-exactly when the kernel changes, and both kernels build identical trees.
+exactly when the kernel changes between pairs and int64 arrays, and both
+build identical trees.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Optional, Sequence
 
 from .errors import (EmptyPartitionError, InvalidParameterError,
                      ResourceLimitError)
-from .mapmodel import (Affine, Hole, IntervalOpen, PiecewiseMap,
+from .mapmodel import (Affine, Branch, Hole, IntervalOpen, PiecewiseMap,
                        _require_same_mode, subtract_pieces)
 from .scalar import Scalar, as_scalar
 
@@ -71,27 +76,33 @@ class Cylinder:
 class _Level:
     """One level's components as parallel columns plus parent links.
 
-    Generic levels hold Python lists of raw endpoints and ``den`` is None.
-    Int64 levels hold numpy arrays: endpoints as int64 scaled by ``den``,
-    ``parent`` as int32 and ``branch`` as the smallest unsigned type that
-    holds every branch index.
+    List levels hold Python lists and ``den`` is None: endpoints are integer
+    ``(num, den)`` pairs with ``den > 0`` when ``pairs`` is set (exact maps),
+    floats otherwise.  Int64 levels hold numpy arrays: endpoints as int64
+    scaled by ``den``, ``parent`` as int32 and ``branch`` as the smallest
+    unsigned type that holds every branch index.
     """
 
-    __slots__ = ("den", "lo", "hi", "parent", "branch")
+    __slots__ = ("den", "lo", "hi", "parent", "branch", "pairs")
 
     def __init__(self, den: Optional[int] = None, lo=None, hi=None,
-                 parent=None, branch=None):
+                 parent=None, branch=None, pairs: bool = False):
         self.den = den
         self.lo = [] if lo is None else lo
         self.hi = [] if hi is None else hi
         self.parent = [] if parent is None else parent
         self.branch = [] if branch is None else branch
+        self.pairs = pairs
 
     def __len__(self):
         return len(self.lo)
 
     def endpoints(self) -> tuple[list, list]:
-        """Raw (lo, hi) columns as plain Python values."""
+        """Raw (lo, hi) columns as plain Python values: reduced Fraction
+        (exact maps) or float."""
+        if self.pairs:
+            return ([Fraction(u, v) for u, v in self.lo],
+                    [Fraction(u, v) for u, v in self.hi])
         if self.den is None:
             return self.lo, self.hi
         # tolist() first: Fraction(np.int64(x), den) would keep the numpy
@@ -126,33 +137,36 @@ class RefinementTree:
     def depth(self) -> int:
         return len(self._levels)
 
-    def count(self, n: int) -> int:
+    def _stored_level(self, n: int) -> int:
+        """The stored level that answers for level n.
+
+        Levels past the depth of an extinct tree are as empty as its last
+        level; past the depth of any other tree they are unknown.
+        """
         if n < 1:
             raise InvalidParameterError("level must be >= 1")
-        if n <= len(self.counts):
-            return self.counts[n - 1]
+        if n <= self.depth:
+            return n
         if self._extinct:
-            return 0
+            return self.depth
         raise InvalidParameterError(f"tree was only refined to depth {self.depth}")
+
+    def count(self, n: int) -> int:
+        return self.counts[self._stored_level(n) - 1]
 
     def component_intervals(self, n: int) -> list[tuple]:
         """Raw (lo, hi) pairs of the level-n components, left to right."""
-        if n > self.depth:
-            if self._extinct:
-                return []
-            raise InvalidParameterError(f"tree was only refined to depth {self.depth}")
-        return list(zip(*self._levels[n - 1].endpoints()))
+        return list(zip(*self._levels[self._stored_level(n) - 1].endpoints()))
 
     def itinerary(self, n: int, i: int) -> tuple[int, ...]:
         word = []
-        for lv in reversed(self._levels[:n]):
+        for lv in reversed(self._levels[:self._stored_level(n)]):
             word.append(int(lv.branch[i]))
             i = int(lv.parent[i])
         return tuple(word)
 
     def itineraries(self, n: int) -> list[tuple[int, ...]]:
-        if n > self.depth and self._extinct:
-            return []
+        n = self._stored_level(n)
         idx = range(len(self._levels[n - 1]))
         columns = []
         for lv in reversed(self._levels[:n]):
@@ -163,8 +177,6 @@ class RefinementTree:
 
     def cylinders(self, n: int) -> list[Cylinder]:
         """Components grouped by itinerary, groups ordered by first appearance."""
-        if n > self.depth:
-            return []
         eps = None if self.map.is_exact else self.map.epsilon
         groups: dict[tuple, list[IntervalOpen]] = {}
         for (lo, hi), word in zip(self.component_intervals(n), self.itineraries(n)):
@@ -179,9 +191,11 @@ class RefinementTree:
 # ---------------------------------------------------------------------------
 
 # The int64 kernel runs only on levels of at least this many components.
-# Importing numpy costs ~0.13 s, while the generic kernel costs ~30 us per
-# affine component: a level of 10^3 components already costs a quarter of
-# that import, and the levels after it grow geometrically.
+# Importing numpy costs ~0.13 s; the pair kernel costs ~1-2 us per d-adic
+# component (no hole / one hole piece) and the int64 kernel ~0.1 us, so the
+# import pays for itself after ~10^5 components.  A refinement that stays
+# below 10^3 components per level never pays it; past that size the levels
+# grow geometrically and reach that total within ~10 levels.
 _ARRAY_MIN_COMPONENTS = 1000
 
 
@@ -245,12 +259,21 @@ def _cap_exceeded(cap: int, level: int) -> ResourceLimitError:
     return ResourceLimitError(f"component cap {cap} exceeded at level {level}")
 
 
-class _GenericKernel:
-    """Python lists of Fraction or float endpoints; any map."""
+def _store(lv: _Level, comps, parent: int, b: int, cap: int, level: int):
+    if len(lv) + len(comps) > cap:
+        raise _cap_exceeded(cap, level)
+    for lo, hi in comps:
+        lv.lo.append(lo)
+        lv.hi.append(hi)
+        lv.parent.append(parent)
+        lv.branch.append(b)
+
+
+class _FloatKernel:
+    """Python lists of float endpoints; float maps."""
 
     def __init__(self, pmap: PiecewiseMap, hole: Hole):
-        self.exact = pmap.is_exact
-        self.tol = 0 if pmap.is_exact else pmap.epsilon
+        self.tol = pmap.epsilon
         self.doms = pmap.branch_domains_raw()
         self.imgs = [b.image_raw() for b in pmap.branches]
         self.invs = [b.invert_raw for b in pmap.branches]
@@ -260,14 +283,13 @@ class _GenericKernel:
     def first_level(self, cap: int) -> _Level:
         lv = _Level()
         for b, (dlo, dhi) in enumerate(self.doms):
-            self._store(lv, subtract_pieces(dlo, dhi, self.pieces, self.tol),
-                        -1, b, cap, 1)
+            _store(lv, subtract_pieces(dlo, dhi, self.pieces, self.tol), -1, b, cap, 1)
         return lv
 
     def step(self, cur: _Level, n: int, cap: int) -> _Level:
         """Level n+1 from level n, one branch at a time."""
         tol, pieces = self.tol, self.pieces
-        los, his = cur.endpoints()
+        los, his = cur.lo, cur.hi
         nxt = _Level()
         for b in range(len(self.doms)):
             ilo, ihi = self.imgs[b]
@@ -281,24 +303,121 @@ class _GenericKernel:
                 a, c = inv(ylo), inv(yhi)
                 if a > c:
                     a, c = c, a
-                # clamp float-path drift back into the branch domain
-                if not self.exact:
-                    a = max(a, self.doms[b][0])
-                    c = min(c, self.doms[b][1])
-                    if c - a <= tol:
-                        continue
-                self._store(nxt, subtract_pieces(a, c, pieces, tol), i, b, cap, n + 1)
+                # clamp drift back into the branch domain
+                a = max(a, self.doms[b][0])
+                c = min(c, self.doms[b][1])
+                if c - a <= tol:
+                    continue
+                _store(nxt, subtract_pieces(a, c, pieces, tol), i, b, cap, n + 1)
         return nxt
 
-    @staticmethod
-    def _store(lv: _Level, comps, parent: int, b: int, cap: int, level: int):
-        if len(lv) + len(comps) > cap:
-            raise _cap_exceeded(cap, level)
-        for lo, hi in comps:
-            lv.lo.append(lo)
-            lv.hi.append(hi)
-            lv.parent.append(parent)
-            lv.branch.append(b)
+
+def _pair(x: Fraction) -> tuple[int, int]:
+    return x.numerator, x.denominator
+
+
+def _inverse_matrix(branch: Branch) -> tuple[int, int, int, int]:
+    """Integers (A, B, C, D) with branch^-1(y) = (A y + B) / (C y + D) and
+    C y + D > 0 on the branch image closure.
+
+    The inverse's pole is the image of infinity, which lies outside the image
+    closure, so one sign flip settles the sign of C y + D on all of it.
+    """
+    k = branch.kind
+    if isinstance(k, Affine):
+        m = (1, -k.offset.value, 0, k.slope.value)
+    else:
+        m = (k.s.value, -k.q.value, -k.r.value, k.p.value)
+    scale = math.lcm(*(x.denominator for x in m))
+    A, B, C, D = (int(x * scale) for x in m)
+    if C * branch.image_raw()[0] + D < 0:
+        A, B, C, D = -A, -B, -C, -D
+    return A, B, C, D
+
+
+def _subtract_pairs(lo, hi, pieces) -> list:
+    """:func:`subtract_pieces` at tolerance 0 on (num, den) pairs, den > 0;
+    ``lo < hi``."""
+    out = []
+    cu, cv = lo
+    hu, hv = hi
+    for (au, av), (bu, bv) in pieces:
+        if bu * cv <= cu * bv:
+            continue
+        if au * hv >= hu * av:
+            break
+        if au * cv > cu * av:
+            out.append(((cu, cv), (au, av)))
+        cu, cv = bu, bv
+        if cu * hv >= hu * cv:
+            return out
+    out.append(((cu, cv), hi))
+    return out
+
+
+class _PairKernel:
+    """Python lists of integer (num, den) endpoint pairs, den > 0; exact maps.
+
+    A branch inverse is the integer matrix of :func:`_inverse_matrix`, so a
+    step is integer multiplications and cross-multiplied comparisons only.
+    Pairs are not reduced: a gcd per endpoint costs more than the few extra
+    bits it saves.
+    """
+
+    def __init__(self, pmap: PiecewiseMap, hole: Hole):
+        self.doms = [(_pair(lo), _pair(hi)) for lo, hi in pmap.branch_domains_raw()]
+        self.imgs = [(_pair(lo), _pair(hi)) for lo, hi in
+                     (b.image_raw() for b in pmap.branches)]
+        self.mats = [_inverse_matrix(b) for b in pmap.branches]
+        self.signs = [b.orientation for b in pmap.branches]
+        self.pieces = [(_pair(lo), _pair(hi)) for lo, hi in hole.pieces]
+
+    def first_level(self, cap: int) -> _Level:
+        lv = _Level(pairs=True)
+        for b, (dlo, dhi) in enumerate(self.doms):
+            _store(lv, _subtract_pairs(dlo, dhi, self.pieces), -1, b, cap, 1)
+        return lv
+
+    def step(self, cur: _Level, n: int, cap: int) -> _Level:
+        """Level n+1 from level n, one branch at a time."""
+        if cur.den is None:
+            los, his = cur.lo, cur.hi
+        else:
+            den = cur.den
+            los = [(u, den) for u in cur.lo.tolist()]
+            his = [(u, den) for u in cur.hi.tolist()]
+        pieces = self.pieces
+        nxt = _Level(pairs=True)
+        out_lo, out_hi, out_parent, out_branch = nxt.lo, nxt.hi, nxt.parent, nxt.branch
+        for b, ((p1, q1), (p2, q2)) in enumerate(self.imgs):
+            A, B, C, D = self.mats[b]
+            rev = self.signs[b] < 0
+            if rev:
+                items = zip(range(len(los) - 1, -1, -1), reversed(los), reversed(his))
+            else:
+                items = zip(range(len(los)), los, his)
+            for i, (u1, v1), (u2, v2) in items:
+                # clip to the branch image, skip if empty
+                if u1 * q1 < p1 * v1:
+                    u1, v1 = p1, q1
+                if u2 * q2 > p2 * v2:
+                    u2, v2 = p2, q2
+                if u2 * v1 <= u1 * v2:
+                    continue
+                lo = (A * u1 + B * v1, C * u1 + D * v1)
+                hi = (A * u2 + B * v2, C * u2 + D * v2)
+                if rev:
+                    lo, hi = hi, lo
+                # _store inlined: calling it per component measured ~35% slower
+                comps = _subtract_pairs(lo, hi, pieces) if pieces else ((lo, hi),)
+                if len(out_lo) + len(comps) > cap:
+                    raise _cap_exceeded(cap, n + 1)
+                for lo, hi in comps:
+                    out_lo.append(lo)
+                    out_hi.append(hi)
+                    out_parent.append(i)
+                    out_branch.append(b)
+        return nxt
 
 
 class _Int64Kernel:
@@ -319,9 +438,10 @@ class _Int64Kernel:
         """Level n+1 from level n, one branch at a time."""
         np, u = self.np, self.u
         if cur.den is None:
+            # exact: every level-n endpoint is a multiple of 1/den(n)
             den = u.den(n)
-            lo = np.array([int(v * den) for v in cur.lo], dtype=np.int64)
-            hi = np.array([int(v * den) for v in cur.hi], dtype=np.int64)
+            lo = np.array([a * den // b for a, b in cur.lo], dtype=np.int64)
+            hi = np.array([a * den // b for a, b in cur.hi], dtype=np.int64)
         else:
             lo, hi = cur.lo, cur.hi
         scale = u.d ** n
@@ -371,22 +491,22 @@ def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,
     take any level past ``component_cap`` components.  Stops early (with the
     zero-count convention) once a level dies out entirely.
 
-    Each level is built by one of two kernels.  The int64 kernel takes the
-    step from level n when the map is exact uniform-affine, level n has at
-    least ``_ARRAY_MIN_COMPONENTS`` components and level n+1 still fits in
-    int64; the generic kernel takes every other step.  Both build identical
-    trees.
+    The int64 kernel takes the step from level n when the map is exact
+    uniform-affine, level n has at least ``_ARRAY_MIN_COMPONENTS`` components
+    and level n+1 still fits in int64.  Every other step runs on Python
+    lists: integer pairs for exact maps, floats for float maps.  The pair and
+    int64 kernels build identical trees.
     """
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
     _require_same_mode(pmap, hole)
-    generic = _GenericKernel(pmap, hole)
+    lists = (_PairKernel if pmap.is_exact else _FloatKernel)(pmap, hole)
     uniform = _try_uniform_affine(pmap, hole)
     arrays = None
-    levels = [generic.first_level(component_cap)]
+    levels = [lists.first_level(component_cap)]
     while len(levels) < n_max and len(levels[-1]):
         cur, n = levels[-1], len(levels)
-        kernel = generic
+        kernel = lists
         if (uniform is not None and len(cur) >= _ARRAY_MIN_COMPONENTS
                 and uniform.fits_int64(n + 1)):
             if arrays is None:

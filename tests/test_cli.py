@@ -155,6 +155,13 @@ def test_exit_code_2_on_unknown_map(capsys):
     assert code == 2
 
 
+def test_exit_code_2_on_malformed_d_adic(capsys):
+    for name in ("d-adic:x", "d-adic:"):
+        code, _, err = run(capsys, "oracle", "--map", name, "--depth", "3")
+        assert code == 2
+        assert err.startswith("error: d-adic map needs an integer d >= 2")
+
+
 def test_exit_code_2_on_malformed_rational(capsys):
     code, _, _ = run(capsys, "entropy", "--map", "doubling", "--hole", "abc,1")
     assert code == 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holed_entropy import (EmptyPartitionError, Hole, LocallyConstantWeight,
@@ -15,7 +15,7 @@ from holed_entropy import (EmptyPartitionError, Hole, LocallyConstantWeight,
                            pressure_estimate, refine)
 from holed_entropy import cylinders
 from holed_entropy.cylinders import left_hole_parameter
-from holed_entropy.mapmodel import map_from_config
+from holed_entropy.mapmodel import map_from_config, map_to_config, subtract_pieces
 
 
 def ex(x):
@@ -99,7 +99,7 @@ def test_interior_hole_level1_components():
 @contextmanager
 def only_kernel(name):
     """The int64 kernel takes every uniform-affine step it can ("int64"), or
-    none of them ("generic")."""
+    none of them ("generic": every step runs on the pair or float lists)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cylinders, "_ARRAY_MIN_COMPONENTS",
                    1 if name == "int64" else math.inf)
@@ -136,9 +136,9 @@ def test_generic_path_agrees_with_scaled_path():
 
 
 @st.composite
-def exact_holes(draw):
+def exact_holes(draw, min_pieces=1):
     pieces = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(min_pieces, 3))):
         q = draw(st.integers(1, 64))
         lo = draw(st.integers(0, q))
         hi = draw(st.integers(lo, q))
@@ -202,22 +202,93 @@ def test_int64_levels_return_python_values():
             expansion_diagnostics(m, 16, RIGHT_HOLE, w)) == want
 
 
+def reference_refine(pmap, hole, depth):
+    """Fraction refinement from the definition: level k+1 pulls every level-k
+    component back through each branch (clipped to the branch image) and
+    removes the hole.  Returns per level a list of (lo, hi, itinerary)."""
+    level = [(lo, hi, (b,)) for b, (dlo, dhi) in enumerate(pmap.branch_domains_raw())
+             for lo, hi in subtract_pieces(dlo, dhi, hole.pieces, 0)]
+    levels = [level]
+    while len(levels) < depth and level:
+        level = []
+        for b, br in enumerate(pmap.branches):
+            ilo, ihi = br.image_raw()
+            for lo, hi, word in levels[-1][::br.orientation]:
+                ylo, yhi = max(lo, ilo), min(hi, ihi)
+                if ylo < yhi:
+                    a, c = sorted((br.invert_raw(ylo), br.invert_raw(yhi)))
+                    level += [(x, y, (b,) + word)
+                              for x, y in subtract_pieces(a, c, hole.pieces, 0)]
+        levels.append(level)
+    return levels
+
+
+# x -> 5x/2 on (0, 2/5), 2 - 5x/2 on (2/5, 4/5), 5x/2 - 5/3 on (4/5, 1): a
+# non-integer slope and offsets with different denominators, and an image
+# (1/3, 5/6) inside the codomain
+AFFINE_5_2 = map_from_config({"codomain": ["0", "1"], "branches": [
+    {"domain": ["0", "2/5"], "kind": "affine", "coeffs": ["5/2", "0"]},
+    {"domain": ["2/5", "4/5"], "kind": "affine", "coeffs": ["-5/2", "2"]},
+    {"domain": ["4/5", "1"], "kind": "affine", "coeffs": ["5/2", "-5/3"]}]})[0]
+
+farey_parameters = st.integers(1, 64).flatmap(
+    lambda q: st.integers(1, q).map(lambda p: Fraction(p, q)))
+exact_maps = st.one_of(farey_parameters.map(lambda a: build_scaled_farey(ex(a))),
+                       st.just(TENT), st.just(AFFINE_5_2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pmap=exact_maps, hole=exact_holes(min_pieces=0), depth=st.integers(1, 8))
+# components ending at the image end 5/6 of the third branch clip to nothing
+@example(pmap=AFFINE_5_2, hole=H((Fraction(5, 6), Fraction(1))), depth=4)
+def test_pair_kernel_matches_fraction_reference(pmap, hole, depth):
+    with only_kernel("generic"):
+        tree = refine(pmap, hole, depth)
+    want = reference_refine(pmap, hole, depth)
+    assert tree.depth == len(want)
+    for n, level in enumerate(want, 1):
+        assert tree.component_intervals(n) == [(lo, hi) for lo, hi, _ in level]
+        assert tree.itineraries(n) == [word for _, _, word in level]
+
+
+def test_pair_levels_return_python_values():
+    farey = build_scaled_farey(ex(Fraction(4, 5)))
+    for pmap, hole in ((farey, H((Fraction(1, 3), Fraction(3, 8)))),
+                       (AFFINE_5_2, Hole.empty()), (build_d_adic(2), RIGHT_HOLE)):
+        tree = refine(pmap, hole, 7)
+        assert all(lv.pairs for lv in tree._levels)
+        for n in range(1, 8):
+            for lo, hi in tree.component_intervals(n):
+                assert type(lo) is Fraction and type(hi) is Fraction
+                assert type(lo.numerator) is int and type(lo.denominator) is int
+                assert type(hi.numerator) is int and type(hi.denominator) is int
+
+
+def float_copy(pmap, hole, e=1e-12):
+    cfg = map_to_config(pmap)
+    cfg["epsilon"] = e
+    return map_from_config(cfg)[0], Hole(
+        [(Scalar.approx(float(lo), e), Scalar.approx(float(hi), e))
+         for lo, hi in hole.pieces])
+
+
 def test_exact_float_count_agreement():
     m_cfg = build_d_adic(2)
-    e = 1e-12
-    from holed_entropy.mapmodel import map_from_config, map_to_config
-    cfg = map_to_config(m_cfg)
-    cfg["epsilon"] = e
-    m_float, _ = map_from_config(cfg)
     for pieces in [((Fraction(3, 4), Fraction(1)),),
                    ((Fraction(3, 4), Fraction(5, 6)),),
                    ((Fraction(1, 3), Fraction(2, 5)),)]:
         exact_hole = H(*pieces)
-        float_hole = Hole([(Scalar.approx(float(lo), e), Scalar.approx(float(hi), e))
-                           for lo, hi in pieces])
+        m_float, float_hole = float_copy(m_cfg, exact_hole)
         t1 = refine(m_cfg, exact_hole, 15)
         t2 = refine(m_float, float_hole, 15)
         assert t1.counts == t2.counts
+
+
+@settings(max_examples=25, deadline=None)
+@given(hole=exact_holes(), d=st.sampled_from([2, 3]), depth=st.integers(1, 10))
+def test_exact_and_float_counts_agree_on_random_holes(hole, d, depth):
+    m = build_d_adic(d)
+    assert refine(m, hole, depth).counts == refine(*float_copy(m, hole), depth).counts
 
 
 def test_component_cap():
@@ -226,7 +297,7 @@ def test_component_cap():
 
 
 def test_component_cap_boundary():
-    # levels up to 10 of the full shift come from the generic kernel, levels
+    # levels up to 10 of the full shift come from the pair kernel, levels
     # 11 and 12 from the int64 kernel
     tree = refine(build_d_adic(2), Hole.empty(), 9, component_cap=512)
     assert not any(int64_levels(tree))
@@ -247,6 +318,33 @@ def test_count_beyond_depth_requires_extinction():
     tree = refine(build_d_adic(2), Hole.empty(), 4)
     with pytest.raises(InvalidParameterError):
         tree.count(9)
+
+
+ACCESSORS = ("count", "component_intervals", "itineraries", "cylinders",
+             "itinerary")
+
+
+def read_level(tree, accessor, n):
+    args = (n, 0) if accessor == "itinerary" else (n,)
+    return getattr(tree, accessor)(*args)
+
+
+@pytest.mark.parametrize("accessor", ACCESSORS)
+def test_accessors_check_the_level(accessor):
+    from holed_entropy import InvalidParameterError
+    live = refine(build_d_adic(2), Hole.empty(), 4)
+    dead = refine(build_d_adic(2), H((Fraction(0), Fraction(1))), 4)
+    assert dead.depth == 1
+    for tree, n in ((live, 0), (live, -1), (live, 6), (dead, 0)):
+        with pytest.raises(InvalidParameterError):
+            read_level(tree, accessor, n)
+    # levels past an extinct tree's depth are empty
+    for n in (1, 3):
+        if accessor == "itinerary":
+            with pytest.raises(IndexError):
+                read_level(dead, accessor, n)
+        else:
+            assert read_level(dead, accessor, n) in (0, [])
 
 
 def test_cylinder_grouping():
