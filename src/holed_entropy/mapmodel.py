@@ -286,10 +286,22 @@ def _require_same_mode(pmap: PiecewiseMap, hole: Hole):
 # builders
 # ---------------------------------------------------------------------------
 
+# above this the d + 1 initial breakpoints already exceed the Markov
+# engine's default orbit cap, and every branch is built eagerly
+D_ADIC_MAX = 10_000
+
+
 def build_d_adic(d: int) -> PiecewiseMap:
-    """The map x -> d*x mod 1 on (0,1), as d affine increasing branches."""
+    """The map x -> d*x mod 1 on (0,1), as d affine increasing branches.
+
+    ``d`` must lie in ``[2, D_ADIC_MAX]``; the bound is checked before any
+    branch is built.
+    """
     if not isinstance(d, int) or d < 2:
         raise InvalidParameterError(f"d-adic map needs an integer d >= 2, got {d!r}")
+    if d > D_ADIC_MAX:
+        raise InvalidParameterError(
+            f"d-adic map needs d <= {D_ADIC_MAX}, got {d}")
     I = IntervalOpen(Scalar.exact(0), Scalar.exact(1))
     branches = []
     for k in range(d):

@@ -4,8 +4,11 @@ Jordan structure for holes with finite boundary orbits.
 When every branch endpoint and hole endpoint has a finite forward orbit, the
 orbit points cut the interval into states on which the map is Markov: each
 state maps under a single branch onto an exact union of states and escape
-pieces.  The transition matrix is 0/1 over the surviving states, its
-characteristic polynomial is computed exactly over the integers, and the
+pieces.  The orbit points are closed by a worklist that inserts each new
+point into the sorted cuts once and queues only its own image.  The
+transition matrix is 0/1 over the surviving states; a state's image covers
+one contiguous run of states, found by bisection.  Its characteristic
+polynomial is computed exactly over the integers (sparse Berkowitz), and the
 pole order of the leading eigenvalue is read off rank stabilization of
 powers of (M - rho I) over the exact number field of rho.
 """
@@ -13,16 +16,18 @@ powers of (M - rho I) over the exact number field of rho.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
 from .errors import (AmbiguousMultiplicityError, InvalidParameterError,
-                     NotFinitelyMarkovError)
+                     NotFinitelyMarkovError, ResourceLimitError)
 from .mapmodel import Hole, PiecewiseMap
-from .polyexact import (NumberField, berkowitz_char_poly, largest_real_root,
-                        poly_degree, poly_eval, square_free_decomposition)
+from .polyexact import (CHAR_POLY_SIZE_CAP, NumberField, berkowitz_char_poly,
+                        largest_real_root, poly_degree, poly_eval,
+                        square_free_decomposition)
 from .scalar import rational_str
 
 DEFAULT_ORBIT_CAP = 10_000
@@ -50,11 +55,16 @@ def refine_markov(pmap: PiecewiseMap, hole: Hole,
                   orbit_cap: int = DEFAULT_ORBIT_CAP) -> MarkovRefinement:
     """Close the breakpoint set under the map and cut out the states.
 
-    Breakpoints start from the branch-domain, codomain, and hole endpoints;
-    each surviving elementary interval contributes the images of its
-    endpoints (through its own branch's continuous extension) until nothing
-    new appears.  Raises :class:`NotFinitelyMarkovError` if the set does not
-    close within ``orbit_cap`` points.
+    Breakpoints start from the branch-domain, codomain, and hole endpoints,
+    and each elementary interval outside the hole and inside a branch domain
+    queues the images of its ends (through its own branch's continuous
+    extension).  A queued image that is a new point is inserted into the
+    sorted cuts with ``bisect``.  Hole and branch endpoints are initial
+    cuts, so both halves of the interval it splits keep that interval's
+    owner, whose end images are already queued: only the new point's own
+    image is queued.  The queue empties at the least forward-closed set in
+    any order.  Raises :class:`NotFinitelyMarkovError` as soon as the set
+    grows past ``orbit_cap`` points.
     """
     if not pmap.is_exact or not (hole.is_exact or hole.is_empty):
         raise NotFinitelyMarkovError(
@@ -73,48 +83,43 @@ def refine_markov(pmap: PiecewiseMap, hole: Hole,
         points.add(lo)
         points.add(hi)
 
-    def branch_of(mid: Fraction) -> Optional[int]:
+    def owner(u: Fraction, v: Fraction) -> Optional[int]:
+        """Branch owning the elementary interval (u, v); None in the hole
+        or outside every branch domain."""
+        mid = (u + v) / 2
+        if _inside_hole(mid, hole):
+            return None
         for k, (lo, hi) in enumerate(doms):
             if lo < mid < hi:
                 return k
         return None
 
-    while True:
-        new: set[Fraction] = set()
-        cuts = sorted(points)
-        for u, v in zip(cuts, cuts[1:]):
-            mid = (u + v) / 2
-            if _inside_hole(mid, hole):
-                continue
-            b = branch_of(mid)
-            if b is None:
-                continue
+    cuts = sorted(points)
+    owners = [owner(u, v) for u, v in zip(cuts, cuts[1:])]  # of (cuts[i], cuts[i + 1])
+    work = []  # images not yet inserted
+    for u, v, b in zip(cuts, cuts[1:], owners):
+        if b is not None:
             br = pmap.branches[b]
-            for w in (br.apply_raw(u), br.apply_raw(v)):
-                if w not in points:
-                    new.add(w)
-        if not new:
-            break
-        points.update(new)
+            work += (br.apply_raw(u), br.apply_raw(v))
+    while work:
+        w = work.pop()
+        if w in points:
+            continue
+        points.add(w)
         if len(points) > orbit_cap:
             raise NotFinitelyMarkovError(
                 f"boundary orbits did not close within {orbit_cap} points; "
                 "use the cylinder or tower engines")
+        i = bisect_left(cuts, w)
+        b = owners[i - 1]
+        cuts.insert(i, w)
+        owners.insert(i, b)
+        if b is not None:
+            work.append(pmap.branches[b].apply_raw(w))
 
-    cuts = sorted(points)
-    states: list[tuple[Fraction, Fraction]] = []
-    owners: list[int] = []
-    for u, v in zip(cuts, cuts[1:]):
-        mid = (u + v) / 2
-        if _inside_hole(mid, hole):
-            continue
-        b = branch_of(mid)
-        if b is None:
-            continue
-        states.append((u, v))
-        owners.append(b)
-
-    ref = MarkovRefinement(pmap, hole, tuple(cuts), tuple(states), tuple(owners))
+    states = tuple((u, v) for u, v, b in zip(cuts, cuts[1:], owners) if b is not None)
+    state_branch = tuple(b for b in owners if b is not None)
+    ref = MarkovRefinement(pmap, hole, tuple(cuts), states, state_branch)
     _verify_markov(ref)
     return ref
 
@@ -151,15 +156,31 @@ class TransitionMatrix:
 
 
 def transition_matrix(ref: MarkovRefinement) -> TransitionMatrix:
+    """0/1 transition matrix of a Markov refinement and its characteristic
+    polynomial.
+
+    States are disjoint and sorted, so the states covered by the image
+    ``[w1, w2]`` of a state form one contiguous run: from the first state
+    whose left end is at least ``w1`` to the last whose right end is at most
+    ``w2``.  Raises :class:`ResourceLimitError` before building any row when
+    there are more states than the characteristic-polynomial cap.
+    """
     n = len(ref.states)
+    if n > CHAR_POLY_SIZE_CAP:
+        raise ResourceLimitError(
+            f"{n} states exceed the characteristic-polynomial cap {CHAR_POLY_SIZE_CAP}")
+    los = [lo for lo, _ in ref.states]
+    his = [hi for _, hi in ref.states]
     rows = []
     for (u, v), b in zip(ref.states, ref.state_branch):
         br = ref.map.branches[b]
         w1, w2 = br.apply_raw(u), br.apply_raw(v)
         if w1 > w2:
             w1, w2 = w2, w1
-        rows.append([1 if w1 <= s_lo and s_hi <= w2 else 0
-                     for s_lo, s_hi in ref.states])
+        first, end = bisect_left(los, w1), bisect_right(his, w2)
+        row = [0] * n
+        row[first:end] = [1] * (end - first)
+        rows.append(row)
     char = berkowitz_char_poly(rows)
     return TransitionMatrix(n, tuple(tuple(r) for r in rows), tuple(char))
 

@@ -18,6 +18,11 @@ integer bracket.  When there is no usable seed or the variation count is not
 one (roots closer than the seed pad, or complex roots near the real axis to
 the right of ``lo``), the root is isolated by a Sturm chain over Fractions
 instead (:func:`isolate_largest_real_root`, :func:`refine_root_bisect`).
+
+The square-free decomposition divides only by primitive integer gcds, so by
+Gauss's lemma every quotient is an integer polynomial and the division is
+exact integer arithmetic; Fraction division (:func:`poly_divmod`) is left to
+the Sturm chain, the bisection and number-field inverses.
 """
 
 from __future__ import annotations
@@ -183,28 +188,48 @@ def clear_denominators(p: Poly) -> Poly:
     return poly_primitive([int(Fraction(c) * den) for c in p])
 
 
+def _exact_quotient(p: Poly, q: Poly) -> Poly:
+    """p / q for an integer p and a primitive integer divisor q, made
+    primitive.  By Gauss's lemma the quotient has integer coefficients, so
+    every step divides exactly; a remainder means q does not divide p and
+    raises AssertionError."""
+    d = len(q) - 1
+    lead = q[-1]
+    r = list(p)
+    quot = [0] * (len(r) - d)
+    for k in range(len(quot) - 1, -1, -1):
+        c, rem = divmod(r[k + d], lead)
+        if rem:
+            raise AssertionError("inexact integer polynomial division")
+        quot[k] = c
+        if c:
+            for i in range(d):
+                r[k + i] -= c * q[i]
+    if any(r[:d]):
+        raise AssertionError("nonzero remainder in integer polynomial division")
+    return poly_primitive(quot)
+
+
 def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Factor an integer polynomial as prod g_i**i with g_i squarefree.
 
     Returns the nontrivial (g_i, i) pairs; constant content is dropped.
+    Every division is by a primitive gcd and exact over the integers.
     """
     p = poly_primitive(p)
     if poly_degree(p) < 1:
         return []
     out = []
     g = poly_gcd_int(p, poly_deriv(p))
-    c, _ = poly_divmod(p, g)
-    c = clear_denominators(c)
+    c = _exact_quotient(p, g)
     i = 1
     while poly_degree(g) > 0:
         d = poly_gcd_int(c, g)
-        s, _ = poly_divmod(c, d)
-        s = clear_denominators(s)
+        s = _exact_quotient(c, d)
         if poly_degree(s) > 0:
             out.append((s, i))
         c = d
-        g, _ = poly_divmod(g, d)
-        g = clear_denominators(g)
+        g = _exact_quotient(g, d)
         i += 1
     if poly_degree(c) > 0:
         out.append((c, i))
@@ -389,10 +414,15 @@ def largest_real_root(p: Poly, tol: float = 1e-14) -> tuple[float, Fraction, Fra
 # characteristic polynomial
 # ---------------------------------------------------------------------------
 
-def berkowitz_char_poly(rows: list[list[int]], size_cap: int = 400) -> Poly:
+CHAR_POLY_SIZE_CAP = 400
+
+
+def berkowitz_char_poly(rows: list[list[int]],
+                        size_cap: int = CHAR_POLY_SIZE_CAP) -> Poly:
     """Characteristic polynomial det(xI - M) of an integer matrix.
 
     Division-free (Berkowitz), so the result is exact over the integers.
+    The matrix-vector products run over the nonzero entries only.
     Returned ascending; the empty matrix gives [1].
     """
     n = len(rows)
@@ -404,18 +434,22 @@ def berkowitz_char_poly(rows: list[list[int]], size_cap: int = 400) -> Poly:
     for r in rows:
         if len(r) != n:
             raise InvalidParameterError("matrix is not square")
+    nonzero = [(i, j, a) for i, r in enumerate(rows) for j, a in enumerate(r) if a]
     # p_k: char poly (descending) of the leading k x k principal submatrix
     p = [1, -rows[0][0]]
     for k in range(2, n + 1):
-        sub = [row[:k - 1] for row in rows[:k - 1]]
-        r = rows[k - 1][:k - 1]
-        c = [rows[i][k - 1] for i in range(k - 1)]
-        t = [1, -rows[k - 1][k - 1]]
-        v = c
-        for _ in range(k - 1):
-            t.append(-sum(a * b for a, b in zip(r, v)))
+        m = k - 1  # the leading submatrix has rows and columns 0..m-1
+        sub = [(i, j, a) for i, j, a in nonzero if i < m and j < m]
+        r = [(j, a) for i, j, a in nonzero if i == m and j < m]
+        t = [1, -rows[m][m]]
+        v = [rows[i][m] for i in range(m)]
+        for _ in range(m):
+            t.append(-sum(a * v[j] for j, a in r))
             if len(t) <= k:
-                v = [sum(a * b for a, b in zip(row, v)) for row in sub]
+                w = [0] * m
+                for i, j, a in sub:
+                    w[i] += a * v[j]
+                v = w
         conv = [0] * (k + 1)
         for i, a in enumerate(t[:k + 1]):
             if a == 0:

@@ -162,6 +162,12 @@ def test_exit_code_2_on_malformed_d_adic(capsys):
         assert err.startswith("error: d-adic map needs an integer d >= 2")
 
 
+def test_exit_code_2_on_huge_d_adic(capsys):
+    code, _, err = run(capsys, "oracle", "--map", "d-adic:99999999999", "--depth", "1")
+    assert code == 2
+    assert err.startswith("error: d-adic map needs d <= ")
+
+
 def test_exit_code_2_on_malformed_rational(capsys):
     code, _, _ = run(capsys, "entropy", "--map", "doubling", "--hole", "abc,1")
     assert code == 2

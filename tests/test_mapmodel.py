@@ -7,7 +7,9 @@ import pytest
 from holed_entropy import (Hole, InvalidParameterError, ModeMismatchError,
                            Scalar, build_d_adic, build_scaled_farey, hole_dist,
                            map_from_config, map_to_config, restrict_partition)
-from holed_entropy.mapmodel import Affine, Branch, IntervalOpen, Moebius, PiecewiseMap
+from holed_entropy import mapmodel
+from holed_entropy.mapmodel import (D_ADIC_MAX, Affine, Branch, IntervalOpen,
+                                    Moebius, PiecewiseMap)
 
 
 def ex(x):
@@ -39,6 +41,18 @@ def test_triadic_offsets():
 def test_d_adic_rejects_small_d():
     with pytest.raises(InvalidParameterError):
         build_d_adic(1)
+
+
+def test_d_adic_rejects_large_d_before_building(monkeypatch):
+    assert len(build_d_adic(D_ADIC_MAX).branches) == D_ADIC_MAX
+
+    def unreachable(*args):
+        raise AssertionError("a branch was built")
+
+    monkeypatch.setattr(mapmodel, "Branch", unreachable)
+    for d in (D_ADIC_MAX + 1, 10 ** 11):
+        with pytest.raises(InvalidParameterError):
+            build_d_adic(d)
 
 
 def test_d_adic_full_images():

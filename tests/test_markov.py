@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holed_entropy import (AmbiguousMultiplicityError, Hole,
-                           NotFinitelyMarkovError, Scalar, build_d_adic,
+                           NotFinitelyMarkovError, ResourceLimitError,
+                           Scalar, build_d_adic,
                            build_scaled_farey, entropy_left_hole, entropy_markov,
                            refine, refine_markov, spectral_report, to_dot,
                            transition_matrix)
+from holed_entropy import markov
 from holed_entropy.markov import TransitionMatrix, _min_poly_of_root
 from holed_entropy.polyexact import (berkowitz_char_poly, char_poly_cofactor,
                                      poly_eval)
@@ -66,6 +70,101 @@ def test_markov_property_holds():
             br = ref.map.branches[b]
             w1, w2 = sorted((br.apply_raw(u), br.apply_raw(v)))
             assert w1 in cutset and w2 in cutset
+
+
+def reference_closure(pmap, hole, orbit_cap):
+    """Round-based closure: rescan every elementary interval until a round
+    adds no point.  Returns (breakpoints, states, state_branch)."""
+    ilo, ihi = pmap.codomain.as_raw()
+    doms = pmap.branch_domains_raw()
+    points = {ilo, ihi, *(x for piece in doms + list(hole.pieces) for x in piece)}
+
+    def owner(u, v):
+        mid = (u + v) / 2
+        if any(lo <= mid <= hi for lo, hi in hole.pieces):
+            return None
+        return next((k for k, (lo, hi) in enumerate(doms) if lo < mid < hi), None)
+
+    while True:
+        cuts = sorted(points)
+        new = set()
+        for u, v in zip(cuts, cuts[1:]):
+            b = owner(u, v)
+            if b is not None:
+                br = pmap.branches[b]
+                new |= {br.apply_raw(u), br.apply_raw(v)} - points
+        if not new:
+            break
+        points |= new
+        if len(points) > orbit_cap:
+            raise NotFinitelyMarkovError("orbit cap")
+    cuts = sorted(points)
+    owned = [((u, v), owner(u, v)) for u, v in zip(cuts, cuts[1:])]
+    owned = [(s, b) for s, b in owned if b is not None]
+    return tuple(cuts), tuple(s for s, _ in owned), tuple(b for _, b in owned)
+
+
+@st.composite
+def exact_holes(draw):
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        q = draw(st.integers(1, 64))
+        lo = draw(st.integers(0, q))
+        hi = draw(st.integers(lo, q))
+        pieces.append((F(lo, q), F(hi, q)))
+    return H(*pieces)
+
+
+CLOSURE_MAPS = {"doubling": build_d_adic(2), "triadic": build_d_adic(3),
+                "farey-1": build_scaled_farey(ex(F(1)))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(CLOSURE_MAPS)), hole=exact_holes(),
+       cap=st.sampled_from([8, 20, 60, 10_000]))
+def test_worklist_closure_matches_round_based_reference(name, hole, cap):
+    pmap = CLOSURE_MAPS[name]
+    try:
+        want = reference_closure(pmap, hole, cap)
+    except NotFinitelyMarkovError:
+        with pytest.raises(NotFinitelyMarkovError):
+            refine_markov(pmap, hole, cap)
+        return
+    ref = refine_markov(pmap, hole, cap)
+    assert (ref.breakpoints, ref.states, ref.state_branch) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(CLOSURE_MAPS)), hole=exact_holes())
+def test_transition_rows_match_dense_rule(name, hole):
+    ref = refine_markov(CLOSURE_MAPS[name], hole)
+    M = transition_matrix(ref)
+    for row, (u, v), b in zip(M.entries, ref.states, ref.state_branch):
+        br = ref.map.branches[b]
+        w1, w2 = sorted((br.apply_raw(u), br.apply_raw(v)))
+        assert row == tuple(1 if w1 <= s_lo and s_hi <= w2 else 0
+                            for s_lo, s_hi in ref.states)
+
+
+def test_refinement_closes_a_long_orbit():
+    # 2 has order 1018 mod 1019: the closure has 1019 states; rescanning
+    # every interval per round took seconds here
+    hole = H((F(1, 1019), F(2, 1019)))
+    ref = refine_markov(build_d_adic(2), hole)
+    assert len(ref.states) == 1019
+    assert len(ref.breakpoints) == 1021
+    assert refine_markov(build_d_adic(2), hole, orbit_cap=1021) == ref
+    with pytest.raises(NotFinitelyMarkovError):
+        refine_markov(build_d_adic(2), hole, orbit_cap=1020)
+
+
+def test_transition_matrix_checks_the_cap_before_building_rows(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("berkowitz_char_poly reached")
+
+    monkeypatch.setattr(markov, "berkowitz_char_poly", unreachable)
+    with pytest.raises(ResourceLimitError):
+        entropy_markov(build_d_adic(2), H((F(1, 1019), F(2, 1019))))
 
 
 # -- transition matrices ------------------------------------------------------------
@@ -199,6 +298,17 @@ def test_entropy_agreement_dense_dyadic_grid():
         mk = entropy_markov(build_d_adic(2), H((a, F(1)))).entropy
         kn = entropy_left_hole(ex(a)).entropy
         assert abs(mk - kn) < 1e-9
+
+
+def test_kneading_and_markov_agree_on_every_small_left_hole():
+    # every a = p/q in (1/2, 1) with q < 40, on the tower and Markov engines
+    cases = sorted({F(p, q) for q in range(3, 40) for p in range(q // 2 + 1, q)})
+    assert len(cases) == 236
+    for a in cases:
+        mk = entropy_markov(build_d_adic(2), H((a, F(1))))
+        kn = entropy_left_hole(ex(a))
+        assert abs(mk.entropy - kn.entropy) < 1e-12, a
+        assert mk.report.pole_order_p == kn.p, a
 
 
 def test_entropy_right_hole_pole_order_one():

@@ -12,8 +12,9 @@ from holed_entropy.polyexact import (NumberField, berkowitz_char_poly,
                                      cauchy_root_bound, char_poly_cofactor,
                                      clear_denominators, count_roots_halfopen,
                                      isolate_largest_real_root, largest_real_root,
-                                     poly_divmod, poly_eval, poly_gcd_int,
-                                     poly_mul, refine_root_bisect, sign_at,
+                                     poly_deriv, poly_divmod, poly_eval,
+                                     poly_gcd_int, poly_mul, poly_primitive,
+                                     refine_root_bisect, sign_at,
                                      square_free_decomposition,
                                      sturm_chain, taylor_shift)
 
@@ -70,6 +71,29 @@ def test_charpoly_det_trace_consistency():
         assert char[0] == (-1) ** n * det
 
 
+def _sparse_01_matrices(max_n, max_per_row):
+    """0/1 matrices with at most ``max_per_row`` nonzeros in each row."""
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, n - 1), max_size=max_per_row).map(
+            lambda cols: [1 if j in cols else 0 for j in range(n)]),
+        min_size=n, max_size=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(M=_sparse_01_matrices(7, 2))
+def test_sparse_berkowitz_matches_cofactor(M):
+    assert berkowitz_char_poly(M) == char_poly_cofactor(M)
+
+
+@settings(max_examples=25, deadline=None)
+@given(M=_sparse_01_matrices(30, 4))
+def test_sparse_berkowitz_matches_sympy(M):
+    import sympy as sp
+    lam = sp.symbols("lam")
+    want = [int(c) for c in reversed(sp.Matrix(M).charpoly(lam).all_coeffs())]
+    assert berkowitz_char_poly(M) == want
+
+
 def _det_int(M):
     n = len(M)
     if n == 1:
@@ -97,6 +121,51 @@ def test_square_free_decomposition_double_factor():
     decomp = square_free_decomposition(p)
     assert ([0, 1], 1) in decomp
     assert ([-1, -1, 1], 2) in decomp
+
+
+def _fraction_square_free(p):
+    """The square-free decomposition with Fraction division, as a reference."""
+    p = poly_primitive(p)
+    out = []
+    g = poly_gcd_int(p, poly_deriv(p))
+    c = clear_denominators(poly_divmod(p, g)[0])
+    i = 1
+    while len(g) > 1:
+        d = poly_gcd_int(c, g)
+        s = clear_denominators(poly_divmod(c, d)[0])
+        if len(s) > 1:
+            out.append((s, i))
+        c = d
+        g = clear_denominators(poly_divmod(g, d)[0])
+        i += 1
+    if len(c) > 1:
+        out.append((c, i))
+    return out
+
+
+_integer_factors = st.lists(st.integers(-6, 6), min_size=2, max_size=4).filter(
+    lambda f: f[-1] != 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(factors=st.lists(st.tuples(_integer_factors, st.integers(1, 3)),
+                        min_size=1, max_size=3),
+       content=st.sampled_from([1, -1, 6]))
+def test_square_free_decomposition_on_integer_products(factors, content):
+    p = [content * c for c in _product([f for f, k in factors for _ in range(k)])]
+    decomp = square_free_decomposition(p)
+    assert decomp == _fraction_square_free(p)
+    assert _product([g for g, i in decomp for _ in range(i)]) == poly_primitive(p)
+    for g, _ in decomp:
+        assert poly_gcd_int(g, poly_deriv(g)) == [1]
+
+
+def test_exact_quotient_rejects_a_remainder():
+    assert polyexact._exact_quotient(poly_mul([1, 2], [3, 1, 1]), [1, 2]) == [3, 1, 1]
+    with pytest.raises(AssertionError):
+        polyexact._exact_quotient([0, 0, 1], [1, 2])  # x^2 by 2x + 1
+    with pytest.raises(AssertionError):
+        polyexact._exact_quotient([1, 0, 1], [1, 1])  # x^2 + 1 by x + 1
 
 
 def test_poly_divmod_roundtrip():
