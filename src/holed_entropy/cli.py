@@ -20,9 +20,9 @@ from fractions import Fraction
 from . import __version__
 from .cylinders import (compare_engines, entropy_estimate, expansion_diagnostics,
                         export_level_counts, refine)
-from .errors import (AmbiguousBoundaryError, AmbiguousMultiplicityError,
-                     HoledEntropyError, InvalidParameterError, ModeMismatchError,
-                     NoRootError, NotFinitelyMarkovError, ResourceLimitError,
+from .errors import (AmbiguousBoundaryError, HoledEntropyError,
+                     InvalidParameterError, ModeMismatchError, NoRootError,
+                     NotFinitelyMarkovError, ResourceLimitError,
                      TruncationError)
 from .kneading import entropy_left_hole
 from .mapmodel import (Hole, build_d_adic, build_scaled_farey, load_map_config,
@@ -34,8 +34,7 @@ from .scalar import DEFAULT_EPSILON, Scalar, parse_rational
 
 _INPUT_ERRORS = (InvalidParameterError, ModeMismatchError)
 _ENGINE_ERRORS = (NotFinitelyMarkovError, ResourceLimitError, NoRootError,
-                  TruncationError, AmbiguousBoundaryError,
-                  AmbiguousMultiplicityError)
+                  TruncationError, AmbiguousBoundaryError)
 
 
 def _parse_scalar_arg(text: str, epsilon: float) -> Scalar:

@@ -38,14 +38,3 @@ class NoRootError(HoledEntropyError):
 
 class NotFinitelyMarkovError(HoledEntropyError):
     """Boundary orbits do not close into a finite Markov partition."""
-
-
-class AmbiguousMultiplicityError(HoledEntropyError):
-    """Numeric eigenvalue clustering cannot decide the multiplicity.
-
-    Carries the candidate reports so the caller can inspect both readings.
-    """
-
-    def __init__(self, message, candidates=()):
-        super().__init__(message)
-        self.candidates = tuple(candidates)

@@ -283,8 +283,8 @@ def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootRes
     the truncated series has derivative <= -1 on [0, 1), so a tail of size t
     moves the root by at most t.
     """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError("tol must be positive and finite")
     poly = list(series.polynomial)
     lo, flo = 0.0, 1.0
     hi = 1.0 - min(tol, 1e-9)

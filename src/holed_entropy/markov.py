@@ -8,9 +8,10 @@ pieces.  The orbit points are closed by a worklist that inserts each new
 point into the sorted cuts once and queues only its own image.  The
 transition matrix is 0/1 over the surviving states; a state's image covers
 one contiguous run of states, found by bisection.  Its characteristic
-polynomial is computed exactly over the integers (sparse Berkowitz), and the
-pole order of the leading eigenvalue is read off rank stabilization of
-powers of (M - rho I) over the exact number field of rho.
+polynomial is computed exactly over the integers (sparse Berkowitz).  For a
+multiple leading eigenvalue rho, the geometric multiplicity and the pole
+order are read off the ranks of powers of m(M), m the minimal polynomial of
+rho: an integer matrix, so the ranks come from fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (AmbiguousMultiplicityError, InvalidParameterError,
-                     NotFinitelyMarkovError, ResourceLimitError)
+from .errors import (InvalidParameterError, NotFinitelyMarkovError,
+                     ResourceLimitError)
 from .mapmodel import Hole, PiecewiseMap
-from .polyexact import (CHAR_POLY_SIZE_CAP, NumberField, berkowitz_char_poly,
-                        largest_real_root, poly_degree, poly_eval,
-                        square_free_decomposition)
+from .polyexact import (CHAR_POLY_SIZE_CAP, berkowitz_char_poly, int_matmul,
+                        int_matrix_rank, largest_real_root, poly_degree,
+                        poly_eval, square_free_decomposition)
 from .scalar import rational_str
 
 DEFAULT_ORBIT_CAP = 10_000
@@ -190,10 +191,10 @@ class SpectralReport:
     """Perron root with its Jordan data.
 
     ``pole_order_p`` is the smallest q at which rank((M - rho I)^q)
-    stabilizes, i.e. the size of the largest Jordan block of rho.  When the
-    exact path ran, ``rho_bracket`` is an exact bracket of rho and
-    ``rho_factor`` (ascending, integer) the square-free factor of the
-    characteristic polynomial that vanishes on it.  ``min_poly`` is computed
+    stabilizes, i.e. the size of the largest Jordan block of rho.
+    ``rho_bracket`` is an exact bracket of rho and ``rho_factor`` (ascending,
+    integer) the square-free factor of the characteristic polynomial that
+    vanishes on it; both are None for the empty matrix.  ``min_poly`` is computed
     from these two on first read, so a caller that never reads it never
     factors over the integers.
     """
@@ -209,7 +210,7 @@ class SpectralReport:
     @cached_property
     def min_poly(self) -> Optional[tuple[int, ...]]:
         """Exact minimal polynomial of rho (ascending, integer), or None
-        when the exact path did not run.
+        for the empty matrix.
 
         Computed on first read by factoring ``rho_factor`` (this loads
         sympy) and cached on the instance.
@@ -260,37 +261,67 @@ def _min_poly_of_root(factor, lo: Fraction, hi: Fraction):
     return work[0]
 
 
-def spectral_report(M: TransitionMatrix, tol: float = 1e-12,
-                    exact: bool = True) -> SpectralReport:
+def _jordan_data(entries, minpoly, alg: int) -> tuple[int, int]:
+    """Geometric multiplicity and pole order of rho from integer ranks.
+
+    ``minpoly`` is the minimal polynomial m of rho, of degree d.  Over the
+    complex numbers ker m(M)^q is the direct sum of ker (M - lam I)^q over
+    the d conjugates lam of rho, and M is rational, so every conjugate has
+    the same kernel dimensions: dim ker (M - rho I)^q = (n - rank m(M)^q) / d
+    with m(M) an integer matrix.  These dimensions k_q grow strictly until
+    the largest Jordan block is used up; the pole order p is the q before
+    they stop, k_1 is the geometric multiplicity, and k_p must equal ``alg``.
+    """
+    n, d = len(entries), len(minpoly) - 1
+    G = [[0] * n for _ in range(n)]
+    for c in reversed(minpoly):  # Horner: G = m(M)
+        G = int_matmul(G, entries)
+        for i in range(n):
+            G[i][i] += c
+    dims = [0]  # dims[q] = dim ker (M - rho I)^q
+    power = G
+    while True:
+        nullity = n - int_matrix_rank(power)
+        if nullity % d:
+            raise AssertionError(
+                f"nullity {nullity} of m(M)^{len(dims)} is not a multiple of deg m = {d}")
+        dims.append(nullity // d)
+        if dims[-1] == dims[-2]:
+            break
+        power = int_matmul(power, G)
+    p = len(dims) - 2
+    if dims[p] != alg:
+        raise AssertionError(
+            f"generalized eigenspace of dimension {dims[p]} != algebraic multiplicity {alg}")
+    return dims[1], p
+
+
+def spectral_report(M: TransitionMatrix, tol: float = 1e-12) -> SpectralReport:
     """Perron root, multiplicities, and pole order of a transition matrix.
 
-    The exact path brackets the root of each square-free factor with
-    :func:`largest_real_root`, takes the algebraic multiplicity from the
-    square-free decomposition of the characteristic polynomial, and, for a
-    multiple root only, computes ranks over Q(rho); the numeric path clusters
-    float eigenvalues within ``tol`` and raises
-    :class:`AmbiguousMultiplicityError` when the clustering is borderline.
+    The root of each square-free factor of the characteristic polynomial is
+    bracketed with :func:`largest_real_root`, and the algebraic multiplicity
+    is the power of the factor that holds the largest one.  Only a multiple
+    root needs its minimal polynomial m (sympy) and the ranks of powers of
+    the integer matrix m(M) (:func:`_jordan_data`).
     """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError("tol must be positive and finite")
     if M.size == 0:
         return SpectralReport(0.0, 0, 0, 0, 0.0)
-    char = list(M.char_poly)
-    if not exact:
-        return _spectral_numeric(M, tol)
-
-    decomp = square_free_decomposition(char)
+    decomp = square_free_decomposition(list(M.char_poly))
     best = None  # (root float, bracket, factor, multiplicity)
     for factor, mult in decomp:
         try:
             r, lo, hi = largest_real_root(factor, tol=min(tol, 1e-13))
         except InvalidParameterError:
-            continue
+            continue  # no real roots in this factor
         if best is None or r > best[0]:
             best = (r, (lo, hi), factor, mult)
     if best is None:
-        # no real roots at all cannot happen for a nonnegative matrix
-        raise AmbiguousMultiplicityError("characteristic polynomial has no real roots")
+        raise AssertionError(
+            "characteristic polynomial has no real roots, "
+            "impossible for a nonnegative matrix (Perron-Frobenius)")
     rho, bracket, factor, alg = best
     rho = max(rho, 0.0)
     second = _second_modulus(decomp, alg)
@@ -298,69 +329,10 @@ def spectral_report(M: TransitionMatrix, tol: float = 1e-12,
         # a simple eigenvalue is semisimple: one Jordan block of size one
         return SpectralReport(rho, 1, 1, 1, second, bracket, tuple(factor))
     minpoly = _min_poly_of_root(factor, bracket[0], bracket[1])
-    field = NumberField(minpoly)
-    gen = field.generator()
-    B = [[field.from_const(M.entries[i][j]) for j in range(M.size)]
-         for i in range(M.size)]
-    for i in range(M.size):
-        B[i][i] = field.sub(B[i][i], gen)
-    ranks = []
-    power = B
-    prev = M.size
-    p = None
-    for q in range(1, alg + 2):
-        r = field.matrix_rank(power)
-        ranks.append(r)
-        if r == prev:
-            p = q - 1
-            break
-        prev = r
-        power = field.matmul(power, B)
-    if p is None:
-        p = alg
-    geo = M.size - ranks[0]
+    geo, p = _jordan_data(M.entries, minpoly, alg)
     report = SpectralReport(rho, alg, geo, p, second, bracket, tuple(factor))
     report.__dict__["min_poly"] = tuple(minpoly)  # seed the cached property
     return report
-
-
-def _spectral_numeric(M: TransitionMatrix, tol: float) -> SpectralReport:
-    import numpy as np
-    A = np.array(M.entries, dtype=float)
-    eig = np.linalg.eigvals(A)
-    moduli = np.abs(eig)
-    rho = float(moduli.max())
-    near = np.abs(eig - rho) < tol
-    wide = np.abs(eig - rho) < 10 * tol
-    if near.sum() != wide.sum():
-        cands = []
-        for mask in (near, wide):
-            cands.append(SpectralReport(rho, int(mask.sum()), -1, -1, 0.0))
-        raise AmbiguousMultiplicityError(
-            f"eigenvalue cluster at {rho} is ambiguous at tolerance {tol}",
-            cands)
-    alg = int(near.sum())
-    rest = moduli[~near]
-    second = float(rest.max()) if rest.size else 0.0
-    B = A - rho * np.eye(M.size)
-    def nrank(X):
-        s = np.linalg.svd(X, compute_uv=False)
-        return int((s > tol * max(1.0, s[0])).sum())
-    prev = M.size
-    power = B
-    p = alg
-    ranks0 = None
-    for q in range(1, alg + 2):
-        r = nrank(power)
-        if ranks0 is None:
-            ranks0 = r
-        if r == prev:
-            p = q - 1
-            break
-        prev = r
-        power = power @ B
-    geo = M.size - (ranks0 if ranks0 is not None else M.size)
-    return SpectralReport(rho, alg, geo, p, second)
 
 
 @dataclass(frozen=True)
@@ -405,9 +377,6 @@ def entropy_markov(pmap: PiecewiseMap, hole: Hole,
     """max{log rho, 0} over the exact Markov refinement; 0 on total escape."""
     ref = refine_markov(pmap, hole, orbit_cap)
     M = transition_matrix(ref)
-    if M.size == 0:
-        report = SpectralReport(0.0, 0, 0, 0, 0.0)
-        return MarkovEntropy(ref, M, report, 0.0)
     report = spectral_report(M, tol)
     h = max(math.log(report.rho), 0.0) if report.rho > 0 else 0.0
     return MarkovEntropy(ref, M, report, h)

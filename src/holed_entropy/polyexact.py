@@ -1,4 +1,4 @@
-"""Exact univariate polynomials, real-root isolation, and number-field rank.
+"""Exact univariate polynomials, real-root isolation, and integer matrices.
 
 Polynomials are dense coefficient lists in ascending order (``p[k]`` is the
 coefficient of x**k) over Python ints or Fractions.  Everything here is
@@ -22,7 +22,10 @@ instead (:func:`isolate_largest_real_root`, :func:`refine_root_bisect`).
 The square-free decomposition divides only by primitive integer gcds, so by
 Gauss's lemma every quotient is an integer polynomial and the division is
 exact integer arithmetic; Fraction division (:func:`poly_divmod`) is left to
-the Sturm chain, the bisection and number-field inverses.
+the Sturm chain and the bisection.
+
+Matrix rank over the rationals (:func:`int_matrix_rank`) is fraction-free
+elimination on integers, so no Fraction is formed there either.
 """
 
 from __future__ import annotations
@@ -85,10 +88,6 @@ def poly_add(p: Poly, q: Poly) -> Poly:
 
 def poly_neg(p: Poly) -> Poly:
     return [-c for c in p]
-
-
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, poly_neg(q))
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
@@ -486,121 +485,43 @@ def char_poly_cofactor(rows: list[list[int]]) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# number-field linear algebra
+# integer matrices
 # ---------------------------------------------------------------------------
 
-class NumberField:
-    """Arithmetic in Q[x]/(m) for a monic irreducible m over the rationals.
+def int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Product of integer matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
-    Elements are coefficient tuples of length deg(m).  Inverses exist for all
-    nonzero elements because m is irreducible.
+
+def int_matrix_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals of an integer matrix, by fraction-free
+    (Bareiss) elimination.
+
+    After k pivots every entry below them is a (k+1)-minor of the input, so
+    each update divides exactly by the previous pivot; a remainder raises
+    AssertionError.
     """
-
-    def __init__(self, minpoly: Poly):
-        m = [Fraction(c) for c in poly_trim(minpoly)]
-        if len(m) < 2:
-            raise InvalidParameterError("minimal polynomial must have degree >= 1")
-        lead = m[-1]
-        self.minpoly = [c / lead for c in m]
-        self.degree = len(self.minpoly) - 1
-
-    def from_const(self, c) -> tuple:
-        out = [Fraction(0)] * self.degree
-        out[0] = Fraction(c)
-        return tuple(out)
-
-    def generator(self) -> tuple:
-        out = [Fraction(0)] * self.degree
-        if self.degree == 1:
-            return (-self.minpoly[0],)
-        out[1] = Fraction(1)
-        return tuple(out)
-
-    @property
-    def zero(self) -> tuple:
-        return tuple([Fraction(0)] * self.degree)
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        d = self.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-        # reduce modulo the minimal polynomial
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c == 0:
-                continue
-            prod[k] = Fraction(0)
-            for i in range(d):
-                prod[k - d + i] -= c * self.minpoly[i]
-        return tuple(prod[:d])
-
-    def is_zero(self, a) -> bool:
-        return all(c == 0 for c in a)
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero in number field")
-        # extended Euclid on (a, minpoly)
-        r0, r1 = list(self.minpoly), poly_trim(list(a))
-        s0, s1 = [], [Fraction(1)]
-        while poly_degree(r1) > 0:
-            q, r = poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        if not r1:
-            raise ZeroDivisionError("element is not invertible (minpoly not irreducible?)")
-        c = Fraction(r1[0])
-        inv = [x / c for x in s1]
-        inv = inv[:self.degree] + [Fraction(0)] * max(0, self.degree - len(inv))
-        return tuple(inv)
-
-    def matmul(self, A, B):
-        n, m, p = len(A), len(B), len(B[0]) if B else 0
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(p):
-                acc = self.zero
-                for k in range(m):
-                    acc = self.add(acc, self.mul(A[i][k], B[k][j]))
-                row.append(acc)
-            out.append(row)
-        return out
-
-    def matrix_rank(self, A) -> int:
-        """Rank by fraction-level Gaussian elimination; exact zero tests."""
-        rows = [list(r) for r in A]
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        rank = 0
-        col = 0
-        while rank < n and col < m:
-            pivot = None
-            for i in range(rank, n):
-                if not self.is_zero(rows[i][col]):
-                    pivot = i
-                    break
-            if pivot is None:
-                col += 1
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = self.inv(rows[rank][col])
-            rows[rank] = [self.mul(inv, x) for x in rows[rank]]
-            for i in range(n):
-                if i != rank and not self.is_zero(rows[i][col]):
-                    f = rows[i][col]
-                    rows[i] = [self.sub(x, self.mul(f, y))
-                               for x, y in zip(rows[i], rows[rank])]
-            rank += 1
-            col += 1
-        return rank
+    a = [list(r) for r in rows]
+    n, m = len(a), len(a[0]) if a else 0
+    rank, prev = 0, 1
+    for col in range(m):
+        piv = next((i for i in range(rank, n) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        p = top[col]
+        for row in a[rank + 1:]:
+            f = row[col]
+            for j in range(col + 1, m):
+                q, r = divmod(p * row[j] - f * top[j], prev)
+                if r:
+                    raise AssertionError("inexact fraction-free elimination step")
+                row[j] = q
+            row[col] = 0
+        prev = p
+        rank += 1
+        if rank == n:
+            break
+    return rank

@@ -9,6 +9,7 @@ combining them raises :class:`~holed_entropy.errors.ModeMismatchError`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -40,6 +41,8 @@ class Scalar:
                     "float scalar requires an epsilon; use Scalar.approx()")
             if not (self.epsilon > 0):
                 raise InvalidParameterError("epsilon must be positive")
+            if not math.isfinite(self.value):
+                raise InvalidParameterError(f"scalar value {self.value} is not finite")
         elif isinstance(self.value, (int, Fraction)):
             if self.epsilon is not None:
                 raise InvalidParameterError("exact scalar must not carry an epsilon")

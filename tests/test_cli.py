@@ -181,6 +181,16 @@ def test_exit_code_3_on_engine_error(capsys):
     assert "engine error" in err
 
 
+def test_exit_code_2_on_non_finite_input(capsys):
+    for argv in (("tower", "--a", "2/3", "--tol", "nan"),
+                 ("spectrum", "--map", "doubling", "--hole", "3/4,5/6", "--tol", "nan"),
+                 ("oracle", "--map", "farey", "--param", "0.8", "--hole", "nan,0.9",
+                  "--depth", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.splitlines()[-1].startswith("error: "), argv
+
+
 def test_exit_code_2_on_unknown_flag(capsys):
     assert main(["entropy", "--bogus"]) == 2
 

@@ -173,6 +173,13 @@ def test_leading_root_certified_at_every_degree():
     assert leading_root(ser, 1e-14).certified is False
 
 
+@pytest.mark.parametrize("tol", (0.0, -1e-12, math.inf, math.nan))
+def test_leading_root_rejects_bad_tol(tol):
+    ser = DeterminantSeries((1, 1), (1, -1, -1), True, None)
+    with pytest.raises(InvalidParameterError):
+        leading_root(ser, tol)
+
+
 def test_leading_root_no_root():
     ser = DeterminantSeries((1,), (1, -1), True, None)
     with pytest.raises(NoRootError):

@@ -262,6 +262,14 @@ def test_config_rejects_overlap():
         map_from_config(cfg)
 
 
+def test_config_rejects_nan_slope():
+    # json.loads reads the bare token NaN as a float
+    cfg = json.loads('{"codomain": [0, 1], "branches": ['
+                     '{"domain": [0, 1], "kind": "affine", "coeffs": [NaN, 0]}]}')
+    with pytest.raises(InvalidParameterError):
+        map_from_config(cfg)
+
+
 def test_config_float_numbers_force_float_mode():
     cfg = {
         "codomain": [0, 1],

@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holed_entropy import (AmbiguousMultiplicityError, Hole,
-                           NotFinitelyMarkovError, ResourceLimitError,
-                           Scalar, build_d_adic,
+from holed_entropy import (Hole, InvalidParameterError, NotFinitelyMarkovError,
+                           ResourceLimitError, Scalar, build_d_adic,
                            build_scaled_farey, entropy_left_hole, entropy_markov,
                            refine, refine_markov, spectral_report, to_dot,
                            transition_matrix)
@@ -255,14 +254,49 @@ def test_spectral_nilpotent():
     assert rep.pole_order_p == 2
 
 
-def test_jordan_consistency_random_refinements():
-    for num, den in [(2, 3), (3, 4), (4, 5), (7, 8), (11, 20), (7, 10), (13, 16)]:
-        res = entropy_markov(build_d_adic(2), H((F(num, den), F(1))))
-        rep = res.report
-        assert rep.geometric_multiplicity <= rep.algebraic_multiplicity
-        assert rep.pole_order_p <= rep.algebraic_multiplicity - rep.geometric_multiplicity + 1
-        if rep.algebraic_multiplicity == 1:
-            assert rep.pole_order_p == 1
+@pytest.mark.parametrize("rows, rho, jordan", [
+    ([[1, 1], [0, 1]], 1.0, (2, 1, 2)),
+    ([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]], GOLDEN, (2, 2, 1)),
+    ([[1, 1, 1, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]], GOLDEN, (2, 1, 2)),
+    ([[1, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 1, 1, 1, 0],
+      [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 1, 0]], GOLDEN, (3, 1, 3)),
+    ([[2, 1, 0], [0, 2, 0], [0, 0, 2]], 2.0, (3, 2, 2)),
+], ids=["jordan-2", "golden+golden", "coupled-golden", "golden-chain-3", "jordan-2+1"])
+def test_spectral_jordan_table(rows, rho, jordan):
+    M = TransitionMatrix(len(rows), tuple(map(tuple, rows)),
+                         tuple(berkowitz_char_poly(rows)))
+    rep = spectral_report(M)
+    assert rep.rho == pytest.approx(rho, abs=1e-12)
+    assert (rep.algebraic_multiplicity, rep.geometric_multiplicity,
+            rep.pole_order_p) == jordan
+
+
+@pytest.mark.parametrize("tol", (0.0, -1e-12, math.inf, math.nan))
+def test_spectral_report_rejects_bad_tol(tol):
+    M = transition_matrix(refine_markov(build_d_adic(2), H((F(3, 4), F(5, 6)))))
+    with pytest.raises(InvalidParameterError):
+        spectral_report(M, tol=tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hole=exact_holes(), d=st.sampled_from([2, 3]))
+@example(hole=H((F(2, 3), F(1))), d=2)
+@example(hole=H((F(3, 4), F(1))), d=2)
+@example(hole=H((F(4, 5), F(1))), d=2)
+@example(hole=H((F(7, 8), F(1))), d=2)
+@example(hole=H((F(11, 20), F(1))), d=2)
+@example(hole=H((F(7, 10), F(1))), d=2)
+@example(hole=H((F(13, 16), F(1))), d=2)
+def test_jordan_consistency_random_refinements(hole, d):
+    # alg is the total size of the Jordan blocks of rho, geo their number
+    # and p the largest
+    rep = entropy_markov(build_d_adic(d), hole).report
+    alg, geo, p = (rep.algebraic_multiplicity, rep.geometric_multiplicity,
+                   rep.pole_order_p)
+    assert (alg == 0) == (geo == 0) == (p == 0)
+    if alg:
+        assert geo <= alg
+        assert -(-alg // geo) <= p <= alg - geo + 1
 
 
 def test_perron_domination():
@@ -321,37 +355,6 @@ def test_farey_exact_markov():
     # exact rational Farey parameters close: a = 4/5 has a finite refinement
     res = entropy_markov(build_scaled_farey(ex(F(4, 5))), Hole.empty())
     assert abs(res.entropy - math.log(2)) < 1e-12
-
-
-# -- numeric fallback -----------------------------------------------------------------
-
-def test_numeric_path_matches_exact():
-    ref = refine_markov(build_d_adic(2), H((F(3, 4), F(5, 6))))
-    M = transition_matrix(ref)
-    rep = spectral_report(M, tol=1e-8, exact=False)
-    assert abs(rep.rho - GOLDEN) < 1e-8
-    assert rep.algebraic_multiplicity == 2
-    assert rep.geometric_multiplicity == 1
-    assert rep.pole_order_p == 2
-
-
-def test_numeric_path_ambiguity():
-    # eigenvalues 2 and 1: a tolerance window straddling the gap cannot
-    # decide the cluster and must surface both candidate readings
-    A = TransitionMatrix(2, ((2, 0), (0, 1)),
-                         tuple(berkowitz_char_poly([[2, 0], [0, 1]])))
-    with pytest.raises(AmbiguousMultiplicityError) as ei:
-        spectral_report(A, tol=0.15, exact=False)
-    assert len(ei.value.candidates) == 2
-
-
-def test_numeric_path_jordan_block():
-    A = TransitionMatrix(2, ((1, 1), (0, 1)),
-                         tuple(berkowitz_char_poly([[1, 1], [0, 1]])))
-    rep = spectral_report(A, tol=1e-8, exact=False)
-    assert rep.algebraic_multiplicity == 2
-    assert rep.geometric_multiplicity == 1
-    assert rep.pole_order_p == 2
 
 
 # -- exports -----------------------------------------------------------------------

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from holed_entropy import polyexact
 from holed_entropy.errors import InvalidParameterError, ResourceLimitError
-from holed_entropy.polyexact import (NumberField, berkowitz_char_poly,
-                                     cauchy_root_bound, char_poly_cofactor,
-                                     clear_denominators, count_roots_halfopen,
-                                     isolate_largest_real_root, largest_real_root,
-                                     poly_deriv, poly_divmod, poly_eval,
-                                     poly_gcd_int, poly_mul, poly_primitive,
-                                     refine_root_bisect, sign_at,
-                                     square_free_decomposition,
+from holed_entropy.polyexact import (berkowitz_char_poly, cauchy_root_bound,
+                                     char_poly_cofactor, clear_denominators,
+                                     count_roots_halfopen, int_matmul,
+                                     int_matrix_rank, isolate_largest_real_root,
+                                     largest_real_root, poly_deriv, poly_divmod,
+                                     poly_eval, poly_gcd_int, poly_mul,
+                                     poly_primitive, refine_root_bisect,
+                                     sign_at, square_free_decomposition,
                                      sturm_chain, taylor_shift)
 
 
@@ -337,52 +337,58 @@ def test_refine_root_bisect_root_on_left_end():
     assert largest_real_root(p, tol=1e-13)[0] == pytest.approx(1 / 17, abs=1e-13)
 
 
-# -- number field -------------------------------------------------------------------
+# -- integer matrices ---------------------------------------------------------------
 
-def test_number_field_golden_arithmetic():
-    K = NumberField([-1, -1, 1])  # Q(golden)
-    g = K.generator()
-    # g^2 = g + 1
-    assert K.mul(g, g) == K.add(g, K.from_const(1))
-    inv = K.inv(g)
-    assert K.mul(inv, g) == K.from_const(1)
-    # 1/g = g - 1
-    assert inv == K.sub(g, K.from_const(1))
+def test_int_matmul():
+    assert int_matmul([[1, 2], [3, 4]], [[0, 1], [1, 0]]) == [[2, 1], [4, 3]]
+    assert int_matmul([[1, 2, 3]], [[1], [0], [-1]]) == [[-2]]
 
 
-def test_number_field_inverse_at_full_degree():
-    K = NumberField([-1, -1, 0, 1])  # Q[x]/(x^3 - x - 1), the plastic number
-    one = K.from_const(1)
-    for a in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (-2, 0, 3),
-              (Fraction(1, 2), -1, Fraction(5, 3)), (7, -3, 0)]:
-        a = tuple(Fraction(x) for x in a)
-        inv = K.inv(a)
-        assert len(inv) == 3
-        assert K.mul(inv, a) == one and K.mul(a, inv) == one
-
-
-def test_number_field_rank_double_pole_matrix():
-    # the 5-state matrix with char poly x (x^2-x-1)^2
+def test_integer_rank_double_pole_matrix():
+    # the 5-state matrix with char poly x (x^2-x-1)^2; m = x^2 - x - 1 is the
+    # minimal polynomial of rho, and rank m(M)^q = 5 - 2 dim ker (M - rho I)^q
     M = [[1, 1, 1, 0, 0],
          [0, 0, 0, 1, 1],
          [1, 0, 0, 0, 0],
          [0, 1, 0, 0, 0],
          [0, 0, 0, 1, 1]]
-    K = NumberField([-1, -1, 1])
-    g = K.generator()
-    B = [[K.from_const(M[i][j]) for j in range(5)] for i in range(5)]
-    for i in range(5):
-        B[i][i] = K.sub(B[i][i], g)
-    r1 = K.matrix_rank(B)
-    B2 = K.matmul(B, B)
-    r2 = K.matrix_rank(B2)
-    r3 = K.matrix_rank(K.matmul(B2, B))
-    assert (r1, r2, r3) == (4, 3, 3)
+    M2 = int_matmul(M, M)
+    G = [[M2[i][j] - M[i][j] - (i == j) for j in range(5)] for i in range(5)]
+    G2 = int_matmul(G, G)
+    ranks = tuple(int_matrix_rank(P) for P in (G, G2, int_matmul(G2, G)))
+    assert ranks == (3, 1, 1)
 
 
-def test_number_field_rank_identity():
-    K = NumberField([-2, 0, 1])  # Q(sqrt 2)
-    I3 = [[K.from_const(1 if i == j else 0) for j in range(3)] for i in range(3)]
-    assert K.matrix_rank(I3) == 3
-    Z = [[K.zero for _ in range(3)] for _ in range(3)]
-    assert K.matrix_rank(Z) == 0
+def _fraction_rank(rows):
+    a = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] / a[rank][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 6), k=st.integers(0, 6),
+       data=st.data())
+def test_int_matrix_rank_matches_fraction_elimination(n, m, k, data):
+    # a product of n x k and k x m factors has rank at most k, so low ranks,
+    # zero columns and skipped pivots all occur
+    entries = st.integers(-3, 3)
+    A = [[data.draw(entries) for _ in range(k)] for _ in range(n)]
+    B = [[data.draw(entries) for _ in range(m)] for _ in range(k)]
+    P = int_matmul(A, B) if k else [[0] * m for _ in range(n)]
+    assert int_matrix_rank(P) == _fraction_rank(P) <= min(n, m, k)
+
+
+def test_int_matrix_rank_edges():
+    assert int_matrix_rank([]) == 0
+    assert int_matrix_rank([[0, 0], [0, 0]]) == 0
+    assert int_matrix_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+    assert int_matrix_rank([[0, 2], [0, 3]]) == 1

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,12 @@ def test_float_requires_epsilon():
         Scalar(0.5)
     s = Scalar.approx(0.5, 1e-9)
     assert not s.is_exact and s.epsilon == 1e-9
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+def test_float_must_be_finite(value):
+    with pytest.raises(InvalidParameterError):
+        Scalar.approx(value)
 
 
 def test_mode_mixing_is_an_error():
