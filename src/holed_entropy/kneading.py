@@ -17,22 +17,43 @@ with the coefficient tail M~ eventually periodic over indices j..N.  When the
 orbit passes through 1/2 exactly (so the next value is 1 and the graph closes
 onto the base), the determinant is the plain finite sum over A with no cycle
 factor; the value 1 never contributes a coefficient.
+
+For a = p/q the orbit stays on the points k/q, so exact mode iterates the
+integer numerators.  The polynomial has few nonzero terms (all small
+integers), and the root is bracketed by bisection on its sparse form.  A float
+sign is trusted only when the value exceeds a rounding bound for that sum
+(see ``_FLOAT_TAIL``); otherwise the sign comes from the exact dyadic helper
+:func:`polyexact.sign_at_dyadic`.  For an exact polynomial, ``certified``
+means that helper found d > 0 at the lower end of the bracket and d < 0 at
+the upper end, so the root lies inside it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import (AmbiguousBoundaryError, InvalidParameterError,
                      NoRootError, TruncationError)
-from .polyexact import poly_eval, poly_trim, sign_at
+from .polyexact import poly_eval, poly_trim, sign_at_dyadic
 from .scalar import Scalar, as_scalar
 
 DEFAULT_TRUNCATION = 4096
 DEFAULT_TOL = 1e-14
+
+# The float sign at x sums the terms with exponent k below the first E where
+# max|c| x**E / (1 - x) <= _FLOAT_TAIL, which bounds every dropped term
+# together.  Sparse Horner over n terms rounds at most 4 units of 2**-53 per
+# term (pow within 1 ulp, multiply, add), so the float sum is within
+# (4 n + 8) * 2**-53 * sum |c| x**k of the kept sum; _FLOAT_SLACK covers the
+# dropped tail and underflow.
+_FLOAT_TAIL = 2.0 ** -80
+_FLOAT_SLACK = 2.0 ** -78
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 _HALF = Fraction(1, 2)
 
@@ -83,6 +104,8 @@ class TowerOrbit:
 
 
 def _t_left_exact(x: Fraction) -> Fraction:
+    """T(x^-) on Fractions; build_orbit runs the same map on the integer
+    numerators of k/q, and the tests check it against this form."""
     if x < _HALF:
         return 2 * x
     if x == _HALF:
@@ -105,22 +128,27 @@ def build_orbit(a, k_cap: int = DEFAULT_TRUNCATION) -> TowerOrbit:
         av = a.value
         if not (_HALF < av < 1):
             raise InvalidParameterError(f"parameter must lie in (1/2, 1), got {av}")
-        points = [av]
-        seen: dict[Fraction, int] = {}
+        # a_k = x_k / q: the left-limit doubling on numerators
+        p, q = av.numerator, av.denominator
+        nums = [p]
+        seen: dict[int, int] = {}
         escape_index = None
         termination = Termination("capped", k_cap)
+        x = p
         for n in range(1, k_cap + 1):
-            nxt = _t_left_exact(min(av, points[-1]))
-            j = seen.get(nxt)
+            y = 2 * min(p, x)
+            x = y if y <= q else y - q
+            j = seen.get(x)
             if j is not None:
                 termination = Termination("preperiodic", n - 1, j)
                 break
-            seen[nxt] = n
-            points.append(nxt)
-            if escape_index is None and nxt >= av:
+            seen[x] = n
+            nums.append(x)
+            if escape_index is None and x >= p:
                 escape_index = n
-        A = tuple(k for k, x in enumerate(points) if _HALF <= x < 1)
-        return TowerOrbit(a, tuple(points), termination, A, escape_index)
+        A = tuple(k for k, x in enumerate(nums) if q <= 2 * x < 2 * q)
+        points = (av,) + tuple(Fraction(x, q) for x in nums[1:])
+        return TowerOrbit(a, points, termination, A, escape_index)
 
     eps = a.epsilon
     av = float(a.value)
@@ -179,6 +207,11 @@ class DeterminantSeries:
     exact: bool
     closed_form: Optional[dict] = None
 
+    @cached_property
+    def _derivative(self) -> list[int]:
+        p = self.polynomial
+        return [k * p[k] for k in range(1, len(p))]
+
     def tail_bound(self, x: float) -> float:
         if self.exact:
             return 0.0
@@ -188,17 +221,10 @@ class DeterminantSeries:
         return x ** (K + 2) / (1 - x)
 
     def evaluate(self, x):
-        return poly_eval(list(self.polynomial), x)
+        return poly_eval(self.polynomial, x)
 
     def derivative_at(self, x) -> float:
-        p = list(self.polynomial)
-        return float(poly_eval([k * p[k] for k in range(1, len(p))], x))
-
-
-def _tilde_coefficient(k: int, j: int, n: int, m: tuple[int, ...]) -> int:
-    if k < j:
-        return m[k]
-    return m[j + (k - j) % (n - j + 1)]
+        return float(poly_eval(self._derivative, x))
 
 
 def determinant(orbit: TowerOrbit, K: int | None = None) -> DeterminantSeries:
@@ -209,7 +235,7 @@ def determinant(orbit: TowerOrbit, K: int | None = None) -> DeterminantSeries:
     with a geometric tail bound.
     """
     points = orbit.points
-    A = set(orbit.index_set_A)
+    A = orbit.index_set_A
     last = len(points) - 1
     if K is None:
         K = max(last, 1)
@@ -219,30 +245,30 @@ def determinant(orbit: TowerOrbit, K: int | None = None) -> DeterminantSeries:
 
     if term.kind == "preperiodic":
         N, j = term.n, term.j
-        m = tuple(1 if k in A else 0 for k in range(N + 1))
-        terminal_one = points[N] == 1
-        if terminal_one:
+        m = [0] * (N + 1)
+        for k in A:
+            m[k] = 1
+        m = tuple(m)
+        if points[N] == 1:
             # the orbit passed through 1/2; the graph closes onto the base
             # flat and the determinant is the plain finite sum over A
             poly = [0] * (N + 2)
             poly[0] = 1
-            for k in range(N + 1):
-                if m[k]:
-                    poly[k + 1] = -1
-            coeffs = tuple(m[k] if k <= N else 0 for k in range(K + 1))
+            for k in A:
+                poly[k + 1] = -1
+            coeffs = (m + (0,) * (K - N))[:K + 1]
             closed = {"kind": "finite", "N": N, "coefficients": m}
         else:
             P = N - j + 1
             poly = [0] * (N + 2 + P)
             poly[0] = 1
-            poly[P] += -1
-            for k in range(N + 1):
-                if m[k]:
-                    poly[k + 1] -= 1
-            for k in range(j):
-                if m[k]:
+            poly[P] -= 1
+            for k in A:
+                poly[k + 1] -= 1
+                if k < j:
                     poly[P + k + 1] += 1
-            coeffs = tuple(_tilde_coefficient(k, j, N, m) for k in range(K + 1))
+            # m_0..m_{j-1}, then the cycle m_j..m_N repeated up to K
+            coeffs = (m[:j] + m[j:] * -((j - K - 1) // P))[:K + 1]
             closed = {"kind": "factored", "N": N, "j": j, "period": P,
                       "coefficients": m}
         return DeterminantSeries(coeffs, tuple(poly_trim(poly)), True, closed)
@@ -250,12 +276,13 @@ def determinant(orbit: TowerOrbit, K: int | None = None) -> DeterminantSeries:
     if K > last:
         raise TruncationError(
             f"truncation {K} exceeds the capped orbit length {last}")
-    coeffs = tuple(1 if k in A else 0 for k in range(K + 1))
     poly = [0] * (K + 2)
     poly[0] = 1
-    for k, mk in enumerate(coeffs):
-        if mk:
-            poly[k + 1] = -1
+    for k in A:
+        if k > K:
+            break
+        poly[k + 1] = -1
+    coeffs = tuple(-c for c in poly[1:])
     return DeterminantSeries(coeffs, tuple(poly_trim(poly)), False, None)
 
 
@@ -264,7 +291,8 @@ class RootResult:
     """Leading determinant root r in (0, 1) and the entropy -log r.
 
     ``certified`` is True when the bracket of an exact polynomial passed the
-    exact sign check; float-mode (truncated) series are never certified.
+    exact sign check (d > 0 at its lower end, d < 0 at its upper end, by
+    integer arithmetic); float-mode (truncated) series are never certified.
     """
 
     r: float
@@ -275,9 +303,58 @@ class RootResult:
     certified: bool = False
 
 
+def _sign_function(polynomial):
+    """The guarded sign and the exact sign of the polynomial at floats x in
+    [0, 1], both on its sparse form.
+
+    The guarded sign is the float sign of sparse Horner over the terms kept
+    at x when the value exceeds its rounding bound; otherwise the exact
+    dyadic helper decides.
+    """
+    terms = [(k, c) for k, c in enumerate(polynomial) if c]
+    exps = [k for k, _ in terms]
+    # Horner steps up from each term: gap to the next exponent, c, |c|
+    ups = [(hi - lo, c, abs(c)) for (lo, c), hi in zip(terms, exps[1:])]
+    gaps = {g for g, _, _ in ups}
+    cmax = max(abs(c) for _, c in terms)
+    bottom = exps[0]
+
+    def exact(x: float) -> int:
+        num, den = x.as_integer_ratio()
+        return sign_at_dyadic(terms, num, den.bit_length() - 1)
+
+    def sign(x: float) -> int:
+        n = len(terms)
+        if 0 < x < 1:
+            cut = math.log(_FLOAT_TAIL * (1 - x) / cmax) / math.log(x)
+            n = max(1, bisect_left(exps, int(cut) + 1))
+        powers = {g: x ** g for g in gaps}
+        c = terms[n - 1][1]
+        acc, size = float(c), float(abs(c))
+        for g, c, a in reversed(ups[:n - 1]):
+            xg = powers[g]
+            acc = acc * xg + c
+            size = size * xg + a
+        if bottom:
+            xb = x ** bottom
+            acc *= xb
+            size *= xb
+        if abs(acc) > (4 * n + 8) * _UNIT_ROUNDOFF * size + _FLOAT_SLACK:
+            return 1 if acc > 0 else -1
+        return exact(x)
+
+    return sign, exact
+
+
 def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootResult:
     """Locate the unique sign change of the determinant in (0, 1) by bisection
-    with a float Newton polish.
+    on its sparse form, then polish with float Newton steps on the dense form.
+
+    Each bisection sign is a float sign only when the float value exceeds the
+    rounding bound of its sum; near the root it is exact (see
+    :func:`polyexact.sign_at_dyadic`).  For an exact polynomial the two ends
+    of the bracket are then checked by the exact helper, and ``certified``
+    reports that check; a failed check raises :class:`NoRootError`.
 
     The reported error bound adds the truncation tail to the bracket width;
     the truncated series has derivative <= -1 on [0, 1), so a tail of size t
@@ -285,29 +362,26 @@ def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootRes
     """
     if not 0 < tol < math.inf:
         raise InvalidParameterError("tol must be positive and finite")
-    poly = list(series.polynomial)
-    lo, flo = 0.0, 1.0
+    sign, exact = _sign_function(series.polynomial)
+    lo = 0.0
     hi = 1.0 - min(tol, 1e-9)
-    fhi = float(series.evaluate(hi))
-    if fhi > 0:
+    if sign(hi) > 0:
         raise NoRootError(
             "determinant stays positive on (0, 1); entropy 0 at this truncation")
     width = max(tol, 1e-16)
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        fm = float(series.evaluate(mid))
-        # a float zero settles nothing; only an exact root closes the bracket
-        sign = fm if fm != 0 else sign_at(poly, *mid.as_integer_ratio())
-        if sign > 0:
-            lo, flo = mid, fm
-        elif sign < 0:
-            hi, fhi = mid, fm
+        s = sign(mid)
+        if s > 0:
+            lo = mid
+        elif s < 0:
+            hi = mid
         else:
             lo = hi = mid
             break
     r = 0.5 * (lo + hi)
     for _ in range(3):
-        dpr = float(poly_eval([k * poly[k] for k in range(1, len(poly))], r))
+        dpr = series.derivative_at(r)
         if dpr == 0:
             break
         step = float(series.evaluate(r)) / dpr
@@ -315,10 +389,8 @@ def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootRes
         if lo <= cand <= hi:
             r = cand
     # exact sign certification of the bracket; a zero-width bracket is an
-    # exact root, already settled by sign_at in the loop
-    if series.exact and lo < hi and not (
-            sign_at(poly, *lo.as_integer_ratio()) > 0
-            > sign_at(poly, *hi.as_integer_ratio())):
+    # exact root, already settled by the exact helper in the loop
+    if series.exact and lo < hi and not exact(lo) > 0 > exact(hi):
         raise NoRootError("bracket failed exact sign certification")
     residual = abs(float(series.evaluate(r)))
     tail = series.tail_bound(hi)

@@ -7,6 +7,9 @@ certified by exact sign evaluation.
 
 Signs at rational points come from :func:`sign_at`, integer Horner on
 ``den**deg * p(num/den)``, so no Fraction is normalised along the way.
+Sparse polynomials, given as ``(exponent, coefficient)`` pairs, take their
+signs at dyadic points from :func:`sign_at_dyadic`: a 96-bit fixed-point pass
+with a counted truncation error, and shift-Horner when that cannot decide.
 :func:`largest_real_root` works on the dyadic grid ``2**-e``, with ``e`` the
 smallest exponent whose step is at most ``tol``: the numpy seed is rounded
 outward to grid points ``lo``, ``hi``, and the grid-scaled polynomial
@@ -44,9 +47,11 @@ Poly = list
 # ---------------------------------------------------------------------------
 
 def poly_trim(p: Poly) -> Poly:
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
+    """p without its trailing zeros; p itself when it has none."""
+    n = len(p)
+    while n and p[n - 1] == 0:
+        n -= 1
+    return p if n == len(p) else p[:n]
 
 
 def poly_degree(p: Poly) -> int:
@@ -68,6 +73,70 @@ def sign_at(p: Poly, num: int, den: int = 1) -> int:
     for c in reversed(p):
         acc = acc * num + c * scale
         scale *= den
+    return (acc > 0) - (acc < 0)
+
+
+# fractional bits of the fixed-point pass of sign_at_dyadic, and the power
+# below which it bounds the remaining terms by a geometric tail
+_FIXED_BITS = 96
+_FIXED_TAIL = 1 << 16
+
+
+def sign_at_dyadic(terms, num: int, shift: int) -> int:
+    """Sign of sum c * x**k over the ``(k, c)`` pairs of ``terms`` (ascending,
+    distinct k >= 0) at the dyadic point x = num / 2**shift, exact.
+
+    For 0 <= x <= 1 a fixed-point pass decides first.  Every power x**k is an
+    integer truncated to 96 fractional bits, so it is low by less than
+    ``err`` units of 2**-96, where ``err`` grows by one per truncation (plus
+    the errors of the two factors, which are at most 1).  Once x**k drops
+    below 2**-80 the remaining terms are bounded together by
+    max|c| x**k / (1 - x).  When the truncated sum exceeds sum |c| * err plus
+    that tail in absolute value, its sign is the true sign.
+    Otherwise (a sum within that bound of zero, as at an exact root) and for
+    x outside [0, 1], the sign comes from exact shift-Horner on
+    ``sum c * num**k * 2**(shift * (D - k))``, D the largest exponent.
+    """
+    if not terms:
+        return 0
+    den = 1 << shift
+    if 0 <= num <= den:
+        bits = _FIXED_BITS
+        if shift <= bits:
+            x, xerr = num << (bits - shift), 0
+        else:
+            x, xerr = num >> (shift - bits), 1
+        squares = [(x, xerr)]  # x**(2**i), with its error bound
+        power, perr, prev = 1 << bits, 0, 0  # x**prev
+        total = bound = 0
+        for k, c in terms:
+            gap, prev, i = k - prev, k, 0
+            while gap:
+                if i == len(squares):
+                    s, e = squares[-1]
+                    squares.append(((s * s) >> bits, 2 * e + 1))
+                if gap & 1:
+                    s, e = squares[i]
+                    power = (power * s) >> bits
+                    perr += e + 1
+                gap >>= 1
+                i += 1
+            if power < _FIXED_TAIL and num < den:
+                # x**k < 2**-80: bound this term and all later ones by the
+                # geometric tail max|c| x**k / (1 - x)
+                cmax = max(abs(c) for _, c in terms)
+                bound += cmax * (power + perr) * den // (den - num) + 1
+                break
+            total += c * power
+            bound += abs(c) * perr
+        if abs(total) > bound:
+            return (total > 0) - (total < 0)
+    top = terms[-1][0]
+    acc, prev = 0, top
+    for k, c in reversed(terms):
+        acc = acc * num ** (prev - k) + (c << (shift * (top - k)))
+        prev = k
+    acc *= num ** prev
     return (acc > 0) - (acc < 0)
 
 

@@ -4,10 +4,15 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from holed_entropy import Scalar, build_orbit, determinant
 from holed_entropy.cli import main
 from holed_entropy.mapmodel import map_from_config
+from holed_entropy.polyexact import sign_at
 
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 
@@ -92,6 +97,27 @@ def test_tower_json(capsys):
     assert data["termination"]["kind"] == "preperiodic"
     assert abs(data["entropy"] - LOG_GOLDEN) < 1e-12
     assert data["p"] == 1
+
+
+@pytest.mark.parametrize("a", ["351/355", "206/213", "288/289", "331/334",
+                               "307/368", "337/376", "397/488", "597/614",
+                               "647/661"])
+def test_tower_certifies_noisy_float_sign_rows(capsys, a):
+    # a bracket that fails exact sign certification exits 3
+    code, out, err = run(capsys, "tower", "--a", a)
+    assert code == 0, err
+    data = json.loads(out)
+    code, text, _ = run(capsys, "entropy", "--map", "doubling", "--hole", f"{a},1",
+                        "--engine", "markov")
+    assert code == 0
+    markov = float(re.search(r"entropy = ([0-9.e-]+)", text).group(1))
+    assert abs(data["entropy"] - markov) < 1e-12
+    # the determinant changes sign within error_bound of r, by integer Horner
+    poly = list(determinant(build_orbit(Scalar.exact(Fraction(a)))).polynomial)
+    r, bound = Fraction(data["r"]), Fraction(data["error_bound"])
+    lo, hi = r - bound, r + bound
+    assert sign_at(poly, lo.numerator, lo.denominator) > 0
+    assert sign_at(poly, hi.numerator, hi.denominator) < 0
 
 
 def test_sweep_csv_and_svg(capsys, tmp_path):

@@ -14,8 +14,9 @@ from holed_entropy.polyexact import (berkowitz_char_poly, cauchy_root_bound,
                                      int_matrix_rank, isolate_largest_real_root,
                                      largest_real_root, poly_deriv, poly_divmod,
                                      poly_eval, poly_gcd_int, poly_mul,
-                                     poly_primitive, refine_root_bisect,
-                                     sign_at, square_free_decomposition,
+                                     poly_primitive, poly_trim,
+                                     refine_root_bisect, sign_at,
+                                     sign_at_dyadic, square_free_decomposition,
                                      sturm_chain, taylor_shift)
 
 
@@ -318,6 +319,64 @@ def test_sign_at_and_taylor_shift_match_fraction_evaluation(p, x, c):
     assert sign_at(p, x.numerator, x.denominator) == (value > 0) - (value < 0)
     shifted = taylor_shift(p, c)
     assert poly_eval(shifted, x) == poly_eval(p, x + c)
+
+
+def test_poly_trim_drops_only_trailing_zeros():
+    p = [1, 0, -1]
+    assert poly_trim(p) is p
+    assert poly_trim([1, 0, -1, 0, 0]) == [1, 0, -1]
+    assert poly_trim((0, 2, 0)) == (0, 2)
+    assert poly_trim([0, 0]) == [] and poly_trim([]) == []
+
+
+def _sparse_terms(dense):
+    return [(k, c) for k, c in enumerate(dense) if c]
+
+
+# sparse integer polynomials as dense lists: a few nonzero terms at random
+# exponents below 300, coefficients mostly +-1 as in the tower determinant
+_sparse_polys = st.dictionaries(
+    st.integers(0, 300),
+    st.one_of(st.sampled_from([-1, 1]), st.integers(-2 ** 70, 2 ** 70)),
+    min_size=1, max_size=12).map(
+        lambda d: [d.get(k, 0) for k in range(max(d) + 1)])
+
+
+@st.composite
+def _dyadic_points(draw, lo=0, hi=1):
+    shift = draw(st.integers(0, 140))
+    num = draw(st.integers(lo << shift, hi << shift))
+    return num, shift
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=_sparse_polys, point=st.one_of(_dyadic_points(), _dyadic_points(-2, 2)))
+def test_sign_at_dyadic_matches_sign_at(p, point):
+    num, shift = point
+    assert sign_at_dyadic(_sparse_terms(p), num, shift) == sign_at(p, num, 1 << shift)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=_sparse_polys, point=_dyadic_points())
+def test_sign_at_dyadic_exact_root_needs_the_exact_fallback(p, point):
+    # x = num / 2**shift is an exact root of (2**shift * x - num) * p, so the
+    # fixed-point sum cannot clear its error bound and shift-Horner decides
+    num, shift = point
+    q = poly_mul([-num, 1 << shift], p)
+    assert sign_at_dyadic(_sparse_terms(q), num, shift) == 0
+    assert sign_at(q, num, 1 << shift) == 0
+
+
+def test_sign_at_dyadic_near_root_and_edges():
+    golden = [1, -1, -1]  # root (sqrt 5 - 1) / 2
+    lo = (math.sqrt(5) - 1) / 2
+    for x in (lo, math.nextafter(lo, 0), math.nextafter(lo, 1), 0.0, 1.0):
+        num, den = x.as_integer_ratio()
+        assert sign_at_dyadic(_sparse_terms(golden), num, den.bit_length() - 1) \
+            == sign_at(golden, num, den)
+    assert sign_at_dyadic([], 3, 2) == 0
+    # x below 2**-96 truncates to zero in the fixed-point pass
+    assert sign_at_dyadic([(0, 0), (1, 1)], 1, 200) == 1
 
 
 def test_refine_root_bisect_width():
