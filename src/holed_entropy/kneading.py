@@ -422,6 +422,7 @@ class LeftHoleEntropy:
             "termination": self.orbit.termination.to_json(),
             "K": len(self.series.coefficients) - 1,
             "error_bound": self.root.error_bound,
+            "certified": self.root.certified,
         }
 
 

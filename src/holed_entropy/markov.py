@@ -12,6 +12,10 @@ polynomial is computed exactly over the integers (sparse Berkowitz).  For a
 multiple leading eigenvalue rho, the geometric multiplicity and the pole
 order are read off the ranks of powers of m(M), m the minimal polynomial of
 rho: an integer matrix, so the ranks come from fraction-free elimination.
+m itself comes from integers too (:mod:`.minpoly`): the factor x and the
+cyclotomic factors are divided out of the square-free factor that holds
+rho, and Musser's degree-set test proves the rest irreducible.  sympy (an
+optional extra) is imported only for a factor that test leaves unproved.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from .errors import (InvalidParameterError, NotFinitelyMarkovError,
                      ResourceLimitError)
 from .mapmodel import Hole, PiecewiseMap
 from .polyexact import (CHAR_POLY_SIZE_CAP, berkowitz_char_poly, int_matmul,
-                        int_matrix_rank, largest_real_root, poly_degree,
-                        poly_eval, square_free_decomposition)
+                        int_matrix_rank, largest_real_root,
+                        square_free_decomposition)
 from .scalar import rational_str
 
 DEFAULT_ORBIT_CAP = 10_000
@@ -196,7 +200,7 @@ class SpectralReport:
     integer) the square-free factor of the characteristic polynomial that
     vanishes on it; both are None for the empty matrix.  ``min_poly`` is computed
     from these two on first read, so a caller that never reads it never
-    factors over the integers.
+    looks for the irreducible factor of rho.
     """
 
     rho: float
@@ -212,12 +216,15 @@ class SpectralReport:
         """Exact minimal polynomial of rho (ascending, integer), or None
         for the empty matrix.
 
-        Computed on first read by factoring ``rho_factor`` (this loads
-        sympy) and cached on the instance.
+        Computed on first read from ``rho_factor`` and cached on the
+        instance, by :func:`.minpoly.min_poly_of_root`, which loads sympy
+        only when the degree-set certificate cannot prove the stripped
+        factor irreducible.
         """
         if self.rho_factor is None:
             return None
-        return tuple(_min_poly_of_root(self.rho_factor, *self.rho_bracket))
+        from .minpoly import min_poly_of_root
+        return tuple(min_poly_of_root(self.rho_factor, *self.rho_bracket))
 
 
 def _second_modulus(decomp, alg: int) -> float:
@@ -232,33 +239,6 @@ def _second_modulus(decomp, alg: int) -> float:
     # drop the alg copies of rho (largest in modulus by Perron domination)
     rest = moduli[alg:]
     return rest[0] if rest else 0.0
-
-
-def _min_poly_of_root(factor, lo: Fraction, hi: Fraction):
-    """Irreducible factor (ascending ints) vanishing on the isolated root."""
-    import sympy as sp
-    x = sp.Symbol("x")
-    expr = sum(int(c) * x ** k for k, c in enumerate(factor))
-    _, factors = sp.factor_list(sp.Poly(expr, x))
-    candidates = []
-    for poly, _mult in factors:
-        coeffs = [int(c) for c in reversed(sp.Poly(poly, x).all_coeffs())]
-        if poly_degree(coeffs) < 1:
-            continue
-        flo, fhi = poly_eval(coeffs, lo), poly_eval(coeffs, hi)
-        if flo == 0 or fhi == 0 or (flo > 0) != (fhi > 0):
-            candidates.append(coeffs)
-    if len(candidates) == 1:
-        return candidates[0]
-    # shrink the bracket until exactly one irreducible factor changes sign
-    from .polyexact import refine_root_bisect
-    work = list(candidates)
-    while len(work) > 1:
-        lo, hi = refine_root_bisect(factor, lo, hi, (hi - lo) / 16)
-        work = [c for c in work
-                if poly_eval(c, lo) == 0 or poly_eval(c, hi) == 0
-                or (poly_eval(c, lo) > 0) != (poly_eval(c, hi) > 0)]
-    return work[0]
 
 
 def _jordan_data(entries, minpoly, alg: int) -> tuple[int, int]:
@@ -302,8 +282,8 @@ def spectral_report(M: TransitionMatrix, tol: float = 1e-12) -> SpectralReport:
     The root of each square-free factor of the characteristic polynomial is
     bracketed with :func:`largest_real_root`, and the algebraic multiplicity
     is the power of the factor that holds the largest one.  Only a multiple
-    root needs its minimal polynomial m (sympy) and the ranks of powers of
-    the integer matrix m(M) (:func:`_jordan_data`).
+    root needs its minimal polynomial m (which seeds ``min_poly``) and the
+    ranks of powers of the integer matrix m(M) (:func:`_jordan_data`).
     """
     if not 0 < tol < math.inf:
         raise InvalidParameterError("tol must be positive and finite")
@@ -328,7 +308,8 @@ def spectral_report(M: TransitionMatrix, tol: float = 1e-12) -> SpectralReport:
     if alg == 1:
         # a simple eigenvalue is semisimple: one Jordan block of size one
         return SpectralReport(rho, 1, 1, 1, second, bracket, tuple(factor))
-    minpoly = _min_poly_of_root(factor, bracket[0], bracket[1])
+    from .minpoly import min_poly_of_root
+    minpoly = min_poly_of_root(factor, bracket[0], bracket[1])
     geo, p = _jordan_data(M.entries, minpoly, alg)
     report = SpectralReport(rho, alg, geo, p, second, bracket, tuple(factor))
     report.__dict__["min_poly"] = tuple(minpoly)  # seed the cached property

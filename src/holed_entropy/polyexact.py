@@ -256,11 +256,10 @@ def clear_denominators(p: Poly) -> Poly:
     return poly_primitive([int(Fraction(c) * den) for c in p])
 
 
-def _exact_quotient(p: Poly, q: Poly) -> Poly:
-    """p / q for an integer p and a primitive integer divisor q, made
-    primitive.  By Gauss's lemma the quotient has integer coefficients, so
-    every step divides exactly; a remainder means q does not divide p and
-    raises AssertionError."""
+def poly_divmod_int(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder (deg q coefficients, untrimmed) of integer
+    polynomials, with integer steps: a quotient coefficient that the lead of
+    q does not divide raises AssertionError (never for monic q)."""
     d = len(q) - 1
     lead = q[-1]
     r = list(p)
@@ -273,7 +272,16 @@ def _exact_quotient(p: Poly, q: Poly) -> Poly:
         if c:
             for i in range(d):
                 r[k + i] -= c * q[i]
-    if any(r[:d]):
+    return quot, r[:d]
+
+
+def _exact_quotient(p: Poly, q: Poly) -> Poly:
+    """p / q for an integer p and a primitive integer divisor q, made
+    primitive.  By Gauss's lemma the quotient has integer coefficients, so
+    every step divides exactly; a remainder means q does not divide p and
+    raises AssertionError."""
+    quot, rem = poly_divmod_int(p, q)
+    if any(rem):
         raise AssertionError("nonzero remainder in integer polynomial division")
     return poly_primitive(quot)
 

@@ -207,6 +207,24 @@ def test_exit_code_3_on_engine_error(capsys):
     assert "engine error" in err
 
 
+def test_exit_code_3_when_an_uncertified_min_poly_needs_missing_sympy(tmp_path):
+    # [1/6, 5/18] keeps a non-cyclotomic extra factor, so naming min_poly
+    # needs sympy; an import that fails must not escape as ImportError
+    (tmp_path / "sympy.py").write_text(
+        "raise ModuleNotFoundError(\"No module named 'sympy'\", name='sympy')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+    argv = [sys.executable, "-m", "holed_entropy.cli", "spectrum", "--map", "doubling"]
+    proc = subprocess.run(argv + ["--hole", "1/6,5/18"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "engine error" in proc.stderr and "holed-entropy[sympy]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    proc = subprocess.run(argv + ["--hole", "3/4,5/6"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["min_poly"] == [-1, -1, 1]
+
+
 def test_exit_code_2_on_non_finite_input(capsys):
     for argv in (("tower", "--a", "2/3", "--tol", "nan"),
                  ("spectrum", "--map", "doubling", "--hole", "3/4,5/6", "--tol", "nan"),

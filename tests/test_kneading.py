@@ -329,5 +329,7 @@ def test_cross_engine_envelope():
 
 def test_json_fields():
     out = entropy_left_hole(ex(Fraction(3, 4))).to_json()
-    assert set(out) == {"a", "entropy", "r", "p", "termination", "K", "error_bound"}
-    assert out["p"] == 1 and out["a"] == "3/4"
+    assert set(out) == {"a", "entropy", "r", "p", "termination", "K", "error_bound",
+                        "certified"}
+    assert out["p"] == 1 and out["a"] == "3/4" and out["certified"] is True
+    assert entropy_left_hole(Scalar.approx(0.75)).to_json()["certified"] is False

@@ -12,7 +12,8 @@ from holed_entropy import (Hole, InvalidParameterError, NotFinitelyMarkovError,
                            refine, refine_markov, spectral_report, to_dot,
                            transition_matrix)
 from holed_entropy import markov
-from holed_entropy.markov import TransitionMatrix, _min_poly_of_root
+from holed_entropy.markov import TransitionMatrix
+from holed_entropy.minpoly import certify_irreducible, strip_cyclotomic
 from holed_entropy.polyexact import (berkowitz_char_poly, char_poly_cofactor,
                                      poly_eval)
 
@@ -215,15 +216,64 @@ def test_spectral_double_pole():
     assert abs(rep.second_eigenvalue_modulus - 1 / GOLDEN) < 1e-12
 
 
+def _sympy_min_poly(factor, lo, hi):
+    """Reference: the irreducible factor over the integers, by sympy, that
+    changes sign on [lo, hi]."""
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    _, factors = sp.factor_list(sp.Poly(list(reversed(factor)), x))
+    found = [tuple(int(c) for c in reversed(f.all_coeffs())) for f, _ in factors]
+    found = [c for c in found if len(c) > 1
+             and poly_eval(list(c), lo) * poly_eval(list(c), hi) <= 0]
+    assert len(found) == 1, found
+    return found[0]
+
+
 def test_min_poly_read_on_demand_matches_direct_factoring():
     for s in (F(7, 10), F(71, 100), F(18, 25), F(29, 40), F(37, 50)):
         rep = entropy_markov(build_d_adic(2), H((s, s + F(1, 12)))).report
         assert rep.algebraic_multiplicity == 1
         assert "min_poly" not in vars(rep)  # nothing computed it yet
-        expected = tuple(_min_poly_of_root(rep.rho_factor, *rep.rho_bracket))
+        expected = _sympy_min_poly(rep.rho_factor, *rep.rho_bracket)
         assert rep.min_poly == expected
-        lo, hi = rep.rho_bracket
-        assert poly_eval(list(expected), lo) * poly_eval(list(expected), hi) <= 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(hole=exact_holes(), d=st.sampled_from([2, 3]))
+@example(hole=H((F(3, 4), F(5, 6))), d=2)
+@example(hole=H((F(1, 8), F(1, 3))), d=3)  # rho = 2 is an integer
+def test_min_poly_matches_sympy(hole, d):
+    pytest.importorskip("sympy")
+    rep = entropy_markov(build_d_adic(d), hole).report
+    if rep.rho_factor is not None:
+        assert rep.min_poly == _sympy_min_poly(rep.rho_factor, *rep.rho_bracket)
+
+
+@pytest.mark.parametrize("hole, want", [
+    ((F(95, 128), F(95, 128) + F(1, 12)), (-1, 0, 0, -1, 1, 0, -1, 0, -1, -1, 1)),
+    ((F(1, 6), F(5, 18)), (-1, -1, 1)),
+])
+def test_min_poly_fallback_rows(hole, want):
+    # the rest after stripping keeps a non-cyclotomic extra factor, so the
+    # degree-set certificate fails and sympy names the factor
+    pytest.importorskip("sympy")
+    rep = entropy_markov(build_d_adic(2), H(hole)).report
+    assert rep.algebraic_multiplicity == 1
+    assert not certify_irreducible(strip_cyclotomic(list(rep.rho_factor)))
+    assert rep.min_poly == want == _sympy_min_poly(rep.rho_factor, *rep.rho_bracket)
+
+
+def test_min_poly_integer_roots():
+    # rho = 1, with a double pole and without
+    for hole, alg in (((F(1, 39), F(20, 39)), 2), ((F(0), F(1, 2)), 1)):
+        rep = entropy_markov(build_d_adic(2), H(hole)).report
+        assert (rep.algebraic_multiplicity, rep.min_poly) == (alg, (-1, 1))
+    # rho = 0: nilpotent
+    M = TransitionMatrix(2, ((0, 1), (0, 0)), tuple(berkowitz_char_poly([[0, 1], [0, 0]])))
+    assert spectral_report(M).min_poly == (0, 1)
+    # rho = 2 on the triadic map, next to the golden ratio in x (x - 2)(x^2 - x - 1)
+    rep = entropy_markov(build_d_adic(3), H((F(1, 8), F(1, 3)))).report
+    assert rep.rho_factor == (0, 2, 1, -3, 1) and rep.min_poly == (-2, 1)
 
 
 def test_spectral_simple_root():

@@ -44,7 +44,7 @@ def test_charpoly_vs_cofactor_oracle_random():
 
 
 def test_charpoly_vs_sympy():
-    import sympy as sp
+    sp = pytest.importorskip("sympy")
     rng = random.Random(123)
     for n in (3, 5, 7):
         M = [[rng.randrange(0, 2) for _ in range(n)] for _ in range(n)]
@@ -89,7 +89,7 @@ def test_sparse_berkowitz_matches_cofactor(M):
 @settings(max_examples=25, deadline=None)
 @given(M=_sparse_01_matrices(30, 4))
 def test_sparse_berkowitz_matches_sympy(M):
-    import sympy as sp
+    sp = pytest.importorskip("sympy")
     lam = sp.symbols("lam")
     want = [int(c) for c in reversed(sp.Matrix(M).charpoly(lam).all_coeffs())]
     assert berkowitz_char_poly(M) == want

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -93,23 +94,44 @@ def test_markov_sweep_error_bound_covers_rho_bracket():
             assert abs(row.entropy - max(math.log(end), 0.0)) <= row.error_bound
 
 
-def test_markov_sweep_does_not_import_sympy():
-    # simple leading roots need no minimal polynomial, hence no sympy
-    probe = ("import sys\n"
-             "from fractions import Fraction as F\n"
-             "from holed_entropy import SlidingHoleFamily, SweepSpec, run_sweep\n"
-             "spec = SweepSpec(SlidingHoleFamily(F(1, 12)), F(7, 10), F(37, 50), 9,"
-             " engine='markov')\n"
-             "rows = run_sweep(spec).rows\n"
-             "assert [(r.p, r.status) for r in rows] == [(1, 'ok')] * 9, rows\n"
-             "print('sympy' in sys.modules)\n")
+def _run_probe(probe: str) -> str:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    return proc.stdout
+
+
+def test_markov_sweep_does_not_import_sympy():
+    # simple leading roots need no minimal polynomial, and the double pole
+    # at 3/4 (alg 2) has a certified one, so no sympy either way
+    probe = ("import sys\n"
+             "from fractions import Fraction as F\n"
+             "from holed_entropy import SlidingHoleFamily, SweepSpec, run_sweep\n"
+             "spec = SweepSpec(SlidingHoleFamily(F(1, 12)), F(7, 10), F(4, 5), 9,"
+             " engine='markov')\n"
+             "rows = run_sweep(spec).rows\n"
+             "want = [(1 + (r.s == F(3, 4)), 'ok') for r in rows]\n"
+             "assert [(r.p, r.status) for r in rows] == want, rows\n"
+             "assert F(3, 4) in [r.s for r in rows]\n"
+             "print('sympy' in sys.modules)\n")
+    assert _run_probe(probe).splitlines()[-1] == "False"
+
+
+def test_double_pole_spectrum_does_not_import_sympy():
+    probe = ("import sys\n"
+             "from holed_entropy.cli import main\n"
+             "assert main(['spectrum', '--map', 'doubling', '--hole', '3/4,5/6']) == 0\n"
+             "print('sympy' in sys.modules)\n")
+    *report, loaded = _run_probe(probe).splitlines()
+    assert loaded == "False"
+    data = json.loads("\n".join(report))
+    assert data["min_poly"] == [-1, -1, 1] and data["p"] == 2
+    assert data["alg_mult"] == 2 and data["geo_mult"] == 1
+    assert data["char_poly_coeffs"] == [0, 1, 2, -1, -2, 1]
+    assert abs(data["entropy"] - LOG_GOLDEN) < 1e-12
 
 
 def test_sweep_rows_sorted_and_ok():
