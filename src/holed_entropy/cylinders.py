@@ -22,7 +22,10 @@ chosen per level.  A level is stored in one of three forms:
   family in particular), from a level of at least ``_ARRAY_MIN_COMPONENTS``
   components, and while the next level's scaled values fit in int64.  A
   stored component then takes ~21 bytes (two int64 endpoints, an int32
-  parent, a uint8 branch) instead of four Python objects.
+  parent, a uint8 branch) instead of four Python objects.  A step sizes
+  the new level before writing it and fills it run by run, so it holds
+  the new level and one run's parent indices (4 bytes per component of
+  that run) besides the level it reads.
 
 numpy is imported only when the int64 kernel first runs, so shallow
 refinements and every non-affine map never load it.  A level is converted
@@ -231,8 +234,11 @@ class _UniformAffine:
         self.D0 = D0
         self.signs = [1 if s > 0 else -1 for s in sigs]
         self.offsets0 = [int(o * D0) for o in offsets]
-        self.img0 = [(int(w1 * D0), int(w2 * D0)) for w1, w2 in images]
-        self.hole0 = [(int(lo * D0), int(hi * D0)) for lo, hi in hole.pieces]
+        # each branch domain minus the hole, left to right: the pieces of
+        # the level-1 survivor set
+        self.windows0 = [[(int(lo * D0), int(hi * D0))
+                          for lo, hi in subtract_pieces(dlo, dhi, hole.pieces, 0)]
+                         for dlo, dhi in pmap.branch_domains_raw()]
         # largest magnitude, in units of 1/D0, of any value the kernel
         # stores at scale den(n) (offsets enter one level coarser); D0
         # itself for maps on [0, 1], so the int64 rule is D0 * d**n < 2**63
@@ -424,8 +430,18 @@ class _Int64Kernel:
     """numpy int64 arrays scaled by den(n); exact uniform-affine maps only.
 
     Valid for a step n -> n+1 while ``u.fits_int64(n + 1)``: every stored
-    value and every offset then fits in an int64, and a difference whose
-    true value fits is exact in wrapping int64 arithmetic.
+    value and every offset then fits in an int64, and so does every
+    difference the step forms.
+
+    A level is sorted and disjoint (``lo[i] < hi[i] <= lo[i+1]``): branch
+    domains are ordered and disjoint, and each branch keeps the order of its
+    pullbacks.  So the level-n components that meet one window (a branch
+    domain minus the hole, pushed forward through the branch) form a run
+    ``[s, e)`` found by two binary searches, and the window cuts only the
+    first and the last of them.  A step sizes the new level from those runs,
+    checks the cap, and writes each run into its slice of the new columns.
+    It holds the new level and no more than one run's parent indices
+    besides: about 4 bytes per component of the largest run.
     """
 
     def __init__(self, u: _UniformAffine):
@@ -435,7 +451,7 @@ class _Int64Kernel:
         self.branch_type = np.min_scalar_type(len(u.signs) - 1)
 
     def step(self, cur: _Level, n: int, cap: int) -> _Level:
-        """Level n+1 from level n, one branch at a time."""
+        """Level n+1 from level n, one window at a time."""
         np, u = self.np, self.u
         if cur.den is None:
             # exact: every level-n endpoint is a multiple of 1/den(n)
@@ -445,42 +461,43 @@ class _Int64Kernel:
         else:
             lo, hi = cur.lo, cur.hi
         scale = u.d ** n
-        # gaps of the hole complement at scale den(n+1), sorted and disjoint
-        # (Hole merges touching pieces); the outer gaps are unbounded
-        ext = np.iinfo(np.int64)
-        gap_lo = np.array([ext.min] + [h * scale * u.d for _, h in u.hole0],
-                          dtype=np.int64)
-        gap_hi = np.array([l * scale * u.d for l, _ in u.hole0] + [ext.max],
-                          dtype=np.int64)
-        parent_type = np.int32 if len(cur) <= np.iinfo(np.int32).max else np.int64
-        batches = []
+        runs = []
         total = 0
         for b, sign in enumerate(u.signs):
-            ilo, ihi = u.img0[b]
             on = u.offsets0[b] * scale
-            ylo = np.maximum(lo, ilo * scale)
-            yhi = np.minimum(hi, ihi * scale)
-            idx = np.flatnonzero(yhi > ylo)
+            for wlo, whi in u.windows0[b]:
+                # the window at scale den(n+1), pushed forward to den(n)
+                wlo, whi = wlo * scale * u.d, whi * scale * u.d
+                ylo, yhi = (wlo + on, whi + on) if sign > 0 else (on - whi, on - wlo)
+                s = int(hi.searchsorted(ylo, "right"))
+                e = int(lo.searchsorted(yhi, "left"))
+                if s < e:
+                    runs.append((b, sign, on, s, e, max(int(lo[s]), ylo),
+                                 min(int(hi[e - 1]), yhi)))
+                    total += e - s
+        if total > cap:
+            raise _cap_exceeded(cap, n + 1)
+        parent_type = np.int32 if len(cur) <= np.iinfo(np.int32).max else np.int64
+        nlo = np.empty(total, dtype=np.int64)
+        nhi = np.empty(total, dtype=np.int64)
+        parent = np.empty(total, dtype=parent_type)
+        branch = np.empty(total, dtype=self.branch_type)
+        k = 0
+        for b, sign, on, s, e, first, last in runs:
+            j = k + e - s
             if sign > 0:
-                xlo, xhi = ylo[idx] - on, yhi[idx] - on
+                np.subtract(lo[s:e], on, out=nlo[k:j])
+                np.subtract(hi[s:e], on, out=nhi[k:j])
+                nlo[k], nhi[j - 1] = first - on, last - on
+                parent[k:j] = np.arange(s, e, dtype=parent_type)
             else:
-                idx = idx[::-1]
-                xlo, xhi = on - yhi[idx], on - ylo[idx]
-            # (xlo, xhi) meets the gaps first .. first + cnt - 1
-            first = np.searchsorted(gap_hi, xlo, side="right")
-            cnt = np.searchsorted(gap_lo, xhi, side="left") - first
-            k = int(cnt.sum())
-            total += k
-            if total > cap:
-                raise _cap_exceeded(cap, n + 1)
-            gap = np.repeat(first - (np.cumsum(cnt) - cnt), cnt) + np.arange(k)
-            batches.append((
-                np.maximum(np.repeat(xlo, cnt), gap_lo[gap]),
-                np.minimum(np.repeat(xhi, cnt), gap_hi[gap]),
-                np.repeat(idx.astype(parent_type), cnt),
-                np.full(k, b, dtype=self.branch_type)))
-        cols = [np.concatenate(c) for c in zip(*batches)]
-        return _Level(u.den(n + 1), *cols)
+                np.subtract(on, hi[s:e][::-1], out=nlo[k:j])
+                np.subtract(on, lo[s:e][::-1], out=nhi[k:j])
+                nlo[k], nhi[j - 1] = on - last, on - first
+                parent[k:j] = np.arange(e - 1, s - 1, -1, dtype=parent_type)
+            branch[k:j] = b
+            k = j
+        return _Level(u.den(n + 1), nlo, nhi, parent, branch)
 
 
 def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,

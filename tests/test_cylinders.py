@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
@@ -169,6 +171,38 @@ def test_kernels_agree_on_orientation_reversing_map():
         assert_same_tree(fast, refine_on("generic", TENT, hole, 10))
 
 
+def test_int64_kernel_splits_one_pullback_across_a_hole():
+    # branch 0 pulls level-1 (1/19, 1/2) back to (1/38, 1/4), which contains
+    # the hole: one parent and branch, two children at level 2
+    hole = H((Fraction(1, 20), Fraction(1, 19)))
+    for m in (build_d_adic(2), TENT):
+        fast = refine_on("int64", m, hole, 8)
+        assert all(int64_levels(fast)[1:])
+        branch, parent = fast._levels[1].links()
+        children = Counter(zip(parent, branch))
+        assert children[(1, 0)] == 2 and max(children.values()) == 2
+        assert_same_tree(fast, refine_on("generic", m, hole, 8))
+
+
+def test_int64_step_holds_little_beyond_the_new_level():
+    # a step writes each run straight into the new level's columns, so
+    # beyond what the tree keeps it holds one run's parent indices (about
+    # 0.1x the level); full-size temporaries would pass the bound
+    m = build_d_adic(2)
+    hole = H((Fraction(13, 16), Fraction(1)))
+    refine(m, hole, 14)   # import numpy outside the traced region
+    tracemalloc.start()
+    try:
+        tree = refine(m, hole, 20)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    last = tree._levels[-1]
+    assert last.den is not None
+    level_bytes = sum(c.nbytes for c in (last.lo, last.hi, last.parent, last.branch))
+    assert peak - retained <= 1.5 * level_bytes
+
+
 def test_int64_kernel_hands_back_past_two_to_the_63():
     # D0 = 4 on the doubling map: level 60 is the last with 4 * 2**n < 2**63
     m = build_d_adic(2)
@@ -311,6 +345,22 @@ def test_component_cap_boundary():
     assert tree.counts == FIB_COUNTS[:18]
     with pytest.raises(ResourceLimitError, match="at level 18$"):
         refine(build_d_adic(2), RIGHT_HOLE, 18, component_cap=FIB_COUNTS[17] - 1)
+
+
+@pytest.mark.parametrize("hole", [RIGHT_HOLE,
+                                  H((Fraction(1, 8), Fraction(1, 6)),
+                                    (Fraction(5, 6), Fraction(1)))])
+def test_component_cap_inside_the_second_branch_of_an_int64_step(hole):
+    m = build_d_adic(2)
+    tree = refine_on("int64", m, hole, 10)
+    assert int64_levels(tree)[-1]
+    first = int((tree._levels[-1].branch == 0).sum())
+    assert 0 < first < tree.counts[-1]
+    cap = (first + tree.counts[-1]) // 2
+    with only_kernel("int64"):
+        with pytest.raises(ResourceLimitError, match=f"cap {cap} exceeded at level 10$"):
+            refine(m, hole, 10, component_cap=cap)
+        assert refine(m, hole, 10, component_cap=tree.counts[-1]).counts == tree.counts
 
 
 def test_count_beyond_depth_requires_extinction():

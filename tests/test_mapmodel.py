@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holed_entropy import (Hole, InvalidParameterError, ModeMismatchError,
                            Scalar, build_d_adic, build_scaled_farey, hole_dist,
@@ -238,6 +240,52 @@ def test_config_roundtrip_exact():
     m2, h2 = map_from_config(json.loads(text))
     assert map_to_config(m2, h2) == cfg
     assert h2.pieces == h.pieces
+
+
+def _moebius_through(a, b, w1, w2, k):
+    """The Moebius map with a -> w1 and b -> w2 whose pole lies outside
+    [a, b]: t -> k t / (1 + (k - 1) t) on t = (x - a) / (b - a), k > 0."""
+    L = b - a
+    p = k * w2 - w1
+    return Moebius(ex(p), ex(w1 * L - p * a), ex(k - 1), ex(L - (k - 1) * a))
+
+
+@st.composite
+def exact_maps_and_holes(draw):
+    rationals = st.builds(Fraction, st.integers(0, 48), st.just(48))
+    cuts = sorted(draw(st.sets(rationals, min_size=2, max_size=6)))
+    domains = list(zip(cuts, cuts[1:]))
+    # dropped domains leave gaps between branches
+    keep = draw(st.lists(st.booleans(), min_size=len(domains),
+                         max_size=len(domains)).filter(any))
+    branches = []
+    for (a, b), kept in zip(domains, keep):
+        if not kept:
+            continue
+        w1, w2 = draw(st.lists(rationals, min_size=2, max_size=2, unique=True))
+        if draw(st.booleans()):
+            slope = (w2 - w1) / (b - a)
+            kind = Affine(ex(slope), ex(w1 - slope * a))
+        else:
+            k = draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)))
+            kind = _moebius_through(a, b, w1, w2, k)
+        branches.append(Branch(IntervalOpen(ex(a), ex(b)), kind))
+    pmap = PiecewiseMap(IntervalOpen(ex(0), ex(1)), tuple(branches))
+    pieces = draw(st.lists(st.lists(rationals, min_size=2, max_size=2), max_size=3))
+    return pmap, H(*(sorted(p) for p in pieces))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_maps_and_holes())
+def test_config_roundtrip_is_stable(case):
+    pmap, hole = case
+    text = json.dumps(map_to_config(pmap, hole), sort_keys=True)
+    for _ in range(2):
+        pmap2, hole2 = map_from_config(json.loads(text))
+        assert pmap2 == pmap and hole2.pieces == hole.pieces
+        again = json.dumps(map_to_config(pmap2, hole2), sort_keys=True)
+        assert again == text
+        text = again
 
 
 def test_config_decimal_strings_parse_exactly():
