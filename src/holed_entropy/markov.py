@@ -30,8 +30,8 @@ from typing import Optional
 from .errors import (InvalidParameterError, NotFinitelyMarkovError,
                      ResourceLimitError)
 from .mapmodel import Hole, PiecewiseMap
-from .polyexact import (CHAR_POLY_SIZE_CAP, berkowitz_char_poly, int_matmul,
-                        int_matrix_rank, largest_real_root,
+from .polyexact import (CHAR_POLY_SIZE_CAP, berkowitz_char_poly, halve_bracket,
+                        int_matmul, int_matrix_rank, largest_real_root,
                         square_free_decomposition)
 from .scalar import rational_str
 
@@ -276,12 +276,23 @@ def _jordan_data(entries, minpoly, alg: int) -> tuple[int, int]:
     return dims[1], p
 
 
+def _root_above(f, a, g, b) -> bool:
+    """Whether the root of f in the bracket a lies above the root of g in
+    the bracket b.  f and g are coprime, so the roots differ, and brackets
+    that meet are halved until they part."""
+    while a[0] <= b[1] and b[0] <= a[1]:
+        a, b = halve_bracket(f, *a), halve_bracket(g, *b)
+    return a[0] > b[1]
+
+
 def spectral_report(M: TransitionMatrix, tol: float = 1e-12) -> SpectralReport:
     """Perron root, multiplicities, and pole order of a transition matrix.
 
-    The root of each square-free factor of the characteristic polynomial is
-    bracketed with :func:`largest_real_root`, and the algebraic multiplicity
-    is the power of the factor that holds the largest one.  Only a multiple
+    The largest root in [0, inf) of each square-free factor of the
+    characteristic polynomial is bracketed with :func:`largest_real_root`,
+    and the winner is chosen by comparing those exact brackets, halved until
+    they part where they meet, never by their floats.  The algebraic
+    multiplicity is the power of the factor that holds it.  Only a multiple
     root needs its minimal polynomial m (which seeds ``min_poly``) and the
     ranks of powers of the integer matrix m(M) (:func:`_jordan_data`).
     """
@@ -295,15 +306,14 @@ def spectral_report(M: TransitionMatrix, tol: float = 1e-12) -> SpectralReport:
         try:
             r, lo, hi = largest_real_root(factor, tol=min(tol, 1e-13))
         except InvalidParameterError:
-            continue  # no real roots in this factor
-        if best is None or r > best[0]:
+            continue  # no root in [0, inf) in this factor
+        if best is None or _root_above(factor, (lo, hi), best[2], best[1]):
             best = (r, (lo, hi), factor, mult)
     if best is None:
         raise AssertionError(
-            "characteristic polynomial has no real roots, "
+            "characteristic polynomial has no root in [0, inf), "
             "impossible for a nonnegative matrix (Perron-Frobenius)")
     rho, bracket, factor, alg = best
-    rho = max(rho, 0.0)
     second = _second_modulus(decomp, alg)
     if alg == 1:
         # a simple eigenvalue is semisimple: one Jordan block of size one

@@ -18,14 +18,15 @@ import math
 from fractions import Fraction
 
 from .errors import ResourceLimitError
-from .polyexact import (Poly, poly_degree, poly_divmod_int, poly_eval,
-                        poly_mul, poly_trim, refine_root_bisect)
+from .polyexact import Poly, poly_degree, poly_divmod_int, poly_mul, poly_trim, sign_at
 
 
-def _changes_sign(p, lo: Fraction, hi: Fraction) -> bool:
-    """p vanishes at an end of [lo, hi] or takes opposite signs there."""
-    flo, fhi = poly_eval(p, lo), poly_eval(p, hi)
-    return flo == 0 or fhi == 0 or (flo > 0) != (fhi > 0)
+def _holds_root(p, lo: Fraction, hi: Fraction) -> bool:
+    """p, with at most one root in the bracket (lo, hi], has one there: it
+    vanishes at hi, or it is nonzero at lo and changes sign."""
+    s_lo = sign_at(p, lo.numerator, lo.denominator)
+    s_hi = sign_at(p, hi.numerator, hi.denominator)
+    return s_hi == 0 or s_lo * s_hi < 0
 
 
 def min_poly_of_root(factor, lo: Fraction, hi: Fraction):
@@ -39,19 +40,26 @@ def min_poly_of_root(factor, lo: Fraction, hi: Fraction):
     Only a factor that test cannot certify is factored by sympy.
     """
     r = math.floor(hi)  # the bracket holds r when lo < r, or when lo == hi == r
-    if (lo < r or r == lo == hi) and poly_eval(factor, r) == 0:
+    if (lo < r or r == lo == hi) and sign_at(factor, r) == 0:
         return [-r, 1]
     rest = strip_cyclotomic(factor)
     if not certify_irreducible(rest):
         return _factor_min_poly(rest, lo, hi)
-    if not _changes_sign(rest, lo, hi):
+    if not _holds_root(rest, lo, hi):
         raise AssertionError("stripped factor lost the root of its bracket")
     return rest
 
 
 def _factor_min_poly(factor, lo: Fraction, hi: Fraction):
     """Irreducible factor vanishing on the isolated root, from sympy's
-    ``factor_list``; sympy is the optional ``sympy`` extra."""
+    ``factor_list``; sympy is the optional ``sympy`` extra.
+
+    The bracket holds one root of the square-free factor, so exactly one
+    irreducible factor has a root in it, and the signs at the ends find it:
+    an irreducible factor of degree two or more has no rational root, so it
+    is nonzero at both ends, and a linear one that vanishes at lo has no
+    root in (lo, hi].
+    """
     try:
         import sympy as sp
     except ImportError as exc:
@@ -65,17 +73,12 @@ def _factor_min_poly(factor, lo: Fraction, hi: Fraction):
     candidates = []
     for poly, _mult in factors:
         coeffs = [int(c) for c in reversed(sp.Poly(poly, x).all_coeffs())]
-        if poly_degree(coeffs) >= 1 and _changes_sign(coeffs, lo, hi):
+        if poly_degree(coeffs) >= 1 and _holds_root(coeffs, lo, hi):
             candidates.append(coeffs)
-    if len(candidates) == 1:
-        return candidates[0]
-    # shrink the bracket until exactly one irreducible factor changes sign
-    work = list(candidates)
-    while len(work) > 1:
-        lo, hi = refine_root_bisect(factor, lo, hi, (hi - lo) / 16)
-        work = [c for c in work if _changes_sign(c, lo, hi)]
-    return work[0]
-
+    if len(candidates) != 1:
+        raise AssertionError(
+            f"{len(candidates)} irreducible factors hold a root of the bracket")
+    return candidates[0]
 
 
 def cyclotomic(n: int) -> Poly:

@@ -1,31 +1,36 @@
-"""Exact univariate polynomials, real-root isolation, and integer matrices.
+"""Exact univariate polynomials, roots on [0, inf), and integer matrices.
 
 Polynomials are dense coefficient lists in ascending order (``p[k]`` is the
-coefficient of x**k) over Python ints or Fractions.  Everything here is
-exact; floats only appear as seeds for bracketing, and every bracket is
-certified by exact sign evaluation.
+coefficient of x**k) over Python ints.  Everything here is exact; floats
+only appear as seeds for bracketing, and every bracket is certified by exact
+sign evaluation.
 
 Signs at rational points come from :func:`sign_at`, integer Horner on
 ``den**deg * p(num/den)``, so no Fraction is normalised along the way.
 Sparse polynomials, given as ``(exponent, coefficient)`` pairs, take their
 signs at dyadic points from :func:`sign_at_dyadic`: a 96-bit fixed-point pass
 with a counted truncation error, and shift-Horner when that cannot decide.
-:func:`largest_real_root` works on the dyadic grid ``2**-e``, with ``e`` the
-smallest exponent whose step is at most ``tol``: the numpy seed is rounded
-outward to grid points ``lo``, ``hi``, and the grid-scaled polynomial
-``P(z) = 2**(e*deg) * p(z / 2**e)`` has integer coefficients.  Descartes'
-rule of signs on the Taylor shift ``P(z + lo)`` certifies the seed bracket:
-one sign variation means exactly one real root above ``lo``, and a sign
-change of ``P`` on ``(lo, hi]`` puts it there.  Bisection then halves the
-integer bracket.  When there is no usable seed or the variation count is not
-one (roots closer than the seed pad, or complex roots near the real axis to
-the right of ``lo``), the root is isolated by a Sturm chain over Fractions
-instead (:func:`isolate_largest_real_root`, :func:`refine_root_bisect`).
+
+:func:`largest_real_root` finds the largest root in [0, inf), the only range
+a Perron root can lie in, on the dyadic grid ``2**-e``, with ``e`` the
+smallest exponent whose step is at most ``tol``.  The grid-scaled polynomial
+``P(z) = 2**(e*deg) * p(z / 2**e)`` has integer coefficients.  Without a
+sign variation p has no positive root (Descartes' rule of signs), so the
+answer is 0 or none.  Otherwise the numpy seed is rounded outward to grid
+points ``lo >= 0`` and ``hi``, and Descartes' rule on the Taylor shift
+``P(z + lo)`` certifies the seed bracket: one sign variation means exactly
+one real root above ``lo``, and a sign change of ``P`` on ``(lo, hi]`` puts
+it there.  When there is no positive seed or the variation count is not one
+(roots closer than the seed pad, or complex roots near the real axis to the
+right of ``lo``), Vincent-Collins-Akritas bisection isolates the root
+instead: Descartes' rule on integer Taylor shifts over the dyadic intervals
+of ``(0, 2**b]``, ``b`` the integer Cauchy bound.  Both brackets end in one
+integer bisection on the grid, which :func:`halve_bracket` continues when
+two brackets must be told apart.
 
 The square-free decomposition divides only by primitive integer gcds, so by
 Gauss's lemma every quotient is an integer polynomial and the division is
-exact integer arithmetic; Fraction division (:func:`poly_divmod`) is left to
-the Sturm chain and the bisection.
+exact integer arithmetic.
 
 Matrix rank over the rationals (:func:`int_matrix_rank`) is fraction-free
 elimination on integers, so no Fraction is formed there either.
@@ -175,26 +180,6 @@ def poly_deriv(p: Poly) -> Poly:
     return poly_trim([k * p[k] for k in range(1, len(p))])
 
 
-def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder over the rationals."""
-    q = poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in p]
-    d = len(q) - 1
-    lead = Fraction(q[-1])
-    quot = [Fraction(0)] * max(0, len(r) - d)
-    while len(poly_trim(r)) - 1 >= d and poly_trim(r):
-        r = poly_trim(r)
-        k = len(r) - 1 - d
-        c = r[-1] / lead
-        quot[k] = c
-        for i in range(len(q)):
-            r[k + i] -= c * Fraction(q[i])
-        r = r[:-1]
-    return poly_trim(quot), poly_trim(r)
-
-
 def poly_content(p: Poly) -> int:
     g = 0
     for c in p:
@@ -245,15 +230,6 @@ def poly_gcd_int(p: Poly, q: Poly) -> Poly:
         r = poly_primitive(_int_pseudo_rem(a, b))
         a, b = b, r
     return poly_primitive(a)
-
-
-def clear_denominators(p: Poly) -> Poly:
-    """Scale a rational polynomial to a primitive integer polynomial."""
-    from math import lcm
-    den = 1
-    for c in p:
-        den = lcm(den, Fraction(c).denominator)
-    return poly_primitive([int(Fraction(c) * den) for c in p])
 
 
 def poly_divmod_int(p: Poly, q: Poly) -> tuple[Poly, Poly]:
@@ -313,30 +289,8 @@ def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 
 # ---------------------------------------------------------------------------
-# real roots
+# roots on [0, inf)
 # ---------------------------------------------------------------------------
-
-def cauchy_root_bound(p: Poly) -> Fraction:
-    """All real roots of p lie in [-B, B]."""
-    p = poly_trim(list(p))
-    if len(p) < 2:
-        return Fraction(1)
-    lead = abs(Fraction(p[-1]))
-    return 1 + max(abs(Fraction(c)) for c in p[:-1]) / lead
-
-
-def sturm_chain(p: Poly) -> list[Poly]:
-    chain = [ [Fraction(c) for c in poly_trim(p)] ]
-    d = poly_deriv(chain[0])
-    if d:
-        chain.append(d)
-    while poly_degree(chain[-1]) >= 0 and len(chain) >= 2:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(poly_neg(r))
-    return chain
-
 
 def _variations(values) -> int:
     """Sign changes along the nonzero entries of a sequence."""
@@ -344,75 +298,33 @@ def _variations(values) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _sign_variations(chain: list[Poly], x: Fraction) -> int:
-    return _variations([poly_eval(q, x) for q in chain])
+def _grid_poly(p: Poly, e: int) -> Poly:
+    """p on the grid 2**-e: the integer polynomial 2**(e*deg) * p(z / 2**e)."""
+    deg = len(p) - 1
+    return [c * (1 << (e * (deg - k))) for k, c in enumerate(p)]
 
 
-def count_roots_halfopen(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi] for a squarefree polynomial."""
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
-
-def isolate_largest_real_root(p: Poly) -> tuple[Fraction, Fraction] | None:
-    """Bracket (lo, hi] around the largest real root of a squarefree p.
-
-    Exact via a Sturm chain; returns None when p has no real roots.
-    """
-    p = poly_trim(list(p))
-    if poly_degree(p) < 1:
-        return None
-    chain = sturm_chain(p)
-    B = cauchy_root_bound(p)
-    lo, hi = -B, B
-    if count_roots_halfopen(chain, lo, hi) == 0:
-        return None if poly_eval(p, -B) != 0 else (-B - 1, -B)
-    # keep the rightmost root: shrink from the left while it stays inside
-    while count_roots_halfopen(chain, lo, hi) > 1 or hi - lo > Fraction(1, 4):
-        mid = (lo + hi) / 2
-        if count_roots_halfopen(chain, mid, hi) >= 1:
+def _bisect(scaled: Poly, lo: int, hi: int, width: int) -> tuple[int, int]:
+    """Halve the integer bracket (lo, hi] of the one root of ``scaled`` in
+    it until it spans at most ``width``.  ``scaled`` is nonzero at lo and
+    changes sign on the bracket; a midpoint where it vanishes is the root."""
+    s_lo = sign_at(scaled, lo)
+    while hi - lo > width:
+        mid = (lo + hi) >> 1
+        s = sign_at(scaled, mid)
+        if s == 0:
+            return mid, mid
+        if s == s_lo:
             lo = mid
         else:
             hi = mid
-        if count_roots_halfopen(chain, lo, hi) == 1 and hi - lo <= Fraction(1, 4):
-            break
     return lo, hi
 
 
-def refine_root_bisect(p: Poly, lo: Fraction, hi: Fraction,
-                       width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink a sign-changing bracket (lo, hi] by exact bisection.
-
-    Requires p(lo) and p(hi) of opposite (nonzero-or-endpoint) signs.  A
-    zero at hi collapses the bracket onto that root; a zero at lo lies
-    outside the half-open bracket and is divided out of p.
-    """
-    flo = poly_eval(p, lo)
-    fhi = poly_eval(p, hi)
-    if fhi == 0:
-        return hi, hi
-    while flo == 0:
-        # a root on the left end lies outside (lo, hi]: dividing it out keeps
-        # every sign on (lo, hi], where x - lo > 0
-        p, _ = poly_divmod(p, [-lo, 1])
-        flo = poly_eval(p, lo)
-    if (flo > 0) == (fhi > 0):
-        raise InvalidParameterError("bracket endpoints have equal signs")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = poly_eval(p, mid)
-        if fm == 0:
-            return mid, mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return lo, hi
-
-
-def _seed_bracket(p: Poly, scaled: Poly, e: int) -> tuple[int, int] | None:
-    """Grid bracket (lo, hi] of the largest real root of p around its numpy
-    seed, in units of 2**-e; ``scaled`` is p on that grid.  None when there
-    is no seed or the Descartes certificate fails."""
+def _seed_bracket(p: Poly, e: int) -> tuple[int, int, int] | None:
+    """Grid bracket (lo, hi] of the largest positive root of p around its
+    numpy seed, in units of 2**-e, with lo >= 0, and e.  None when there is
+    no positive seed or the Descartes certificate fails."""
     import numpy as np
     try:
         roots = np.roots([float(c) for c in reversed(p)])
@@ -420,13 +332,14 @@ def _seed_bracket(p: Poly, scaled: Poly, e: int) -> tuple[int, int] | None:
         return None
     seed = max((float(r.real) for r in roots if abs(r.imag) <= 1e-8 * (1 + abs(r))),
                default=math.nan)
-    if not math.isfinite(seed):
+    if not 0 < seed < math.inf:
         return None
     pad = max(1e-7, 1e-9 * (1 + abs(seed)))
     n, d = (seed - pad).as_integer_ratio()
-    lo = (n << e) // d
+    lo = max(0, (n << e) // d)
     n, d = (seed + pad).as_integer_ratio()
     hi = -((-n << e) // d)
+    scaled = _grid_poly(p, e)
     shifted = taylor_shift(scaled, lo)
     # one variation: exactly one root above lo, and scaled(lo) = shifted[0]
     if shifted[0] == 0 or _variations(shifted) != 1:
@@ -434,16 +347,51 @@ def _seed_bracket(p: Poly, scaled: Poly, e: int) -> tuple[int, int] | None:
     s_hi = sign_at(scaled, hi)
     if s_hi == (1 if shifted[0] > 0 else -1):
         return None  # the root lies above hi
-    return (hi, hi) if s_hi == 0 else (lo, hi)
+    return (hi, hi, e) if s_hi == 0 else (lo, hi, e)
+
+
+def _vca_bracket(p: Poly, e: int) -> tuple[int, int, int] | None:
+    """Grid bracket (lo, hi] of the largest positive root of a square-free
+    p, in units of 2**-f, and f; None when p has no positive root.
+
+    Vincent-Collins-Akritas bisection: every root lies below 2**b (Cauchy's
+    bound 1 + max|p_k| / |p_deg|), and the dyadic intervals of (0, 2**b]
+    are searched right half first.  On the interval, q(x) is p at its left
+    end plus x times its length, scaled to integers, and Descartes' rule on
+    (x + 1)**deg * q(1 / (x + 1)) bounds the roots inside: no sign
+    variation means none, one means exactly one.  The first interval with a
+    root at its right end, or with one variation and no root at its left
+    end, holds the largest root.  f is the finer of e and the grid of that
+    interval.
+    """
+    top = max(abs(c) for c in p[:-1])
+    b = max(1, top.bit_length() - abs(p[-1]).bit_length() + 2)
+    unit = [c * (1 << (b * k)) for k, c in enumerate(p)]  # p(2**b x): roots in (0, 1)
+    stack = [(0, 0)]  # (a, j): the interval (a, a + 1] * 2**-j of unit
+    while stack:
+        a, j = stack.pop()
+        q = taylor_shift(_grid_poly(unit, j), a)
+        f = max(e, j - b)
+        shift = f + b - j
+        if sum(q) == 0:  # q(1) = 0
+            return (a + 1) << shift, (a + 1) << shift, f
+        variations = _variations(taylor_shift(q[::-1], 1))
+        if variations == 1 and q[0]:
+            return a << shift, (a + 1) << shift, f
+        if variations:
+            stack += [(2 * a, j + 1), (2 * a + 1, j + 1)]
+    return None
 
 
 def largest_real_root(p: Poly, tol: float = 1e-14) -> tuple[float, Fraction, Fraction]:
-    """Largest real root of a squarefree integer polynomial.
+    """Largest root in [0, inf) of a squarefree integer polynomial.
 
     Returns (float approximation, exact bracket lo, exact bracket hi) with
-    hi - lo <= tol and the float inside the bracket.  A numpy seed certified
-    by Descartes' rule is bisected on the dyadic grid; otherwise the root is
-    isolated by a Sturm chain.
+    0 <= lo, hi - lo <= tol and the float inside the bracket; the bracket
+    holds no other root and is dyadic.  A numpy seed certified by Descartes'
+    rule gives the bracket; otherwise Vincent-Collins-Akritas bisection
+    isolates the root.  Either bracket is then bisected in integers.
+    Raises InvalidParameterError when p has no root in [0, inf).
     """
     p = poly_trim(list(p))
     if poly_degree(p) < 1:
@@ -453,27 +401,16 @@ def largest_real_root(p: Poly, tol: float = 1e-14) -> tuple[float, Fraction, Fra
     # grid step 2**-e <= tol; bisect until the bracket spans <= width steps
     e = max(0, 1 - math.frexp(tol)[1])
     width = max(1, math.floor(Fraction(tol) * (1 << e)))
-    deg = len(p) - 1
-    scaled = [c * (1 << (e * (deg - k))) for k, c in enumerate(p)]
-    grid = _seed_bracket(p, scaled, e)
+    grid = None
+    if _variations(p):  # without a sign variation p has no positive root
+        grid = _seed_bracket(p, e) or _vca_bracket(p, e)
     if grid is None:
-        bracket = isolate_largest_real_root(p)
-        if bracket is None:
-            raise InvalidParameterError("polynomial has no real roots")
-        lo, hi = refine_root_bisect(p, bracket[0], bracket[1], Fraction(tol))
-    else:
-        lo_z, hi_z = grid
-        s_lo = sign_at(scaled, lo_z)
-        while hi_z - lo_z > width:
-            mid = (lo_z + hi_z) >> 1
-            s = sign_at(scaled, mid)
-            if s == 0:
-                lo_z = hi_z = mid
-            elif s == s_lo:
-                lo_z = mid
-            else:
-                hi_z = mid
-        lo, hi = Fraction(lo_z, 1 << e), Fraction(hi_z, 1 << e)
+        if p[0]:
+            raise InvalidParameterError("polynomial has no root in [0, inf)")
+        grid = 0, 0, e  # the root 0
+    lo_z, hi_z, f = grid
+    lo_z, hi_z = _bisect(_grid_poly(p, f), lo_z, hi_z, width << (f - e))
+    lo, hi = Fraction(lo_z, 1 << f), Fraction(hi_z, 1 << f)
     r = float((lo + hi) / 2)
     dp = poly_deriv(p)
     for _ in range(3):
@@ -484,6 +421,18 @@ def largest_real_root(p: Poly, tol: float = 1e-14) -> tuple[float, Fraction, Fra
         if float(lo) <= cand <= float(hi):
             r = cand
     return r, lo, hi
+
+
+def halve_bracket(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """The half of a bracket (lo, hi] of :func:`largest_real_root` that
+    holds the root of p: one more step of its integer bisection, on the
+    grid one bit finer than both ends."""
+    if lo == hi:
+        return lo, hi
+    e = max(lo.denominator, hi.denominator).bit_length()
+    lo_z, hi_z = int(lo * (1 << e)), int(hi * (1 << e))
+    lo_z, hi_z = _bisect(_grid_poly(p, e), lo_z, hi_z, (hi_z - lo_z) >> 1)
+    return Fraction(lo_z, 1 << e), Fraction(hi_z, 1 << e)
 
 
 # ---------------------------------------------------------------------------

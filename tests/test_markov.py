@@ -15,7 +15,7 @@ from holed_entropy import markov
 from holed_entropy.markov import TransitionMatrix
 from holed_entropy.minpoly import certify_irreducible, strip_cyclotomic
 from holed_entropy.polyexact import (berkowitz_char_poly, char_poly_cofactor,
-                                     poly_eval)
+                                     poly_eval, poly_mul)
 
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -319,6 +319,16 @@ def test_spectral_jordan_table(rows, rho, jordan):
     assert rep.rho == pytest.approx(rho, abs=1e-12)
     assert (rep.algebraic_multiplicity, rep.geometric_multiplicity,
             rep.pole_order_p) == jordan
+
+
+def test_spectral_report_compares_exact_brackets():
+    # the roots 1 - 2**-60 and the double root 1 have the same float; only
+    # their exact brackets, halved until they part, tell which is larger
+    char = poly_mul([-(2 ** 60 - 1), 2 ** 60], poly_mul([-1, 1], [-1, 1]))
+    rep = spectral_report(TransitionMatrix(2, ((1, 0), (0, 1)), tuple(char)))
+    assert rep.rho_factor == (-1, 1) and rep.rho == 1.0
+    assert (rep.algebraic_multiplicity, rep.geometric_multiplicity,
+            rep.pole_order_p) == (2, 2, 1)
 
 
 @pytest.mark.parametrize("tol", (0.0, -1e-12, math.inf, math.nan))

@@ -75,3 +75,12 @@ def test_swinnerton_dyer_falls_back():
     assert not certify_irreducible(sd)
     pytest.importorskip("sympy")
     assert min_poly_of_root(sd, Fraction(314, 100), Fraction(315, 100)) == sd
+
+
+def test_min_poly_of_root_skips_a_linear_factor_at_the_left_end():
+    # sympy splits (x - 3)(x^4 - 10 x^2 + 1) into both factors; x - 3
+    # vanishes at lo = 3, outside (3, 13/4], where sqrt 2 + sqrt 3 lies
+    pytest.importorskip("sympy")
+    p = poly_mul([-3, 1], [1, 0, -10, 0, 1])
+    assert not certify_irreducible(p)
+    assert min_poly_of_root(p, Fraction(3), Fraction(13, 4)) == [1, 0, -10, 0, 1]

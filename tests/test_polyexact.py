@@ -1,23 +1,95 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holed_entropy import polyexact
 from holed_entropy.errors import InvalidParameterError, ResourceLimitError
-from holed_entropy.polyexact import (berkowitz_char_poly, cauchy_root_bound,
-                                     char_poly_cofactor, clear_denominators,
-                                     count_roots_halfopen, int_matmul,
-                                     int_matrix_rank, isolate_largest_real_root,
-                                     largest_real_root, poly_deriv, poly_divmod,
-                                     poly_eval, poly_gcd_int, poly_mul,
-                                     poly_primitive, poly_trim,
-                                     refine_root_bisect, sign_at,
+from holed_entropy.polyexact import (berkowitz_char_poly, char_poly_cofactor,
+                                     halve_bracket, int_matmul, int_matrix_rank,
+                                     largest_real_root, poly_deriv, poly_eval,
+                                     poly_gcd_int, poly_mul, poly_neg,
+                                     poly_primitive, poly_trim, sign_at,
                                      sign_at_dyadic, square_free_decomposition,
-                                     sturm_chain, taylor_shift)
+                                     taylor_shift)
+
+
+# -- Fraction references: division, Sturm chain ---------------------------------
+
+def _poly_divmod(p, q):
+    """Quotient and remainder over the rationals."""
+    q = poly_trim(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = [Fraction(c) for c in p]
+    d = len(q) - 1
+    lead = Fraction(q[-1])
+    quot = [Fraction(0)] * max(0, len(r) - d)
+    while len(poly_trim(r)) - 1 >= d and poly_trim(r):
+        r = poly_trim(r)
+        k = len(r) - 1 - d
+        c = r[-1] / lead
+        quot[k] = c
+        for i in range(len(q)):
+            r[k + i] -= c * Fraction(q[i])
+        r = r[:-1]
+    return poly_trim(quot), poly_trim(r)
+
+
+def _clear_denominators(p):
+    """Scale a rational polynomial to a primitive integer polynomial."""
+    den = 1
+    for c in p:
+        den = math.lcm(den, Fraction(c).denominator)
+    return poly_primitive([int(Fraction(c) * den) for c in p])
+
+
+def _sturm_chain(p):
+    chain = [[Fraction(c) for c in poly_trim(p)]]
+    d = poly_deriv(chain[0])
+    if d:
+        chain.append(d)
+    while poly_trim(chain[-1]) and len(chain) >= 2:
+        _, r = _poly_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(poly_neg(r))
+    return chain
+
+
+def _sturm_count(chain, lo, hi):
+    """Number of distinct real roots in (lo, hi] of a squarefree polynomial."""
+    def variations(x):
+        signs = [v > 0 for v in (poly_eval(q, x) for q in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return variations(lo) - variations(hi)
+
+
+def _cauchy_bound(p):
+    """All real roots of p lie in [-B, B]."""
+    return 1 + max(abs(Fraction(c)) for c in p[:-1]) / abs(Fraction(p[-1]))
+
+
+def _sturm_bracket(p, tol):
+    """Bracket (lo, hi] no wider than tol of the largest root of a
+    squarefree p in [0, inf), or None when there is none: Sturm counts and
+    Fraction bisection."""
+    chain = _sturm_chain(p)
+    lo, hi = Fraction(0), _cauchy_bound(p)
+    if _sturm_count(chain, lo, hi) == 0:
+        return (lo, lo) if p[0] == 0 else None
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if _sturm_count(chain, mid, hi):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 # -- characteristic polynomial: two independent routes -------------------------
@@ -129,15 +201,15 @@ def _fraction_square_free(p):
     p = poly_primitive(p)
     out = []
     g = poly_gcd_int(p, poly_deriv(p))
-    c = clear_denominators(poly_divmod(p, g)[0])
+    c = _clear_denominators(_poly_divmod(p, g)[0])
     i = 1
     while len(g) > 1:
         d = poly_gcd_int(c, g)
-        s = clear_denominators(poly_divmod(c, d)[0])
+        s = _clear_denominators(_poly_divmod(c, d)[0])
         if len(s) > 1:
             out.append((s, i))
         c = d
-        g = clear_denominators(poly_divmod(g, d)[0])
+        g = _clear_denominators(_poly_divmod(g, d)[0])
         i += 1
     if len(c) > 1:
         out.append((c, i))
@@ -176,30 +248,29 @@ def test_poly_divmod_roundtrip():
         q = [Fraction(rng.randrange(-5, 6)) for _ in range(rng.randrange(1, 4))]
         if not any(q):
             continue
-        quo, rem = poly_divmod(p, q)
+        quo, rem = _poly_divmod(p, q)
         recon = [a + b for a, b in
                  zip(poly_mul(quo, q) + [0] * 10, rem + [0] * 10)]
         want = [Fraction(c) for c in p] + [0] * (10 - len(p))
         assert recon[:10] == want[:10]
 
 
-# -- Sturm / root isolation --------------------------------------------------------
+# -- Sturm reference / roots on [0, inf) ------------------------------------------
 
 def test_sturm_counts_roots():
     # (x - 1/2)(x - 2)(x + 3)
     p = poly_mul(poly_mul([-1, 2], [-2, 1]), [3, 1])
-    chain = sturm_chain(p)
-    B = cauchy_root_bound(p)
-    assert count_roots_halfopen(chain, -B, B) == 3
-    assert count_roots_halfopen(chain, Fraction(0), Fraction(1)) == 1
-    assert count_roots_halfopen(chain, Fraction(1), B) == 1
+    chain = _sturm_chain(p)
+    B = _cauchy_bound(p)
+    assert _sturm_count(chain, -B, B) == 3
+    assert _sturm_count(chain, Fraction(0), Fraction(1)) == 1
+    assert _sturm_count(chain, Fraction(1), B) == 1
 
 
 def test_isolate_largest_real_root():
     p = [-1, -1, 1]  # x^2 - x - 1, largest root = golden ratio
-    lo, hi = isolate_largest_real_root(p)
-    g = Fraction(1618, 1000)
-    assert lo < g < hi or (lo < Fraction(16181, 10000) and hi > Fraction(1618, 1000))
+    lo, hi = _sturm_bracket(p, Fraction(1, 4))
+    assert lo < Fraction(1618, 1000) < hi
     r, lo, hi = largest_real_root(p, tol=1e-14)
     assert abs(r - (1 + 5 ** 0.5) / 2) < 1e-13
     assert poly_eval(p, lo) < 0 < -poly_eval(p, hi) or poly_eval(p, lo) * poly_eval(p, hi) < 0
@@ -208,7 +279,7 @@ def test_isolate_largest_real_root():
 def test_largest_real_root_prefers_rightmost():
     # roots at -5, 0.1, 3
     p = poly_mul(poly_mul([5, 1], [Fraction(-1, 10), 1]), [-3, 1])
-    p = clear_denominators(p)
+    p = _clear_denominators(p)
     r, _, _ = largest_real_root(p)
     assert abs(r - 3) < 1e-10
 
@@ -218,6 +289,19 @@ def test_no_real_roots():
         largest_real_root([1, 0, 1])  # x^2 + 1
 
 
+@pytest.mark.parametrize("p", [[1, 1, 1], [1, 0, 1], [1, 1, 1, 1]])
+def test_no_sign_variation_raises_before_seeding(p):
+    # x^2 + x + 1, x^2 + 1 and x^3 + x^2 + x + 1, the factors of Markov
+    # characteristic polynomials whose numpy seed fails: no sign variation,
+    # so neither the seed nor the bisection is tried
+    with mock.patch.object(polyexact, "_seed_bracket", side_effect=AssertionError), \
+            mock.patch.object(polyexact, "_vca_bracket", side_effect=AssertionError):
+        with pytest.raises(InvalidParameterError):
+            largest_real_root(p)
+        # with the factor x, 0 is the largest root in [0, inf)
+        assert largest_real_root([0] + p) == (0.0, 0, 0)
+
+
 def _product(factors):
     p = [1]
     for f in factors:
@@ -225,21 +309,27 @@ def _product(factors):
     return p
 
 
-def _reference_bracket(p, tol):
-    lo, hi = isolate_largest_real_root(p)
-    return refine_root_bisect(p, lo, hi, Fraction(tol))
-
-
 def _assert_brackets_same_root(p, tol):
-    """largest_real_root brackets the root the Sturm reference brackets."""
+    """largest_real_root brackets the root the Sturm reference brackets, and
+    no other root, or raises where the reference finds no root in [0, inf)."""
+    ref = _sturm_bracket(p, Fraction(tol))
+    if ref is None:
+        with pytest.raises(InvalidParameterError):
+            largest_real_root(p, tol=tol)
+        return
     r, lo, hi = largest_real_root(p, tol=tol)
-    ref_lo, ref_hi = _reference_bracket(p, tol)
-    assert max(lo, ref_lo) <= min(hi, ref_hi)
+    assert 0 <= lo and max(lo, ref[0]) <= min(hi, ref[1])
+    assert lo == hi or _sturm_count(_sturm_chain(p), lo, hi) == 1
     s_lo = sign_at(p, lo.numerator, lo.denominator)
     s_hi = sign_at(p, hi.numerator, hi.denominator)
     assert s_lo * s_hi < 0 or s_lo == 0 or s_hi == 0
     assert hi - lo <= Fraction(tol)
     assert float(lo) <= r <= float(hi)
+
+
+def _without_seed():
+    """Force the Vincent-Collins-Akritas bisection of largest_real_root."""
+    return mock.patch.object(polyexact, "_seed_bracket", return_value=None)
 
 
 def _irreducible_quadratics():
@@ -255,12 +345,16 @@ _rational_roots = st.lists(
     min_size=1, max_size=5, unique=True)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(roots=_rational_roots, quad=_irreducible_quadratics(),
-       tol=st.sampled_from([1e-8, 1e-13, 1e-14]))
-def test_largest_real_root_matches_sturm_reference(roots, quad, tol):
-    p = _product([clear_denominators([-r, 1]) for r in roots] + [quad])
-    _assert_brackets_same_root(p, tol)
+       tol=st.sampled_from([1e-8, 1e-13, 1e-14]), seeded=st.booleans())
+@example(roots=[Fraction(-1), Fraction(0)], quad=[-1, 1, 1], tol=1e-13, seeded=False)
+@example(roots=[Fraction(-2), Fraction(-1, 3)], quad=[1, -1, 1], tol=1e-13, seeded=True)
+def test_largest_real_root_matches_sturm_reference(roots, quad, tol, seeded):
+    # seeded=False disables the numpy seed, so the bisection isolates the root
+    p = _product([_clear_denominators([-r, 1]) for r in roots] + [quad])
+    with contextlib.nullcontext() if seeded else _without_seed():
+        _assert_brackets_same_root(p, tol)
 
 
 @settings(max_examples=20, deadline=None)
@@ -269,27 +363,38 @@ def test_largest_real_root_matches_sturm_reference(roots, quad, tol):
 def test_largest_real_root_close_roots(base, gap, quad):
     # the two largest roots lie closer than 1e-6 apart
     top = base + Fraction(gap, 10 ** 7)
-    p = _product([clear_denominators([-base, 1]), clear_denominators([-top, 1]), quad])
+    p = _product([_clear_denominators([-base, 1]), _clear_denominators([-top, 1]), quad])
     _assert_brackets_same_root(p, 1e-13)
 
 
-def test_largest_real_root_close_roots_use_sturm(monkeypatch):
+def test_largest_real_root_close_roots_use_vca(monkeypatch):
     # roots 1/2 and 1/2 + 1e-8 both sit inside the seed pad: two sign
-    # variations, so the Sturm chain isolates the root
+    # variations, so the Vincent-Collins-Akritas bisection isolates the root
     calls = []
-    original = polyexact.isolate_largest_real_root
-    monkeypatch.setattr(polyexact, "isolate_largest_real_root",
-                        lambda p: calls.append(p) or original(p))
-    p = poly_mul([-1, 2], clear_denominators([-(Fraction(1, 2) + Fraction(1, 10 ** 8)), 1]))
+    original = polyexact._vca_bracket
+    monkeypatch.setattr(polyexact, "_vca_bracket",
+                        lambda p, e: calls.append(p) or original(p, e))
+    p = poly_mul([-1, 2], _clear_denominators([-(Fraction(1, 2) + Fraction(1, 10 ** 8)), 1]))
     r, lo, hi = largest_real_root(p, tol=1e-13)
     assert calls == [p]
-    assert lo <= Fraction(1, 2) + Fraction(1, 10 ** 8) <= hi
+    assert Fraction(1, 2) < lo <= Fraction(1, 2) + Fraction(1, 10 ** 8) <= hi
 
 
-@pytest.mark.parametrize("seed", [1.0, 2.999, 3.5])
+def test_vca_isolates_roots_closer_than_the_grid():
+    # roots 1/3 and 1/3 + 2**-60, far closer than the grid step 2**-44 of
+    # tol 1e-13: the bracket is taken on the finer grid that isolates
+    top = Fraction(1, 3) + Fraction(1, 2 ** 60)
+    p = poly_mul([-1, 3], _clear_denominators([-top, 1]))
+    r, lo, hi = largest_real_root(p, tol=1e-13)
+    assert Fraction(1, 3) < lo < top <= hi and hi - lo <= Fraction(1e-13)
+    assert r == float(top)
+
+
+@pytest.mark.parametrize("seed", [1.0, 2.999, 3.5, -1.0])
 def test_largest_real_root_rejects_a_wrong_seed(monkeypatch, seed):
     # roots 1 and 3 plus a complex pair; a seed bracket around the smaller
-    # root, below 3 or above 3 fails the Descartes certificate
+    # root, below 3 or above 3 fails the Descartes certificate, and a
+    # negative seed is not tried
     import numpy as np
     monkeypatch.setattr(np, "roots", lambda coeffs: np.array([seed]))
     p = _product([[-1, 1], [-3, 1], [1, 0, 1]])
@@ -297,11 +402,28 @@ def test_largest_real_root_rejects_a_wrong_seed(monkeypatch, seed):
     assert lo <= 3 <= hi and r == 3.0
 
 
+def test_largest_real_root_ignores_a_negative_seed(monkeypatch):
+    # (x + 1)(x - 3): a bracket around the seed -2 would end below 0, so the
+    # seed is not tried and the bisection finds 3
+    import numpy as np
+    monkeypatch.setattr(np, "roots", lambda coeffs: np.array([-2.0]))
+    assert largest_real_root([-3, -2, 1], tol=1e-13) == (3.0, 3, 3)
+
+
+def test_largest_real_root_bracket_starts_at_zero():
+    # the root 1e-15 lies within the seed pad of 0; at tol 100 the seed
+    # bracket needs no bisection, so it must start at 0 already
+    r, lo, hi = largest_real_root([-1, 10 ** 15], tol=100)
+    assert lo == 0 < Fraction(1, 10 ** 15) <= hi and r == 1e-15
+
+
 def test_largest_real_root_dyadic_root():
     # roots on the dyadic grid, where the bracket may collapse onto the root
     for p, root in (([-1, 1], 1), (poly_mul([-1, 1], [1, 0, 1]), 1), ([-3, 2], 1.5)):
-        _assert_brackets_same_root(p, 1e-13)
-        assert largest_real_root(p, tol=1e-13)[0] == root
+        for seeded in (True, False):
+            with contextlib.nullcontext() if seeded else _without_seed():
+                _assert_brackets_same_root(p, 1e-13)
+                assert largest_real_root(p, tol=1e-13)[0] == root
 
 
 def test_largest_real_root_rejects_bad_tol():
@@ -379,21 +501,26 @@ def test_sign_at_dyadic_near_root_and_edges():
     assert sign_at_dyadic([(0, 0), (1, 1)], 1, 200) == 1
 
 
-def test_refine_root_bisect_width():
+def test_halve_bracket_keeps_the_root():
     p = [-2, 0, 1]  # sqrt 2
-    lo, hi = refine_root_bisect(p, Fraction(1), Fraction(2), Fraction(1, 10 ** 9))
-    assert hi - lo <= Fraction(1, 10 ** 9)
-    assert lo <= Fraction(2 ** 61, 2 ** 61) * 0 + lo  # bracket stays exact fractions
-    assert poly_eval(p, lo) < 0 < poly_eval(p, hi)
+    _, lo, hi = largest_real_root(p, tol=1e-3)
+    for _ in range(60):
+        half = halve_bracket(p, lo, hi)
+        assert half[1] - half[0] == (hi - lo) / 2 and lo <= half[0] < half[1] <= hi
+        lo, hi = half
+    assert sign_at(p, lo.numerator, lo.denominator) < 0 < sign_at(p, hi.numerator, hi.denominator)
+    assert halve_bracket([-1, 1], Fraction(1), Fraction(1)) == (1, 1)
 
 
-def test_refine_root_bisect_root_on_left_end():
-    # x (17x - 1)(x^2 + 1) on (0, 1/4]: the root 1/17 sits within a quarter
-    # of the bracket from the root 0 on its left end
+def test_vca_root_zero_on_the_left_end():
+    # x (17x - 1)(x^2 + 1): the search starts on (0, 2**b], whose left end
+    # is the root 0, so it splits until the interval of 1/17 excludes it
     p = _product([[0, 1], [-1, 17], [1, 0, 1]])
-    lo, hi = refine_root_bisect(p, Fraction(0), Fraction(1, 4), Fraction(1, 10 ** 12))
-    assert lo <= Fraction(1, 17) <= hi and hi - lo <= Fraction(1, 10 ** 12)
-    assert largest_real_root(p, tol=1e-13)[0] == pytest.approx(1 / 17, abs=1e-13)
+    for seeded in (True, False):
+        with contextlib.nullcontext() if seeded else _without_seed():
+            r, lo, hi = largest_real_root(p, tol=1e-13)
+        assert 0 < lo <= Fraction(1, 17) <= hi and hi - lo <= Fraction(1e-13)
+        assert r == pytest.approx(1 / 17, abs=1e-13)
 
 
 # -- integer matrices ---------------------------------------------------------------
