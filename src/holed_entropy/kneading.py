@@ -19,13 +19,23 @@ onto the base), the determinant is the plain finite sum over A with no cycle
 factor; the value 1 never contributes a coefficient.
 
 For a = p/q the orbit stays on the points k/q, so exact mode iterates the
-integer numerators.  The polynomial has few nonzero terms (all small
-integers), and the root is bracketed by bisection on its sparse form.  A float
-sign is trusted only when the value exceeds a rounding bound for that sum
-(see ``_FLOAT_TAIL``); otherwise the sign comes from the exact dyadic helper
-:func:`polyexact.sign_at_dyadic`.  For an exact polynomial, ``certified``
-means that helper found d > 0 at the lower end of the bracket and d < 0 at
-the upper end, so the root lies inside it.
+integer numerators and builds the Fraction points only when they are read.
+The polynomial has few nonzero terms (all small integers), and every
+evaluation runs on that sparse form.  The root is found in two steps:
+
+* about a dozen guarded bisection steps bracket it to width 2**-12.  A float
+  sign is trusted only when the value exceeds a rounding bound for that sum
+  (see ``_FLOAT_TAIL``); otherwise the sign comes from the exact dyadic
+  helper :func:`polyexact.sign_at_dyadic`;
+* float Newton steps from that bracket give r, and the bracket of width at
+  most ``tol`` around r (adjacent floats when ``tol`` is below the float
+  spacing at r) is confirmed by the exact helper at both ends.  Where that
+  check fails, the guarded bisection goes on from the seed bracket instead.
+
+``certified`` means the exact helper found d > 0 at the lower end of the
+bracket and d < 0 at the upper end (or d = 0 at a zero-width bracket), so the
+root lies inside it.  Truncated float-mode series pass the same check on the
+truncated polynomial, but are not certified because of their tail.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from typing import Optional
 
 from .errors import (AmbiguousBoundaryError, InvalidParameterError,
                      NoRootError, TruncationError)
-from .polyexact import poly_eval, poly_trim, sign_at_dyadic
+from .polyexact import poly_trim, sign_at_dyadic
 from .scalar import Scalar, as_scalar
 
 DEFAULT_TRUNCATION = 4096
@@ -54,6 +64,11 @@ DEFAULT_TOL = 1e-14
 _FLOAT_TAIL = 2.0 ** -80
 _FLOAT_SLACK = 2.0 ** -78
 _UNIT_ROUNDOFF = 2.0 ** -53
+
+# guarded bisection steps before Newton (a seed bracket of width ~2**-12),
+# and the most Newton steps taken from it
+_SEED_STEPS = 12
+_NEWTON_STEPS = 16
 
 _HALF = Fraction(1, 2)
 
@@ -83,16 +98,19 @@ class Termination:
 class TowerOrbit:
     """The recorded boundary orbit with its classification.
 
-    ``points`` holds a_0..a_K.  ``index_set_A`` lists the k with
-    1/2 <= a_k < 1 (a terminal value of exactly 1 carries no index).
-    ``escape_index`` is the first k >= 1 with a_k >= a, when one exists.
-    ``approx_repeat`` flags a float-mode repeat; float orbits always
-    terminate as capped because float equality cannot certify the true
-    orbit's period.
+    The orbit is a_k = nums[k] / q: integer numerators over the denominator
+    q of a in exact mode, the float points themselves (q = 1) in float mode.
+    ``points`` holds a_0..a_K as Fractions (exact) or floats, built on first
+    read.  ``index_set_A`` lists the k with 1/2 <= a_k < 1 (a terminal value
+    of exactly 1 carries no index).  ``escape_index`` is the first k >= 1
+    with a_k >= a, when one exists.  ``approx_repeat`` flags a float-mode
+    repeat; float orbits always terminate as capped because float equality
+    cannot certify the true orbit's period.
     """
 
     a: Scalar
-    points: tuple
+    nums: tuple
+    q: int
     termination: Termination
     index_set_A: tuple[int, ...]
     escape_index: Optional[int] = None
@@ -101,6 +119,13 @@ class TowerOrbit:
     @property
     def is_exact(self) -> bool:
         return self.a.is_exact
+
+    @cached_property
+    def points(self) -> tuple:
+        if not self.is_exact:
+            return self.nums
+        q = self.q
+        return (self.a.value,) + tuple(Fraction(x, q) for x in self.nums[1:])
 
 
 def _t_left_exact(x: Fraction) -> Fraction:
@@ -147,8 +172,7 @@ def build_orbit(a, k_cap: int = DEFAULT_TRUNCATION) -> TowerOrbit:
             if escape_index is None and x >= p:
                 escape_index = n
         A = tuple(k for k, x in enumerate(nums) if q <= 2 * x < 2 * q)
-        points = (av,) + tuple(Fraction(x, q) for x in nums[1:])
-        return TowerOrbit(a, points, termination, A, escape_index)
+        return TowerOrbit(a, tuple(nums), q, termination, A, escape_index)
 
     eps = a.epsilon
     av = float(a.value)
@@ -190,53 +214,52 @@ def build_orbit(a, k_cap: int = DEFAULT_TRUNCATION) -> TowerOrbit:
     term = Termination("capped", len(points) - 1)
     if escape_index is not None and approx is None:
         term = Termination("escape", escape_index)
-    return TowerOrbit(a, tuple(points), term, A, escape_index, approx)
+    return TowerOrbit(a, tuple(points), 1, term, A, escape_index, approx)
 
 
 @dataclass(frozen=True)
 class DeterminantSeries:
     """The determinant 1 - sum m_k z^(k+1), with closed form when available.
 
-    ``coefficients`` lists m_0..m_K.  ``polynomial`` (ascending) is exact for
-    finite orbits; for capped orbits it is the truncated series and
-    ``tail_bound`` carries the geometric remainder envelope.
+    ``polynomial`` (ascending) is exact for finite orbits; for capped orbits
+    it is the series truncated at K and ``tail_bound`` carries the geometric
+    remainder envelope.  ``coefficients`` lists m_0..m_K and is derived on
+    first read: a factored closed form repeats its cycle up to K, and
+    otherwise m_k = -polynomial[k + 1], zero past the degree.
     """
 
-    coefficients: tuple[int, ...]
+    K: int
     polynomial: tuple[int, ...]
     exact: bool
     closed_form: Optional[dict] = None
 
     @cached_property
-    def _derivative(self) -> list[int]:
-        p = self.polynomial
-        return [k * p[k] for k in range(1, len(p))]
+    def coefficients(self) -> tuple[int, ...]:
+        K, closed = self.K, self.closed_form
+        if closed is not None and closed["kind"] == "factored":
+            m, j, period = closed["coefficients"], closed["j"], closed["period"]
+            # m_0..m_{j-1}, then the cycle m_j..m_N repeated up to K
+            return (m[:j] + m[j:] * -((j - K - 1) // period))[:K + 1]
+        m = tuple(-c for c in self.polynomial[1:K + 2])
+        return m + (0,) * (K + 1 - len(m))
 
     def tail_bound(self, x: float) -> float:
         if self.exact:
             return 0.0
-        K = len(self.coefficients) - 1
         if not (0 <= x < 1):
             raise InvalidParameterError("tail bound needs x in [0, 1)")
-        return x ** (K + 2) / (1 - x)
-
-    def evaluate(self, x):
-        return poly_eval(self.polynomial, x)
-
-    def derivative_at(self, x) -> float:
-        return float(poly_eval(self._derivative, x))
+        return x ** (self.K + 2) / (1 - x)
 
 
 def determinant(orbit: TowerOrbit, K: int | None = None) -> DeterminantSeries:
-    """Determinant coefficients for the orbit, truncated at K.
+    """The determinant of the orbit, with its coefficients truncated at K.
 
-    Pre-periodic orbits yield an exact polynomial; their coefficient list is
-    extended periodically to K.  Capped orbits yield the truncated series
-    with a geometric tail bound.
+    Pre-periodic orbits yield an exact polynomial; their coefficients
+    continue periodically up to K.  Capped orbits yield the series truncated
+    at K with a geometric tail bound.
     """
-    points = orbit.points
     A = orbit.index_set_A
-    last = len(points) - 1
+    last = len(orbit.nums) - 1
     if K is None:
         K = max(last, 1)
     if K < 1:
@@ -249,14 +272,13 @@ def determinant(orbit: TowerOrbit, K: int | None = None) -> DeterminantSeries:
         for k in A:
             m[k] = 1
         m = tuple(m)
-        if points[N] == 1:
+        if orbit.nums[N] == orbit.q:
             # the orbit passed through 1/2; the graph closes onto the base
             # flat and the determinant is the plain finite sum over A
             poly = [0] * (N + 2)
             poly[0] = 1
             for k in A:
                 poly[k + 1] = -1
-            coeffs = (m + (0,) * (K - N))[:K + 1]
             closed = {"kind": "finite", "N": N, "coefficients": m}
         else:
             P = N - j + 1
@@ -267,11 +289,9 @@ def determinant(orbit: TowerOrbit, K: int | None = None) -> DeterminantSeries:
                 poly[k + 1] -= 1
                 if k < j:
                     poly[P + k + 1] += 1
-            # m_0..m_{j-1}, then the cycle m_j..m_N repeated up to K
-            coeffs = (m[:j] + m[j:] * -((j - K - 1) // P))[:K + 1]
             closed = {"kind": "factored", "N": N, "j": j, "period": P,
                       "coefficients": m}
-        return DeterminantSeries(coeffs, tuple(poly_trim(poly)), True, closed)
+        return DeterminantSeries(K, tuple(poly_trim(poly)), True, closed)
 
     if K > last:
         raise TruncationError(
@@ -282,17 +302,20 @@ def determinant(orbit: TowerOrbit, K: int | None = None) -> DeterminantSeries:
         if k > K:
             break
         poly[k + 1] = -1
-    coeffs = tuple(-c for c in poly[1:])
-    return DeterminantSeries(coeffs, tuple(poly_trim(poly)), False, None)
+    return DeterminantSeries(K, tuple(poly_trim(poly)), False, None)
 
 
 @dataclass(frozen=True)
 class RootResult:
     """Leading determinant root r in (0, 1) and the entropy -log r.
 
-    ``certified`` is True when the bracket of an exact polynomial passed the
-    exact sign check (d > 0 at its lower end, d < 0 at its upper end, by
-    integer arithmetic); float-mode (truncated) series are never certified.
+    ``bracket`` holds the root and r; its width is at most the requested
+    ``tol``, or one float spacing when ``tol`` is below the spacing at r,
+    and zero at an exact dyadic root.  ``error_bound`` is that width plus
+    the truncation tail.  ``certified`` is True when the bracket of an exact
+    polynomial passed the exact sign check (d > 0 at its lower end, d < 0 at
+    its upper end, by integer arithmetic); float-mode (truncated) series pass
+    the same check but are never certified, because of their tail.
     """
 
     r: float
@@ -303,58 +326,141 @@ class RootResult:
     certified: bool = False
 
 
-def _sign_function(polynomial):
-    """The guarded sign and the exact sign of the polynomial at floats x in
-    [0, 1], both on its sparse form.
+class _SparseForm:
+    """The nonzero terms of a polynomial, evaluated at floats x in [0, 1].
 
-    The guarded sign is the float sign of sparse Horner over the terms kept
-    at x when the value exceeds its rounding bound; otherwise the exact
-    dyadic helper decides.
+    ``exact`` is the exact sign.  ``sign`` is the float sign of sparse Horner
+    over the terms kept at x when the value exceeds its rounding bound, and
+    the exact sign otherwise.  ``value_slope`` and ``newton`` are plain
+    float arithmetic, for estimates that the exact sign then confirms.
     """
-    terms = [(k, c) for k, c in enumerate(polynomial) if c]
-    exps = [k for k, _ in terms]
-    # Horner steps up from each term: gap to the next exponent, c, |c|
-    ups = [(hi - lo, c, abs(c)) for (lo, c), hi in zip(terms, exps[1:])]
-    gaps = {g for g, _, _ in ups}
-    cmax = max(abs(c) for _, c in terms)
-    bottom = exps[0]
 
-    def exact(x: float) -> int:
-        num, den = x.as_integer_ratio()
-        return sign_at_dyadic(terms, num, den.bit_length() - 1)
+    def __init__(self, polynomial):
+        self.terms = [(k, c) for k, c in enumerate(polynomial) if c]
+        self.exps = [k for k, _ in self.terms]
+        # Horner steps up from each term: gap to the next exponent, c, |c|
+        self.ups = [(hi - lo, c, abs(c))
+                    for (lo, c), hi in zip(self.terms, self.exps[1:])]
+        self.gaps = {g for g, _, _ in self.ups}
+        self.cmax = max(abs(c) for _, c in self.terms)
 
-    def sign(x: float) -> int:
-        n = len(terms)
+    def kept(self, x: float) -> int:
+        """How many terms the float sums keep at x (see ``_FLOAT_TAIL``)."""
         if 0 < x < 1:
-            cut = math.log(_FLOAT_TAIL * (1 - x) / cmax) / math.log(x)
-            n = max(1, bisect_left(exps, int(cut) + 1))
-        powers = {g: x ** g for g in gaps}
-        c = terms[n - 1][1]
+            cut = math.log(_FLOAT_TAIL * (1 - x) / self.cmax) / math.log(x)
+            return max(1, bisect_left(self.exps, int(cut) + 1))
+        return len(self.terms)
+
+    def exact(self, x: float) -> int:
+        num, den = x.as_integer_ratio()
+        return sign_at_dyadic(self.terms, num, den.bit_length() - 1)
+
+    def sign(self, x: float) -> int:
+        n = self.kept(x)
+        powers = {g: x ** g for g in self.gaps}
+        c = self.terms[n - 1][1]
         acc, size = float(c), float(abs(c))
-        for g, c, a in reversed(ups[:n - 1]):
+        for g, c, a in reversed(self.ups[:n - 1]):
             xg = powers[g]
             acc = acc * xg + c
             size = size * xg + a
+        bottom = self.exps[0]
         if bottom:
             xb = x ** bottom
             acc *= xb
             size *= xb
         if abs(acc) > (4 * n + 8) * _UNIT_ROUNDOFF * size + _FLOAT_SLACK:
             return 1 if acc > 0 else -1
-        return exact(x)
+        return self.exact(x)
 
-    return sign, exact
+    def value_slope(self, x: float, n: int) -> tuple[float, float]:
+        """The float value and derivative at x of the sum of the first n
+        terms, in one sparse Horner pass."""
+        c = self.terms[n - 1][1]
+        acc, slope = float(c), 0.0
+        for g, c, _ in reversed(self.ups[:n - 1]):
+            xg = x ** g
+            slope = slope * xg + g * acc * x ** (g - 1)
+            acc = acc * xg + c
+        bottom = self.exps[0]
+        if bottom:
+            xb = x ** bottom
+            slope = slope * xb + bottom * acc * x ** (bottom - 1)
+            acc *= xb
+        return acc, slope
+
+    def newton(self, lo: float, hi: float) -> float:
+        """Float Newton from the middle of [lo, hi] until an iterate repeats
+        (a fixed point, or a two-cycle in the rounding noise); a step that
+        would leave the bracket goes halfway to the end it crosses instead."""
+        n = self.kept(hi)
+        r = 0.5 * (lo + hi)
+        before = None
+        for _ in range(_NEWTON_STEPS):
+            v, dv = self.value_slope(r, n)
+            if not dv:
+                break
+            cand = r - v / dv
+            if cand < lo:
+                cand = 0.5 * (r + lo)
+            elif cand > hi:
+                cand = 0.5 * (r + hi)
+            if cand == r or cand == before:
+                return cand
+            before, r = r, cand
+        return r
+
+
+def _bisect(sign, lo: float, hi: float, tol: float, steps=math.inf):
+    """Guarded bisection of [lo, hi], sign > 0 at lo and < 0 at hi.
+
+    Stops after ``steps`` halvings, at width <= tol, when lo and hi are
+    adjacent floats (the midpoint rounds onto an end), or at a midpoint
+    that is an exact root, which it returns as a zero-width bracket.
+    """
+    while steps > 0 and hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        steps -= 1
+        s = sign(mid)
+        if s > 0:
+            lo = mid
+        elif s < 0:
+            hi = mid
+        else:
+            return mid, mid
+    return lo, hi
+
+
+def _newton_bracket(exact, r: float, lo: float, hi: float, tol: float):
+    """The bracket of width <= tol around r inside [lo, hi], or the adjacent
+    floats around the root next to r when tol is below the float spacing
+    there, if the exact sign confirms it; otherwise None."""
+    # ulp(r) pays for rounding r -+ half outward, so the width stays <= tol
+    half = 0.5 * tol - math.ulp(r)
+    lo, hi = max(lo, r - half), min(hi, r + half)
+    if not lo < hi:
+        s = exact(r)
+        if s == 0:
+            return r, r
+        lo, hi = (r, math.nextafter(r, 1.0)) if s > 0 else (math.nextafter(r, 0.0), r)
+    if exact(lo) > 0 > exact(hi):
+        return lo, hi
+    return None
 
 
 def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootResult:
-    """Locate the unique sign change of the determinant in (0, 1) by bisection
-    on its sparse form, then polish with float Newton steps on the dense form.
+    """Locate the unique sign change of the determinant in (0, 1).
 
-    Each bisection sign is a float sign only when the float value exceeds the
-    rounding bound of its sum; near the root it is exact (see
-    :func:`polyexact.sign_at_dyadic`).  For an exact polynomial the two ends
-    of the bracket are then checked by the exact helper, and ``certified``
-    reports that check; a failed check raises :class:`NoRootError`.
+    ``_SEED_STEPS`` guarded bisection steps give a seed bracket (each sign is
+    a float sign only when the float value exceeds the rounding bound of its
+    sum; near the root it is exact, see :func:`polyexact.sign_at_dyadic`).
+    Float Newton on the sparse form then gives r, and the bracket of width
+    <= tol around r is checked at both ends by the exact helper.  If that
+    check fails, the guarded bisection goes on from the seed bracket until
+    its width is <= tol or its ends are adjacent floats, and its ends are
+    checked the same way; a failed check there raises :class:`NoRootError`.
 
     The reported error bound adds the truncation tail to the bracket width;
     the truncated series has derivative <= -1 on [0, 1), so a tail of size t
@@ -362,41 +468,29 @@ def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootRes
     """
     if not 0 < tol < math.inf:
         raise InvalidParameterError("tol must be positive and finite")
-    sign, exact = _sign_function(series.polynomial)
+    form = _SparseForm(series.polynomial)
     lo = 0.0
     hi = 1.0 - min(tol, 1e-9)
-    if sign(hi) > 0:
+    if form.sign(hi) > 0:
         raise NoRootError(
             "determinant stays positive on (0, 1); entropy 0 at this truncation")
-    width = max(tol, 1e-16)
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        s = sign(mid)
-        if s > 0:
-            lo = mid
-        elif s < 0:
-            hi = mid
-        else:
-            lo = hi = mid
-            break
+    lo, hi = _bisect(form.sign, lo, hi, tol, _SEED_STEPS)
     r = 0.5 * (lo + hi)
-    for _ in range(3):
-        dpr = series.derivative_at(r)
-        if dpr == 0:
-            break
-        step = float(series.evaluate(r)) / dpr
-        cand = r - step
-        if lo <= cand <= hi:
-            r = cand
-    # exact sign certification of the bracket; a zero-width bracket is an
-    # exact root, already settled by the exact helper in the loop
-    if series.exact and lo < hi and not exact(lo) > 0 > exact(hi):
-        raise NoRootError("bracket failed exact sign certification")
-    residual = abs(float(series.evaluate(r)))
-    tail = series.tail_bound(hi)
-    error = (hi - lo) + tail
-    entropy = -math.log(r)
-    return RootResult(r, residual, entropy, error, (lo, hi), series.exact)
+    if lo < hi:
+        r = form.newton(lo, hi)
+        bracket = _newton_bracket(form.exact, r, lo, hi, tol)
+        if bracket is None:
+            lo, hi = _bisect(form.sign, lo, hi, tol)
+            r = min(max(r, lo), hi)
+            # a zero-width bracket is an exact root, settled by the exact
+            # helper in the bisection
+            if lo < hi and not form.exact(lo) > 0 > form.exact(hi):
+                raise NoRootError("bracket failed exact sign certification")
+        else:
+            lo, hi = bracket
+    residual = abs(form.value_slope(r, form.kept(r))[0])
+    error = (hi - lo) + series.tail_bound(hi)
+    return RootResult(r, residual, -math.log(r), error, (lo, hi), series.exact)
 
 
 @dataclass(frozen=True)
@@ -420,7 +514,7 @@ class LeftHoleEntropy:
             "r": self.root.r,
             "p": self.p,
             "termination": self.orbit.termination.to_json(),
-            "K": len(self.series.coefficients) - 1,
+            "K": self.series.K,
             "error_bound": self.root.error_bound,
             "certified": self.root.certified,
         }
@@ -435,6 +529,6 @@ def entropy_left_hole(a, K: int = DEFAULT_TRUNCATION,
     if orbit.termination.kind == "preperiodic":
         series = determinant(orbit, K)
     else:
-        series = determinant(orbit, min(K, len(orbit.points) - 1))
+        series = determinant(orbit, min(K, len(orbit.nums) - 1))
     root = leading_root(series, tol)
     return LeftHoleEntropy(a, orbit, series, root)

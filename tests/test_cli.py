@@ -120,6 +120,27 @@ def test_tower_certifies_noisy_float_sign_rows(capsys, a):
     assert sign_at(poly, hi.numerator, hi.denominator) < 0
 
 
+def test_tower_tol_below_the_float_spacing_exits_promptly():
+    # one float spacing near r = 0.618 is 1.1e-16 > tol; the root bracket
+    # used to never get narrow enough, and the command did not return
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "holed_entropy.cli", "tower",
+                           "--a", "2/3", "--tol", "1e-16"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["certified"] is True
+    # the bracket is r and its neighbouring float, so error_bound covers it
+    r, bound = data["r"], data["error_bound"]
+    assert bound >= math.ulp(r)
+    poly = list(determinant(build_orbit(Scalar.exact(Fraction(2, 3)))).polynomial)
+    lo, hi = Fraction(r) - Fraction(bound), Fraction(r) + Fraction(bound)
+    assert sign_at(poly, lo.numerator, lo.denominator) > 0
+    assert sign_at(poly, hi.numerator, hi.denominator) < 0
+
+
 def test_sweep_csv_and_svg(capsys, tmp_path):
     csv = tmp_path / "s.csv"
     svg = tmp_path / "s.svg"

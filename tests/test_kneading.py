@@ -1,5 +1,11 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +16,9 @@ from holed_entropy import (AmbiguousBoundaryError, Hole, InvalidParameterError,
                            build_orbit, determinant, entropy_estimate,
                            entropy_left_hole, entropy_markov, leading_root,
                            refine)
-from holed_entropy.kneading import DeterminantSeries, _t_left_exact
+from holed_entropy import kneading
+from holed_entropy.kneading import DeterminantSeries, _SparseForm, _t_left_exact
+from holed_entropy.polyexact import sign_at
 
 GOLDEN_ROOT = (math.sqrt(5) - 1) / 2
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
@@ -168,7 +176,7 @@ def test_capped_tail_bound():
 # -- roots ------------------------------------------------------------------------
 
 def test_leading_root_golden():
-    ser = DeterminantSeries((1, 1), (1, -1, -1), True, None)
+    ser = DeterminantSeries(1, (1, -1, -1), True, None)
     res = leading_root(ser, 1e-14)
     assert abs(res.r - GOLDEN_ROOT) < 1e-13
     assert abs(res.entropy - LOG_GOLDEN) < 1e-13
@@ -182,19 +190,19 @@ def test_leading_root_certified_at_every_degree():
     assert len(res.series.polynomial) == 879
     assert res.root.certified is True
     # a truncated (float-mode) series gets no certificate
-    ser = DeterminantSeries((1, 1), (1, -1, -1), False, None)
+    ser = DeterminantSeries(1, (1, -1, -1), False, None)
     assert leading_root(ser, 1e-14).certified is False
 
 
 @pytest.mark.parametrize("tol", (0.0, -1e-12, math.inf, math.nan))
 def test_leading_root_rejects_bad_tol(tol):
-    ser = DeterminantSeries((1, 1), (1, -1, -1), True, None)
+    ser = DeterminantSeries(1, (1, -1, -1), True, None)
     with pytest.raises(InvalidParameterError):
         leading_root(ser, tol)
 
 
 def test_leading_root_no_root():
-    ser = DeterminantSeries((1,), (1, -1), True, None)
+    ser = DeterminantSeries(0, (1, -1), True, None)
     with pytest.raises(NoRootError):
         leading_root(ser, 1e-12)
 
@@ -238,22 +246,153 @@ def test_noisy_float_sign_rows_are_certified(a):
     assert _sign_by_integer_horner(poly, lo) > 0 > _sign_by_integer_horner(poly, hi)
 
 
+def _reference_bracket(poly, tol):
+    """The guarded bisection that leading_root ran on its own before it
+    took Newton steps, with the adjacent-floats stop: the bracket and its
+    midpoint."""
+    sign = _SparseForm(poly).sign
+    lo = 0.0
+    hi = 1.0 - min(tol, 1e-9)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        s = sign(mid)
+        if s > 0:
+            lo = mid
+        elif s < 0:
+            hi = mid
+        else:
+            lo = hi = mid
+            break
+    return lo, hi, 0.5 * (lo + hi)
+
+
+def _check_against_reference(a, tol=1e-14):
+    res = entropy_left_hole(ex(a), tol=tol)
+    poly = res.series.polynomial
+    lo, hi = res.root.bracket
+    assert res.root.certified is True
+    assert lo < hi
+    assert hi - lo <= tol or math.nextafter(lo, 1.0) == hi
+    assert res.root.error_bound >= hi - lo
+    assert lo <= res.root.r <= hi
+    assert _sign_by_integer_horner(poly, lo) > 0 > _sign_by_integer_horner(poly, hi)
+    _, _, r_ref = _reference_bracket(poly, tol)
+    assert abs(res.root.r - r_ref) <= tol
+
+
 @settings(max_examples=60, deadline=None)
 @given(q=st.integers(3, 2000), data=st.data())
 def test_left_hole_brackets_certified_property(q, data):
     p = data.draw(st.integers(q // 2 + 1, q - 1), label="p")
-    res = entropy_left_hole(ex(Fraction(p, q)))
+    _check_against_reference(Fraction(p, q))
+
+
+def test_every_left_hole_below_denominator_80_matches_the_reference():
+    rows = 0
+    with mock.patch.object(kneading, "_bisect", wraps=kneading._bisect) as spy:
+        for q in range(3, 80):
+            for p in range(q // 2 + 1, q):
+                if math.gcd(p, q) == 1:
+                    _check_against_reference(Fraction(p, q))
+                    rows += 1
+    # one seed bisection per row: no row needs the fallback
+    assert spy.call_count == rows
+
+
+@pytest.mark.parametrize("a", (Fraction(2, 3), Fraction(11, 20), Fraction(351, 355),
+                               Fraction(6893, 6901)), ids=str)
+def test_failed_newton_certificate_falls_back_to_bisection(a):
+    # Newton "converges" onto the lower end of the seed bracket, so the
+    # bracket of width tol around it holds no root and fails the exact check
+    with mock.patch.object(_SparseForm, "newton", lambda self, lo, hi: lo):
+        res = entropy_left_hole(ex(a))
+    lo, hi, _ = _reference_bracket(res.series.polynomial, 1e-14)
+    assert res.root.bracket == (lo, hi)
     assert res.root.certified is True
+    assert lo <= res.root.r <= hi
+    assert res.root.error_bound == hi - lo
+
+
+def test_exact_dyadic_root_keeps_a_zero_width_bracket():
+    # with tol below 2**-54 the seed bracket is [0, 1) and its first
+    # midpoint is the root 1/2 of 1 - 2z, where the exact sign is 0
+    res = leading_root(DeterminantSeries(1, (1, -2), True, None), 1e-20)
+    assert res.bracket == (0.5, 0.5)
+    assert res.r == 0.5 and res.error_bound == 0.0 and res.residual == 0.0
+    assert res.certified is True
+    # Newton lands on the root 1/4 of 1 - 4z, and tol is below the spacing
+    # there, so the exact sign at r itself decides
+    res = leading_root(DeterminantSeries(1, (1, -4), True, None), 1e-16)
+    assert res.bracket == (0.25, 0.25) and res.r == 0.25 and res.certified is True
+
+
+def test_float_mode_bracket_passes_the_integer_sign_check():
+    res = entropy_left_hole(Scalar.approx(0.7))
+    assert res.root.certified is False
     lo, hi = res.root.bracket
     poly = res.series.polynomial
-    assert lo < hi
-    assert _sign_by_integer_horner(poly, lo) > 0 > _sign_by_integer_horner(poly, hi)
+    assert 0 < hi - lo <= 1e-14
+    assert sign_at(poly, *lo.as_integer_ratio()) > 0 > sign_at(poly, *hi.as_integer_ratio())
+
+
+def test_tol_below_the_float_spacing_returns_adjacent_floats():
+    # the bisection used to stop only at width <= max(tol, 1e-16), which one
+    # float spacing on [1/2, 1) never reaches, so these calls never returned;
+    # the second pass forces the fallback bisection
+    probe = (
+        "import json\n"
+        "from fractions import Fraction\n"
+        "from unittest import mock\n"
+        "from holed_entropy import Scalar, entropy_left_hole, kneading\n"
+        "rows = []\n"
+        "for fallback in (False, True):\n"
+        "    newton = (lambda self, lo, hi: lo) if fallback else kneading._SparseForm.newton\n"
+        "    with mock.patch.object(kneading._SparseForm, 'newton', newton), \\\n"
+        "            mock.patch.object(kneading, '_bisect', wraps=kneading._bisect) as spy:\n"
+        "        for a in ('2/3', '3/4', '7/8', '11/20'):\n"
+        "            for tol in (1e-16, 1e-17, 1e-20):\n"
+        "                res = entropy_left_hole(Scalar.exact(Fraction(a)), tol=tol)\n"
+        "                rows.append([a, res.root.bracket, res.root.r,\n"
+        "                             res.root.error_bound, res.root.certified])\n"
+        "    print(spy.call_count)\n"
+        "print(json.dumps(rows))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    newton_calls, fallback_calls, rows = proc.stdout.splitlines()
+    # the Newton bracket needs the seed bisection only; the fallback bisects on
+    assert (int(newton_calls), int(fallback_calls)) == (12, 24)
+    rows = json.loads(rows)
+    assert len(rows) == 24
+    for a, (lo, hi), r, bound, certified in rows:
+        poly = determinant(build_orbit(ex(Fraction(a)))).polynomial
+        assert certified is True
+        assert math.nextafter(lo, 1.0) == hi
+        assert r in (lo, hi)
+        assert bound >= hi - lo
+        assert _sign_by_integer_horner(poly, lo) > 0 > _sign_by_integer_horner(poly, hi)
+
+
+def test_newton_iterates_stay_inside_the_bracket():
+    # (1 - z)(1 - 2z) is convex and flat near 0.7, the middle of
+    # [0.45, 0.95]: the first Newton step would land at 0.1
+    form = _SparseForm((1, -3, 2))
+    with mock.patch.object(form, "value_slope", wraps=form.value_slope) as spy:
+        r = form.newton(0.45, 0.95)
+    assert abs(r - 0.5) < 1e-15
+    assert all(0.45 <= call.args[0] <= 0.95 for call in spy.call_args_list)
 
 
 def test_root_derivative_negative_at_root():
     for a in (Fraction(3, 4), Fraction(2, 3), Fraction(7, 10), Fraction(7, 8)):
         res = entropy_left_hole(ex(a))
-        slope = res.series.derivative_at(res.root.r)
+        poly = res.series.polynomial
+        slope = sum(k * c * res.root.r ** (k - 1) for k, c in enumerate(poly) if k)
         assert slope < 0
 
 
@@ -299,7 +438,7 @@ def test_preperiodic_closed_form_agrees_with_truncated_series():
         for k, m in enumerate(coeffs):
             if m:
                 poly[k + 1] = -1
-        raw = leading_root(DeterminantSeries(coeffs, tuple(poly), False, None), 1e-14)
+        raw = leading_root(DeterminantSeries(K, tuple(poly), False, None), 1e-14)
         assert abs(closed.r - raw.r) <= closed.error_bound + raw.error_bound
 
 
