@@ -13,10 +13,9 @@ from .cylinders import (Cylinder, EngineComparison, ExpansionDiagnostics,
                         entropy_estimate, expansion_diagnostics,
                         export_level_counts, left_hole_parameter,
                         pressure_estimate, refine)
-from .errors import (AmbiguousBoundaryError, EmptyPartitionError,
-                     HoledEntropyError, InvalidParameterError,
-                     ModeMismatchError, NoRootError, NotFinitelyMarkovError,
-                     ResourceLimitError, TruncationError)
+from .errors import (EmptyPartitionError, HoledEntropyError,
+                     InvalidParameterError, ModeMismatchError, NoRootError,
+                     NotFinitelyMarkovError, ResourceLimitError)
 from .kneading import (DeterminantSeries, LeftHoleEntropy, RootResult,
                        Termination, TowerOrbit, build_orbit, determinant,
                        entropy_left_hole, leading_root)

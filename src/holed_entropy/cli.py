@@ -1,7 +1,7 @@
 """Command-line surface tying the engines together.
 
 Exit codes: 0 success, 2 input error, 3 engine error (refinement does not
-close, resource caps, ambiguous float classification, no determinant root).
+close, resource caps, no determinant root).
 
 Rationals on the command line are num/den strings (or plain integers); bare
 decimals switch that value to float mode with a warning on stderr, so
@@ -20,10 +20,9 @@ from fractions import Fraction
 from . import __version__
 from .cylinders import (compare_engines, entropy_estimate, expansion_diagnostics,
                         export_level_counts, refine)
-from .errors import (AmbiguousBoundaryError, HoledEntropyError,
-                     InvalidParameterError, ModeMismatchError, NoRootError,
-                     NotFinitelyMarkovError, ResourceLimitError,
-                     TruncationError)
+from .errors import (HoledEntropyError, InvalidParameterError,
+                     ModeMismatchError, NoRootError, NotFinitelyMarkovError,
+                     ResourceLimitError)
 from .kneading import entropy_left_hole
 from .mapmodel import (Hole, build_d_adic, build_scaled_farey, load_map_config,
                        map_to_config)
@@ -33,8 +32,7 @@ from .regularity import (LeftHoleFamily, SlidingHoleFamily, SweepSpec, emit_csv,
 from .scalar import DEFAULT_EPSILON, Scalar, parse_rational
 
 _INPUT_ERRORS = (InvalidParameterError, ModeMismatchError)
-_ENGINE_ERRORS = (NotFinitelyMarkovError, ResourceLimitError, NoRootError,
-                  TruncationError, AmbiguousBoundaryError)
+_ENGINE_ERRORS = (NotFinitelyMarkovError, ResourceLimitError, NoRootError)
 
 
 def _parse_scalar_arg(text: str, epsilon: float) -> Scalar:
@@ -114,7 +112,7 @@ def _cmd_entropy(args) -> int:
             raise InvalidParameterError(
                 "the kneading engine needs the doubling map with hole a,1 "
                 "for exact a in (1/2, 1)")
-        res = entropy_left_hole(Scalar.exact(a), K=args.trunc, tol=args.tol)
+        res = entropy_left_hole(Scalar.exact(a), tol=args.tol)
         print(f"entropy = {res.entropy:.15g}  (engine=kneading, p={res.p}, "
               f"error_bound={res.root.error_bound:.3g})")
         if args.json:
@@ -151,7 +149,7 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_tower(args) -> int:
     a = _parse_scalar_arg(args.a, args.epsilon)
-    res = entropy_left_hole(a, K=args.trunc, tol=args.tol, k_cap=args.k_cap)
+    res = entropy_left_hole(a, tol=args.tol)
     _emit_json(res.to_json(), args.json)
     return 0
 
@@ -282,7 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--param", help="map parameter (farey a)")
             p.add_argument("--hole", help="pieces lo,hi separated by ';'")
         p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                       help="float-mode classification tolerance")
+                       help="float-mode tolerance: boundary classification, "
+                            "or the radius of the tower's interval")
         p.add_argument("--json", help="write a JSON report to this path")
 
     p = sub.add_parser("entropy", help="entropy of one map/hole pair")
@@ -290,16 +289,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default="kneading",
                    choices=["kneading", "markov", "oracle", "compare"])
     p.add_argument("--depth", type=int, default=20, help="oracle/compare level")
-    p.add_argument("--trunc", type=int, default=4096)
     p.add_argument("--tol", type=float, default=1e-13)
     p.add_argument("--orbit-cap", type=int, default=10_000)
     p.set_defaults(fn=_cmd_entropy)
 
     p = sub.add_parser("tower", help="boundary-orbit determinant for hole [a,1]")
     common(p, need_map=False)
-    p.add_argument("--a", required=True)
-    p.add_argument("--k-cap", type=int, default=None)
-    p.add_argument("--trunc", type=int, default=4096)
+    p.add_argument("--a", required=True,
+                   help="num/den; a bare decimal gives a certified entropy "
+                        "interval over [a - epsilon, a + epsilon]")
     p.add_argument("--tol", type=float, default=1e-14)
     p.set_defaults(fn=_cmd_tower)
 

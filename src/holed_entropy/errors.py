@@ -13,13 +13,6 @@ class ModeMismatchError(HoledEntropyError):
     """Exact and floating values were mixed in one computation."""
 
 
-class AmbiguousBoundaryError(HoledEntropyError):
-    """A float-mode value is too close to a classification boundary.
-
-    Rerun in exact mode; float comparisons cannot decide the branch.
-    """
-
-
 class EmptyPartitionError(HoledEntropyError):
     """An operation required a nonempty cylinder collection."""
 
@@ -28,12 +21,8 @@ class ResourceLimitError(HoledEntropyError):
     """A configured size cap was exceeded before the computation finished."""
 
 
-class TruncationError(HoledEntropyError):
-    """A requested series truncation exceeds the available orbit data."""
-
-
 class NoRootError(HoledEntropyError):
-    """The determinant has no zero in (0, 1); entropy is zero at this truncation."""
+    """The determinant has no zero in (0, 1), so the entropy is zero."""
 
 
 class NotFinitelyMarkovError(HoledEntropyError):

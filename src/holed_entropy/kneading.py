@@ -18,7 +18,7 @@ orbit passes through 1/2 exactly (so the next value is 1 and the graph closes
 onto the base), the determinant is the plain finite sum over A with no cycle
 factor; the value 1 never contributes a coefficient.
 
-For a = p/q the orbit stays on the points k/q, so exact mode iterates the
+For a = p/q the orbit stays on the points k/q, so the orbit runs on the
 integer numerators and builds the Fraction points only when they are read.
 The polynomial has few nonzero terms (all small integers), and every
 evaluation runs on that sparse form.  The root is found in two steps:
@@ -34,8 +34,16 @@ evaluation runs on that sparse form.  The root is found in two steps:
 
 ``certified`` means the exact helper found d > 0 at the lower end of the
 bracket and d < 0 at the upper end (or d = 0 at a zero-width bracket), so the
-root lies inside it.  Truncated float-mode series pass the same check on the
-truncated polynomial, but are not certified because of their tail.
+root lies inside it.
+
+A float a, and an exact a whose orbit does not repeat within ``ORBIT_CAP``
+points, get an enclosure instead of a polynomial of their own.  h(a) does
+not decrease in a (a smaller hole leaves more survivors), so every parameter
+in [a - eps, a + eps] has its entropy in [h(a-), h(a+)] for dyadic rationals
+a- <= a - eps and a+ >= a + eps.  A dyadic orbit repeats within s + 2 steps
+when its denominator is 2**s, so both ends have exact polynomials with
+certified brackets, and the enclosure reports -log of the hull of the two
+brackets, each end widened outward by one ulp.
 """
 
 from __future__ import annotations
@@ -47,13 +55,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .errors import (AmbiguousBoundaryError, InvalidParameterError,
-                     NoRootError, TruncationError)
+from .errors import InvalidParameterError, NoRootError, ResourceLimitError
 from .polyexact import poly_trim, sign_at_dyadic
 from .scalar import Scalar, as_scalar
 
 DEFAULT_TRUNCATION = 4096
 DEFAULT_TOL = 1e-14
+# the most orbit steps build_orbit takes while looking for a repeat
+ORBIT_CAP = 4096
 
 # The float sign at x sums the terms with exponent k below the first E where
 # max|c| x**E / (1 - x) <= _FLOAT_TAIL, which bounds every dropped term
@@ -77,8 +86,8 @@ _HALF = Fraction(1, 2)
 class Termination:
     """How the boundary orbit was classified.
 
-    kind is "preperiodic" (a_{N+1} = a_j exactly, 1 <= j <= N), "escape"
-    (a_N >= a observed in float mode before any repeat), or "capped".
+    kind is "preperiodic" (a_{N+1} = a_j exactly, 1 <= j <= N) or "capped"
+    (no repeat within ``ORBIT_CAP`` steps, N = ``ORBIT_CAP``).
     """
 
     kind: str
@@ -96,16 +105,13 @@ class Termination:
 
 @dataclass(frozen=True)
 class TowerOrbit:
-    """The recorded boundary orbit with its classification.
+    """The recorded boundary orbit of an exact a with its classification.
 
     The orbit is a_k = nums[k] / q: integer numerators over the denominator
-    q of a in exact mode, the float points themselves (q = 1) in float mode.
-    ``points`` holds a_0..a_K as Fractions (exact) or floats, built on first
-    read.  ``index_set_A`` lists the k with 1/2 <= a_k < 1 (a terminal value
-    of exactly 1 carries no index).  ``escape_index`` is the first k >= 1
-    with a_k >= a, when one exists.  ``approx_repeat`` flags a float-mode
-    repeat; float orbits always terminate as capped because float equality
-    cannot certify the true orbit's period.
+    q of a.  ``points`` holds a_0..a_K as Fractions, built on first read.
+    ``index_set_A`` lists the k with 1/2 <= a_k < 1 (a terminal value of
+    exactly 1 carries no index).  ``escape_index`` is the first k >= 1 with
+    a_k >= a, when one exists.
     """
 
     a: Scalar
@@ -114,16 +120,9 @@ class TowerOrbit:
     termination: Termination
     index_set_A: tuple[int, ...]
     escape_index: Optional[int] = None
-    approx_repeat: Optional[tuple[int, int]] = None
-
-    @property
-    def is_exact(self) -> bool:
-        return self.a.is_exact
 
     @cached_property
     def points(self) -> tuple:
-        if not self.is_exact:
-            return self.nums
         q = self.q
         return (self.a.value,) + tuple(Fraction(x, q) for x in self.nums[1:])
 
@@ -138,17 +137,14 @@ def _t_left_exact(x: Fraction) -> Fraction:
     return 2 * x - 1
 
 
-def build_orbit(a, k_cap: int = DEFAULT_TRUNCATION) -> TowerOrbit:
-    """Iterate the boundary recurrence and classify its termination.
-
-    Exact mode detects the first exact repeat among indices >= 1 (always
-    reached for rational a given a large enough cap).  Float mode runs to the
-    cap, records an approximate repeat if one shows up, and refuses values
-    within epsilon of the 1/2 boundary.
+def build_orbit(a) -> TowerOrbit:
+    """Iterate the boundary recurrence of an exact a and classify its
+    termination: the first exact repeat among indices >= 1 (reached for
+    every rational a given enough steps), or "capped" when none shows
+    within ``ORBIT_CAP`` steps.  A float a has no orbit of its own here;
+    :func:`entropy_left_hole` encloses it between two exact ones.
     """
     a = as_scalar(a)
-    if k_cap < 2:
-        raise InvalidParameterError("k_cap must be >= 2")
     if a.is_exact:
         av = a.value
         if not (_HALF < av < 1):
@@ -158,9 +154,9 @@ def build_orbit(a, k_cap: int = DEFAULT_TRUNCATION) -> TowerOrbit:
         nums = [p]
         seen: dict[int, int] = {}
         escape_index = None
-        termination = Termination("capped", k_cap)
+        termination = Termination("capped", ORBIT_CAP)
         x = p
-        for n in range(1, k_cap + 1):
+        for n in range(1, ORBIT_CAP + 1):
             y = 2 * min(p, x)
             x = y if y <= q else y - q
             j = seen.get(x)
@@ -173,59 +169,21 @@ def build_orbit(a, k_cap: int = DEFAULT_TRUNCATION) -> TowerOrbit:
                 escape_index = n
         A = tuple(k for k, x in enumerate(nums) if q <= 2 * x < 2 * q)
         return TowerOrbit(a, tuple(nums), q, termination, A, escape_index)
-
-    eps = a.epsilon
-    av = float(a.value)
-    if not (0.5 + eps < av < 1 - eps):
-        raise InvalidParameterError(
-            f"parameter must lie in (1/2, 1) by more than epsilon, got {av}")
-    points = [av]
-    seen: dict[float, int] = {}
-    escape_index = None
-    approx = None
-    for n in range(1, k_cap + 1):
-        x = points[-1]
-        if abs(x - 0.5) < eps and x != 0.5:
-            raise AmbiguousBoundaryError(
-                f"orbit point {x} is within epsilon of 1/2; rerun in exact mode")
-        if abs(x - av) < eps and x != av:
-            raise AmbiguousBoundaryError(
-                f"orbit point {x} is within epsilon of the hole boundary; "
-                "rerun in exact mode")
-        if n == k_cap:
-            break
-        y = min(av, x)
-        if y < 0.5:
-            nxt = 2.0 * y
-        elif y == 0.5:
-            nxt = 1.0
-        else:
-            nxt = 2.0 * y - 1.0
-        if approx is None:
-            j = seen.get(nxt)
-            if j is not None:
-                approx = (n - 1, j)
-            else:
-                seen[nxt] = n
-        points.append(nxt)
-        if escape_index is None and nxt >= av:
-            escape_index = n
-    A = tuple(k for k, x in enumerate(points) if 0.5 <= x < 1)
-    term = Termination("capped", len(points) - 1)
-    if escape_index is not None and approx is None:
-        term = Termination("escape", escape_index)
-    return TowerOrbit(a, tuple(points), 1, term, A, escape_index, approx)
+    raise InvalidParameterError(
+        "the tower orbit needs an exact parameter; "
+        "entropy_left_hole encloses a float one")
 
 
 @dataclass(frozen=True)
 class DeterminantSeries:
-    """The determinant 1 - sum m_k z^(k+1), with closed form when available.
+    """The determinant 1 - sum m_k z^(k+1) of a preperiodic orbit.
 
-    ``polynomial`` (ascending) is exact for finite orbits; for capped orbits
-    it is the series truncated at K and ``tail_bound`` carries the geometric
-    remainder envelope.  ``coefficients`` lists m_0..m_K and is derived on
-    first read: a factored closed form repeats its cycle up to K, and
-    otherwise m_k = -polynomial[k + 1], zero past the degree.
+    ``polynomial`` (ascending) is its exact closed form, and ``exact`` says
+    that it is the whole determinant, which is always so for
+    :func:`determinant`; a series built elsewhere from part of it gets no
+    certificate.  ``coefficients`` lists m_0..m_K and is derived on first
+    read: a factored closed form repeats its cycle up to K, and otherwise
+    m_k = -polynomial[k + 1], zero past the degree.
     """
 
     K: int
@@ -243,20 +201,13 @@ class DeterminantSeries:
         m = tuple(-c for c in self.polynomial[1:K + 2])
         return m + (0,) * (K + 1 - len(m))
 
-    def tail_bound(self, x: float) -> float:
-        if self.exact:
-            return 0.0
-        if not (0 <= x < 1):
-            raise InvalidParameterError("tail bound needs x in [0, 1)")
-        return x ** (self.K + 2) / (1 - x)
-
 
 def determinant(orbit: TowerOrbit, K: int | None = None) -> DeterminantSeries:
-    """The determinant of the orbit, with its coefficients truncated at K.
+    """The exact determinant of a preperiodic orbit, with its coefficients
+    listed up to K (they continue periodically past the orbit).
 
-    Pre-periodic orbits yield an exact polynomial; their coefficients
-    continue periodically up to K.  Capped orbits yield the series truncated
-    at K with a geometric tail bound.
+    A capped orbit has no finite polynomial and raises
+    :class:`ResourceLimitError`.
     """
     A = orbit.index_set_A
     last = len(orbit.nums) - 1
@@ -293,16 +244,9 @@ def determinant(orbit: TowerOrbit, K: int | None = None) -> DeterminantSeries:
                       "coefficients": m}
         return DeterminantSeries(K, tuple(poly_trim(poly)), True, closed)
 
-    if K > last:
-        raise TruncationError(
-            f"truncation {K} exceeds the capped orbit length {last}")
-    poly = [0] * (K + 2)
-    poly[0] = 1
-    for k in A:
-        if k > K:
-            break
-        poly[k + 1] = -1
-    return DeterminantSeries(K, tuple(poly_trim(poly)), False, None)
+    raise ResourceLimitError(
+        f"the orbit does not repeat within {ORBIT_CAP} steps, "
+        "so it has no finite determinant")
 
 
 @dataclass(frozen=True)
@@ -311,11 +255,14 @@ class RootResult:
 
     ``bracket`` holds the root and r; its width is at most the requested
     ``tol``, or one float spacing when ``tol`` is below the spacing at r,
-    and zero at an exact dyadic root.  ``error_bound`` is that width plus
-    the truncation tail.  ``certified`` is True when the bracket of an exact
-    polynomial passed the exact sign check (d > 0 at its lower end, d < 0 at
-    its upper end, by integer arithmetic); float-mode (truncated) series pass
-    the same check but are never certified, because of their tail.
+    and zero at an exact dyadic root.  ``error_bound`` is that width.
+    ``certified`` is True when the bracket of an exact polynomial passed the
+    exact sign check (d > 0 at its lower end, d < 0 at its upper end, by
+    integer arithmetic).
+
+    The root of an enclosure (see :func:`entropy_left_hole`) is composed
+    from its two ends: ``bracket`` is the hull of theirs, r its midpoint,
+    ``residual`` the larger of theirs, and it is certified when both are.
     """
 
     r: float
@@ -461,10 +408,7 @@ def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootRes
     check fails, the guarded bisection goes on from the seed bracket until
     its width is <= tol or its ends are adjacent floats, and its ends are
     checked the same way; a failed check there raises :class:`NoRootError`.
-
-    The reported error bound adds the truncation tail to the bracket width;
-    the truncated series has derivative <= -1 on [0, 1), so a tail of size t
-    moves the root by at most t.
+    The reported error bound is the width of the bracket.
     """
     if not 0 < tol < math.inf:
         raise InvalidParameterError("tol must be positive and finite")
@@ -472,8 +416,7 @@ def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootRes
     lo = 0.0
     hi = 1.0 - min(tol, 1e-9)
     if form.sign(hi) > 0:
-        raise NoRootError(
-            "determinant stays positive on (0, 1); entropy 0 at this truncation")
+        raise NoRootError("determinant stays positive on (0, 1); entropy 0")
     lo, hi = _bisect(form.sign, lo, hi, tol, _SEED_STEPS)
     r = 0.5 * (lo + hi)
     if lo < hi:
@@ -489,46 +432,98 @@ def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootRes
         else:
             lo, hi = bracket
     residual = abs(form.value_slope(r, form.kept(r))[0])
-    error = (hi - lo) + series.tail_bound(hi)
-    return RootResult(r, residual, -math.log(r), error, (lo, hi), series.exact)
+    return RootResult(r, residual, -math.log(r), hi - lo, (lo, hi), series.exact)
 
 
 @dataclass(frozen=True)
 class LeftHoleEntropy:
-    """Composed result: orbit, determinant, root, and pole order."""
+    """Composed result: orbit, determinant, root, and pole order.
+
+    An enclosure has no orbit or determinant of its own: ``ends`` holds the
+    exact results at its dyadic ends a- < a+, and ``root`` is composed from
+    theirs.
+    """
 
     a: Scalar
-    orbit: TowerOrbit
-    series: DeterminantSeries
+    orbit: Optional[TowerOrbit]
+    series: Optional[DeterminantSeries]
     root: RootResult
     p: int = 1  # the leading eigenvalue of this family is always simple
+    ends: tuple = ()
 
     @property
     def entropy(self) -> float:
         return self.root.entropy
 
+    @property
+    def interval(self) -> tuple[float, float]:
+        """[-log hi, -log lo] over the root bracket, each end widened outward
+        by one ulp to cover the rounding of log.  It holds the entropy, and
+        for an enclosure the entropy of every parameter within eps of a."""
+        lo, hi = self.root.bracket
+        return (math.nextafter(-math.log(hi), -math.inf),
+                math.nextafter(-math.log(lo), math.inf))
+
     def to_json(self) -> dict:
-        return {
+        out = {
             "a": str(self.a.value) if self.a.is_exact else float(self.a.value),
             "entropy": self.root.entropy,
             "r": self.root.r,
             "p": self.p,
-            "termination": self.orbit.termination.to_json(),
-            "K": self.series.K,
             "error_bound": self.root.error_bound,
             "certified": self.root.certified,
         }
+        if self.ends:
+            out["interval"] = list(self.interval)
+            out["ends"] = [end.to_json() for end in self.ends]
+        else:
+            out["termination"] = self.orbit.termination.to_json()
+            out["K"] = self.series.K
+        return out
 
 
-def entropy_left_hole(a, K: int = DEFAULT_TRUNCATION,
-                      tol: float = DEFAULT_TOL,
-                      k_cap: int | None = None) -> LeftHoleEntropy:
-    """Entropy of the doubling map with hole [a, 1], 1/2 < a < 1."""
+def _solve(orbit: TowerOrbit, tol: float) -> LeftHoleEntropy:
+    series = determinant(orbit, DEFAULT_TRUNCATION)
+    return LeftHoleEntropy(orbit.a, orbit, series, leading_root(series, tol))
+
+
+def entropy_left_hole(a, tol: float = DEFAULT_TOL) -> LeftHoleEntropy:
+    """Entropy of the doubling map with hole [a, 1], 1/2 < a < 1.
+
+    An exact a whose orbit repeats within ``ORBIT_CAP`` steps is solved on
+    its own polynomial.  A float a with tolerance eps, and an exact a whose
+    orbit passes the cap (eps = 0), are enclosed: the ends are
+    a- = floor((a - eps) 2**s) / 2**s and a+ = ceil((a + eps) 2**s) / 2**s,
+    with 2**-s at most half of eps (of tol for the exact a) and s raised
+    until both ends lie strictly inside (1/2, 1).
+    """
     a = as_scalar(a)
-    orbit = build_orbit(a, k_cap if k_cap is not None else max(K, 2))
-    if orbit.termination.kind == "preperiodic":
-        series = determinant(orbit, K)
+    if a.is_exact:
+        orbit = build_orbit(a)
+        if orbit.termination.kind == "preperiodic":
+            return _solve(orbit, tol)
+        lo = hi = a.value
+        spacing = tol
     else:
-        series = determinant(orbit, min(K, len(orbit.nums) - 1))
-    root = leading_root(series, tol)
-    return LeftHoleEntropy(a, orbit, series, root)
+        # an infinite epsilon fails the range check as 1
+        eps = Fraction(min(a.epsilon, 1.0))
+        lo, hi = Fraction(a.value) - eps, Fraction(a.value) + eps
+        if not (_HALF < lo and hi < 1):
+            raise InvalidParameterError(
+                f"parameter must lie in (1/2, 1) by more than epsilon, got {a.value}")
+        spacing = a.epsilon
+    s = 2 - math.frexp(spacing)[1]  # 2**-s <= spacing / 2
+    while True:
+        den = 2 ** s
+        ends = (Fraction(math.floor(lo * den), den), Fraction(math.ceil(hi * den), den))
+        if _HALF < ends[0] and ends[1] < 1:
+            break
+        s += 1
+    lower, upper = (_solve(build_orbit(Scalar(x)), tol) for x in ends)
+    lo_r = min(lower.root.bracket[0], upper.root.bracket[0])
+    hi_r = max(lower.root.bracket[1], upper.root.bracket[1])
+    r = 0.5 * (lo_r + hi_r)
+    root = RootResult(r, max(lower.root.residual, upper.root.residual),
+                      -math.log(r), hi_r - lo_r, (lo_r, hi_r),
+                      lower.root.certified and upper.root.certified)
+    return LeftHoleEntropy(a, None, None, root, ends=(lower, upper))

@@ -100,9 +100,7 @@ def entropy_at(family, s: Fraction, engine: str, params: dict | None = None
     if engine == "kneading":
         if not isinstance(family, LeftHoleFamily):
             raise InvalidParameterError("the kneading engine only covers left holes")
-        res = entropy_left_hole(Scalar.exact(s),
-                                K=params.get("K", 4096),
-                                tol=params.get("tol", 1e-14))
+        res = entropy_left_hole(Scalar.exact(s), tol=params.get("tol", 1e-14))
         return res.entropy, res.p, res.root.error_bound
     if engine == "markov":
         res = entropy_markov(family.map(), family.hole(s),

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from holed_entropy import Scalar, build_orbit, determinant
+from holed_entropy import Scalar, build_orbit, determinant, entropy_left_hole
 from holed_entropy.cli import main
 from holed_entropy.mapmodel import map_from_config
 from holed_entropy.polyexact import sign_at
@@ -183,11 +183,31 @@ def test_diag_dump_config_roundtrip(capsys):
 
 
 def test_bare_decimal_warns_float_mode(capsys):
-    code, out, err = run(capsys, "tower", "--a", "0.51", "--k-cap", "200")
+    code, out, err = run(capsys, "tower", "--a", "0.51")
     assert code == 0
     assert "float mode" in err
     data = json.loads(out)
-    assert data["termination"]["kind"] == "capped"
+    assert data["certified"] is True
+    lo, hi = data["interval"]
+    assert 0 < lo <= data["entropy"] <= hi < math.log(2)
+    assert [end["termination"]["kind"] for end in data["ends"]] == ["preperiodic"] * 2
+
+
+@pytest.mark.parametrize("a", ["0.7", "9004/9007"])
+def test_tower_reports_a_certified_enclosure(capsys, a):
+    # 0.7 is a float; the orbit of 9004/9007 does not repeat within the
+    # cap, and it used to print "certified": false
+    code, out, err = run(capsys, "tower", "--a", a)
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["certified"] is True
+    lo, hi = data["interval"]
+    if a == "0.7":
+        assert lo <= LOG_GOLDEN <= hi
+    for end in data["ends"]:
+        assert end["certified"] is True
+        elo, ehi = entropy_left_hole(Scalar.exact(Fraction(end["a"]))).interval
+        assert lo <= elo <= ehi <= hi
 
 
 def test_exit_code_2_on_bad_input(capsys):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holed_entropy import (AmbiguousBoundaryError, Hole, InvalidParameterError,
-                           NoRootError, Scalar, TruncationError, build_d_adic,
+from holed_entropy import (Hole, InvalidParameterError, NoRootError,
+                           ResourceLimitError, Scalar, build_d_adic,
                            build_orbit, determinant, entropy_estimate,
                            entropy_left_hole, entropy_markov, leading_root,
                            refine)
@@ -85,27 +86,53 @@ def test_orbit_rejects_bad_parameter():
 
 
 def test_float_orbit_capped_with_recorded_A():
-    orb = build_orbit(Scalar.approx(0.51), k_cap=200)
-    assert orb.termination.kind == "capped"
-    assert len(orb.points) == 200
-    assert 0 in orb.index_set_A
-    # the float orbit repeats bit-exactly; flagged, not classified
-    assert orb.approx_repeat is not None
+    # a float has no orbit of its own; the dyadic ends of its enclosure
+    # (denominator 2**41, half of eps 1e-12 or less) repeat within 41 + 2
+    # steps, with A recorded
+    with pytest.raises(InvalidParameterError):
+        build_orbit(Scalar.approx(0.51))
+    res = entropy_left_hole(Scalar.approx(0.51))
+    assert res.orbit is None and res.series is None
+    lower, upper = res.ends
+    assert lower.a.value <= Fraction(0.51) - Fraction(1e-12)
+    assert upper.a.value >= Fraction(0.51) + Fraction(1e-12)
+    for end in res.ends:
+        assert 2 ** 41 % end.a.value.denominator == 0
+        assert end.orbit.termination.kind == "preperiodic"
+        assert len(end.orbit.points) <= 41 + 2
+        assert 0 in end.orbit.index_set_A
 
 
 def test_float_orbit_ambiguity_near_half():
-    # 0.5 + eps/2 lands within epsilon of the boundary
-    with pytest.raises((AmbiguousBoundaryError, InvalidParameterError)):
-        build_orbit(Scalar.approx(0.5 + 5e-13), k_cap=50)
+    # the eps-ball around 0.5 + eps/2 (or 1 - eps/2) leaves (1/2, 1)
+    for a in (0.5 + 5e-13, 1 - 5e-13):
+        with pytest.raises(InvalidParameterError):
+            entropy_left_hole(Scalar.approx(a))
+
+
+@pytest.mark.parametrize("a", (0.5 + 2e-12, 1 - 2e-12, 0.5 + 1.2e-12, 1 - 1.2e-12))
+def test_enclosure_ends_stay_inside_the_family(a):
+    # at 0.5 + 1.2e-12 the end a- rounds onto 1/2 at s = 41, and at
+    # 1 - 1.2e-12 the end a+ onto 1, where no orbit exists; s is raised
+    res = entropy_left_hole(Scalar.approx(a))
+    lower, upper = res.ends
+    assert Fraction(1, 2) < lower.a.value <= Fraction(a) - Fraction(1e-12)
+    assert Fraction(a) + Fraction(1e-12) <= upper.a.value < 1
+    assert res.root.certified is True
+    lo, hi = res.interval
+    assert 0 < lo <= res.entropy <= hi < math.log(2)
 
 
 def test_float_orbit_escape_label():
-    # cap cuts in right after the orbit enters [a, 1], before any repeat
-    orb = build_orbit(Scalar.approx(0.7), k_cap=3)
-    assert orb.termination.kind == "escape"
-    assert orb.termination.n == 2
-    assert orb.points[2] >= 0.7
-    assert orb.approx_repeat is None
+    # no orbit ends as an "escape" any more: the ends of the float 0.7
+    # record the first k >= 1 with a_k >= a and still close exactly
+    res = entropy_left_hole(Scalar.approx(0.7))
+    for end in res.ends:
+        orb, av = end.orbit, end.a.value
+        assert orb.termination.kind == "preperiodic"
+        k = orb.escape_index
+        assert k == 2 and orb.points[k] >= av
+        assert all(x < av for x in orb.points[1:k])
 
 
 # -- determinants -----------------------------------------------------------------
@@ -160,17 +187,45 @@ def test_determinant_seven_eighths():
 
 
 def test_determinant_truncation_error_on_capped():
-    orb = build_orbit(Scalar.approx(0.51), k_cap=50)
-    with pytest.raises(TruncationError):
+    # the orbit of 9004/9007 does not repeat within the cap, so it has no
+    # finite polynomial
+    orb = build_orbit(ex(Fraction(9004, 9007)))
+    assert orb.termination.to_json() == {"kind": "capped", "N": kneading.ORBIT_CAP}
+    assert len(orb.points) == kneading.ORBIT_CAP + 1
+    with pytest.raises(ResourceLimitError):
         determinant(orb, 1000)
 
 
 def test_capped_tail_bound():
-    orb = build_orbit(Scalar.approx(0.51), k_cap=100)
-    ser = determinant(orb, 80)
-    x = 0.9
-    assert ser.tail_bound(x) == pytest.approx(x ** 82 / (1 - x))
-    assert not ser.exact
+    # an enclosure adds no tail: its bracket is the hull of its ends'
+    # brackets, and its error bound is the width of that hull
+    res = entropy_left_hole(ex(Fraction(9004, 9007)))
+    lo, hi = res.root.bracket
+    assert lo == min(end.root.bracket[0] for end in res.ends)
+    assert hi == max(end.root.bracket[1] for end in res.ends)
+    assert res.root.error_bound == hi - lo
+    assert lo <= res.root.r <= hi
+    assert res.entropy == -math.log(res.root.r)
+
+
+def test_exact_orbit_past_the_cap_is_certified():
+    # certified: False before, from a series truncated at the cap
+    a = Fraction(9004, 9007)
+    res = entropy_left_hole(ex(a))
+    assert res.root.certified is True
+    lower, upper = res.ends
+    # 2**-48 is at most half of tol 1e-14
+    assert lower.a.value < a < upper.a.value
+    assert upper.a.value - lower.a.value == Fraction(1, 2 ** 48)
+    lo, hi = res.interval
+    assert hi - lo < 1e-13
+    for end in res.ends:
+        assert end.root.certified is True
+        elo, ehi = end.interval
+        assert lo <= elo <= ehi <= hi
+        blo, bhi = end.root.bracket
+        poly = end.series.polynomial
+        assert _sign_by_integer_horner(poly, blo) > 0 > _sign_by_integer_horner(poly, bhi)
 
 
 # -- roots ------------------------------------------------------------------------
@@ -189,7 +244,9 @@ def test_leading_root_certified_at_every_degree():
     res = entropy_left_hole(ex(Fraction(6893, 6901)))
     assert len(res.series.polynomial) == 879
     assert res.root.certified is True
-    # a truncated (float-mode) series gets no certificate
+    # so is the enclosure of a float, whose ends are exact polynomials
+    assert entropy_left_hole(Scalar.approx(0.9371)).root.certified is True
+    # a series that is only part of the determinant gets no certificate
     ser = DeterminantSeries(1, (1, -1, -1), False, None)
     assert leading_root(ser, 1e-14).certified is False
 
@@ -330,11 +387,39 @@ def test_exact_dyadic_root_keeps_a_zero_width_bracket():
 
 def test_float_mode_bracket_passes_the_integer_sign_check():
     res = entropy_left_hole(Scalar.approx(0.7))
-    assert res.root.certified is False
-    lo, hi = res.root.bracket
-    poly = res.series.polynomial
-    assert 0 < hi - lo <= 1e-14
-    assert sign_at(poly, *lo.as_integer_ratio()) > 0 > sign_at(poly, *hi.as_integer_ratio())
+    assert res.root.certified is True
+    lo, hi = res.interval
+    assert lo <= LOG_GOLDEN <= hi  # 0.7 lies on the golden plateau
+    for end in res.ends:
+        blo, bhi = end.root.bracket
+        poly = end.series.polynomial
+        assert 0 < bhi - blo <= 1e-14
+        assert sign_at(poly, *blo.as_integer_ratio()) > 0 > sign_at(poly, *bhi.as_integer_ratio())
+
+
+def test_interval_holds_minus_log_of_the_bracket():
+    # math.log rounds either way; the one-ulp widening of each end covers it
+    rows = [ex(Fraction(p, q)) for q in range(3, 16) for p in range(q // 2 + 1, q)]
+    rows += [Scalar.approx(x) for x in (0.51, 0.55, 0.7, 0.9371, 0.75 + 1e-9)]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for a in rows:
+            res = entropy_left_hole(a)
+            lo, hi = res.root.bracket
+            ilo, ihi = res.interval
+            assert Decimal(ilo) <= -Decimal(hi).ln()
+            assert -Decimal(lo).ln() <= Decimal(ihi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(3, 2000), data=st.data())
+def test_float_enclosure_holds_the_exact_bracket_property(q, data):
+    p = data.draw(st.integers(q // 2 + 1, q - 1), label="p")
+    exact = entropy_left_hole(ex(Fraction(p, q)))
+    enclosure = entropy_left_hole(Scalar.approx(float(Fraction(p, q))))
+    assert enclosure.root.certified is True
+    lo, hi = enclosure.interval
+    assert lo <= exact.interval[0] <= exact.interval[1] <= hi
 
 
 def test_tol_below_the_float_spacing_returns_adjacent_floats():
@@ -439,19 +524,26 @@ def test_preperiodic_closed_form_agrees_with_truncated_series():
             if m:
                 poly[k + 1] = -1
         raw = leading_root(DeterminantSeries(K, tuple(poly), False, None), 1e-14)
-        assert abs(closed.r - raw.r) <= closed.error_bound + raw.error_bound
+        # the raw series has derivative <= -1 on [0, 1), so its dropped tail
+        # moves the root by at most the tail's size at the bracket's top
+        x = raw.bracket[1]
+        tail = x ** (K + 2) / (1 - x)
+        assert abs(closed.r - raw.r) <= closed.error_bound + raw.error_bound + tail
 
 
 def test_truncation_stability_float():
-    a = Scalar.approx(0.55)
-    res1 = entropy_left_hole(a, K=100)
-    res2 = entropy_left_hole(a, K=200)
+    # the enclosures of one float at two tolerances both hold its entropy
+    res1 = entropy_left_hole(Scalar.approx(0.55, 1e-12))
+    res2 = entropy_left_hole(Scalar.approx(0.55, 1e-10))
     assert abs(res1.entropy - res2.entropy) <= res1.root.error_bound + 1e-12
+    (lo1, hi1), (lo2, hi2) = res1.interval, res2.interval
+    assert lo2 <= hi1 and lo1 <= hi2
 
 
 def test_float_entropy_vs_oracle():
-    res = entropy_left_hole(Scalar.approx(0.55), K=400)
-    assert 0 < res.entropy < math.log(2)
+    res = entropy_left_hole(Scalar.approx(0.55))
+    lo, hi = res.interval
+    assert 0 < lo <= res.entropy <= hi < math.log(2)
     tree = refine(build_d_adic(2), Hole([(ex(Fraction(11, 20)), ex(1))]), 20)
     oracle = entropy_estimate(tree, 20)
     assert abs(res.entropy - oracle) <= 0.05
@@ -471,4 +563,9 @@ def test_json_fields():
     assert set(out) == {"a", "entropy", "r", "p", "termination", "K", "error_bound",
                         "certified"}
     assert out["p"] == 1 and out["a"] == "3/4" and out["certified"] is True
-    assert entropy_left_hole(Scalar.approx(0.75)).to_json()["certified"] is False
+    out = entropy_left_hole(Scalar.approx(0.75)).to_json()
+    assert set(out) == {"a", "entropy", "r", "p", "interval", "ends", "error_bound",
+                        "certified"}
+    assert out["a"] == 0.75 and out["certified"] is True
+    assert out["interval"][0] <= out["entropy"] <= out["interval"][1]
+    assert [end["termination"]["kind"] for end in out["ends"]] == ["preperiodic"] * 2
