@@ -3,9 +3,12 @@
 Exit codes: 0 success, 2 input error, 3 engine error (refinement does not
 close, resource caps, no determinant root).
 
-Rationals on the command line are num/den strings (or plain integers); bare
-decimals switch that value to float mode with a warning on stderr, so
-exactness is always explicit at the boundary.
+Numbers on the command line are num/den strings, integers or decimals, and
+a map, hole or map parameter is always the exact rational it spells
+("0.3" is 3/10).  The one exception is ``tower --a``: there a bare decimal
+is a float, the centre of the ball [a - epsilon, a + epsilon] whose entropy
+the tower engine encloses with certified ends, and a warning on stderr says
+so.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from fractions import Fraction
 from . import __version__
 from .cylinders import (compare_engines, entropy_estimate, expansion_diagnostics,
                         export_level_counts, refine)
-from .errors import (HoledEntropyError, InvalidParameterError,
-                     ModeMismatchError, NoRootError, NotFinitelyMarkovError,
-                     ResourceLimitError)
+from .errors import (HoledEntropyError, InvalidParameterError, NoRootError,
+                     NotFinitelyMarkovError, ResourceLimitError)
 from .kneading import entropy_left_hole
 from .mapmodel import (Hole, build_d_adic, build_scaled_farey, load_map_config,
                        map_to_config)
@@ -31,11 +33,10 @@ from .regularity import (LeftHoleFamily, SlidingHoleFamily, SweepSpec, emit_csv,
                          emit_svg_plot, holder_estimate, run_sweep)
 from .scalar import DEFAULT_EPSILON, Scalar, parse_rational
 
-_INPUT_ERRORS = (InvalidParameterError, ModeMismatchError)
 _ENGINE_ERRORS = (NotFinitelyMarkovError, ResourceLimitError, NoRootError)
 
 
-def _parse_scalar_arg(text: str, epsilon: float) -> Scalar:
+def _parse_tower_a(text: str, epsilon: float) -> Scalar:
     text = text.strip()
     if "/" in text or text.lstrip("+-").isdigit():
         return Scalar.exact(parse_rational(text))
@@ -48,11 +49,7 @@ def _parse_scalar_arg(text: str, epsilon: float) -> Scalar:
         raise InvalidParameterError(f"malformed number {text!r}") from exc
 
 
-def _parse_fraction_arg(text: str) -> Fraction:
-    return parse_rational(text)
-
-
-def _parse_hole_arg(text: str | None, epsilon: float) -> Hole:
+def _parse_hole_arg(text: str | None) -> Hole:
     if text is None or text.strip().lower() in ("", "none", "empty"):
         return Hole.empty()
     pieces = []
@@ -61,12 +58,11 @@ def _parse_hole_arg(text: str | None, epsilon: float) -> Hole:
         if len(parts) != 2:
             raise InvalidParameterError(
                 f"hole piece {chunk!r} must be lo,hi (pieces separated by ';')")
-        pieces.append((_parse_scalar_arg(parts[0], epsilon),
-                       _parse_scalar_arg(parts[1], epsilon)))
+        pieces.append((parse_rational(parts[0]), parse_rational(parts[1])))
     return Hole(pieces)
 
 
-def _resolve_map(name: str, param: str | None, epsilon: float):
+def _resolve_map(name: str, param: str | None):
     if name == "doubling":
         return build_d_adic(2)
     if name.startswith("d-adic:"):
@@ -80,7 +76,7 @@ def _resolve_map(name: str, param: str | None, epsilon: float):
     if name == "farey":
         if param is None:
             raise InvalidParameterError("the farey map needs --param a in (0, 1]")
-        return build_scaled_farey(_parse_scalar_arg(param, epsilon))
+        return build_scaled_farey(parse_rational(param))
     if os.path.exists(name):
         pmap, _ = load_map_config(name)
         return pmap
@@ -102,9 +98,8 @@ def _emit_json(obj, path: str | None):
 # ---------------------------------------------------------------------------
 
 def _cmd_entropy(args) -> int:
-    eps = args.epsilon
-    pmap = _resolve_map(args.map, args.param, eps)
-    hole = _parse_hole_arg(args.hole, eps)
+    pmap = _resolve_map(args.map, args.param)
+    hole = _parse_hole_arg(args.hole)
     if args.engine == "kneading":
         from .cylinders import left_hole_parameter
         a = left_hole_parameter(pmap, hole)
@@ -127,9 +122,12 @@ def _cmd_entropy(args) -> int:
         return 0
     if args.engine == "oracle":
         tree = refine(pmap, hole, args.depth)
-        h = entropy_estimate(tree, args.depth)
+        h, count = entropy_estimate(tree, args.depth), tree.count(args.depth)
         print(f"entropy = {h:.15g}  (engine=oracle, level={args.depth}, "
-              f"count={tree.count(args.depth)})")
+              f"count={count})")
+        if args.json:
+            _emit_json({"level": args.depth, "count": count, "entropy": h},
+                       args.json)
         return 0
     if args.engine == "compare":
         rep = compare_engines(pmap, hole, args.depth)
@@ -148,16 +146,15 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_tower(args) -> int:
-    a = _parse_scalar_arg(args.a, args.epsilon)
+    a = _parse_tower_a(args.a, args.epsilon)
     res = entropy_left_hole(a, tol=args.tol)
     _emit_json(res.to_json(), args.json)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    eps = args.epsilon
-    pmap = _resolve_map(args.map, args.param, eps)
-    hole = _parse_hole_arg(args.hole, eps)
+    pmap = _resolve_map(args.map, args.param)
+    hole = _parse_hole_arg(args.hole)
     res = entropy_markov(pmap, hole, orbit_cap=args.orbit_cap, tol=args.tol)
     _emit_json(res.to_json(), args.json)
     if args.dot:
@@ -167,13 +164,16 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    eps = args.epsilon
-    pmap = _resolve_map(args.map, args.param, eps)
-    hole = _parse_hole_arg(args.hole, eps)
+    pmap = _resolve_map(args.map, args.param)
+    hole = _parse_hole_arg(args.hole)
     tree = refine(pmap, hole, args.depth, args.component_cap)
-    for n in range(1, args.depth + 1):
-        print(f"level {n}: count {tree.count(n)}, "
-              f"entropy {entropy_estimate(tree, n):.15g}")
+    levels = [{"level": n, "count": tree.count(n), "entropy": entropy_estimate(tree, n)}
+              for n in range(1, args.depth + 1)]
+    for lv in levels:
+        print(f"level {lv['level']}: count {lv['count']}, "
+              f"entropy {lv['entropy']:.15g}")
+    if args.json:
+        _emit_json({"levels": levels}, args.json)
     if args.csv:
         export_level_counts(tree, args.csv, args.depth)
     return 0
@@ -185,18 +185,18 @@ def _make_family(args):
     if args.family == "sliding":
         if args.width is None:
             raise InvalidParameterError("sliding family needs --width")
-        return SlidingHoleFamily(_parse_fraction_arg(args.width))
+        return SlidingHoleFamily(parse_rational(args.width))
     raise InvalidParameterError(f"unknown family {args.family!r}")
 
 
 def _cmd_sweep(args) -> int:
     family = _make_family(args)
-    extra = tuple(_parse_fraction_arg(x) for x in (args.extra or []))
+    extra = tuple(parse_rational(x) for x in (args.extra or []))
     params = {}
     if args.oracle_depth is not None:
         params["n"] = args.oracle_depth
-    spec = SweepSpec(family, _parse_fraction_arg(args.start),
-                     _parse_fraction_arg(args.end), args.count,
+    spec = SweepSpec(family, parse_rational(args.start),
+                     parse_rational(args.end), args.count,
                      engine=args.engine, engine_params=params,
                      extra_points=extra)
     result = run_sweep(spec)
@@ -218,7 +218,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_holder(args) -> int:
     family = _make_family(args)
-    t = _parse_fraction_arg(args.t)
+    t = parse_rational(args.t)
     xi = args.xi if args.xi is not None else math.log(2)
     scales = [Fraction(1, 2 ** k) for k in range(args.scale_from, args.scale_to + 1)]
     est = holder_estimate(family, t, args.p, xi, scales, engine=args.engine)
@@ -244,9 +244,8 @@ def _cmd_holder(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    eps = args.epsilon
-    pmap = _resolve_map(args.map, args.param, eps)
-    hole = _parse_hole_arg(args.hole, eps)
+    pmap = _resolve_map(args.map, args.param)
+    hole = _parse_hole_arg(args.hole)
     if args.dump_config:
         _emit_json(map_to_config(pmap, None if hole.is_empty else hole), args.json)
         return 0
@@ -277,11 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if need_map:
             p.add_argument("--map", required=True,
                            help="doubling | d-adic:<d> | farey | config.json")
-            p.add_argument("--param", help="map parameter (farey a)")
-            p.add_argument("--hole", help="pieces lo,hi separated by ';'")
-        p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                       help="float-mode tolerance: boundary classification, "
-                            "or the radius of the tower's interval")
+            p.add_argument("--param", help="map parameter (farey a), exact")
+            p.add_argument("--hole", help="pieces lo,hi separated by ';', exact")
         p.add_argument("--json", help="write a JSON report to this path")
 
     p = sub.add_parser("entropy", help="entropy of one map/hole pair")
@@ -298,6 +294,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True,
                    help="num/den; a bare decimal gives a certified entropy "
                         "interval over [a - epsilon, a + epsilon]")
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
+                   help="radius of the certified ball around a decimal --a, "
+                        "the one float input (decimals elsewhere are exact); "
+                        "unused for num/den")
     p.add_argument("--tol", type=float, default=1e-14)
     p.set_defaults(fn=_cmd_tower)
 
@@ -366,9 +366,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _ENGINE_ERRORS as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return 3

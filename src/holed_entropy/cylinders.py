@@ -8,17 +8,15 @@ monotone composition.
 
 One driver loop in :func:`refine` owns the levels, extinction and the
 component cap, and builds each level from the previous one with a kernel
-chosen per level.  A level is stored in one of three forms:
+chosen per level.  Maps and holes are exact (see :mod:`.mapmodel`), and a
+level is stored in one of two forms:
 
 * integer pairs: Python lists of ``(num, den)`` endpoints with ``den > 0``,
-  for exact maps (any branches).  Branch inverses are 2x2 integer matrices,
-  so a step does no Fraction arithmetic; values become Fraction only when a
-  level is read;
-* floats: Python lists of float endpoints, for float maps, compared with
-  the map's epsilon;
+  for any map.  Branch inverses are 2x2 integer matrices, so a step does no
+  Fraction arithmetic; values become Fraction only when a level is read;
 * int64 arrays: numpy arrays of endpoints scaled to integers over
   ``D0 * d**n``, with each branch step vectorised.  They are used only for
-  exact uniform-affine maps (one integer slope magnitude ``d``; the d-adic
+  uniform-affine maps (one integer slope magnitude ``d``; the d-adic
   family in particular), from a level of at least ``_ARRAY_MIN_COMPONENTS``
   components, and while the next level's scaled values fit in int64.  A
   stored component then takes ~21 bytes (two int64 endpoints, an int32
@@ -42,9 +40,9 @@ from typing import Optional, Sequence
 
 from .errors import (EmptyPartitionError, InvalidParameterError,
                      ResourceLimitError)
-from .mapmodel import (Affine, Branch, Hole, IntervalOpen, PiecewiseMap,
-                       _require_same_mode, subtract_pieces)
-from .scalar import Scalar, as_scalar
+from .mapmodel import (Affine, Branch, Hole, IntervalOpen, PiecewiseMap, _exact,
+                       subtract_pieces)
+from .scalar import Scalar
 
 DEFAULT_COMPONENT_CAP = 10_000_000
 
@@ -80,34 +78,29 @@ class _Level:
     """One level's components as parallel columns plus parent links.
 
     List levels hold Python lists and ``den`` is None: endpoints are integer
-    ``(num, den)`` pairs with ``den > 0`` when ``pairs`` is set (exact maps),
-    floats otherwise.  Int64 levels hold numpy arrays: endpoints as int64
-    scaled by ``den``, ``parent`` as int32 and ``branch`` as the smallest
-    unsigned type that holds every branch index.
+    ``(num, den)`` pairs with ``den > 0``.  Int64 levels hold numpy arrays:
+    endpoints as int64 scaled by ``den``, ``parent`` as int32 and ``branch``
+    as the smallest unsigned type that holds every branch index.
     """
 
-    __slots__ = ("den", "lo", "hi", "parent", "branch", "pairs")
+    __slots__ = ("den", "lo", "hi", "parent", "branch")
 
     def __init__(self, den: Optional[int] = None, lo=None, hi=None,
-                 parent=None, branch=None, pairs: bool = False):
+                 parent=None, branch=None):
         self.den = den
         self.lo = [] if lo is None else lo
         self.hi = [] if hi is None else hi
         self.parent = [] if parent is None else parent
         self.branch = [] if branch is None else branch
-        self.pairs = pairs
 
     def __len__(self):
         return len(self.lo)
 
     def endpoints(self) -> tuple[list, list]:
-        """Raw (lo, hi) columns as plain Python values: reduced Fraction
-        (exact maps) or float."""
-        if self.pairs:
+        """Raw (lo, hi) columns as reduced Fractions of Python ints."""
+        if self.den is None:
             return ([Fraction(u, v) for u, v in self.lo],
                     [Fraction(u, v) for u, v in self.hi])
-        if self.den is None:
-            return self.lo, self.hi
         # tolist() first: Fraction(np.int64(x), den) would keep the numpy
         # numerator, which later overflows silently
         den = self.den
@@ -180,11 +173,9 @@ class RefinementTree:
 
     def cylinders(self, n: int) -> list[Cylinder]:
         """Components grouped by itinerary, groups ordered by first appearance."""
-        eps = None if self.map.is_exact else self.map.epsilon
         groups: dict[tuple, list[IntervalOpen]] = {}
         for (lo, hi), word in zip(self.component_intervals(n), self.itineraries(n)):
-            groups.setdefault(word, []).append(
-                IntervalOpen(Scalar(lo, eps), Scalar(hi, eps)))
+            groups.setdefault(word, []).append(IntervalOpen(Scalar(lo), Scalar(hi)))
         return [Cylinder(w, tuple(sorted(cs, key=lambda c: c.lo.value)))
                 for w, cs in groups.items()]
 
@@ -203,7 +194,7 @@ _ARRAY_MIN_COMPONENTS = 1000
 
 
 class _UniformAffine:
-    """Scaled-integer data for exact maps with a common integer |slope| = d.
+    """Scaled-integer data for maps with a common integer |slope| = d.
 
     Level-n endpoints are integers over ``den(n) = D0 * d**n``, and pulling a
     level-n endpoint back through a branch is one integer subtraction at
@@ -216,7 +207,7 @@ class _UniformAffine:
             if not isinstance(b.kind, Affine):
                 raise ValueError
             s = b.kind.slope.value
-            if not isinstance(s, Fraction) or s.denominator != 1 or abs(s) < 2:
+            if s.denominator != 1 or abs(s) < 2:
                 raise ValueError
             sigs.append(int(s))
         mags = {abs(s) for s in sigs}
@@ -237,7 +228,7 @@ class _UniformAffine:
         # each branch domain minus the hole, left to right: the pieces of
         # the level-1 survivor set
         self.windows0 = [[(int(lo * D0), int(hi * D0))
-                          for lo, hi in subtract_pieces(dlo, dhi, hole.pieces, 0)]
+                          for lo, hi in subtract_pieces(dlo, dhi, hole.pieces)]
                          for dlo, dhi in pmap.branch_domains_raw()]
         # largest magnitude, in units of 1/D0, of any value the kernel
         # stores at scale den(n) (offsets enter one level coarser); D0
@@ -253,8 +244,6 @@ class _UniformAffine:
 
 
 def _try_uniform_affine(pmap: PiecewiseMap, hole: Hole) -> Optional[_UniformAffine]:
-    if not pmap.is_exact or not hole.is_exact and not hole.is_empty:
-        return None
     try:
         return _UniformAffine(pmap, hole)
     except ValueError:
@@ -273,49 +262,6 @@ def _store(lv: _Level, comps, parent: int, b: int, cap: int, level: int):
         lv.hi.append(hi)
         lv.parent.append(parent)
         lv.branch.append(b)
-
-
-class _FloatKernel:
-    """Python lists of float endpoints; float maps."""
-
-    def __init__(self, pmap: PiecewiseMap, hole: Hole):
-        self.tol = pmap.epsilon
-        self.doms = pmap.branch_domains_raw()
-        self.imgs = [b.image_raw() for b in pmap.branches]
-        self.invs = [b.invert_raw for b in pmap.branches]
-        self.signs = [b.orientation for b in pmap.branches]
-        self.pieces = hole.pieces
-
-    def first_level(self, cap: int) -> _Level:
-        lv = _Level()
-        for b, (dlo, dhi) in enumerate(self.doms):
-            _store(lv, subtract_pieces(dlo, dhi, self.pieces, self.tol), -1, b, cap, 1)
-        return lv
-
-    def step(self, cur: _Level, n: int, cap: int) -> _Level:
-        """Level n+1 from level n, one branch at a time."""
-        tol, pieces = self.tol, self.pieces
-        los, his = cur.lo, cur.hi
-        nxt = _Level()
-        for b in range(len(self.doms)):
-            ilo, ihi = self.imgs[b]
-            inv = self.invs[b]
-            order = range(len(cur)) if self.signs[b] > 0 else range(len(cur) - 1, -1, -1)
-            for i in order:
-                ylo = max(los[i], ilo)
-                yhi = min(his[i], ihi)
-                if yhi - ylo <= tol:
-                    continue
-                a, c = inv(ylo), inv(yhi)
-                if a > c:
-                    a, c = c, a
-                # clamp drift back into the branch domain
-                a = max(a, self.doms[b][0])
-                c = min(c, self.doms[b][1])
-                if c - a <= tol:
-                    continue
-                _store(nxt, subtract_pieces(a, c, pieces, tol), i, b, cap, n + 1)
-        return nxt
 
 
 def _pair(x: Fraction) -> tuple[int, int]:
@@ -342,8 +288,7 @@ def _inverse_matrix(branch: Branch) -> tuple[int, int, int, int]:
 
 
 def _subtract_pairs(lo, hi, pieces) -> list:
-    """:func:`subtract_pieces` at tolerance 0 on (num, den) pairs, den > 0;
-    ``lo < hi``."""
+    """:func:`subtract_pieces` on (num, den) pairs, den > 0; ``lo < hi``."""
     out = []
     cu, cv = lo
     hu, hv = hi
@@ -362,7 +307,7 @@ def _subtract_pairs(lo, hi, pieces) -> list:
 
 
 class _PairKernel:
-    """Python lists of integer (num, den) endpoint pairs, den > 0; exact maps.
+    """Python lists of integer (num, den) endpoint pairs, den > 0; any map.
 
     A branch inverse is the integer matrix of :func:`_inverse_matrix`, so a
     step is integer multiplications and cross-multiplied comparisons only.
@@ -379,7 +324,7 @@ class _PairKernel:
         self.pieces = [(_pair(lo), _pair(hi)) for lo, hi in hole.pieces]
 
     def first_level(self, cap: int) -> _Level:
-        lv = _Level(pairs=True)
+        lv = _Level()
         for b, (dlo, dhi) in enumerate(self.doms):
             _store(lv, _subtract_pairs(dlo, dhi, self.pieces), -1, b, cap, 1)
         return lv
@@ -393,7 +338,7 @@ class _PairKernel:
             los = [(u, den) for u in cur.lo.tolist()]
             his = [(u, den) for u in cur.hi.tolist()]
         pieces = self.pieces
-        nxt = _Level(pairs=True)
+        nxt = _Level()
         out_lo, out_hi, out_parent, out_branch = nxt.lo, nxt.hi, nxt.parent, nxt.branch
         for b, ((p1, q1), (p2, q2)) in enumerate(self.imgs):
             A, B, C, D = self.mats[b]
@@ -427,7 +372,7 @@ class _PairKernel:
 
 
 class _Int64Kernel:
-    """numpy int64 arrays scaled by den(n); exact uniform-affine maps only.
+    """numpy int64 arrays scaled by den(n); uniform-affine maps only.
 
     Valid for a step n -> n+1 while ``u.fits_int64(n + 1)``: every stored
     value and every offset then fits in an int64, and so does every
@@ -508,16 +453,14 @@ def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,
     take any level past ``component_cap`` components.  Stops early (with the
     zero-count convention) once a level dies out entirely.
 
-    The int64 kernel takes the step from level n when the map is exact
+    The int64 kernel takes the step from level n when the map is
     uniform-affine, level n has at least ``_ARRAY_MIN_COMPONENTS`` components
     and level n+1 still fits in int64.  Every other step runs on Python
-    lists: integer pairs for exact maps, floats for float maps.  The pair and
-    int64 kernels build identical trees.
+    lists of integer pairs.  The two kernels build identical trees.
     """
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
-    _require_same_mode(pmap, hole)
-    lists = (_PairKernel if pmap.is_exact else _FloatKernel)(pmap, hole)
+    lists = _PairKernel(pmap, hole)
     uniform = _try_uniform_affine(pmap, hole)
     arrays = None
     levels = [lists.first_level(component_cap)]
@@ -545,28 +488,22 @@ def entropy_estimate(tree: RefinementTree, n: int) -> float:
     return max(0.0, math.log(count) / n)
 
 
-def _check_weight_mode(pmap: PiecewiseMap, weight: "LocallyConstantWeight"):
-    # rational weights ride along in either mode; float weights need a float map
-    if pmap.is_exact and any(not v.is_exact for v in weight.values):
-        from .errors import ModeMismatchError
-        raise ModeMismatchError("float weights cannot be used with an exact map")
-
-
 @dataclass(frozen=True)
 class LocallyConstantWeight:
-    """One nonnegative weight per branch; products accumulate along itineraries."""
+    """One nonnegative exact weight per branch; products accumulate along
+    itineraries."""
 
     values: tuple[Scalar, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(as_scalar(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(_exact(v) for v in self.values))
         for v in self.values:
             if v.value < 0:
                 raise InvalidParameterError("weights must be nonnegative")
 
     @staticmethod
     def constant(c, nbranches: int) -> "LocallyConstantWeight":
-        return LocallyConstantWeight(tuple(as_scalar(c) for _ in range(nbranches)))
+        return LocallyConstantWeight(tuple(c for _ in range(nbranches)))
 
     @staticmethod
     def ones(nbranches: int) -> "LocallyConstantWeight":
@@ -588,17 +525,16 @@ def pressure_estimate(pmap: PiecewiseMap, weight: LocallyConstantWeight,
         raise InvalidParameterError("level must be >= 1")
     if len(weight.values) != len(pmap.branches):
         raise InvalidParameterError("weight needs one value per branch")
-    _check_weight_mode(pmap, weight)
     vals = weight.raw_values()
     tree = refine(pmap, hole, n, component_cap)
     if tree.count(n) == 0:
         return float("-inf")
-    total = Fraction(0) if pmap.is_exact else 0.0
-    prod_cache: dict[tuple, object] = {}
+    total = Fraction(0)
+    prod_cache: dict[tuple, Fraction] = {}
     for word in tree.itineraries(n):
         prod = prod_cache.get(word)
         if prod is None:
-            prod = Fraction(1) if pmap.is_exact else 1.0
+            prod = Fraction(1)
             for w in word:
                 prod *= vals[w]
             prod_cache[word] = prod
@@ -712,7 +648,6 @@ def expansion_diagnostics(pmap: PiecewiseMap, n: int, hole: Hole | None = None,
         weight = LocallyConstantWeight.ones(len(pmap.branches))
     if len(weight.values) != len(pmap.branches):
         raise InvalidParameterError("weight needs one value per branch")
-    _check_weight_mode(pmap, weight)
     wvals = weight.raw_values()
     ilo, ihi = pmap.codomain.as_raw()
     m_I = ihi - ilo
@@ -739,8 +674,7 @@ def expansion_diagnostics(pmap: PiecewiseMap, n: int, hole: Hole | None = None,
         for (lo, hi), word in zip(tree0.component_intervals(n), tree0.itineraries(n)):
             table[word] = ((lo, hi), *_sup_deriv_and_image(pmap, word, lo, hi))
         lambda_n = max(_log_ratio(sup) / n for _, sup, _ in table.values())
-        xi_n = max(_log_ratio(Fraction(sup) / m_img if isinstance(sup, (int, Fraction))
-                              else sup / m_img) / n for _, sup, m_img in table.values())
+        xi_n = max(_log_ratio(sup / m_img) / n for _, sup, m_img in table.values())
         survivors = tree0 if hole.is_empty else refine(pmap, hole, n, component_cap)
 
     groups: dict[tuple, list] = {}
@@ -788,9 +722,7 @@ class EngineComparison:
 
 def left_hole_parameter(pmap: PiecewiseMap, hole: Hole) -> Optional[Fraction]:
     """The parameter a when (map, hole) is the doubling map with hole [a, 1]."""
-    if not pmap.is_exact or _is_standard_d_adic(pmap) != 2:
-        return None
-    if not hole.is_exact or len(hole.pieces) != 1:
+    if _is_standard_d_adic(pmap) != 2 or len(hole.pieces) != 1:
         return None
     lo, hi = hole.pieces[0]
     if hi != 1 or not (Fraction(1, 2) < lo < 1):
@@ -811,14 +743,12 @@ def compare_engines(pmap: PiecewiseMap, hole: Hole, n: int,
     if a is not None:
         from .kneading import entropy_left_hole
         kn = entropy_left_hole(Scalar.exact(a)).root.entropy
-    mk = None
-    if pmap.is_exact and (hole.is_exact or hole.is_empty):
-        from .errors import NotFinitelyMarkovError
-        from .markov import entropy_markov
-        try:
-            mk = entropy_markov(pmap, hole).entropy
-        except (NotFinitelyMarkovError, ResourceLimitError):
-            mk = None
+    from .errors import NotFinitelyMarkovError
+    from .markov import entropy_markov
+    try:
+        mk = entropy_markov(pmap, hole).entropy
+    except (NotFinitelyMarkovError, ResourceLimitError):
+        mk = None
     diffs = {}
     if kn is not None:
         diffs["oracle_vs_kneading"] = abs(oracle_h - kn)

@@ -505,8 +505,7 @@ def entropy_left_hole(a, tol: float = DEFAULT_TOL) -> LeftHoleEntropy:
         lo = hi = a.value
         spacing = tol
     else:
-        # an infinite epsilon fails the range check as 1
-        eps = Fraction(min(a.epsilon, 1.0))
+        eps = Fraction(a.epsilon)
         lo, hi = Fraction(a.value) - eps, Fraction(a.value) + eps
         if not (_HALF < lo and hi < 1):
             raise InvalidParameterError(

@@ -6,11 +6,15 @@ normalized finite union of closed intervals; orbits entering a hole stop
 evolving.  Everything here is immutable after construction and safe to share
 across threads.
 
+Every value is an exact rational: ints, Fractions, exact Scalars and
+strings ("num/den", integers, decimals such as "0.3" = 3/10) are accepted,
+and a float (a Python float or a float-mode Scalar) is refused with
+:class:`InvalidParameterError`, since an exact count needs exact ends.
+
 Conventions pinned here and relied on by the engines:
 
 * holes are closed, partition elements and cylinders are open;
-* a survivor piece only counts if it has positive length, so exact and
-  float runs classify identically away from the tolerance;
+* a survivor piece only counts if it has positive length;
 * branch-domain boundaries are excluded when removing a hole (the partition
   elements are open).
 """
@@ -22,10 +26,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import InvalidParameterError, ModeMismatchError
-from .scalar import DEFAULT_EPSILON, Raw, Scalar, as_scalar, parse_rational, rational_str
+from .errors import InvalidParameterError
+from .scalar import Scalar, parse_rational, rational_str
 
-ScalarLike = Union[Scalar, int, Fraction, str, float]
+ScalarLike = Union[Scalar, int, Fraction, str]
+
+
+def _exact(value: ScalarLike) -> Scalar:
+    """An exact Scalar; floats are refused, decimal strings parse exactly."""
+    if isinstance(value, Scalar):
+        if value.is_exact:
+            return value
+        value = value.value
+    if isinstance(value, float):
+        raise InvalidParameterError(
+            f"float {value!r} is not an exact value: pass num/den or a "
+            f"decimal string")
+    return Scalar.exact(value)
+
+
+def _set_exact(obj, *names: str):
+    for name in names:
+        object.__setattr__(obj, name, _exact(getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -36,7 +58,7 @@ class IntervalOpen:
     hi: Scalar
 
     def __post_init__(self):
-        self.lo._require_same_mode(self.hi)
+        _set_exact(self, "lo", "hi")
         if not self.lo.value < self.hi.value:
             raise InvalidParameterError(
                 f"open interval needs lo < hi, got ({self.lo.value}, {self.hi.value})")
@@ -45,7 +67,7 @@ class IntervalOpen:
     def length(self) -> Scalar:
         return self.hi - self.lo
 
-    def as_raw(self) -> tuple[Raw, Raw]:
+    def as_raw(self) -> tuple[Fraction, Fraction]:
         return self.lo.value, self.hi.value
 
 
@@ -57,7 +79,7 @@ class Affine:
     offset: Scalar
 
     def __post_init__(self):
-        self.slope._require_same_mode(self.offset)
+        _set_exact(self, "slope", "offset")
         if self.slope.value == 0:
             raise InvalidParameterError("affine branch needs nonzero slope")
 
@@ -72,8 +94,7 @@ class Moebius:
     s: Scalar
 
     def __post_init__(self):
-        for field in (self.q, self.r, self.s):
-            self.p._require_same_mode(field)
+        _set_exact(self, "p", "q", "r", "s")
         det = self.p.value * self.s.value - self.q.value * self.r.value
         if det == 0:
             raise InvalidParameterError("moebius branch is degenerate (ps - qr = 0)")
@@ -87,15 +108,14 @@ class Branch:
     """One monotone branch of the map with its domain.
 
     The branch function extends continuously to the closure of the domain;
-    ``apply``/``invert``/``derivative`` use that extension, exactly in exact
-    mode.  For a Moebius branch the pole must lie outside the domain closure.
+    ``apply``/``invert``/``derivative`` use that extension, exactly.  For a
+    Moebius branch the pole must lie outside the domain closure.
     """
 
     domain: IntervalOpen
     kind: BranchKind
 
     def __post_init__(self):
-        self.domain.lo._require_same_mode(_mode_witness(self.kind))
         if isinstance(self.kind, Moebius):
             r, s = self.kind.r.value, self.kind.s.value
             if r != 0:
@@ -107,20 +127,20 @@ class Branch:
 
     # raw-value kernels used by the engines --------------------------------
 
-    def apply_raw(self, x: Raw) -> Raw:
+    def apply_raw(self, x: Fraction) -> Fraction:
         k = self.kind
         if isinstance(k, Affine):
             return k.slope.value * x + k.offset.value
         return (k.p.value * x + k.q.value) / (k.r.value * x + k.s.value)
 
-    def invert_raw(self, y: Raw) -> Raw:
+    def invert_raw(self, y: Fraction) -> Fraction:
         k = self.kind
         if isinstance(k, Affine):
             return (y - k.offset.value) / k.slope.value
         # inverse of (px+q)/(rx+s) is (sy-q)/(-ry+p)
         return (k.s.value * y - k.q.value) / (-k.r.value * y + k.p.value)
 
-    def derivative_raw(self, x: Raw) -> Raw:
+    def derivative_raw(self, x: Fraction) -> Fraction:
         k = self.kind
         if isinstance(k, Affine):
             return k.slope.value
@@ -131,19 +151,13 @@ class Branch:
     # Scalar-level conveniences --------------------------------------------
 
     def apply(self, x: ScalarLike) -> Scalar:
-        x = as_scalar(x)
-        x._require_same_mode(self.domain.lo)
-        return Scalar(self.apply_raw(x.value), x.epsilon)
+        return Scalar(self.apply_raw(_exact(x).value))
 
     def invert(self, y: ScalarLike) -> Scalar:
-        y = as_scalar(y)
-        y._require_same_mode(self.domain.lo)
-        return Scalar(self.invert_raw(y.value), y.epsilon)
+        return Scalar(self.invert_raw(_exact(y).value))
 
     def derivative(self, x: ScalarLike) -> Scalar:
-        x = as_scalar(x)
-        x._require_same_mode(self.domain.lo)
-        return Scalar(self.derivative_raw(x.value), x.epsilon)
+        return Scalar(self.derivative_raw(_exact(x).value))
 
     @property
     def orientation(self) -> int:
@@ -154,7 +168,7 @@ class Branch:
         det = k.p.value * k.s.value - k.q.value * k.r.value
         return 1 if det > 0 else -1
 
-    def image_raw(self) -> tuple[Raw, Raw]:
+    def image_raw(self) -> tuple[Fraction, Fraction]:
         """Image of the domain closure, as a sorted (lo, hi) pair."""
         lo, hi = self.domain.as_raw()
         a, b = self.apply_raw(lo), self.apply_raw(hi)
@@ -172,9 +186,6 @@ class PiecewiseMap:
         if not self.branches:
             raise InvalidParameterError("map needs at least one branch")
         object.__setattr__(self, "branches", tuple(self.branches))
-        mode = self.codomain.lo
-        for b in self.branches:
-            mode._require_same_mode(b.domain.lo)
         ilo, ihi = self.codomain.as_raw()
         prev_hi = None
         for b in self.branches:
@@ -189,15 +200,7 @@ class PiecewiseMap:
                 raise InvalidParameterError(
                     f"branch image ({w1}, {w2}) escapes the codomain closure")
 
-    @property
-    def is_exact(self) -> bool:
-        return self.codomain.lo.is_exact
-
-    @property
-    def epsilon(self) -> float:
-        return 0.0 if self.is_exact else self.codomain.lo.epsilon
-
-    def branch_domains_raw(self) -> list[tuple[Raw, Raw]]:
+    def branch_domains_raw(self) -> list[tuple[Fraction, Fraction]]:
         return [b.domain.as_raw() for b in self.branches]
 
 
@@ -208,78 +211,45 @@ class Hole:
     pieces [a, a] are allowed and carry zero measure.
     """
 
-    __slots__ = ("pieces", "epsilon")
+    __slots__ = ("pieces",)
 
-    def __init__(self, pieces: Iterable[tuple[ScalarLike, ScalarLike]],
-                 epsilon: float | None = None):
-        norm: list[tuple[Raw, Raw]] = []
-        mode_exact = None
-        for piece in pieces:
-            lo, hi = piece
-            lo, hi = as_scalar(lo, epsilon), as_scalar(hi, epsilon)
-            lo._require_same_mode(hi)
-            if mode_exact is None:
-                mode_exact = lo.is_exact
-                eps = lo.epsilon
-            else:
-                if lo.is_exact != mode_exact:
-                    raise ModeMismatchError("hole pieces mix exact and float scalars")
-                eps = lo.epsilon
-            if lo.value > hi.value:
-                raise InvalidParameterError(f"hole piece has lo > hi: {lo.value}, {hi.value}")
-            norm.append((lo.value, hi.value))
-        if mode_exact is None:
-            mode_exact, eps = True, None
-        tol = 0 if mode_exact else eps
+    def __init__(self, pieces: Iterable[tuple[ScalarLike, ScalarLike]]):
+        norm: list[tuple[Fraction, Fraction]] = []
+        for lo, hi in pieces:
+            lo, hi = _exact(lo).value, _exact(hi).value
+            if lo > hi:
+                raise InvalidParameterError(f"hole piece has lo > hi: {lo}, {hi}")
+            norm.append((lo, hi))
         norm.sort()
-        merged: list[list[Raw]] = []
+        merged: list[list[Fraction]] = []
         for lo, hi in norm:
-            if merged and lo <= merged[-1][1] + tol:
+            if merged and lo <= merged[-1][1]:
                 merged[-1][1] = max(merged[-1][1], hi)
             else:
                 merged.append([lo, hi])
-        self.pieces: tuple[tuple[Raw, Raw], ...] = tuple((lo, hi) for lo, hi in merged)
-        self.epsilon = None if mode_exact else eps
+        self.pieces: tuple[tuple[Fraction, Fraction], ...] = tuple(
+            (lo, hi) for lo, hi in merged)
 
     @staticmethod
     def empty() -> "Hole":
         return Hole(())
 
     @property
-    def is_exact(self) -> bool:
-        return self.epsilon is None
-
-    @property
     def is_empty(self) -> bool:
         return not self.pieces
 
-    def measure(self) -> Raw:
-        total = Fraction(0) if self.is_exact else 0.0
-        for lo, hi in self.pieces:
-            total += hi - lo
-        return total
+    def measure(self) -> Fraction:
+        return sum((hi - lo for lo, hi in self.pieces), Fraction(0))
 
     def __eq__(self, other):
-        return isinstance(other, Hole) and self.pieces == other.pieces \
-            and self.epsilon == other.epsilon
+        return isinstance(other, Hole) and self.pieces == other.pieces
 
     def __hash__(self):
-        return hash((self.pieces, self.epsilon))
+        return hash(self.pieces)
 
     def __repr__(self):
         inner = ", ".join(f"[{lo}, {hi}]" for lo, hi in self.pieces)
         return f"Hole({inner})"
-
-
-def _mode_witness(kind: BranchKind) -> Scalar:
-    return kind.slope if isinstance(kind, Affine) else kind.p
-
-
-def _require_same_mode(pmap: PiecewiseMap, hole: Hole):
-    if hole.is_empty:
-        return
-    if pmap.is_exact != hole.is_exact:
-        raise ModeMismatchError("map and hole are in different scalar modes")
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +286,10 @@ def build_doubling() -> PiecewiseMap:
 
 def build_scaled_farey(a: ScalarLike) -> PiecewiseMap:
     """Two Moebius branches: a*x/(1-x) on (0,1/2) and a*(1-x)/x on (1/2,1)."""
-    a = as_scalar(a)
+    a = _exact(a)
     if not (a.value > 0 and a.value <= 1):
         raise InvalidParameterError(f"scaled Farey parameter must lie in (0, 1], got {a.value}")
-    eps = a.epsilon
-
-    def sc(v):
-        return Scalar.exact(v) if a.is_exact else Scalar.approx(float(v), eps)
-
+    sc = Scalar.exact
     I = IntervalOpen(sc(0), sc(1))
     half = sc(Fraction(1, 2))
     left = Branch(IntervalOpen(sc(0), half), Moebius(a, sc(0), sc(-1), sc(1)))
@@ -344,28 +310,19 @@ def hole_dist(h1: Hole, h2: Hole) -> Scalar:
     A pseudometric: symmetric, triangle inequality, zero on equal holes, but
     it can vanish on distinct holes (degenerate pieces are invisible).
     """
-    if not h1.is_empty and not h2.is_empty and h1.is_exact != h2.is_exact:
-        raise ModeMismatchError("holes are in different scalar modes")
-    exact = h1.is_exact and h2.is_exact
-    inter = Fraction(0) if exact else 0.0
+    inter = Fraction(0)
     for lo1, hi1 in h1.pieces:
         for lo2, hi2 in h2.pieces:
             lo, hi = max(lo1, lo2), min(hi1, hi2)
             if hi > lo:
                 inter += hi - lo
-    total = h1.measure() + h2.measure() - 2 * inter
-    if exact:
-        return Scalar.exact(total)
-    eps = h1.epsilon if h1.epsilon is not None else h2.epsilon
-    return Scalar.approx(float(total), eps if eps is not None else DEFAULT_EPSILON)
+    return Scalar.exact(h1.measure() + h2.measure() - 2 * inter)
 
 
-def subtract_pieces(lo: Raw, hi: Raw, pieces: Sequence[tuple[Raw, Raw]],
-                    tol) -> list[tuple[Raw, Raw]]:
-    """Open components of (lo, hi) minus closed pieces, keeping positive length.
-
-    ``tol`` is 0 for exact values; components of length <= tol are dropped.
-    """
+def subtract_pieces(lo: Fraction, hi: Fraction,
+                    pieces: Sequence[tuple[Fraction, Fraction]]
+                    ) -> list[tuple[Fraction, Fraction]]:
+    """Open components of (lo, hi) minus closed pieces, keeping positive length."""
     out = []
     cur = lo
     for plo, phi in pieces:
@@ -373,27 +330,24 @@ def subtract_pieces(lo: Raw, hi: Raw, pieces: Sequence[tuple[Raw, Raw]],
             continue
         if plo >= hi:
             break
-        if plo > cur + tol:
+        if plo > cur:
             out.append((cur, min(plo, hi)))
         cur = max(cur, phi)
         if cur >= hi:
             break
-    if cur + tol < hi:
+    if cur < hi:
         out.append((cur, hi))
-    return [(a, b) for a, b in out if b - a > tol]
+    return [(a, b) for a, b in out if b > a]
 
 
 def restrict_partition(pmap: PiecewiseMap, hole: Hole) -> list[IntervalOpen]:
     """Level-1 survivor pieces: branch domains minus the hole, open components
     of positive length, listed left to right."""
-    _require_same_mode(pmap, hole)
-    tol = 0 if pmap.is_exact else pmap.epsilon
-    eps = None if pmap.is_exact else pmap.epsilon
     out = []
     for b in pmap.branches:
         lo, hi = b.domain.as_raw()
-        for a, c in subtract_pieces(lo, hi, hole.pieces, tol):
-            out.append(IntervalOpen(Scalar(a, eps), Scalar(c, eps)))
+        for a, c in subtract_pieces(lo, hi, hole.pieces):
+            out.append(IntervalOpen(Scalar(a), Scalar(c)))
     return out
 
 
@@ -401,33 +355,28 @@ def restrict_partition(pmap: PiecewiseMap, hole: Hole) -> list[IntervalOpen]:
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-def _value_to_json(v: Raw):
-    if isinstance(v, Fraction):
-        return rational_str(v)
-    return float(v)
-
-
-def _value_from_json(v, float_mode: bool, eps: float):
-    if isinstance(v, str):
-        x = parse_rational(v)
-        return Scalar.approx(float(x), eps) if float_mode else Scalar.exact(x)
+def _value_from_json(v) -> Scalar:
+    """A config number: a string parses exactly, and so does a JSON number,
+    as the decimal it spells (0.5 is 1/2); NaN and infinity are refused."""
     if isinstance(v, bool):
         raise InvalidParameterError("boolean in numeric position")
-    if isinstance(v, int):
-        return Scalar.approx(float(v), eps) if float_mode else Scalar.exact(v)
+    if isinstance(v, str):
+        return Scalar.exact(parse_rational(v))
     if isinstance(v, float):
-        return Scalar.approx(v, eps)
+        return Scalar.exact(parse_rational(repr(v)))
+    if isinstance(v, int):
+        return Scalar.exact(v)
     raise InvalidParameterError(f"cannot parse scalar from {v!r}")
 
 
 def map_to_config(pmap: PiecewiseMap, hole: Hole | None = None) -> dict:
     """Serializable description of a map (and optional hole).
 
-    Exact values render as rational strings, so a round trip through JSON
+    Values render as rational strings, so a round trip through JSON
     reproduces the map field by field.
     """
     cfg = {
-        "codomain": [_value_to_json(v) for v in pmap.codomain.as_raw()],
+        "codomain": [rational_str(v) for v in pmap.codomain.as_raw()],
         "branches": [],
     }
     for b in pmap.branches:
@@ -437,42 +386,30 @@ def map_to_config(pmap: PiecewiseMap, hole: Hole | None = None) -> dict:
         else:
             kind, coeffs = "moebius", [k.p.value, k.q.value, k.r.value, k.s.value]
         cfg["branches"].append({
-            "domain": [_value_to_json(v) for v in b.domain.as_raw()],
+            "domain": [rational_str(v) for v in b.domain.as_raw()],
             "kind": kind,
-            "coeffs": [_value_to_json(c) for c in coeffs],
+            "coeffs": [rational_str(c) for c in coeffs],
         })
     if hole is not None:
-        cfg["hole"] = [[_value_to_json(lo), _value_to_json(hi)] for lo, hi in hole.pieces]
-    if not pmap.is_exact:
-        cfg["epsilon"] = pmap.epsilon
+        cfg["hole"] = [[rational_str(lo), rational_str(hi)] for lo, hi in hole.pieces]
     return cfg
 
 
 def map_from_config(cfg: dict) -> tuple[PiecewiseMap, Hole | None]:
     """Parse the configuration emitted by :func:`map_to_config`.
 
-    JSON numbers that are not integers force float mode for the whole
-    configuration; strings (including decimal strings) parse exactly.
-    Overlapping branch domains are rejected.
+    Every value is exact: strings parse as rationals (decimal strings too)
+    and JSON numbers as the decimal they spell.  An ``"epsilon"`` key, which
+    used to switch the config to float mode, is refused.  Overlapping branch
+    domains are rejected.
     """
     if "codomain" not in cfg or "branches" not in cfg:
         raise InvalidParameterError("config needs 'codomain' and 'branches'")
-    eps = float(cfg.get("epsilon", DEFAULT_EPSILON))
-
-    def _floats_present(obj):
-        if isinstance(obj, float):
-            return True
-        if isinstance(obj, list):
-            return any(_floats_present(x) for x in obj)
-        if isinstance(obj, dict):
-            return any(_floats_present(x) for x in obj.values())
-        return False
-
-    float_mode = "epsilon" in cfg or _floats_present(
-        [cfg["codomain"], cfg["branches"], cfg.get("hole", [])])
-
-    def val(v):
-        return _value_from_json(v, float_mode, eps)
+    if "epsilon" in cfg:
+        raise InvalidParameterError(
+            "config key 'epsilon' is not supported: every value is exact, "
+            "so give num/den or decimal values and drop the key")
+    val = _value_from_json
 
     lo, hi = cfg["codomain"]
     codomain = IntervalOpen(val(lo), val(hi))
@@ -495,8 +432,7 @@ def map_from_config(cfg: dict) -> tuple[PiecewiseMap, Hole | None]:
     pmap = PiecewiseMap(codomain, tuple(branches))
     hole = None
     if "hole" in cfg:
-        hole = Hole([(val(lo), val(hi)) for lo, hi in cfg["hole"]],
-                    epsilon=eps if float_mode else None)
+        hole = Hole([(val(lo), val(hi)) for lo, hi in cfg["hole"]])
         ilo, ihi = pmap.codomain.as_raw()
         for plo, phi in hole.pieces:
             if plo < ilo or phi > ihi:

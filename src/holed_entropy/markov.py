@@ -71,10 +71,6 @@ def refine_markov(pmap: PiecewiseMap, hole: Hole,
     any order.  Raises :class:`NotFinitelyMarkovError` as soon as the set
     grows past ``orbit_cap`` points.
     """
-    if not pmap.is_exact or not (hole.is_exact or hole.is_empty):
-        raise NotFinitelyMarkovError(
-            "the Markov engine needs exact-mode inputs; "
-            "irrational data cannot close a finite refinement")
     ilo, ihi = pmap.codomain.as_raw()
     for lo, hi in hole.pieces:
         if lo < ilo or hi > ihi:

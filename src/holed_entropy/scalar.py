@@ -1,10 +1,14 @@
 """Scalars with an explicit arithmetic mode.
 
-Every numeric parameter that enters the engines (interval endpoints, branch
-coefficients, hole boundaries) is a :class:`Scalar`: either an exact rational
-of arbitrary precision, or a binary float carrying the classification
-tolerance used for boundary comparisons.  The two modes never mix silently;
-combining them raises :class:`~holed_entropy.errors.ModeMismatchError`.
+Every numeric parameter that enters the engines is a :class:`Scalar`: an
+exact rational of arbitrary precision, or a binary float carrying a
+tolerance epsilon.  Maps, holes, map parameters and weights take exact
+values only; a decimal given for them is the rational it spells
+(:func:`parse_rational`).  Float mode is left only where the result is
+certified anyway: the tower engine's left-hole parameter ``a``, where a
+float with tolerance eps stands for the ball [a - eps, a + eps], whose
+entropy is enclosed between two exact parameters.  The two modes never mix silently; combining
+them raises :class:`~holed_entropy.errors.ModeMismatchError`.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ class Scalar:
     """A rational or floating value tagged with its mode.
 
     ``epsilon is None`` marks exact mode; otherwise the value is a float and
-    ``epsilon`` is the tolerance for boundary classification.
+    ``epsilon``, positive and finite, is the radius of the ball it stands for.
     """
 
     value: Raw
@@ -39,8 +43,9 @@ class Scalar:
             if self.epsilon is None:
                 raise InvalidParameterError(
                     "float scalar requires an epsilon; use Scalar.approx()")
-            if not (self.epsilon > 0):
-                raise InvalidParameterError("epsilon must be positive")
+            if not (0 < self.epsilon < math.inf):
+                raise InvalidParameterError(
+                    f"epsilon must be positive and finite, got {self.epsilon}")
             if not math.isfinite(self.value):
                 raise InvalidParameterError(f"scalar value {self.value} is not finite")
         elif isinstance(self.value, (int, Fraction)):
@@ -163,16 +168,16 @@ def rational_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def as_scalar(value, epsilon: float | None = None) -> Scalar:
+def as_scalar(value) -> Scalar:
     """Coerce a number into a Scalar.
 
     ints/Fractions/rational strings become exact; floats become float-mode
-    with the given epsilon (default ``DEFAULT_EPSILON``).
+    with ``DEFAULT_EPSILON``.
     """
     if isinstance(value, Scalar):
         return value
     if isinstance(value, float):
-        return Scalar.approx(value, DEFAULT_EPSILON if epsilon is None else epsilon)
+        return Scalar.approx(value)
     return Scalar.exact(value)
 
 

@@ -90,6 +90,50 @@ def test_oracle_farey_counts(capsys):
         assert f"count {2 ** n}," in line
 
 
+def test_oracle_json_report(capsys, tmp_path):
+    path = tmp_path / "o.json"
+    code, out, _ = run(capsys, "oracle", "--map", "doubling", "--hole", "3/4,1",
+                       "--depth", "3", "--json", str(path))
+    assert code == 0
+    levels = json.loads(path.read_text())["levels"]
+    assert [(lv["level"], lv["count"]) for lv in levels] == [(1, 2), (2, 3), (3, 5)]
+    for lv, line in zip(levels, out.splitlines()):
+        assert line == (f"level {lv['level']}: count {lv['count']}, "
+                        f"entropy {lv['entropy']:.15g}")
+
+
+def test_entropy_oracle_json_report(capsys, tmp_path):
+    path = tmp_path / "e.json"
+    code, out, _ = run(capsys, "entropy", "--engine", "oracle", "--map", "doubling",
+                       "--hole", "3/4,1", "--depth", "6", "--json", str(path))
+    assert code == 0
+    data = json.loads(path.read_text())
+    assert (data["level"], data["count"]) == (6, 21)
+    assert out.startswith(f"entropy = {data['entropy']:.15g}  (engine=oracle, "
+                          f"level=6, count=21)")
+
+
+@pytest.mark.parametrize("decimal,exact", [
+    (("oracle", "--map", "doubling", "--hole", "0.3,0.35", "--depth", "12"),
+     ("oracle", "--map", "doubling", "--hole", "3/10,7/20", "--depth", "12")),
+    (("oracle", "--map", "farey", "--param", "0.8", "--hole", "0.75,1", "--depth", "10"),
+     ("oracle", "--map", "farey", "--param", "4/5", "--hole", "3/4,1", "--depth", "10")),
+    (("spectrum", "--map", "doubling", "--hole", "0.75,0.8"),
+     ("spectrum", "--map", "doubling", "--hole", "3/4,4/5")),
+])
+def test_decimals_are_the_rationals_they_spell(capsys, decimal, exact):
+    code, out, err = run(capsys, *decimal)
+    assert code == 0, err
+    assert err == ""
+    assert (code, out, err) == run(capsys, *exact)
+
+
+def test_epsilon_is_a_tower_flag_only(capsys):
+    code, _, err = run(capsys, "oracle", "--map", "doubling", "--hole", "3/4,1",
+                       "--epsilon", "1e-9")
+    assert code == 2 and "--epsilon" in err
+
+
 def test_tower_json(capsys):
     code, out, _ = run(capsys, "tower", "--a", "2/3")
     assert code == 0
@@ -268,12 +312,15 @@ def test_exit_code_3_when_an_uncertified_min_poly_needs_missing_sympy(tmp_path):
 
 def test_exit_code_2_on_non_finite_input(capsys):
     for argv in (("tower", "--a", "2/3", "--tol", "nan"),
+                 ("tower", "--a", "0.7", "--epsilon", "inf"),
                  ("spectrum", "--map", "doubling", "--hole", "3/4,5/6", "--tol", "nan"),
                  ("oracle", "--map", "farey", "--param", "0.8", "--hole", "nan,0.9",
                   "--depth", "2")):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == "" and err.splitlines()[-1].startswith("error: "), argv
+        if "--epsilon" in argv:
+            assert "epsilon must be positive and finite" in err
 
 
 def test_exit_code_2_on_unknown_flag(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holed_entropy import (Hole, InvalidParameterError, ModeMismatchError,
+from holed_entropy import (Hole, InvalidParameterError, LocallyConstantWeight,
                            Scalar, build_d_adic, build_scaled_farey, hole_dist,
                            map_from_config, map_to_config, restrict_partition)
 from holed_entropy import mapmodel
@@ -201,12 +201,6 @@ def test_hole_dist_pseudometric_properties():
         assert d12 <= hole_dist(h1, h3).value + hole_dist(h3, h2).value
 
 
-def test_hole_dist_mode_mismatch():
-    with pytest.raises(ModeMismatchError):
-        hole_dist(H((Fraction(0), Fraction(1, 2))),
-                  Hole([(Scalar.approx(0.0), Scalar.approx(0.5))]))
-
-
 # -- restrict_partition -------------------------------------------------------
 
 def test_restrict_partition_right_hole():
@@ -296,7 +290,6 @@ def test_config_decimal_strings_parse_exactly():
         "hole": [["0.75", "1"]],
     }
     m, h = map_from_config(cfg)
-    assert m.is_exact
     assert h.pieces == ((Fraction(3, 4), Fraction(1)),)
 
 
@@ -324,5 +317,39 @@ def test_config_float_numbers_force_float_mode():
         "branches": [{"domain": [0, 0.5], "kind": "affine", "coeffs": [2, 0]},
                      {"domain": [0.5, 1], "kind": "affine", "coeffs": [2, -1]}],
     }
+    # named for the float mode these numbers used to force; they are exact now
     m, _ = map_from_config(cfg)
-    assert not m.is_exact
+    assert m.branch_domains_raw() == [(Fraction(0), Fraction(1, 2)),
+                                      (Fraction(1, 2), Fraction(1))]
+    assert map_from_config(map_to_config(m))[0] == m
+
+
+def test_config_json_numbers_are_the_decimals_they_spell():
+    cfg = json.loads('{"codomain": [0, 1], "branches": ['
+                     '{"domain": [0, 0.5], "kind": "affine", "coeffs": [2, 0]},'
+                     '{"domain": [0.5, 1], "kind": "affine", "coeffs": [2, -1]}],'
+                     '"hole": [[0.1, 0.3]]}')
+    m, h = map_from_config(cfg)
+    assert m.branches[0].domain.hi.value == Fraction(1, 2)
+    # 1/10, not the binary float nearest to it
+    assert h.pieces == ((Fraction(1, 10), Fraction(3, 10)),)
+
+
+def test_config_rejects_the_epsilon_key():
+    cfg = map_to_config(build_d_adic(2))
+    cfg["epsilon"] = 1e-12
+    with pytest.raises(InvalidParameterError, match="'epsilon'"):
+        map_from_config(cfg)
+
+
+@pytest.mark.parametrize("value", (0.5, Scalar.approx(0.5)))
+def test_float_inputs_are_refused(value):
+    one = ex(1)
+    for build in (lambda: IntervalOpen(ex(0), value),
+                  lambda: Affine(value, one),
+                  lambda: Moebius(one, value, ex(0), one),
+                  lambda: Hole([(value, one)]),
+                  lambda: LocallyConstantWeight((value, one)),
+                  lambda: build_scaled_farey(value)):
+        with pytest.raises(InvalidParameterError, match="float 0.5 .*num/den"):
+            build()

@@ -49,13 +49,6 @@ def test_refinement_right_hole():
     assert ref.states == ((F(0), F(1, 2)), (F(1, 2), F(3, 4)))
 
 
-def test_refinement_rejects_float_mode():
-    m = build_d_adic(2)
-    hole = Hole([(Scalar.approx(1 / math.pi), Scalar.approx(1.0))])
-    with pytest.raises(NotFinitelyMarkovError):
-        refine_markov(m, hole)
-
-
 def test_refinement_orbit_cap():
     # denominator with full 2-orbit: 1/641 has multiplicative order 640 mod 641
     with pytest.raises(NotFinitelyMarkovError):

@@ -157,20 +157,21 @@ def test_sweep_engine_cross_agreement():
 
 
 def test_sweep_flagged_rows_continue():
-    # a custom family whose middle point is inadmissible for the markov engine
+    # a custom family whose first point does not close within the orbit cap
     m = build_d_adic(2)
 
     def mk_hole(s):
         if s == F(1, 2):
-            # irrational-looking float hole: markov refuses float mode
-            return Hole([(Scalar.approx(0.5), Scalar.approx(0.9))])
+            # 2 has order 640 modulo 641
+            return Hole([(Scalar.exact(F(1, 641)), Scalar.exact(F(2, 641)))])
         return Hole([(Scalar.exact(s), Scalar.exact(1))])
 
     fam = CustomFamily(m, mk_hole, name="mixed")
-    spec = SweepSpec(fam, F(1, 2), F(3, 4), 3, engine="markov")
+    spec = SweepSpec(fam, F(1, 2), F(3, 4), 3, engine="markov",
+                     engine_params={"orbit_cap": 40})
     res = run_sweep(spec)
     statuses = [r.status for r in res.rows]
-    assert statuses[0].startswith("error:")
+    assert statuses[0] == "error:NotFinitelyMarkovError"
     assert statuses[1] == "ok" and statuses[2] == "ok"
 
 
@@ -303,9 +304,10 @@ def test_emit_csv(tmp_path):
 
 def test_emit_csv_flagged_rows(tmp_path):
     m = build_d_adic(2)
-    fam = CustomFamily(
-        m, lambda s: Hole([(Scalar.approx(float(s)), Scalar.approx(1.0))]))
-    res = run_sweep(SweepSpec(fam, F(5, 8), F(3, 4), 2, engine="markov"))
+    # holes [s/641, (s + 1)/641]: orbits of period 640 pass the cap of 40
+    fam = CustomFamily(m, lambda s: Hole([(s / 641, (s + 1) / 641)]))
+    res = run_sweep(SweepSpec(fam, F(5, 8), F(3, 4), 2, engine="markov",
+                              engine_params={"orbit_cap": 40}))
     path = tmp_path / "flagged.csv"
     emit_csv(res, str(path))
     body = path.read_text().strip().splitlines()[1:]

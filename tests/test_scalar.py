@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from holed_entropy import InvalidParameterError, ModeMismatchError, Scalar
-from holed_entropy.scalar import as_scalar, parse_rational, rational_str
+from holed_entropy.scalar import (DEFAULT_EPSILON, as_scalar, parse_rational,
+                                  rational_str)
 
 
 def test_exact_construction_reduces():
@@ -31,6 +32,12 @@ def test_float_requires_epsilon():
 def test_float_must_be_finite(value):
     with pytest.raises(InvalidParameterError):
         Scalar.approx(value)
+
+
+@pytest.mark.parametrize("epsilon", (0.0, -1e-12, math.nan, math.inf))
+def test_epsilon_must_be_positive_and_finite(epsilon):
+    with pytest.raises(InvalidParameterError, match="epsilon must be positive"):
+        Scalar.approx(0.5, epsilon)
 
 
 def test_mode_mixing_is_an_error():
@@ -76,4 +83,4 @@ def test_rational_str_roundtrip():
 def test_as_scalar_dispatch():
     assert as_scalar(Fraction(1, 2)).is_exact
     assert not as_scalar(0.5).is_exact
-    assert as_scalar(0.5, 1e-6).epsilon == 1e-6
+    assert as_scalar(0.5).epsilon == DEFAULT_EPSILON
