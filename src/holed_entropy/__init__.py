@@ -14,8 +14,8 @@ from .cylinders import (Cylinder, EngineComparison, ExpansionDiagnostics,
                         export_level_counts, left_hole_parameter,
                         pressure_estimate, refine)
 from .errors import (EmptyPartitionError, HoledEntropyError,
-                     InvalidParameterError, ModeMismatchError, NoRootError,
-                     NotFinitelyMarkovError, ResourceLimitError)
+                     InvalidParameterError, NoRootError, NotFinitelyMarkovError,
+                     ResourceLimitError)
 from .kneading import (DeterminantSeries, LeftHoleEntropy, RootResult,
                        Termination, TowerOrbit, build_orbit, determinant,
                        entropy_left_hole, leading_root)

@@ -21,8 +21,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .cylinders import (compare_engines, entropy_estimate, expansion_diagnostics,
-                        export_level_counts, refine)
+from . import kneading, markov
+from .cylinders import (DEFAULT_COMPONENT_CAP, compare_engines, entropy_estimate,
+                        expansion_diagnostics, export_level_counts, refine)
 from .errors import (HoledEntropyError, InvalidParameterError, NoRootError,
                      NotFinitelyMarkovError, ResourceLimitError)
 from .kneading import entropy_left_hole
@@ -107,7 +108,7 @@ def _cmd_entropy(args) -> int:
             raise InvalidParameterError(
                 "the kneading engine needs the doubling map with hole a,1 "
                 "for exact a in (1/2, 1)")
-        res = entropy_left_hole(Scalar.exact(a), tol=args.tol)
+        res = entropy_left_hole(a, tol=args.tol)
         print(f"entropy = {res.entropy:.15g}  (engine=kneading, p={res.p}, "
               f"error_bound={res.root.error_bound:.3g})")
         if args.json:
@@ -286,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["kneading", "markov", "oracle", "compare"])
     p.add_argument("--depth", type=int, default=20, help="oracle/compare level")
     p.add_argument("--tol", type=float, default=1e-13)
-    p.add_argument("--orbit-cap", type=int, default=10_000)
+    p.add_argument("--orbit-cap", type=int, default=markov.DEFAULT_ORBIT_CAP)
     p.set_defaults(fn=_cmd_entropy)
 
     p = sub.add_parser("tower", help="boundary-orbit determinant for hole [a,1]")
@@ -298,20 +299,20 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="radius of the certified ball around a decimal --a, "
                         "the one float input (decimals elsewhere are exact); "
                         "unused for num/den")
-    p.add_argument("--tol", type=float, default=1e-14)
+    p.add_argument("--tol", type=float, default=kneading.DEFAULT_TOL)
     p.set_defaults(fn=_cmd_tower)
 
     p = sub.add_parser("spectrum", help="exact Markov transition spectrum")
     common(p)
-    p.add_argument("--orbit-cap", type=int, default=10_000)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--orbit-cap", type=int, default=markov.DEFAULT_ORBIT_CAP)
+    p.add_argument("--tol", type=float, default=markov.DEFAULT_TOL)
     p.add_argument("--dot", help="write the transition graph in DOT format")
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("oracle", help="per-level survivor counts")
     common(p)
     p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--component-cap", type=int, default=10_000_000)
+    p.add_argument("--component-cap", type=int, default=DEFAULT_COMPONENT_CAP)
     p.add_argument("--csv", help="write level,count,entropy_estimate rows")
     p.set_defaults(fn=_cmd_oracle)
 

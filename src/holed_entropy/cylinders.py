@@ -42,7 +42,6 @@ from .errors import (EmptyPartitionError, InvalidParameterError,
                      ResourceLimitError)
 from .mapmodel import (Affine, Branch, Hole, IntervalOpen, PiecewiseMap, _exact,
                        subtract_pieces)
-from .scalar import Scalar
 
 DEFAULT_COMPONENT_CAP = 10_000_000
 
@@ -175,8 +174,8 @@ class RefinementTree:
         """Components grouped by itinerary, groups ordered by first appearance."""
         groups: dict[tuple, list[IntervalOpen]] = {}
         for (lo, hi), word in zip(self.component_intervals(n), self.itineraries(n)):
-            groups.setdefault(word, []).append(IntervalOpen(Scalar(lo), Scalar(hi)))
-        return [Cylinder(w, tuple(sorted(cs, key=lambda c: c.lo.value)))
+            groups.setdefault(word, []).append(IntervalOpen(lo, hi))
+        return [Cylinder(w, tuple(sorted(cs, key=lambda c: c.lo)))
                 for w, cs in groups.items()]
 
 
@@ -206,7 +205,7 @@ class _UniformAffine:
         for b in pmap.branches:
             if not isinstance(b.kind, Affine):
                 raise ValueError
-            s = b.kind.slope.value
+            s = b.kind.slope
             if s.denominator != 1 or abs(s) < 2:
                 raise ValueError
             sigs.append(int(s))
@@ -214,8 +213,8 @@ class _UniformAffine:
         if len(mags) != 1:
             raise ValueError
         self.d = mags.pop()
-        ends = [pmap.codomain.lo.value, pmap.codomain.hi.value]
-        offsets = [b.kind.offset.value for b in pmap.branches]
+        ends = list(pmap.codomain.as_raw())
+        offsets = [b.kind.offset for b in pmap.branches]
         images = [b.image_raw() for b in pmap.branches]
         for lo, hi in [*pmap.branch_domains_raw(), *images, *hole.pieces]:
             ends += [lo, hi]
@@ -277,9 +276,9 @@ def _inverse_matrix(branch: Branch) -> tuple[int, int, int, int]:
     """
     k = branch.kind
     if isinstance(k, Affine):
-        m = (1, -k.offset.value, 0, k.slope.value)
+        m = (1, -k.offset, 0, k.slope)
     else:
-        m = (k.s.value, -k.q.value, -k.r.value, k.p.value)
+        m = (k.s, -k.q, -k.r, k.p)
     scale = math.lcm(*(x.denominator for x in m))
     A, B, C, D = (int(x * scale) for x in m)
     if C * branch.image_raw()[0] + D < 0:
@@ -493,12 +492,12 @@ class LocallyConstantWeight:
     """One nonnegative exact weight per branch; products accumulate along
     itineraries."""
 
-    values: tuple[Scalar, ...]
+    values: tuple[Fraction, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(_exact(v) for v in self.values))
         for v in self.values:
-            if v.value < 0:
+            if v < 0:
                 raise InvalidParameterError("weights must be nonnegative")
 
     @staticmethod
@@ -508,9 +507,6 @@ class LocallyConstantWeight:
     @staticmethod
     def ones(nbranches: int) -> "LocallyConstantWeight":
         return LocallyConstantWeight.constant(1, nbranches)
-
-    def raw_values(self) -> list:
-        return [v.value for v in self.values]
 
 
 def pressure_estimate(pmap: PiecewiseMap, weight: LocallyConstantWeight,
@@ -525,7 +521,7 @@ def pressure_estimate(pmap: PiecewiseMap, weight: LocallyConstantWeight,
         raise InvalidParameterError("level must be >= 1")
     if len(weight.values) != len(pmap.branches):
         raise InvalidParameterError("weight needs one value per branch")
-    vals = weight.raw_values()
+    vals = weight.values
     tree = refine(pmap, hole, n, component_cap)
     if tree.count(n) == 0:
         return float("-inf")
@@ -584,7 +580,7 @@ def _is_standard_d_adic(pmap: PiecewiseMap) -> Optional[int]:
     for k, b in enumerate(pmap.branches):
         if not isinstance(b.kind, Affine):
             return None
-        if b.kind.slope.value != d or b.kind.offset.value != -k:
+        if b.kind.slope != d or b.kind.offset != -k:
             return None
         if b.domain.as_raw() != (Fraction(k, d), Fraction(k + 1, d)):
             return None
@@ -648,13 +644,13 @@ def expansion_diagnostics(pmap: PiecewiseMap, n: int, hole: Hole | None = None,
         weight = LocallyConstantWeight.ones(len(pmap.branches))
     if len(weight.values) != len(pmap.branches):
         raise InvalidParameterError("weight needs one value per branch")
-    wvals = weight.raw_values()
+    wvals = weight.values
     ilo, ihi = pmap.codomain.as_raw()
     m_I = ihi - ilo
 
     fast = _is_full_branch_affine(pmap)
     if fast:
-        slopes = [abs(b.kind.slope.value) for b in pmap.branches]
+        slopes = [abs(b.kind.slope) for b in pmap.branches]
         lambda_n = _log_ratio(max(slopes))
         xi_n = lambda_n - _log_ratio(m_I) / n
         if hole.is_empty:
@@ -742,7 +738,7 @@ def compare_engines(pmap: PiecewiseMap, hole: Hole, n: int,
     a = left_hole_parameter(pmap, hole)
     if a is not None:
         from .kneading import entropy_left_hole
-        kn = entropy_left_hole(Scalar.exact(a)).root.entropy
+        kn = entropy_left_hole(a).root.entropy
     from .errors import NotFinitelyMarkovError
     from .markov import entropy_markov
     try:

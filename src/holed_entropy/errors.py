@@ -9,10 +9,6 @@ class InvalidParameterError(HoledEntropyError):
     """A parameter is outside its admissible range or malformed."""
 
 
-class ModeMismatchError(HoledEntropyError):
-    """Exact and floating values were mixed in one computation."""
-
-
 class EmptyPartitionError(HoledEntropyError):
     """An operation required a nonempty cylinder collection."""
 

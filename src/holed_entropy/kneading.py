@@ -57,7 +57,7 @@ from typing import Optional
 
 from .errors import InvalidParameterError, NoRootError, ResourceLimitError
 from .polyexact import poly_trim, sign_at_dyadic
-from .scalar import Scalar, as_scalar
+from .scalar import as_scalar
 
 DEFAULT_TRUNCATION = 4096
 DEFAULT_TOL = 1e-14
@@ -114,7 +114,7 @@ class TowerOrbit:
     a_k >= a, when one exists.
     """
 
-    a: Scalar
+    a: Fraction
     nums: tuple
     q: int
     termination: Termination
@@ -124,7 +124,7 @@ class TowerOrbit:
     @cached_property
     def points(self) -> tuple:
         q = self.q
-        return (self.a.value,) + tuple(Fraction(x, q) for x in self.nums[1:])
+        return (self.a,) + tuple(Fraction(x, q) for x in self.nums[1:])
 
 
 def _t_left_exact(x: Fraction) -> Fraction:
@@ -168,7 +168,7 @@ def build_orbit(a) -> TowerOrbit:
             if escape_index is None and x >= p:
                 escape_index = n
         A = tuple(k for k, x in enumerate(nums) if q <= 2 * x < 2 * q)
-        return TowerOrbit(a, tuple(nums), q, termination, A, escape_index)
+        return TowerOrbit(av, tuple(nums), q, termination, A, escape_index)
     raise InvalidParameterError(
         "the tower orbit needs an exact parameter; "
         "entropy_left_hole encloses a float one")
@@ -439,12 +439,13 @@ def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootRes
 class LeftHoleEntropy:
     """Composed result: orbit, determinant, root, and pole order.
 
+    ``a`` is the exact parameter, or the float centre of an enclosed ball.
     An enclosure has no orbit or determinant of its own: ``ends`` holds the
     exact results at its dyadic ends a- < a+, and ``root`` is composed from
     theirs.
     """
 
-    a: Scalar
+    a: Fraction | float
     orbit: Optional[TowerOrbit]
     series: Optional[DeterminantSeries]
     root: RootResult
@@ -466,7 +467,7 @@ class LeftHoleEntropy:
 
     def to_json(self) -> dict:
         out = {
-            "a": str(self.a.value) if self.a.is_exact else float(self.a.value),
+            "a": str(self.a) if isinstance(self.a, Fraction) else self.a,
             "entropy": self.root.entropy,
             "r": self.root.r,
             "p": self.p,
@@ -518,11 +519,11 @@ def entropy_left_hole(a, tol: float = DEFAULT_TOL) -> LeftHoleEntropy:
         if _HALF < ends[0] and ends[1] < 1:
             break
         s += 1
-    lower, upper = (_solve(build_orbit(Scalar(x)), tol) for x in ends)
+    lower, upper = (_solve(build_orbit(x), tol) for x in ends)
     lo_r = min(lower.root.bracket[0], upper.root.bracket[0])
     hi_r = max(lower.root.bracket[1], upper.root.bracket[1])
     r = 0.5 * (lo_r + hi_r)
     root = RootResult(r, max(lower.root.residual, upper.root.residual),
                       -math.log(r), hi_r - lo_r, (lo_r, hi_r),
                       lower.root.certified and upper.root.certified)
-    return LeftHoleEntropy(a, None, None, root, ends=(lower, upper))
+    return LeftHoleEntropy(a.value, None, None, root, ends=(lower, upper))

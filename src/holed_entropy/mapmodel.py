@@ -6,10 +6,12 @@ normalized finite union of closed intervals; orbits entering a hole stop
 evolving.  Everything here is immutable after construction and safe to share
 across threads.
 
-Every value is an exact rational: ints, Fractions, exact Scalars and
-strings ("num/den", integers, decimals such as "0.3" = 3/10) are accepted,
-and a float (a Python float or a float-mode Scalar) is refused with
-:class:`InvalidParameterError`, since an exact count needs exact ends.
+Every endpoint, coefficient and weight is held as a plain ``Fraction``.
+The constructors convert ints, Fractions, exact Scalars and strings
+("num/den", integers, decimals such as "0.3" = 3/10); a float (a Python
+float or a float Scalar) is refused with :class:`InvalidParameterError`,
+since an exact count needs exact ends.  The engines evaluate branches with
+``apply_raw``, ``invert_raw``, ``derivative_raw`` and ``image_raw``.
 
 Conventions pinned here and relied on by the engines:
 
@@ -29,20 +31,19 @@ from typing import Iterable, Sequence, Union
 from .errors import InvalidParameterError
 from .scalar import Scalar, parse_rational, rational_str
 
-ScalarLike = Union[Scalar, int, Fraction, str]
 
-
-def _exact(value: ScalarLike) -> Scalar:
-    """An exact Scalar; floats are refused, decimal strings parse exactly."""
+def _exact(value) -> Fraction:
+    """An exact rational; an exact Scalar is unwrapped, decimal strings parse
+    exactly, and a float or a float Scalar is refused."""
     if isinstance(value, Scalar):
-        if value.is_exact:
-            return value
         value = value.value
     if isinstance(value, float):
         raise InvalidParameterError(
             f"float {value!r} is not an exact value: pass num/den or a "
             f"decimal string")
-    return Scalar.exact(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    return Fraction(value)
 
 
 def _set_exact(obj, *names: str):
@@ -54,33 +55,29 @@ def _set_exact(obj, *names: str):
 class IntervalOpen:
     """The open interval (lo, hi), lo < hi."""
 
-    lo: Scalar
-    hi: Scalar
+    lo: Fraction
+    hi: Fraction
 
     def __post_init__(self):
         _set_exact(self, "lo", "hi")
-        if not self.lo.value < self.hi.value:
+        if not self.lo < self.hi:
             raise InvalidParameterError(
-                f"open interval needs lo < hi, got ({self.lo.value}, {self.hi.value})")
-
-    @property
-    def length(self) -> Scalar:
-        return self.hi - self.lo
+                f"open interval needs lo < hi, got ({self.lo}, {self.hi})")
 
     def as_raw(self) -> tuple[Fraction, Fraction]:
-        return self.lo.value, self.hi.value
+        return self.lo, self.hi
 
 
 @dataclass(frozen=True)
 class Affine:
     """x -> slope*x + offset, slope != 0."""
 
-    slope: Scalar
-    offset: Scalar
+    slope: Fraction
+    offset: Fraction
 
     def __post_init__(self):
         _set_exact(self, "slope", "offset")
-        if self.slope.value == 0:
+        if self.slope == 0:
             raise InvalidParameterError("affine branch needs nonzero slope")
 
 
@@ -88,14 +85,14 @@ class Affine:
 class Moebius:
     """x -> (p*x + q) / (r*x + s) with p*s - q*r != 0."""
 
-    p: Scalar
-    q: Scalar
-    r: Scalar
-    s: Scalar
+    p: Fraction
+    q: Fraction
+    r: Fraction
+    s: Fraction
 
     def __post_init__(self):
         _set_exact(self, "p", "q", "r", "s")
-        det = self.p.value * self.s.value - self.q.value * self.r.value
+        det = self.p * self.s - self.q * self.r
         if det == 0:
             raise InvalidParameterError("moebius branch is degenerate (ps - qr = 0)")
 
@@ -108,8 +105,9 @@ class Branch:
     """One monotone branch of the map with its domain.
 
     The branch function extends continuously to the closure of the domain;
-    ``apply``/``invert``/``derivative`` use that extension, exactly.  For a
-    Moebius branch the pole must lie outside the domain closure.
+    ``apply_raw``/``invert_raw``/``derivative_raw`` use that extension,
+    exactly.  For a Moebius branch the pole must lie outside the domain
+    closure.
     """
 
     domain: IntervalOpen
@@ -117,7 +115,7 @@ class Branch:
 
     def __post_init__(self):
         if isinstance(self.kind, Moebius):
-            r, s = self.kind.r.value, self.kind.s.value
+            r, s = self.kind.r, self.kind.s
             if r != 0:
                 pole = -s / r
                 lo, hi = self.domain.as_raw()
@@ -125,47 +123,34 @@ class Branch:
                     raise InvalidParameterError(
                         f"moebius pole {pole} lies inside the branch domain closure")
 
-    # raw-value kernels used by the engines --------------------------------
-
     def apply_raw(self, x: Fraction) -> Fraction:
         k = self.kind
         if isinstance(k, Affine):
-            return k.slope.value * x + k.offset.value
-        return (k.p.value * x + k.q.value) / (k.r.value * x + k.s.value)
+            return k.slope * x + k.offset
+        return (k.p * x + k.q) / (k.r * x + k.s)
 
     def invert_raw(self, y: Fraction) -> Fraction:
         k = self.kind
         if isinstance(k, Affine):
-            return (y - k.offset.value) / k.slope.value
+            return (y - k.offset) / k.slope
         # inverse of (px+q)/(rx+s) is (sy-q)/(-ry+p)
-        return (k.s.value * y - k.q.value) / (-k.r.value * y + k.p.value)
+        return (k.s * y - k.q) / (-k.r * y + k.p)
 
     def derivative_raw(self, x: Fraction) -> Fraction:
         k = self.kind
         if isinstance(k, Affine):
-            return k.slope.value
-        det = k.p.value * k.s.value - k.q.value * k.r.value
-        den = k.r.value * x + k.s.value
+            return k.slope
+        det = k.p * k.s - k.q * k.r
+        den = k.r * x + k.s
         return det / (den * den)
-
-    # Scalar-level conveniences --------------------------------------------
-
-    def apply(self, x: ScalarLike) -> Scalar:
-        return Scalar(self.apply_raw(_exact(x).value))
-
-    def invert(self, y: ScalarLike) -> Scalar:
-        return Scalar(self.invert_raw(_exact(y).value))
-
-    def derivative(self, x: ScalarLike) -> Scalar:
-        return Scalar(self.derivative_raw(_exact(x).value))
 
     @property
     def orientation(self) -> int:
         """+1 for increasing, -1 for decreasing."""
         k = self.kind
         if isinstance(k, Affine):
-            return 1 if k.slope.value > 0 else -1
-        det = k.p.value * k.s.value - k.q.value * k.r.value
+            return 1 if k.slope > 0 else -1
+        det = k.p * k.s - k.q * k.r
         return 1 if det > 0 else -1
 
     def image_raw(self) -> tuple[Fraction, Fraction]:
@@ -213,10 +198,10 @@ class Hole:
 
     __slots__ = ("pieces",)
 
-    def __init__(self, pieces: Iterable[tuple[ScalarLike, ScalarLike]]):
+    def __init__(self, pieces: Iterable[tuple]):
         norm: list[tuple[Fraction, Fraction]] = []
         for lo, hi in pieces:
-            lo, hi = _exact(lo).value, _exact(hi).value
+            lo, hi = _exact(lo), _exact(hi)
             if lo > hi:
                 raise InvalidParameterError(f"hole piece has lo > hi: {lo}, {hi}")
             norm.append((lo, hi))
@@ -272,11 +257,11 @@ def build_d_adic(d: int) -> PiecewiseMap:
     if d > D_ADIC_MAX:
         raise InvalidParameterError(
             f"d-adic map needs d <= {D_ADIC_MAX}, got {d}")
-    I = IntervalOpen(Scalar.exact(0), Scalar.exact(1))
+    I = IntervalOpen(0, 1)
     branches = []
     for k in range(d):
-        dom = IntervalOpen(Scalar.exact(Fraction(k, d)), Scalar.exact(Fraction(k + 1, d)))
-        branches.append(Branch(dom, Affine(Scalar.exact(d), Scalar.exact(-k))))
+        dom = IntervalOpen(Fraction(k, d), Fraction(k + 1, d))
+        branches.append(Branch(dom, Affine(d, -k)))
     return PiecewiseMap(I, tuple(branches))
 
 
@@ -284,17 +269,15 @@ def build_doubling() -> PiecewiseMap:
     return build_d_adic(2)
 
 
-def build_scaled_farey(a: ScalarLike) -> PiecewiseMap:
+def build_scaled_farey(a) -> PiecewiseMap:
     """Two Moebius branches: a*x/(1-x) on (0,1/2) and a*(1-x)/x on (1/2,1)."""
     a = _exact(a)
-    if not (a.value > 0 and a.value <= 1):
-        raise InvalidParameterError(f"scaled Farey parameter must lie in (0, 1], got {a.value}")
-    sc = Scalar.exact
-    I = IntervalOpen(sc(0), sc(1))
-    half = sc(Fraction(1, 2))
-    left = Branch(IntervalOpen(sc(0), half), Moebius(a, sc(0), sc(-1), sc(1)))
-    right = Branch(IntervalOpen(half, sc(1)), Moebius(-a, a, sc(1), sc(0)))
-    return PiecewiseMap(I, (left, right))
+    if not 0 < a <= 1:
+        raise InvalidParameterError(f"scaled Farey parameter must lie in (0, 1], got {a}")
+    half = Fraction(1, 2)
+    left = Branch(IntervalOpen(0, half), Moebius(a, 0, -1, 1))
+    right = Branch(IntervalOpen(half, 1), Moebius(-a, a, 1, 0))
+    return PiecewiseMap(IntervalOpen(0, 1), (left, right))
 
 
 _BUILTIN_MAPS = {"doubling": build_doubling, "farey": build_scaled_farey}
@@ -304,7 +287,7 @@ _BUILTIN_MAPS = {"doubling": build_doubling, "farey": build_scaled_farey}
 # hole operations
 # ---------------------------------------------------------------------------
 
-def hole_dist(h1: Hole, h2: Hole) -> Scalar:
+def hole_dist(h1: Hole, h2: Hole) -> Fraction:
     """Lebesgue measure of the symmetric difference of two holes.
 
     A pseudometric: symmetric, triangle inequality, zero on equal holes, but
@@ -316,7 +299,7 @@ def hole_dist(h1: Hole, h2: Hole) -> Scalar:
             lo, hi = max(lo1, lo2), min(hi1, hi2)
             if hi > lo:
                 inter += hi - lo
-    return Scalar.exact(h1.measure() + h2.measure() - 2 * inter)
+    return h1.measure() + h2.measure() - 2 * inter
 
 
 def subtract_pieces(lo: Fraction, hi: Fraction,
@@ -347,7 +330,7 @@ def restrict_partition(pmap: PiecewiseMap, hole: Hole) -> list[IntervalOpen]:
     for b in pmap.branches:
         lo, hi = b.domain.as_raw()
         for a, c in subtract_pieces(lo, hi, hole.pieces):
-            out.append(IntervalOpen(Scalar(a), Scalar(c)))
+            out.append(IntervalOpen(a, c))
     return out
 
 
@@ -355,17 +338,17 @@ def restrict_partition(pmap: PiecewiseMap, hole: Hole) -> list[IntervalOpen]:
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-def _value_from_json(v) -> Scalar:
+def _value_from_json(v) -> Fraction:
     """A config number: a string parses exactly, and so does a JSON number,
     as the decimal it spells (0.5 is 1/2); NaN and infinity are refused."""
     if isinstance(v, bool):
         raise InvalidParameterError("boolean in numeric position")
     if isinstance(v, str):
-        return Scalar.exact(parse_rational(v))
+        return parse_rational(v)
     if isinstance(v, float):
-        return Scalar.exact(parse_rational(repr(v)))
+        return parse_rational(repr(v))
     if isinstance(v, int):
-        return Scalar.exact(v)
+        return Fraction(v)
     raise InvalidParameterError(f"cannot parse scalar from {v!r}")
 
 
@@ -382,9 +365,9 @@ def map_to_config(pmap: PiecewiseMap, hole: Hole | None = None) -> dict:
     for b in pmap.branches:
         k = b.kind
         if isinstance(k, Affine):
-            kind, coeffs = "affine", [k.slope.value, k.offset.value]
+            kind, coeffs = "affine", [k.slope, k.offset]
         else:
-            kind, coeffs = "moebius", [k.p.value, k.q.value, k.r.value, k.s.value]
+            kind, coeffs = "moebius", [k.p, k.q, k.r, k.s]
         cfg["branches"].append({
             "domain": [rational_str(v) for v in b.domain.as_raw()],
             "kind": kind,

@@ -36,6 +36,10 @@ from .polyexact import (CHAR_POLY_SIZE_CAP, berkowitz_char_poly, halve_bracket,
 from .scalar import rational_str
 
 DEFAULT_ORBIT_CAP = 10_000
+DEFAULT_TOL = 1e-12
+# the closure's memory budget: numerator plus denominator bits summed over
+# its points, per point that orbit_cap allows
+_BITS_PER_POINT = 64
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,10 @@ def refine_markov(pmap: PiecewiseMap, hole: Hole,
     owner, whose end images are already queued: only the new point's own
     image is queued.  The queue empties at the least forward-closed set in
     any order.  Raises :class:`NotFinitelyMarkovError` as soon as the set
-    grows past ``orbit_cap`` points.
+    grows past ``orbit_cap`` points, or its points' numerators and
+    denominators pass ``_BITS_PER_POINT * orbit_cap`` bits in all: an orbit
+    whose heights grow at every step (the scaled Farey map with a < 1/2)
+    would otherwise run to the point cap on ever longer Fractions.
     """
     ilo, ihi = pmap.codomain.as_raw()
     for lo, hi in hole.pieces:
@@ -96,6 +103,8 @@ def refine_markov(pmap: PiecewiseMap, hole: Hole,
         return None
 
     cuts = sorted(points)
+    bit_budget = _BITS_PER_POINT * orbit_cap
+    bits = sum(x.numerator.bit_length() + x.denominator.bit_length() for x in cuts)
     owners = [owner(u, v) for u, v in zip(cuts, cuts[1:])]  # of (cuts[i], cuts[i + 1])
     work = []  # images not yet inserted
     for u, v, b in zip(cuts, cuts[1:], owners):
@@ -111,6 +120,11 @@ def refine_markov(pmap: PiecewiseMap, hole: Hole,
             raise NotFinitelyMarkovError(
                 f"boundary orbits did not close within {orbit_cap} points; "
                 "use the cylinder or tower engines")
+        bits += w.numerator.bit_length() + w.denominator.bit_length()
+        if bits > bit_budget:
+            raise NotFinitelyMarkovError(
+                f"boundary orbit points passed {bit_budget} bits after "
+                f"{len(points)} points; use the cylinder or tower engines")
         i = bisect_left(cuts, w)
         b = owners[i - 1]
         cuts.insert(i, w)
@@ -360,7 +374,7 @@ class MarkovEntropy:
 
 def entropy_markov(pmap: PiecewiseMap, hole: Hole,
                    orbit_cap: int = DEFAULT_ORBIT_CAP,
-                   tol: float = 1e-12) -> MarkovEntropy:
+                   tol: float = DEFAULT_TOL) -> MarkovEntropy:
     """max{log rho, 0} over the exact Markov refinement; 0 on total escape."""
     ref = refine_markov(pmap, hole, orbit_cap)
     M = transition_matrix(ref)

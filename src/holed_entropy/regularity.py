@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .cylinders import entropy_estimate, refine
+from . import kneading, markov
+from .cylinders import DEFAULT_COMPONENT_CAP, entropy_estimate, refine
 from .errors import HoledEntropyError, InvalidParameterError
 from .kneading import entropy_left_hole
 from .mapmodel import Hole, PiecewiseMap, build_doubling
 from .markov import entropy_markov
-from .scalar import Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ class LeftHoleFamily:
         return Fraction(1, 2) < s < 1
 
     def hole(self, s: Fraction) -> Hole:
-        return Hole([(Scalar.exact(s), Scalar.exact(1))])
+        return Hole([(s, 1)])
 
     def map(self) -> PiecewiseMap:
         return build_doubling()
@@ -62,7 +62,7 @@ class SlidingHoleFamily:
         return 0 < s and s + self.width < 1
 
     def hole(self, s: Fraction) -> Hole:
-        return Hole([(Scalar.exact(s), Scalar.exact(s + self.width))])
+        return Hole([(s, s + self.width)])
 
     def map(self) -> PiecewiseMap:
         return build_doubling()
@@ -100,17 +100,18 @@ def entropy_at(family, s: Fraction, engine: str, params: dict | None = None
     if engine == "kneading":
         if not isinstance(family, LeftHoleFamily):
             raise InvalidParameterError("the kneading engine only covers left holes")
-        res = entropy_left_hole(Scalar.exact(s), tol=params.get("tol", 1e-14))
+        res = entropy_left_hole(s, tol=params.get("tol", kneading.DEFAULT_TOL))
         return res.entropy, res.p, res.root.error_bound
     if engine == "markov":
-        res = entropy_markov(family.map(), family.hole(s),
-                             orbit_cap=params.get("orbit_cap", 10_000),
-                             tol=params.get("tol", 1e-12))
+        res = entropy_markov(
+            family.map(), family.hole(s),
+            orbit_cap=params.get("orbit_cap", markov.DEFAULT_ORBIT_CAP),
+            tol=params.get("tol", markov.DEFAULT_TOL))
         return res.entropy, res.report.pole_order_p, res.error_bound
     if engine == "oracle":
         n = params.get("n", 20)
         tree = refine(family.map(), family.hole(s), n,
-                      params.get("component_cap", 10_000_000))
+                      params.get("component_cap", DEFAULT_COMPONENT_CAP))
         return entropy_estimate(tree, n), None, None
     raise InvalidParameterError(f"unknown engine {engine!r}")
 

@@ -189,13 +189,13 @@ def test_criterion_9_pseudometric_and_plumbing(tmp_path):
 
     holes = [random_hole() for _ in range(1000)]
     for h in holes:
-        assert hole_dist(h, h).value == 0
+        assert hole_dist(h, h) == 0
     for _ in range(1000):
         h1, h2, h3 = rng.choice(holes), rng.choice(holes), rng.choice(holes)
-        d12 = hole_dist(h1, h2).value
+        d12 = hole_dist(h1, h2)
         assert d12 >= 0
-        assert d12 == hole_dist(h2, h1).value
-        assert d12 <= hole_dist(h1, h3).value + hole_dist(h3, h2).value
+        assert d12 == hole_dist(h2, h1)
+        assert d12 <= hole_dist(h1, h3) + hole_dist(h3, h2)
 
     # JSON round trip is exact and deterministic
     m = build_scaled_farey(ex(F(4, 5)))

@@ -395,3 +395,12 @@ def test_sweep_oracle_engine(capsys, tmp_path):
     assert code == 0
     body = csv.read_text().strip().splitlines()[1:]
     assert len(body) == 3 and all(",oracle," in line for line in body)
+
+
+def test_compare_skips_markov_on_farey_below_half(capsys):
+    # the Markov closure is refused by its bit budget, not after seconds
+    code, out, _ = run(capsys, "entropy", "--engine", "compare", "--map", "farey",
+                       "--param", "0.4", "--depth", "8")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["markov_entropy"] is None and rep["applicable"] == ["oracle"]

@@ -227,7 +227,7 @@ def test_int64_levels_return_python_values():
     assert all(type(b) is int for b in tree.itinerary(16, len(words) - 1))
     for cyl in tree.cylinders(16)[:50]:
         for c in cyl.components:
-            assert type(c.lo.value) is Fraction and type(c.lo.value.numerator) is int
+            assert type(c.lo) is Fraction and type(c.lo.numerator) is int
     w = LocallyConstantWeight((ex(Fraction(2, 3)), ex(Fraction(5, 7))))
     with only_kernel("generic"):
         want = (pressure_estimate(m, w, RIGHT_HOLE, 16),

@@ -94,10 +94,10 @@ def test_float_orbit_capped_with_recorded_A():
     res = entropy_left_hole(Scalar.approx(0.51))
     assert res.orbit is None and res.series is None
     lower, upper = res.ends
-    assert lower.a.value <= Fraction(0.51) - Fraction(1e-12)
-    assert upper.a.value >= Fraction(0.51) + Fraction(1e-12)
+    assert lower.a <= Fraction(0.51) - Fraction(1e-12)
+    assert upper.a >= Fraction(0.51) + Fraction(1e-12)
     for end in res.ends:
-        assert 2 ** 41 % end.a.value.denominator == 0
+        assert 2 ** 41 % end.a.denominator == 0
         assert end.orbit.termination.kind == "preperiodic"
         assert len(end.orbit.points) <= 41 + 2
         assert 0 in end.orbit.index_set_A
@@ -116,8 +116,8 @@ def test_enclosure_ends_stay_inside_the_family(a):
     # 1 - 1.2e-12 the end a+ onto 1, where no orbit exists; s is raised
     res = entropy_left_hole(Scalar.approx(a))
     lower, upper = res.ends
-    assert Fraction(1, 2) < lower.a.value <= Fraction(a) - Fraction(1e-12)
-    assert Fraction(a) + Fraction(1e-12) <= upper.a.value < 1
+    assert Fraction(1, 2) < lower.a <= Fraction(a) - Fraction(1e-12)
+    assert Fraction(a) + Fraction(1e-12) <= upper.a < 1
     assert res.root.certified is True
     lo, hi = res.interval
     assert 0 < lo <= res.entropy <= hi < math.log(2)
@@ -128,7 +128,7 @@ def test_float_orbit_escape_label():
     # record the first k >= 1 with a_k >= a and still close exactly
     res = entropy_left_hole(Scalar.approx(0.7))
     for end in res.ends:
-        orb, av = end.orbit, end.a.value
+        orb, av = end.orbit, end.a
         assert orb.termination.kind == "preperiodic"
         k = orb.escape_index
         assert k == 2 and orb.points[k] >= av
@@ -215,8 +215,8 @@ def test_exact_orbit_past_the_cap_is_certified():
     assert res.root.certified is True
     lower, upper = res.ends
     # 2**-48 is at most half of tol 1e-14
-    assert lower.a.value < a < upper.a.value
-    assert upper.a.value - lower.a.value == Fraction(1, 2 ** 48)
+    assert lower.a < a < upper.a
+    assert upper.a - lower.a == Fraction(1, 2 ** 48)
     lo, hi = res.interval
     assert hi - lo < 1e-13
     for end in res.ends:

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holed_entropy import (Hole, InvalidParameterError, LocallyConstantWeight,
-                           Scalar, build_d_adic, build_scaled_farey, hole_dist,
-                           map_from_config, map_to_config, restrict_partition)
+                           Scalar, build_d_adic, build_scaled_farey,
+                           entropy_left_hole, hole_dist, map_from_config,
+                           map_to_config, restrict_partition)
 from holed_entropy import mapmodel
 from holed_entropy.mapmodel import (D_ADIC_MAX, Affine, Branch, IntervalOpen,
                                     Moebius, PiecewiseMap)
@@ -28,16 +29,16 @@ def test_doubling_branches():
     m = build_d_adic(2)
     assert len(m.branches) == 2
     b0, b1 = m.branches
-    assert b0.kind.slope.value == 2 and b0.kind.offset.value == 0
-    assert b1.kind.slope.value == 2 and b1.kind.offset.value == -1
+    assert b0.kind.slope == 2 and b0.kind.offset == 0
+    assert b1.kind.slope == 2 and b1.kind.offset == -1
     assert b0.domain.as_raw() == (Fraction(0), Fraction(1, 2))
     assert b1.domain.as_raw() == (Fraction(1, 2), Fraction(1))
 
 
 def test_triadic_offsets():
     m = build_d_adic(3)
-    assert [b.kind.offset.value for b in m.branches] == [0, -1, -2]
-    assert all(b.kind.slope.value == 3 for b in m.branches)
+    assert [b.kind.offset for b in m.branches] == [0, -1, -2]
+    assert all(b.kind.slope == 3 for b in m.branches)
 
 
 def test_d_adic_rejects_small_d():
@@ -67,20 +68,20 @@ def test_d_adic_full_images():
 def test_farey_evaluations():
     m = build_scaled_farey(ex(1))
     left, right = m.branches
-    assert left.apply(ex(Fraction(1, 3))).value == Fraction(1, 2)
-    assert left.invert(ex(Fraction(1, 2))).value == Fraction(1, 3)
+    assert left.apply_raw(Fraction(1, 3)) == Fraction(1, 2)
+    assert left.invert_raw(Fraction(1, 2)) == Fraction(1, 3)
     m2 = build_scaled_farey(ex(Fraction(1, 2)))
-    assert m2.branches[1].apply(ex(Fraction(2, 3))).value == Fraction(1, 4)
+    assert m2.branches[1].apply_raw(Fraction(2, 3)) == Fraction(1, 4)
 
 
 def test_farey_coefficients():
     m = build_scaled_farey(ex(Fraction(1, 2)))
     left, right = m.branches
     assert isinstance(left.kind, Moebius) and isinstance(right.kind, Moebius)
-    assert (left.kind.p.value, left.kind.q.value, left.kind.r.value,
-            left.kind.s.value) == (Fraction(1, 2), 0, -1, 1)
-    assert (right.kind.p.value, right.kind.q.value, right.kind.r.value,
-            right.kind.s.value) == (Fraction(-1, 2), Fraction(1, 2), 1, 0)
+    assert (left.kind.p, left.kind.q, left.kind.r, left.kind.s) == (
+        Fraction(1, 2), 0, -1, 1)
+    assert (right.kind.p, right.kind.q, right.kind.r, right.kind.s) == (
+        Fraction(-1, 2), Fraction(1, 2), 1, 0)
     assert left.orientation == 1 and right.orientation == -1
 
 
@@ -94,7 +95,7 @@ def test_farey_derivative_closed_form():
     # left branch derivative a/(1-x)^2
     m = build_scaled_farey(ex(1))
     x = Fraction(1, 2)
-    assert m.branches[0].derivative(ex(x)).value == Fraction(1) / (1 - x) ** 2 == 4
+    assert m.branches[0].derivative_raw(x) == Fraction(1) / (1 - x) ** 2 == 4
 
 
 # -- branch and map validation ---------------------------------------------
@@ -172,11 +173,11 @@ def test_degenerate_pieces_allowed():
 
 def test_hole_dist_examples():
     assert hole_dist(H((Fraction(1, 5), Fraction(2, 5))),
-                     H((Fraction(3, 10), Fraction(1, 2)))).value == Fraction(1, 5)
+                     H((Fraction(3, 10), Fraction(1, 2)))) == Fraction(1, 5)
     h = H((Fraction(0), Fraction(1, 4)))
-    assert hole_dist(h, h).value == 0
+    assert hole_dist(h, h) == 0
     assert hole_dist(H((Fraction(0), Fraction(1, 4))),
-                     H((Fraction(1, 2), Fraction(3, 4)))).value == Fraction(1, 2)
+                     H((Fraction(1, 2), Fraction(3, 4)))) == Fraction(1, 2)
 
 
 def _random_hole(rng):
@@ -192,13 +193,13 @@ def test_hole_dist_pseudometric_properties():
     rng = random.Random(2024)
     holes = [_random_hole(rng) for _ in range(40)]
     for h in holes:
-        assert hole_dist(h, h).value == 0
+        assert hole_dist(h, h) == 0
     for _ in range(300):
         h1, h2, h3 = rng.choice(holes), rng.choice(holes), rng.choice(holes)
-        d12 = hole_dist(h1, h2).value
-        assert d12 == hole_dist(h2, h1).value
+        d12 = hole_dist(h1, h2)
+        assert d12 == hole_dist(h2, h1)
         assert d12 >= 0
-        assert d12 <= hole_dist(h1, h3).value + hole_dist(h3, h2).value
+        assert d12 <= hole_dist(h1, h3) + hole_dist(h3, h2)
 
 
 # -- restrict_partition -------------------------------------------------------
@@ -330,7 +331,7 @@ def test_config_json_numbers_are_the_decimals_they_spell():
                      '{"domain": [0.5, 1], "kind": "affine", "coeffs": [2, -1]}],'
                      '"hole": [[0.1, 0.3]]}')
     m, h = map_from_config(cfg)
-    assert m.branches[0].domain.hi.value == Fraction(1, 2)
+    assert m.branches[0].domain.hi == Fraction(1, 2)
     # 1/10, not the binary float nearest to it
     assert h.pieces == ((Fraction(1, 10), Fraction(3, 10)),)
 
@@ -353,3 +354,44 @@ def test_float_inputs_are_refused(value):
                   lambda: build_scaled_farey(value)):
         with pytest.raises(InvalidParameterError, match="float 0.5 .*num/den"):
             build()
+
+
+def _pq(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _decimal(n: int, k: int) -> str:
+    """n / 10**k spelled as a decimal string, e.g. (-305, 2) -> "-3.05"."""
+    digits = str(abs(n)).rjust(k + 1, "0")
+    text = digits[:len(digits) - k] + ("." + digits[len(digits) - k:] if k else "")
+    return ("-" if n < 0 else "") + text
+
+
+_ratios = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(_ratios, min_size=2, max_size=2).map(sorted),
+                min_size=1, max_size=4),
+       st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=2, max_size=2).map(sorted),
+       st.integers(0, 7))
+def test_hole_input_contract(pieces, nums, k):
+    want = Hole([(lo, hi) for lo, hi in pieces]).pieces
+    assert Hole([(ex(lo), ex(hi)) for lo, hi in pieces]).pieces == want
+    assert Hole([(_pq(lo), _pq(hi)) for lo, hi in pieces]).pieces == want
+    # a decimal string is the rational it spells
+    lo, hi = (Fraction(n, 10 ** k) for n in nums)
+    assert Hole([tuple(_decimal(n, k) for n in nums)]).pieces == ((lo, hi),)
+    # a float, bare or in a Scalar, is refused
+    for bad in (float(lo), Scalar.approx(float(lo))):
+        with pytest.raises(InvalidParameterError, match="is not an exact value"):
+            Hole([(bad, hi)])
+
+
+def test_exact_scalars_are_accepted_inputs():
+    # the call pattern of bench/workloads.py
+    a, b = Fraction(3, 4), Fraction(5, 6)
+    assert Hole([(Scalar.exact(a), Scalar.exact(b))]).pieces == ((a, b),)
+    res = entropy_left_hole(Scalar.exact(a))
+    assert res.a == res.orbit.a == a
+    assert res.root == entropy_left_hole(a).root

@@ -410,6 +410,14 @@ def test_farey_exact_markov():
     assert abs(res.entropy - math.log(2)) < 1e-12
 
 
+@pytest.mark.parametrize("a", (F(2, 5), F(1, 3)))
+def test_farey_below_half_is_refused_by_the_bit_budget(a):
+    # the boundary orbit tends to the fixed point 0 with heights growing at
+    # every step; the point cap alone let 2/5 run for 16 s before refusing
+    with pytest.raises(NotFinitelyMarkovError, match="bits after"):
+        entropy_markov(build_scaled_farey(a), Hole.empty())
+
+
 # -- exports -----------------------------------------------------------------------
 
 def test_json_report_fields():

@@ -28,7 +28,7 @@ def F(n, d=1):
 def test_left_family_lipschitz_in_hole_distance():
     fam = LeftHoleFamily()
     for s, t in [(F(5, 8), F(3, 4)), (F(11, 16), F(7, 8))]:
-        d = hole_dist(fam.hole(s), fam.hole(t)).value
+        d = hole_dist(fam.hole(s), fam.hole(t))
         assert d == abs(s - t)
 
 
@@ -36,9 +36,9 @@ def test_sliding_family_distance():
     fam = SlidingHoleFamily(F(1, 12))
     # symmetric difference doubles small shifts and saturates at 2w
     for s, t in [(F(1, 4), F(1, 4) + F(1, 100)), (F(1, 8), F(1, 8) + F(1, 50))]:
-        d = hole_dist(fam.hole(s), fam.hole(t)).value
+        d = hole_dist(fam.hole(s), fam.hole(t))
         assert d == 2 * min(abs(s - t), F(1, 12))
-    far = hole_dist(fam.hole(F(1, 8)), fam.hole(F(1, 2))).value
+    far = hole_dist(fam.hole(F(1, 8)), fam.hole(F(1, 2)))
     assert far == 2 * F(1, 12)
 
 

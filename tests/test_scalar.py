@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from holed_entropy import InvalidParameterError, ModeMismatchError, Scalar
+from holed_entropy import InvalidParameterError, Scalar
 from holed_entropy.scalar import (DEFAULT_EPSILON, as_scalar, parse_rational,
                                   rational_str)
 
@@ -38,36 +38,6 @@ def test_float_must_be_finite(value):
 def test_epsilon_must_be_positive_and_finite(epsilon):
     with pytest.raises(InvalidParameterError, match="epsilon must be positive"):
         Scalar.approx(0.5, epsilon)
-
-
-def test_mode_mixing_is_an_error():
-    a = Scalar.exact(1)
-    b = Scalar.approx(1.0)
-    with pytest.raises(ModeMismatchError):
-        _ = a + b
-    with pytest.raises(ModeMismatchError):
-        _ = a < b
-    with pytest.raises(ModeMismatchError):
-        _ = Scalar.approx(1.0, 1e-9) * Scalar.approx(1.0, 1e-12)
-
-
-def test_int_constants_are_mode_agnostic():
-    assert (Scalar.exact("1/3") * 3).value == 1
-    assert (Scalar.approx(0.5) + 1).value == 1.5
-
-
-def test_arithmetic_exact():
-    a, b = Scalar.exact("1/3"), Scalar.exact("1/6")
-    assert (a + b).value == Fraction(1, 2)
-    assert (a - b).value == Fraction(1, 6)
-    assert (a / b).value == 2
-    assert (-a).value == Fraction(-1, 3)
-    assert abs(Scalar.exact(-2)).value == 2
-
-
-def test_comparisons():
-    assert Scalar.exact("1/3") < Scalar.exact("1/2")
-    assert Scalar.exact("1/2") >= Scalar.exact("1/2")
 
 
 def test_parse_rational_rejects_garbage():
