@@ -108,14 +108,16 @@ def _cmd_entropy(args) -> int:
             raise InvalidParameterError(
                 "the kneading engine needs the doubling map with hole a,1 "
                 "for exact a in (1/2, 1)")
-        res = entropy_left_hole(a, tol=args.tol)
+        tol = kneading.DEFAULT_TOL if args.tol is None else args.tol
+        res = entropy_left_hole(a, tol=tol)
         print(f"entropy = {res.entropy:.15g}  (engine=kneading, p={res.p}, "
               f"error_bound={res.root.error_bound:.3g})")
         if args.json:
             _emit_json(res.to_json(), args.json)
         return 0
     if args.engine == "markov":
-        res = entropy_markov(pmap, hole, orbit_cap=args.orbit_cap, tol=args.tol)
+        tol = markov.DEFAULT_TOL if args.tol is None else args.tol
+        res = entropy_markov(pmap, hole, orbit_cap=args.orbit_cap, tol=tol)
         print(f"entropy = {res.entropy:.15g}  (engine=markov, "
               f"p={res.report.pole_order_p}, rho={res.report.rho:.15g})")
         if args.json:
@@ -286,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default="kneading",
                    choices=["kneading", "markov", "oracle", "compare"])
     p.add_argument("--depth", type=int, default=20, help="oracle/compare level")
-    p.add_argument("--tol", type=float, default=1e-13)
+    p.add_argument("--tol", type=float, help="default: the engine's own")
     p.add_argument("--orbit-cap", type=int, default=markov.DEFAULT_ORBIT_CAP)
     p.set_defaults(fn=_cmd_entropy)
 

@@ -34,9 +34,11 @@ from .scalar import Scalar, parse_rational, rational_str
 
 def _exact(value) -> Fraction:
     """An exact rational; an exact Scalar is unwrapped, decimal strings parse
-    exactly, and a float or a float Scalar is refused."""
+    exactly, and a boolean, a float or a float Scalar is refused."""
     if isinstance(value, Scalar):
         value = value.value
+    if isinstance(value, bool):
+        raise InvalidParameterError(f"boolean {value!r} is not an exact value")
     if isinstance(value, float):
         raise InvalidParameterError(
             f"float {value!r} is not an exact value: pass num/den or a "

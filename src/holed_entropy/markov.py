@@ -12,10 +12,12 @@ polynomial is computed exactly over the integers (sparse Berkowitz).  For a
 multiple leading eigenvalue rho, the geometric multiplicity and the pole
 order are read off the ranks of powers of m(M), m the minimal polynomial of
 rho: an integer matrix, so the ranks come from fraction-free elimination.
-m itself comes from integers too (:mod:`.minpoly`): the factor x and the
-cyclotomic factors are divided out of the square-free factor that holds
-rho, and Musser's degree-set test proves the rest irreducible.  sympy (an
-optional extra) is imported only for a factor that test leaves unproved.
+rho is bracketed once, as a root of the square-free part of the
+characteristic polynomial, and the square-free factor that changes sign on
+that bracket holds it.  m comes from integers too (:mod:`.minpoly`): the
+factor x and the cyclotomic factors are divided out of that factor, and
+Musser's degree-set test proves the rest irreducible.  sympy (an optional
+extra) is imported only for a factor that test leaves unproved.
 """
 
 from __future__ import annotations
@@ -23,20 +25,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Optional
 
 from .errors import (InvalidParameterError, NotFinitelyMarkovError,
                      ResourceLimitError)
 from .mapmodel import Hole, PiecewiseMap
-from .polyexact import (CHAR_POLY_SIZE_CAP, berkowitz_char_poly, halve_bracket,
-                        int_matmul, int_matrix_rank, largest_real_root,
+from .polyexact import (CHAR_POLY_SIZE_CAP, _holds_root, berkowitz_char_poly,
+                        int_matmul, int_matrix_rank, largest_real_root, poly_mul,
                         square_free_decomposition)
 from .scalar import rational_str
 
 DEFAULT_ORBIT_CAP = 10_000
-DEFAULT_TOL = 1e-12
+DEFAULT_TOL = 1e-13
 # the closure's memory budget: numerator plus denominator bits summed over
 # its points, per point that orbit_cap allows
 _BITS_PER_POINT = 64
@@ -134,23 +136,7 @@ def refine_markov(pmap: PiecewiseMap, hole: Hole,
 
     states = tuple((u, v) for u, v, b in zip(cuts, cuts[1:], owners) if b is not None)
     state_branch = tuple(b for b in owners if b is not None)
-    ref = MarkovRefinement(pmap, hole, tuple(cuts), states, state_branch)
-    _verify_markov(ref)
-    return ref
-
-
-def _verify_markov(ref: MarkovRefinement):
-    """Every state image must decompose exactly into elementary pieces."""
-    cutset = set(ref.breakpoints)
-    for (u, v), b in zip(ref.states, ref.state_branch):
-        br = ref.map.branches[b]
-        w1, w2 = br.apply_raw(u), br.apply_raw(v)
-        if w1 > w2:
-            w1, w2 = w2, w1
-        if w1 not in cutset or w2 not in cutset:
-            raise NotFinitelyMarkovError(
-                f"state ({u}, {v}) maps onto ({w1}, {w2}) which is not "
-                "breakpoint-aligned; refinement is not Markov")
+    return MarkovRefinement(pmap, hole, tuple(cuts), states, state_branch)
 
 
 @dataclass(frozen=True)
@@ -163,9 +149,6 @@ class TransitionMatrix:
     entries: tuple[tuple[int, ...], ...]
     char_poly: tuple[int, ...]
 
-    def row_sums(self) -> list[int]:
-        return [sum(r) for r in self.entries]
-
     def column_sums(self) -> list[int]:
         return [sum(r[j] for r in self.entries) for j in range(self.size)]
 
@@ -177,8 +160,9 @@ def transition_matrix(ref: MarkovRefinement) -> TransitionMatrix:
     States are disjoint and sorted, so the states covered by the image
     ``[w1, w2]`` of a state form one contiguous run: from the first state
     whose left end is at least ``w1`` to the last whose right end is at most
-    ``w2``.  Raises :class:`ResourceLimitError` before building any row when
-    there are more states than the characteristic-polynomial cap.
+    ``w2``; an image end that is no breakpoint raises
+    :class:`NotFinitelyMarkovError`.  Raises :class:`ResourceLimitError`
+    before building any row when there are more states than the cap.
     """
     n = len(ref.states)
     if n > CHAR_POLY_SIZE_CAP:
@@ -186,12 +170,17 @@ def transition_matrix(ref: MarkovRefinement) -> TransitionMatrix:
             f"{n} states exceed the characteristic-polynomial cap {CHAR_POLY_SIZE_CAP}")
     los = [lo for lo, _ in ref.states]
     his = [hi for _, hi in ref.states]
+    cutset = set(ref.breakpoints)
     rows = []
     for (u, v), b in zip(ref.states, ref.state_branch):
         br = ref.map.branches[b]
         w1, w2 = br.apply_raw(u), br.apply_raw(v)
         if w1 > w2:
             w1, w2 = w2, w1
+        if w1 not in cutset or w2 not in cutset:
+            raise NotFinitelyMarkovError(
+                f"state ({u}, {v}) maps onto ({w1}, {w2}) which is not "
+                "breakpoint-aligned; refinement is not Markov")
         first, end = bisect_left(los, w1), bisect_right(his, w2)
         row = [0] * n
         row[first:end] = [1] * (end - first)
@@ -286,52 +275,38 @@ def _jordan_data(entries, minpoly, alg: int) -> tuple[int, int]:
     return dims[1], p
 
 
-def _root_above(f, a, g, b) -> bool:
-    """Whether the root of f in the bracket a lies above the root of g in
-    the bracket b.  f and g are coprime, so the roots differ, and brackets
-    that meet are halved until they part."""
-    while a[0] <= b[1] and b[0] <= a[1]:
-        a, b = halve_bracket(f, *a), halve_bracket(g, *b)
-    return a[0] > b[1]
-
-
-def spectral_report(M: TransitionMatrix, tol: float = 1e-12) -> SpectralReport:
+def spectral_report(M: TransitionMatrix, tol: float = DEFAULT_TOL) -> SpectralReport:
     """Perron root, multiplicities, and pole order of a transition matrix.
 
-    The largest root in [0, inf) of each square-free factor of the
-    characteristic polynomial is bracketed with :func:`largest_real_root`,
-    and the winner is chosen by comparing those exact brackets, halved until
-    they part where they meet, never by their floats.  The algebraic
-    multiplicity is the power of the factor that holds it.  Only a multiple
-    root needs its minimal polynomial m (which seeds ``min_poly``) and the
-    ranks of powers of the integer matrix m(M) (:func:`_jordan_data`).
+    rho is the largest root in [0, inf) of the product of the square-free
+    factors of the characteristic polynomial, bracketed once with
+    :func:`largest_real_root`.  The bracket holds no other root, so one
+    factor changes sign on it: ``rho_factor``, whose power is the algebraic
+    multiplicity.  Only a multiple root needs its minimal polynomial m
+    (which seeds ``min_poly``) and the ranks of powers of the integer
+    matrix m(M) (:func:`_jordan_data`).
     """
     if not 0 < tol < math.inf:
         raise InvalidParameterError("tol must be positive and finite")
     if M.size == 0:
         return SpectralReport(0.0, 0, 0, 0, 0.0)
     decomp = square_free_decomposition(list(M.char_poly))
-    best = None  # (root float, bracket, factor, multiplicity)
-    for factor, mult in decomp:
-        try:
-            r, lo, hi = largest_real_root(factor, tol=min(tol, 1e-13))
-        except InvalidParameterError:
-            continue  # no root in [0, inf) in this factor
-        if best is None or _root_above(factor, (lo, hi), best[2], best[1]):
-            best = (r, (lo, hi), factor, mult)
-    if best is None:
+    square_free = reduce(poly_mul, (f for f, _ in decomp))
+    try:
+        rho, lo, hi = largest_real_root(square_free, tol=tol)
+    except InvalidParameterError:
         raise AssertionError(
             "characteristic polynomial has no root in [0, inf), "
-            "impossible for a nonnegative matrix (Perron-Frobenius)")
-    rho, bracket, factor, alg = best
+            "impossible for a nonnegative matrix (Perron-Frobenius)") from None
+    factor, alg = next((f, m) for f, m in decomp if _holds_root(f, lo, hi))
     second = _second_modulus(decomp, alg)
     if alg == 1:
         # a simple eigenvalue is semisimple: one Jordan block of size one
-        return SpectralReport(rho, 1, 1, 1, second, bracket, tuple(factor))
+        return SpectralReport(rho, 1, 1, 1, second, (lo, hi), tuple(factor))
     from .minpoly import min_poly_of_root
-    minpoly = min_poly_of_root(factor, bracket[0], bracket[1])
+    minpoly = min_poly_of_root(factor, lo, hi)
     geo, p = _jordan_data(M.entries, minpoly, alg)
-    report = SpectralReport(rho, alg, geo, p, second, bracket, tuple(factor))
+    report = SpectralReport(rho, alg, geo, p, second, (lo, hi), tuple(factor))
     report.__dict__["min_poly"] = tuple(minpoly)  # seed the cached property
     return report
 

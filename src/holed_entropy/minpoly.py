@@ -18,15 +18,8 @@ import math
 from fractions import Fraction
 
 from .errors import ResourceLimitError
-from .polyexact import Poly, poly_degree, poly_divmod_int, poly_mul, poly_trim, sign_at
-
-
-def _holds_root(p, lo: Fraction, hi: Fraction) -> bool:
-    """p, with at most one root in the bracket (lo, hi], has one there: it
-    vanishes at hi, or it is nonzero at lo and changes sign."""
-    s_lo = sign_at(p, lo.numerator, lo.denominator)
-    s_hi = sign_at(p, hi.numerator, hi.denominator)
-    return s_hi == 0 or s_lo * s_hi < 0
+from .polyexact import (Poly, _holds_root, poly_degree, poly_divmod_int, poly_mul,
+                        poly_trim, sign_at)
 
 
 def min_poly_of_root(factor, lo: Fraction, hi: Fraction):

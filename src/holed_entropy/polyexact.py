@@ -25,8 +25,8 @@ it there.  When there is no positive seed or the variation count is not one
 right of ``lo``), Vincent-Collins-Akritas bisection isolates the root
 instead: Descartes' rule on integer Taylor shifts over the dyadic intervals
 of ``(0, 2**b]``, ``b`` the integer Cauchy bound.  Both brackets end in one
-integer bisection on the grid, which :func:`halve_bracket` continues when
-two brackets must be told apart.
+integer bisection on the grid.  The Markov engine searches once per matrix,
+in the square-free part of the characteristic polynomial.
 
 The square-free decomposition divides only by primitive integer gcds, so by
 Gauss's lemma every quotient is an integer polynomial and the division is
@@ -423,16 +423,12 @@ def largest_real_root(p: Poly, tol: float = 1e-14) -> tuple[float, Fraction, Fra
     return r, lo, hi
 
 
-def halve_bracket(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """The half of a bracket (lo, hi] of :func:`largest_real_root` that
-    holds the root of p: one more step of its integer bisection, on the
-    grid one bit finer than both ends."""
-    if lo == hi:
-        return lo, hi
-    e = max(lo.denominator, hi.denominator).bit_length()
-    lo_z, hi_z = int(lo * (1 << e)), int(hi * (1 << e))
-    lo_z, hi_z = _bisect(_grid_poly(p, e), lo_z, hi_z, (hi_z - lo_z) >> 1)
-    return Fraction(lo_z, 1 << e), Fraction(hi_z, 1 << e)
+def _holds_root(p: Poly, lo: Fraction, hi: Fraction) -> bool:
+    """p, with at most one root in the bracket (lo, hi], has one there: it
+    vanishes at hi, or it is nonzero at lo and changes sign."""
+    s_lo = sign_at(p, lo.numerator, lo.denominator)
+    s_hi = sign_at(p, hi.numerator, hi.denominator)
+    return s_hi == 0 or s_lo * s_hi < 0
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,15 @@ def test_entropy_kneading(capsys):
     assert "p=1" in out
 
 
+def test_entropy_kneading_default_tol_is_the_tower_default(capsys, tmp_path):
+    # without --tol both commands use kneading.DEFAULT_TOL
+    entropy, tower = tmp_path / "entropy.json", tmp_path / "tower.json"
+    assert run(capsys, "entropy", "--map", "doubling", "--hole", "2/3,1",
+               "--engine", "kneading", "--json", str(entropy))[0] == 0
+    assert run(capsys, "tower", "--a", "2/3", "--json", str(tower))[0] == 0
+    assert entropy.read_text() == tower.read_text()
+
+
 def test_entropy_markov(capsys):
     code, out, _ = run(capsys, "entropy", "--map", "doubling", "--hole", "3/4,5/6",
                        "--engine", "markov")

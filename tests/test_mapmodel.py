@@ -356,6 +356,21 @@ def test_float_inputs_are_refused(value):
             build()
 
 
+@pytest.mark.parametrize("build", (
+    lambda: IntervalOpen(ex(0), True),
+    lambda: Affine(True, ex(0)),
+    lambda: Moebius(ex(1), True, ex(0), ex(1)),
+    lambda: Hole([(False, True)]),
+    lambda: build_scaled_farey(True),
+    lambda: LocallyConstantWeight((True, ex(1))),
+), ids=("IntervalOpen", "Affine", "Moebius", "Hole", "build_scaled_farey",
+        "LocallyConstantWeight"))
+def test_boolean_inputs_are_refused(build):
+    # each call is valid with 1 and 0 in place of True and False
+    with pytest.raises(InvalidParameterError, match="boolean .* is not an exact value"):
+        build()
+
+
 def _pq(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 

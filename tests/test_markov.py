@@ -12,10 +12,12 @@ from holed_entropy import (Hole, InvalidParameterError, NotFinitelyMarkovError,
                            refine, refine_markov, spectral_report, to_dot,
                            transition_matrix)
 from holed_entropy import markov
-from holed_entropy.markov import TransitionMatrix
+from holed_entropy.markov import MarkovRefinement, TransitionMatrix
 from holed_entropy.minpoly import certify_irreducible, strip_cyclotomic
 from holed_entropy.polyexact import (berkowitz_char_poly, char_poly_cofactor,
-                                     poly_eval, poly_mul)
+                                     poly_eval, poly_mul,
+                                     square_free_decomposition)
+from test_polyexact import _cauchy_bound, _sturm_chain, _sturm_count
 
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -149,6 +151,15 @@ def test_refinement_closes_a_long_orbit():
     assert refine_markov(build_d_adic(2), hole, orbit_cap=1021) == ref
     with pytest.raises(NotFinitelyMarkovError):
         refine_markov(build_d_adic(2), hole, orbit_cap=1020)
+
+
+def test_transition_matrix_refuses_an_image_off_the_breakpoints():
+    # drop the cut 1/3: the state (1/2, 2/3) still maps onto (0, 1/3)
+    ref = refine_markov(build_d_adic(2), H((F(3, 4), F(5, 6))))
+    cut = ref.breakpoints[:1] + ref.breakpoints[2:]
+    broken = MarkovRefinement(ref.map, ref.hole, cut, ref.states, ref.state_branch)
+    with pytest.raises(NotFinitelyMarkovError, match="not breakpoint-aligned"):
+        transition_matrix(broken)
 
 
 def test_transition_matrix_checks_the_cap_before_building_rows(monkeypatch):
@@ -316,12 +327,52 @@ def test_spectral_jordan_table(rows, rho, jordan):
 
 def test_spectral_report_compares_exact_brackets():
     # the roots 1 - 2**-60 and the double root 1 have the same float; only
-    # their exact brackets, halved until they part, tell which is larger
+    # the exact bracket of the square-free part, which holds one root, tells
+    # which factor holds the larger
     char = poly_mul([-(2 ** 60 - 1), 2 ** 60], poly_mul([-1, 1], [-1, 1]))
     rep = spectral_report(TransitionMatrix(2, ((1, 0), (0, 1)), tuple(char)))
     assert rep.rho_factor == (-1, 1) and rep.rho == 1.0
     assert (rep.algebraic_multiplicity, rep.geometric_multiplicity,
             rep.pole_order_p) == (2, 2, 1)
+    # the simple root 1 + 2**-60 lies above the double root 1
+    char = poly_mul([-(2 ** 60 + 1), 2 ** 60], poly_mul([-1, 1], [-1, 1]))
+    rep = spectral_report(TransitionMatrix(2, ((1, 0), (0, 1)), tuple(char)))
+    assert rep.rho_factor == (-(2 ** 60 + 1), 2 ** 60) and rep.rho == 1.0
+    assert rep.algebraic_multiplicity == 1
+    assert rep.rho_bracket[0] > 1
+
+
+def test_spectral_report_refuses_a_polynomial_without_a_perron_root():
+    # x + 1 is no characteristic polynomial of a nonnegative matrix
+    with pytest.raises(AssertionError, match="Perron-Frobenius"):
+        spectral_report(TransitionMatrix(1, ((0,),), (1, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hole=exact_holes(), d=st.sampled_from([2, 3]))
+@example(hole=H((F(3, 4), F(5, 6))), d=2)
+@example(hole=H((F(1, 8), F(1, 3))), d=3)  # rho = 2: a zero-width bracket
+@example(hole=H((F(0), F(1))), d=2)  # total escape: no bracket
+def test_rho_factor_holds_the_largest_root_of_the_square_free_part(hole, d):
+    M = transition_matrix(refine_markov(build_d_adic(d), hole))
+    rep = spectral_report(M)
+    if rep.rho_factor is None:
+        assert M.size == 0
+        return
+    decomp = square_free_decomposition(list(M.char_poly))
+    assert rep.algebraic_multiplicity == dict(
+        (tuple(f), mult) for f, mult in decomp)[rep.rho_factor]
+    square_free = [1]
+    for factor, _mult in decomp:
+        square_free = poly_mul(square_free, factor)
+    if len(square_free) > 61:
+        return  # the Fraction Sturm chain takes about a minute at degree 110
+    lo, hi = rep.rho_bracket
+    if lo == hi:
+        assert poly_eval(list(rep.rho_factor), lo) == 0
+    else:
+        assert _sturm_count(_sturm_chain(list(rep.rho_factor)), lo, hi) == 1
+    assert _sturm_count(_sturm_chain(square_free), hi, _cauchy_bound(square_free)) == 0
 
 
 @pytest.mark.parametrize("tol", (0.0, -1e-12, math.inf, math.nan))

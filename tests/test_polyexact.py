@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from holed_entropy import polyexact
 from holed_entropy.errors import InvalidParameterError, ResourceLimitError
 from holed_entropy.polyexact import (berkowitz_char_poly, char_poly_cofactor,
-                                     halve_bracket, int_matmul, int_matrix_rank,
+                                     int_matmul, int_matrix_rank,
                                      largest_real_root, poly_deriv, poly_eval,
                                      poly_gcd_int, poly_mul, poly_neg,
                                      poly_primitive, poly_trim, sign_at,
@@ -499,17 +499,6 @@ def test_sign_at_dyadic_near_root_and_edges():
     assert sign_at_dyadic([], 3, 2) == 0
     # x below 2**-96 truncates to zero in the fixed-point pass
     assert sign_at_dyadic([(0, 0), (1, 1)], 1, 200) == 1
-
-
-def test_halve_bracket_keeps_the_root():
-    p = [-2, 0, 1]  # sqrt 2
-    _, lo, hi = largest_real_root(p, tol=1e-3)
-    for _ in range(60):
-        half = halve_bracket(p, lo, hi)
-        assert half[1] - half[0] == (hi - lo) / 2 and lo <= half[0] < half[1] <= hi
-        lo, hi = half
-    assert sign_at(p, lo.numerator, lo.denominator) < 0 < sign_at(p, hi.numerator, hi.denominator)
-    assert halve_bracket([-1, 1], Fraction(1), Fraction(1)) == (1, 1)
 
 
 def test_vca_root_zero_on_the_left_end():
