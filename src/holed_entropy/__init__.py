@@ -31,6 +31,5 @@ from .regularity import (CustomFamily, HolderBoundReport, HolderEstimate,
                          SweepRow, SweepSpec, emit_csv, emit_svg_plot,
                          entropy_at, holder_estimate, run_sweep,
                          verify_holder_bound)
-from .scalar import DEFAULT_EPSILON, Scalar, as_scalar
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,14 +1,15 @@
 """Command-line surface tying the engines together.
 
-Exit codes: 0 success, 2 input error, 3 engine error (refinement does not
-close, resource caps, no determinant root).
+Exit codes: 0 success, 2 input error (a malformed number, flag or JSON map
+config too), 3 engine error (refinement does not close, resource caps, no
+determinant root).
 
 Numbers on the command line are num/den strings, integers or decimals, and
 a map, hole or map parameter is always the exact rational it spells
 ("0.3" is 3/10).  The one exception is ``tower --a``: there a bare decimal
 is a float, the centre of the ball [a - epsilon, a + epsilon] whose entropy
-the tower engine encloses with certified ends, and a warning on stderr says
-so.
+the tower engine encloses with certified ends (``--epsilon`` is passed to
+``entropy_left_hole`` as ``epsilon``), and a warning on stderr says so.
 """
 
 from __future__ import annotations
@@ -28,24 +29,25 @@ from .errors import (HoledEntropyError, InvalidParameterError, NoRootError,
                      NotFinitelyMarkovError, ResourceLimitError)
 from .kneading import entropy_left_hole
 from .mapmodel import (Hole, build_d_adic, build_scaled_farey, load_map_config,
-                       map_to_config)
+                       map_to_config, parse_rational)
 from .markov import entropy_markov, to_dot
 from .regularity import (LeftHoleFamily, SlidingHoleFamily, SweepSpec, emit_csv,
                          emit_svg_plot, holder_estimate, run_sweep)
-from .scalar import DEFAULT_EPSILON, Scalar, parse_rational
 
 _ENGINE_ERRORS = (NotFinitelyMarkovError, ResourceLimitError, NoRootError)
 
 
-def _parse_tower_a(text: str, epsilon: float) -> Scalar:
+def _parse_tower_a(text: str, epsilon: float) -> Fraction | float:
+    """num/den or an integer is exact; a bare decimal is a float, and the
+    warning names the ``epsilon`` that the tower engine will enclose it with."""
     text = text.strip()
     if "/" in text or text.lstrip("+-").isdigit():
-        return Scalar.exact(parse_rational(text))
+        return parse_rational(text)
     print(f"warning: bare decimal {text!r} parsed in float mode "
           f"(epsilon {epsilon:g}); use num/den for exact arithmetic",
           file=sys.stderr)
     try:
-        return Scalar.approx(float(text), epsilon)
+        return float(text)
     except ValueError as exc:
         raise InvalidParameterError(f"malformed number {text!r}") from exc
 
@@ -150,7 +152,7 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_tower(args) -> int:
     a = _parse_tower_a(args.a, args.epsilon)
-    res = entropy_left_hole(a, tol=args.tol)
+    res = entropy_left_hole(a, tol=args.tol, epsilon=args.epsilon)
     _emit_json(res.to_json(), args.json)
     return 0
 
@@ -223,7 +225,10 @@ def _cmd_holder(args) -> int:
     family = _make_family(args)
     t = parse_rational(args.t)
     xi = args.xi if args.xi is not None else math.log(2)
-    scales = [Fraction(1, 2 ** k) for k in range(args.scale_from, args.scale_to + 1)]
+    if args.scale_from < 0:
+        raise InvalidParameterError(
+            f"--scale-from must be >= 0 (scales are 2^-k), got {args.scale_from}")
+    scales = [Fraction(1, 2) ** k for k in range(args.scale_from, args.scale_to + 1)]
     est = holder_estimate(family, t, args.p, xi, scales, engine=args.engine)
     rep = est.bound_check(args.inflate)
     out = {
@@ -297,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True,
                    help="num/den; a bare decimal gives a certified entropy "
                         "interval over [a - epsilon, a + epsilon]")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
+    p.add_argument("--epsilon", type=float, default=kneading.DEFAULT_EPSILON,
                    help="radius of the certified ball around a decimal --a, "
                         "the one float input (decimals elsewhere are exact); "
                         "unused for num/den")

@@ -36,14 +36,16 @@ evaluation runs on that sparse form.  The root is found in two steps:
 bracket and d < 0 at the upper end (or d = 0 at a zero-width bracket), so the
 root lies inside it.
 
-A float a, and an exact a whose orbit does not repeat within ``ORBIT_CAP``
-points, get an enclosure instead of a polynomial of their own.  h(a) does
-not decrease in a (a smaller hole leaves more survivors), so every parameter
-in [a - eps, a + eps] has its entropy in [h(a-), h(a+)] for dyadic rationals
-a- <= a - eps and a+ >= a + eps.  A dyadic orbit repeats within s + 2 steps
-when its denominator is 2**s, so both ends have exact polynomials with
-certified brackets, and the enclosure reports -log of the hull of the two
-brackets, each end widened outward by one ulp.
+A float a, which stands for the ball [a - eps, a + eps] with eps the
+``epsilon`` argument (``DEFAULT_EPSILON`` by default), and an exact a whose
+orbit does not repeat within ``ORBIT_CAP`` points, get an enclosure instead
+of a polynomial of their own.  h(a) does not decrease in a (a smaller hole
+leaves more survivors), so every parameter in [a - eps, a + eps] has its
+entropy in [h(a-), h(a+)] for dyadic rationals a- <= a - eps and
+a+ >= a + eps.  A dyadic orbit repeats within s + 2 steps when its
+denominator is 2**s, so both ends have exact polynomials with certified
+brackets, and the enclosure reports -log of the hull of the two brackets,
+each end widened outward by one ulp.
 """
 
 from __future__ import annotations
@@ -56,11 +58,13 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import InvalidParameterError, NoRootError, ResourceLimitError
+from .mapmodel import _exact
 from .polyexact import poly_trim, sign_at_dyadic
-from .scalar import as_scalar
 
 DEFAULT_TRUNCATION = 4096
 DEFAULT_TOL = 1e-14
+# the radius of the ball that entropy_left_hole encloses around a float a
+DEFAULT_EPSILON = 1e-12
 # the most orbit steps build_orbit takes while looking for a repeat
 ORBIT_CAP = 4096
 
@@ -141,37 +145,33 @@ def build_orbit(a) -> TowerOrbit:
     """Iterate the boundary recurrence of an exact a and classify its
     termination: the first exact repeat among indices >= 1 (reached for
     every rational a given enough steps), or "capped" when none shows
-    within ``ORBIT_CAP`` steps.  A float a has no orbit of its own here;
+    within ``ORBIT_CAP`` steps.  ``a`` is an int, Fraction or rational
+    string; a float has no orbit of its own and is refused, and
     :func:`entropy_left_hole` encloses it between two exact ones.
     """
-    a = as_scalar(a)
-    if a.is_exact:
-        av = a.value
-        if not (_HALF < av < 1):
-            raise InvalidParameterError(f"parameter must lie in (1/2, 1), got {av}")
-        # a_k = x_k / q: the left-limit doubling on numerators
-        p, q = av.numerator, av.denominator
-        nums = [p]
-        seen: dict[int, int] = {}
-        escape_index = None
-        termination = Termination("capped", ORBIT_CAP)
-        x = p
-        for n in range(1, ORBIT_CAP + 1):
-            y = 2 * min(p, x)
-            x = y if y <= q else y - q
-            j = seen.get(x)
-            if j is not None:
-                termination = Termination("preperiodic", n - 1, j)
-                break
-            seen[x] = n
-            nums.append(x)
-            if escape_index is None and x >= p:
-                escape_index = n
-        A = tuple(k for k, x in enumerate(nums) if q <= 2 * x < 2 * q)
-        return TowerOrbit(av, tuple(nums), q, termination, A, escape_index)
-    raise InvalidParameterError(
-        "the tower orbit needs an exact parameter; "
-        "entropy_left_hole encloses a float one")
+    av = _exact(a)
+    if not (_HALF < av < 1):
+        raise InvalidParameterError(f"parameter must lie in (1/2, 1), got {av}")
+    # a_k = x_k / q: the left-limit doubling on numerators
+    p, q = av.numerator, av.denominator
+    nums = [p]
+    seen: dict[int, int] = {}
+    escape_index = None
+    termination = Termination("capped", ORBIT_CAP)
+    x = p
+    for n in range(1, ORBIT_CAP + 1):
+        y = 2 * min(p, x)
+        x = y if y <= q else y - q
+        j = seen.get(x)
+        if j is not None:
+            termination = Termination("preperiodic", n - 1, j)
+            break
+        seen[x] = n
+        nums.append(x)
+        if escape_index is None and x >= p:
+            escape_index = n
+    A = tuple(k for k, x in enumerate(nums) if q <= 2 * x < 2 * q)
+    return TowerOrbit(av, tuple(nums), q, termination, A, escape_index)
 
 
 @dataclass(frozen=True)
@@ -488,30 +488,38 @@ def _solve(orbit: TowerOrbit, tol: float) -> LeftHoleEntropy:
     return LeftHoleEntropy(orbit.a, orbit, series, leading_root(series, tol))
 
 
-def entropy_left_hole(a, tol: float = DEFAULT_TOL) -> LeftHoleEntropy:
+def entropy_left_hole(a, tol: float = DEFAULT_TOL,
+                      epsilon: float = DEFAULT_EPSILON) -> LeftHoleEntropy:
     """Entropy of the doubling map with hole [a, 1], 1/2 < a < 1.
 
-    An exact a whose orbit repeats within ``ORBIT_CAP`` steps is solved on
-    its own polynomial.  A float a with tolerance eps, and an exact a whose
-    orbit passes the cap (eps = 0), are enclosed: the ends are
-    a- = floor((a - eps) 2**s) / 2**s and a+ = ceil((a + eps) 2**s) / 2**s,
-    with 2**-s at most half of eps (of tol for the exact a) and s raised
-    until both ends lie strictly inside (1/2, 1).
+    ``a`` is exact (an int, Fraction or rational string) or a float.  An
+    exact a whose orbit repeats within ``ORBIT_CAP`` steps is solved on its
+    own polynomial.  A float a stands for the ball [a - epsilon,
+    a + epsilon] (``epsilon`` is read for a float a only, and must be
+    positive and finite); it, and an exact a whose orbit passes the cap
+    (radius 0), are enclosed: the ends are a- = floor((a - eps) 2**s) / 2**s
+    and a+ = ceil((a + eps) 2**s) / 2**s, with 2**-s at most half of eps
+    (of tol for the exact a) and s raised until both ends lie strictly
+    inside (1/2, 1).
     """
-    a = as_scalar(a)
-    if a.is_exact:
+    if isinstance(a, float):
+        if not (0 < epsilon < math.inf):
+            raise InvalidParameterError(
+                f"epsilon must be positive and finite, got {epsilon}")
+        if not math.isfinite(a):
+            raise InvalidParameterError(f"parameter a = {a} is not finite")
+        eps = Fraction(epsilon)
+        lo, hi = Fraction(a) - eps, Fraction(a) + eps
+        if not (_HALF < lo and hi < 1):
+            raise InvalidParameterError(
+                f"parameter must lie in (1/2, 1) by more than epsilon, got {a}")
+        spacing = epsilon
+    else:
         orbit = build_orbit(a)
         if orbit.termination.kind == "preperiodic":
             return _solve(orbit, tol)
-        lo = hi = a.value
+        a = lo = hi = orbit.a
         spacing = tol
-    else:
-        eps = Fraction(a.epsilon)
-        lo, hi = Fraction(a.value) - eps, Fraction(a.value) + eps
-        if not (_HALF < lo and hi < 1):
-            raise InvalidParameterError(
-                f"parameter must lie in (1/2, 1) by more than epsilon, got {a.value}")
-        spacing = a.epsilon
     s = 2 - math.frexp(spacing)[1]  # 2**-s <= spacing / 2
     while True:
         den = 2 ** s
@@ -526,4 +534,4 @@ def entropy_left_hole(a, tol: float = DEFAULT_TOL) -> LeftHoleEntropy:
     root = RootResult(r, max(lower.root.residual, upper.root.residual),
                       -math.log(r), hi_r - lo_r, (lo_r, hi_r),
                       lower.root.certified and upper.root.certified)
-    return LeftHoleEntropy(a.value, None, None, root, ends=(lower, upper))
+    return LeftHoleEntropy(a, None, None, root, ends=(lower, upper))

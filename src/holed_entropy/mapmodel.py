@@ -7,9 +7,9 @@ evolving.  Everything here is immutable after construction and safe to share
 across threads.
 
 Every endpoint, coefficient and weight is held as a plain ``Fraction``.
-The constructors convert ints, Fractions, exact Scalars and strings
-("num/den", integers, decimals such as "0.3" = 3/10); a float (a Python
-float or a float Scalar) is refused with :class:`InvalidParameterError`,
+The constructors convert ints, Fractions and strings ("num/den", integers,
+decimals such as "0.3" = 3/10) through one coercion, ``_exact``; anything
+else, a float above all, is refused with :class:`InvalidParameterError`,
 since an exact count needs exact ends.  The engines evaluate branches with
 ``apply_raw``, ``invert_raw``, ``derivative_raw`` and ``image_raw``.
 
@@ -24,28 +24,38 @@ Conventions pinned here and relied on by the engines:
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import InvalidParameterError
-from .scalar import Scalar, parse_rational, rational_str
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "num/den", an integer, or a decimal string as an exact rational."""
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidParameterError(f"not a rational: {text!r}") from exc
 
 
 def _exact(value) -> Fraction:
-    """An exact rational; an exact Scalar is unwrapped, decimal strings parse
-    exactly, and a boolean, a float or a float Scalar is refused."""
-    if isinstance(value, Scalar):
-        value = value.value
+    """The one coercion of an exact input: an int or a Fraction, or a string
+    that :func:`parse_rational` reads.  Anything else, a boolean or a float
+    above all, is refused."""
+    if isinstance(value, str):
+        return parse_rational(value)
     if isinstance(value, bool):
         raise InvalidParameterError(f"boolean {value!r} is not an exact value")
-    if isinstance(value, float):
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, numbers.Real):  # a Python or numpy float
         raise InvalidParameterError(
             f"float {value!r} is not an exact value: pass num/den or a "
             f"decimal string")
-    if isinstance(value, str):
-        return parse_rational(value)
-    return Fraction(value)
+    raise InvalidParameterError(f"{value!r} is not an exact value")
 
 
 def _set_exact(obj, *names: str):
@@ -282,9 +292,6 @@ def build_scaled_farey(a) -> PiecewiseMap:
     return PiecewiseMap(IntervalOpen(0, 1), (left, right))
 
 
-_BUILTIN_MAPS = {"doubling": build_doubling, "farey": build_scaled_farey}
-
-
 # ---------------------------------------------------------------------------
 # hole operations
 # ---------------------------------------------------------------------------
@@ -343,15 +350,14 @@ def restrict_partition(pmap: PiecewiseMap, hole: Hole) -> list[IntervalOpen]:
 def _value_from_json(v) -> Fraction:
     """A config number: a string parses exactly, and so does a JSON number,
     as the decimal it spells (0.5 is 1/2); NaN and infinity are refused."""
-    if isinstance(v, bool):
-        raise InvalidParameterError("boolean in numeric position")
-    if isinstance(v, str):
-        return parse_rational(v)
-    if isinstance(v, float):
-        return parse_rational(repr(v))
-    if isinstance(v, int):
-        return Fraction(v)
-    raise InvalidParameterError(f"cannot parse scalar from {v!r}")
+    return _exact(repr(v) if isinstance(v, float) else v)
+
+
+def _pair(v, what: str) -> tuple[Fraction, Fraction]:
+    """A config [lo, hi] pair as two exact values."""
+    if not isinstance(v, list) or len(v) != 2:
+        raise InvalidParameterError(f"{what} must be a [lo, hi] pair, got {v!r}")
+    return _value_from_json(v[0]), _value_from_json(v[1])
 
 
 def map_to_config(pmap: PiecewiseMap, hole: Hole | None = None) -> dict:
@@ -361,7 +367,7 @@ def map_to_config(pmap: PiecewiseMap, hole: Hole | None = None) -> dict:
     reproduces the map field by field.
     """
     cfg = {
-        "codomain": [rational_str(v) for v in pmap.codomain.as_raw()],
+        "codomain": [str(v) for v in pmap.codomain.as_raw()],
         "branches": [],
     }
     for b in pmap.branches:
@@ -371,12 +377,12 @@ def map_to_config(pmap: PiecewiseMap, hole: Hole | None = None) -> dict:
         else:
             kind, coeffs = "moebius", [k.p, k.q, k.r, k.s]
         cfg["branches"].append({
-            "domain": [rational_str(v) for v in b.domain.as_raw()],
+            "domain": [str(v) for v in b.domain.as_raw()],
             "kind": kind,
-            "coeffs": [rational_str(c) for c in coeffs],
+            "coeffs": [str(c) for c in coeffs],
         })
     if hole is not None:
-        cfg["hole"] = [[rational_str(lo), rational_str(hi)] for lo, hi in hole.pieces]
+        cfg["hole"] = [[str(lo), str(hi)] for lo, hi in hole.pieces]
     return cfg
 
 
@@ -386,23 +392,25 @@ def map_from_config(cfg: dict) -> tuple[PiecewiseMap, Hole | None]:
     Every value is exact: strings parse as rationals (decimal strings too)
     and JSON numbers as the decimal they spell.  An ``"epsilon"`` key, which
     used to switch the config to float mode, is refused.  Overlapping branch
-    domains are rejected.
+    domains are rejected, and so is a missing key or a malformed pair, with
+    :class:`InvalidParameterError`.
     """
-    if "codomain" not in cfg or "branches" not in cfg:
-        raise InvalidParameterError("config needs 'codomain' and 'branches'")
+    if not (isinstance(cfg, dict) and "codomain" in cfg
+            and isinstance(cfg.get("branches"), list)):
+        raise InvalidParameterError("config needs 'codomain' and a 'branches' list")
     if "epsilon" in cfg:
         raise InvalidParameterError(
             "config key 'epsilon' is not supported: every value is exact, "
             "so give num/den or decimal values and drop the key")
-    val = _value_from_json
-
-    lo, hi = cfg["codomain"]
-    codomain = IntervalOpen(val(lo), val(hi))
+    codomain = IntervalOpen(*_pair(cfg["codomain"], "codomain"))
     branches = []
     for bc in cfg["branches"]:
-        dlo, dhi = bc["domain"]
-        dom = IntervalOpen(val(dlo), val(dhi))
-        coeffs = [val(c) for c in bc["coeffs"]]
+        if not (isinstance(bc, dict) and {"domain", "kind", "coeffs"} <= bc.keys()
+                and isinstance(bc["coeffs"], list)):
+            raise InvalidParameterError(
+                f"each branch needs 'domain', 'kind' and a 'coeffs' list, got {bc!r}")
+        dom = IntervalOpen(*_pair(bc["domain"], "branch domain"))
+        coeffs = [_value_from_json(c) for c in bc["coeffs"]]
         if bc["kind"] == "affine":
             if len(coeffs) != 2:
                 raise InvalidParameterError("affine branch needs [slope, offset]")
@@ -417,7 +425,9 @@ def map_from_config(cfg: dict) -> tuple[PiecewiseMap, Hole | None]:
     pmap = PiecewiseMap(codomain, tuple(branches))
     hole = None
     if "hole" in cfg:
-        hole = Hole([(val(lo), val(hi)) for lo, hi in cfg["hole"]])
+        if not isinstance(cfg["hole"], list):
+            raise InvalidParameterError("config 'hole' must be a list of [lo, hi] pairs")
+        hole = Hole([_pair(piece, "hole piece") for piece in cfg["hole"]])
         ilo, ihi = pmap.codomain.as_raw()
         for plo, phi in hole.pieces:
             if plo < ilo or phi > ihi:
@@ -426,5 +436,11 @@ def map_from_config(cfg: dict) -> tuple[PiecewiseMap, Hole | None]:
 
 
 def load_map_config(path: str) -> tuple[PiecewiseMap, Hole | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return map_from_config(json.load(fh))
+    """Read a JSON map config; a file that cannot be read or is not JSON
+    raises :class:`InvalidParameterError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidParameterError(f"cannot read map config {path!r}: {exc}") from exc
+    return map_from_config(cfg)

@@ -35,7 +35,6 @@ from .mapmodel import Hole, PiecewiseMap
 from .polyexact import (CHAR_POLY_SIZE_CAP, _holds_root, berkowitz_char_poly,
                         int_matmul, int_matrix_rank, largest_real_root, poly_mul,
                         square_free_decomposition)
-from .scalar import rational_str
 
 DEFAULT_ORBIT_CAP = 10_000
 DEFAULT_TOL = 1e-13
@@ -334,7 +333,7 @@ class MarkovEntropy:
 
     def to_json(self) -> dict:
         return {
-            "states": [[rational_str(lo), rational_str(hi)]
+            "states": [[str(lo), str(hi)]
                        for lo, hi in self.refinement.states],
             "matrix": [list(r) for r in self.matrix.entries],
             "char_poly_coeffs": list(self.matrix.char_poly),
@@ -362,7 +361,7 @@ def to_dot(result: MarkovEntropy) -> str:
     """Transition graph in DOT format; nodes are labeled by their intervals."""
     lines = ["digraph transitions {"]
     for i, (lo, hi) in enumerate(result.refinement.states):
-        lines.append(f'  s{i} [label="({rational_str(lo)}, {rational_str(hi)})"];')
+        lines.append(f'  s{i} [label="({str(lo)}, {str(hi)})"];')
     for i, row in enumerate(result.matrix.entries):
         for j, v in enumerate(row):
             if v:

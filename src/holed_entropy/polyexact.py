@@ -438,8 +438,7 @@ def _holds_root(p: Poly, lo: Fraction, hi: Fraction) -> bool:
 CHAR_POLY_SIZE_CAP = 400
 
 
-def berkowitz_char_poly(rows: list[list[int]],
-                        size_cap: int = CHAR_POLY_SIZE_CAP) -> Poly:
+def berkowitz_char_poly(rows: list[list[int]]) -> Poly:
     """Characteristic polynomial det(xI - M) of an integer matrix.
 
     Division-free (Berkowitz), so the result is exact over the integers.
@@ -447,9 +446,9 @@ def berkowitz_char_poly(rows: list[list[int]],
     Returned ascending; the empty matrix gives [1].
     """
     n = len(rows)
-    if n > size_cap:
-        raise ResourceLimitError(
-            f"matrix size {n} exceeds the characteristic-polynomial cap {size_cap}")
+    if n > CHAR_POLY_SIZE_CAP:
+        raise ResourceLimitError(f"matrix size {n} exceeds the "
+                                 f"characteristic-polynomial cap {CHAR_POLY_SIZE_CAP}")
     if n == 0:
         return [1]
     for r in rows:

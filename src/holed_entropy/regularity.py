@@ -355,11 +355,11 @@ def emit_csv(result: SweepResult, path: str):
             fh.write(f"{float(r.s):.15g},{r.s},{ent},{p},{r.engine},{err},{r.status}\n")
 
 
-def emit_svg_plot(result: SweepResult, path: str, style: dict | None = None):
-    """Minimal self-contained SVG line plot (polyline plus labeled axes)."""
+def emit_svg_plot(result: SweepResult, path: str):
+    """Minimal self-contained SVG line plot (polyline plus labeled axes),
+    titled with the sweep's engine."""
     if not result.rows:
         raise InvalidParameterError("refusing to plot an empty sweep")
-    style = style or {}
     width, height = 800, 600
     ml, mr, mt, mb = 70, 20, 40, 50
     rows = [r for r in result.rows if r.entropy is not None]
@@ -381,8 +381,7 @@ def emit_svg_plot(result: SweepResult, path: str, style: dict | None = None):
         return height - mb - (y - y0) / (y1 - y0) * (height - mt - mb)
 
     pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-    color = style.get("color", "#1f6fb2")
-    title = style.get("title", f"entropy sweep ({result.metadata.get('engine', '?')})")
+    title = f"entropy sweep ({result.metadata.get('engine', '?')})"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -401,7 +400,7 @@ def emit_svg_plot(result: SweepResult, path: str, style: dict | None = None):
         f'font-size="12" text-anchor="end">{y1:.6g}</text>',
         f'<text x="{width/2:.0f}" y="{height-10}" text-anchor="middle" '
         'font-family="sans-serif" font-size="13">hole parameter s</text>',
-        f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+        '<polyline fill="none" stroke="#1f6fb2" stroke-width="1.5" '
         f'points="{pts}"/>',
         "</svg>",
     ]

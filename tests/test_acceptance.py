@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from holed_entropy import (Hole, LeftHoleFamily, Scalar, SlidingHoleFamily,
+from holed_entropy import (Hole, LeftHoleFamily, SlidingHoleFamily,
                            SweepSpec, build_d_adic, build_scaled_farey,
                            determinant, build_orbit, emit_csv, entropy_estimate,
                            entropy_left_hole, entropy_markov,
@@ -28,7 +28,7 @@ def F(n, d=1):
 
 
 def ex(x):
-    return Scalar.exact(x)
+    return Fraction(x)
 
 
 def H(*pieces):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from holed_entropy import Scalar, build_orbit, determinant, entropy_left_hole
+from holed_entropy import build_orbit, determinant, entropy_left_hole
 from holed_entropy.cli import main
 from holed_entropy.mapmodel import map_from_config
 from holed_entropy.polyexact import sign_at
@@ -166,7 +166,7 @@ def test_tower_certifies_noisy_float_sign_rows(capsys, a):
     markov = float(re.search(r"entropy = ([0-9.e-]+)", text).group(1))
     assert abs(data["entropy"] - markov) < 1e-12
     # the determinant changes sign within error_bound of r, by integer Horner
-    poly = list(determinant(build_orbit(Scalar.exact(Fraction(a)))).polynomial)
+    poly = list(determinant(build_orbit(Fraction(a))).polynomial)
     r, bound = Fraction(data["r"]), Fraction(data["error_bound"])
     lo, hi = r - bound, r + bound
     assert sign_at(poly, lo.numerator, lo.denominator) > 0
@@ -188,7 +188,7 @@ def test_tower_tol_below_the_float_spacing_exits_promptly():
     # the bracket is r and its neighbouring float, so error_bound covers it
     r, bound = data["r"], data["error_bound"]
     assert bound >= math.ulp(r)
-    poly = list(determinant(build_orbit(Scalar.exact(Fraction(2, 3)))).polynomial)
+    poly = list(determinant(build_orbit(Fraction(2, 3))).polynomial)
     lo, hi = Fraction(r) - Fraction(bound), Fraction(r) + Fraction(bound)
     assert sign_at(poly, lo.numerator, lo.denominator) > 0
     assert sign_at(poly, hi.numerator, hi.denominator) < 0
@@ -259,7 +259,7 @@ def test_tower_reports_a_certified_enclosure(capsys, a):
         assert lo <= LOG_GOLDEN <= hi
     for end in data["ends"]:
         assert end["certified"] is True
-        elo, ehi = entropy_left_hole(Scalar.exact(Fraction(end["a"]))).interval
+        elo, ehi = entropy_left_hole(Fraction(end["a"])).interval
         assert lo <= elo <= ehi <= hi
 
 
@@ -362,6 +362,49 @@ def test_json_config_map_source(capsys, tmp_path):
     assert "count 21," in out
 
 
+_DOUBLING_CONFIG = ('{"codomain": ["0", "1"], "branches": ['
+                   '{"domain": ["0", "1/2"], "kind": "affine", "coeffs": ["2", "0"]}, '
+                   '{"domain": ["1/2", "1"], "kind": "affine", "coeffs": ["2", "-1"]}]}')
+
+
+@pytest.mark.parametrize("text, message", (
+    (_DOUBLING_CONFIG.replace('"kind": "affine", ', "", 1),
+     "each branch needs 'domain', 'kind' and a 'coeffs' list"),
+    (_DOUBLING_CONFIG.replace('["0", "1"]', '["0"]'),
+     "codomain must be a [lo, hi] pair, got ['0']"),
+    (_DOUBLING_CONFIG.replace('["0", "1/2"]', '["0"]'),
+     "branch domain must be a [lo, hi] pair, got ['0']"),
+    (_DOUBLING_CONFIG[:-3], "cannot read map config"),
+), ids=("no-kind", "short-codomain", "short-domain", "truncated"))
+def test_exit_code_2_on_malformed_map_config(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "oracle", "--map", str(path), "--depth", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    # the intact config is a working doubling map
+    path.write_text(_DOUBLING_CONFIG)
+    assert run(capsys, "oracle", "--map", str(path), "--depth", "2")[1] == (
+        "level 1: count 2, entropy 0.693147180559945\n"
+        "level 2: count 4, entropy 0.693147180559945\n")
+
+
+def test_tower_cli_does_not_import_the_bench_shim():
+    # holed_entropy.scalar exists only for the benchmark harness
+    probe = ("import sys\n"
+             "from holed_entropy import cli\n"
+             "assert cli.main(['tower', '--a', '0.7']) == 0\n"
+             "print('holed_entropy.scalar' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert '"certified": true' in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_deterministic_sweep_json(capsys, tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     for p in (p1, p2):
@@ -377,6 +420,14 @@ def test_holder_rejects_bad_xi(capsys):
                              "--xi", xi)
         assert code == 2 and out == ""
         assert "xi" in err
+
+
+def test_holder_rejects_a_negative_scale_from(capsys):
+    # scales are the exact powers 2^-k; k < 0 used to end in a TypeError
+    code, out, err = run(capsys, "holder", "--family", "left", "--t", "3/4",
+                         "--scale-from", "-1", "--scale-to", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: --scale-from must be >= 0 (scales are 2^-k), got -1\n"
 
 
 def test_holder_samples_the_ladder_once(capsys, monkeypatch):

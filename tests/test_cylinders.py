@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holed_entropy import (EmptyPartitionError, Hole, LocallyConstantWeight,
-                           ResourceLimitError, Scalar, build_d_adic,
+                           ResourceLimitError, build_d_adic,
                            build_scaled_farey, compare_engines, entropy_estimate,
                            expansion_diagnostics, export_level_counts,
                            pressure_estimate, refine)
@@ -21,7 +21,7 @@ from holed_entropy.mapmodel import map_from_config, subtract_pieces
 
 
 def ex(x):
-    return Scalar.exact(x)
+    return Fraction(x)
 
 
 def H(*pieces):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holed_entropy import (Hole, InvalidParameterError, NoRootError,
-                           ResourceLimitError, Scalar, build_d_adic,
+                           ResourceLimitError, build_d_adic,
                            build_orbit, determinant, entropy_estimate,
                            entropy_left_hole, entropy_markov, leading_root,
                            refine)
@@ -26,7 +26,7 @@ LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 
 
 def ex(x):
-    return Scalar.exact(x)
+    return Fraction(x)
 
 
 # -- left-limit evaluation ------------------------------------------------------
@@ -85,13 +85,20 @@ def test_orbit_rejects_bad_parameter():
             build_orbit(ex(bad))
 
 
+def test_boolean_parameter_is_refused():
+    # True is an int, but not a parameter
+    for call in (build_orbit, entropy_left_hole):
+        with pytest.raises(InvalidParameterError, match="boolean True"):
+            call(True)
+
+
 def test_float_orbit_capped_with_recorded_A():
     # a float has no orbit of its own; the dyadic ends of its enclosure
     # (denominator 2**41, half of eps 1e-12 or less) repeat within 41 + 2
     # steps, with A recorded
     with pytest.raises(InvalidParameterError):
-        build_orbit(Scalar.approx(0.51))
-    res = entropy_left_hole(Scalar.approx(0.51))
+        build_orbit(0.51)
+    res = entropy_left_hole(0.51)
     assert res.orbit is None and res.series is None
     lower, upper = res.ends
     assert lower.a <= Fraction(0.51) - Fraction(1e-12)
@@ -107,14 +114,14 @@ def test_float_orbit_ambiguity_near_half():
     # the eps-ball around 0.5 + eps/2 (or 1 - eps/2) leaves (1/2, 1)
     for a in (0.5 + 5e-13, 1 - 5e-13):
         with pytest.raises(InvalidParameterError):
-            entropy_left_hole(Scalar.approx(a))
+            entropy_left_hole(a)
 
 
 @pytest.mark.parametrize("a", (0.5 + 2e-12, 1 - 2e-12, 0.5 + 1.2e-12, 1 - 1.2e-12))
 def test_enclosure_ends_stay_inside_the_family(a):
     # at 0.5 + 1.2e-12 the end a- rounds onto 1/2 at s = 41, and at
     # 1 - 1.2e-12 the end a+ onto 1, where no orbit exists; s is raised
-    res = entropy_left_hole(Scalar.approx(a))
+    res = entropy_left_hole(a)
     lower, upper = res.ends
     assert Fraction(1, 2) < lower.a <= Fraction(a) - Fraction(1e-12)
     assert Fraction(a) + Fraction(1e-12) <= upper.a < 1
@@ -126,7 +133,7 @@ def test_enclosure_ends_stay_inside_the_family(a):
 def test_float_orbit_escape_label():
     # no orbit ends as an "escape" any more: the ends of the float 0.7
     # record the first k >= 1 with a_k >= a and still close exactly
-    res = entropy_left_hole(Scalar.approx(0.7))
+    res = entropy_left_hole(0.7)
     for end in res.ends:
         orb, av = end.orbit, end.a
         assert orb.termination.kind == "preperiodic"
@@ -245,7 +252,7 @@ def test_leading_root_certified_at_every_degree():
     assert len(res.series.polynomial) == 879
     assert res.root.certified is True
     # so is the enclosure of a float, whose ends are exact polynomials
-    assert entropy_left_hole(Scalar.approx(0.9371)).root.certified is True
+    assert entropy_left_hole(0.9371).root.certified is True
     # a series that is only part of the determinant gets no certificate
     ser = DeterminantSeries(1, (1, -1, -1), False, None)
     assert leading_root(ser, 1e-14).certified is False
@@ -386,7 +393,7 @@ def test_exact_dyadic_root_keeps_a_zero_width_bracket():
 
 
 def test_float_mode_bracket_passes_the_integer_sign_check():
-    res = entropy_left_hole(Scalar.approx(0.7))
+    res = entropy_left_hole(0.7)
     assert res.root.certified is True
     lo, hi = res.interval
     assert lo <= LOG_GOLDEN <= hi  # 0.7 lies on the golden plateau
@@ -400,7 +407,7 @@ def test_float_mode_bracket_passes_the_integer_sign_check():
 def test_interval_holds_minus_log_of_the_bracket():
     # math.log rounds either way; the one-ulp widening of each end covers it
     rows = [ex(Fraction(p, q)) for q in range(3, 16) for p in range(q // 2 + 1, q)]
-    rows += [Scalar.approx(x) for x in (0.51, 0.55, 0.7, 0.9371, 0.75 + 1e-9)]
+    rows += [0.51, 0.55, 0.7, 0.9371, 0.75 + 1e-9]
     with localcontext() as ctx:
         ctx.prec = 40
         for a in rows:
@@ -416,7 +423,7 @@ def test_interval_holds_minus_log_of_the_bracket():
 def test_float_enclosure_holds_the_exact_bracket_property(q, data):
     p = data.draw(st.integers(q // 2 + 1, q - 1), label="p")
     exact = entropy_left_hole(ex(Fraction(p, q)))
-    enclosure = entropy_left_hole(Scalar.approx(float(Fraction(p, q))))
+    enclosure = entropy_left_hole(float(Fraction(p, q)))
     assert enclosure.root.certified is True
     lo, hi = enclosure.interval
     assert lo <= exact.interval[0] <= exact.interval[1] <= hi
@@ -430,7 +437,7 @@ def test_tol_below_the_float_spacing_returns_adjacent_floats():
         "import json\n"
         "from fractions import Fraction\n"
         "from unittest import mock\n"
-        "from holed_entropy import Scalar, entropy_left_hole, kneading\n"
+        "from holed_entropy import entropy_left_hole, kneading\n"
         "rows = []\n"
         "for fallback in (False, True):\n"
         "    newton = (lambda self, lo, hi: lo) if fallback else kneading._SparseForm.newton\n"
@@ -438,7 +445,7 @@ def test_tol_below_the_float_spacing_returns_adjacent_floats():
         "            mock.patch.object(kneading, '_bisect', wraps=kneading._bisect) as spy:\n"
         "        for a in ('2/3', '3/4', '7/8', '11/20'):\n"
         "            for tol in (1e-16, 1e-17, 1e-20):\n"
-        "                res = entropy_left_hole(Scalar.exact(Fraction(a)), tol=tol)\n"
+        "                res = entropy_left_hole(Fraction(a), tol=tol)\n"
         "                rows.append([a, res.root.bracket, res.root.r,\n"
         "                             res.root.error_bound, res.root.certified])\n"
         "    print(spy.call_count)\n"
@@ -533,15 +540,15 @@ def test_preperiodic_closed_form_agrees_with_truncated_series():
 
 def test_truncation_stability_float():
     # the enclosures of one float at two tolerances both hold its entropy
-    res1 = entropy_left_hole(Scalar.approx(0.55, 1e-12))
-    res2 = entropy_left_hole(Scalar.approx(0.55, 1e-10))
+    res1 = entropy_left_hole(0.55, epsilon=1e-12)
+    res2 = entropy_left_hole(0.55, epsilon=1e-10)
     assert abs(res1.entropy - res2.entropy) <= res1.root.error_bound + 1e-12
     (lo1, hi1), (lo2, hi2) = res1.interval, res2.interval
     assert lo2 <= hi1 and lo1 <= hi2
 
 
 def test_float_entropy_vs_oracle():
-    res = entropy_left_hole(Scalar.approx(0.55))
+    res = entropy_left_hole(0.55)
     lo, hi = res.interval
     assert 0 < lo <= res.entropy <= hi < math.log(2)
     tree = refine(build_d_adic(2), Hole([(ex(Fraction(11, 20)), ex(1))]), 20)
@@ -563,7 +570,7 @@ def test_json_fields():
     assert set(out) == {"a", "entropy", "r", "p", "termination", "K", "error_bound",
                         "certified"}
     assert out["p"] == 1 and out["a"] == "3/4" and out["certified"] is True
-    out = entropy_left_hole(Scalar.approx(0.75)).to_json()
+    out = entropy_left_hole(0.75).to_json()
     assert set(out) == {"a", "entropy", "r", "p", "interval", "ends", "error_bound",
                         "certified"}
     assert out["a"] == 0.75 and out["certified"] is True

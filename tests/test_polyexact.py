@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 
 from holed_entropy import polyexact
 from holed_entropy.errors import InvalidParameterError, ResourceLimitError
-from holed_entropy.polyexact import (berkowitz_char_poly, char_poly_cofactor,
+from holed_entropy.polyexact import (CHAR_POLY_SIZE_CAP, _int_pseudo_rem,
+                                     berkowitz_char_poly, char_poly_cofactor,
                                      int_matmul, int_matrix_rank,
-                                     largest_real_root, poly_deriv, poly_eval,
-                                     poly_gcd_int, poly_mul, poly_neg,
-                                     poly_primitive, poly_trim, sign_at,
-                                     sign_at_dyadic, square_free_decomposition,
-                                     taylor_shift)
+                                     largest_real_root, poly_content,
+                                     poly_deriv, poly_eval, poly_gcd_int,
+                                     poly_mul, poly_neg, poly_primitive,
+                                     poly_trim, sign_at, sign_at_dyadic,
+                                     square_free_decomposition, taylor_shift)
 
 
-# -- Fraction references: division, Sturm chain ---------------------------------
+# -- references: Fraction division, Sturm chains --------------------------------
 
 def _poly_divmod(p, q):
     """Quotient and remainder over the rationals."""
@@ -62,10 +63,36 @@ def _sturm_chain(p):
     return chain
 
 
+def _int_sturm_chain(p):
+    """The Sturm chain of an integer p in integers, fast at the degrees of
+    Markov characteristic polynomials where the Fraction chain takes
+    minutes: a primitive remainder sequence that
+    divides only by the positive content and pseudo-divides only by a copy
+    of the divisor with a positive lead.  Every entry is then a positive
+    multiple of the matching :func:`_sturm_chain` entry, with the same signs."""
+    def content_free(q):
+        g = poly_content(q)
+        return [c // g for c in q]
+
+    chain = [content_free(poly_trim(list(p)))]
+    d = poly_deriv(chain[0])
+    if d:
+        chain.append(content_free(d))
+    while len(chain) >= 2:
+        b = chain[-1]
+        r = _int_pseudo_rem(chain[-2], b if b[-1] > 0 else poly_neg(b))
+        if not r:
+            break
+        chain.append(content_free(poly_neg(r)))
+    return chain
+
+
 def _sturm_count(chain, lo, hi):
     """Number of distinct real roots in (lo, hi] of a squarefree polynomial."""
     def variations(x):
-        signs = [v > 0 for v in (poly_eval(q, x) for q in chain) if v]
+        x = Fraction(x)
+        signs = [s > 0 for s in (sign_at(q, x.numerator, x.denominator)
+                                 for q in chain) if s]
         return sum(a != b for a, b in zip(signs, signs[1:]))
     return variations(lo) - variations(hi)
 
@@ -127,7 +154,8 @@ def test_charpoly_vs_sympy():
 
 def test_charpoly_size_cap():
     with pytest.raises(ResourceLimitError):
-        berkowitz_char_poly([[0] * 10 for _ in range(10)], size_cap=5)
+        berkowitz_char_poly([[0] * (CHAR_POLY_SIZE_CAP + 1)
+                             for _ in range(CHAR_POLY_SIZE_CAP + 1)])
 
 
 def test_charpoly_det_trace_consistency():
@@ -265,6 +293,23 @@ def test_sturm_counts_roots():
     assert _sturm_count(chain, -B, B) == 3
     assert _sturm_count(chain, Fraction(0), Fraction(1)) == 1
     assert _sturm_count(chain, Fraction(1), B) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(roots=st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=64),
+                      min_size=1, max_size=5),
+       quad=st.tuples(st.integers(-3, 3), st.integers(-3, 5)).map(
+           lambda bc: [bc[1], bc[0], 1]))
+@example(roots=[Fraction(1, 2), Fraction(2), Fraction(-3)], quad=[1, 0, 1])
+def test_integer_sturm_chain_is_a_positive_multiple_of_the_fraction_chain(roots, quad):
+    # the inputs of the Sturm reference tests; repeated roots included
+    p = _product([_clear_denominators([-r, 1]) for r in roots] + [quad])
+    ref, chain = _sturm_chain(p), _int_sturm_chain(p)
+    assert len(chain) == len(ref)
+    for q, f in zip(chain, ref):
+        assert all(type(c) is int for c in q) and len(q) == len(f)
+        ratio = Fraction(f[-1]) / q[-1]
+        assert ratio > 0 and all(Fraction(a) == ratio * b for a, b in zip(f, q))
 
 
 def test_isolate_largest_real_root():

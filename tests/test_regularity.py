@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from holed_entropy import (CustomFamily, Hole, InvalidParameterError,
-                           LeftHoleFamily, Scalar, SlidingHoleFamily, SweepSpec,
+                           LeftHoleFamily, SlidingHoleFamily, SweepSpec,
                            build_d_adic, emit_csv, emit_svg_plot, hole_dist,
                            holder_estimate, run_sweep, verify_holder_bound)
 from holed_entropy.markov import entropy_markov
@@ -163,8 +163,8 @@ def test_sweep_flagged_rows_continue():
     def mk_hole(s):
         if s == F(1, 2):
             # 2 has order 640 modulo 641
-            return Hole([(Scalar.exact(F(1, 641)), Scalar.exact(F(2, 641)))])
-        return Hole([(Scalar.exact(s), Scalar.exact(1))])
+            return Hole([(F(1, 641), F(2, 641))])
+        return Hole([(s, 1)])
 
     fam = CustomFamily(m, mk_hole, name="mixed")
     spec = SweepSpec(fam, F(1, 2), F(3, 4), 3, engine="markov",
@@ -219,7 +219,7 @@ def test_holder_zero_entropy_gate():
     # at h(t) = 0 the machinery is skipped: alpha 0, no constants.
     # hole [s, 1] with s < 1/2 leaves a single survivor component per level.
     fam = CustomFamily(build_d_adic(2),
-                       lambda s: Hole([(Scalar.exact(s), Scalar.exact(1))]))
+                       lambda s: Hole([(s, 1)]))
     est = holder_estimate(fam, F(1, 4), 1, LOG2,
                           [F(1, 64), F(1, 128)], engine="oracle",
                           engine_params={"n": 12})
@@ -242,7 +242,7 @@ def test_verify_holder_bound_fails_when_inflated():
 
 def test_verify_requires_positive_entropy():
     fam = CustomFamily(build_d_adic(2),
-                       lambda s: Hole([(Scalar.exact(s), Scalar.exact(1))]))
+                       lambda s: Hole([(s, 1)]))
     with pytest.raises(InvalidParameterError):
         verify_holder_bound(fam, F(1, 4), 1, LOG2, [F(1, 64), F(1, 128)],
                             engine="oracle", engine_params={"n": 10})
@@ -324,12 +324,12 @@ def test_emit_svg(tmp_path):
     spec = SweepSpec(LeftHoleFamily(), F(5, 8), F(7, 8), 9, engine="kneading")
     res = run_sweep(spec)
     path = tmp_path / "plot.svg"
-    emit_svg_plot(res, str(path), style={"title": "left-hole entropy"})
+    emit_svg_plot(res, str(path))
     text = path.read_text()
     assert text.startswith("<svg")
     assert 'viewBox="0 0 800 600"' in text
     assert "<polyline" in text
-    assert "left-hole entropy" in text
+    assert "entropy sweep (kneading)" in text
 
 
 def test_emit_svg_refuses_empty(tmp_path):
