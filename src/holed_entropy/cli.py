@@ -28,8 +28,8 @@ from .cylinders import (DEFAULT_COMPONENT_CAP, compare_engines, entropy_estimate
 from .errors import (HoledEntropyError, InvalidParameterError, NoRootError,
                      NotFinitelyMarkovError, ResourceLimitError)
 from .kneading import entropy_left_hole
-from .mapmodel import (Hole, build_d_adic, build_scaled_farey, load_map_config,
-                       map_to_config, parse_rational)
+from .mapmodel import (Hole, PiecewiseMap, build_d_adic, build_scaled_farey,
+                       load_map_config, map_to_config, parse_rational)
 from .markov import entropy_markov, to_dot
 from .regularity import (LeftHoleFamily, SlidingHoleFamily, SweepSpec, emit_csv,
                          emit_svg_plot, holder_estimate, run_sweep)
@@ -65,9 +65,11 @@ def _parse_hole_arg(text: str | None) -> Hole:
     return Hole(pieces)
 
 
-def _resolve_map(name: str, param: str | None):
+def _resolve_map(name: str, param: str | None) -> tuple[PiecewiseMap, Hole | None]:
+    """The map that ``--map`` and ``--param`` name, and the hole of a JSON
+    config (None for a built-in map or a config without one)."""
     if name == "doubling":
-        return build_d_adic(2)
+        return build_d_adic(2), None
     if name.startswith("d-adic:"):
         text = name.split(":", 1)[1]
         try:
@@ -75,16 +77,27 @@ def _resolve_map(name: str, param: str | None):
         except ValueError as exc:
             raise InvalidParameterError(
                 f"d-adic map needs an integer d >= 2, got {text!r}") from exc
-        return build_d_adic(d)
+        return build_d_adic(d), None
     if name == "farey":
         if param is None:
             raise InvalidParameterError("the farey map needs --param a in (0, 1]")
-        return build_scaled_farey(parse_rational(param))
+        return build_scaled_farey(parse_rational(param)), None
     if os.path.exists(name):
-        pmap, _ = load_map_config(name)
-        return pmap
+        return load_map_config(name)
     raise InvalidParameterError(
         f"unknown map {name!r}: use doubling, d-adic:<d>, farey, or a JSON path")
+
+
+def _map_and_hole(args) -> tuple[PiecewiseMap, Hole]:
+    """The map and the hole: ``--hole``, or else a JSON config's hole; a
+    config hole and ``--hole`` together are an input error."""
+    pmap, config_hole = _resolve_map(args.map, args.param)
+    if config_hole is None:
+        return pmap, _parse_hole_arg(args.hole)
+    if args.hole is not None:
+        raise InvalidParameterError(
+            f"map config {args.map!r} has a hole; drop --hole or the config's \"hole\"")
+    return pmap, config_hole
 
 
 def _emit_json(obj, path: str | None):
@@ -101,8 +114,7 @@ def _emit_json(obj, path: str | None):
 # ---------------------------------------------------------------------------
 
 def _cmd_entropy(args) -> int:
-    pmap = _resolve_map(args.map, args.param)
-    hole = _parse_hole_arg(args.hole)
+    pmap, hole = _map_and_hole(args)
     if args.engine == "kneading":
         from .cylinders import left_hole_parameter
         a = left_hole_parameter(pmap, hole)
@@ -119,7 +131,7 @@ def _cmd_entropy(args) -> int:
         return 0
     if args.engine == "markov":
         tol = markov.DEFAULT_TOL if args.tol is None else args.tol
-        res = entropy_markov(pmap, hole, orbit_cap=args.orbit_cap, tol=tol)
+        res = entropy_markov(pmap, hole, tol=tol)
         print(f"entropy = {res.entropy:.15g}  (engine=markov, "
               f"p={res.report.pole_order_p}, rho={res.report.rho:.15g})")
         if args.json:
@@ -158,9 +170,8 @@ def _cmd_tower(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    pmap = _resolve_map(args.map, args.param)
-    hole = _parse_hole_arg(args.hole)
-    res = entropy_markov(pmap, hole, orbit_cap=args.orbit_cap, tol=args.tol)
+    pmap, hole = _map_and_hole(args)
+    res = entropy_markov(pmap, hole, tol=args.tol)
     _emit_json(res.to_json(), args.json)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -169,8 +180,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    pmap = _resolve_map(args.map, args.param)
-    hole = _parse_hole_arg(args.hole)
+    pmap, hole = _map_and_hole(args)
     tree = refine(pmap, hole, args.depth, args.component_cap)
     levels = [{"level": n, "count": tree.count(n), "entropy": entropy_estimate(tree, n)}
               for n in range(1, args.depth + 1)]
@@ -197,12 +207,9 @@ def _make_family(args):
 def _cmd_sweep(args) -> int:
     family = _make_family(args)
     extra = tuple(parse_rational(x) for x in (args.extra or []))
-    params = {}
-    if args.oracle_depth is not None:
-        params["n"] = args.oracle_depth
     spec = SweepSpec(family, parse_rational(args.start),
                      parse_rational(args.end), args.count,
-                     engine=args.engine, engine_params=params,
+                     engine=args.engine, depth=args.oracle_depth,
                      extra_points=extra)
     result = run_sweep(spec)
     flagged = sum(1 for r in result.rows if r.status != "ok")
@@ -252,8 +259,7 @@ def _cmd_holder(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    pmap = _resolve_map(args.map, args.param)
-    hole = _parse_hole_arg(args.hole)
+    pmap, hole = _map_and_hole(args)
     if args.dump_config:
         _emit_json(map_to_config(pmap, None if hole.is_empty else hole), args.json)
         return 0
@@ -294,7 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["kneading", "markov", "oracle", "compare"])
     p.add_argument("--depth", type=int, default=20, help="oracle/compare level")
     p.add_argument("--tol", type=float, help="default: the engine's own")
-    p.add_argument("--orbit-cap", type=int, default=markov.DEFAULT_ORBIT_CAP)
     p.set_defaults(fn=_cmd_entropy)
 
     p = sub.add_parser("tower", help="boundary-orbit determinant for hole [a,1]")
@@ -311,7 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="exact Markov transition spectrum")
     common(p)
-    p.add_argument("--orbit-cap", type=int, default=markov.DEFAULT_ORBIT_CAP)
     p.add_argument("--tol", type=float, default=markov.DEFAULT_TOL)
     p.add_argument("--dot", help="write the transition graph in DOT format")
     p.set_defaults(fn=_cmd_spectrum)
@@ -332,7 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--engine", default="kneading",
                    choices=["kneading", "markov", "oracle"])
-    p.add_argument("--oracle-depth", type=int, default=None)
+    p.add_argument("--oracle-depth", type=int, default=20,
+                   help="refinement level of the oracle engine")
     p.add_argument("--extra", nargs="*", help="extra exact grid points")
     p.add_argument("--csv")
     p.add_argument("--svg")

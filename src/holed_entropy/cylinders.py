@@ -510,8 +510,7 @@ class LocallyConstantWeight:
 
 
 def pressure_estimate(pmap: PiecewiseMap, weight: LocallyConstantWeight,
-                      hole: Hole, n: int,
-                      component_cap: int = DEFAULT_COMPONENT_CAP) -> float:
+                      hole: Hole, n: int) -> float:
     """(1/n) log of the weighted survivor sum at level n; -inf when it is zero.
 
     The weight is locally constant, so the supremum over a cylinder is the
@@ -522,7 +521,7 @@ def pressure_estimate(pmap: PiecewiseMap, weight: LocallyConstantWeight,
     if len(weight.values) != len(pmap.branches):
         raise InvalidParameterError("weight needs one value per branch")
     vals = weight.values
-    tree = refine(pmap, hole, n, component_cap)
+    tree = refine(pmap, hole, n)
     if tree.count(n) == 0:
         return float("-inf")
     total = Fraction(0)
@@ -623,8 +622,7 @@ def _sup_deriv_and_image(pmap: PiecewiseMap, word, lo, hi):
 
 
 def expansion_diagnostics(pmap: PiecewiseMap, n: int, hole: Hole | None = None,
-                          weight: LocallyConstantWeight | None = None,
-                          component_cap: int = DEFAULT_COMPONENT_CAP
+                          weight: LocallyConstantWeight | None = None
                           ) -> ExpansionDiagnostics:
     """Compute the level-n expansion and Lasota-Yorke diagnostics.
 
@@ -661,9 +659,9 @@ def expansion_diagnostics(pmap: PiecewiseMap, n: int, hole: Hole | None = None,
             A_n = float(best_ws) * float(2 / Fraction(m_I) + 1)
             return ExpansionDiagnostics(n, theta_n, lambda_n, xi_n,
                                         3.0 * float(max_w) ** n, A_n)
-        survivors = refine(pmap, hole, n, component_cap)
+        survivors = refine(pmap, hole, n)
     else:
-        tree0 = refine(pmap, Hole.empty(), n, component_cap)
+        tree0 = refine(pmap, Hole.empty(), n)
         if tree0.count(n) == 0:
             raise EmptyPartitionError(f"no level-{n} cylinders")
         table = {}
@@ -671,7 +669,7 @@ def expansion_diagnostics(pmap: PiecewiseMap, n: int, hole: Hole | None = None,
             table[word] = ((lo, hi), *_sup_deriv_and_image(pmap, word, lo, hi))
         lambda_n = max(_log_ratio(sup) / n for _, sup, _ in table.values())
         xi_n = max(_log_ratio(sup / m_img) / n for _, sup, m_img in table.values())
-        survivors = tree0 if hole.is_empty else refine(pmap, hole, n, component_cap)
+        survivors = tree0 if hole.is_empty else refine(pmap, hole, n)
 
     groups: dict[tuple, list] = {}
     for interval, word in zip(survivors.component_intervals(n), survivors.itineraries(n)):
@@ -726,13 +724,12 @@ def left_hole_parameter(pmap: PiecewiseMap, hole: Hole) -> Optional[Fraction]:
     return lo
 
 
-def compare_engines(pmap: PiecewiseMap, hole: Hole, n: int,
-                    component_cap: int = DEFAULT_COMPONENT_CAP) -> EngineComparison:
+def compare_engines(pmap: PiecewiseMap, hole: Hole, n: int) -> EngineComparison:
     """Run every applicable engine and report absolute differences.
 
     Inapplicable engines are reported as absent, never as errors.
     """
-    tree = refine(pmap, hole, n, component_cap)
+    tree = refine(pmap, hole, n)
     oracle_h = entropy_estimate(tree, n)
     kn = None
     a = left_hole_parameter(pmap, hole)

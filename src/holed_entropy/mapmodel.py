@@ -253,8 +253,9 @@ class Hole:
 # builders
 # ---------------------------------------------------------------------------
 
-# above this the d + 1 initial breakpoints already exceed the Markov
-# engine's default orbit cap, and every branch is built eagerly
+# every branch is built eagerly, so this bounds the map a name can ask for;
+# the Markov engine refuses far smaller d at once, since each branch domain
+# outside the hole is an initial state and it caps states at 400
 D_ADIC_MAX = 10_000
 
 

@@ -5,13 +5,16 @@ When every branch endpoint and hole endpoint has a finite forward orbit, the
 orbit points cut the interval into states on which the map is Markov: each
 state maps under a single branch onto an exact union of states and escape
 pieces.  The orbit points are closed by a worklist that inserts each new
-point into the sorted cuts once and queues only its own image.  The
-transition matrix is 0/1 over the surviving states; a state's image covers
-one contiguous run of states, found by bisection.  Its characteristic
-polynomial is computed exactly over the integers (sparse Berkowitz).  For a
-multiple leading eigenvalue rho, the geometric multiplicity and the pole
-order are read off the ranks of powers of m(M), m the minimal polynomial of
-rho: an integer matrix, so the ranks come from fraction-free elimination.
+point into the sorted cuts once and queues only its own image; the closure
+is refused as soon as its states pass the characteristic-polynomial cap
+(400), the one size limit of the engine, or its points pass a fixed bit
+budget.  The transition matrix is 0/1 over the surviving states; a state's
+image covers one contiguous run of states, found by bisection.  Its
+characteristic polynomial is computed exactly over the integers (sparse
+Berkowitz).  For a multiple leading eigenvalue rho, the geometric
+multiplicity and the pole order are read off the ranks of powers of m(M), m
+the minimal polynomial of rho: an integer matrix, so the ranks come from
+fraction-free elimination.
 rho is bracketed once, as a root of the square-free part of the
 characteristic polynomial, and the square-free factor that changes sign on
 that bracket holds it.  m comes from integers too (:mod:`.minpoly`): the
@@ -36,11 +39,10 @@ from .polyexact import (CHAR_POLY_SIZE_CAP, _holds_root, berkowitz_char_poly,
                         int_matmul, int_matrix_rank, largest_real_root, poly_mul,
                         square_free_decomposition)
 
-DEFAULT_ORBIT_CAP = 10_000
 DEFAULT_TOL = 1e-13
 # the closure's memory budget: numerator plus denominator bits summed over
-# its points, per point that orbit_cap allows
-_BITS_PER_POINT = 64
+# its points
+_CLOSURE_BITS = 640_000
 
 
 @dataclass(frozen=True)
@@ -61,23 +63,27 @@ def _inside_hole(x: Fraction, hole: Hole) -> bool:
     return False
 
 
-def refine_markov(pmap: PiecewiseMap, hole: Hole,
-                  orbit_cap: int = DEFAULT_ORBIT_CAP) -> MarkovRefinement:
+def refine_markov(pmap: PiecewiseMap, hole: Hole) -> MarkovRefinement:
     """Close the breakpoint set under the map and cut out the states.
 
     Breakpoints start from the branch-domain, codomain, and hole endpoints,
     and each elementary interval outside the hole and inside a branch domain
-    queues the images of its ends (through its own branch's continuous
-    extension).  A queued image that is a new point is inserted into the
-    sorted cuts with ``bisect``.  Hole and branch endpoints are initial
-    cuts, so both halves of the interval it splits keep that interval's
-    owner, whose end images are already queued: only the new point's own
-    image is queued.  The queue empties at the least forward-closed set in
-    any order.  Raises :class:`NotFinitelyMarkovError` as soon as the set
-    grows past ``orbit_cap`` points, or its points' numerators and
-    denominators pass ``_BITS_PER_POINT * orbit_cap`` bits in all: an orbit
-    whose heights grow at every step (the scaled Farey map with a < 1/2)
-    would otherwise run to the point cap on ever longer Fractions.
+    (a state, owned by that branch) queues the images of its ends (through
+    its own branch's continuous extension).  A queued image that is a new
+    point is inserted into the sorted cuts with ``bisect``.  Hole and branch
+    endpoints are initial cuts, so both halves of the interval it splits
+    keep that interval's owner, whose end images are already queued: only
+    the new point's own image is queued, and only when it splits a state.
+    The queue empties at the least forward-closed set in any order, so the
+    closure never holds more points than the initial cuts, the initial
+    states and the final states together.
+
+    States only grow: :class:`ResourceLimitError` as soon as there are more
+    than ``CHAR_POLY_SIZE_CAP`` of them, and :class:`NotFinitelyMarkovError`
+    as soon as the points' numerators and denominators pass
+    ``_CLOSURE_BITS`` bits in all (an orbit whose heights grow at every
+    step, such as that of a map with huge slope denominators, would
+    otherwise fill memory before the state cap).
     """
     ilo, ihi = pmap.codomain.as_raw()
     for lo, hi in hole.pieces:
@@ -91,6 +97,7 @@ def refine_markov(pmap: PiecewiseMap, hole: Hole,
     for lo, hi in hole.pieces:
         points.add(lo)
         points.add(hi)
+    starts = [lo for lo, _ in doms]  # ascending: domains are ordered and disjoint
 
     def owner(u: Fraction, v: Fraction) -> Optional[int]:
         """Branch owning the elementary interval (u, v); None in the hole
@@ -98,15 +105,21 @@ def refine_markov(pmap: PiecewiseMap, hole: Hole,
         mid = (u + v) / 2
         if _inside_hole(mid, hole):
             return None
-        for k, (lo, hi) in enumerate(doms):
-            if lo < mid < hi:
-                return k
-        return None
+        k = bisect_left(starts, mid) - 1  # the last domain starting below mid
+        return k if k >= 0 and mid < doms[k][1] else None
+
+    def check_states():
+        if n_states > CHAR_POLY_SIZE_CAP:
+            raise ResourceLimitError(
+                f"the closure passed {CHAR_POLY_SIZE_CAP} states (the "
+                f"characteristic-polynomial cap) after {len(points)} points; "
+                "use the cylinder or tower engines")
 
     cuts = sorted(points)
-    bit_budget = _BITS_PER_POINT * orbit_cap
-    bits = sum(x.numerator.bit_length() + x.denominator.bit_length() for x in cuts)
     owners = [owner(u, v) for u, v in zip(cuts, cuts[1:])]  # of (cuts[i], cuts[i + 1])
+    n_states = sum(b is not None for b in owners)
+    check_states()
+    bits = sum(x.numerator.bit_length() + x.denominator.bit_length() for x in cuts)
     work = []  # images not yet inserted
     for u, v, b in zip(cuts, cuts[1:], owners):
         if b is not None:
@@ -117,20 +130,18 @@ def refine_markov(pmap: PiecewiseMap, hole: Hole,
         if w in points:
             continue
         points.add(w)
-        if len(points) > orbit_cap:
-            raise NotFinitelyMarkovError(
-                f"boundary orbits did not close within {orbit_cap} points; "
-                "use the cylinder or tower engines")
         bits += w.numerator.bit_length() + w.denominator.bit_length()
-        if bits > bit_budget:
+        if bits > _CLOSURE_BITS:
             raise NotFinitelyMarkovError(
-                f"boundary orbit points passed {bit_budget} bits after "
+                f"boundary orbit points passed {_CLOSURE_BITS} bits after "
                 f"{len(points)} points; use the cylinder or tower engines")
         i = bisect_left(cuts, w)
         b = owners[i - 1]
         cuts.insert(i, w)
         owners.insert(i, b)
         if b is not None:
+            n_states += 1
+            check_states()
             work.append(pmap.branches[b].apply_raw(w))
 
     states = tuple((u, v) for u, v, b in zip(cuts, cuts[1:], owners) if b is not None)
@@ -160,8 +171,9 @@ def transition_matrix(ref: MarkovRefinement) -> TransitionMatrix:
     ``[w1, w2]`` of a state form one contiguous run: from the first state
     whose left end is at least ``w1`` to the last whose right end is at most
     ``w2``; an image end that is no breakpoint raises
-    :class:`NotFinitelyMarkovError`.  Raises :class:`ResourceLimitError`
-    before building any row when there are more states than the cap.
+    :class:`NotFinitelyMarkovError`.  :func:`refine_markov` refuses a
+    closure with more states than ``CHAR_POLY_SIZE_CAP``; a refinement
+    built by hand with more is refused here, before any row is built.
     """
     n = len(ref.states)
     if n > CHAR_POLY_SIZE_CAP:
@@ -347,10 +359,9 @@ class MarkovEntropy:
 
 
 def entropy_markov(pmap: PiecewiseMap, hole: Hole,
-                   orbit_cap: int = DEFAULT_ORBIT_CAP,
                    tol: float = DEFAULT_TOL) -> MarkovEntropy:
     """max{log rho, 0} over the exact Markov refinement; 0 on total escape."""
-    ref = refine_markov(pmap, hole, orbit_cap)
+    ref = refine_markov(pmap, hole)
     M = transition_matrix(ref)
     report = spectral_report(M, tol)
     h = max(math.log(report.rho), 0.0) if report.rho > 0 else 0.0

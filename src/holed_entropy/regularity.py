@@ -13,12 +13,11 @@ everything is reported per mesh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import kneading, markov
-from .cylinders import DEFAULT_COMPONENT_CAP, entropy_estimate, refine
+from .cylinders import entropy_estimate, refine
 from .errors import HoledEntropyError, InvalidParameterError
 from .kneading import entropy_left_hole
 from .mapmodel import Hole, PiecewiseMap, build_doubling
@@ -90,29 +89,24 @@ class CustomFamily:
 # engine dispatch
 # ---------------------------------------------------------------------------
 
-def entropy_at(family, s: Fraction, engine: str, params: dict | None = None
+def entropy_at(family, s: Fraction, engine: str, depth: int = 20
                ) -> tuple[float, Optional[int], Optional[float]]:
-    """(entropy, pole order if known, error bound if known) at one parameter."""
-    params = params or {}
+    """(entropy, pole order if known, error bound if known) at one parameter;
+    ``depth`` is the oracle engine's refinement level."""
     s = Fraction(s)
     if not family.admissible(s):
         raise InvalidParameterError(f"parameter {s} is outside the family range")
     if engine == "kneading":
         if not isinstance(family, LeftHoleFamily):
             raise InvalidParameterError("the kneading engine only covers left holes")
-        res = entropy_left_hole(s, tol=params.get("tol", kneading.DEFAULT_TOL))
+        res = entropy_left_hole(s)
         return res.entropy, res.p, res.root.error_bound
     if engine == "markov":
-        res = entropy_markov(
-            family.map(), family.hole(s),
-            orbit_cap=params.get("orbit_cap", markov.DEFAULT_ORBIT_CAP),
-            tol=params.get("tol", markov.DEFAULT_TOL))
+        res = entropy_markov(family.map(), family.hole(s))
         return res.entropy, res.report.pole_order_p, res.error_bound
     if engine == "oracle":
-        n = params.get("n", 20)
-        tree = refine(family.map(), family.hole(s), n,
-                      params.get("component_cap", DEFAULT_COMPONENT_CAP))
-        return entropy_estimate(tree, n), None, None
+        tree = refine(family.map(), family.hole(s), depth)
+        return entropy_estimate(tree, depth), None, None
     raise InvalidParameterError(f"unknown engine {engine!r}")
 
 
@@ -125,7 +119,8 @@ class SweepSpec:
     """Grid definition for one engine over one family.
 
     Grid points are exact rationals: start + k*(end - start)/(count - 1).
-    ``extra_points`` are merged in (deduplicated, sorted).
+    ``extra_points`` are merged in (deduplicated, sorted).  ``depth`` is the
+    oracle engine's refinement level.
     """
 
     family: object
@@ -133,7 +128,7 @@ class SweepSpec:
     end: Fraction
     count: int
     engine: str = "kneading"
-    engine_params: dict = field(default_factory=dict)
+    depth: int = 20
     extra_points: tuple = ()
 
     def grid(self) -> list[Fraction]:
@@ -178,7 +173,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     def work(s: Fraction) -> SweepRow:
         try:
-            h, p, err = entropy_at(spec.family, s, spec.engine, spec.engine_params)
+            h, p, err = entropy_at(spec.family, s, spec.engine, spec.depth)
             return SweepRow(s, h, p, spec.engine, err)
         except HoledEntropyError as exc:
             return SweepRow(s, None, None, spec.engine, None,
@@ -269,7 +264,7 @@ class HolderEstimate:
 
 def holder_estimate(family, t, p: int, xi: float, scales: Sequence,
                     engine: str = "kneading",
-                    engine_params: dict | None = None) -> HolderEstimate:
+                    depth: int = 20) -> HolderEstimate:
     """Sample h(t +- delta) once across the scale ladder and report the target
     exponent h(t)/(p*xi), the fitted log-log exponent, and per-mesh constants.
 
@@ -291,13 +286,13 @@ def holder_estimate(family, t, p: int, xi: float, scales: Sequence,
         raise InvalidParameterError("scales must be strictly decreasing")
     if sc[-1] <= 0:
         raise InvalidParameterError("scales must be positive")
-    h_t, _, _ = entropy_at(family, t, engine, engine_params)
+    h_t, _, _ = entropy_at(family, t, engine, depth)
     diffs = []
     for delta in sc:
         best = 0.0
         for s in (t - delta, t + delta):
             if family.admissible(s):
-                h_s, _, _ = entropy_at(family, s, engine, engine_params)
+                h_s, _, _ = entropy_at(family, s, engine, depth)
                 best = max(best, abs(h_s - h_t))
         diffs.append(best)
     diffs = tuple(diffs)
@@ -325,12 +320,12 @@ def holder_estimate(family, t, p: int, xi: float, scales: Sequence,
 
 def verify_holder_bound(family, t, p: int, xi: float, scales: Sequence,
                         engine: str = "kneading",
-                        engine_params: dict | None = None,
+                        depth: int = 20,
                         exponent_offset: float = 0.0,
                         stability_factor: float = 4.0) -> HolderBoundReport:
     """``holder_estimate(...).bound_check(exponent_offset, stability_factor)``:
     sample the ladder once and check one constant C across all scales."""
-    est = holder_estimate(family, t, p, xi, scales, engine, engine_params)
+    est = holder_estimate(family, t, p, xi, scales, engine, depth)
     return est.bound_check(exponent_offset, stability_factor)
 
 

@@ -294,11 +294,27 @@ def test_exit_code_2_on_malformed_rational(capsys):
 
 
 def test_exit_code_3_on_engine_error(capsys):
-    # orbit cannot close within the cap: 2 has order 640 modulo 641
+    # the closure passes the 400-state cap: 2 has order 10036 modulo 10037
     code, _, err = run(capsys, "spectrum", "--map", "doubling",
-                       "--hole", "1/641,2/641", "--orbit-cap", "40")
+                       "--hole", "1/10037,2/10037")
     assert code == 3
-    assert "engine error" in err
+    assert "engine error" in err and "400 states" in err
+
+
+def test_exit_code_3_on_a_d_adic_map_past_the_state_cap(capsys):
+    # 401 branch domains are 401 initial states: refused before any orbit
+    code, _, err = run(capsys, "spectrum", "--map", "d-adic:401")
+    assert code == 3
+    assert "passed 400 states" in err
+
+
+@pytest.mark.parametrize("argv", (["entropy", "--engine", "markov"], ["spectrum"]),
+                         ids=("entropy", "spectrum"))
+def test_orbit_cap_flag_is_gone(capsys, argv):
+    code, _, err = run(capsys, *argv, "--map", "doubling", "--hole", "3/4,5/6",
+                       "--orbit-cap", "40")
+    assert code == 2
+    assert "unrecognized arguments: --orbit-cap" in err
 
 
 def test_exit_code_3_when_an_uncertified_min_poly_needs_missing_sympy(tmp_path):
@@ -365,6 +381,36 @@ def test_json_config_map_source(capsys, tmp_path):
 _DOUBLING_CONFIG = ('{"codomain": ["0", "1"], "branches": ['
                    '{"domain": ["0", "1/2"], "kind": "affine", "coeffs": ["2", "0"]}, '
                    '{"domain": ["1/2", "1"], "kind": "affine", "coeffs": ["2", "-1"]}]}')
+# the README's config: the doubling map with the hole [3/4, 1]
+_HOLED_CONFIG = _DOUBLING_CONFIG[:-1] + ', "hole": [["3/4", "1"]]}'
+
+
+def test_json_config_hole_is_used_without_hole_flag(capsys, tmp_path):
+    cfg = tmp_path / "holed.json"
+    cfg.write_text(_HOLED_CONFIG)
+    code, out, _ = run(capsys, "oracle", "--map", str(cfg), "--depth", "4")
+    _, want, _ = run(capsys, "oracle", "--map", "doubling", "--hole", "3/4,1",
+                     "--depth", "4")
+    assert code == 0
+    assert re.findall(r"count (\d+)", out) == ["2", "3", "5", "8"]
+    assert out == want
+
+
+def test_json_config_hole_and_hole_flag_together_are_an_input_error(capsys, tmp_path):
+    cfg = tmp_path / "holed.json"
+    cfg.write_text(_HOLED_CONFIG)
+    code, out, err = run(capsys, "oracle", "--map", str(cfg), "--hole", "3/4,1",
+                         "--depth", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: map config") and "--hole" in err
+
+
+def test_diag_dump_config_keeps_the_config_hole(capsys, tmp_path):
+    cfg = tmp_path / "holed.json"
+    cfg.write_text(_HOLED_CONFIG)
+    code, out, _ = run(capsys, "diag", "--map", str(cfg), "--dump-config")
+    assert code == 0
+    assert json.loads(out) == json.loads(_HOLED_CONFIG)
 
 
 @pytest.mark.parametrize("text, message", (

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from holed_entropy import (Hole, InvalidParameterError, NotFinitelyMarkovError,
                            refine, refine_markov, spectral_report, to_dot,
                            transition_matrix)
 from holed_entropy import markov
+from holed_entropy.mapmodel import map_from_config
 from holed_entropy.markov import MarkovRefinement, TransitionMatrix
 from holed_entropy.minpoly import certify_irreducible, strip_cyclotomic
-from holed_entropy.polyexact import (berkowitz_char_poly, char_poly_cofactor,
-                                     poly_eval, poly_mul,
+from holed_entropy.polyexact import (CHAR_POLY_SIZE_CAP, berkowitz_char_poly,
+                                     char_poly_cofactor, poly_eval, poly_mul,
                                      square_free_decomposition)
 from test_polyexact import _cauchy_bound, _int_sturm_chain, _sturm_count
 
@@ -51,10 +53,43 @@ def test_refinement_right_hole():
     assert ref.states == ((F(0), F(1, 2)), (F(1, 2), F(3, 4)))
 
 
-def test_refinement_orbit_cap():
-    # denominator with full 2-orbit: 1/641 has multiplicative order 640 mod 641
-    with pytest.raises(NotFinitelyMarkovError):
-        refine_markov(build_d_adic(2), H((F(1, 641), F(1, 640))), orbit_cap=50)
+def test_refinement_state_cap():
+    # 2 has order 10036 mod 10037: the closure would have 10037 states, and
+    # is refused at the 401st, after 403 points
+    with pytest.raises(ResourceLimitError,
+                       match="passed 400 states .* after 403 points"):
+        refine_markov(build_d_adic(2), H((F(1, 10037), F(2, 10037))))
+
+
+def test_refinement_refuses_more_initial_states_than_the_cap():
+    # the 401 branch domains are states before any orbit point is added
+    with pytest.raises(ResourceLimitError, match="after 402 points"):
+        refine_markov(build_d_adic(401), Hole.empty())
+
+
+def _slope_config_map(e):
+    # two affine branches of slope (2^e + 1)/2^(e - 1), a gap between them
+    s = F(2 ** e + 1, 2 ** (e - 1))
+    return map_from_config({"codomain": ["0", "1"], "branches": [
+        {"domain": ["0", str(1 / s)], "kind": "affine", "coeffs": [str(s), "0"]},
+        {"domain": [str(1 - 1 / s), "1"], "kind": "affine",
+         "coeffs": [str(s), str(1 - s)]}]})[0]
+
+
+def test_bit_budget_refuses_an_orbit_of_growing_heights():
+    # an image can multiply a denominator by 2^299: the points pass the bit
+    # budget at 52 points, where the state cap would refuse at 405
+    with pytest.raises(NotFinitelyMarkovError, match="640000 bits after 52 points"):
+        refine_markov(_slope_config_map(300), H((F(3, 4), F(7, 8))))
+
+
+def test_bit_budget_refuses_a_closure_within_the_state_cap(monkeypatch):
+    # this closure has 192 states, within the cap, but 1.29 M bits
+    pmap, hole = _slope_config_map(64), H((F(3, 4), F(7, 8)))
+    with pytest.raises(NotFinitelyMarkovError, match="bits after 147 points"):
+        refine_markov(pmap, hole)
+    monkeypatch.setattr(markov, "_CLOSURE_BITS", 2_000_000)
+    assert len(refine_markov(pmap, hole).states) == 192
 
 
 def test_markov_property_holds():
@@ -67,9 +102,10 @@ def test_markov_property_holds():
             assert w1 in cutset and w2 in cutset
 
 
-def reference_closure(pmap, hole, orbit_cap):
-    """Round-based closure: rescan every elementary interval until a round
-    adds no point.  Returns (breakpoints, states, state_branch)."""
+def _initial_cuts(pmap, hole):
+    """Sorted codomain, branch-domain and hole endpoints, and the owner of
+    an elementary interval (a branch by linear scan, None in the hole or
+    outside every domain)."""
     ilo, ihi = pmap.codomain.as_raw()
     doms = pmap.branch_domains_raw()
     points = {ilo, ihi, *(x for piece in doms + list(hole.pieces) for x in piece)}
@@ -80,29 +116,35 @@ def reference_closure(pmap, hole, orbit_cap):
             return None
         return next((k for k, (lo, hi) in enumerate(doms) if lo < mid < hi), None)
 
+    return sorted(points), owner
+
+
+def reference_closure(pmap, hole, state_cap=CHAR_POLY_SIZE_CAP):
+    """Round-based closure: rescan every elementary interval until a round
+    adds no point, refusing once a round ends with more than ``state_cap``
+    states.  Returns (breakpoints, states, state_branch)."""
+    cuts, owner = _initial_cuts(pmap, hole)
+    points = set(cuts)
     while True:
         cuts = sorted(points)
+        owned = [((u, v), owner(u, v)) for u, v in zip(cuts, cuts[1:])]
+        owned = [(s, b) for s, b in owned if b is not None]
+        if len(owned) > state_cap:
+            raise ResourceLimitError("state cap")
         new = set()
-        for u, v in zip(cuts, cuts[1:]):
-            b = owner(u, v)
-            if b is not None:
-                br = pmap.branches[b]
-                new |= {br.apply_raw(u), br.apply_raw(v)} - points
+        for (u, v), b in owned:
+            br = pmap.branches[b]
+            new |= {br.apply_raw(u), br.apply_raw(v)} - points
         if not new:
             break
         points |= new
-        if len(points) > orbit_cap:
-            raise NotFinitelyMarkovError("orbit cap")
-    cuts = sorted(points)
-    owned = [((u, v), owner(u, v)) for u, v in zip(cuts, cuts[1:])]
-    owned = [(s, b) for s, b in owned if b is not None]
     return tuple(cuts), tuple(s for s, _ in owned), tuple(b for _, b in owned)
 
 
 @st.composite
-def exact_holes(draw):
+def exact_holes(draw, max_pieces=3):
     pieces = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, max_pieces))):
         q = draw(st.integers(1, 64))
         lo = draw(st.integers(0, q))
         hi = draw(st.integers(lo, q))
@@ -116,17 +158,39 @@ CLOSURE_MAPS = {"doubling": build_d_adic(2), "triadic": build_d_adic(3),
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(CLOSURE_MAPS)), hole=exact_holes(),
-       cap=st.sampled_from([8, 20, 60, 10_000]))
+       cap=st.sampled_from([8, 20, 60, CHAR_POLY_SIZE_CAP]))
 def test_worklist_closure_matches_round_based_reference(name, hole, cap):
+    # states only grow and the closed set is unique, so both refuse the
+    # same holes whatever order they add points in
     pmap = CLOSURE_MAPS[name]
-    try:
-        want = reference_closure(pmap, hole, cap)
-    except NotFinitelyMarkovError:
-        with pytest.raises(NotFinitelyMarkovError):
-            refine_markov(pmap, hole, cap)
-        return
-    ref = refine_markov(pmap, hole, cap)
+    with patch.object(markov, "CHAR_POLY_SIZE_CAP", cap):
+        try:
+            want = reference_closure(pmap, hole, cap)
+        except ResourceLimitError:
+            with pytest.raises(ResourceLimitError):
+                refine_markov(pmap, hole)
+            return
+        ref = refine_markov(pmap, hole)
     assert (ref.breakpoints, ref.states, ref.state_branch) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.sampled_from([2, 3]), hole=exact_holes(max_pieces=2))
+def test_closure_keeps_the_state_cap_and_the_point_bound(d, hole):
+    # a new point splits one interval and queues at most one image, so the
+    # closure has at most initial cuts + initial states + final states points
+    pmap = build_d_adic(d)
+    try:
+        ref = refine_markov(pmap, hole)
+    except ResourceLimitError:
+        with pytest.raises(ResourceLimitError):
+            reference_closure(pmap, hole)
+        return
+    assert len(ref.states) <= CHAR_POLY_SIZE_CAP
+    cuts, owner = _initial_cuts(pmap, hole)
+    initial_states = sum(owner(u, v) is not None for u, v in zip(cuts, cuts[1:]))
+    assert len(ref.breakpoints) <= len(cuts) + initial_states + len(ref.states)
+    assert (ref.breakpoints, ref.states, ref.state_branch) == reference_closure(pmap, hole)
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,16 +205,17 @@ def test_transition_rows_match_dense_rule(name, hole):
                             for s_lo, s_hi in ref.states)
 
 
-def test_refinement_closes_a_long_orbit():
-    # 2 has order 1018 mod 1019: the closure has 1019 states; rescanning
-    # every interval per round took seconds here
+def test_refinement_closes_a_long_orbit(monkeypatch):
+    # 2 has order 1018 mod 1019: the closure has 1019 states, past the cap
+    # unless it is raised; rescanning every interval per round took seconds
     hole = H((F(1, 1019), F(2, 1019)))
+    monkeypatch.setattr(markov, "CHAR_POLY_SIZE_CAP", 1019)
     ref = refine_markov(build_d_adic(2), hole)
     assert len(ref.states) == 1019
     assert len(ref.breakpoints) == 1021
-    assert refine_markov(build_d_adic(2), hole, orbit_cap=1021) == ref
-    with pytest.raises(NotFinitelyMarkovError):
-        refine_markov(build_d_adic(2), hole, orbit_cap=1020)
+    monkeypatch.setattr(markov, "CHAR_POLY_SIZE_CAP", 1018)
+    with pytest.raises(ResourceLimitError, match="passed 1018 states"):
+        refine_markov(build_d_adic(2), hole)
 
 
 def test_transition_matrix_refuses_an_image_off_the_breakpoints():
@@ -167,8 +232,15 @@ def test_transition_matrix_checks_the_cap_before_building_rows(monkeypatch):
         raise AssertionError("berkowitz_char_poly reached")
 
     monkeypatch.setattr(markov, "berkowitz_char_poly", unreachable)
-    with pytest.raises(ResourceLimitError):
-        entropy_markov(build_d_adic(2), H((F(1, 1019), F(2, 1019))))
+    hole = H((F(1, 1019), F(2, 1019)))
+    with pytest.raises(ResourceLimitError, match="passed 400 states"):
+        entropy_markov(build_d_adic(2), hole)
+    # a refinement past the cap that the closure did not refuse
+    with monkeypatch.context() as patched:
+        patched.setattr(markov, "CHAR_POLY_SIZE_CAP", 1019)
+        ref = refine_markov(build_d_adic(2), hole)
+    with pytest.raises(ResourceLimitError, match="1019 states exceed"):
+        transition_matrix(ref)
 
 
 # -- transition matrices ------------------------------------------------------------
@@ -461,10 +533,10 @@ def test_farey_exact_markov():
 
 
 @pytest.mark.parametrize("a", (F(2, 5), F(1, 3)))
-def test_farey_below_half_is_refused_by_the_bit_budget(a):
+def test_farey_below_half_is_refused_by_the_state_cap(a):
     # the boundary orbit tends to the fixed point 0 with heights growing at
-    # every step; the point cap alone let 2/5 run for 16 s before refusing
-    with pytest.raises(NotFinitelyMarkovError, match="bits after"):
+    # every step; a 10,000-point cap alone let 2/5 run for 16 s before refusing
+    with pytest.raises(ResourceLimitError, match="passed 400 states"):
         entropy_markov(build_scaled_farey(a), Hole.empty())
 
 

@@ -150,28 +150,27 @@ def test_sweep_engine_cross_agreement():
     hm = run_sweep(spec_m).entropies()
     assert max(abs(a - b) for a, b in zip(hk, hm)) < 1e-9
     spec_o = SweepSpec(LeftHoleFamily(), F(9, 16), F(7, 8), 9, engine="oracle",
-                       engine_params={"n": 20})
+                       depth=20)
     ho = run_sweep(spec_o).entropies()
     hk9 = run_sweep(SweepSpec(LeftHoleFamily(), F(9, 16), F(7, 8), 9)).entropies()
     assert max(abs(a - b) for a, b in zip(ho, hk9)) < 0.05
 
 
 def test_sweep_flagged_rows_continue():
-    # a custom family whose first point does not close within the orbit cap
+    # a custom family whose first point passes the state cap
     m = build_d_adic(2)
 
     def mk_hole(s):
         if s == F(1, 2):
-            # 2 has order 640 modulo 641
-            return Hole([(F(1, 641), F(2, 641))])
+            # 2 has order 10036 modulo 10037
+            return Hole([(F(1, 10037), F(2, 10037))])
         return Hole([(s, 1)])
 
     fam = CustomFamily(m, mk_hole, name="mixed")
-    spec = SweepSpec(fam, F(1, 2), F(3, 4), 3, engine="markov",
-                     engine_params={"orbit_cap": 40})
+    spec = SweepSpec(fam, F(1, 2), F(3, 4), 3, engine="markov")
     res = run_sweep(spec)
     statuses = [r.status for r in res.rows]
-    assert statuses[0] == "error:NotFinitelyMarkovError"
+    assert statuses[0] == "error:ResourceLimitError"
     assert statuses[1] == "ok" and statuses[2] == "ok"
 
 
@@ -222,7 +221,7 @@ def test_holder_zero_entropy_gate():
                        lambda s: Hole([(s, 1)]))
     est = holder_estimate(fam, F(1, 4), 1, LOG2,
                           [F(1, 64), F(1, 128)], engine="oracle",
-                          engine_params={"n": 12})
+                          depth=12)
     assert est.alpha_target == 0.0
     assert est.fitted_exponent is None
 
@@ -245,7 +244,7 @@ def test_verify_requires_positive_entropy():
                        lambda s: Hole([(s, 1)]))
     with pytest.raises(InvalidParameterError):
         verify_holder_bound(fam, F(1, 4), 1, LOG2, [F(1, 64), F(1, 128)],
-                            engine="oracle", engine_params={"n": 10})
+                            engine="oracle", depth=10)
 
 
 def test_scales_must_decrease():
@@ -304,14 +303,14 @@ def test_emit_csv(tmp_path):
 
 def test_emit_csv_flagged_rows(tmp_path):
     m = build_d_adic(2)
-    # holes [s/641, (s + 1)/641]: orbits of period 640 pass the cap of 40
-    fam = CustomFamily(m, lambda s: Hole([(s / 641, (s + 1) / 641)]))
-    res = run_sweep(SweepSpec(fam, F(5, 8), F(3, 4), 2, engine="markov",
-                              engine_params={"orbit_cap": 40}))
+    # holes [s/10037, (s + 1)/10037]: orbits of period 10036 pass the state cap
+    fam = CustomFamily(m, lambda s: Hole([(s / 10037, (s + 1) / 10037)]))
+    res = run_sweep(SweepSpec(fam, F(5, 8), F(3, 4), 2, engine="markov"))
     path = tmp_path / "flagged.csv"
     emit_csv(res, str(path))
     body = path.read_text().strip().splitlines()[1:]
-    assert all("error:NotFinitelyMarkovError" in line for line in body)
+    assert len(body) == 2
+    assert all("error:ResourceLimitError" in line for line in body)
 
 
 def test_emit_csv_refuses_empty(tmp_path):
