@@ -43,13 +43,16 @@ def _parse_tower_a(text: str, epsilon: float) -> Fraction | float:
     text = text.strip()
     if "/" in text or text.lstrip("+-").isdigit():
         return parse_rational(text)
+    try:
+        a = float(text)
+    except ValueError as exc:
+        raise InvalidParameterError(f"malformed number {text!r}") from exc
+    if not math.isfinite(a):
+        raise InvalidParameterError(f"parameter a = {text} is not finite")
     print(f"warning: bare decimal {text!r} parsed in float mode "
           f"(epsilon {epsilon:g}); use num/den for exact arithmetic",
           file=sys.stderr)
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise InvalidParameterError(f"malformed number {text!r}") from exc
+    return a
 
 
 def _parse_hole_arg(text: str | None) -> Hole:

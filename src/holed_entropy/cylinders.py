@@ -656,9 +656,16 @@ def expansion_diagnostics(pmap: PiecewiseMap, n: int, hole: Hole | None = None,
             max_w = max(wvals)
             theta_n = float("-inf") if max_w == 0 else _log_ratio(max_w)
             best_ws = max(w * s for w, s in zip(wvals, slopes)) ** n
-            A_n = float(best_ws) * float(2 / Fraction(m_I) + 1)
-            return ExpansionDiagnostics(n, theta_n, lambda_n, xi_n,
-                                        3.0 * float(max_w) ** n, A_n)
+            try:
+                a_n = 3.0 * float(max_w) ** n
+                A_n = float(best_ws) * float(2 / Fraction(m_I) + 1)
+            except OverflowError:
+                a_n = A_n = math.inf
+            if math.isinf(a_n) or math.isinf(A_n):
+                raise InvalidParameterError(
+                    f"level n = {n} is too large: the level-n constants "
+                    "overflow a float")
+            return ExpansionDiagnostics(n, theta_n, lambda_n, xi_n, a_n, A_n)
         survivors = refine(pmap, hole, n)
     else:
         tree0 = refine(pmap, Hole.empty(), n)

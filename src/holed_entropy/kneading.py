@@ -21,16 +21,14 @@ factor; the value 1 never contributes a coefficient.
 For a = p/q the orbit stays on the points k/q, so the orbit runs on the
 integer numerators and builds the Fraction points only when they are read.
 The polynomial has few nonzero terms (all small integers), and every
-evaluation runs on that sparse form.  The root is found in two steps:
+evaluation runs on that sparse form.  Every sign that steers the root search
+comes from the exact dyadic helper :func:`polyexact.sign_at_dyadic`:
 
-* about a dozen guarded bisection steps bracket it to width 2**-12.  A float
-  sign is trusted only when the value exceeds a rounding bound for that sum
-  (see ``_FLOAT_TAIL``); otherwise the sign comes from the exact dyadic
-  helper :func:`polyexact.sign_at_dyadic`;
-* float Newton steps from that bracket give r, and the bracket of width at
-  most ``tol`` around r (adjacent floats when ``tol`` is below the float
-  spacing at r) is confirmed by the exact helper at both ends.  Where that
-  check fails, the guarded bisection goes on from the seed bracket instead.
+* float Newton steps from the middle of (0, 1) give r, and the bracket of
+  width at most ``tol`` around r (adjacent floats when ``tol`` is below the
+  float spacing at r) is confirmed by the exact helper at both ends;
+* where that check fails, bisection of (0, 1) on the exact sign takes over,
+  so its bracket holds the root by construction.
 
 ``certified`` means the exact helper found d > 0 at the lower end of the
 bracket and d < 0 at the upper end (or d = 0 at a zero-width bracket), so the
@@ -51,7 +49,6 @@ each end widened outward by one ulp.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -68,19 +65,7 @@ DEFAULT_EPSILON = 1e-12
 # the most orbit steps build_orbit takes while looking for a repeat
 ORBIT_CAP = 4096
 
-# The float sign at x sums the terms with exponent k below the first E where
-# max|c| x**E / (1 - x) <= _FLOAT_TAIL, which bounds every dropped term
-# together.  Sparse Horner over n terms rounds at most 4 units of 2**-53 per
-# term (pow within 1 ulp, multiply, add), so the float sum is within
-# (4 n + 8) * 2**-53 * sum |c| x**k of the kept sum; _FLOAT_SLACK covers the
-# dropped tail and underflow.
-_FLOAT_TAIL = 2.0 ** -80
-_FLOAT_SLACK = 2.0 ** -78
-_UNIT_ROUNDOFF = 2.0 ** -53
-
-# guarded bisection steps before Newton (a seed bracket of width ~2**-12),
-# and the most Newton steps taken from it
-_SEED_STEPS = 12
+# the most Newton steps that leading_root takes
 _NEWTON_STEPS = 16
 
 _HALF = Fraction(1, 2)
@@ -276,60 +261,27 @@ class RootResult:
 class _SparseForm:
     """The nonzero terms of a polynomial, evaluated at floats x in [0, 1].
 
-    ``exact`` is the exact sign.  ``sign`` is the float sign of sparse Horner
-    over the terms kept at x when the value exceeds its rounding bound, and
-    the exact sign otherwise.  ``value_slope`` and ``newton`` are plain
+    ``exact`` is the exact sign.  ``value_slope`` and ``newton`` are plain
     float arithmetic, for estimates that the exact sign then confirms.
     """
 
     def __init__(self, polynomial):
         self.terms = [(k, c) for k, c in enumerate(polynomial) if c]
-        self.exps = [k for k, _ in self.terms]
-        # Horner steps up from each term: gap to the next exponent, c, |c|
-        self.ups = [(hi - lo, c, abs(c))
-                    for (lo, c), hi in zip(self.terms, self.exps[1:])]
-        self.gaps = {g for g, _, _ in self.ups}
-        self.cmax = max(abs(c) for _, c in self.terms)
-
-    def kept(self, x: float) -> int:
-        """How many terms the float sums keep at x (see ``_FLOAT_TAIL``)."""
-        if 0 < x < 1:
-            cut = math.log(_FLOAT_TAIL * (1 - x) / self.cmax) / math.log(x)
-            return max(1, bisect_left(self.exps, int(cut) + 1))
-        return len(self.terms)
+        # Horner steps up from each term: gap to the next exponent, and c
+        self.ups = [(hi - lo, c) for (lo, c), (hi, _) in zip(self.terms, self.terms[1:])]
 
     def exact(self, x: float) -> int:
         num, den = x.as_integer_ratio()
         return sign_at_dyadic(self.terms, num, den.bit_length() - 1)
 
-    def sign(self, x: float) -> int:
-        n = self.kept(x)
-        powers = {g: x ** g for g in self.gaps}
-        c = self.terms[n - 1][1]
-        acc, size = float(c), float(abs(c))
-        for g, c, a in reversed(self.ups[:n - 1]):
-            xg = powers[g]
-            acc = acc * xg + c
-            size = size * xg + a
-        bottom = self.exps[0]
-        if bottom:
-            xb = x ** bottom
-            acc *= xb
-            size *= xb
-        if abs(acc) > (4 * n + 8) * _UNIT_ROUNDOFF * size + _FLOAT_SLACK:
-            return 1 if acc > 0 else -1
-        return self.exact(x)
-
-    def value_slope(self, x: float, n: int) -> tuple[float, float]:
-        """The float value and derivative at x of the sum of the first n
-        terms, in one sparse Horner pass."""
-        c = self.terms[n - 1][1]
-        acc, slope = float(c), 0.0
-        for g, c, _ in reversed(self.ups[:n - 1]):
+    def value_slope(self, x: float) -> tuple[float, float]:
+        """The float value and derivative at x, in one sparse Horner pass."""
+        acc, slope = float(self.terms[-1][1]), 0.0
+        for g, c in reversed(self.ups):
             xg = x ** g
             slope = slope * xg + g * acc * x ** (g - 1)
             acc = acc * xg + c
-        bottom = self.exps[0]
+        bottom = self.terms[0][0]
         if bottom:
             xb = x ** bottom
             slope = slope * xb + bottom * acc * x ** (bottom - 1)
@@ -340,11 +292,10 @@ class _SparseForm:
         """Float Newton from the middle of [lo, hi] until an iterate repeats
         (a fixed point, or a two-cycle in the rounding noise); a step that
         would leave the bracket goes halfway to the end it crosses instead."""
-        n = self.kept(hi)
         r = 0.5 * (lo + hi)
         before = None
         for _ in range(_NEWTON_STEPS):
-            v, dv = self.value_slope(r, n)
+            v, dv = self.value_slope(r)
             if not dv:
                 break
             cand = r - v / dv
@@ -358,18 +309,17 @@ class _SparseForm:
         return r
 
 
-def _bisect(sign, lo: float, hi: float, tol: float, steps=math.inf):
-    """Guarded bisection of [lo, hi], sign > 0 at lo and < 0 at hi.
+def _bisect(sign, lo: float, hi: float, tol: float):
+    """Bisection of [lo, hi], sign > 0 at lo and < 0 at hi.
 
-    Stops after ``steps`` halvings, at width <= tol, when lo and hi are
-    adjacent floats (the midpoint rounds onto an end), or at a midpoint
-    that is an exact root, which it returns as a zero-width bracket.
+    Stops at width <= tol, when lo and hi are adjacent floats (the midpoint
+    rounds onto an end), or at a midpoint that is an exact root, which it
+    returns as a zero-width bracket.
     """
-    while steps > 0 and hi - lo > tol:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        steps -= 1
         s = sign(mid)
         if s > 0:
             lo = mid
@@ -400,38 +350,27 @@ def _newton_bracket(exact, r: float, lo: float, hi: float, tol: float):
 def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootResult:
     """Locate the unique sign change of the determinant in (0, 1).
 
-    ``_SEED_STEPS`` guarded bisection steps give a seed bracket (each sign is
-    a float sign only when the float value exceeds the rounding bound of its
-    sum; near the root it is exact, see :func:`polyexact.sign_at_dyadic`).
-    Float Newton on the sparse form then gives r, and the bracket of width
-    <= tol around r is checked at both ends by the exact helper.  If that
-    check fails, the guarded bisection goes on from the seed bracket until
-    its width is <= tol or its ends are adjacent floats, and its ends are
-    checked the same way; a failed check there raises :class:`NoRootError`.
+    Float Newton on the sparse form from the middle of (0, 1) gives r, and
+    the bracket of width <= tol around r is checked at both ends by the
+    exact helper (:func:`polyexact.sign_at_dyadic`).  If that check fails,
+    bisection of (0, 1) on the exact sign runs until its width is <= tol or
+    its ends are adjacent floats; d(0) = 1 > 0 and the exact sign at the
+    upper end is negative, so that bracket holds the root by construction.
     The reported error bound is the width of the bracket.
     """
     if not 0 < tol < math.inf:
         raise InvalidParameterError("tol must be positive and finite")
     form = _SparseForm(series.polynomial)
-    lo = 0.0
     hi = 1.0 - min(tol, 1e-9)
-    if form.sign(hi) > 0:
+    if form.exact(hi) > 0:
         raise NoRootError("determinant stays positive on (0, 1); entropy 0")
-    lo, hi = _bisect(form.sign, lo, hi, tol, _SEED_STEPS)
-    r = 0.5 * (lo + hi)
-    if lo < hi:
-        r = form.newton(lo, hi)
-        bracket = _newton_bracket(form.exact, r, lo, hi, tol)
-        if bracket is None:
-            lo, hi = _bisect(form.sign, lo, hi, tol)
-            r = min(max(r, lo), hi)
-            # a zero-width bracket is an exact root, settled by the exact
-            # helper in the bisection
-            if lo < hi and not form.exact(lo) > 0 > form.exact(hi):
-                raise NoRootError("bracket failed exact sign certification")
-        else:
-            lo, hi = bracket
-    residual = abs(form.value_slope(r, form.kept(r))[0])
+    r = form.newton(0.0, hi)
+    bracket = _newton_bracket(form.exact, r, 0.0, hi, tol)
+    if bracket is None:
+        bracket = _bisect(form.exact, 0.0, hi, tol)
+        r = min(max(r, bracket[0]), bracket[1])
+    lo, hi = bracket
+    residual = abs(form.value_slope(r)[0])
     return RootResult(r, residual, -math.log(r), hi - lo, (lo, hi), series.exact)
 
 

@@ -116,9 +116,14 @@ def refine_markov(pmap: PiecewiseMap, hole: Hole) -> MarkovRefinement:
                 "use the cylinder or tower engines")
 
     cuts = sorted(points)
-    owners = [owner(u, v) for u, v in zip(cuts, cuts[1:])]  # of (cuts[i], cuts[i + 1])
-    n_states = sum(b is not None for b in owners)
-    check_states()
+    owners = []  # of (cuts[i], cuts[i + 1])
+    n_states = 0
+    for u, v in zip(cuts, cuts[1:]):
+        b = owner(u, v)
+        owners.append(b)
+        if b is not None:
+            n_states += 1
+            check_states()
     bits = sum(x.numerator.bit_length() + x.denominator.bit_length() for x in cuts)
     work = []  # images not yet inserted
     for u, v, b in zip(cuts, cuts[1:], owners):

@@ -239,11 +239,21 @@ def test_bare_decimal_warns_float_mode(capsys):
     code, out, err = run(capsys, "tower", "--a", "0.51")
     assert code == 0
     assert "float mode" in err
+    code, _, err = run(capsys, "tower", "--a", "0.7")
+    assert code == 0
+    assert err.startswith("warning: bare decimal '0.7' parsed in float mode")
     data = json.loads(out)
     assert data["certified"] is True
     lo, hi = data["interval"]
     assert 0 < lo <= data["entropy"] <= hi < math.log(2)
     assert [end["termination"]["kind"] for end in data["ends"]] == ["preperiodic"] * 2
+
+
+@pytest.mark.parametrize("a", ["abc", "1e400", "nan"])
+def test_tower_refuses_a_malformed_decimal_without_the_float_warning(capsys, a):
+    code, _, err = run(capsys, "tower", "--a", a)
+    assert code == 2
+    assert err.startswith("error: ") and "warning" not in err
 
 
 @pytest.mark.parametrize("a", ["0.7", "9004/9007"])
@@ -286,6 +296,12 @@ def test_exit_code_2_on_huge_d_adic(capsys):
     code, _, err = run(capsys, "oracle", "--map", "d-adic:99999999999", "--depth", "1")
     assert code == 2
     assert err.startswith("error: d-adic map needs d <= ")
+
+
+def test_exit_code_2_on_a_diag_level_that_overflows(capsys):
+    code, _, err = run(capsys, "diag", "--map", "doubling", "--n", "1024")
+    assert code == 2
+    assert err.startswith("error: level n = 1024 ")
 
 
 def test_exit_code_2_on_malformed_rational(capsys):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holed_entropy import (EmptyPartitionError, Hole, LocallyConstantWeight,
-                           ResourceLimitError, build_d_adic,
+from holed_entropy import (EmptyPartitionError, Hole, InvalidParameterError,
+                           LocallyConstantWeight, ResourceLimitError, build_d_adic,
                            build_scaled_farey, compare_engines, entropy_estimate,
                            expansion_diagnostics, export_level_counts,
                            pressure_estimate, refine)
@@ -467,6 +467,21 @@ def test_doubling_diagnostics_exact_log2():
         d = expansion_diagnostics(m, n)
         assert d.lambda_n == math.log(2)
         assert d.xi_n == math.log(2)
+
+
+def test_closed_form_diagnostics_refuse_a_level_that_overflows():
+    # A_n = 3 * 2**n: the last float below the limit is at n = 1022
+    m = build_d_adic(2)
+    d = expansion_diagnostics(m, 1022)
+    assert all(map(math.isfinite, (d.theta_n, d.lambda_n, d.xi_n, d.a_n, d.A_n)))
+    for n in (1023, 1024):
+        with pytest.raises(InvalidParameterError, match=f"level n = {n} "):
+            expansion_diagnostics(m, n)
+    # with weights (3, 1), A_n = 3 * 6**n overflows from n = 396
+    w = LocallyConstantWeight((3, 1))
+    assert math.isfinite(expansion_diagnostics(m, 395, weight=w).A_n)
+    with pytest.raises(InvalidParameterError, match="level n = 700 "):
+        expansion_diagnostics(m, 700, weight=w)
 
 
 def test_theta_zero_for_indicator_with_survivors():

@@ -311,10 +311,9 @@ def test_noisy_float_sign_rows_are_certified(a):
 
 
 def _reference_bracket(poly, tol):
-    """The guarded bisection that leading_root ran on its own before it
-    took Newton steps, with the adjacent-floats stop: the bracket and its
-    midpoint."""
-    sign = _SparseForm(poly).sign
+    """Bisection of (0, 1) on the exact sign, with the adjacent-floats stop:
+    the bracket and its midpoint."""
+    sign = _SparseForm(poly).exact
     lo = 0.0
     hi = 1.0 - min(tol, 1e-9)
     while hi - lo > tol:
@@ -333,17 +332,26 @@ def _reference_bracket(poly, tol):
 
 
 def _check_against_reference(a, tol=1e-14):
-    res = entropy_left_hole(ex(a), tol=tol)
-    poly = res.series.polynomial
-    lo, hi = res.root.bracket
+    # an exact a, or each dyadic end of the enclosure of a float a
+    res = entropy_left_hole(a, tol=tol)
     assert res.root.certified is True
-    assert lo < hi
-    assert hi - lo <= tol or math.nextafter(lo, 1.0) == hi
-    assert res.root.error_bound >= hi - lo
-    assert lo <= res.root.r <= hi
-    assert _sign_by_integer_horner(poly, lo) > 0 > _sign_by_integer_horner(poly, hi)
-    _, _, r_ref = _reference_bracket(poly, tol)
-    assert abs(res.root.r - r_ref) <= tol
+    for end in res.ends or (res,):
+        poly = end.series.polynomial
+        lo, hi = end.root.bracket
+        assert end.root.certified is True
+        assert lo < hi
+        assert hi - lo <= tol or math.nextafter(lo, 1.0) == hi
+        assert end.root.error_bound >= hi - lo
+        assert lo <= end.root.r <= hi
+        assert _sign_by_integer_horner(poly, lo) > 0 > _sign_by_integer_horner(poly, hi)
+        _, _, r_ref = _reference_bracket(poly, tol)
+        assert abs(end.root.r - r_ref) <= tol
+
+
+# near both ends of the family: roots near 1 and near 1/2, long and dyadic
+# orbits, and floats whose enclosures have ends close to 1/2 and to 1
+EDGE_ROWS = (Fraction(501, 1000), Fraction(10001, 20000), Fraction(9999, 10000),
+             Fraction(4095, 4096), 0.5 + 2e-12, 1 - 2e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -354,34 +362,36 @@ def test_left_hole_brackets_certified_property(q, data):
 
 
 def test_every_left_hole_below_denominator_80_matches_the_reference():
-    rows = 0
     with mock.patch.object(kneading, "_bisect", wraps=kneading._bisect) as spy:
         for q in range(3, 80):
             for p in range(q // 2 + 1, q):
                 if math.gcd(p, q) == 1:
                     _check_against_reference(Fraction(p, q))
-                    rows += 1
-    # one seed bisection per row: no row needs the fallback
-    assert spy.call_count == rows
+        for a in EDGE_ROWS:
+            _check_against_reference(a)
+    # the Newton bracket certifies every row: no row needs the bisection
+    assert spy.call_count == 0
 
 
 @pytest.mark.parametrize("a", (Fraction(2, 3), Fraction(11, 20), Fraction(351, 355),
-                               Fraction(6893, 6901)), ids=str)
+                               Fraction(6893, 6901)) + EDGE_ROWS, ids=str)
 def test_failed_newton_certificate_falls_back_to_bisection(a):
-    # Newton "converges" onto the lower end of the seed bracket, so the
-    # bracket of width tol around it holds no root and fails the exact check
+    # Newton "converges" onto 0, so the bracket of width tol around it holds
+    # no root and fails the exact check
     with mock.patch.object(_SparseForm, "newton", lambda self, lo, hi: lo):
-        res = entropy_left_hole(ex(a))
-    lo, hi, _ = _reference_bracket(res.series.polynomial, 1e-14)
-    assert res.root.bracket == (lo, hi)
+        res = entropy_left_hole(a)
     assert res.root.certified is True
-    assert lo <= res.root.r <= hi
-    assert res.root.error_bound == hi - lo
+    for end in res.ends or (res,):
+        lo, hi, _ = _reference_bracket(end.series.polynomial, 1e-14)
+        assert end.root.bracket == (lo, hi)
+        assert end.root.certified is True
+        assert lo <= end.root.r <= hi
+        assert end.root.error_bound == hi - lo
 
 
 def test_exact_dyadic_root_keeps_a_zero_width_bracket():
-    # with tol below 2**-54 the seed bracket is [0, 1) and its first
-    # midpoint is the root 1/2 of 1 - 2z, where the exact sign is 0
+    # with tol below 2**-54 Newton starts at 1/2, the root of 1 - 2z, where
+    # the exact sign is 0
     res = leading_root(DeterminantSeries(1, (1, -2), True, None), 1e-20)
     assert res.bracket == (0.5, 0.5)
     assert res.r == 0.5 and res.error_bound == 0.0 and res.residual == 0.0
@@ -457,8 +467,8 @@ def test_tol_below_the_float_spacing_returns_adjacent_floats():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     newton_calls, fallback_calls, rows = proc.stdout.splitlines()
-    # the Newton bracket needs the seed bisection only; the fallback bisects on
-    assert (int(newton_calls), int(fallback_calls)) == (12, 24)
+    # the Newton bracket needs no bisection; the fallback bisects once a row
+    assert (int(newton_calls), int(fallback_calls)) == (0, 12)
     rows = json.loads(rows)
     assert len(rows) == 24
     for a, (lo, hi), r, bound, certified in rows:

@@ -67,6 +67,18 @@ def test_refinement_refuses_more_initial_states_than_the_cap():
         refine_markov(build_d_adic(401), Hole.empty())
 
 
+def test_refinement_stops_owning_initial_intervals_past_the_cap(monkeypatch):
+    # states are counted while the owners are found, so the refusal comes at
+    # the 401st owned interval, not after all 1000
+    calls = []
+    inside = markov._inside_hole
+    monkeypatch.setattr(markov, "_inside_hole",
+                        lambda x, hole: calls.append(x) or inside(x, hole))
+    with pytest.raises(ResourceLimitError, match="after 1001 points"):
+        refine_markov(build_d_adic(1000), Hole.empty())
+    assert len(calls) <= CHAR_POLY_SIZE_CAP + 1
+
+
 def _slope_config_map(e):
     # two affine branches of slope (2^e + 1)/2^(e - 1), a gap between them
     s = F(2 ** e + 1, 2 ** (e - 1))
