@@ -269,7 +269,8 @@ def _cmd_diag(args) -> int:
     diag = expansion_diagnostics(pmap, args.n, hole=hole)
     _emit_json({
         "n": diag.n,
-        "theta_n": diag.theta_n,
+        # -inf when every point escapes by level n, which JSON cannot hold
+        "theta_n": diag.theta_n if math.isfinite(diag.theta_n) else None,
         "lambda_n": diag.lambda_n,
         "xi_n": diag.xi_n,
         "a_n": diag.a_n,
@@ -366,7 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diag", help="expansion diagnostics / config dump")
     common(p)
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=int, default=5,
+                   help="level; theta_n is null when not finite (every point "
+                   "escapes by level n)")
     p.add_argument("--dump-config", action="store_true")
     p.set_defaults(fn=_cmd_diag)
 

@@ -9,24 +9,29 @@ point into the sorted cuts once and queues only its own image; the closure
 is refused as soon as its states pass the characteristic-polynomial cap
 (400), the one size limit of the engine, or its points pass a fixed bit
 budget.  The transition matrix is 0/1 over the surviving states; a state's
-image covers one contiguous run of states, found by bisection.  Its
-characteristic polynomial is computed exactly over the integers (sparse
-Berkowitz).  For a multiple leading eigenvalue rho, the geometric
-multiplicity and the pole order are read off the ranks of powers of m(M), m
-the minimal polynomial of rho: an integer matrix, so the ranks come from
-fraction-free elimination.
-rho is bracketed once, as a root of the square-free part of the
-characteristic polynomial, and the square-free factor that changes sign on
-that bracket holds it.  m comes from integers too (:mod:`.minpoly`): the
-factor x and the cyclotomic factors are divided out of that factor, and
-Musser's degree-set test proves the rest irreducible.  sympy (an optional
-extra) is imported only for a factor that test leaves unproved.
+image covers one contiguous run of states, read from one dict of
+breakpoints.  Its characteristic polynomial x^k q (q(0) != 0) is computed
+exactly over the integers (sparse Berkowitz).
+rho is bracketed first on P0 = x^min(k,1) q by the Descartes certificate
+of its numpy seed, which counts roots with multiplicity: when it certifies,
+rho is simple, alg = geo = p = 1, and nothing is decomposed.  Otherwise rho
+is bracketed once as a root of the square-free part of the characteristic
+polynomial, and the square-free factor that changes sign on that bracket
+holds it.  For a multiple rho, the geometric multiplicity and the pole
+order are read off the ranks of powers of m(M), m the minimal polynomial of
+rho: an integer matrix, so the ranks come from fraction-free elimination.
+The factor of rho, the second eigenvalue modulus and m are derived from
+the square-free decomposition on first read.  m comes from integers too
+(:mod:`.minpoly`): the factor x and the cyclotomic factors are divided out
+of the factor of rho, and Musser's degree-set test proves the rest
+irreducible.  sympy (an optional extra) is imported only for a factor that
+test leaves unproved.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
@@ -37,7 +42,7 @@ from .errors import (InvalidParameterError, NotFinitelyMarkovError,
 from .mapmodel import Hole, PiecewiseMap
 from .polyexact import (CHAR_POLY_SIZE_CAP, _holds_root, berkowitz_char_poly,
                         int_matmul, int_matrix_rank, largest_real_root, poly_mul,
-                        square_free_decomposition)
+                        seeded_root, square_free_decomposition)
 
 DEFAULT_TOL = 1e-13
 # the closure's memory budget: numerator plus denominator bits summed over
@@ -172,32 +177,36 @@ def transition_matrix(ref: MarkovRefinement) -> TransitionMatrix:
     """0/1 transition matrix of a Markov refinement and its characteristic
     polynomial.
 
-    States are disjoint and sorted, so the states covered by the image
-    ``[w1, w2]`` of a state form one contiguous run: from the first state
-    whose left end is at least ``w1`` to the last whose right end is at most
-    ``w2``; an image end that is no breakpoint raises
-    :class:`NotFinitelyMarkovError`.  :func:`refine_markov` refuses a
-    closure with more states than ``CHAR_POLY_SIZE_CAP``; a refinement
-    built by hand with more is refused here, before any row is built.
+    States are disjoint and sorted, and each lies between two consecutive
+    breakpoints, so the states covered by the image ``[w1, w2]`` of a state
+    form one contiguous run: the states that start at or after ``w1`` but
+    before ``w2``.  One dict, breakpoint -> number of states starting
+    before it, gives both ends of the run; an image end that is no
+    breakpoint raises :class:`NotFinitelyMarkovError`.
+    :func:`refine_markov` refuses a closure with more states than
+    ``CHAR_POLY_SIZE_CAP``; a refinement built by hand with more is refused
+    here, before any row is built.
     """
     n = len(ref.states)
     if n > CHAR_POLY_SIZE_CAP:
         raise ResourceLimitError(
             f"{n} states exceed the characteristic-polynomial cap {CHAR_POLY_SIZE_CAP}")
-    los = [lo for lo, _ in ref.states]
-    his = [hi for _, hi in ref.states]
-    cutset = set(ref.breakpoints)
+    before, i = {}, 0  # breakpoint -> number of states starting before it
+    for x in ref.breakpoints:
+        while i < n and ref.states[i][0] < x:
+            i += 1
+        before[x] = i
     rows = []
     for (u, v), b in zip(ref.states, ref.state_branch):
         br = ref.map.branches[b]
         w1, w2 = br.apply_raw(u), br.apply_raw(v)
         if w1 > w2:
             w1, w2 = w2, w1
-        if w1 not in cutset or w2 not in cutset:
+        first, end = before.get(w1), before.get(w2)
+        if first is None or end is None:
             raise NotFinitelyMarkovError(
                 f"state ({u}, {v}) maps onto ({w1}, {w2}) which is not "
                 "breakpoint-aligned; refinement is not Markov")
-        first, end = bisect_left(los, w1), bisect_right(his, w2)
         row = [0] * n
         row[first:end] = [1] * (end - first)
         rows.append(row)
@@ -211,49 +220,71 @@ class SpectralReport:
 
     ``pole_order_p`` is the smallest q at which rank((M - rho I)^q)
     stabilizes, i.e. the size of the largest Jordan block of rho.
-    ``rho_bracket`` is an exact bracket of rho and ``rho_factor`` (ascending,
-    integer) the square-free factor of the characteristic polynomial that
-    vanishes on it; both are None for the empty matrix.  ``min_poly`` is computed
-    from these two on first read, so a caller that never reads it never
-    looks for the irreducible factor of rho.
+    ``rho_bracket`` is an exact bracket of rho that holds no other root of
+    ``char_poly``, the characteristic polynomial (ascending, integer); it is
+    None for the empty matrix.
+
+    ``rho_factor``, ``second_eigenvalue_modulus`` and ``min_poly`` are
+    computed from these on first read and cached on the instance, so a
+    caller that reads only rho and the Jordan data (a sweep) never
+    decomposes the characteristic polynomial when rho is simple.  When
+    :func:`spectral_report` needed the decomposition itself, it seeds these
+    caches from it.
     """
 
     rho: float
     algebraic_multiplicity: int
     geometric_multiplicity: int
     pole_order_p: int
-    second_eigenvalue_modulus: float
     rho_bracket: Optional[tuple[Fraction, Fraction]] = None
-    rho_factor: Optional[tuple[int, ...]] = None
+    char_poly: tuple[int, ...] = (1,)
+
+    @cached_property
+    def _decomposition(self) -> list[tuple[list[int], int]]:
+        """Square-free decomposition of ``char_poly``: (factor, power) pairs."""
+        return square_free_decomposition(list(self.char_poly))
+
+    @cached_property
+    def rho_factor(self) -> Optional[tuple[int, ...]]:
+        """The square-free factor of ``char_poly`` (ascending, integer) that
+        vanishes in ``rho_bracket``, or None for the empty matrix.  The
+        factors are coprime and the bracket holds one root of their
+        product, so exactly one of them holds it."""
+        if self.rho_bracket is None:
+            return None
+        lo, hi = self.rho_bracket
+        return next(tuple(f) for f, _ in self._decomposition
+                    if _holds_root(f, lo, hi))
+
+    @cached_property
+    def second_eigenvalue_modulus(self) -> float:
+        """Largest eigenvalue modulus after the algebraic_multiplicity
+        copies of rho (0.0 when none is left), from the numpy roots of the
+        square-free factors counted with their powers: a repeated factor is
+        solved once, not as a cluster of nearby roots."""
+        import numpy as np
+        moduli = []
+        for factor, mult in self._decomposition:
+            roots = np.roots([float(c) for c in reversed(factor)])
+            moduli.extend(float(abs(z)) for z in roots for _ in range(mult))
+        moduli.sort(reverse=True)
+        # drop the copies of rho (largest in modulus by Perron domination)
+        rest = moduli[self.algebraic_multiplicity:]
+        return rest[0] if rest else 0.0
 
     @cached_property
     def min_poly(self) -> Optional[tuple[int, ...]]:
         """Exact minimal polynomial of rho (ascending, integer), or None
         for the empty matrix.
 
-        Computed on first read from ``rho_factor`` and cached on the
-        instance, by :func:`.minpoly.min_poly_of_root`, which loads sympy
-        only when the degree-set certificate cannot prove the stripped
-        factor irreducible.
+        Computed from ``rho_factor`` by :func:`.minpoly.min_poly_of_root`,
+        which loads sympy only when the degree-set certificate cannot prove
+        the stripped factor irreducible.
         """
         if self.rho_factor is None:
             return None
         from .minpoly import min_poly_of_root
         return tuple(min_poly_of_root(self.rho_factor, *self.rho_bracket))
-
-
-def _second_modulus(decomp, alg: int) -> float:
-    """Largest eigenvalue modulus after alg copies of rho, from the roots of
-    the square-free factors counted with their multiplicities."""
-    import numpy as np
-    moduli = []
-    for factor, mult in decomp:
-        roots = np.roots([float(c) for c in reversed(factor)])
-        moduli.extend(float(abs(z)) for z in roots for _ in range(mult))
-    moduli.sort(reverse=True)
-    # drop the alg copies of rho (largest in modulus by Perron domination)
-    rest = moduli[alg:]
-    return rest[0] if rest else 0.0
 
 
 def _jordan_data(entries, minpoly, alg: int) -> tuple[int, int]:
@@ -294,19 +325,33 @@ def _jordan_data(entries, minpoly, alg: int) -> tuple[int, int]:
 def spectral_report(M: TransitionMatrix, tol: float = DEFAULT_TOL) -> SpectralReport:
     """Perron root, multiplicities, and pole order of a transition matrix.
 
+    The characteristic polynomial is x^k q with q(0) != 0.  First the
+    Descartes certificate of the numpy seed runs on P0 = x^min(k,1) q
+    (:func:`seeded_root`), which has the roots of the square-free part.  A
+    certified bracket has exactly one root of P0 above its left end, counted
+    with multiplicity, and that end is >= 0: rho is simple, so alg = geo =
+    p = 1 and nothing is decomposed (the lazy fields of
+    :class:`SpectralReport` do it on read).
+
+    Otherwise (a multiple rho, roots the seed pad cannot separate, rho = 0)
     rho is the largest root in [0, inf) of the product of the square-free
-    factors of the characteristic polynomial, bracketed once with
-    :func:`largest_real_root`.  The bracket holds no other root, so one
-    factor changes sign on it: ``rho_factor``, whose power is the algebraic
-    multiplicity.  Only a multiple root needs its minimal polynomial m
-    (which seeds ``min_poly``) and the ranks of powers of the integer
-    matrix m(M) (:func:`_jordan_data`).
+    factors, bracketed once with :func:`largest_real_root`.  The bracket
+    holds no other root, so one factor changes sign on it: ``rho_factor``,
+    whose power is the algebraic multiplicity.  Only a multiple root needs
+    its minimal polynomial m (which seeds ``min_poly``) and the ranks of
+    powers of the integer matrix m(M) (:func:`_jordan_data`).
     """
     if not 0 < tol < math.inf:
         raise InvalidParameterError("tol must be positive and finite")
     if M.size == 0:
-        return SpectralReport(0.0, 0, 0, 0, 0.0)
-    decomp = square_free_decomposition(list(M.char_poly))
+        return SpectralReport(0.0, 0, 0, 0)
+    char = list(M.char_poly)
+    k = next((i for i, c in enumerate(char) if c), 0)
+    seeded = seeded_root(char[max(k - 1, 0):], tol=tol)
+    if seeded is not None:
+        rho, lo, hi = seeded
+        return SpectralReport(rho, 1, 1, 1, (lo, hi), M.char_poly)
+    decomp = square_free_decomposition(char)
     square_free = reduce(poly_mul, (f for f, _ in decomp))
     try:
         rho, lo, hi = largest_real_root(square_free, tol=tol)
@@ -315,15 +360,17 @@ def spectral_report(M: TransitionMatrix, tol: float = DEFAULT_TOL) -> SpectralRe
             "characteristic polynomial has no root in [0, inf), "
             "impossible for a nonnegative matrix (Perron-Frobenius)") from None
     factor, alg = next((f, m) for f, m in decomp if _holds_root(f, lo, hi))
-    second = _second_modulus(decomp, alg)
     if alg == 1:
         # a simple eigenvalue is semisimple: one Jordan block of size one
-        return SpectralReport(rho, 1, 1, 1, second, (lo, hi), tuple(factor))
-    from .minpoly import min_poly_of_root
-    minpoly = min_poly_of_root(factor, lo, hi)
-    geo, p = _jordan_data(M.entries, minpoly, alg)
-    report = SpectralReport(rho, alg, geo, p, second, (lo, hi), tuple(factor))
-    report.__dict__["min_poly"] = tuple(minpoly)  # seed the cached property
+        report = SpectralReport(rho, 1, 1, 1, (lo, hi), M.char_poly)
+    else:
+        from .minpoly import min_poly_of_root
+        minpoly = tuple(min_poly_of_root(factor, lo, hi))
+        geo, p = _jordan_data(M.entries, minpoly, alg)
+        report = SpectralReport(rho, alg, geo, p, (lo, hi), M.char_poly)
+        report.__dict__["min_poly"] = minpoly
+    # seed the cached properties from the work done here
+    report.__dict__.update(_decomposition=decomp, rho_factor=tuple(factor))
     return report
 
 

@@ -25,8 +25,11 @@ it there.  When there is no positive seed or the variation count is not one
 right of ``lo``), Vincent-Collins-Akritas bisection isolates the root
 instead: Descartes' rule on integer Taylor shifts over the dyadic intervals
 of ``(0, 2**b]``, ``b`` the integer Cauchy bound.  Both brackets end in one
-integer bisection on the grid.  The Markov engine searches once per matrix,
-in the square-free part of the characteristic polynomial.
+integer bisection on the grid.  The seed certificate counts roots with
+multiplicity, so it also runs alone (:func:`seeded_root`) on a polynomial
+that may not be square-free: the Markov engine tries it first on the
+characteristic polynomial with all but one factor x removed, and searches
+the square-free part only when it fails.
 
 The square-free decomposition divides only by primitive integer gcds, so by
 Gauss's lemma every quotient is an integer polynomial and the division is
@@ -324,7 +327,11 @@ def _bisect(scaled: Poly, lo: int, hi: int, width: int) -> tuple[int, int]:
 def _seed_bracket(p: Poly, e: int) -> tuple[int, int, int] | None:
     """Grid bracket (lo, hi] of the largest positive root of p around its
     numpy seed, in units of 2**-e, with lo >= 0, and e.  None when there is
-    no positive seed or the Descartes certificate fails."""
+    no positive seed or the Descartes certificate fails.
+
+    The certificate is one sign variation of p(x + lo): exactly one root of
+    p lies above lo, counted with multiplicity.  So a certified root is
+    simple, and p need not be square-free."""
     import numpy as np
     try:
         roots = np.roots([float(c) for c in reversed(p)])
@@ -383,31 +390,20 @@ def _vca_bracket(p: Poly, e: int) -> tuple[int, int, int] | None:
     return None
 
 
-def largest_real_root(p: Poly, tol: float = 1e-14) -> tuple[float, Fraction, Fraction]:
-    """Largest root in [0, inf) of a squarefree integer polynomial.
-
-    Returns (float approximation, exact bracket lo, exact bracket hi) with
-    0 <= lo, hi - lo <= tol and the float inside the bracket; the bracket
-    holds no other root and is dyadic.  A numpy seed certified by Descartes'
-    rule gives the bracket; otherwise Vincent-Collins-Akritas bisection
-    isolates the root.  Either bracket is then bisected in integers.
-    Raises InvalidParameterError when p has no root in [0, inf).
-    """
-    p = poly_trim(list(p))
-    if poly_degree(p) < 1:
-        raise InvalidParameterError("constant polynomial has no roots")
+def _grid(tol: float) -> tuple[int, int]:
+    """The exponent e of the grid step 2**-e <= tol, and the bracket width,
+    in steps, that bisection stops at."""
     if not 0 < tol < math.inf:
         raise InvalidParameterError("tol must be positive and finite")
-    # grid step 2**-e <= tol; bisect until the bracket spans <= width steps
     e = max(0, 1 - math.frexp(tol)[1])
-    width = max(1, math.floor(Fraction(tol) * (1 << e)))
-    grid = None
-    if _variations(p):  # without a sign variation p has no positive root
-        grid = _seed_bracket(p, e) or _vca_bracket(p, e)
-    if grid is None:
-        if p[0]:
-            raise InvalidParameterError("polynomial has no root in [0, inf)")
-        grid = 0, 0, e  # the root 0
+    return e, max(1, math.floor(Fraction(tol) * (1 << e)))
+
+
+def _refine(p: Poly, grid: tuple[int, int, int], e: int,
+            width: int) -> tuple[float, Fraction, Fraction]:
+    """Bisect the grid bracket (lo, hi] in units of 2**-f, ``grid`` = (lo,
+    hi, f), of the one root of p in it to at most ``width`` steps of 2**-e,
+    and polish a float inside it with three guarded Newton steps."""
     lo_z, hi_z, f = grid
     lo_z, hi_z = _bisect(_grid_poly(p, f), lo_z, hi_z, width << (f - e))
     lo, hi = Fraction(lo_z, 1 << f), Fraction(hi_z, 1 << f)
@@ -421,6 +417,48 @@ def largest_real_root(p: Poly, tol: float = 1e-14) -> tuple[float, Fraction, Fra
         if float(lo) <= cand <= float(hi):
             r = cand
     return r, lo, hi
+
+
+def seeded_root(p: Poly, tol: float) -> tuple[float, Fraction, Fraction] | None:
+    """Largest root in [0, inf) of an integer polynomial p, as
+    :func:`largest_real_root` gives it, when the Descartes certificate of
+    the numpy seed isolates it; None otherwise.
+
+    p need not be square-free: a certified seed bracket has exactly one root
+    of p above its left end, counted with multiplicity, so the root found is
+    simple.  When the certificate fails (a multiple largest root, roots
+    closer than the seed pad, no positive seed) the caller decides what to
+    search instead.
+    """
+    e, width = _grid(tol)
+    grid = _seed_bracket(p, e)
+    return None if grid is None else _refine(p, grid, e, width)
+
+
+def largest_real_root(p: Poly, tol: float = 1e-14) -> tuple[float, Fraction, Fraction]:
+    """Largest root in [0, inf) of a squarefree integer polynomial.
+
+    Returns (float approximation, exact bracket lo, exact bracket hi) with
+    0 <= lo, hi - lo <= tol and the float inside the bracket; the bracket
+    holds no other root and is dyadic.  A numpy seed certified by Descartes'
+    rule gives the bracket (:func:`seeded_root`, which needs no
+    square-free p); otherwise Vincent-Collins-Akritas bisection isolates
+    the root.  Both share one tail: integer bisection of the bracket and a
+    guarded Newton polish of its float.
+    Raises InvalidParameterError when p has no root in [0, inf).
+    """
+    p = poly_trim(list(p))
+    if poly_degree(p) < 1:
+        raise InvalidParameterError("constant polynomial has no roots")
+    e, width = _grid(tol)
+    grid = None
+    if _variations(p):  # without a sign variation p has no positive root
+        grid = _seed_bracket(p, e) or _vca_bracket(p, e)
+    if grid is None:
+        if p[0]:
+            raise InvalidParameterError("polynomial has no root in [0, inf)")
+        grid = 0, 0, e  # the root 0
+    return _refine(p, grid, e, width)
 
 
 def _holds_root(p: Poly, lo: Fraction, hi: Fraction) -> bool:

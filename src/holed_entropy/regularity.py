@@ -23,6 +23,9 @@ from .kneading import entropy_left_hole
 from .mapmodel import Hole, PiecewiseMap, build_doubling
 from .markov import entropy_markov
 
+# the doubling-map families share one map, built once (PiecewiseMap is frozen)
+_DOUBLING = build_doubling()
+
 
 # ---------------------------------------------------------------------------
 # hole families
@@ -41,7 +44,7 @@ class LeftHoleFamily:
         return Hole([(s, 1)])
 
     def map(self) -> PiecewiseMap:
-        return build_doubling()
+        return _DOUBLING
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ class SlidingHoleFamily:
         return Hole([(s, s + self.width)])
 
     def map(self) -> PiecewiseMap:
-        return build_doubling()
+        return _DOUBLING
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,24 @@ def test_diag_json(capsys):
     assert data["xi_n"] == math.log(2)
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"non-finite constant {name} in JSON output")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_diag_json_is_strict_when_every_point_escapes(capsys):
+    code, out, _ = run(capsys, "diag", "--map", "doubling", "--n", "3", "--hole", "0,1")
+    assert code == 0
+    data = _strict_json(out)
+    assert data["theta_n"] is None
+    assert (data["a_n"], data["A_n"]) == (0.0, 0.0)
+    # a finite theta_n is written as the number it is
+    code, out, _ = run(capsys, "diag", "--map", "doubling", "--n", "3")
+    assert _strict_json(out)["theta_n"] == 0.0
+
+
 def test_diag_dump_config_roundtrip(capsys):
     code, out, _ = run(capsys, "diag", "--map", "farey", "--param", "4/5",
                        "--dump-config")

@@ -154,10 +154,10 @@ def reference_closure(pmap, hole, state_cap=CHAR_POLY_SIZE_CAP):
 
 
 @st.composite
-def exact_holes(draw, max_pieces=3):
+def exact_holes(draw, max_pieces=3, max_q=64):
     pieces = []
     for _ in range(draw(st.integers(1, max_pieces))):
-        q = draw(st.integers(1, 64))
+        q = draw(st.integers(1, max_q))
         lo = draw(st.integers(0, q))
         hi = draw(st.integers(lo, q))
         pieces.append((F(lo, q), F(hi, q)))
@@ -235,8 +235,10 @@ def test_transition_matrix_refuses_an_image_off_the_breakpoints():
     ref = refine_markov(build_d_adic(2), H((F(3, 4), F(5, 6))))
     cut = ref.breakpoints[:1] + ref.breakpoints[2:]
     broken = MarkovRefinement(ref.map, ref.hole, cut, ref.states, ref.state_branch)
-    with pytest.raises(NotFinitelyMarkovError, match="not breakpoint-aligned"):
+    with pytest.raises(NotFinitelyMarkovError) as err:
         transition_matrix(broken)
+    assert str(err.value) == ("state (1/2, 2/3) maps onto (0, 1/3) which is not "
+                              "breakpoint-aligned; refinement is not Markov")
 
 
 def test_transition_matrix_checks_the_cap_before_building_rows(monkeypatch):
@@ -409,6 +411,19 @@ def test_spectral_jordan_table(rows, rho, jordan):
             rep.pole_order_p) == jordan
 
 
+def test_a_seed_on_a_triple_rho_takes_the_full_path(monkeypatch):
+    # a seed right on a root of odd multiplicity sees a sign change across
+    # its bracket; only the three sign variations of P0(x + lo), not one,
+    # keep the fast path from calling rho simple
+    monkeypatch.setattr(np, "roots", lambda c: np.full(len(c) - 1, 2.0))
+    rows = [[2, 1, 0], [0, 2, 1], [0, 0, 2]]
+    rep = spectral_report(TransitionMatrix(3, tuple(map(tuple, rows)),
+                                           tuple(berkowitz_char_poly(rows))))
+    assert (rep.algebraic_multiplicity, rep.geometric_multiplicity,
+            rep.pole_order_p) == (3, 1, 3)
+    assert rep.rho == 2.0 and "_decomposition" in vars(rep)
+
+
 def test_spectral_report_compares_exact_brackets():
     # the roots 1 - 2**-60 and the double root 1 have the same float; only
     # the exact bracket of the square-free part, which holds one root, tells
@@ -456,6 +471,95 @@ def test_rho_factor_holds_the_largest_root_of_the_square_free_part(hole, d):
         assert _sturm_count(_int_sturm_chain(list(rep.rho_factor)), lo, hi) == 1
     assert _sturm_count(_int_sturm_chain(square_free), hi,
                         _cauchy_bound(square_free)) == 0
+
+
+def _full_path_report(M):
+    """spectral_report with the seed fast path off: the eager path that
+    decomposes the characteristic polynomial first."""
+    with patch.object(markov, "seeded_root", return_value=None):
+        return spectral_report(M)
+
+
+def _is_square_free(p):
+    return all(mult == 1 for _, mult in square_free_decomposition(p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hole=exact_holes(max_pieces=1, max_q=40), d=st.sampled_from([2, 3]))
+@example(hole=H((F(7, 10), F(7, 10) + F(1, 12))), d=2)
+@example(hole=H((F(1, 7), F(5, 28))), d=2)  # a repeated factor besides rho's
+@example(hole=H((F(1, 6), F(5, 18))), d=2)  # min_poly needs sympy
+@example(hole=H((F(1, 8), F(1, 3))), d=3)  # rho = 2: a zero-width bracket
+def test_seeded_fast_path_matches_the_full_path(hole, d):
+    try:
+        M = transition_matrix(refine_markov(build_d_adic(d), hole))
+    except (NotFinitelyMarkovError, ResourceLimitError):
+        return
+    fast, full = spectral_report(M), _full_path_report(M)
+    assert (fast.algebraic_multiplicity, fast.geometric_multiplicity,
+            fast.pole_order_p) == (full.algebraic_multiplicity,
+                                   full.geometric_multiplicity, full.pole_order_p)
+    if M.size == 0 or "_decomposition" in vars(fast):
+        assert fast == full  # no states, or the seed did not certify
+        return
+    assert (fast.algebraic_multiplicity, fast.pole_order_p) == (1, 1)
+    assert not {"rho_factor", "second_eigenvalue_modulus", "min_poly"} & set(vars(fast))
+    lo, hi = fast.rho_bracket
+    assert 0 <= lo and float(lo) <= fast.rho <= float(hi)
+    factor = list(full.rho_factor)
+    if lo == hi:
+        assert poly_eval(factor, lo) == 0
+    else:
+        assert _sturm_count(_int_sturm_chain(factor), lo, hi) == 1
+    char = list(M.char_poly)
+    if _is_square_free(char[next(k for k, c in enumerate(char) if c):]):
+        # the fast path searched the very polynomial the full path searches
+        assert (fast.rho, fast.rho_bracket) == (full.rho, full.rho_bracket)
+    # the lazy fields read what the eager path computed
+    assert fast.rho_factor == full.rho_factor
+    assert fast.second_eigenvalue_modulus == full.second_eigenvalue_modulus
+    try:
+        want = full.min_poly
+    except ResourceLimitError:  # an unproved factor, and no sympy installed
+        with pytest.raises(ResourceLimitError):
+            fast.min_poly
+    else:
+        assert fast.min_poly == want
+
+
+def _counting_decomposition(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return square_free_decomposition(p)
+    monkeypatch.setattr(markov, "square_free_decomposition", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", ("rho_factor", "second_eigenvalue_modulus", "min_poly"))
+def test_simple_rho_decomposes_only_on_read(monkeypatch, field):
+    calls = _counting_decomposition(monkeypatch)
+    M = transition_matrix(refine_markov(build_d_adic(2), H((F(7, 10), F(7, 10) + F(1, 12)))))
+    rep = spectral_report(M)
+    assert (rep.algebraic_multiplicity, rep.pole_order_p) == (1, 1)
+    assert calls == []
+    getattr(rep, field)
+    assert calls == [list(M.char_poly)]
+    rep.rho_factor, rep.second_eigenvalue_modulus, rep.min_poly
+    assert len(calls) == 1  # one decomposition serves all three
+
+
+def test_double_pole_takes_the_full_path(monkeypatch):
+    calls = _counting_decomposition(monkeypatch)
+    rep = entropy_markov(build_d_adic(2), H((F(3, 4), F(5, 6)))).report
+    assert len(calls) == 1
+    assert {"_decomposition", "rho_factor", "min_poly"} <= set(vars(rep))
+    assert (rep.algebraic_multiplicity, rep.geometric_multiplicity,
+            rep.pole_order_p) == (2, 1, 2)
+    assert rep.rho_factor == rep.min_poly == (-1, -1, 1)
+    assert abs(rep.second_eigenvalue_modulus - 1 / GOLDEN) < 1e-12
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("tol", (0.0, -1e-12, math.inf, math.nan))
