@@ -128,7 +128,7 @@ def _cmd_entropy(args) -> int:
         tol = kneading.DEFAULT_TOL if args.tol is None else args.tol
         res = entropy_left_hole(a, tol=tol)
         print(f"entropy = {res.entropy:.15g}  (engine=kneading, p={res.p}, "
-              f"error_bound={res.root.error_bound:.3g})")
+              f"error_bound={res.entropy_bound:.3g})")
         if args.json:
             _emit_json(res.to_json(), args.json)
         return 0

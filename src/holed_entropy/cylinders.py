@@ -40,8 +40,8 @@ from typing import Optional, Sequence
 
 from .errors import (EmptyPartitionError, InvalidParameterError,
                      ResourceLimitError)
-from .mapmodel import (Affine, Branch, Hole, IntervalOpen, PiecewiseMap, _exact,
-                       subtract_pieces)
+from .mapmodel import (D_ADIC_MAX, Affine, Branch, Hole, IntervalOpen,
+                       PiecewiseMap, _exact, build_d_adic, subtract_pieces)
 
 DEFAULT_COMPONENT_CAP = 10_000_000
 
@@ -152,13 +152,6 @@ class RefinementTree:
     def component_intervals(self, n: int) -> list[tuple]:
         """Raw (lo, hi) pairs of the level-n components, left to right."""
         return list(zip(*self._levels[self._stored_level(n) - 1].endpoints()))
-
-    def itinerary(self, n: int, i: int) -> tuple[int, ...]:
-        word = []
-        for lv in reversed(self._levels[:self._stored_level(n)]):
-            word.append(int(lv.branch[i]))
-            i = int(lv.parent[i])
-        return tuple(word)
 
     def itineraries(self, n: int) -> list[tuple[int, ...]]:
         n = self._stored_level(n)
@@ -525,15 +518,8 @@ def pressure_estimate(pmap: PiecewiseMap, weight: LocallyConstantWeight,
     if tree.count(n) == 0:
         return float("-inf")
     total = Fraction(0)
-    prod_cache: dict[tuple, Fraction] = {}
-    for word in tree.itineraries(n):
-        prod = prod_cache.get(word)
-        if prod is None:
-            prod = Fraction(1)
-            for w in word:
-                prod *= vals[w]
-            prod_cache[word] = prod
-        total += prod
+    for cyl in tree.cylinders(n):
+        total += len(cyl.components) * math.prod(vals[w] for w in cyl.itinerary)
     if total == 0:
         return float("-inf")
     return _log_ratio(total) / n
@@ -572,23 +558,16 @@ def _is_full_branch_affine(pmap: PiecewiseMap) -> bool:
     return True
 
 
-def _is_standard_d_adic(pmap: PiecewiseMap) -> Optional[int]:
-    if pmap.codomain.as_raw() != (Fraction(0), Fraction(1)):
-        return None
+def _d_adic_degree(pmap: PiecewiseMap) -> Optional[int]:
+    """d when the map is ``build_d_adic(d)``, else None."""
     d = len(pmap.branches)
-    for k, b in enumerate(pmap.branches):
-        if not isinstance(b.kind, Affine):
-            return None
-        if b.kind.slope != d or b.kind.offset != -k:
-            return None
-        if b.domain.as_raw() != (Fraction(k, d), Fraction(k + 1, d)):
-            return None
-    return d
+    return d if 2 <= d <= D_ADIC_MAX and pmap == build_d_adic(d) else None
 
 
-def _cylinder_interval(pmap: PiecewiseMap, word: Sequence[int]):
-    """Endpoints of the unrestricted cylinder with the given itinerary."""
-    d = _is_standard_d_adic(pmap)
+def _cylinder_interval(pmap: PiecewiseMap, word: Sequence[int],
+                       d: Optional[int] = None):
+    """Endpoints of the unrestricted cylinder with the given itinerary; ``d``
+    is the map's :func:`_d_adic_degree`, which takes a closed form."""
     n = len(word)
     if d is not None:
         v = 0
@@ -629,10 +608,11 @@ def expansion_diagnostics(pmap: PiecewiseMap, n: int, hole: Hole | None = None,
     A full-branch affine map with an empty hole takes a closed form (the
     unrestricted level-n partition is never enumerated).  Every other case
     builds one table word -> (cylinder interval, sup |D T^n|, image length)
-    and walks the survivors grouped by word: the weight is multiplied by the
-    indicator of the survivor set and the variation term counts the component
-    ends inside each cylinder (none without a hole, where the survivors are
-    the unrestricted cylinders themselves).
+    and walks the survivor cylinders of :meth:`RefinementTree.cylinders`:
+    the weight is multiplied by the indicator of the survivor set and the
+    variation term counts the component ends inside each cylinder (none
+    without a hole, where the survivors are the unrestricted cylinders
+    themselves).
     """
     if n < 1:
         raise InvalidParameterError("level must be >= 1")
@@ -666,33 +646,33 @@ def expansion_diagnostics(pmap: PiecewiseMap, n: int, hole: Hole | None = None,
                     f"level n = {n} is too large: the level-n constants "
                     "overflow a float")
             return ExpansionDiagnostics(n, theta_n, lambda_n, xi_n, a_n, A_n)
-        survivors = refine(pmap, hole, n)
+        survivors = refine(pmap, hole, n).cylinders(n)
+        d = _d_adic_degree(pmap)
+        table = {c.itinerary: (_cylinder_interval(pmap, c.itinerary, d),
+                               math.prod(slopes[w] for w in c.itinerary), m_I)
+                 for c in survivors}
     else:
-        tree0 = refine(pmap, Hole.empty(), n)
-        if tree0.count(n) == 0:
+        cylinders0 = refine(pmap, Hole.empty(), n).cylinders(n)
+        if not cylinders0:
             raise EmptyPartitionError(f"no level-{n} cylinders")
         table = {}
-        for (lo, hi), word in zip(tree0.component_intervals(n), tree0.itineraries(n)):
-            table[word] = ((lo, hi), *_sup_deriv_and_image(pmap, word, lo, hi))
+        for c in cylinders0:
+            z = c.hull.as_raw()
+            table[c.itinerary] = (z, *_sup_deriv_and_image(pmap, c.itinerary, *z))
         lambda_n = max(_log_ratio(sup) / n for _, sup, _ in table.values())
         xi_n = max(_log_ratio(sup / m_img) / n for _, sup, m_img in table.values())
-        survivors = tree0 if hole.is_empty else refine(pmap, hole, n)
+        survivors = cylinders0 if hole.is_empty else refine(pmap, hole, n).cylinders(n)
 
-    groups: dict[tuple, list] = {}
-    for interval, word in zip(survivors.component_intervals(n), survivors.itineraries(n)):
-        groups.setdefault(word, []).append(interval)
-    if fast:
-        table = {word: (_cylinder_interval(pmap, word),
-                        math.prod(slopes[w] for w in word), m_I) for word in groups}
     theta_n = float("-inf")
     a_n = A_n = 0.0
-    for word, comps in groups.items():
+    for cyl in survivors:
+        word = cyl.itinerary
         prod = math.prod(wvals[w] for w in word)
         if prod > 0:
             # indicator weights give exactly 0.0; `or 0.0` avoids -0.0
             theta_n = max(theta_n, _log_ratio(prod) / n or 0.0)
         (zlo, zhi), sup, m_img = table[word]
-        var = sum((lo > zlo) + (hi < zhi) for lo, hi in comps)
+        var = sum((c.lo > zlo) + (c.hi < zhi) for c in cyl.components)
         a_n = max(a_n, float(prod) * (3.0 + var))
         A_prime = float(prod) * (2.0 + var) * float(Fraction(sup) / m_img)
         A_n = max(A_n, A_prime + float(prod) * float(sup))
@@ -723,7 +703,7 @@ class EngineComparison:
 
 def left_hole_parameter(pmap: PiecewiseMap, hole: Hole) -> Optional[Fraction]:
     """The parameter a when (map, hole) is the doubling map with hole [a, 1]."""
-    if _is_standard_d_adic(pmap) != 2 or len(hole.pieces) != 1:
+    if len(hole.pieces) != 1 or _d_adic_degree(pmap) != 2:
         return None
     lo, hi = hole.pieces[0]
     if hi != 1 or not (Fraction(1, 2) < lo < 1):

@@ -99,8 +99,7 @@ class TowerOrbit:
     The orbit is a_k = nums[k] / q: integer numerators over the denominator
     q of a.  ``points`` holds a_0..a_K as Fractions, built on first read.
     ``index_set_A`` lists the k with 1/2 <= a_k < 1 (a terminal value of
-    exactly 1 carries no index).  ``escape_index`` is the first k >= 1 with
-    a_k >= a, when one exists.
+    exactly 1 carries no index).
     """
 
     a: Fraction
@@ -108,7 +107,6 @@ class TowerOrbit:
     q: int
     termination: Termination
     index_set_A: tuple[int, ...]
-    escape_index: Optional[int] = None
 
     @cached_property
     def points(self) -> tuple:
@@ -141,7 +139,6 @@ def build_orbit(a) -> TowerOrbit:
     p, q = av.numerator, av.denominator
     nums = [p]
     seen: dict[int, int] = {}
-    escape_index = None
     termination = Termination("capped", ORBIT_CAP)
     x = p
     for n in range(1, ORBIT_CAP + 1):
@@ -153,10 +150,8 @@ def build_orbit(a) -> TowerOrbit:
             break
         seen[x] = n
         nums.append(x)
-        if escape_index is None and x >= p:
-            escape_index = n
     A = tuple(k for k, x in enumerate(nums) if q <= 2 * x < 2 * q)
-    return TowerOrbit(av, tuple(nums), q, termination, A, escape_index)
+    return TowerOrbit(av, tuple(nums), q, termination, A)
 
 
 @dataclass(frozen=True)
@@ -240,18 +235,18 @@ class RootResult:
 
     ``bracket`` holds the root and r; its width is at most the requested
     ``tol``, or one float spacing when ``tol`` is below the spacing at r,
-    and zero at an exact dyadic root.  ``error_bound`` is that width.
+    and zero at an exact dyadic root.  ``error_bound`` is that width, a
+    bound on r; :attr:`LeftHoleEntropy.entropy_bound` bounds -log r.
     ``certified`` is True when the bracket of an exact polynomial passed the
     exact sign check (d > 0 at its lower end, d < 0 at its upper end, by
     integer arithmetic).
 
     The root of an enclosure (see :func:`entropy_left_hole`) is composed
     from its two ends: ``bracket`` is the hull of theirs, r its midpoint,
-    ``residual`` the larger of theirs, and it is certified when both are.
+    and it is certified when both are.
     """
 
     r: float
-    residual: float
     entropy: float
     error_bound: float
     bracket: tuple[float, float]
@@ -370,8 +365,7 @@ def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootRes
         bracket = _bisect(form.exact, 0.0, hi, tol)
         r = min(max(r, bracket[0]), bracket[1])
     lo, hi = bracket
-    residual = abs(form.value_slope(r)[0])
-    return RootResult(r, residual, -math.log(r), hi - lo, (lo, hi), series.exact)
+    return RootResult(r, -math.log(r), hi - lo, (lo, hi), series.exact)
 
 
 @dataclass(frozen=True)
@@ -403,6 +397,13 @@ class LeftHoleEntropy:
         lo, hi = self.root.bracket
         return (math.nextafter(-math.log(hi), -math.inf),
                 math.nextafter(-math.log(lo), math.inf))
+
+    @property
+    def entropy_bound(self) -> float:
+        """A bound on the error of ``entropy``: the width of ``interval``,
+        rounded up.  ``root.error_bound`` bounds r, not -log r."""
+        lo, hi = self.interval
+        return math.nextafter(hi - lo, math.inf)
 
     def to_json(self) -> dict:
         out = {
@@ -470,7 +471,6 @@ def entropy_left_hole(a, tol: float = DEFAULT_TOL,
     lo_r = min(lower.root.bracket[0], upper.root.bracket[0])
     hi_r = max(lower.root.bracket[1], upper.root.bracket[1])
     r = 0.5 * (lo_r + hi_r)
-    root = RootResult(r, max(lower.root.residual, upper.root.residual),
-                      -math.log(r), hi_r - lo_r, (lo_r, hi_r),
+    root = RootResult(r, -math.log(r), hi_r - lo_r, (lo_r, hi_r),
                       lower.root.certified and upper.root.certified)
     return LeftHoleEntropy(a, None, None, root, ends=(lower, upper))

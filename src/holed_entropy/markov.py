@@ -169,9 +169,6 @@ class TransitionMatrix:
     entries: tuple[tuple[int, ...], ...]
     char_poly: tuple[int, ...]
 
-    def column_sums(self) -> list[int]:
-        return [sum(r[j] for r in self.entries) for j in range(self.size)]
-
 
 def transition_matrix(ref: MarkovRefinement) -> TransitionMatrix:
     """0/1 transition matrix of a Markov refinement and its characteristic

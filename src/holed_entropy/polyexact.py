@@ -157,16 +157,6 @@ def taylor_shift(p: Poly, c) -> Poly:
     return a
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                      for i in range(n)])
-
-
-def poly_neg(p: Poly) -> Poly:
-    return [-c for c in p]
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return []
@@ -517,30 +507,6 @@ def berkowitz_char_poly(rows: list[list[int]]) -> Poly:
                     conv[i + j] += a * b
         p = conv
     return list(reversed(p))
-
-
-def char_poly_cofactor(rows: list[list[int]]) -> Poly:
-    """det(xI - M) by naive cofactor expansion; an independent cross-check
-    for small matrices only."""
-    n = len(rows)
-    entries = [[([-rows[i][j]] if i != j else [-rows[i][j], 1]) for j in range(n)]
-               for i in range(n)]
-
-    def det(mat):
-        m = len(mat)
-        if m == 0:
-            return [1]
-        if m == 1:
-            return mat[0][0]
-        total = []
-        for j in range(m):
-            minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-            term = poly_mul(mat[0][j], det(minor))
-            total = poly_add(total, term if j % 2 == 0 else poly_neg(term))
-        return total
-
-    out = det(entries)
-    return out + [0] * (n + 1 - len(out))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ from .markov import entropy_markov
 # the doubling-map families share one map, built once (PiecewiseMap is frozen)
 _DOUBLING = build_doubling()
 
+# a genuine Hoelder exponent keeps the per-mesh constants within this factor
+# of each other across the ladder
+STABILITY_FACTOR = 4.0
+
 
 # ---------------------------------------------------------------------------
 # hole families
@@ -94,8 +98,8 @@ class CustomFamily:
 
 def entropy_at(family, s: Fraction, engine: str, depth: int = 20
                ) -> tuple[float, Optional[int], Optional[float]]:
-    """(entropy, pole order if known, error bound if known) at one parameter;
-    ``depth`` is the oracle engine's refinement level."""
+    """(entropy, pole order if known, bound on the entropy's error if known)
+    at one parameter; ``depth`` is the oracle engine's refinement level."""
     s = Fraction(s)
     if not family.admissible(s):
         raise InvalidParameterError(f"parameter {s} is outside the family range")
@@ -103,7 +107,7 @@ def entropy_at(family, s: Fraction, engine: str, depth: int = 20
         if not isinstance(family, LeftHoleFamily):
             raise InvalidParameterError("the kneading engine only covers left holes")
         res = entropy_left_hole(s)
-        return res.entropy, res.p, res.root.error_bound
+        return res.entropy, res.p, res.entropy_bound
     if engine == "markov":
         res = entropy_markov(family.map(), family.hole(s))
         return res.entropy, res.report.pole_order_p, res.error_bound
@@ -234,14 +238,13 @@ class HolderEstimate:
     entropy_at_t: float
     differences: tuple[float, ...]
 
-    def bound_check(self, exponent_offset: float = 0.0,
-                    stability_factor: float = 4.0) -> HolderBoundReport:
+    def bound_check(self, exponent_offset: float = 0.0) -> HolderBoundReport:
         """Check |h(s) - h(t)| <= C |s - t|**alpha with one C across the
         sampled ladder, without evaluating the entropy again.
 
         alpha is h(t)/(p*xi) plus ``exponent_offset``.  Passes when every
         per-mesh constant is positive and the largest exceeds the smallest by
-        at most ``stability_factor`` across the whole ladder; a constant
+        at most ``STABILITY_FACTOR`` across the whole ladder; a constant
         entropy passes trivially with C = 0.  Failure is a report outcome,
         not an error.
         """
@@ -257,10 +260,10 @@ class HolderEstimate:
             return HolderBoundReport(False, alpha, max(consts), mesh, consts, None,
                                      False, "mixed zero and nonzero constants")
         ratio = max(consts) / min(consts)
-        ok = ratio <= stability_factor
+        ok = ratio <= STABILITY_FACTOR
         detail = (f"constant varies by factor {ratio:.3g} across the ladder; "
                   f"{'within' if ok else 'exceeds'} the stability factor "
-                  f"{stability_factor:g}")
+                  f"{STABILITY_FACTOR:g}")
         return HolderBoundReport(ok, alpha, max(consts), mesh, consts, ratio,
                                  False, detail)
 
@@ -324,12 +327,11 @@ def holder_estimate(family, t, p: int, xi: float, scales: Sequence,
 def verify_holder_bound(family, t, p: int, xi: float, scales: Sequence,
                         engine: str = "kneading",
                         depth: int = 20,
-                        exponent_offset: float = 0.0,
-                        stability_factor: float = 4.0) -> HolderBoundReport:
-    """``holder_estimate(...).bound_check(exponent_offset, stability_factor)``:
+                        exponent_offset: float = 0.0) -> HolderBoundReport:
+    """``holder_estimate(...).bound_check(exponent_offset)``:
     sample the ladder once and check one constant C across all scales."""
     est = holder_estimate(family, t, p, xi, scales, engine, depth)
-    return est.bound_check(exponent_offset, stability_factor)
+    return est.bound_check(exponent_offset)
 
 
 # ---------------------------------------------------------------------------

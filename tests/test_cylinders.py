@@ -224,7 +224,6 @@ def test_int64_levels_return_python_values():
         assert type(hi.numerator) is int and type(hi.denominator) is int
     words = tree.itineraries(16)
     assert all(type(b) is int for w in words for b in w)
-    assert all(type(b) is int for b in tree.itinerary(16, len(words) - 1))
     for cyl in tree.cylinders(16)[:50]:
         for c in cyl.components:
             assert type(c.lo) is Fraction and type(c.lo.numerator) is int
@@ -343,13 +342,11 @@ def test_count_beyond_depth_requires_extinction():
         tree.count(9)
 
 
-ACCESSORS = ("count", "component_intervals", "itineraries", "cylinders",
-             "itinerary")
+ACCESSORS = ("count", "component_intervals", "itineraries", "cylinders")
 
 
 def read_level(tree, accessor, n):
-    args = (n, 0) if accessor == "itinerary" else (n,)
-    return getattr(tree, accessor)(*args)
+    return getattr(tree, accessor)(n)
 
 
 @pytest.mark.parametrize("accessor", ACCESSORS)
@@ -363,11 +360,7 @@ def test_accessors_check_the_level(accessor):
             read_level(tree, accessor, n)
     # levels past an extinct tree's depth are empty
     for n in (1, 3):
-        if accessor == "itinerary":
-            with pytest.raises(IndexError):
-                read_level(dead, accessor, n)
-        else:
-            assert read_level(dead, accessor, n) in (0, [])
+        assert read_level(dead, accessor, n) in (0, [])
 
 
 def test_cylinder_grouping():
@@ -670,6 +663,33 @@ def test_left_hole_parameter_detection():
     assert left_hole_parameter(build_d_adic(2), RIGHT_HOLE) == Fraction(3, 4)
     assert left_hole_parameter(build_d_adic(2), H((Fraction(1, 4), Fraction(1)))) is None
     assert left_hole_parameter(build_d_adic(3), RIGHT_HOLE) is None
+
+
+def test_left_hole_parameter_recognises_the_doubling_map_by_value():
+    import json
+    from holed_entropy.mapmodel import (Affine, Branch, IntervalOpen,
+                                        PiecewiseMap, map_to_config)
+    cfg = json.loads(json.dumps(map_to_config(build_d_adic(2))))
+    read_back, _ = map_from_config(cfg)
+    assert read_back is not build_d_adic(2)
+    assert left_hole_parameter(read_back, RIGHT_HOLE) == Fraction(3, 4)
+    half = Fraction(1, 2)
+    tent = PiecewiseMap(IntervalOpen(0, 1),
+                        (Branch(IntervalOpen(0, half), Affine(2, 0)),
+                         Branch(IntervalOpen(half, 1), Affine(-2, 2))))
+    assert left_hole_parameter(tent, RIGHT_HOLE) is None
+    assert left_hole_parameter(build_scaled_farey(1), RIGHT_HOLE) is None
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_d_adic_cylinder_formula_matches_the_generic_inversion(d):
+    m = build_d_adic(d)
+    assert cylinders._d_adic_degree(m) == d
+    rng = random.Random(d)
+    for _ in range(200):
+        word = [rng.randrange(d) for _ in range(rng.randint(1, 12))]
+        assert (cylinders._cylinder_interval(m, word, d)
+                == cylinders._cylinder_interval(m, word))
 
 
 # -- CSV ---------------------------------------------------------------------------

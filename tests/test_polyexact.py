@@ -11,16 +11,49 @@ from hypothesis import strategies as st
 from holed_entropy import polyexact
 from holed_entropy.errors import InvalidParameterError, ResourceLimitError
 from holed_entropy.polyexact import (CHAR_POLY_SIZE_CAP, _int_pseudo_rem,
-                                     berkowitz_char_poly, char_poly_cofactor,
-                                     int_matmul, int_matrix_rank,
-                                     largest_real_root, poly_content,
-                                     poly_deriv, poly_eval, poly_gcd_int,
-                                     poly_mul, poly_neg, poly_primitive,
+                                     berkowitz_char_poly, int_matmul,
+                                     int_matrix_rank, largest_real_root,
+                                     poly_content, poly_deriv, poly_eval,
+                                     poly_gcd_int, poly_mul, poly_primitive,
                                      poly_trim, sign_at, sign_at_dyadic,
                                      square_free_decomposition, taylor_shift)
 
 
-# -- references: Fraction division, Sturm chains --------------------------------
+# -- references: cofactor expansion, Fraction division, Sturm chains ------------
+
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                      for i in range(n)])
+
+
+def poly_neg(p):
+    return [-c for c in p]
+
+
+def char_poly_cofactor(rows):
+    """det(xI - M) by naive cofactor expansion; an independent cross-check
+    for small matrices only."""
+    n = len(rows)
+    entries = [[([-rows[i][j]] if i != j else [-rows[i][j], 1]) for j in range(n)]
+               for i in range(n)]
+
+    def det(mat):
+        m = len(mat)
+        if m == 0:
+            return [1]
+        if m == 1:
+            return mat[0][0]
+        total = []
+        for j in range(m):
+            minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+            term = poly_mul(mat[0][j], det(minor))
+            total = poly_add(total, term if j % 2 == 0 else poly_neg(term))
+        return total
+
+    out = det(entries)
+    return out + [0] * (n + 1 - len(out))
+
 
 def _poly_divmod(p, q):
     """Quotient and remainder over the rationals."""

@@ -10,8 +10,9 @@ import pytest
 
 from holed_entropy import (CustomFamily, Hole, InvalidParameterError,
                            LeftHoleFamily, SlidingHoleFamily, SweepSpec,
-                           build_d_adic, emit_csv, emit_svg_plot, hole_dist,
-                           holder_estimate, run_sweep, verify_holder_bound)
+                           build_d_adic, emit_csv, emit_svg_plot,
+                           entropy_left_hole, hole_dist, holder_estimate,
+                           run_sweep, verify_holder_bound)
 from holed_entropy.markov import entropy_markov
 from holed_entropy.regularity import entropy_at
 
@@ -92,6 +93,19 @@ def test_markov_sweep_error_bound_covers_rho_bracket():
         lo, hi = entropy_markov(fam.map(), fam.hole(row.s)).report.rho_bracket
         for end in (lo, hi):
             assert abs(row.entropy - max(math.log(end), 0.0)) <= row.error_bound
+
+
+def test_kneading_sweep_error_bound_covers_the_entropy_interval():
+    # the bound is on the entropy -log r, not on r: |dh/dr| = 1/r nears 2 as
+    # a nears 1, so at 47/48 the width of the r-bracket alone falls short
+    spec = SweepSpec(LeftHoleFamily(), F(11, 20), F(19, 20), 257,
+                     engine="kneading", extra_points=(F(47, 48), F(94, 95)))
+    rows = run_sweep(spec).rows
+    assert len(rows) == 259
+    for row in rows:
+        assert row.status == "ok"
+        lo, hi = entropy_left_hole(row.s).interval
+        assert row.entropy - row.error_bound <= lo <= hi <= row.entropy + row.error_bound
 
 
 def _run_probe(probe: str) -> str:
