@@ -41,7 +41,8 @@ from typing import Optional, Sequence
 from .errors import (EmptyPartitionError, InvalidParameterError,
                      ResourceLimitError)
 from .mapmodel import (D_ADIC_MAX, Affine, Branch, Hole, IntervalOpen,
-                       PiecewiseMap, _exact, build_d_adic, subtract_pieces)
+                       PiecewiseMap, _exact, _int_pair, build_d_adic,
+                       subtract_pieces)
 
 DEFAULT_COMPONENT_CAP = 10_000_000
 
@@ -256,27 +257,17 @@ def _store(lv: _Level, comps, parent: int, b: int, cap: int, level: int):
         lv.branch.append(b)
 
 
-def _pair(x: Fraction) -> tuple[int, int]:
-    return x.numerator, x.denominator
-
-
 def _inverse_matrix(branch: Branch) -> tuple[int, int, int, int]:
     """Integers (A, B, C, D) with branch^-1(y) = (A y + B) / (C y + D) and
     C y + D > 0 on the branch image closure.
 
-    The inverse's pole is the image of infinity, which lies outside the image
-    closure, so one sign flip settles the sign of C y + D on all of it.
+    This is the adjugate of :meth:`Branch.integer_matrix` (a, b, c, d)
+    times the sign of its determinant: at y = branch(x) the adjugate's
+    denominator -c y + a is (a d - b c) / (c x + d), and c x + d > 0.
     """
-    k = branch.kind
-    if isinstance(k, Affine):
-        m = (1, -k.offset, 0, k.slope)
-    else:
-        m = (k.s, -k.q, -k.r, k.p)
-    scale = math.lcm(*(x.denominator for x in m))
-    A, B, C, D = (int(x * scale) for x in m)
-    if C * branch.image_raw()[0] + D < 0:
-        A, B, C, D = -A, -B, -C, -D
-    return A, B, C, D
+    a, b, c, d = branch.integer_matrix()
+    s = 1 if a * d > b * c else -1
+    return s * d, -s * b, -s * c, s * a
 
 
 def _subtract_pairs(lo, hi, pieces) -> list:
@@ -308,12 +299,13 @@ class _PairKernel:
     """
 
     def __init__(self, pmap: PiecewiseMap, hole: Hole):
-        self.doms = [(_pair(lo), _pair(hi)) for lo, hi in pmap.branch_domains_raw()]
-        self.imgs = [(_pair(lo), _pair(hi)) for lo, hi in
+        self.doms = [(_int_pair(lo), _int_pair(hi))
+                     for lo, hi in pmap.branch_domains_raw()]
+        self.imgs = [(_int_pair(lo), _int_pair(hi)) for lo, hi in
                      (b.image_raw() for b in pmap.branches)]
         self.mats = [_inverse_matrix(b) for b in pmap.branches]
         self.signs = [b.orientation for b in pmap.branches]
-        self.pieces = [(_pair(lo), _pair(hi)) for lo, hi in hole.pieces]
+        self.pieces = [(_int_pair(lo), _int_pair(hi)) for lo, hi in hole.pieces]
 
     def first_level(self, cap: int) -> _Level:
         lv = _Level()

@@ -24,6 +24,7 @@ Conventions pinned here and relied on by the engines:
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +57,11 @@ def _exact(value) -> Fraction:
             f"float {value!r} is not an exact value: pass num/den or a "
             f"decimal string")
     raise InvalidParameterError(f"{value!r} is not an exact value")
+
+
+def _int_pair(x: Fraction) -> tuple[int, int]:
+    """x as the integer pair (num, den), den > 0, that the engines compute on."""
+    return x.numerator, x.denominator
 
 
 def _set_exact(obj, *names: str):
@@ -164,6 +170,22 @@ class Branch:
             return 1 if k.slope > 0 else -1
         det = k.p * k.s - k.q * k.r
         return 1 if det > 0 else -1
+
+    def integer_matrix(self) -> tuple[int, int, int, int]:
+        """Integers (A, B, C, D) with x -> (A x + B) / (C x + D) the branch
+        and C x + D > 0 on the domain closure.
+
+        The coefficients are scaled by the lcm of their denominators.  The
+        pole lies outside the domain closure, so C x + D has one sign on
+        all of it, and one sign flip makes that sign positive.
+        """
+        k = self.kind
+        m = (k.slope, k.offset, 0, 1) if isinstance(k, Affine) else (k.p, k.q, k.r, k.s)
+        scale = math.lcm(*(x.denominator for x in m))
+        A, B, C, D = (int(x * scale) for x in m)
+        if C * self.domain.lo + D < 0:
+            A, B, C, D = -A, -B, -C, -D
+        return A, B, C, D
 
     def image_raw(self) -> tuple[Fraction, Fraction]:
         """Image of the domain closure, as a sorted (lo, hi) pair."""

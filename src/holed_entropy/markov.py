@@ -4,14 +4,17 @@ Jordan structure for holes with finite boundary orbits.
 When every branch endpoint and hole endpoint has a finite forward orbit, the
 orbit points cut the interval into states on which the map is Markov: each
 state maps under a single branch onto an exact union of states and escape
-pieces.  The orbit points are closed by a worklist that inserts each new
-point into the sorted cuts once and queues only its own image; the closure
-is refused as soon as its states pass the characteristic-polynomial cap
-(400), the one size limit of the engine, or its points pass a fixed bit
-budget.  The transition matrix is 0/1 over the surviving states; a state's
-image covers one contiguous run of states, read from one dict of
-breakpoints.  Its characteristic polynomial x^k q (q(0) != 0) is computed
-exactly over the integers (sparse Berkowitz).
+pieces.  Points are reduced integer pairs (num, den) and each branch is an
+integer 2x2 matrix, so no Fraction is built before the output.  The orbit
+points are closed by a worklist: a new point takes the owner of the
+initial interval that holds it and queues only its own image, and the
+points are sorted once at the end.  The closure is refused as soon as its
+states pass the characteristic-polynomial cap (400), the one size limit of
+the engine, or its points pass a fixed bit budget.  The transition matrix
+is 0/1 over the surviving states; a state's image, mapped through the same
+matrices, covers one contiguous run of states, read from one dict keyed by
+breakpoint pairs.  Its characteristic polynomial x^k q (q(0) != 0) is
+computed exactly over the integers (Berkowitz over the nonzero entries).
 rho is bracketed first on P0 = x^min(k,1) q by the Descartes certificate
 of its numpy seed, which counts roots with multiplicity: when it certifies,
 rho is simple, alg = geo = p = 1, and nothing is decomposed.  Otherwise rho
@@ -31,7 +34,6 @@ test leaves unproved.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
@@ -39,7 +41,7 @@ from typing import Optional
 
 from .errors import (InvalidParameterError, NotFinitelyMarkovError,
                      ResourceLimitError)
-from .mapmodel import Hole, PiecewiseMap
+from .mapmodel import Hole, PiecewiseMap, _int_pair
 from .polyexact import (CHAR_POLY_SIZE_CAP, _holds_root, berkowitz_char_poly,
                         int_matmul, int_matrix_rank, largest_real_root, poly_mul,
                         seeded_root, square_free_decomposition)
@@ -61,27 +63,68 @@ class MarkovRefinement:
     state_branch: tuple[int, ...]  # the single branch whose domain holds each state
 
 
-def _inside_hole(x: Fraction, hole: Hole) -> bool:
-    for lo, hi in hole.pieces:
-        if lo <= x <= hi:
-            return True
-    return False
+def _image(m: tuple[int, int, int, int], n: int, d: int) -> tuple[int, int]:
+    """The reduced pair of the branch with integer matrix ``m``
+    (:meth:`.Branch.integer_matrix`) at n/d, d > 0."""
+    A, B, C, D = m
+    p, q = A * n + B * d, C * n + D * d
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def _sorted_pairs(points) -> list[tuple[int, int]]:
+    """Reduced pairs (num, den), den > 0, in increasing order: distinct
+    points are 1/(d d') > 2^-k apart, so floor(x 2^k) orders them."""
+    k = 2 * max(d.bit_length() for _, d in points)
+    return sorted(points, key=lambda w: (w[0] << k) // w[1])
+
+
+def _owner(n: int, d: int, pieces, doms) -> Optional[int]:
+    """Branch owning the elementary interval that holds n/d (d > 0), None in
+    the hole or outside every branch domain.
+
+    n/d is no initial cut (hole and domain ends), so it lies strictly inside
+    a hole piece, or a domain, or neither.  ``pieces`` and ``doms`` are the
+    sorted (lo, hi) pairs of (num, den) pairs of the hole and the domains.
+    """
+    for (a, b), (c, e) in pieces:
+        if n * b < a * d:  # left of this piece, so of every later one
+            break
+        if n * e < c * d:
+            return None
+    lo, hi = 0, len(doms)
+    while lo < hi:  # lo ends as the number of domains starting below n/d
+        mid = (lo + hi) // 2
+        a, b = doms[mid][0]
+        if a * d < n * b:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo:
+        c, e = doms[lo - 1][1]
+        if n * e < c * d:
+            return lo - 1
+    return None
 
 
 def refine_markov(pmap: PiecewiseMap, hole: Hole) -> MarkovRefinement:
     """Close the breakpoint set under the map and cut out the states.
 
-    Breakpoints start from the branch-domain, codomain, and hole endpoints,
-    and each elementary interval outside the hole and inside a branch domain
-    (a state, owned by that branch) queues the images of its ends (through
-    its own branch's continuous extension).  A queued image that is a new
-    point is inserted into the sorted cuts with ``bisect``.  Hole and branch
-    endpoints are initial cuts, so both halves of the interval it splits
-    keep that interval's owner, whose end images are already queued: only
-    the new point's own image is queued, and only when it splits a state.
-    The queue empties at the least forward-closed set in any order, so the
-    closure never holds more points than the initial cuts, the initial
-    states and the final states together.
+    Points are reduced integer pairs (num, den), den > 0, and each branch is
+    its integer matrix (:meth:`.Branch.integer_matrix`), so the closure does
+    no Fraction arithmetic.  Breakpoints start from the branch-domain,
+    codomain, and hole endpoints, and each elementary interval outside the
+    hole and inside a branch domain (a state, owned by that branch) queues
+    the images of its ends (through its own branch's continuous extension).
+    Hole and branch endpoints are initial cuts, so a queued image that is a
+    new point lies strictly inside one initial interval, whose owner it
+    takes; both halves of the interval it splits keep that owner, whose end
+    images are already queued: only the new point's own image is queued,
+    and only when it splits a state.  The queue empties at the least
+    forward-closed set in any order, so the closure never holds more points
+    than the initial cuts, the initial states and the final states
+    together.  The points are sorted once, at the end, by an exact integer
+    key.
 
     States only grow: :class:`ResourceLimitError` as soon as there are more
     than ``CHAR_POLY_SIZE_CAP`` of them, and :class:`NotFinitelyMarkovError`
@@ -94,69 +137,56 @@ def refine_markov(pmap: PiecewiseMap, hole: Hole) -> MarkovRefinement:
     for lo, hi in hole.pieces:
         if lo < ilo or hi > ihi:
             raise InvalidParameterError("hole piece escapes the codomain closure")
-    points = {ilo, ihi}
-    doms = pmap.branch_domains_raw()
-    for lo, hi in doms:
-        points.add(lo)
-        points.add(hi)
-    for lo, hi in hole.pieces:
-        points.add(lo)
-        points.add(hi)
-    starts = [lo for lo, _ in doms]  # ascending: domains are ordered and disjoint
-
-    def owner(u: Fraction, v: Fraction) -> Optional[int]:
-        """Branch owning the elementary interval (u, v); None in the hole
-        or outside every branch domain."""
-        mid = (u + v) / 2
-        if _inside_hole(mid, hole):
-            return None
-        k = bisect_left(starts, mid) - 1  # the last domain starting below mid
-        return k if k >= 0 and mid < doms[k][1] else None
+    doms = [(_int_pair(lo), _int_pair(hi)) for lo, hi in pmap.branch_domains_raw()]
+    pieces = [(_int_pair(lo), _int_pair(hi)) for lo, hi in hole.pieces]
+    cuts = _sorted_pairs({_int_pair(ilo), _int_pair(ihi),
+                          *(x for piece in doms + pieces for x in piece)})
+    own = dict.fromkeys(cuts)  # point -> owner of the interval right of it
 
     def check_states():
         if n_states > CHAR_POLY_SIZE_CAP:
             raise ResourceLimitError(
                 f"the closure passed {CHAR_POLY_SIZE_CAP} states (the "
-                f"characteristic-polynomial cap) after {len(points)} points; "
+                f"characteristic-polynomial cap) after {len(own)} points; "
                 "use the cylinder or tower engines")
 
-    cuts = sorted(points)
-    owners = []  # of (cuts[i], cuts[i + 1])
     n_states = 0
-    for u, v in zip(cuts, cuts[1:]):
-        b = owner(u, v)
-        owners.append(b)
+    for u, v in zip(cuts, cuts[1:]):  # the owner of (u, v) is its midpoint's
+        b = _owner(u[0] * v[1] + v[0] * u[1], 2 * u[1] * v[1], pieces, doms)
         if b is not None:
+            own[u] = b
             n_states += 1
             check_states()
-    bits = sum(x.numerator.bit_length() + x.denominator.bit_length() for x in cuts)
-    work = []  # images not yet inserted
-    for u, v, b in zip(cuts, cuts[1:], owners):
+    mats = {b: pmap.branches[b].integer_matrix() for b in set(own.values())
+            if b is not None}
+    work = []  # images not yet added
+    for u, v in zip(cuts, cuts[1:]):
+        b = own[u]
         if b is not None:
-            br = pmap.branches[b]
-            work += (br.apply_raw(u), br.apply_raw(v))
+            work += (_image(mats[b], *u), _image(mats[b], *v))
+    bits = sum(n.bit_length() + d.bit_length() for n, d in cuts)
     while work:
         w = work.pop()
-        if w in points:
+        if w in own:
             continue
-        points.add(w)
-        bits += w.numerator.bit_length() + w.denominator.bit_length()
+        n, d = w
+        b = own[w] = _owner(n, d, pieces, doms)
+        bits += n.bit_length() + d.bit_length()
         if bits > _CLOSURE_BITS:
             raise NotFinitelyMarkovError(
                 f"boundary orbit points passed {_CLOSURE_BITS} bits after "
-                f"{len(points)} points; use the cylinder or tower engines")
-        i = bisect_left(cuts, w)
-        b = owners[i - 1]
-        cuts.insert(i, w)
-        owners.insert(i, b)
+                f"{len(own)} points; use the cylinder or tower engines")
         if b is not None:
             n_states += 1
             check_states()
-            work.append(pmap.branches[b].apply_raw(w))
+            work.append(_image(mats[b], n, d))
 
-    states = tuple((u, v) for u, v, b in zip(cuts, cuts[1:], owners) if b is not None)
-    state_branch = tuple(b for b in owners if b is not None)
-    return MarkovRefinement(pmap, hole, tuple(cuts), states, state_branch)
+    points = _sorted_pairs(own)
+    cut = [Fraction(n, d) for n, d in points]
+    states = tuple((u, v) for u, v, w in zip(cut, cut[1:], points)
+                   if own[w] is not None)
+    state_branch = tuple(own[w] for w in points if own[w] is not None)
+    return MarkovRefinement(pmap, hole, tuple(cut), states, state_branch)
 
 
 @dataclass(frozen=True)
@@ -177,9 +207,10 @@ def transition_matrix(ref: MarkovRefinement) -> TransitionMatrix:
     States are disjoint and sorted, and each lies between two consecutive
     breakpoints, so the states covered by the image ``[w1, w2]`` of a state
     form one contiguous run: the states that start at or after ``w1`` but
-    before ``w2``.  One dict, breakpoint -> number of states starting
-    before it, gives both ends of the run; an image end that is no
-    breakpoint raises :class:`NotFinitelyMarkovError`.
+    before ``w2``.  One dict, breakpoint (num, den) pair -> number of
+    states starting before it, gives both ends of the run; the state ends
+    are mapped through the branch's integer matrix as reduced pairs, and an
+    image end that is no breakpoint raises :class:`NotFinitelyMarkovError`.
     :func:`refine_markov` refuses a closure with more states than
     ``CHAR_POLY_SIZE_CAP``; a refinement built by hand with more is refused
     here, before any row is built.
@@ -188,22 +219,25 @@ def transition_matrix(ref: MarkovRefinement) -> TransitionMatrix:
     if n > CHAR_POLY_SIZE_CAP:
         raise ResourceLimitError(
             f"{n} states exceed the characteristic-polynomial cap {CHAR_POLY_SIZE_CAP}")
+    starts = [_int_pair(u) for u, _ in ref.states]
     before, i = {}, 0  # breakpoint -> number of states starting before it
     for x in ref.breakpoints:
-        while i < n and ref.states[i][0] < x:
+        xn, xd = _int_pair(x)
+        while i < n and starts[i][0] * xd < xn * starts[i][1]:
             i += 1
-        before[x] = i
+        before[xn, xd] = i
+    mats = {b: ref.map.branches[b].integer_matrix() for b in set(ref.state_branch)}
     rows = []
     for (u, v), b in zip(ref.states, ref.state_branch):
-        br = ref.map.branches[b]
-        w1, w2 = br.apply_raw(u), br.apply_raw(v)
-        if w1 > w2:
+        m = mats[b]
+        w1, w2 = _image(m, *_int_pair(u)), _image(m, *_int_pair(v))
+        if w1[0] * w2[1] > w2[0] * w1[1]:
             w1, w2 = w2, w1
         first, end = before.get(w1), before.get(w2)
         if first is None or end is None:
             raise NotFinitelyMarkovError(
-                f"state ({u}, {v}) maps onto ({w1}, {w2}) which is not "
-                "breakpoint-aligned; refinement is not Markov")
+                f"state ({u}, {v}) maps onto ({Fraction(*w1)}, {Fraction(*w2)}) "
+                "which is not breakpoint-aligned; refinement is not Markov")
         row = [0] * n
         row[first:end] = [1] * (end - first)
         rows.append(row)

@@ -470,7 +470,9 @@ def berkowitz_char_poly(rows: list[list[int]]) -> Poly:
     """Characteristic polynomial det(xI - M) of an integer matrix.
 
     Division-free (Berkowitz), so the result is exact over the integers.
-    The matrix-vector products run over the nonzero entries only.
+    The matrix-vector products run over the nonzero entries of the leading
+    block only, a list grown by one row and one column per step, and the
+    Toeplitz product is truncated at degree k.
     Returned ascending; the empty matrix gives [1].
     """
     n = len(rows)
@@ -482,28 +484,37 @@ def berkowitz_char_poly(rows: list[list[int]]) -> Poly:
     for r in rows:
         if len(r) != n:
             raise InvalidParameterError("matrix is not square")
-    nonzero = [(i, j, a) for i, r in enumerate(rows) for j, a in enumerate(r) if a]
+    nz_rows = [[(j, a) for j, a in enumerate(r) if a] for r in rows]
+    nz_cols = [[] for _ in range(n)]
+    for i, r in enumerate(nz_rows):
+        for j, a in r:
+            nz_cols[j].append((i, a))
+    sub = []  # nonzero (i, j, a) of the leading m x m submatrix
     # p_k: char poly (descending) of the leading k x k principal submatrix
     p = [1, -rows[0][0]]
     for k in range(2, n + 1):
         m = k - 1  # the leading submatrix has rows and columns 0..m-1
-        sub = [(i, j, a) for i, j, a in nonzero if i < m and j < m]
-        r = [(j, a) for i, j, a in nonzero if i == m and j < m]
+        # grow it by row and column m - 1
+        sub += [(m - 1, j, a) for j, a in nz_rows[m - 1] if j < m]
+        sub += [(i, m - 1, a) for i, a in nz_cols[m - 1] if i < m - 1]
+        r = [(j, a) for j, a in nz_rows[m] if j < m]
         t = [1, -rows[m][m]]
         v = [rows[i][m] for i in range(m)]
         for _ in range(m):
-            t.append(-sum(a * v[j] for j, a in r))
+            s = 0
+            for j, a in r:
+                s += a * v[j]
+            t.append(-s)
             if len(t) <= k:
                 w = [0] * m
                 for i, j, a in sub:
                     w[i] += a * v[j]
                 v = w
+        # the Toeplitz product, truncated at degree k
         conv = [0] * (k + 1)
-        for i, a in enumerate(t[:k + 1]):
-            if a == 0:
-                continue
-            for j, b in enumerate(p):
-                if i + j <= k:
+        for i, a in enumerate(t):
+            if a:
+                for j, b in enumerate(p[:k + 1 - i]):
                     conv[i + j] += a * b
         p = conv
     return list(reversed(p))

@@ -13,6 +13,7 @@ from holed_entropy import (Hole, InvalidParameterError, LocallyConstantWeight,
                            entropy_left_hole, hole_dist, map_from_config,
                            map_to_config, restrict_partition)
 from holed_entropy import mapmodel
+from holed_entropy.cylinders import _inverse_matrix
 from holed_entropy.mapmodel import (D_ADIC_MAX, Affine, Branch, IntervalOpen,
                                     Moebius, PiecewiseMap)
 
@@ -113,6 +114,26 @@ def test_branch_inverse_roundtrip_exact():
                 if not lo < x < hi:
                     continue
                 assert b.invert_raw(b.apply_raw(x)) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=st.lists(st.fractions(-4, 4, max_denominator=6), min_size=4, max_size=4),
+       affine=st.booleans())
+def test_integer_matrices_evaluate_the_branch_and_its_inverse(coeffs, affine):
+    # x -> (A x + B) / (C x + D) with C x + D > 0 on the domain closure, and
+    # the inverse's matrix likewise on the image closure
+    p, q, r, s = coeffs
+    try:
+        b = Branch(IntervalOpen(0, 1), Affine(p, q) if affine else Moebius(p, q, r, s))
+    except InvalidParameterError:
+        return  # zero slope, zero determinant or a pole in [0, 1]
+    A, B, C, D = b.integer_matrix()
+    iA, iB, iC, iD = _inverse_matrix(b)
+    for x in (Fraction(0), Fraction(1, 3), Fraction(1)):
+        assert C * x + D > 0
+        y = Fraction(A * x + B, C * x + D)
+        assert y == b.apply_raw(x)
+        assert iC * y + iD > 0 and Fraction(iA * y + iB, iC * y + iD) == x
 
 
 def test_derivative_sign_matches_orientation():

@@ -13,7 +13,8 @@ from holed_entropy import (Hole, InvalidParameterError, NotFinitelyMarkovError,
                            refine, refine_markov, spectral_report, to_dot,
                            transition_matrix)
 from holed_entropy import markov
-from holed_entropy.mapmodel import map_from_config
+from holed_entropy.mapmodel import (Affine, Branch, IntervalOpen, Moebius,
+                                    PiecewiseMap, map_from_config)
 from holed_entropy.markov import MarkovRefinement, TransitionMatrix
 from holed_entropy.minpoly import certify_irreducible, strip_cyclotomic
 from holed_entropy.polyexact import (CHAR_POLY_SIZE_CAP, berkowitz_char_poly,
@@ -62,6 +63,21 @@ def test_refinement_state_cap():
         refine_markov(build_d_adic(2), H((F(1, 10037), F(2, 10037))))
 
 
+@pytest.mark.parametrize("pmap, hole, points", [
+    (build_d_adic(2), H((F(1, 1019), F(2, 1019))), 403),
+    (build_scaled_farey(F(2, 5)), Hole.empty(), 402),
+    # a first-in-first-out worklist reaches the cap after 404 points here
+    (build_d_adic(2), H((F(1, 10037), F(3, 10037))), 403),
+], ids=["doubling-1/1019", "farey-2/5", "doubling-1/10037-3/10037"])
+def test_state_cap_refusal_text(pmap, hole, points):
+    # the point count depends on the order the worklist adds points in
+    with pytest.raises(ResourceLimitError) as err:
+        refine_markov(pmap, hole)
+    assert str(err.value) == (
+        "the closure passed 400 states (the characteristic-polynomial cap) "
+        f"after {points} points; use the cylinder or tower engines")
+
+
 def test_refinement_refuses_more_initial_states_than_the_cap():
     # the 401 branch domains are states before any orbit point is added
     with pytest.raises(ResourceLimitError, match="after 402 points"):
@@ -72,9 +88,9 @@ def test_refinement_stops_owning_initial_intervals_past_the_cap(monkeypatch):
     # states are counted while the owners are found, so the refusal comes at
     # the 401st owned interval, not after all 1000
     calls = []
-    inside = markov._inside_hole
-    monkeypatch.setattr(markov, "_inside_hole",
-                        lambda x, hole: calls.append(x) or inside(x, hole))
+    owner = markov._owner
+    monkeypatch.setattr(markov, "_owner",
+                        lambda *args: calls.append(args) or owner(*args))
     with pytest.raises(ResourceLimitError, match="after 1001 points"):
         refine_markov(build_d_adic(1000), Hole.empty())
     assert len(calls) <= CHAR_POLY_SIZE_CAP + 1
@@ -165,8 +181,21 @@ def exact_holes(draw, max_pieces=3, max_q=64):
     return H(*pieces)
 
 
-CLOSURE_MAPS = {"doubling": build_d_adic(2), "triadic": build_d_adic(3),
-                "farey-1": build_scaled_farey(ex(F(1)))}
+def _two_branch_map(left, right, cut=F(1, 2)):
+    return PiecewiseMap(IntervalOpen(0, 1), (Branch(IntervalOpen(0, cut), left),
+                                             Branch(IntervalOpen(cut, 1), right)))
+
+
+CLOSURE_MAPS = {
+    "doubling": build_d_adic(2), "triadic": build_d_adic(3),
+    "farey-1": build_scaled_farey(ex(F(1))),
+    # a decreasing affine branch
+    "tent": _two_branch_map(Affine(2, 0), Affine(-2, 2)),
+    "slopes-3-3/2": _two_branch_map(Affine(3, 0), Affine(F(3, 2), F(-1, 2)), F(1, 3)),
+    "farey-3/4": build_scaled_farey(F(3, 4)),
+    # farey-1 with every coefficient negated: C x + D < 0 on both domains
+    "farey-1-negated": _two_branch_map(Moebius(-1, 0, 1, -1), Moebius(1, -1, -1, 0)),
+}
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,6 +205,11 @@ def test_worklist_closure_matches_round_based_reference(name, hole, cap):
     # states only grow and the closed set is unique, so both refuse the
     # same holes whatever order they add points in
     pmap = CLOSURE_MAPS[name]
+    if name == "farey-3/4":
+        # most of its orbits do not close, and the reference rescans and
+        # re-sorts every point in every round: it took up to 8 s to refuse
+        # at 400 states, where 60 take 0.1 s
+        cap = min(cap, 60)
     with patch.object(markov, "CHAR_POLY_SIZE_CAP", cap):
         try:
             want = reference_closure(pmap, hole, cap)
@@ -209,7 +243,10 @@ def test_closure_keeps_the_state_cap_and_the_point_bound(d, hole):
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(CLOSURE_MAPS)), hole=exact_holes())
 def test_transition_rows_match_dense_rule(name, hole):
-    ref = refine_markov(CLOSURE_MAPS[name], hole)
+    try:
+        ref = refine_markov(CLOSURE_MAPS[name], hole)
+    except (ResourceLimitError, NotFinitelyMarkovError):
+        return  # orbits that do not close (farey-3/4, slopes-3-3/2)
     M = transition_matrix(ref)
     for row, (u, v), b in zip(M.entries, ref.states, ref.state_branch):
         br = ref.map.branches[b]
