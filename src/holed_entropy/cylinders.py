@@ -8,12 +8,17 @@ monotone composition.
 
 One driver loop in :func:`refine` owns the levels, extinction and the
 component cap, and builds each level from the previous one with a kernel
-chosen per level.  Maps and holes are exact (see :mod:`.mapmodel`), and a
-level is stored in one of two forms:
+chosen per level.  Maps and holes are exact (see :mod:`.mapmodel`).  A
+level is sorted and disjoint, so both kernels step window by window: the
+level-n components that meet one window (a branch domain minus the hole,
+pushed forward through the branch) form a run found by two binary
+searches, the window cuts only the first and the last of them, and the
+whole run is pulled back at once.  A level is stored in one of two forms:
 
 * integer pairs: Python lists of ``(num, den)`` endpoints with ``den > 0``,
   for any map.  Branch inverses are 2x2 integer matrices, so a step does no
-  Fraction arithmetic; values become Fraction only when a level is read;
+  Fraction arithmetic (~0.5-0.7 us per component); values become Fraction
+  only when a level is read;
 * int64 arrays: numpy arrays of endpoints scaled to integers over
   ``D0 * d**n``, with each branch step vectorised.  They are used only for
   uniform-affine maps (one integer slope magnitude ``d``; the d-adic
@@ -169,8 +174,7 @@ class RefinementTree:
         groups: dict[tuple, list[IntervalOpen]] = {}
         for (lo, hi), word in zip(self.component_intervals(n), self.itineraries(n)):
             groups.setdefault(word, []).append(IntervalOpen(lo, hi))
-        return [Cylinder(w, tuple(sorted(cs, key=lambda c: c.lo)))
-                for w, cs in groups.items()]
+        return [Cylinder(w, tuple(cs)) for w, cs in groups.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +182,9 @@ class RefinementTree:
 # ---------------------------------------------------------------------------
 
 # The int64 kernel runs only on levels of at least this many components.
-# Importing numpy costs ~0.13 s; the pair kernel costs ~1-2 us per d-adic
-# component (no hole / one hole piece) and the int64 kernel ~0.1 us, so the
-# import pays for itself after ~10^5 components.  A refinement that stays
+# Importing numpy costs ~0.1 s; the pair kernel costs ~0.5-0.7 us per d-adic
+# or Moebius component and the int64 kernel ~0.01-0.02 us, so the import
+# pays for itself after ~2 * 10^5 components.  A refinement that stays
 # below 10^3 components per level never pays it; past that size the levels
 # grow geometrically and reach that total within ~10 levels.
 _ARRAY_MIN_COMPONENTS = 1000
@@ -194,7 +198,7 @@ class _UniformAffine:
     scale ``den(n + 1)``.
     """
 
-    def __init__(self, pmap: PiecewiseMap, hole: Hole):
+    def __init__(self, pmap: PiecewiseMap, hole: Hole, windows: list):
         sigs = []
         for b in pmap.branches:
             if not isinstance(b.kind, Affine):
@@ -218,11 +222,9 @@ class _UniformAffine:
         self.D0 = D0
         self.signs = [1 if s > 0 else -1 for s in sigs]
         self.offsets0 = [int(o * D0) for o in offsets]
-        # each branch domain minus the hole, left to right: the pieces of
-        # the level-1 survivor set
-        self.windows0 = [[(int(lo * D0), int(hi * D0))
-                          for lo, hi in subtract_pieces(dlo, dhi, hole.pieces)]
-                         for dlo, dhi in pmap.branch_domains_raw()]
+        # the windows of _PairKernel, scaled by D0
+        self.windows0 = [[(u * D0 // v, x * D0 // y) for (u, v), (x, y), _, _ in ws]
+                         for ws in windows]
         # largest magnitude, in units of 1/D0, of any value the kernel
         # stores at scale den(n) (offsets enter one level coarser); D0
         # itself for maps on [0, 1], so the int64 rule is D0 * d**n < 2**63
@@ -236,25 +238,16 @@ class _UniformAffine:
         return self.bound * self.d ** level < 2 ** 63
 
 
-def _try_uniform_affine(pmap: PiecewiseMap, hole: Hole) -> Optional[_UniformAffine]:
+def _try_uniform_affine(pmap: PiecewiseMap, hole: Hole,
+                        windows: list) -> Optional[_UniformAffine]:
     try:
-        return _UniformAffine(pmap, hole)
+        return _UniformAffine(pmap, hole, windows)
     except ValueError:
         return None
 
 
 def _cap_exceeded(cap: int, level: int) -> ResourceLimitError:
     return ResourceLimitError(f"component cap {cap} exceeded at level {level}")
-
-
-def _store(lv: _Level, comps, parent: int, b: int, cap: int, level: int):
-    if len(lv) + len(comps) > cap:
-        raise _cap_exceeded(cap, level)
-    for lo, hi in comps:
-        lv.lo.append(lo)
-        lv.hi.append(hi)
-        lv.parent.append(parent)
-        lv.branch.append(b)
 
 
 def _inverse_matrix(branch: Branch) -> tuple[int, int, int, int]:
@@ -270,23 +263,20 @@ def _inverse_matrix(branch: Branch) -> tuple[int, int, int, int]:
     return s * d, -s * b, -s * c, s * a
 
 
-def _subtract_pairs(lo, hi, pieces) -> list:
-    """:func:`subtract_pieces` on (num, den) pairs, den > 0; ``lo < hi``."""
-    out = []
-    cu, cv = lo
-    hu, hv = hi
-    for (au, av), (bu, bv) in pieces:
-        if bu * cv <= cu * bv:
-            continue
-        if au * hv >= hu * av:
-            break
-        if au * cv > cu * av:
-            out.append(((cu, cv), (au, av)))
-        cu, cv = bu, bv
-        if cu * hv >= hu * cv:
-            return out
-    out.append(((cu, cv), hi))
-    return out
+def _bisect(col, y, strict: bool, lo: int = 0) -> int:
+    """First index i >= lo with col[i] > y (strict) or col[i] >= y; ``col``
+    is a sorted list of (num, den) pairs and ``y`` one pair, dens > 0."""
+    p, q = y
+    hi = len(col)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        u, v = col[mid]
+        d = u * q - p * v
+        if d > 0 or (d == 0 and not strict):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class _PairKernel:
@@ -295,63 +285,74 @@ class _PairKernel:
     A branch inverse is the integer matrix of :func:`_inverse_matrix`, so a
     step is integer multiplications and cross-multiplied comparisons only.
     Pairs are not reduced: a gcd per endpoint costs more than the few extra
-    bits it saves.
+    bits it saves.  A run is pulled back by one list comprehension per
+    column, ~0.5-0.7 us per component (Moebius or affine branches).
     """
 
     def __init__(self, pmap: PiecewiseMap, hole: Hole):
-        self.doms = [(_int_pair(lo), _int_pair(hi))
-                     for lo, hi in pmap.branch_domains_raw()]
-        self.imgs = [(_int_pair(lo), _int_pair(hi)) for lo, hi in
-                     (b.image_raw() for b in pmap.branches)]
         self.mats = [_inverse_matrix(b) for b in pmap.branches]
         self.signs = [b.orientation for b in pmap.branches]
-        self.pieces = [(_int_pair(lo), _int_pair(hi)) for lo, hi in hole.pieces]
+        # per branch, its domain minus the hole left to right (the pieces of
+        # the level-1 survivor set), each window as (lo, hi, image lo,
+        # image hi) pairs
+        self.windows = []
+        for br, (dlo, dhi) in zip(pmap.branches, pmap.branch_domains_raw()):
+            ws = []
+            for lo, hi in subtract_pieces(dlo, dhi, hole.pieces):
+                ylo, yhi = sorted((br.apply_raw(lo), br.apply_raw(hi)))
+                ws.append((_int_pair(lo), _int_pair(hi), _int_pair(ylo), _int_pair(yhi)))
+            self.windows.append(ws)
 
     def first_level(self, cap: int) -> _Level:
-        lv = _Level()
-        for b, (dlo, dhi) in enumerate(self.doms):
-            _store(lv, _subtract_pairs(dlo, dhi, self.pieces), -1, b, cap, 1)
-        return lv
+        ws = [(b, w) for b, wins in enumerate(self.windows) for w in wins]
+        if len(ws) > cap:
+            raise _cap_exceeded(cap, 1)
+        return _Level(None, [w[0] for _, w in ws], [w[1] for _, w in ws],
+                      [-1] * len(ws), [b for b, _ in ws])
 
     def step(self, cur: _Level, n: int, cap: int) -> _Level:
-        """Level n+1 from level n, one branch at a time."""
+        """Level n+1 from level n, one window at a time."""
         if cur.den is None:
             los, his = cur.lo, cur.hi
         else:
             den = cur.den
             los = [(u, den) for u in cur.lo.tolist()]
             his = [(u, den) for u in cur.hi.tolist()]
-        pieces = self.pieces
+        runs = []
+        total = 0
+        for b, wins in enumerate(self.windows):
+            for w in wins:
+                s = _bisect(his, w[2], True)
+                e = _bisect(los, w[3], False, s)
+                if s < e:
+                    runs.append((b, w, s, e))
+                    total += e - s
+        if total > cap:
+            raise _cap_exceeded(cap, n + 1)
         nxt = _Level()
-        out_lo, out_hi, out_parent, out_branch = nxt.lo, nxt.hi, nxt.parent, nxt.branch
-        for b, ((p1, q1), (p2, q2)) in enumerate(self.imgs):
+        for b, (wlo, whi, (p1, q1), (p2, q2)), s, e in runs:
             A, B, C, D = self.mats[b]
-            rev = self.signs[b] < 0
-            if rev:
-                items = zip(range(len(los) - 1, -1, -1), reversed(los), reversed(his))
+            lo = [(A * u + B * v, C * u + D * v) for u, v in los[s:e]]
+            hi = [(A * u + B * v, C * u + D * v) for u, v in his[s:e]]
+            # a run end past the window's image is cut to the window end
+            u, v = los[s]
+            clip_first = u * q1 < p1 * v
+            u, v = his[e - 1]
+            clip_last = u * q2 > p2 * v
+            if self.signs[b] > 0:
+                parents = range(s, e)
             else:
-                items = zip(range(len(los)), los, his)
-            for i, (u1, v1), (u2, v2) in items:
-                # clip to the branch image, skip if empty
-                if u1 * q1 < p1 * v1:
-                    u1, v1 = p1, q1
-                if u2 * q2 > p2 * v2:
-                    u2, v2 = p2, q2
-                if u2 * v1 <= u1 * v2:
-                    continue
-                lo = (A * u1 + B * v1, C * u1 + D * v1)
-                hi = (A * u2 + B * v2, C * u2 + D * v2)
-                if rev:
-                    lo, hi = hi, lo
-                # _store inlined: calling it per component measured ~35% slower
-                comps = _subtract_pairs(lo, hi, pieces) if pieces else ((lo, hi),)
-                if len(out_lo) + len(comps) > cap:
-                    raise _cap_exceeded(cap, n + 1)
-                for lo, hi in comps:
-                    out_lo.append(lo)
-                    out_hi.append(hi)
-                    out_parent.append(i)
-                    out_branch.append(b)
+                lo, hi = hi[::-1], lo[::-1]
+                clip_first, clip_last = clip_last, clip_first
+                parents = range(e - 1, s - 1, -1)
+            if clip_first:
+                lo[0] = wlo
+            if clip_last:
+                hi[-1] = whi
+            nxt.lo += lo
+            nxt.hi += hi
+            nxt.parent += parents
+            nxt.branch += [b] * (e - s)
         return nxt
 
 
@@ -364,13 +365,10 @@ class _Int64Kernel:
 
     A level is sorted and disjoint (``lo[i] < hi[i] <= lo[i+1]``): branch
     domains are ordered and disjoint, and each branch keeps the order of its
-    pullbacks.  So the level-n components that meet one window (a branch
-    domain minus the hole, pushed forward through the branch) form a run
-    ``[s, e)`` found by two binary searches, and the window cuts only the
-    first and the last of them.  A step sizes the new level from those runs,
-    checks the cap, and writes each run into its slice of the new columns.
-    It holds the new level and no more than one run's parent indices
-    besides: about 4 bytes per component of the largest run.
+    pullbacks.  A step sizes the new level from the runs, checks the cap,
+    and writes each run into its slice of the new columns.  It holds the new
+    level and no more than one run's parent indices besides: about 4 bytes
+    per component of the largest run.
     """
 
     def __init__(self, u: _UniformAffine):
@@ -445,7 +443,7 @@ def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
     lists = _PairKernel(pmap, hole)
-    uniform = _try_uniform_affine(pmap, hole)
+    uniform = _try_uniform_affine(pmap, hole, lists.windows)
     arrays = None
     levels = [lists.first_level(component_cap)]
     while len(levels) < n_max and len(levels[-1]):

@@ -264,24 +264,44 @@ AFFINE_5_2 = map_from_config({"codomain": ["0", "1"], "branches": [
     {"domain": ["2/5", "4/5"], "kind": "affine", "coeffs": ["-5/2", "2"]},
     {"domain": ["4/5", "1"], "kind": "affine", "coeffs": ["5/2", "-5/3"]}]})[0]
 
+# x -> 3x/(x+1) on (0, 2/5) and 2 - 2x on (1/2, 1): the branch domains
+# leave the gap [2/5, 1/2], and the first image (0, 6/7) misses 1
+GAP_MAP = map_from_config({"codomain": ["0", "1"], "branches": [
+    {"domain": ["0", "2/5"], "kind": "moebius", "coeffs": ["3", "0", "1", "1"]},
+    {"domain": ["1/2", "1"], "kind": "affine", "coeffs": ["-2", "2"]}]})[0]
+
+# x -> 2x on (0, 1/2) and (2 - x)/(4x) on (1/2, 1): a decreasing Moebius
+# branch whose image (1/4, 3/4) reaches neither end of the codomain
+DECREASING_MOEBIUS = map_from_config({"codomain": ["0", "1"], "branches": [
+    {"domain": ["0", "1/2"], "kind": "affine", "coeffs": ["2", "0"]},
+    {"domain": ["1/2", "1"], "kind": "moebius", "coeffs": ["-1", "2", "4", "0"]}]})[0]
+
 farey_parameters = st.integers(1, 64).flatmap(
     lambda q: st.integers(1, q).map(lambda p: Fraction(p, q)))
 exact_maps = st.one_of(farey_parameters.map(lambda a: build_scaled_farey(ex(a))),
-                       st.just(TENT), st.just(AFFINE_5_2))
+                       st.sampled_from([TENT, AFFINE_5_2, GAP_MAP, DECREASING_MOEBIUS]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(pmap=exact_maps, hole=exact_holes(min_pieces=0), depth=st.integers(1, 8))
 # components ending at the image end 5/6 of the third branch clip to nothing
 @example(pmap=AFFINE_5_2, hole=H((Fraction(5, 6), Fraction(1))), depth=4)
+# zero-width pieces: 2/5 touches the end of the first window, 3/4 splits the
+# second branch into two windows that meet there
+@example(pmap=GAP_MAP, hole=H((Fraction(2, 5), Fraction(2, 5)),
+                              (Fraction(3, 4), Fraction(3, 4))), depth=6)
 def test_pair_kernel_matches_fraction_reference(pmap, hole, depth):
     with only_kernel("generic"):
         tree = refine(pmap, hole, depth)
     want = reference_refine(pmap, hole, depth)
     assert tree.depth == len(want)
     for n, level in enumerate(want, 1):
-        assert tree.component_intervals(n) == [(lo, hi) for lo, hi, _ in level]
+        got = tree.component_intervals(n)
+        assert got == [(lo, hi) for lo, hi, _ in level]
         assert tree.itineraries(n) == [word for _, _, word in level]
+        # sorted and disjoint, which the kernels' run search relies on
+        assert all(lo < hi for lo, hi in got)
+        assert all(a[1] <= b[0] for a, b in zip(got, got[1:]))
 
 
 def test_pair_levels_return_python_values():
@@ -300,6 +320,24 @@ def test_pair_levels_return_python_values():
 def test_component_cap():
     with pytest.raises(ResourceLimitError):
         refine(build_d_adic(2), Hole.empty(), 12, component_cap=100)
+
+
+def test_component_cap_at_level_one():
+    with pytest.raises(ResourceLimitError, match="^component cap 3 exceeded at level 1$"):
+        refine(build_d_adic(5), Hole.empty(), 2, component_cap=3)
+    assert refine(build_d_adic(5), Hole.empty(), 1, component_cap=5).counts == [5]
+
+
+@pytest.mark.parametrize("hole", [Hole.empty(), H((Fraction(1, 3), Fraction(3, 8)))])
+def test_component_cap_on_a_moebius_map(hole):
+    farey = build_scaled_farey(ex(Fraction(4, 5)))
+    tree = refine(farey, hole, 9)
+    assert not any(int64_levels(tree))
+    for n in (2, 5, 9):
+        cap = tree.count(n) - 1
+        with pytest.raises(ResourceLimitError, match=f"cap {cap} exceeded at level {n}$"):
+            refine(farey, hole, 9, component_cap=cap)
+    assert refine(farey, hole, 9, component_cap=max(tree.counts)).counts == tree.counts
 
 
 def test_component_cap_boundary():
