@@ -13,18 +13,23 @@ states pass the characteristic-polynomial cap (400), the one size limit of
 the engine, or its points pass a fixed bit budget.  The transition matrix
 is 0/1 over the surviving states; a state's image, mapped through the same
 matrices, covers one contiguous run of states, read from one dict keyed by
-breakpoint pairs.  Its characteristic polynomial x^k q (q(0) != 0) is
-computed exactly over the integers (Berkowitz over the nonzero entries).
-rho is bracketed first on P0 = x^min(k,1) q by the Descartes certificate
-of its numpy seed, which counts roots with multiplicity: when it certifies,
-rho is simple, alg = geo = p = 1, and nothing is decomposed.  Otherwise rho
-is bracketed once as a root of the square-free part of the characteristic
-polynomial, and the square-free factor that changes sign on that bracket
-holds it.  For a multiple rho, the geometric multiplicity and the pole
-order are read off the ranks of powers of m(M), m the minimal polynomial of
-rho: an integer matrix, so the ranks come from fraction-free elimination.
-The factor of rho, the second eigenvalue modulus and m are derived from
-the square-free decomposition on first read.  m comes from integers too
+breakpoint pairs.  Its characteristic polynomial x^k q (q(0) != 0) comes
+from Newton's identities on the traces of M, M^2, ..., M^n, float64
+products that are exact: their entries are sums of nonnegative integers, so
+a product whose largest entry lies below 2**53 has no rounded partial sum.
+Once an entry reaches 2**53 (a large matrix, or a large rho), Berkowitz over
+the nonzero entries computes it instead.  rho is bracketed first on
+P0 = x^min(k,1) q by the Descartes certificate of its numpy seed, which
+counts roots with multiplicity: when it certifies, rho is simple,
+alg = geo = p = 1, and nothing is decomposed.  Otherwise rho is bracketed
+once as a root of the square-free part of the characteristic polynomial,
+and the square-free factor that changes sign on that bracket holds it.  For
+a multiple rho, the geometric multiplicity and the pole order are read off
+the ranks of powers of m(M), m the minimal polynomial of rho: an integer
+matrix, so the ranks come from fraction-free elimination.  The factor of
+rho, the second eigenvalue modulus and m are derived from the square-free
+decomposition on first read; when q is square-free modulo a prime, the
+decomposition is read off k without being run.  m comes from integers too
 (:mod:`.minpoly`): the factor x and the cyclotomic factors are divided out
 of the factor of rho, and Musser's degree-set test proves the rest
 irreducible.  sympy (an optional extra) is imported only for a factor that
@@ -44,9 +49,11 @@ from .errors import (InvalidParameterError, NotFinitelyMarkovError,
 from .mapmodel import Hole, PiecewiseMap, _int_pair
 from .polyexact import (CHAR_POLY_SIZE_CAP, _holds_root, berkowitz_char_poly,
                         int_matmul, int_matrix_rank, largest_real_root, poly_mul,
-                        seeded_root, square_free_decomposition)
+                        poly_trim, seeded_root, square_free_decomposition)
 
 DEFAULT_TOL = 1e-13
+# the prime of the square-free certificate of SpectralReport._decomposition
+_SQUARE_FREE_PRIME = 2 ** 31 - 1
 # the closure's memory budget: numerator plus denominator bits summed over
 # its points
 _CLOSURE_BITS = 640_000
@@ -241,8 +248,53 @@ def transition_matrix(ref: MarkovRefinement) -> TransitionMatrix:
         row = [0] * n
         row[first:end] = [1] * (end - first)
         rows.append(row)
-    char = berkowitz_char_poly(rows)
-    return TransitionMatrix(n, tuple(tuple(r) for r in rows), tuple(char))
+    return TransitionMatrix(n, tuple(tuple(r) for r in rows), tuple(_char_poly(rows)))
+
+
+def _power_traces(rows) -> list[int]:
+    """tr(M^k), k = 1, 2, ..., of a 0/1 matrix M, up to k = n or up to the
+    last power whose entries all lie below 2**53.
+
+    The powers are float64 products P @ M.  Every entry of M^k is a sum of
+    nonnegative integers, so each partial sum is at most the entry: when
+    the largest computed entry lies below 2**53, every partial sum was an
+    exact integer and the product is exact (by induction from M).  Each
+    trace is summed as Python ints, since it may pass 2**53 when no entry
+    does.
+    """
+    if not rows:
+        return []
+    import numpy as np
+    M = np.array(rows, dtype=np.float64)
+    P, traces = M, []
+    while True:
+        traces.append(sum(map(int, P.diagonal().tolist())))
+        if len(traces) == len(rows):
+            return traces
+        P = P @ M
+        if P.max() >= 2.0 ** 53:
+            return traces
+
+
+def _char_poly(rows) -> list[int]:
+    """det(xI - M), ascending, of an n x n 0/1 matrix M.
+
+    From the n traces t_k = tr(M^k) (:func:`_power_traces`) by Newton's
+    identities, k c_k = -(t_k + c_1 t_(k-1) + ... + c_(k-1) t_1) for the
+    coefficient c_k of x^(n-k); an inexact division by k raises
+    AssertionError.  When a power reaches 2**53 before M^n, Berkowitz
+    (:func:`.berkowitz_char_poly`) computes it instead.
+    """
+    traces = _power_traces(rows)
+    if len(traces) < len(rows):
+        return berkowitz_char_poly(rows)
+    c = [1]
+    for k in range(1, len(traces) + 1):
+        q, r = divmod(sum(a * t for a, t in zip(c, reversed(traces[:k]))), k)
+        if r:
+            raise AssertionError(f"Newton's identity at k = {k} is not an integer")
+        c.append(-q)
+    return c[::-1]
 
 
 @dataclass(frozen=True)
@@ -272,8 +324,29 @@ class SpectralReport:
 
     @cached_property
     def _decomposition(self) -> list[tuple[list[int], int]]:
-        """Square-free decomposition of ``char_poly``: (factor, power) pairs."""
-        return square_free_decomposition(list(self.char_poly))
+        """Square-free decomposition of ``char_poly``: (factor, power) pairs,
+        as :func:`.square_free_decomposition` returns them.
+
+        Write the monic ``char_poly`` as x^k q with q(0) != 0.  When gcd(q,
+        q') is 1 modulo the prime ``_SQUARE_FREE_PRIME``, q is square-free:
+        a repeated factor of the monic q over the integers stays one
+        modulo every prime.  The pairs are then read off k.  Otherwise
+        (a repeated factor, or a prime dividing the discriminant of q)
+        the decomposition runs.
+        """
+        char = list(self.char_poly)
+        k = next((i for i, c in enumerate(char) if c), 0)
+        q = char[k:]
+        if len(q) > 1 and q[-1] == 1:
+            from .minpoly import _gf_gcd
+            ell = _SQUARE_FREE_PRIME
+            qm = [c % ell for c in q]
+            dq = poly_trim([j * c % ell for j, c in enumerate(qm)][1:])
+            if len(_gf_gcd(qm, dq, ell)) == 1:
+                if k < 2:
+                    return [([0] * k + q, 1)]
+                return [(q, 1), ([0, 1], k)]
+        return square_free_decomposition(char)
 
     @cached_property
     def rho_factor(self) -> Optional[tuple[int, ...]]:

@@ -25,11 +25,14 @@ it there.  When there is no positive seed or the variation count is not one
 right of ``lo``), Vincent-Collins-Akritas bisection isolates the root
 instead: Descartes' rule on integer Taylor shifts over the dyadic intervals
 of ``(0, 2**b]``, ``b`` the integer Cauchy bound.  Both brackets end in one
-integer bisection on the grid.  The seed certificate counts roots with
-multiplicity, so it also runs alone (:func:`seeded_root`) on a polynomial
-that may not be square-free: the Markov engine tries it first on the
-characteristic polynomial with all but one factor x removed, and searches
-the square-free part only when it fails.
+integer bisection on the grid.  With a seed, the halving first runs on the
+seed alone, and two exact signs certify the cell it predicts: the one root
+of the bracket strictly inside that cell puts every midpoint on the side
+the seed put it, so exact bisection would end in the same cell.  The seed
+certificate counts roots with multiplicity, so it also runs alone
+(:func:`seeded_root`) on a polynomial that may not be square-free: the
+Markov engine tries it first on the characteristic polynomial with all but
+one factor x removed, and searches the square-free part only when it fails.
 
 The square-free decomposition divides only by primitive integer gcds, so by
 Gauss's lemma every quotient is an integer polynomial and the division is
@@ -297,11 +300,31 @@ def _grid_poly(p: Poly, e: int) -> Poly:
     return [c * (1 << (e * (deg - k))) for k, c in enumerate(p)]
 
 
-def _bisect(scaled: Poly, lo: int, hi: int, width: int) -> tuple[int, int]:
+def _bisect(scaled: Poly, lo: int, hi: int, width: int,
+            guess: tuple[int, int] | None = None) -> tuple[int, int]:
     """Halve the integer bracket (lo, hi] of the one root of ``scaled`` in
     it until it spans at most ``width``.  ``scaled`` is nonzero at lo and
-    changes sign on the bracket; a midpoint where it vanishes is the root."""
+    changes sign on the bracket; a midpoint where it vanishes is the root.
+
+    With a ``guess`` of the root, the rational num/den in the units of the
+    bracket, the same halving first runs on the guess, with no sign, and
+    two signs certify the cell (lo', hi') it ends in: s(lo') = s(lo) and
+    s(hi') = -s(lo) put the one root strictly inside, so every midpoint on
+    the way lies on the side the guess put it, and exact bisection ends in
+    the same cell.  Otherwise (a sign of 0 included) it bisects on exact
+    signs."""
     s_lo = sign_at(scaled, lo)
+    if guess is not None:
+        num, den = guess
+        a, b = lo, hi
+        while b - a > width:
+            mid = (a + b) >> 1
+            if mid * den < num:
+                a = mid
+            else:
+                b = mid
+        if sign_at(scaled, a) == s_lo and sign_at(scaled, b) == -s_lo:
+            return a, b
     while hi - lo > width:
         mid = (lo + hi) >> 1
         s = sign_at(scaled, mid)
@@ -314,10 +337,10 @@ def _bisect(scaled: Poly, lo: int, hi: int, width: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _seed_bracket(p: Poly, e: int) -> tuple[int, int, int] | None:
+def _seed_bracket(p: Poly, e: int) -> tuple[int, int, int, float] | None:
     """Grid bracket (lo, hi] of the largest positive root of p around its
-    numpy seed, in units of 2**-e, with lo >= 0, and e.  None when there is
-    no positive seed or the Descartes certificate fails.
+    numpy seed, in units of 2**-e, with lo >= 0, e and the seed.  None when
+    there is no positive seed or the Descartes certificate fails.
 
     The certificate is one sign variation of p(x + lo): exactly one root of
     p lies above lo, counted with multiplicity.  So a certified root is
@@ -344,12 +367,12 @@ def _seed_bracket(p: Poly, e: int) -> tuple[int, int, int] | None:
     s_hi = sign_at(scaled, hi)
     if s_hi == (1 if shifted[0] > 0 else -1):
         return None  # the root lies above hi
-    return (hi, hi, e) if s_hi == 0 else (lo, hi, e)
+    return (hi, hi, e, seed) if s_hi == 0 else (lo, hi, e, seed)
 
 
-def _vca_bracket(p: Poly, e: int) -> tuple[int, int, int] | None:
+def _vca_bracket(p: Poly, e: int) -> tuple[int, int, int, None] | None:
     """Grid bracket (lo, hi] of the largest positive root of a square-free
-    p, in units of 2**-f, and f; None when p has no positive root.
+    p, in units of 2**-f, f and no seed; None when p has no positive root.
 
     Vincent-Collins-Akritas bisection: every root lies below 2**b (Cauchy's
     bound 1 + max|p_k| / |p_deg|), and the dyadic intervals of (0, 2**b]
@@ -371,10 +394,10 @@ def _vca_bracket(p: Poly, e: int) -> tuple[int, int, int] | None:
         f = max(e, j - b)
         shift = f + b - j
         if sum(q) == 0:  # q(1) = 0
-            return (a + 1) << shift, (a + 1) << shift, f
+            return (a + 1) << shift, (a + 1) << shift, f, None
         variations = _variations(taylor_shift(q[::-1], 1))
         if variations == 1 and q[0]:
-            return a << shift, (a + 1) << shift, f
+            return a << shift, (a + 1) << shift, f, None
         if variations:
             stack += [(2 * a, j + 1), (2 * a + 1, j + 1)]
     return None
@@ -389,13 +412,19 @@ def _grid(tol: float) -> tuple[int, int]:
     return e, max(1, math.floor(Fraction(tol) * (1 << e)))
 
 
-def _refine(p: Poly, grid: tuple[int, int, int], e: int,
+def _refine(p: Poly, grid: tuple[int, int, int, float | None], e: int,
             width: int) -> tuple[float, Fraction, Fraction]:
     """Bisect the grid bracket (lo, hi] in units of 2**-f, ``grid`` = (lo,
-    hi, f), of the one root of p in it to at most ``width`` steps of 2**-e,
-    and polish a float inside it with three guarded Newton steps."""
-    lo_z, hi_z, f = grid
-    lo_z, hi_z = _bisect(_grid_poly(p, f), lo_z, hi_z, width << (f - e))
+    hi, f, seed), of the one root of p in it to at most ``width`` steps of
+    2**-e, and polish a float inside it with three guarded Newton steps.
+    A float seed (None for none) predicts the cell the bisection ends in,
+    and two exact signs certify it (:func:`_bisect`)."""
+    lo_z, hi_z, f, seed = grid
+    guess = None
+    if seed is not None:
+        num, den = seed.as_integer_ratio()
+        guess = num << f, den
+    lo_z, hi_z = _bisect(_grid_poly(p, f), lo_z, hi_z, width << (f - e), guess)
     lo, hi = Fraction(lo_z, 1 << f), Fraction(hi_z, 1 << f)
     r = float((lo + hi) / 2)
     dp = poly_deriv(p)
@@ -447,7 +476,7 @@ def largest_real_root(p: Poly, tol: float = 1e-14) -> tuple[float, Fraction, Fra
     if grid is None:
         if p[0]:
             raise InvalidParameterError("polynomial has no root in [0, inf)")
-        grid = 0, 0, e  # the root 0
+        grid = 0, 0, e, None  # the root 0
     return _refine(p, grid, e, width)
 
 

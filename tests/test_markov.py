@@ -281,8 +281,10 @@ def test_transition_matrix_refuses_an_image_off_the_breakpoints():
 
 def test_transition_matrix_checks_the_cap_before_building_rows(monkeypatch):
     def unreachable(*args, **kwargs):
-        raise AssertionError("berkowitz_char_poly reached")
+        raise AssertionError("a characteristic-polynomial path reached")
 
+    # neither the power traces nor their Berkowitz fallback
+    monkeypatch.setattr(markov, "_power_traces", unreachable)
     monkeypatch.setattr(markov, "berkowitz_char_poly", unreachable)
     hole = H((F(1, 1019), F(2, 1019)))
     with pytest.raises(ResourceLimitError, match="passed 400 states"):
@@ -311,6 +313,67 @@ def test_matrix_interior_hole_char_poly():
     assert M.char_poly == (0, 1, 2, -1, -2, 1)
     # independent cofactor oracle
     assert list(M.char_poly) == char_poly_cofactor([list(r) for r in M.entries])
+
+
+@st.composite
+def _01_matrices(draw, max_n):
+    """0/1 matrices of 0..max_n states whose rows are sparse (at most three
+    ones, as in transition matrices) or dense (each entry a coin flip): the
+    powers of a matrix with dense rows pass 2**53 and take Berkowitz."""
+    n = draw(st.integers(0, max_n))
+    rows = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            cols = draw(st.sets(st.integers(0, n - 1), max_size=3))
+            rows.append([int(j in cols) for j in range(n)])
+        else:
+            rows.append(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=st.one_of(_01_matrices(6), _01_matrices(40)))
+@example(M=[[1] * 40 for _ in range(40)])  # J^11 has entries 40^10 > 2**53
+def test_trace_char_poly_matches_berkowitz_and_cofactor(M):
+    char = markov._char_poly(M)
+    assert char == berkowitz_char_poly(M)
+    if len(M) <= 6:
+        assert char == char_poly_cofactor(M)
+
+
+def test_power_traces_stop_below_2_53():
+    # J^k has entries 40^(k-1), and 40^9 < 2**53 <= 40^10
+    J = [[1] * 40 for _ in range(40)]
+    assert markov._power_traces(J) == [40 ** k for k in range(1, 11)]
+    # a block [[1, 1], [1, 1]] among 55 states: B^k has entries 2^(k-1), so
+    # B^53 (entries 2^52) is the last power kept and B^54 (2^53) is refused
+    rows = [[int(i < 2 and j < 2) for j in range(55)] for i in range(55)]
+    assert markov._power_traces(rows) == [2 ** k for k in range(1, 54)]
+    assert markov._char_poly(rows) == [0] * 54 + [-2, 1]
+
+
+def test_trace_char_poly_sums_traces_past_2_53():
+    # every entry of M^37 lies below 2**53, but its trace is 1.6e17
+    M = transition_matrix(refine_markov(build_d_adic(3), H((F(12, 37), F(13, 37)))))
+    rows = [list(r) for r in M.entries]
+    traces = markov._power_traces(rows)
+    assert len(traces) == M.size == 37 and traces[-1] == 157761515382330707
+    assert M.char_poly == (0, 1, 0, -1, 2, 0, 2, 0, 0, 0, -1, 3, -3, 2, 2, 0, -1, 0,
+                           3, -2, 0, 1, -2, 0, -2, 0, 0, 0, 1, -3, 3, -2, -2, 0, 1,
+                           0, -3, 1)
+    assert list(M.char_poly) == berkowitz_char_poly(rows)
+
+
+def test_cap_hole_falls_back_to_berkowitz_within_60_products(monkeypatch):
+    # the 395-state hole: a power passes 2**53 long before M^395
+    fallback = []
+    monkeypatch.setattr(markov, "berkowitz_char_poly",
+                        lambda rows: fallback.append(len(rows)) or [0] * len(rows) + [1])
+    M = transition_matrix(refine_markov(build_d_adic(2),
+                                        H((F(30001, 100003), F(30201, 100003)))))
+    assert M.size == 395 and fallback == [395]
+    # one product per trace after the first, and the one that passed 2**53
+    assert len(markov._power_traces([list(r) for r in M.entries])) <= 60
 
 
 def test_column_sums_bounded_by_branch_count():
@@ -598,6 +661,32 @@ def test_double_pole_takes_the_full_path(monkeypatch):
     assert rep.rho_factor == rep.min_poly == (-1, -1, 1)
     assert abs(rep.second_eigenvalue_modulus - 1 / GOLDEN) < 1e-12
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("char, want, decomposed", [
+    ((-1, -1, 1), [([-1, -1, 1], 1)], False),  # k = 0
+    ((0, -1, -1, 1), [([0, -1, -1, 1], 1)], False),  # k = 1: x q is square-free
+    ((0, 0, 0, -1, -1, 1), [([-1, -1, 1], 1), ([0, 1], 3)], False),  # k >= 2
+    ((0, 0, 1), [([0, 1], 2)], True),  # q = 1: nothing to certify
+    ((1, 2, -1, -2, 1), [([-1, -1, 1], 2)], True),  # a repeated q
+    ((1,), [], True),  # the empty matrix
+])
+def test_square_free_certificate_reads_the_decomposition(monkeypatch, char, want, decomposed):
+    calls = _counting_decomposition(monkeypatch)
+    assert markov.SpectralReport(1.0, 1, 1, 1, None, char)._decomposition == want
+    assert calls == ([list(char)] if decomposed else [])
+
+
+def test_square_free_certificate_matches_the_decomposition_on_the_sweep(monkeypatch):
+    # the 129 sliding holes [s, s + 1/12] of the Markov sweep, s = 7/10 .. 4/5
+    calls = _counting_decomposition(monkeypatch)
+    for k in range(129):
+        s = F(7, 10) + F(k, 1280)
+        char = transition_matrix(refine_markov(build_d_adic(2), H((s, s + F(1, 12))))).char_poly
+        got = markov.SpectralReport(1.0, 1, 1, 1, None, char)._decomposition
+        assert got == square_free_decomposition(list(char))
+    # both ran: 109 of the 129 are certified square-free modulo 2^31 - 1
+    assert 0 < len(calls) < 129
 
 
 @pytest.mark.parametrize("tol", (0.0, -1e-12, math.inf, math.nan))

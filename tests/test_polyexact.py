@@ -435,6 +435,49 @@ def test_largest_real_root_matches_sturm_reference(roots, quad, tol, seeded):
         _assert_brackets_same_root(p, tol)
 
 
+def _counting_signs(monkeypatch):
+    calls = []
+    real = polyexact.sign_at
+
+    def counted(p, num, den=1):
+        calls.append(num)
+        return real(p, num, den)
+    monkeypatch.setattr(polyexact, "sign_at", counted)
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(roots=_rational_roots, tol=st.sampled_from([1e-8, 1e-13, 1e-14]))
+@example(roots=[Fraction(1, 2)], tol=1e-13)  # the root is the first midpoint
+@example(roots=[Fraction(-1, 3), Fraction(5, 8)], tol=1e-8)
+def test_refine_certifies_the_predicted_cell(roots, tol):
+    # distinct roots with denominators up to 64 lie more than 2**-12 apart,
+    # so the grid bracket (lo, hi], 2**-14 wide, holds the largest alone
+    p = _product([_clear_denominators([-r, 1]) for r in roots])
+    root = max(roots)
+    e, width = polyexact._grid(tol)
+    lo = math.floor(root * 2 ** e) - 2 ** (e - 15)
+    hi = lo + 2 ** (e - 14)
+
+    def refine(seed):
+        return polyexact._refine(p, (lo, hi, e, seed), e, width)
+
+    with pytest.MonkeyPatch.context() as patched:
+        calls = _counting_signs(patched)
+        plain = refine(None)
+        _, a, b = plain
+        cell = b - a
+        if a < b:  # a guess inside the cell: two signs besides s(lo)
+            calls.clear()
+            assert refine(float((a + b) / 2)) == plain
+            assert len(calls) <= 3
+        # a guess in the next cell on either side, beyond the bracket, or on
+        # the root when it lies on a bisection midpoint (a == b == root)
+        for seed in (a - cell / 2, b + cell / 2, Fraction(lo - 1, 2 ** e),
+                     Fraction(hi + 1, 2 ** e), root):
+            assert refine(float(seed)) == plain
+
+
 @settings(max_examples=20, deadline=None)
 @given(base=st.fractions(min_value=-4, max_value=4, max_denominator=64),
        gap=st.integers(1, 10), quad=_irreducible_quadratics())
