@@ -28,6 +28,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import InvalidParameterError
@@ -177,8 +178,13 @@ class Branch:
 
         The coefficients are scaled by the lcm of their denominators.  The
         pole lies outside the domain closure, so C x + D has one sign on
-        all of it, and one sign flip makes that sign positive.
+        all of it, and one sign flip makes that sign positive.  Computed on
+        the first call and kept on the instance.
         """
+        return self._integer_matrix
+
+    @cached_property
+    def _integer_matrix(self) -> tuple[int, int, int, int]:
         k = self.kind
         m = (k.slope, k.offset, 0, 1) if isinstance(k, Affine) else (k.p, k.q, k.r, k.s)
         scale = math.lcm(*(x.denominator for x in m))

@@ -4,8 +4,11 @@ Jordan structure for holes with finite boundary orbits.
 When every branch endpoint and hole endpoint has a finite forward orbit, the
 orbit points cut the interval into states on which the map is Markov: each
 state maps under a single branch onto an exact union of states and escape
-pieces.  Points are reduced integer pairs (num, den) and each branch is an
-integer 2x2 matrix, so no Fraction is built before the output.  The orbit
+pieces.  Points are reduced integer pairs (num, den) from the closure
+through the transition rows, and each branch is an integer 2x2 matrix,
+computed once per branch.  The refinement carries the sorted pairs and the
+index of each state's left end; its Fraction breakpoints and states are
+built only when read, so no Fraction is built before the output.  The orbit
 points are closed by a worklist: a new point takes the owner of the
 initial interval that holds it and queues only its own image, and the
 points are sorted once at the end.  The closure is refused as soon as its
@@ -19,9 +22,12 @@ products that are exact: their entries are sums of nonnegative integers, so
 a product whose largest entry lies below 2**53 has no rounded partial sum.
 Once an entry reaches 2**53 (a large matrix, or a large rho), Berkowitz over
 the nonzero entries computes it instead.  rho is bracketed first on
-P0 = x^min(k,1) q by the Descartes certificate of its numpy seed, which
+P0 = x^min(k,1) q by the Descartes certificate of its Newton seed, which
 counts roots with multiplicity: when it certifies, rho is simple,
-alg = geo = p = 1, and nothing is decomposed.  Otherwise rho is bracketed
+alg = geo = p = 1, and nothing is decomposed.  The seed is float Newton
+from above Fujiwara's root bound: every eigenvalue has modulus at most rho,
+so by Gauss-Lucas P0, P0' and P0'' are positive on (rho, inf) and the
+iterates decrease to rho.  Otherwise rho is bracketed
 once as a root of the square-free part of the characteristic polynomial,
 and the square-free factor that changes sign on that bracket holds it.  For
 a multiple rho, the geometric multiplicity and the pole order are read off
@@ -61,13 +67,28 @@ _CLOSURE_BITS = 640_000
 
 @dataclass(frozen=True)
 class MarkovRefinement:
-    """Breakpoints (forward-closed) and the surviving states between them."""
+    """Breakpoints (forward-closed) and the surviving states between them.
+
+    ``pairs`` holds the breakpoints as reduced integer pairs (num, den),
+    den > 0, in increasing order; state i is the interval from
+    ``pairs[state_start[i]]`` to the next breakpoint.  ``breakpoints`` and
+    ``states`` are the same points as Fractions, built on first read.
+    """
 
     map: PiecewiseMap
     hole: Hole
-    breakpoints: tuple[Fraction, ...]
-    states: tuple[tuple[Fraction, Fraction], ...]
+    pairs: tuple[tuple[int, int], ...]
+    state_start: tuple[int, ...]  # index in pairs of each state's left end
     state_branch: tuple[int, ...]  # the single branch whose domain holds each state
+
+    @cached_property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, d) for n, d in self.pairs)
+
+    @cached_property
+    def states(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        cut = self.breakpoints
+        return tuple((cut[i], cut[i + 1]) for i in self.state_start)
 
 
 def _image(m: tuple[int, int, int, int], n: int, d: int) -> tuple[int, int]:
@@ -119,8 +140,9 @@ def refine_markov(pmap: PiecewiseMap, hole: Hole) -> MarkovRefinement:
 
     Points are reduced integer pairs (num, den), den > 0, and each branch is
     its integer matrix (:meth:`.Branch.integer_matrix`), so the closure does
-    no Fraction arithmetic.  Breakpoints start from the branch-domain,
-    codomain, and hole endpoints, and each elementary interval outside the
+    no Fraction arithmetic, and the refinement holds the sorted pairs.
+    Breakpoints start from the branch-domain, codomain, and hole
+    endpoints, and each elementary interval outside the
     hole and inside a branch domain (a state, owned by that branch) queues
     the images of its ends (through its own branch's continuous extension).
     Hole and branch endpoints are initial cuts, so a queued image that is a
@@ -189,11 +211,10 @@ def refine_markov(pmap: PiecewiseMap, hole: Hole) -> MarkovRefinement:
             work.append(_image(mats[b], n, d))
 
     points = _sorted_pairs(own)
-    cut = [Fraction(n, d) for n, d in points]
-    states = tuple((u, v) for u, v, w in zip(cut, cut[1:], points)
-                   if own[w] is not None)
-    state_branch = tuple(own[w] for w in points if own[w] is not None)
-    return MarkovRefinement(pmap, hole, tuple(cut), states, state_branch)
+    owners = [own[w] for w in points]
+    state_start = tuple(i for i, b in enumerate(owners) if b is not None)
+    state_branch = tuple(owners[i] for i in state_start)
+    return MarkovRefinement(pmap, hole, tuple(points), state_start, state_branch)
 
 
 @dataclass(frozen=True)
@@ -218,32 +239,33 @@ def transition_matrix(ref: MarkovRefinement) -> TransitionMatrix:
     states starting before it, gives both ends of the run; the state ends
     are mapped through the branch's integer matrix as reduced pairs, and an
     image end that is no breakpoint raises :class:`NotFinitelyMarkovError`.
+    Only the refinement's pairs are read, never its Fraction views.
     :func:`refine_markov` refuses a closure with more states than
     ``CHAR_POLY_SIZE_CAP``; a refinement built by hand with more is refused
     here, before any row is built.
     """
-    n = len(ref.states)
+    n = len(ref.state_start)
     if n > CHAR_POLY_SIZE_CAP:
         raise ResourceLimitError(
             f"{n} states exceed the characteristic-polynomial cap {CHAR_POLY_SIZE_CAP}")
-    starts = [_int_pair(u) for u, _ in ref.states]
+    pairs = ref.pairs
     before, i = {}, 0  # breakpoint -> number of states starting before it
-    for x in ref.breakpoints:
-        xn, xd = _int_pair(x)
-        while i < n and starts[i][0] * xd < xn * starts[i][1]:
+    for k, x in enumerate(pairs):
+        before[x] = i
+        if i < n and ref.state_start[i] == k:
             i += 1
-        before[xn, xd] = i
     mats = {b: ref.map.branches[b].integer_matrix() for b in set(ref.state_branch)}
     rows = []
-    for (u, v), b in zip(ref.states, ref.state_branch):
-        m = mats[b]
-        w1, w2 = _image(m, *_int_pair(u)), _image(m, *_int_pair(v))
+    for k, b in zip(ref.state_start, ref.state_branch):
+        m, u, v = mats[b], pairs[k], pairs[k + 1]
+        w1, w2 = _image(m, *u), _image(m, *v)
         if w1[0] * w2[1] > w2[0] * w1[1]:
             w1, w2 = w2, w1
         first, end = before.get(w1), before.get(w2)
         if first is None or end is None:
             raise NotFinitelyMarkovError(
-                f"state ({u}, {v}) maps onto ({Fraction(*w1)}, {Fraction(*w2)}) "
+                f"state ({Fraction(*u)}, {Fraction(*v)}) maps onto "
+                f"({Fraction(*w1)}, {Fraction(*w2)}) "
                 "which is not breakpoint-aligned; refinement is not Markov")
         row = [0] * n
         row[first:end] = [1] * (end - first)
@@ -430,7 +452,7 @@ def spectral_report(M: TransitionMatrix, tol: float = DEFAULT_TOL) -> SpectralRe
     """Perron root, multiplicities, and pole order of a transition matrix.
 
     The characteristic polynomial is x^k q with q(0) != 0.  First the
-    Descartes certificate of the numpy seed runs on P0 = x^min(k,1) q
+    Descartes certificate of the Newton seed runs on P0 = x^min(k,1) q
     (:func:`seeded_root`), which has the roots of the square-free part.  A
     certified bracket has exactly one root of P0 above its left end, counted
     with multiplicity, and that end is >= 0: rho is simple, so alg = geo =

@@ -16,8 +16,14 @@ a Perron root can lie in, on the dyadic grid ``2**-e``, with ``e`` the
 smallest exponent whose step is at most ``tol``.  The grid-scaled polynomial
 ``P(z) = 2**(e*deg) * p(z / 2**e)`` has integer coefficients.  Without a
 sign variation p has no positive root (Descartes' rule of signs), so the
-answer is 0 or none.  Otherwise the numpy seed is rounded outward to grid
-points ``lo >= 0`` and ``hi``, and Descartes' rule on the Taylor shift
+answer is 0 or none.  Otherwise a float seed comes from Newton's method
+started above every root, at Fujiwara's bound (:func:`_newton_seed`).  For
+the characteristic polynomial of a nonnegative matrix every root has real
+part at most the Perron root rho, and by Gauss-Lucas so have the roots of
+p' and p'', so p, p' and p'' keep one sign on (rho, inf) and the iterates
+decrease monotonically to rho; for any other p the seed is only a guess.
+It is rounded outward to grid points ``lo >= 0`` and ``hi``, and
+Descartes' rule on the Taylor shift
 ``P(z + lo)`` certifies the seed bracket: one sign variation means exactly
 one real root above ``lo``, and a sign change of ``P`` on ``(lo, hi]`` puts
 it there.  When there is no positive seed or the variation count is not one
@@ -337,22 +343,60 @@ def _bisect(scaled: Poly, lo: int, hi: int, width: int,
     return lo, hi
 
 
+def _newton_seed(p: Poly) -> float | None:
+    """Float Newton from above for the largest real root of p; None when
+    the iteration leaves its premises or its step budget.
+
+    For the characteristic polynomial of a nonnegative matrix (less some
+    factors x) every root has real part at most rho (Perron-Frobenius),
+    and by Gauss-Lucas so has every root of p' and p''.  Scaled to a
+    positive lead, p, p' and p'' are then positive on (rho, inf), so
+    Newton started above rho decreases monotonically to it.  The start is
+    Fujiwara's bound 2 max |p[n-k] / p[n]|**(1/k).  p(x) / x**n and
+    p'(x) / x**(n-1) are evaluated by Horner in y = 1/x, so no power of x
+    is formed.  From far above, a step shrinks the gap by about a factor
+    1 - 1/n, so the budget grows with n.  The iteration stops at the
+    first iterate that does not decrease; a derivative <= 0 or an iterate
+    <= 0 (rho = 0, or a polynomial outside the premises) gives no seed.
+    Any seed is only a guess: the caller certifies it.
+    """
+    n = len(p) - 1
+    sign = 1 if p[-1] > 0 else -1
+    try:
+        coeffs = [sign * float(c) for c in p]
+        dcoeffs = [k * c for k, c in enumerate(coeffs)]
+        lead = math.log(abs(p[-1]))
+        x = 2 * math.exp(max((math.log(abs(c)) - lead) / (n - j)
+                             for j, c in enumerate(p[:-1]) if c))
+    except (OverflowError, ValueError):  # past float range, or p = c x**n
+        return None
+    for _ in range(64 + 8 * n):
+        if not x > 0:
+            return None
+        y, v, d = 1 / x, 0.0, 0.0
+        for c, dc in zip(coeffs, dcoeffs):
+            v = v * y + c
+            d = d * y + dc
+        if not d > 0:
+            return None
+        nxt = x - x * v / d
+        if not nxt < x:
+            return x
+        x = nxt
+    return None
+
+
 def _seed_bracket(p: Poly, e: int) -> tuple[int, int, int, float] | None:
     """Grid bracket (lo, hi] of the largest positive root of p around its
-    numpy seed, in units of 2**-e, with lo >= 0, e and the seed.  None when
-    there is no positive seed or the Descartes certificate fails.
+    Newton seed (:func:`_newton_seed`), in units of 2**-e, with lo >= 0, e
+    and the seed.  None when there is no positive seed or the Descartes
+    certificate fails.
 
     The certificate is one sign variation of p(x + lo): exactly one root of
     p lies above lo, counted with multiplicity.  So a certified root is
     simple, and p need not be square-free."""
-    import numpy as np
-    try:
-        roots = np.roots([float(c) for c in reversed(p)])
-    except (OverflowError, np.linalg.LinAlgError):
-        return None
-    seed = max((float(r.real) for r in roots if abs(r.imag) <= 1e-8 * (1 + abs(r))),
-               default=math.nan)
-    if not 0 < seed < math.inf:
+    seed = _newton_seed(p)
+    if seed is None or not seed > 0:
         return None
     pad = max(1e-7, 1e-9 * (1 + abs(seed)))
     n, d = (seed - pad).as_integer_ratio()
@@ -441,7 +485,7 @@ def _refine(p: Poly, grid: tuple[int, int, int, float | None], e: int,
 def seeded_root(p: Poly, tol: float) -> tuple[float, Fraction, Fraction] | None:
     """Largest root in [0, inf) of an integer polynomial p, as
     :func:`largest_real_root` gives it, when the Descartes certificate of
-    the numpy seed isolates it; None otherwise.
+    the Newton seed (:func:`_newton_seed`) isolates it; None otherwise.
 
     p need not be square-free: a certified seed bracket has exactly one root
     of p above its left end, counted with multiplicity, so the root found is
@@ -459,11 +503,17 @@ def largest_real_root(p: Poly, tol: float = 1e-14) -> tuple[float, Fraction, Fra
 
     Returns (float approximation, exact bracket lo, exact bracket hi) with
     0 <= lo, hi - lo <= tol and the float inside the bracket; the bracket
-    holds no other root and is dyadic.  A numpy seed certified by Descartes'
-    rule gives the bracket (:func:`seeded_root`, which needs no
-    square-free p); otherwise Vincent-Collins-Akritas bisection isolates
-    the root.  Both share one tail: integer bisection of the bracket and a
-    guarded Newton polish of its float.
+    holds no other root and is dyadic.  A float Newton seed, started above
+    every root at Fujiwara's bound and certified by Descartes' rule, gives
+    the bracket (:func:`seeded_root`, which needs no square-free p).  When
+    p divides the characteristic polynomial of a nonnegative matrix and
+    vanishes at its Perron root rho, every root of p, p' and p'' has real
+    part at most rho (Perron-Frobenius, Gauss-Lucas), so with a positive
+    lead they are positive on (rho, inf) and the iterates decrease to rho.
+    For any other p a poor seed only fails the certificate, and
+    Vincent-Collins-Akritas bisection isolates the root.  Both share one
+    tail: integer bisection of the bracket and a guarded Newton polish of
+    its float.
     Raises InvalidParameterError when p has no root in [0, inf).
     """
     p = poly_trim(list(p))

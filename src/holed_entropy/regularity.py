@@ -25,6 +25,7 @@ from .markov import entropy_markov
 
 # the doubling-map families share one map, built once (PiecewiseMap is frozen)
 _DOUBLING = build_doubling()
+_HALF = Fraction(1, 2)
 
 # a genuine Hoelder exponent keeps the per-mesh constants within this factor
 # of each other across the ladder
@@ -42,7 +43,7 @@ class LeftHoleFamily:
     name: str = "left"
 
     def admissible(self, s: Fraction) -> bool:
-        return Fraction(1, 2) < s < 1
+        return _HALF < s < 1
 
     def hole(self, s: Fraction) -> Hole:
         return Hole([(s, 1)])
@@ -139,15 +140,28 @@ class SweepSpec:
     extra_points: tuple = ()
 
     def grid(self) -> list[Fraction]:
+        """The grid points and ``extra_points``, deduplicated and sorted.
+
+        Every point is written over one common denominator, so the dedupe
+        and the sort run on integer numerators and each Fraction is built
+        once, at the end.
+        """
         start, end = Fraction(self.start), Fraction(self.end)
         if not start < end:
             raise InvalidParameterError("grid needs start < end")
         if self.count < 2:
             raise InvalidParameterError("grid needs count >= 2")
-        step = (end - start) / (self.count - 1)
-        pts = [start + k * step for k in range(self.count)]
-        pts.extend(Fraction(x) for x in self.extra_points)
-        return sorted(set(pts))
+        extra = [Fraction(x) for x in self.extra_points]
+        # start + k (end - start) / (count - 1) = (a + k step) / den
+        unit = math.lcm(start.denominator, end.denominator,
+                        *(x.denominator for x in extra))
+        den = unit * (self.count - 1)
+        a = start.numerator * (den // start.denominator)
+        step = (end.numerator * (unit // end.denominator)
+                - start.numerator * (unit // start.denominator))
+        nums = {a + k * step for k in range(self.count)}
+        nums.update(x.numerator * (den // x.denominator) for x in extra)
+        return [Fraction(n, den) for n in sorted(nums)]
 
 
 @dataclass(frozen=True)

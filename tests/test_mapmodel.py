@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -134,6 +135,23 @@ def test_integer_matrices_evaluate_the_branch_and_its_inverse(coeffs, affine):
         y = Fraction(A * x + B, C * x + D)
         assert y == b.apply_raw(x)
         assert iC * y + iD > 0 and Fraction(iA * y + iB, iC * y + iD) == x
+
+
+def test_integer_matrix_is_computed_once_per_branch(monkeypatch):
+    calls = []
+    real = math.lcm
+    monkeypatch.setattr(math, "lcm", lambda *a: calls.append(a) or real(*a))
+    maps = (build_d_adic(2), build_scaled_farey(Fraction(3, 5)))
+    want = [(2, 0, 0, 1), (2, -1, 0, 1), (3, 0, -5, 5), (-3, 3, 5, 0)]
+    branches = [b for m in maps for b in m.branches]
+    first = [b.integer_matrix() for b in branches]
+    assert first == want and len(calls) == 4
+    again = [b.integer_matrix() for b in branches]
+    assert all(x is y for x, y in zip(first, again)) and len(calls) == 4
+    # the memo is no field: equality and hashing see the domain and kind only
+    fresh = [Branch(b.domain, b.kind) for b in branches]
+    assert fresh == branches and list(map(hash, fresh)) == list(map(hash, branches))
+    assert [b.integer_matrix() for b in fresh] == want and len(calls) == 8
 
 
 def test_derivative_sign_matches_orientation():

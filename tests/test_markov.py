@@ -12,7 +12,7 @@ from holed_entropy import (Hole, InvalidParameterError, NotFinitelyMarkovError,
                            build_scaled_farey, entropy_left_hole, entropy_markov,
                            refine, refine_markov, spectral_report, to_dot,
                            transition_matrix)
-from holed_entropy import markov
+from holed_entropy import markov, polyexact
 from holed_entropy.mapmodel import (Affine, Branch, IntervalOpen, Moebius,
                                     PiecewiseMap, map_from_config)
 from holed_entropy.markov import MarkovRefinement, TransitionMatrix
@@ -269,14 +269,39 @@ def test_refinement_closes_a_long_orbit(monkeypatch):
 
 
 def test_transition_matrix_refuses_an_image_off_the_breakpoints():
-    # drop the cut 1/3: the state (1/2, 2/3) still maps onto (0, 1/3)
+    # drop the point 1/3, so that (0, 1/2) is one state: the state (1/2, 2/3)
+    # still maps onto (0, 1/3)
     ref = refine_markov(build_d_adic(2), H((F(3, 4), F(5, 6))))
-    cut = ref.breakpoints[:1] + ref.breakpoints[2:]
-    broken = MarkovRefinement(ref.map, ref.hole, cut, ref.states, ref.state_branch)
+    assert ref.pairs[1] == (1, 3) and ref.state_start == (0, 1, 2, 3, 5)
+    pairs = ref.pairs[:1] + ref.pairs[2:]  # 0, 1/2, 2/3, 3/4, 5/6, 1
+    broken = MarkovRefinement(ref.map, ref.hole, pairs, (0, 1, 2, 4), (0, 1, 1, 1))
+    assert broken.states == ((F(0), F(1, 2)), (F(1, 2), F(2, 3)),
+                             (F(2, 3), F(3, 4)), (F(5, 6), F(1)))
     with pytest.raises(NotFinitelyMarkovError) as err:
         transition_matrix(broken)
     assert str(err.value) == ("state (1/2, 2/3) maps onto (0, 1/3) which is not "
                               "breakpoint-aligned; refinement is not Markov")
+
+
+@pytest.mark.parametrize("name, hole", [
+    ("doubling", H((F(3, 4), F(5, 6)))), ("triadic", H((F(12, 37), F(13, 37)))),
+    ("farey-1", H((F(1, 3), F(2, 5)))), ("tent", H((F(1, 5), F(1, 4)), (F(7, 9), F(1))))])
+def test_closure_and_rows_build_no_fraction(monkeypatch, name, hole):
+    # the closure and the rows run on integer pairs; the Fraction views of
+    # the refinement are built on first read, after the rows
+    want = transition_matrix(refine_markov(CLOSURE_MAPS[name], hole))
+
+    def refused(*args):
+        raise AssertionError("a Fraction was built")
+    with monkeypatch.context() as patched:
+        patched.setattr(markov, "Fraction", refused)
+        ref = refine_markov(CLOSURE_MAPS[name], hole)
+        M = transition_matrix(ref)
+    assert M == want
+    assert not {"breakpoints", "states"} & set(vars(ref))
+    assert ref.breakpoints == tuple(F(n, d) for n, d in ref.pairs)
+    assert ref.states == tuple((ref.breakpoints[i], ref.breakpoints[i + 1])
+                               for i in ref.state_start)
 
 
 def test_transition_matrix_checks_the_cap_before_building_rows(monkeypatch):
@@ -516,7 +541,7 @@ def test_a_seed_on_a_triple_rho_takes_the_full_path(monkeypatch):
     # a seed right on a root of odd multiplicity sees a sign change across
     # its bracket; only the three sign variations of P0(x + lo), not one,
     # keep the fast path from calling rho simple
-    monkeypatch.setattr(np, "roots", lambda c: np.full(len(c) - 1, 2.0))
+    monkeypatch.setattr(polyexact, "_newton_seed", lambda p: 2.0)
     rows = [[2, 1, 0], [0, 2, 1], [0, 0, 2]]
     rep = spectral_report(TransitionMatrix(3, tuple(map(tuple, rows)),
                                            tuple(berkowitz_char_poly(rows))))
@@ -661,6 +686,20 @@ def test_double_pole_takes_the_full_path(monkeypatch):
     assert rep.rho_factor == rep.min_poly == (-1, -1, 1)
     assert abs(rep.second_eigenvalue_modulus - 1 / GOLDEN) < 1e-12
     assert len(calls) == 1
+
+
+def test_sliding_sweep_decomposes_only_at_the_double_pole(monkeypatch):
+    # over the 129 holes [s, s + 1/12], s in [7/10, 4/5], the Newton seed
+    # certifies every simple rho; only the double rho at s = 3/4 is decomposed
+    calls = _counting_decomposition(monkeypatch)
+    decomposed = []
+    for k in range(129):
+        s = F(7, 10) + k * F(1, 1280)
+        before = len(calls)
+        rep = entropy_markov(build_d_adic(2), H((s, s + F(1, 12)))).report
+        if len(calls) > before:
+            decomposed.append((s, rep.pole_order_p))
+    assert decomposed == [(F(3, 4), 2)]
 
 
 @pytest.mark.parametrize("char, want, decomposed", [

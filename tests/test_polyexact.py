@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holed_entropy import polyexact
+from holed_entropy import entropy_left_hole, polyexact
 from holed_entropy.errors import InvalidParameterError, ResourceLimitError
 from holed_entropy.polyexact import (CHAR_POLY_SIZE_CAP, _int_pseudo_rem,
                                      berkowitz_char_poly, int_matmul,
@@ -370,7 +371,7 @@ def test_no_real_roots():
 @pytest.mark.parametrize("p", [[1, 1, 1], [1, 0, 1], [1, 1, 1, 1]])
 def test_no_sign_variation_raises_before_seeding(p):
     # x^2 + x + 1, x^2 + 1 and x^3 + x^2 + x + 1, the factors of Markov
-    # characteristic polynomials whose numpy seed fails: no sign variation,
+    # characteristic polynomials that have no positive root: no sign variation,
     # so neither the seed nor the bisection is tried
     with mock.patch.object(polyexact, "_seed_bracket", side_effect=AssertionError), \
             mock.patch.object(polyexact, "_vca_bracket", side_effect=AssertionError):
@@ -429,7 +430,7 @@ _rational_roots = st.lists(
 @example(roots=[Fraction(-1), Fraction(0)], quad=[-1, 1, 1], tol=1e-13, seeded=False)
 @example(roots=[Fraction(-2), Fraction(-1, 3)], quad=[1, -1, 1], tol=1e-13, seeded=True)
 def test_largest_real_root_matches_sturm_reference(roots, quad, tol, seeded):
-    # seeded=False disables the numpy seed, so the bisection isolates the root
+    # seeded=False disables the Newton seed, so the bisection isolates the root
     p = _product([_clear_denominators([-r, 1]) for r in roots] + [quad])
     with contextlib.nullcontext() if seeded else _without_seed():
         _assert_brackets_same_root(p, tol)
@@ -516,8 +517,7 @@ def test_largest_real_root_rejects_a_wrong_seed(monkeypatch, seed):
     # roots 1 and 3 plus a complex pair; a seed bracket around the smaller
     # root, below 3 or above 3 fails the Descartes certificate, and a
     # negative seed is not tried
-    import numpy as np
-    monkeypatch.setattr(np, "roots", lambda coeffs: np.array([seed]))
+    monkeypatch.setattr(polyexact, "_newton_seed", lambda p: seed)
     p = _product([[-1, 1], [-3, 1], [1, 0, 1]])
     r, lo, hi = largest_real_root(p, tol=1e-13)
     assert lo <= 3 <= hi and r == 3.0
@@ -526,9 +526,71 @@ def test_largest_real_root_rejects_a_wrong_seed(monkeypatch, seed):
 def test_largest_real_root_ignores_a_negative_seed(monkeypatch):
     # (x + 1)(x - 3): a bracket around the seed -2 would end below 0, so the
     # seed is not tried and the bisection finds 3
-    import numpy as np
-    monkeypatch.setattr(np, "roots", lambda coeffs: np.array([-2.0]))
+    monkeypatch.setattr(polyexact, "_newton_seed", lambda p: -2.0)
     assert largest_real_root([-3, -2, 1], tol=1e-13) == (3.0, 3, 3)
+
+
+def _01_matrices(max_n):
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(M=st.one_of(_01_matrices(14), _sparse_01_matrices(14, 2)))
+def test_seeded_root_of_a_01_matrix_is_the_perron_root(M):
+    # P0 = x^min(k,1) q as the Markov engine seeds it: whenever the Newton
+    # seed certifies, its bracket is the one the square-free part gets, and
+    # it holds numpy's largest real eigenvalue (up to numpy's rounding)
+    char = berkowitz_char_poly(M)
+    k = next(i for i, c in enumerate(char) if c)
+    seeded = polyexact.seeded_root(char[max(k - 1, 0):], tol=1e-13)
+    if seeded is None:
+        return
+    rho, lo, hi = seeded
+    square_free = _product(f for f, _ in square_free_decomposition(char))
+    assert largest_real_root(square_free, tol=1e-13)[1:] == (lo, hi)
+    eig = np.linalg.eigvals(np.array(M, dtype=float))
+    top = max(z.real for z in eig if abs(z.imag) <= 1e-9)
+    assert float(lo) - 1e-9 <= top <= float(hi) + 1e-9
+    assert float(lo) <= rho <= float(hi)
+
+
+def test_seeded_root_of_a_reversed_tower_polynomial():
+    # x^n d(1/x) for the tower determinant d of the left hole [316/317, 1]:
+    # degree 316, with the root 1/r, r the determinant's leading root; the
+    # Newton budget grows with the degree, so the seed still certifies
+    res = entropy_left_hole(Fraction(316, 317))
+    rev = poly_trim(list(res.series.polynomial)[::-1])
+    assert len(rev) - 1 >= 300
+    rho, lo, hi = polyexact.seeded_root(rev, tol=1e-13)
+    r_lo, r_hi = res.root.bracket
+    assert lo <= 1 / Fraction(r_lo) and 1 / Fraction(r_hi) <= hi
+    assert abs(rho - 1 / res.root.r) < 1e-12
+
+
+def test_newton_budget_grows_with_the_degree():
+    # x^400 - x - 1, the characteristic polynomial of a 400-cycle with one
+    # chord: from Fujiwara's start 2 a step shrinks the gap to rho = 1.0017
+    # by about 1 - 1/400, so Newton needs ~280 steps, past a fixed 200
+    p = [-1, -1] + [0] * 398 + [1]
+    rho, lo, hi = polyexact.seeded_root(p, tol=1e-13)
+    assert 1 < lo and hi - lo <= Fraction(1e-13) and float(lo) <= rho <= float(hi)
+    assert sign_at(p, lo.numerator, lo.denominator) < 0 < sign_at(p, hi.numerator, hi.denominator)
+
+
+@pytest.mark.parametrize("p", [[0, 1], [0, 0, 1], [1, 0, 1], [3, -2, 1]])
+def test_newton_seed_gives_none_without_a_positive_root(p):
+    # rho = 0 starts Newton at 0; from above, x^2 + 1 drives an iterate
+    # below 0, and x^2 - 2x + 3 reaches a negative derivative
+    assert polyexact._newton_seed(p) is None
+
+
+def test_newton_seed_decreases_to_the_largest_root():
+    # (x - 1)(x - 3)(x^2 + 1): Fujiwara's bound 2 * 4 = 8 is the start
+    p = _product([[-1, 1], [-3, 1], [1, 0, 1]])
+    assert abs(polyexact._newton_seed(p) - 3) < 1e-12
+    # the sign of the lead does not matter
+    assert polyexact._newton_seed([-c for c in p]) == polyexact._newton_seed(p)
 
 
 def test_largest_real_root_bracket_starts_at_zero():
