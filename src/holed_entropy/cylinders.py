@@ -9,38 +9,45 @@ monotone composition.
 One driver loop in :func:`refine` owns the levels, extinction and the
 component cap, and builds each level from the previous one with a kernel
 chosen per level.  Maps and holes are exact (see :mod:`.mapmodel`).  A
-level is sorted and disjoint, so both kernels step window by window: the
+level is sorted and disjoint, so every kernel steps window by window: the
 level-n components that meet one window (a branch domain minus the hole,
 pushed forward through the branch) form a run found by two binary
 searches, the window cuts only the first and the last of them, and the
-whole run is pulled back at once.  A level is stored in one of two forms:
+whole run is pulled back at once.  A level is stored as one of:
 
-* integer pairs: Python lists of ``(num, den)`` endpoints with ``den > 0``,
-  for any map.  Branch inverses are 2x2 integer matrices, so a step does no
-  Fraction arithmetic (~0.5-0.7 us per component); values become Fraction
-  only when a level is read;
-* int64 arrays: numpy arrays of endpoints scaled to integers over
-  ``D0 * d**n``, with each branch step vectorised.  They are used only for
-  uniform-affine maps (one integer slope magnitude ``d``; the d-adic
-  family in particular), from a level of at least ``_ARRAY_MIN_COMPONENTS``
-  components, and while the next level's scaled values fit in int64.  A
-  stored component then takes ~21 bytes (two int64 endpoints, an int32
-  parent, a uint8 branch) instead of four Python objects.  A step sizes
-  the new level before writing it and fills it run by run, so it holds
-  the new level and one run's parent indices (4 bytes per component of
-  that run) besides the level it reads.
+* pair lists: Python lists of integer ``(num, den)`` endpoints with
+  ``den > 0``, for any map.  Branch inverses are 2x2 integer matrices, so a
+  step does no Fraction arithmetic (~0.5-0.8 us per component); values
+  become Fraction only when a level is read;
+* int64 arrays, for any map from a level of at least
+  ``_ARRAY_MIN_COMPONENTS`` components and while the next level's values
+  fit in int64.  Uniform-affine maps (one integer slope magnitude ``d``;
+  the d-adic family in particular) store endpoint numerators over
+  ``D0 * d**n`` and pull a run back with one subtraction per column
+  (~0.01-0.02 us per component, ~21 bytes per stored component).  Every
+  other map (Moebius branches, affine branches with mixed slopes) stores
+  int64 ``(num, den)`` columns and pulls a run back with the branch
+  inverse matrices (~0.03 us per component, ~37 bytes per stored
+  component), while an exact height guard holds: pairs are not reduced,
+  so their heights grow with the level.  Both array forms share one step:
+  it sizes the new level before writing it and fills it run by run, so it
+  holds the new level and one run's temporaries besides the level it
+  reads.
 
-numpy is imported only when the int64 kernel first runs, so shallow
-refinements and every non-affine map never load it.  A level is converted
-exactly when the kernel changes between pairs and int64 arrays, and both
-build identical trees.
+numpy is imported only when it pays: once it is loaded, array steps start
+at ``_ARRAY_MIN_COMPONENTS`` components; before, they wait for a level from
+which the pair kernel would write ``_NUMPY_WORTH_COMPONENTS`` components by
+the requested depth.  A level is converted exactly when its form changes,
+and all forms build identical trees.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from .errors import (EmptyPartitionError, InvalidParameterError,
@@ -82,10 +89,18 @@ class Cylinder:
 class _Level:
     """One level's components as parallel columns plus parent links.
 
-    List levels hold Python lists and ``den`` is None: endpoints are integer
-    ``(num, den)`` pairs with ``den > 0``.  Int64 levels hold numpy arrays:
-    endpoints as int64 scaled by ``den``, ``parent`` as int32 and ``branch``
-    as the smallest unsigned type that holds every branch index.
+    A level takes one of three forms:
+
+    * pair lists: Python lists, endpoints as integer ``(num, den)`` pairs
+      with ``den > 0``, and ``den`` None;
+    * scaled int64: numpy int64 endpoint numerators over the common
+      denominator ``den``;
+    * int64 pairs: numpy 2 x n int64 endpoints, numerators in row 0 and
+      denominators (> 0) in row 1, and ``den`` None.
+
+    Array levels hold ``parent`` as int32 and ``branch`` as the smallest
+    unsigned type that holds every branch index.  A level is counted by its
+    ``parent`` column: the endpoint columns of int64 pairs have two rows.
     """
 
     __slots__ = ("den", "lo", "hi", "parent", "branch")
@@ -99,22 +114,27 @@ class _Level:
         self.branch = [] if branch is None else branch
 
     def __len__(self):
-        return len(self.lo)
+        return len(self.parent)
+
+    def pairs(self) -> tuple[list, list]:
+        """(lo, hi) columns as lists of (num, den) pairs of Python ints."""
+        if isinstance(self.lo, list):
+            return self.lo, self.hi
+        # tolist() first: numpy integers would overflow silently later on
+        if self.den is not None:
+            den = self.den
+            return ([(u, den) for u in self.lo.tolist()],
+                    [(u, den) for u in self.hi.tolist()])
+        return list(zip(*self.lo.tolist())), list(zip(*self.hi.tolist()))
 
     def endpoints(self) -> tuple[list, list]:
         """Raw (lo, hi) columns as reduced Fractions of Python ints."""
-        if self.den is None:
-            return ([Fraction(u, v) for u, v in self.lo],
-                    [Fraction(u, v) for u, v in self.hi])
-        # tolist() first: Fraction(np.int64(x), den) would keep the numpy
-        # numerator, which later overflows silently
-        den = self.den
-        return ([Fraction(v, den) for v in self.lo.tolist()],
-                [Fraction(v, den) for v in self.hi.tolist()])
+        lo, hi = self.pairs()
+        return [Fraction(u, v) for u, v in lo], [Fraction(u, v) for u, v in hi]
 
     def links(self) -> tuple[list[int], list[int]]:
         """(branch, parent) columns as Python ints."""
-        if self.den is None:
+        if isinstance(self.branch, list):
             return self.branch, self.parent
         return self.branch.tolist(), self.parent.tolist()
 
@@ -181,13 +201,40 @@ class RefinementTree:
 # refinement kernels
 # ---------------------------------------------------------------------------
 
-# The int64 kernel runs only on levels of at least this many components.
-# Importing numpy costs ~0.1 s; the pair kernel costs ~0.5-0.7 us per d-adic
-# or Moebius component and the int64 kernel ~0.01-0.02 us, so the import
-# pays for itself after ~2 * 10^5 components.  A refinement that stays
-# below 10^3 components per level never pays it; past that size the levels
-# grow geometrically and reach that total within ~10 levels.
+# Array steps run only on levels of at least this many components.  A step
+# on int64 arrays has a fixed cost of ~0.02-0.08 ms (the run searches and a
+# few numpy calls per run); at 10^3 components the pair kernel, at ~0.5-0.8
+# us per component, costs several times that.
 _ARRAY_MIN_COMPONENTS = 1000
+
+# Importing numpy costs ~0.1 s, as much as ~1.5 * 10^5 components written
+# by the pair kernel.  When numpy is not loaded yet, array steps wait for a
+# level from which the pair kernel would write that many components by the
+# requested depth, were the levels to keep growing at the last step's rate:
+# shallow refinements (farey 4/5 to depth 16 writes ~1.3 * 10^5 components
+# from its first level of 10^3) then start and end without numpy.
+_NUMPY_WORTH_COMPONENTS = 150_000
+
+
+def _numpy_loaded() -> bool:
+    return "numpy" in sys.modules
+
+
+def _arrays_pay(levels: list[_Level], n_max: int) -> bool:
+    """Whether array steps from the last of ``levels`` on are worth loading
+    numpy (see ``_NUMPY_WORTH_COMPONENTS``)."""
+    if _numpy_loaded():
+        return True
+    size, ahead = len(levels[-1]), 0
+    rate = size / len(levels[-2]) if len(levels) > 1 else 1
+    for _ in range(n_max - len(levels)):
+        size *= rate
+        ahead += size
+        if ahead >= _NUMPY_WORTH_COMPONENTS:
+            return True
+        if size < 1:
+            break
+    return False
 
 
 class _UniformAffine:
@@ -265,7 +312,7 @@ def _inverse_matrix(branch: Branch) -> tuple[int, int, int, int]:
 
 def _bisect(col, y, strict: bool, lo: int = 0) -> int:
     """First index i >= lo with col[i] > y (strict) or col[i] >= y; ``col``
-    is a sorted list of (num, den) pairs and ``y`` one pair, dens > 0."""
+    is a sorted sequence of (num, den) pairs and ``y`` one pair, dens > 0."""
     p, q = y
     hi = len(col)
     while lo < hi:
@@ -279,6 +326,24 @@ def _bisect(col, y, strict: bool, lo: int = 0) -> int:
     return lo
 
 
+def _pair_run(los, his, ylo, yhi) -> tuple[int, int, bool, bool]:
+    """The run ``s:e`` of a level that meets the open window image
+    (ylo, yhi), and whether its first and its last component reach past
+    the image and are cut to it.
+
+    ``los`` and ``his`` are the level's sorted (num, den) endpoint
+    sequences, ``ylo`` and ``yhi`` pairs, dens > 0.
+    """
+    s = _bisect(his, ylo, True)
+    e = _bisect(los, yhi, False, s)
+    if s == e:
+        return s, e, False, False
+    (u, v), (p, q) = los[s], ylo
+    clip_first = u * q < p * v
+    (u, v), (p, q) = his[e - 1], yhi
+    return s, e, clip_first, u * q > p * v
+
+
 class _PairKernel:
     """Python lists of integer (num, den) endpoint pairs, den > 0; any map.
 
@@ -286,7 +351,7 @@ class _PairKernel:
     step is integer multiplications and cross-multiplied comparisons only.
     Pairs are not reduced: a gcd per endpoint costs more than the few extra
     bits it saves.  A run is pulled back by one list comprehension per
-    column, ~0.5-0.7 us per component (Moebius or affine branches).
+    column, ~0.5-0.8 us per component (Moebius or affine branches).
     """
 
     def __init__(self, pmap: PiecewiseMap, hole: Hole):
@@ -312,33 +377,22 @@ class _PairKernel:
 
     def step(self, cur: _Level, n: int, cap: int) -> _Level:
         """Level n+1 from level n, one window at a time."""
-        if cur.den is None:
-            los, his = cur.lo, cur.hi
-        else:
-            den = cur.den
-            los = [(u, den) for u in cur.lo.tolist()]
-            his = [(u, den) for u in cur.hi.tolist()]
+        los, his = cur.pairs()
         runs = []
         total = 0
         for b, wins in enumerate(self.windows):
-            for w in wins:
-                s = _bisect(his, w[2], True)
-                e = _bisect(los, w[3], False, s)
+            for wlo, whi, ylo, yhi in wins:
+                s, e, clip_first, clip_last = _pair_run(los, his, ylo, yhi)
                 if s < e:
-                    runs.append((b, w, s, e))
+                    runs.append((b, wlo, whi, s, e, clip_first, clip_last))
                     total += e - s
         if total > cap:
             raise _cap_exceeded(cap, n + 1)
         nxt = _Level()
-        for b, (wlo, whi, (p1, q1), (p2, q2)), s, e in runs:
+        for b, wlo, whi, s, e, clip_first, clip_last in runs:
             A, B, C, D = self.mats[b]
             lo = [(A * u + B * v, C * u + D * v) for u, v in los[s:e]]
             hi = [(A * u + B * v, C * u + D * v) for u, v in his[s:e]]
-            # a run end past the window's image is cut to the window end
-            u, v = los[s]
-            clip_first = u * q1 < p1 * v
-            u, v = his[e - 1]
-            clip_last = u * q2 > p2 * v
             if self.signs[b] > 0:
                 parents = range(s, e)
             else:
@@ -357,74 +411,208 @@ class _PairKernel:
 
 
 class _Int64Kernel:
-    """numpy int64 arrays scaled by den(n); uniform-affine maps only.
-
-    Valid for a step n -> n+1 while ``u.fits_int64(n + 1)``: every stored
-    value and every offset then fits in an int64, and so does every
-    difference the step forms.
+    """numpy int64 columns; the step both array forms share.
 
     A level is sorted and disjoint (``lo[i] < hi[i] <= lo[i+1]``): branch
     domains are ordered and disjoint, and each branch keeps the order of its
-    pullbacks.  A step sizes the new level from the runs, checks the cap,
-    and writes each run into its slice of the new columns.  It holds the new
-    level and no more than one run's parent indices besides: about 4 bytes
-    per component of the largest run.
+    pullbacks.  A step finds each window's run, sizes the new level from
+    the runs, checks the cap, and writes each run into its slice of the new
+    columns, cutting only its first and last component to the window.  It
+    holds the new level and no more than one run's temporaries besides:
+    its parent indices (4 bytes per component) and, for int64 pairs, one
+    product column (8 bytes per component).
+
+    A subclass is one form of level.  It supplies level n's endpoint
+    columns (``columns``: a level of pair lists is converted exactly, and
+    None means level n+1 would not fit in int64), the windows with their
+    images (``windows``), the run of one window (``run``) and the pull-back
+    of one run's column (``pull``).  Endpoint columns are 1-D or 2 x n;
+    ``[..., i]`` indexes both.
     """
 
-    def __init__(self, u: _UniformAffine):
+    rows: tuple = ()   # leading shape of an endpoint column
+
+    def __init__(self, pairs: _PairKernel):
         import numpy as np
         self.np = np
-        self.u = u
-        self.branch_type = np.min_scalar_type(len(u.signs) - 1)
+        self.signs = pairs.signs
+        self.branch_type = np.min_scalar_type(len(pairs.signs) - 1)
 
-    def step(self, cur: _Level, n: int, cap: int) -> _Level:
-        """Level n+1 from level n, one window at a time."""
-        np, u = self.np, self.u
-        if cur.den is None:
-            # exact: every level-n endpoint is a multiple of 1/den(n)
-            den = u.den(n)
-            lo = np.array([a * den // b for a, b in cur.lo], dtype=np.int64)
-            hi = np.array([a * den // b for a, b in cur.hi], dtype=np.int64)
-        else:
-            lo, hi = cur.lo, cur.hi
-        scale = u.d ** n
+    def step(self, cur: _Level, columns: tuple, n: int, cap: int) -> _Level:
+        """Level n+1 from level n, whose endpoint ``columns`` are those of
+        ``self.columns(cur, n)``, one window at a time."""
+        np = self.np
+        lo, hi = columns
         runs = []
         total = 0
-        for b, sign in enumerate(u.signs):
-            on = u.offsets0[b] * scale
-            for wlo, whi in u.windows0[b]:
-                # the window at scale den(n+1), pushed forward to den(n)
-                wlo, whi = wlo * scale * u.d, whi * scale * u.d
-                ylo, yhi = (wlo + on, whi + on) if sign > 0 else (on - whi, on - wlo)
-                s = int(hi.searchsorted(ylo, "right"))
-                e = int(lo.searchsorted(yhi, "left"))
+        for b, wins in enumerate(self.windows(n)):
+            for wlo, whi, ylo, yhi in wins:
+                s, e, clip_first, clip_last = self.run(lo, hi, ylo, yhi)
                 if s < e:
-                    runs.append((b, sign, on, s, e, max(int(lo[s]), ylo),
-                                 min(int(hi[e - 1]), yhi)))
+                    runs.append((b, wlo, whi, s, e, clip_first, clip_last))
                     total += e - s
         if total > cap:
             raise _cap_exceeded(cap, n + 1)
         parent_type = np.int32 if len(cur) <= np.iinfo(np.int32).max else np.int64
-        nlo = np.empty(total, dtype=np.int64)
-        nhi = np.empty(total, dtype=np.int64)
+        nlo = np.empty(self.rows + (total,), dtype=np.int64)
+        nhi = np.empty(self.rows + (total,), dtype=np.int64)
         parent = np.empty(total, dtype=parent_type)
         branch = np.empty(total, dtype=self.branch_type)
         k = 0
-        for b, sign, on, s, e, first, last in runs:
+        for b, wlo, whi, s, e, clip_first, clip_last in runs:
             j = k + e - s
-            if sign > 0:
-                np.subtract(lo[s:e], on, out=nlo[k:j])
-                np.subtract(hi[s:e], on, out=nhi[k:j])
-                nlo[k], nhi[j - 1] = first - on, last - on
+            if self.signs[b] > 0:
+                self.pull(b, n, lo[..., s:e], nlo[..., k:j])
+                self.pull(b, n, hi[..., s:e], nhi[..., k:j])
                 parent[k:j] = np.arange(s, e, dtype=parent_type)
             else:
-                np.subtract(on, hi[s:e][::-1], out=nlo[k:j])
-                np.subtract(on, lo[s:e][::-1], out=nhi[k:j])
-                nlo[k], nhi[j - 1] = on - last, on - first
+                self.pull(b, n, hi[..., s:e][..., ::-1], nlo[..., k:j])
+                self.pull(b, n, lo[..., s:e][..., ::-1], nhi[..., k:j])
+                clip_first, clip_last = clip_last, clip_first
                 parent[k:j] = np.arange(e - 1, s - 1, -1, dtype=parent_type)
+            if clip_first:
+                nlo[..., k] = wlo
+            if clip_last:
+                nhi[..., j - 1] = whi
             branch[k:j] = b
             k = j
-        return _Level(u.den(n + 1), nlo, nhi, parent, branch)
+        return _Level(self.den(n + 1), nlo, nhi, parent, branch)
+
+
+class _ScaledKernel(_Int64Kernel):
+    """int64 numerators over den(n); uniform-affine maps.
+
+    Valid for a step n -> n+1 while ``u.fits_int64(n + 1)``: every stored
+    value and every offset then fits in an int64, and so does every
+    difference the step forms.  A run is found by two ``searchsorted``
+    calls and pulled back by one subtraction per column.
+    """
+
+    def __init__(self, pairs: _PairKernel, u: _UniformAffine):
+        super().__init__(pairs)
+        self.u = u
+
+    def den(self, level: int) -> int:
+        return self.u.den(level)
+
+    def columns(self, cur: _Level, n: int) -> Optional[tuple]:
+        if not self.u.fits_int64(n + 1):
+            return None
+        if cur.den is not None:
+            return cur.lo, cur.hi
+        # exact: every level-n endpoint is a multiple of 1/den(n)
+        np, den = self.np, self.u.den(n)
+        return (np.array([a * den // b for a, b in cur.lo], dtype=np.int64),
+                np.array([a * den // b for a, b in cur.hi], dtype=np.int64))
+
+    def windows(self, n: int):
+        """Per branch, each window at scale den(n+1) with its image at
+        scale den(n)."""
+        u = self.u
+        scale = u.d ** n
+        out = []
+        for b, sign in enumerate(u.signs):
+            on = u.offsets0[b] * scale
+            ws = []
+            for wlo, whi in u.windows0[b]:
+                wlo, whi = wlo * scale * u.d, whi * scale * u.d
+                ws.append((wlo, whi, *((wlo + on, whi + on) if sign > 0
+                                       else (on - whi, on - wlo))))
+            out.append(ws)
+        return out
+
+    def run(self, lo, hi, ylo: int, yhi: int):
+        s = int(hi.searchsorted(ylo, "right"))
+        e = int(lo.searchsorted(yhi, "left"))
+        if s >= e:
+            return s, e, False, False
+        return s, e, int(lo[s]) < ylo, int(hi[e - 1]) > yhi
+
+    def pull(self, b: int, n: int, x, out):
+        on = self.u.offsets0[b] * self.u.d ** n
+        if self.signs[b] > 0:
+            self.np.subtract(x, on, out=out)
+        else:
+            self.np.subtract(on, x, out=out)
+
+
+class _PairArrayKernel(_Int64Kernel):
+    """int64 (num, den) pairs as 2 x n columns; any map.
+
+    A run is pulled back with the branch inverse matrices of
+    :class:`_PairKernel` (``num' = A num + B den``, ``den' = C num + D den``)
+    and found by the same cross-multiplied binary searches, which compare
+    Python ints.  Valid for a step from a level whose largest ``|num|`` or
+    ``den`` is ``M`` while ``M * max(|A| + |B|, |C| + |D|) < 2**63`` over the
+    branches and every window endpoint fits in an int64: every product, sum
+    and stored value then does.  Pairs are not reduced, so heights grow
+    with the level (~2.7 bits per level on farey 4/5, which leaves int64
+    past level 20); from the first level that fails the guard every step
+    runs on pair lists, and the guard is not tried again.
+    """
+
+    rows = (2,)
+
+    def __init__(self, pairs: _PairKernel):
+        super().__init__(pairs)
+        self.mats = pairs.mats
+        self.pair_windows = pairs.windows
+        self.growth = max(max(abs(A) + abs(B), abs(C) + abs(D))
+                          for A, B, C, D in self.mats)
+        self.tall = max([abs(x) for ws in pairs.windows for w in ws
+                         for pair in w for x in pair], default=0) >= 2 ** 63
+
+    def den(self, level: int) -> None:
+        return None
+
+    def columns(self, cur: _Level, n: int) -> Optional[tuple]:
+        if self.tall:
+            return None
+        cols = (cur.lo, cur.hi)
+        if isinstance(cur.lo, list):
+            try:
+                cols = tuple(self._array(c) for c in cols)
+            except OverflowError:   # a value past int64
+                self.tall = True
+                return None
+        height = max(max(int(c.max()), -int(c.min())) for c in cols)
+        self.tall = height * self.growth >= 2 ** 63
+        return None if self.tall else cols
+
+    def _array(self, pairs: list):
+        np = self.np
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64,
+                           count=2 * len(pairs))
+        return flat.reshape(len(pairs), 2).T.copy()
+
+    def windows(self, n: int):
+        return self.pair_windows
+
+    def run(self, lo, hi, ylo, yhi):
+        return _pair_run(_PairColumn(lo), _PairColumn(hi), ylo, yhi)
+
+    def pull(self, b: int, n: int, x, out):
+        A, B, C, D = self.mats[b]
+        np = self.np
+        for row, (P, Q) in zip(out, ((A, B), (C, D))):
+            np.multiply(x[0], P, out=row)
+            row += x[1] * Q
+
+
+class _PairColumn:
+    """A 2 x n int64 endpoint column read as a sequence of (num, den) pairs
+    of Python ints, for :func:`_pair_run`."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        self.a = a
+
+    def __len__(self):
+        return self.a.shape[1]
+
+    def __getitem__(self, i):
+        return int(self.a[0, i]), int(self.a[1, i])
 
 
 def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,
@@ -435,10 +623,13 @@ def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,
     take any level past ``component_cap`` components.  Stops early (with the
     zero-count convention) once a level dies out entirely.
 
-    The int64 kernel takes the step from level n when the map is
-    uniform-affine, level n has at least ``_ARRAY_MIN_COMPONENTS`` components
-    and level n+1 still fits in int64.  Every other step runs on Python
-    lists of integer pairs.  The two kernels build identical trees.
+    A step from level n runs on int64 arrays when level n has at least
+    ``_ARRAY_MIN_COMPONENTS`` components, numpy pays for itself (it is
+    loaded, or the refinement has enough levels ahead; see
+    ``_NUMPY_WORTH_COMPONENTS``) and level n+1 fits in int64: as scaled
+    numerators for uniform-affine maps, as (num, den) pairs for every other
+    map.  Every other step runs on Python lists of integer pairs.  All
+    forms build identical trees.
     """
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
@@ -448,13 +639,15 @@ def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,
     levels = [lists.first_level(component_cap)]
     while len(levels) < n_max and len(levels[-1]):
         cur, n = levels[-1], len(levels)
-        kernel = lists
-        if (uniform is not None and len(cur) >= _ARRAY_MIN_COMPONENTS
-                and uniform.fits_int64(n + 1)):
-            if arrays is None:
-                arrays = _Int64Kernel(uniform)
-            kernel = arrays
-        levels.append(kernel.step(cur, n, component_cap))
+        columns = None
+        if len(cur) >= _ARRAY_MIN_COMPONENTS:
+            if arrays is None and _arrays_pay(levels, n_max):
+                arrays = (_PairArrayKernel(lists) if uniform is None
+                          else _ScaledKernel(lists, uniform))
+            if arrays is not None:
+                columns = arrays.columns(cur, n)
+        levels.append(lists.step(cur, n, component_cap) if columns is None
+                      else arrays.step(cur, columns, n, component_cap))
     return RefinementTree(pmap, hole, levels, len(levels[-1]) == 0)
 
 

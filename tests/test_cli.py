@@ -23,11 +23,10 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_oracle_cold_start_does_not_import_numpy():
-    # a shallow refine never reaches the int64 kernel, which alone needs numpy
+def cold_oracle(*argv):
+    """stdout of a fresh ``oracle`` run, then whether it imported numpy."""
     probe = ("import runpy, sys\n"
-             "sys.argv = ['holed_entropy.cli', 'oracle', '--map', 'doubling',"
-             " '--hole', '3/4,1', '--depth', '10']\n"
+             f"sys.argv = ['holed_entropy.cli', 'oracle', *{list(argv)!r}]\n"
              "try:\n"
              "    runpy.run_module('holed_entropy.cli', run_name='__main__')\n"
              "except SystemExit as exc:\n"
@@ -40,8 +39,22 @@ def test_oracle_cold_start_does_not_import_numpy():
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "level 10: count 144" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "False"
+    return proc.stdout
+
+
+def test_oracle_cold_start_does_not_import_numpy():
+    # a shallow refine never reaches the int64 kernel, which alone needs numpy
+    out = cold_oracle("--map", "doubling", "--hole", "3/4,1", "--depth", "10")
+    assert "level 10: count 144" in out
+    assert out.splitlines()[-1] == "False"
+
+
+def test_oracle_on_farey_to_depth_14_does_not_import_numpy():
+    # 3 * 10^4 components from the first level of 10^3 on cost the pair
+    # kernel less than the import would
+    out = cold_oracle("--map", "farey", "--param", "4/5", "--depth", "14")
+    assert "level 14: count 16384" in out
+    assert out.splitlines()[-1] == "False"
 
 
 def test_entropy_kneading(capsys):

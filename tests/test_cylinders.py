@@ -100,11 +100,13 @@ def test_interior_hole_level1_components():
 
 @contextmanager
 def only_kernel(name):
-    """The int64 kernel takes every uniform-affine step it can ("int64"), or
-    none of them ("generic": every step runs on the pair or float lists)."""
+    """The int64 forms take every step they can ("int64"), whether or not
+    numpy is loaded yet, or none of them ("generic": every step runs on the
+    pair lists)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cylinders, "_ARRAY_MIN_COMPONENTS",
                    1 if name == "int64" else math.inf)
+        mp.setattr(cylinders, "_numpy_loaded", lambda: name == "int64")
         yield
 
 
@@ -114,7 +116,8 @@ def refine_on(name, pmap, hole, n):
 
 
 def int64_levels(tree):
-    return [lv.den is not None for lv in tree._levels]
+    """Per level, whether it is stored in an int64 form (scaled or pairs)."""
+    return [not isinstance(lv.lo, list) for lv in tree._levels]
 
 
 def assert_same_tree(fast, slow):
@@ -188,9 +191,9 @@ def test_int64_step_holds_little_beyond_the_new_level():
     # a step writes each run straight into the new level's columns, so
     # beyond what the tree keeps it holds one run's parent indices (about
     # 0.1x the level); full-size temporaries would pass the bound
+    import numpy  # noqa: F401  (loaded outside the traced region)
     m = build_d_adic(2)
     hole = H((Fraction(13, 16), Fraction(1)))
-    refine(m, hole, 14)   # import numpy outside the traced region
     tracemalloc.start()
     try:
         tree = refine(m, hole, 20)
@@ -215,6 +218,7 @@ def test_int64_kernel_hands_back_past_two_to_the_63():
 
 
 def test_int64_levels_return_python_values():
+    import numpy  # noqa: F401  (array steps start at 10^3 components)
     m = build_d_adic(2)
     tree = refine(m, RIGHT_HOLE, 16)   # level 15 has 1597 components
     assert int64_levels(tree)[-1]
@@ -317,6 +321,122 @@ def test_pair_levels_return_python_values():
                 assert type(hi.numerator) is int and type(hi.denominator) is int
 
 
+def negated_farey(a):
+    """x -> -F(-x) on (-1, 0) for the scaled Farey map F: numerators < 0."""
+    a = str(a)
+    return map_from_config({"codomain": ["-1", "0"], "branches": [
+        {"domain": ["-1", "-1/2"], "kind": "moebius", "coeffs": [a, a, "1", "0"]},
+        {"domain": ["-1/2", "0"], "kind": "moebius", "coeffs": [a, "0", "1", "1"]}]})[0]
+
+
+def negated(hole):
+    return Hole([(-hi, -lo) for lo, hi in hole.pieces])
+
+
+# x -> 3x on (0, 1/3) and 3/2 - 3x/2 on (1/3, 1): two slope magnitudes
+TWO_SLOPES = map_from_config({"codomain": ["0", "1"], "branches": [
+    {"domain": ["0", "1/3"], "kind": "affine", "coeffs": ["3", "0"]},
+    {"domain": ["1/3", "1"], "kind": "affine", "coeffs": ["-3/2", "3/2"]}]})[0]
+
+FAREY_AS = [Fraction(1, 2), Fraction(3, 5), Fraction(4, 5), Fraction(1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(hole=exact_holes(min_pieces=0),
+       pmap=st.sampled_from(FAREY_AS).map(lambda a: ("farey", a))
+       | st.sampled_from(FAREY_AS).map(lambda a: ("negated farey", a))
+       | st.just(("two slopes", None)),
+       depth=st.integers(2, 11))
+# a hole next to the fixed point 0 of the left Farey branch, and one cutting
+# both branches of the negated map
+@example(hole=H((Fraction(0), Fraction(1, 64))), pmap=("farey", Fraction(4, 5)), depth=11)
+@example(hole=H((Fraction(1, 3), Fraction(3, 5))), pmap=("negated farey", Fraction(3, 5)),
+         depth=11)
+def test_int64_pairs_agree_with_pair_lists(hole, pmap, depth):
+    kind, a = pmap
+    if kind == "farey":
+        pmap = build_scaled_farey(a)
+    elif kind == "negated farey":
+        pmap, hole = negated_farey(a), negated(hole)
+    else:
+        pmap = TWO_SLOPES
+    assert cylinders._try_uniform_affine(pmap, hole, cylinders._PairKernel(
+        pmap, hole).windows) is None
+    fast = refine_on("int64", pmap, hole, depth)
+    # heights stay below 2^40 on these maps to level 11
+    assert int64_levels(fast) == [False] + [True] * (fast.depth - 1)
+    assert all(lv.den is None for lv in fast._levels)
+    assert_same_tree(fast, refine_on("generic", pmap, hole, depth))
+
+
+def test_int64_pairs_hand_back_to_pair_lists_past_int64():
+    # inverse matrix entries near 2^20 add ~21 bits per level: level 3 has
+    # 43-bit heights, and 43 + 21 bits would pass int64
+    farey = build_scaled_farey(Fraction(2 ** 20 - 1, 2 ** 20))
+    hole = H((Fraction(1, 3), Fraction(3, 8)))
+    fast = refine_on("int64", farey, hole, 9)
+    assert int64_levels(fast) == [False, True, True] + [False] * 6
+    assert_same_tree(fast, refine_on("generic", farey, hole, 9))
+    for lo, hi in fast.component_intervals(3):
+        assert type(lo.numerator) is int and type(hi.denominator) is int
+    # the first level of 10^3 components has ~200-bit heights
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cylinders, "_numpy_loaded", lambda: True)
+        tall = refine(farey, Hole.empty(), 11)
+    assert tall.counts[-2] >= 1000 and not any(int64_levels(tall))
+    # a window end past int64 keeps every step on pair lists, also from a
+    # level of small heights: the step could cut a run to that end
+    farey = build_scaled_farey(Fraction(4, 5))
+    hole = H((Fraction(1, 3), Fraction(2 ** 64 + 1, 3 * 2 ** 64)))
+    fast = refine_on("int64", farey, hole, 6)
+    assert not any(int64_levels(fast))
+    assert_same_tree(fast, refine_on("generic", farey, hole, 6))
+    kernel = cylinders._PairArrayKernel(cylinders._PairKernel(farey, hole))
+    assert kernel.columns(cylinders._Level(None, [(1, 8)], [(1, 4)], [-1], [0]), 1) is None
+
+
+@pytest.mark.parametrize("hole", [Hole.empty(), H((Fraction(1, 3), Fraction(3, 8)))])
+def test_component_cap_inside_an_int64_pairs_step(hole):
+    farey = build_scaled_farey(Fraction(4, 5))
+    tree = refine_on("int64", farey, hole, 10)
+    assert int64_levels(tree)[-1]
+    first = int((tree._levels[-1].branch == 0).sum())
+    assert 0 < first < tree.counts[-1]
+    cap = (first + tree.counts[-1]) // 2
+    pulled = []
+    pull = cylinders._PairArrayKernel.pull
+
+    def recording_pull(self, b, n, x, out):
+        pulled.append(n)
+        return pull(self, b, n, x, out)
+
+    with only_kernel("int64"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cylinders._PairArrayKernel, "pull", recording_pull)
+        with pytest.raises(ResourceLimitError, match=f"cap {cap} exceeded at level 10$"):
+            refine(farey, hole, 10, component_cap=cap)
+        # the step to level 10 raised before writing a run
+        assert 8 in pulled and 9 not in pulled
+        assert refine(farey, hole, 10, component_cap=tree.counts[-1]).counts == tree.counts
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_array_steps_wait_until_numpy_pays(loaded):
+    # farey 4/5 doubles from 1024 components at level 10: to depth 16 the
+    # pair kernel writes 2^11 + ... + 2^16 < 1.5 * 10^5 components from
+    # there, to depth 17 twice that
+    farey = build_scaled_farey(Fraction(4, 5))
+    doubling = build_d_adic(2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cylinders, "_numpy_loaded", lambda: loaded)
+        for pmap, hole, depth, first in ((farey, Hole.empty(), 16, 10),
+                                         (farey, Hole.empty(), 17, 10),
+                                         (doubling, H((Fraction(13, 16), Fraction(1))), 20, 12)):
+            tree = refine(pmap, hole, depth)
+            pays = loaded or depth != 16
+            assert int64_levels(tree) == [False] * first + [pays] * (depth - first)
+            assert tree.counts[first - 1] >= 1000 > tree.counts[first - 2]
+
+
 def test_component_cap():
     with pytest.raises(ResourceLimitError):
         refine(build_d_adic(2), Hole.empty(), 12, component_cap=100)
@@ -341,8 +461,9 @@ def test_component_cap_on_a_moebius_map(hole):
 
 
 def test_component_cap_boundary():
-    # levels up to 10 of the full shift come from the pair kernel, levels
-    # 11 and 12 from the int64 kernel
+    # with numpy loaded, levels up to 10 of the full shift come from the
+    # pair kernel, levels 11 and 12 from the int64 kernel
+    import numpy  # noqa: F401
     tree = refine(build_d_adic(2), Hole.empty(), 9, component_cap=512)
     assert not any(int64_levels(tree))
     with pytest.raises(ResourceLimitError, match="cap 511 exceeded at level 9$"):
