@@ -20,19 +20,19 @@ whole run is pulled back at once.  A level is stored as one of:
   step does no Fraction arithmetic (~0.5-0.8 us per component); values
   become Fraction only when a level is read;
 * int64 arrays, for any map from a level of at least
-  ``_ARRAY_MIN_COMPONENTS`` components and while the next level's values
-  fit in int64.  Uniform-affine maps (one integer slope magnitude ``d``;
-  the d-adic family in particular) store endpoint numerators over
-  ``D0 * d**n`` and pull a run back with one subtraction per column
-  (~0.01-0.02 us per component, ~21 bytes per stored component).  Every
-  other map (Moebius branches, affine branches with mixed slopes) stores
-  int64 ``(num, den)`` columns and pulls a run back with the branch
-  inverse matrices (~0.03 us per component, ~37 bytes per stored
-  component), while an exact height guard holds: pairs are not reduced,
-  so their heights grow with the level.  Both array forms share one step:
-  it sizes the new level before writing it and fills it run by run, so it
-  holds the new level and one run's temporaries besides the level it
-  reads.
+  ``_ARRAY_MIN_COMPONENTS`` components and while an exact height guard
+  says the next level fits in int64.  When every branch is affine, the
+  endpoints are numerators over one denominator shared by the level,
+  which the branch inverses multiply by one common factor per step; a run
+  is pulled back with one addition or subtraction per column when the
+  slopes are integers (the d-adic family: ~0.01-0.02 us per component,
+  ~21 bytes per stored component).  Maps with a Moebius branch store
+  ``(num, den)`` columns and pull a run back with the branch inverse
+  matrices (~0.03 us per component, ~37 bytes per stored component);
+  pairs are not reduced, so their heights grow with the level.  Both
+  array forms share one step: it sizes the new level before writing it
+  and fills it run by run, so it holds the new level and one run's
+  temporaries besides the level it reads.
 
 numpy is imported only when it pays: once it is loaded, array steps start
 at ``_ARRAY_MIN_COMPONENTS`` components; before, they wait for a level from
@@ -93,8 +93,8 @@ class _Level:
 
     * pair lists: Python lists, endpoints as integer ``(num, den)`` pairs
       with ``den > 0``, and ``den`` None;
-    * scaled int64: numpy int64 endpoint numerators over the common
-      denominator ``den``;
+    * shared den: numpy int64 endpoint numerators over the denominator
+      ``den`` of the whole level (maps whose branches are all affine);
     * int64 pairs: numpy 2 x n int64 endpoints, numerators in row 0 and
       denominators (> 0) in row 1, and ``den`` None.
 
@@ -237,62 +237,6 @@ def _arrays_pay(levels: list[_Level], n_max: int) -> bool:
     return False
 
 
-class _UniformAffine:
-    """Scaled-integer data for maps with a common integer |slope| = d.
-
-    Level-n endpoints are integers over ``den(n) = D0 * d**n``, and pulling a
-    level-n endpoint back through a branch is one integer subtraction at
-    scale ``den(n + 1)``.
-    """
-
-    def __init__(self, pmap: PiecewiseMap, hole: Hole, windows: list):
-        sigs = []
-        for b in pmap.branches:
-            if not isinstance(b.kind, Affine):
-                raise ValueError
-            s = b.kind.slope
-            if s.denominator != 1 or abs(s) < 2:
-                raise ValueError
-            sigs.append(int(s))
-        mags = {abs(s) for s in sigs}
-        if len(mags) != 1:
-            raise ValueError
-        self.d = mags.pop()
-        ends = list(pmap.codomain.as_raw())
-        offsets = [b.kind.offset for b in pmap.branches]
-        images = [b.image_raw() for b in pmap.branches]
-        for lo, hi in [*pmap.branch_domains_raw(), *images, *hole.pieces]:
-            ends += [lo, hi]
-        D0 = 1
-        for q in [v.denominator for v in ends + offsets]:
-            D0 = D0 * q // math.gcd(D0, q)
-        self.D0 = D0
-        self.signs = [1 if s > 0 else -1 for s in sigs]
-        self.offsets0 = [int(o * D0) for o in offsets]
-        # the windows of _PairKernel, scaled by D0
-        self.windows0 = [[(u * D0 // v, x * D0 // y) for (u, v), (x, y), _, _ in ws]
-                         for ws in windows]
-        # largest magnitude, in units of 1/D0, of any value the kernel
-        # stores at scale den(n) (offsets enter one level coarser); D0
-        # itself for maps on [0, 1], so the int64 rule is D0 * d**n < 2**63
-        self.bound = max([D0] + [abs(int(v * D0)) for v in ends]
-                         + [-(-abs(o) // self.d) for o in self.offsets0])
-
-    def den(self, level: int) -> int:
-        return self.D0 * self.d ** level
-
-    def fits_int64(self, level: int) -> bool:
-        return self.bound * self.d ** level < 2 ** 63
-
-
-def _try_uniform_affine(pmap: PiecewiseMap, hole: Hole,
-                        windows: list) -> Optional[_UniformAffine]:
-    try:
-        return _UniformAffine(pmap, hole, windows)
-    except ValueError:
-        return None
-
-
 def _cap_exceeded(cap: int, level: int) -> ResourceLimitError:
     return ResourceLimitError(f"component cap {cap} exceeded at level {level}")
 
@@ -410,8 +354,8 @@ class _PairKernel:
         return nxt
 
 
-class _Int64Kernel:
-    """numpy int64 columns; the step both array forms share.
+class _ArrayKernel:
+    """numpy int64 columns; any map.
 
     A level is sorted and disjoint (``lo[i] < hi[i] <= lo[i+1]``): branch
     domains are ordered and disjoint, and each branch keeps the order of its
@@ -422,52 +366,161 @@ class _Int64Kernel:
     its parent indices (4 bytes per component) and, for int64 pairs, one
     product column (8 bytes per component).
 
-    A subclass is one form of level.  It supplies level n's endpoint
-    columns (``columns``: a level of pair lists is converted exactly, and
-    None means level n+1 would not fit in int64), the windows with their
-    images (``windows``), the run of one window (``run``) and the pull-back
-    of one run's column (``pull``).  Endpoint columns are 1-D or 2 x n;
-    ``[..., i]`` indexes both.
-    """
+    Windows and branch inverses are those of :class:`_PairKernel`.  When
+    every inverse (A, B, C, D) is affine (C = 0), it is divided by
+    g = gcd(A, D) and scaled to the lcm ``delta`` of the reduced D, so it
+    reads y -> (a y + beta) / delta with an integer a and a rational beta;
+    levels then store int64 numerators over one shared ``den``, and a run
+    is pulled back as ``a num + beta den`` over ``delta den``, one addition
+    or subtraction per column when a = +-1 (the d-adic family).  Level n
+    has ``den = den0 * delta**(n-1)``, with ``den0`` the lcm of the window
+    ends' and the betas' denominators: level 1 is made of window ends and
+    each step multiplies ``den`` by ``delta``, while ``beta den`` and every
+    window end at the new level's ``den`` stay integers.  Any other map
+    stores (num, den) pairs as 2 x n columns and pulls a run back with the
+    matrices themselves; pairs are not reduced, so their heights grow with
+    the level (~2.7 bits per level on farey 4/5, which leaves int64 past
+    level 20).
 
-    rows: tuple = ()   # leading shape of an endpoint column
+    One exact height guard holds for both forms: a step from a level of
+    height ``M`` runs on int64 while ``M * growth < 2**63`` and every window
+    entry fits in int64; every product, sum and stored value of the step
+    then does.  For pairs, ``M`` is the largest ``|num|`` or ``den``,
+    scanned, and ``growth`` is ``max(|A| + |B|, |C| + |D|)`` over the
+    branches.  For a shared den, ``M`` is ``den`` itself: both levels lie
+    in the windows, whose ends and images are at most ``r >= 1`` in
+    magnitude, so ``growth`` is the largest of ``r |a|``, ``|beta|`` and
+    ``r delta`` over the branches (both terms of ``a num + beta den`` and
+    their sum then fit).  From the first level that fails the guard every
+    step runs on pair lists, and the guard is not tried again.
+    """
 
     def __init__(self, pairs: _PairKernel):
         import numpy as np
         self.np = np
         self.signs = pairs.signs
+        self.windows = pairs.windows
         self.branch_type = np.min_scalar_type(len(pairs.signs) - 1)
+        self.mats = pairs.mats
+        self.delta = None
+        ends = [x for ws in self.windows for w in ws for x in w]
+        if all(C == 0 for _, _, C, _ in self.mats):
+            reduced = [(A // g, Fraction(B, g), D // g)
+                       for A, B, _, D in self.mats for g in (math.gcd(A, D),)]
+            delta = self.delta = math.lcm(*(d for _, _, d in reduced))
+            scaled = [(a * (delta // d), beta * (delta // d)) for a, beta, d in reduced]
+            self.den0 = math.lcm(*(beta.denominator for _, beta in scaled),
+                                 *(v for ws in self.windows for w in ws for _, v in w[:2]))
+            reach = max([Fraction(1)] + [abs(Fraction(u, v)) for u, v in ends])
+            growth = max(max(reach * abs(a), abs(beta), reach * delta) for a, beta in scaled)
+            # beta kept as the integer beta * den0
+            self.mats = [(a, int(beta * self.den0), 0, delta) for a, beta in scaled]
+        else:
+            growth = max(max(abs(A) + abs(B), abs(C) + abs(D)) for A, B, C, D in self.mats)
+        # the least integer height M with M * growth >= 2**63
+        self.height_limit = -(-2 ** 63 // growth)
+        self.tall = max([abs(x) for pair in ends for x in pair], default=0) >= 2 ** 63
+
+    def columns(self, cur: _Level, n: int) -> Optional[tuple]:
+        """Level n's endpoint columns and shared ``den`` (None for pairs),
+        a level of pair lists converted exactly; None from the first level
+        that fails the height guard."""
+        if self.tall:
+            return None
+        np = self.np
+        lo, hi, den = cur.lo, cur.hi, cur.den
+        if self.delta is None:
+            if isinstance(lo, list):
+                try:
+                    lo, hi = self._pair_array(lo), self._pair_array(hi)
+                except OverflowError:   # a value past int64
+                    self.tall = True
+                    return None
+            height = max(max(int(c.max()), -int(c.min())) for c in (lo, hi))
+        else:
+            if den is None:
+                den = self.den0 * self.delta ** (n - 1)
+            height = den
+        self.tall = height >= self.height_limit
+        if self.tall:
+            return None
+        if isinstance(lo, list):   # exact: every endpoint is a multiple of 1/den
+            lo, hi = (np.array([u * den // v for u, v in c], dtype=np.int64)
+                      for c in (lo, hi))
+        return lo, hi, den
+
+    def _pair_array(self, pairs: list):
+        np = self.np
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64,
+                           count=2 * len(pairs))
+        return flat.reshape(len(pairs), 2).T.copy()
+
+    def run(self, lo, hi, den, ylo, yhi) -> tuple[int, int, bool, bool]:
+        """:func:`_pair_run` on array columns: over a shared ``den``, two
+        ``searchsorted`` calls on the window image scaled to ``den`` and
+        rounded inwards, then the exact clip tests."""
+        if den is None:
+            return _pair_run(_PairColumn(lo), _PairColumn(hi), ylo, yhi)
+        (p, q), (r, t) = ylo, yhi
+        s = int(hi.searchsorted(p * den // q, "right"))
+        e = int(lo.searchsorted(-(-r * den // t), "left"))
+        if s >= e:
+            return s, e, False, False
+        return s, e, int(lo[s]) * q < p * den, int(hi[e - 1]) * t > r * den
+
+    def pull(self, b: int, den, x, out):
+        """Write branch b's inverse of the endpoint column ``x`` to ``out``."""
+        np = self.np
+        A, B, C, D = self.mats[b]
+        if den is None:
+            for row, (P, Q) in zip(out, ((A, B), (C, D))):
+                np.multiply(x[0], P, out=row)
+                row += x[1] * Q
+            return
+        shift = B * (den // self.den0)
+        if A == 1:
+            np.add(x, shift, out=out)
+        elif A == -1:
+            np.subtract(shift, x, out=out)
+        else:
+            np.multiply(x, A, out=out)
+            out += shift
 
     def step(self, cur: _Level, columns: tuple, n: int, cap: int) -> _Level:
-        """Level n+1 from level n, whose endpoint ``columns`` are those of
-        ``self.columns(cur, n)``, one window at a time."""
+        """Level n+1 from level n, whose ``columns`` are those of
+        ``self.columns(cur, n)``, one window at a time.  Endpoint columns are
+        1-D or 2 x n; ``[..., i]`` indexes both."""
         np = self.np
-        lo, hi = columns
+        lo, hi, den = columns
+        nden = None if den is None else den * self.delta
         runs = []
         total = 0
-        for b, wins in enumerate(self.windows(n)):
+        for b, wins in enumerate(self.windows):
             for wlo, whi, ylo, yhi in wins:
-                s, e, clip_first, clip_last = self.run(lo, hi, ylo, yhi)
+                s, e, clip_first, clip_last = self.run(lo, hi, den, ylo, yhi)
                 if s < e:
+                    if nden is not None:   # the window ends at scale nden
+                        wlo, whi = (u * (nden // v) for u, v in (wlo, whi))
                     runs.append((b, wlo, whi, s, e, clip_first, clip_last))
                     total += e - s
         if total > cap:
             raise _cap_exceeded(cap, n + 1)
+        rows = () if den is not None else (2,)
         parent_type = np.int32 if len(cur) <= np.iinfo(np.int32).max else np.int64
-        nlo = np.empty(self.rows + (total,), dtype=np.int64)
-        nhi = np.empty(self.rows + (total,), dtype=np.int64)
+        nlo = np.empty(rows + (total,), dtype=np.int64)
+        nhi = np.empty(rows + (total,), dtype=np.int64)
         parent = np.empty(total, dtype=parent_type)
         branch = np.empty(total, dtype=self.branch_type)
         k = 0
         for b, wlo, whi, s, e, clip_first, clip_last in runs:
             j = k + e - s
             if self.signs[b] > 0:
-                self.pull(b, n, lo[..., s:e], nlo[..., k:j])
-                self.pull(b, n, hi[..., s:e], nhi[..., k:j])
+                self.pull(b, den, lo[..., s:e], nlo[..., k:j])
+                self.pull(b, den, hi[..., s:e], nhi[..., k:j])
                 parent[k:j] = np.arange(s, e, dtype=parent_type)
             else:
-                self.pull(b, n, hi[..., s:e][..., ::-1], nlo[..., k:j])
-                self.pull(b, n, lo[..., s:e][..., ::-1], nhi[..., k:j])
+                self.pull(b, den, hi[..., s:e][..., ::-1], nlo[..., k:j])
+                self.pull(b, den, lo[..., s:e][..., ::-1], nhi[..., k:j])
                 clip_first, clip_last = clip_last, clip_first
                 parent[k:j] = np.arange(e - 1, s - 1, -1, dtype=parent_type)
             if clip_first:
@@ -476,127 +529,7 @@ class _Int64Kernel:
                 nhi[..., j - 1] = whi
             branch[k:j] = b
             k = j
-        return _Level(self.den(n + 1), nlo, nhi, parent, branch)
-
-
-class _ScaledKernel(_Int64Kernel):
-    """int64 numerators over den(n); uniform-affine maps.
-
-    Valid for a step n -> n+1 while ``u.fits_int64(n + 1)``: every stored
-    value and every offset then fits in an int64, and so does every
-    difference the step forms.  A run is found by two ``searchsorted``
-    calls and pulled back by one subtraction per column.
-    """
-
-    def __init__(self, pairs: _PairKernel, u: _UniformAffine):
-        super().__init__(pairs)
-        self.u = u
-
-    def den(self, level: int) -> int:
-        return self.u.den(level)
-
-    def columns(self, cur: _Level, n: int) -> Optional[tuple]:
-        if not self.u.fits_int64(n + 1):
-            return None
-        if cur.den is not None:
-            return cur.lo, cur.hi
-        # exact: every level-n endpoint is a multiple of 1/den(n)
-        np, den = self.np, self.u.den(n)
-        return (np.array([a * den // b for a, b in cur.lo], dtype=np.int64),
-                np.array([a * den // b for a, b in cur.hi], dtype=np.int64))
-
-    def windows(self, n: int):
-        """Per branch, each window at scale den(n+1) with its image at
-        scale den(n)."""
-        u = self.u
-        scale = u.d ** n
-        out = []
-        for b, sign in enumerate(u.signs):
-            on = u.offsets0[b] * scale
-            ws = []
-            for wlo, whi in u.windows0[b]:
-                wlo, whi = wlo * scale * u.d, whi * scale * u.d
-                ws.append((wlo, whi, *((wlo + on, whi + on) if sign > 0
-                                       else (on - whi, on - wlo))))
-            out.append(ws)
-        return out
-
-    def run(self, lo, hi, ylo: int, yhi: int):
-        s = int(hi.searchsorted(ylo, "right"))
-        e = int(lo.searchsorted(yhi, "left"))
-        if s >= e:
-            return s, e, False, False
-        return s, e, int(lo[s]) < ylo, int(hi[e - 1]) > yhi
-
-    def pull(self, b: int, n: int, x, out):
-        on = self.u.offsets0[b] * self.u.d ** n
-        if self.signs[b] > 0:
-            self.np.subtract(x, on, out=out)
-        else:
-            self.np.subtract(on, x, out=out)
-
-
-class _PairArrayKernel(_Int64Kernel):
-    """int64 (num, den) pairs as 2 x n columns; any map.
-
-    A run is pulled back with the branch inverse matrices of
-    :class:`_PairKernel` (``num' = A num + B den``, ``den' = C num + D den``)
-    and found by the same cross-multiplied binary searches, which compare
-    Python ints.  Valid for a step from a level whose largest ``|num|`` or
-    ``den`` is ``M`` while ``M * max(|A| + |B|, |C| + |D|) < 2**63`` over the
-    branches and every window endpoint fits in an int64: every product, sum
-    and stored value then does.  Pairs are not reduced, so heights grow
-    with the level (~2.7 bits per level on farey 4/5, which leaves int64
-    past level 20); from the first level that fails the guard every step
-    runs on pair lists, and the guard is not tried again.
-    """
-
-    rows = (2,)
-
-    def __init__(self, pairs: _PairKernel):
-        super().__init__(pairs)
-        self.mats = pairs.mats
-        self.pair_windows = pairs.windows
-        self.growth = max(max(abs(A) + abs(B), abs(C) + abs(D))
-                          for A, B, C, D in self.mats)
-        self.tall = max([abs(x) for ws in pairs.windows for w in ws
-                         for pair in w for x in pair], default=0) >= 2 ** 63
-
-    def den(self, level: int) -> None:
-        return None
-
-    def columns(self, cur: _Level, n: int) -> Optional[tuple]:
-        if self.tall:
-            return None
-        cols = (cur.lo, cur.hi)
-        if isinstance(cur.lo, list):
-            try:
-                cols = tuple(self._array(c) for c in cols)
-            except OverflowError:   # a value past int64
-                self.tall = True
-                return None
-        height = max(max(int(c.max()), -int(c.min())) for c in cols)
-        self.tall = height * self.growth >= 2 ** 63
-        return None if self.tall else cols
-
-    def _array(self, pairs: list):
-        np = self.np
-        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64,
-                           count=2 * len(pairs))
-        return flat.reshape(len(pairs), 2).T.copy()
-
-    def windows(self, n: int):
-        return self.pair_windows
-
-    def run(self, lo, hi, ylo, yhi):
-        return _pair_run(_PairColumn(lo), _PairColumn(hi), ylo, yhi)
-
-    def pull(self, b: int, n: int, x, out):
-        A, B, C, D = self.mats[b]
-        np = self.np
-        for row, (P, Q) in zip(out, ((A, B), (C, D))):
-            np.multiply(x[0], P, out=row)
-            row += x[1] * Q
+        return _Level(nden, nlo, nhi, parent, branch)
 
 
 class _PairColumn:
@@ -620,21 +553,23 @@ def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,
     """Survivor components for levels 1..n_max.
 
     Raises :class:`ResourceLimitError` before storing a batch that would
-    take any level past ``component_cap`` components.  Stops early (with the
-    zero-count convention) once a level dies out entirely.
+    take any level past ``component_cap`` components (which must be
+    >= 0).  Stops early (with the zero-count convention) once a level dies
+    out entirely.
 
     A step from level n runs on int64 arrays when level n has at least
     ``_ARRAY_MIN_COMPONENTS`` components, numpy pays for itself (it is
     loaded, or the refinement has enough levels ahead; see
-    ``_NUMPY_WORTH_COMPONENTS``) and level n+1 fits in int64: as scaled
-    numerators for uniform-affine maps, as (num, den) pairs for every other
-    map.  Every other step runs on Python lists of integer pairs.  All
-    forms build identical trees.
+    ``_NUMPY_WORTH_COMPONENTS``) and level n+1 fits in int64: as numerators
+    over a shared denominator when every branch is affine, as (num, den)
+    pairs otherwise.  Every other step runs on Python lists of integer
+    pairs.  All forms build identical trees.
     """
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
+    if component_cap < 0:
+        raise InvalidParameterError("component_cap must be >= 0")
     lists = _PairKernel(pmap, hole)
-    uniform = _try_uniform_affine(pmap, hole, lists.windows)
     arrays = None
     levels = [lists.first_level(component_cap)]
     while len(levels) < n_max and len(levels[-1]):
@@ -642,8 +577,7 @@ def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,
         columns = None
         if len(cur) >= _ARRAY_MIN_COMPONENTS:
             if arrays is None and _arrays_pay(levels, n_max):
-                arrays = (_PairArrayKernel(lists) if uniform is None
-                          else _ScaledKernel(lists, uniform))
+                arrays = _ArrayKernel(lists)
             if arrays is not None:
                 columns = arrays.columns(cur, n)
         levels.append(lists.step(cur, n, component_cap) if columns is None

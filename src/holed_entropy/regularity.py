@@ -186,8 +186,14 @@ class SweepResult:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the engine on every grid point, serially and in grid order;
     failures flag the row and the sweep continues.  The metadata carries no
-    wall clock, so identical specs give identical results."""
+    wall clock, so identical specs give identical results.  A bad grid, an
+    unknown engine or an oracle depth below 1 is refused before the first
+    row."""
     pts = spec.grid()
+    if spec.engine not in ("kneading", "markov", "oracle"):
+        raise InvalidParameterError(f"unknown engine {spec.engine!r}")
+    if spec.engine == "oracle" and spec.depth < 1:
+        raise InvalidParameterError("the oracle engine needs depth >= 1")
     for s in pts:
         if not spec.family.admissible(s):
             raise InvalidParameterError(f"grid point {s} is outside the family range")

@@ -311,6 +311,21 @@ def test_exit_code_2_on_bad_input(capsys):
     assert "error" in err
 
 
+def test_exit_code_2_on_a_negative_component_cap(capsys):
+    code, out, err = run(capsys, "oracle", "--map", "doubling", "--depth", "3",
+                         "--component-cap", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: component_cap must be >= 0\n"
+
+
+def test_exit_code_2_on_a_sweep_at_oracle_depth_0(capsys):
+    code, out, err = run(capsys, "sweep", "--family", "sliding", "--width", "1/12",
+                         "--start", "1/10", "--end", "1/5", "--count", "3",
+                         "--engine", "oracle", "--oracle-depth", "0")
+    assert code == 2 and out == ""
+    assert err == "error: the oracle engine needs depth >= 1\n"
+
+
 def test_exit_code_2_on_unknown_map(capsys):
     code, _, _ = run(capsys, "entropy", "--map", "nonsense", "--hole", "3/4,1")
     assert code == 2

@@ -17,7 +17,7 @@ from holed_entropy import (EmptyPartitionError, Hole, InvalidParameterError,
                            pressure_estimate, refine)
 from holed_entropy import cylinders
 from holed_entropy.cylinders import left_hole_parameter
-from holed_entropy.mapmodel import map_from_config, subtract_pieces
+from holed_entropy.mapmodel import Affine, map_from_config, subtract_pieces
 
 
 def ex(x):
@@ -100,9 +100,10 @@ def test_interior_hole_level1_components():
 
 @contextmanager
 def only_kernel(name):
-    """The int64 forms take every step they can ("int64"), whether or not
-    numpy is loaded yet, or none of them ("generic": every step runs on the
-    pair lists)."""
+    """The array kernel takes every step it can ("int64"), whether or not
+    numpy is loaded yet, or none ("generic": every step runs on the pair
+    lists).  Its levels are int64 numerators over a shared den when every
+    branch is affine, int64 (num, den) pairs otherwise."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cylinders, "_ARRAY_MIN_COMPONENTS",
                    1 if name == "int64" else math.inf)
@@ -116,7 +117,8 @@ def refine_on(name, pmap, hole, n):
 
 
 def int64_levels(tree):
-    """Per level, whether it is stored in an int64 form (scaled or pairs)."""
+    """Per level, whether it is stored in an int64 form (shared den or
+    pairs)."""
     return [not isinstance(lv.lo, list) for lv in tree._levels]
 
 
@@ -206,15 +208,52 @@ def test_int64_step_holds_little_beyond_the_new_level():
     assert peak - retained <= 1.5 * level_bytes
 
 
+# x -> 2x - 1/3 on (1/6, 2/3) and 2x - 4/3 on (2/3, 1): the second image
+# (0, 2/3) misses 1, and the offsets have denominator 3
+THIRDS = map_from_config({"codomain": ["0", "1"], "branches": [
+    {"domain": ["1/6", "2/3"], "kind": "affine", "coeffs": ["2", "-1/3"]},
+    {"domain": ["2/3", "1"], "kind": "affine", "coeffs": ["2", "-4/3"]}]})[0]
+
+# x -> 2x + 1 on (-1, 0) and 2x - 29/10 on (19/20, 1), on (-1, 1): the
+# second inverse (y + 29/10) / 2 shifts by more than the codomain's width
+FAR_SHIFT = map_from_config({"codomain": ["-1", "1"], "branches": [
+    {"domain": ["-1", "0"], "kind": "affine", "coeffs": ["2", "1"]},
+    {"domain": ["19/20", "1"], "kind": "affine", "coeffs": ["2", "-29/10"]}]})[0]
+
+
 def test_int64_kernel_hands_back_past_two_to_the_63():
-    # D0 = 4 on the doubling map: level 60 is the last with 4 * 2**n < 2**63
+    # level 1 of the doubling map with hole (1/4, 1/2) is (0, 1/4), (1/2, 1):
+    # den starts at lcm(4, 2, 1) = 4 and doubles, so level n has den
+    # 2**(n+1).  The inverses y/2 and (y+1)/2 give growth max(1, 1, 2) = 2,
+    # and the step from level n runs while 2**(n+1) * 2 < 2**63: up to
+    # n = 60, so level 61 is the last on int64
     m = build_d_adic(2)
     hole = H((Fraction(1, 4), Fraction(1, 2)))
     fast = refine_on("int64", m, hole, 64)
-    assert int64_levels(fast) == [False] + [True] * 59 + [False] * 4
+    assert int64_levels(fast) == [False] + [True] * 60 + [False] * 3
+    assert fast._levels[60].den == 2 ** 62
     slow = refine_on("generic", m, hole, 64)
     assert_same_tree(fast, slow)
     assert fast.component_intervals(64)[0][1] == Fraction(1, 2 ** 65)
+    # the inverse matrices (3, 1, 0, 6) and (3, 4, 0, 6) of THIRDS reduce
+    # by gcd 3 to (y + 1/3) / 2 and (y + 4/3) / 2: den starts at
+    # lcm(6, 3) = 6 and doubles per level.  Unreduced, den would be 6**n
+    # at level n and level 24 the last on int64
+    hole = H((Fraction(5, 6), Fraction(1)))
+    fast = refine_on("int64", THIRDS, hole, 30)
+    assert int64_levels(fast) == [False] + [True] * 29
+    assert fast._levels[29].den == 6 * 2 ** 29
+    assert_same_tree(fast, refine_on("generic", THIRDS, hole, 30))
+    # FAR_SHIFT has r = 1, delta = 2 and |beta| = 29/10, so growth is 29/10;
+    # den starts at lcm(20, 3, 10) = 60, level n has den 30 * 2**n, and the
+    # step from level n runs while 87 * 2**n < 2**63: up to n = 56.  Both
+    # branches pull a component back at every level, so a guard without
+    # |beta| would write beta den past int64 in the step from level 57
+    hole = H((Fraction(-1, 3), Fraction(19, 20)))
+    fast = refine_on("int64", FAR_SHIFT, hole, 64)
+    assert int64_levels(fast) == [False] + [True] * 56 + [False] * 7
+    assert all(lv.links()[0] == [0, 1] for lv in fast._levels)
+    assert_same_tree(fast, refine_on("generic", FAR_SHIFT, hole, 64))
 
 
 def test_int64_levels_return_python_values():
@@ -341,31 +380,36 @@ TWO_SLOPES = map_from_config({"codomain": ["0", "1"], "branches": [
 FAREY_AS = [Fraction(1, 2), Fraction(3, 5), Fraction(4, 5), Fraction(1)]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(hole=exact_holes(min_pieces=0),
        pmap=st.sampled_from(FAREY_AS).map(lambda a: ("farey", a))
        | st.sampled_from(FAREY_AS).map(lambda a: ("negated farey", a))
-       | st.just(("two slopes", None)),
+       | st.sampled_from([TWO_SLOPES, AFFINE_5_2, TENT, GAP_MAP, DECREASING_MOEBIUS,
+                          THIRDS]).map(lambda m: ("map", m)),
        depth=st.integers(2, 11))
 # a hole next to the fixed point 0 of the left Farey branch, and one cutting
 # both branches of the negated map
 @example(hole=H((Fraction(0), Fraction(1, 64))), pmap=("farey", Fraction(4, 5)), depth=11)
 @example(hole=H((Fraction(1, 3), Fraction(3, 5))), pmap=("negated farey", Fraction(3, 5)),
          depth=11)
+@example(hole=H((Fraction(5, 6), Fraction(1))), pmap=("map", AFFINE_5_2), depth=11)
+# the third inverse (2y + 10/3) / 5 needs a 3 in den that no window end has
+@example(hole=H(), pmap=("map", AFFINE_5_2), depth=6)
+# the window image (1/2, 1) of the second branch: den is 3**n, so the run
+# search rounds 1/2 to the grid
+@example(hole=H((Fraction(2, 3), Fraction(1))), pmap=("map", TWO_SLOPES), depth=3)
 def test_int64_pairs_agree_with_pair_lists(hole, pmap, depth):
-    kind, a = pmap
+    kind, pmap = pmap
     if kind == "farey":
-        pmap = build_scaled_farey(a)
+        pmap = build_scaled_farey(pmap)
     elif kind == "negated farey":
-        pmap, hole = negated_farey(a), negated(hole)
-    else:
-        pmap = TWO_SLOPES
-    assert cylinders._try_uniform_affine(pmap, hole, cylinders._PairKernel(
-        pmap, hole).windows) is None
+        pmap, hole = negated_farey(pmap), negated(hole)
     fast = refine_on("int64", pmap, hole, depth)
     # heights stay below 2^40 on these maps to level 11
     assert int64_levels(fast) == [False] + [True] * (fast.depth - 1)
-    assert all(lv.den is None for lv in fast._levels)
+    # a shared den exactly when every branch is affine
+    affine = all(isinstance(b.kind, Affine) for b in pmap.branches)
+    assert [lv.den is not None for lv in fast._levels[1:]] == [affine] * (fast.depth - 1)
     assert_same_tree(fast, refine_on("generic", pmap, hole, depth))
 
 
@@ -391,7 +435,7 @@ def test_int64_pairs_hand_back_to_pair_lists_past_int64():
     fast = refine_on("int64", farey, hole, 6)
     assert not any(int64_levels(fast))
     assert_same_tree(fast, refine_on("generic", farey, hole, 6))
-    kernel = cylinders._PairArrayKernel(cylinders._PairKernel(farey, hole))
+    kernel = cylinders._ArrayKernel(cylinders._PairKernel(farey, hole))
     assert kernel.columns(cylinders._Level(None, [(1, 8)], [(1, 4)], [-1], [0]), 1) is None
 
 
@@ -403,15 +447,20 @@ def test_component_cap_inside_an_int64_pairs_step(hole):
     first = int((tree._levels[-1].branch == 0).sum())
     assert 0 < first < tree.counts[-1]
     cap = (first + tree.counts[-1]) // 2
-    pulled = []
-    pull = cylinders._PairArrayKernel.pull
+    steps, pulled = [], []
+    step, pull = cylinders._ArrayKernel.step, cylinders._ArrayKernel.pull
 
-    def recording_pull(self, b, n, x, out):
-        pulled.append(n)
-        return pull(self, b, n, x, out)
+    def recording_step(self, cur, columns, n, cap):
+        steps.append(n)
+        return step(self, cur, columns, n, cap)
+
+    def recording_pull(self, *args):
+        pulled.append(steps[-1])
+        return pull(self, *args)
 
     with only_kernel("int64"), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cylinders._PairArrayKernel, "pull", recording_pull)
+        mp.setattr(cylinders._ArrayKernel, "step", recording_step)
+        mp.setattr(cylinders._ArrayKernel, "pull", recording_pull)
         with pytest.raises(ResourceLimitError, match=f"cap {cap} exceeded at level 10$"):
             refine(farey, hole, 10, component_cap=cap)
         # the step to level 10 raised before writing a run
@@ -446,6 +495,12 @@ def test_component_cap_at_level_one():
     with pytest.raises(ResourceLimitError, match="^component cap 3 exceeded at level 1$"):
         refine(build_d_adic(5), Hole.empty(), 2, component_cap=3)
     assert refine(build_d_adic(5), Hole.empty(), 1, component_cap=5).counts == [5]
+
+
+def test_negative_component_cap_is_an_input_error():
+    # refused before level 1 is built, not reported as a cap exceeded there
+    with pytest.raises(InvalidParameterError, match="^component_cap must be >= 0$"):
+        refine(build_d_adic(2), Hole.empty(), 3, component_cap=-1)
 
 
 @pytest.mark.parametrize("hole", [Hole.empty(), H((Fraction(1, 3), Fraction(3, 8)))])

@@ -72,6 +72,21 @@ def test_grid_degenerate_two_points():
     assert len(res.rows) == 2
 
 
+@pytest.mark.parametrize("engine, depth, message", [
+    ("bogus", 20, "unknown engine 'bogus'"),
+    ("oracle", 0, "oracle engine needs depth >= 1")])
+def test_sweep_refuses_a_bad_engine_before_the_first_row(monkeypatch, engine, depth,
+                                                         message):
+    calls = []
+    monkeypatch.setattr("holed_entropy.regularity.entropy_at",
+                        lambda *args: calls.append(args))
+    spec = SweepSpec(SlidingHoleFamily(F(1, 12)), F(1, 10), F(1, 5), 3,
+                     engine=engine, depth=depth)
+    with pytest.raises(InvalidParameterError, match=message):
+        run_sweep(spec)
+    assert calls == []
+
+
 def test_sweep_left_hole_monotone_kneading():
     spec = SweepSpec(LeftHoleFamily(), F(9, 16), F(15, 16), 33, engine="kneading")
     res = run_sweep(spec)
