@@ -8,11 +8,9 @@ families and estimating local regularity of the entropy.
 
 __version__ = "0.1.0"
 
-from .cylinders import (Cylinder, EngineComparison, ExpansionDiagnostics,
-                        LocallyConstantWeight, RefinementTree, compare_engines,
-                        entropy_estimate, expansion_diagnostics,
-                        export_level_counts, left_hole_parameter,
-                        pressure_estimate, refine)
+from .cylinders import (Cylinder, ExpansionDiagnostics, LocallyConstantWeight,
+                        RefinementTree, entropy_estimate, expansion_diagnostics,
+                        export_level_counts, pressure_estimate, refine)
 from .errors import (EmptyPartitionError, HoledEntropyError,
                      InvalidParameterError, NoRootError, NotFinitelyMarkovError,
                      ResourceLimitError)
@@ -26,10 +24,10 @@ from .mapmodel import (Affine, Branch, Hole, IntervalOpen, Moebius,
 from .markov import (MarkovEntropy, MarkovRefinement, SpectralReport,
                      TransitionMatrix, entropy_markov, refine_markov,
                      spectral_report, to_dot, transition_matrix)
-from .regularity import (CustomFamily, HolderBoundReport, HolderEstimate,
-                         LeftHoleFamily, SlidingHoleFamily, SweepResult,
-                         SweepRow, SweepSpec, emit_csv, emit_svg_plot,
-                         entropy_at, holder_estimate, run_sweep,
-                         verify_holder_bound)
+from .regularity import (CustomFamily, EngineComparison, HolderBoundReport,
+                         HolderEstimate, LeftHoleFamily, SlidingHoleFamily,
+                         SweepResult, SweepRow, SweepSpec, compare_engines,
+                         emit_csv, emit_svg_plot, entropy_at, holder_estimate,
+                         left_hole_parameter, run_sweep, verify_holder_bound)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,11 +19,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
 from . import kneading, markov
-from .cylinders import (DEFAULT_COMPONENT_CAP, compare_engines, entropy_estimate,
+from .cylinders import (DEFAULT_COMPONENT_CAP, entropy_estimate,
                         expansion_diagnostics, export_level_counts, refine)
 from .errors import (HoledEntropyError, InvalidParameterError, NoRootError,
                      NotFinitelyMarkovError, ResourceLimitError)
@@ -31,8 +32,9 @@ from .kneading import entropy_left_hole
 from .mapmodel import (Hole, PiecewiseMap, build_d_adic, build_scaled_farey,
                        load_map_config, map_to_config, parse_rational)
 from .markov import entropy_markov, to_dot
-from .regularity import (LeftHoleFamily, SlidingHoleFamily, SweepSpec, emit_csv,
-                         emit_svg_plot, holder_estimate, run_sweep)
+from .regularity import (ENGINES, LeftHoleFamily, SlidingHoleFamily, SweepSpec,
+                         compare_engines, emit_csv, emit_svg_plot,
+                         holder_estimate, run_sweep, solve)
 
 _ENGINE_ERRORS = (NotFinitelyMarkovError, ResourceLimitError, NoRootError)
 
@@ -118,51 +120,24 @@ def _emit_json(obj, path: str | None):
 
 def _cmd_entropy(args) -> int:
     pmap, hole = _map_and_hole(args)
-    if args.engine == "kneading":
-        from .cylinders import left_hole_parameter
-        a = left_hole_parameter(pmap, hole)
-        if a is None:
-            raise InvalidParameterError(
-                "the kneading engine needs the doubling map with hole a,1 "
-                "for exact a in (1/2, 1)")
-        tol = kneading.DEFAULT_TOL if args.tol is None else args.tol
-        res = entropy_left_hole(a, tol=tol)
-        print(f"entropy = {res.entropy:.15g}  (engine=kneading, p={res.p}, "
-              f"error_bound={res.entropy_bound:.3g})")
-        if args.json:
-            _emit_json(res.to_json(), args.json)
-        return 0
-    if args.engine == "markov":
-        tol = markov.DEFAULT_TOL if args.tol is None else args.tol
-        res = entropy_markov(pmap, hole, tol=tol)
-        print(f"entropy = {res.entropy:.15g}  (engine=markov, "
-              f"p={res.report.pole_order_p}, rho={res.report.rho:.15g})")
-        if args.json:
-            _emit_json(res.to_json(), args.json)
-        return 0
-    if args.engine == "oracle":
-        tree = refine(pmap, hole, args.depth)
-        h, count = entropy_estimate(tree, args.depth), tree.count(args.depth)
-        print(f"entropy = {h:.15g}  (engine=oracle, level={args.depth}, "
-              f"count={count})")
-        if args.json:
-            _emit_json({"level": args.depth, "count": count, "entropy": h},
-                       args.json)
-        return 0
     if args.engine == "compare":
         rep = compare_engines(pmap, hole, args.depth)
-        out = {
-            "level": rep.level,
-            "oracle_count": rep.oracle_count,
-            "oracle_entropy": rep.oracle_entropy,
-            "kneading_entropy": rep.kneading_entropy,
-            "markov_entropy": rep.markov_entropy,
-            "differences": rep.differences,
-            "applicable": rep.applicable_engines(),
-        }
-        _emit_json(out, args.json)
+        _emit_json({**asdict(rep), "applicable": rep.applicable_engines()},
+                   args.json)
         return 0
-    raise InvalidParameterError(f"unknown engine {args.engine!r}")
+    res, (h, p, bound) = solve(args.engine, pmap, hole, args.depth, args.tol)
+    if args.engine == "oracle":
+        count = res.count(args.depth)
+        detail = f"level={args.depth}, count={count}"
+        report = {"level": args.depth, "count": count, "entropy": h}
+    else:
+        detail = (f"p={p}, error_bound={bound:.3g}" if args.engine == "kneading"
+                  else f"p={p}, rho={res.report.rho:.15g}")
+        report = res.to_json()
+    print(f"entropy = {h:.15g}  (engine={args.engine}, {detail})")
+    if args.json:
+        _emit_json(report, args.json)
+    return 0
 
 
 def _cmd_tower(args) -> int:
@@ -300,8 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="entropy of one map/hole pair")
     common(p)
-    p.add_argument("--engine", default="kneading",
-                   choices=["kneading", "markov", "oracle", "compare"])
+    p.add_argument("--engine", default="kneading", choices=[*ENGINES, "compare"])
     p.add_argument("--depth", type=int, default=20, help="oracle/compare level")
     p.add_argument("--tol", type=float, help="default: the engine's own")
     p.set_defaults(fn=_cmd_entropy)
@@ -338,8 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True)
     p.add_argument("--end", required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--engine", default="kneading",
-                   choices=["kneading", "markov", "oracle"])
+    p.add_argument("--engine", default="kneading", choices=ENGINES)
     p.add_argument("--oracle-depth", type=int, default=20,
                    help="refinement level of the oracle engine")
     p.add_argument("--extra", nargs="*", help="extra exact grid points")
@@ -361,8 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="finest scale 2^-k")
     p.add_argument("--inflate", type=float, default=0.0,
                    help="exponent offset for the bound check")
-    p.add_argument("--engine", default="kneading",
-                   choices=["kneading", "markov", "oracle"])
+    p.add_argument("--engine", default="kneading", choices=ENGINES)
     p.set_defaults(fn=_cmd_holder)
 
     p = sub.add_parser("diag", help="expansion diagnostics / config dump")

@@ -52,9 +52,8 @@ from typing import Optional, Sequence
 
 from .errors import (EmptyPartitionError, InvalidParameterError,
                      ResourceLimitError)
-from .mapmodel import (D_ADIC_MAX, Affine, Branch, Hole, IntervalOpen,
-                       PiecewiseMap, _exact, _int_pair, build_d_adic,
-                       subtract_pieces)
+from .mapmodel import (Affine, Branch, Hole, IntervalOpen, PiecewiseMap,
+                       _exact, _int_pair, d_adic_degree, subtract_pieces)
 
 DEFAULT_COMPONENT_CAP = 10_000_000
 
@@ -675,16 +674,10 @@ def _is_full_branch_affine(pmap: PiecewiseMap) -> bool:
     return True
 
 
-def _d_adic_degree(pmap: PiecewiseMap) -> Optional[int]:
-    """d when the map is ``build_d_adic(d)``, else None."""
-    d = len(pmap.branches)
-    return d if 2 <= d <= D_ADIC_MAX and pmap == build_d_adic(d) else None
-
-
 def _cylinder_interval(pmap: PiecewiseMap, word: Sequence[int],
                        d: Optional[int] = None):
     """Endpoints of the unrestricted cylinder with the given itinerary; ``d``
-    is the map's :func:`_d_adic_degree`, which takes a closed form."""
+    is the map's :func:`~.mapmodel.d_adic_degree`, which takes a closed form."""
     n = len(word)
     if d is not None:
         v = 0
@@ -764,7 +757,7 @@ def expansion_diagnostics(pmap: PiecewiseMap, n: int, hole: Hole | None = None,
                     "overflow a float")
             return ExpansionDiagnostics(n, theta_n, lambda_n, xi_n, a_n, A_n)
         survivors = refine(pmap, hole, n).cylinders(n)
-        d = _d_adic_degree(pmap)
+        d = d_adic_degree(pmap)
         table = {c.itinerary: (_cylinder_interval(pmap, c.itinerary, d),
                                math.prod(slopes[w] for w in c.itinerary), m_I)
                  for c in survivors}
@@ -794,66 +787,6 @@ def expansion_diagnostics(pmap: PiecewiseMap, n: int, hole: Hole | None = None,
         A_prime = float(prod) * (2.0 + var) * float(Fraction(sup) / m_img)
         A_n = max(A_n, A_prime + float(prod) * float(sup))
     return ExpansionDiagnostics(n, theta_n, lambda_n, xi_n, a_n, A_n)
-
-
-# ---------------------------------------------------------------------------
-# cross-engine comparison
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EngineComparison:
-    level: int
-    oracle_count: int
-    oracle_entropy: float
-    kneading_entropy: Optional[float]
-    markov_entropy: Optional[float]
-    differences: dict
-
-    def applicable_engines(self) -> list[str]:
-        out = ["oracle"]
-        if self.kneading_entropy is not None:
-            out.append("kneading")
-        if self.markov_entropy is not None:
-            out.append("markov")
-        return out
-
-
-def left_hole_parameter(pmap: PiecewiseMap, hole: Hole) -> Optional[Fraction]:
-    """The parameter a when (map, hole) is the doubling map with hole [a, 1]."""
-    if len(hole.pieces) != 1 or _d_adic_degree(pmap) != 2:
-        return None
-    lo, hi = hole.pieces[0]
-    if hi != 1 or not (Fraction(1, 2) < lo < 1):
-        return None
-    return lo
-
-
-def compare_engines(pmap: PiecewiseMap, hole: Hole, n: int) -> EngineComparison:
-    """Run every applicable engine and report absolute differences.
-
-    Inapplicable engines are reported as absent, never as errors.
-    """
-    tree = refine(pmap, hole, n)
-    oracle_h = entropy_estimate(tree, n)
-    kn = None
-    a = left_hole_parameter(pmap, hole)
-    if a is not None:
-        from .kneading import entropy_left_hole
-        kn = entropy_left_hole(a).root.entropy
-    from .errors import NotFinitelyMarkovError
-    from .markov import entropy_markov
-    try:
-        mk = entropy_markov(pmap, hole).entropy
-    except (NotFinitelyMarkovError, ResourceLimitError):
-        mk = None
-    diffs = {}
-    if kn is not None:
-        diffs["oracle_vs_kneading"] = abs(oracle_h - kn)
-    if mk is not None:
-        diffs["oracle_vs_markov"] = abs(oracle_h - mk)
-    if kn is not None and mk is not None:
-        diffs["kneading_vs_markov"] = abs(kn - mk)
-    return EngineComparison(n, tree.count(n), oracle_h, kn, mk, diffs)
 
 
 # ---------------------------------------------------------------------------

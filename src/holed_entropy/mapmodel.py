@@ -306,6 +306,19 @@ def build_d_adic(d: int) -> PiecewiseMap:
     return PiecewiseMap(I, tuple(branches))
 
 
+def d_adic_degree(pmap: PiecewiseMap) -> int | None:
+    """d when ``pmap`` equals ``build_d_adic(d)``, else None; reads the
+    fields and builds no map."""
+    d = len(pmap.branches)
+    if not 2 <= d <= D_ADIC_MAX or pmap.codomain.as_raw() != (0, 1):
+        return None
+    for k, b in enumerate(pmap.branches):
+        if not (isinstance(b.kind, Affine) and (b.kind.slope, b.kind.offset) == (d, -k)
+                and b.domain.as_raw() == (Fraction(k, d), Fraction(k + 1, d))):
+            return None
+    return d
+
+
 def build_doubling() -> PiecewiseMap:
     return build_d_adic(2)
 

@@ -1,13 +1,17 @@
-"""Parameter sweeps over hole families and empirical regularity estimates.
+"""The engine table, sweeps over hole families and regularity estimates.
 
-A sweep evaluates one entropy engine over an exact rational grid of hole
-parameters, serially and in grid order.  The regularity estimator samples
-entropy differences around a base point once across a geometric ladder of
-scales and fits a log-log exponent; its bound check tests boundedness of the
-fitted constant on the same samples: a genuine exponent keeps the per-mesh
-constants within a fixed factor across the ladder, while an overshot
-exponent makes them grow geometrically.  No limit claims are made anywhere;
-everything is reported per mesh.
+:func:`solve` maps an engine name in ``ENGINES`` and a (map, hole) to the
+engine's result and its (entropy, p, bound) reading, and
+:func:`left_hole_parameter` is the tower engine's one applicability rule;
+sweeps, the Hoelder estimate, :func:`compare_engines` and the CLI go
+through them.  A sweep evaluates one entropy engine over an exact rational
+grid of hole parameters, serially and in grid order.  The regularity
+estimator samples entropy differences around a base point once across a
+geometric ladder of scales and fits a log-log exponent; its bound check
+tests boundedness of the fitted constant on the same samples: a genuine
+exponent keeps the per-mesh constants within a fixed factor across the
+ladder, while an overshot exponent makes them grow geometrically.  No limit
+claims are made anywhere; everything is reported per mesh.
 """
 
 from __future__ import annotations
@@ -15,17 +19,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from .cylinders import entropy_estimate, refine
-from .errors import HoledEntropyError, InvalidParameterError
+from .errors import (HoledEntropyError, InvalidParameterError,
+                     NotFinitelyMarkovError, ResourceLimitError)
 from .kneading import entropy_left_hole
-from .mapmodel import Hole, PiecewiseMap, build_doubling
+from .mapmodel import Hole, PiecewiseMap, build_doubling, d_adic_degree
 from .markov import entropy_markov
 
 # the doubling-map families share one map, built once (PiecewiseMap is frozen)
 _DOUBLING = build_doubling()
 _HALF = Fraction(1, 2)
+
+ENGINES = ("kneading", "markov", "oracle")
 
 # a genuine Hoelder exponent keeps the per-mesh constants within this factor
 # of each other across the ladder
@@ -94,28 +102,99 @@ class CustomFamily:
 
 
 # ---------------------------------------------------------------------------
-# engine dispatch
+# the engine table
 # ---------------------------------------------------------------------------
+
+def left_hole_parameter(pmap: PiecewiseMap, hole: Hole) -> Optional[Fraction]:
+    """The parameter a when (map, hole) is the doubling map with hole [a, 1],
+    1/2 < a < 1: the tower engine's one applicability rule."""
+    if len(hole.pieces) != 1 or d_adic_degree(pmap) != 2:
+        return None
+    lo, hi = hole.pieces[0]
+    if hi != 1 or not (_HALF < lo < 1):
+        return None
+    return lo
+
+
+def _tower_parameter(pmap: PiecewiseMap, hole: Hole) -> Fraction:
+    """:func:`left_hole_parameter`, refusing what the tower engine does not cover."""
+    a = left_hole_parameter(pmap, hole)
+    if a is None:
+        raise InvalidParameterError(
+            "the kneading engine needs the doubling map with hole a,1 "
+            "for exact a in (1/2, 1)")
+    return a
+
+
+def solve(engine: str, pmap: PiecewiseMap, hole: Hole, depth: int = 20,
+          tol: Optional[float] = None) -> tuple:
+    """The engine's own result (``LeftHoleEntropy``, ``MarkovEntropy`` or
+    ``RefinementTree``) and its reading (entropy, pole order if known, bound
+    on the entropy's error if known).  ``depth`` is the oracle engine's
+    refinement level, ``tol`` the tower or Markov engine's root tolerance
+    (None: the engine's default)."""
+    kw = {} if tol is None else {"tol": tol}
+    if engine == "kneading":
+        res = entropy_left_hole(_tower_parameter(pmap, hole), **kw)
+        return res, (res.entropy, res.p, res.entropy_bound)
+    if engine == "markov":
+        res = entropy_markov(pmap, hole, **kw)
+        return res, (res.entropy, res.report.pole_order_p, res.error_bound)
+    if engine == "oracle":
+        tree = refine(pmap, hole, depth)
+        return tree, (entropy_estimate(tree, depth), None, None)
+    raise InvalidParameterError(f"unknown engine {engine!r}")
+
 
 def entropy_at(family, s: Fraction, engine: str, depth: int = 20
                ) -> tuple[float, Optional[int], Optional[float]]:
-    """(entropy, pole order if known, bound on the entropy's error if known)
-    at one parameter; ``depth`` is the oracle engine's refinement level."""
+    """:func:`solve`'s reading at one admissible parameter of the family."""
     s = Fraction(s)
     if not family.admissible(s):
         raise InvalidParameterError(f"parameter {s} is outside the family range")
-    if engine == "kneading":
-        if not isinstance(family, LeftHoleFamily):
-            raise InvalidParameterError("the kneading engine only covers left holes")
+    if engine == "kneading" and isinstance(family, LeftHoleFamily):
+        # the hole is [s, 1] on the doubling map by construction, so the
+        # tower rule would return s: skip building the hole to ask it
         res = entropy_left_hole(s)
         return res.entropy, res.p, res.entropy_bound
-    if engine == "markov":
-        res = entropy_markov(family.map(), family.hole(s))
-        return res.entropy, res.report.pole_order_p, res.error_bound
-    if engine == "oracle":
-        tree = refine(family.map(), family.hole(s), depth)
-        return entropy_estimate(tree, depth), None, None
-    raise InvalidParameterError(f"unknown engine {engine!r}")
+    return solve(engine, family.map(), family.hole(s), depth)[1]
+
+
+@dataclass
+class EngineComparison:
+    level: int
+    oracle_count: int
+    oracle_entropy: float
+    kneading_entropy: Optional[float]
+    markov_entropy: Optional[float]
+    differences: dict
+
+    def applicable_engines(self) -> list[str]:
+        out = ["oracle"]
+        if self.kneading_entropy is not None:
+            out.append("kneading")
+        if self.markov_entropy is not None:
+            out.append("markov")
+        return out
+
+
+def compare_engines(pmap: PiecewiseMap, hole: Hole, n: int) -> EngineComparison:
+    """Run every applicable engine and report absolute differences.
+
+    Inapplicable engines are reported as absent, never as errors.
+    """
+    tree, (oracle_h, _, _) = solve("oracle", pmap, hole, n)
+    h = {"oracle": oracle_h, "kneading": None, "markov": None}
+    if left_hole_parameter(pmap, hole) is not None:
+        h["kneading"] = solve("kneading", pmap, hole)[1][0]
+    try:
+        h["markov"] = solve("markov", pmap, hole)[1][0]
+    except (NotFinitelyMarkovError, ResourceLimitError):
+        pass
+    diffs = {f"{a}_vs_{b}": abs(h[a] - h[b]) for a, b in combinations(h, 2)
+             if h[a] is not None and h[b] is not None}
+    return EngineComparison(n, tree.count(n), oracle_h, h["kneading"],
+                            h["markov"], diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +266,19 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the engine on every grid point, serially and in grid order;
     failures flag the row and the sweep continues.  The metadata carries no
     wall clock, so identical specs give identical results.  A bad grid, an
-    unknown engine or an oracle depth below 1 is refused before the first
-    row."""
+    unknown engine, an oracle depth below 1 or a kneading sweep whose first
+    hole the tower engine does not cover is refused before the first row."""
     pts = spec.grid()
-    if spec.engine not in ("kneading", "markov", "oracle"):
+    if spec.engine not in ENGINES:
         raise InvalidParameterError(f"unknown engine {spec.engine!r}")
     if spec.engine == "oracle" and spec.depth < 1:
         raise InvalidParameterError("the oracle engine needs depth >= 1")
     for s in pts:
         if not spec.family.admissible(s):
             raise InvalidParameterError(f"grid point {s} is outside the family range")
+    # a LeftHoleFamily builds left holes of the doubling map by construction
+    if spec.engine == "kneading" and not isinstance(spec.family, LeftHoleFamily):
+        _tower_parameter(spec.family.map(), spec.family.hole(pts[0]))
 
     def work(s: Fraction) -> SweepRow:
         try:

@@ -554,6 +554,22 @@ def test_holder_samples_the_ladder_once(capsys, monkeypatch):
     assert len(calls) == 23  # h(3/4) plus h(3/4 +- 2^-k) for k = 6..16
 
 
+def test_a_kneading_sweep_of_sliding_holes_is_refused_before_any_row(capsys,
+                                                                     monkeypatch):
+    # the tower engine covers left holes only; every row would fail
+    from holed_entropy import regularity
+
+    def never(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(regularity, "entropy_at", never)
+    code, out, err = run(capsys, "sweep", "--family", "sliding", "--width", "1/12",
+                         "--start", "1/10", "--end", "1/5", "--count", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: the kneading engine needs the doubling map with hole "
+                   "a,1 for exact a in (1/2, 1)\n")
+
+
 def test_sweep_oracle_engine(capsys, tmp_path):
     csv = tmp_path / "o.csv"
     code, out, _ = run(capsys, "sweep", "--family", "sliding", "--width", "1/12",

@@ -16,8 +16,9 @@ from holed_entropy import (EmptyPartitionError, Hole, InvalidParameterError,
                            expansion_diagnostics, export_level_counts,
                            pressure_estimate, refine)
 from holed_entropy import cylinders
-from holed_entropy.cylinders import left_hole_parameter
+from holed_entropy import mapmodel
 from holed_entropy.mapmodel import Affine, map_from_config, subtract_pieces
+from holed_entropy.regularity import left_hole_parameter
 
 
 def ex(x):
@@ -879,26 +880,35 @@ def test_left_hole_parameter_detection():
     assert left_hole_parameter(build_d_adic(3), RIGHT_HOLE) is None
 
 
-def test_left_hole_parameter_recognises_the_doubling_map_by_value():
+def test_left_hole_parameter_recognises_the_doubling_map_by_value(monkeypatch):
     import json
     from holed_entropy.mapmodel import (Affine, Branch, IntervalOpen,
                                         PiecewiseMap, map_to_config)
     cfg = json.loads(json.dumps(map_to_config(build_d_adic(2))))
     read_back, _ = map_from_config(cfg)
     assert read_back is not build_d_adic(2)
-    assert left_hole_parameter(read_back, RIGHT_HOLE) == Fraction(3, 4)
     half = Fraction(1, 2)
     tent = PiecewiseMap(IntervalOpen(0, 1),
                         (Branch(IntervalOpen(0, half), Affine(2, 0)),
                          Branch(IntervalOpen(half, 1), Affine(-2, 2))))
+    farey = build_scaled_farey(1)
+
+    def no_branch(*args, **kwargs):
+        raise AssertionError("the rule built a map")
+
+    # the inputs are built: from here on a map build fails the test
+    monkeypatch.setattr(mapmodel, "Branch", no_branch)
+    assert left_hole_parameter(read_back, RIGHT_HOLE) == Fraction(3, 4)
     assert left_hole_parameter(tent, RIGHT_HOLE) is None
-    assert left_hole_parameter(build_scaled_farey(1), RIGHT_HOLE) is None
+    assert left_hole_parameter(farey, RIGHT_HOLE) is None
+    with pytest.raises(AssertionError, match="built a map"):
+        build_d_adic(2)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_d_adic_cylinder_formula_matches_the_generic_inversion(d):
     m = build_d_adic(d)
-    assert cylinders._d_adic_degree(m) == d
+    assert mapmodel.d_adic_degree(m) == d
     rng = random.Random(d)
     for _ in range(200):
         word = [rng.randrange(d) for _ in range(rng.randint(1, 12))]

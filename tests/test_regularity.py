@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -13,8 +14,11 @@ from holed_entropy import (CustomFamily, Hole, InvalidParameterError,
                            build_d_adic, emit_csv, emit_svg_plot,
                            entropy_left_hole, hole_dist, holder_estimate,
                            run_sweep, verify_holder_bound)
+from holed_entropy import regularity
+from holed_entropy.cylinders import entropy_estimate
+from holed_entropy.mapmodel import Affine, Branch, IntervalOpen, PiecewiseMap
 from holed_entropy.markov import entropy_markov
-from holed_entropy.regularity import entropy_at
+from holed_entropy.regularity import entropy_at, solve
 
 LOG2 = math.log(2)
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
@@ -74,7 +78,8 @@ def test_grid_degenerate_two_points():
 
 @pytest.mark.parametrize("engine, depth, message", [
     ("bogus", 20, "unknown engine 'bogus'"),
-    ("oracle", 0, "oracle engine needs depth >= 1")])
+    ("oracle", 0, "oracle engine needs depth >= 1"),
+    ("kneading", 20, "kneading engine needs the doubling map with hole a,1")])
 def test_sweep_refuses_a_bad_engine_before_the_first_row(monkeypatch, engine, depth,
                                                          message):
     calls = []
@@ -315,6 +320,57 @@ def test_bound_check_matches_verify_holder_bound():
 def test_entropy_at_engine_mismatch():
     with pytest.raises(InvalidParameterError):
         entropy_at(SlidingHoleFamily(F(1, 12)), F(3, 4), "kneading")
+
+
+@pytest.mark.parametrize("s", [F(3, 4), F(2, 3), F(9004, 9007)])
+def test_a_custom_family_of_left_holes_reaches_the_tower_engine(s):
+    # one tower rule: the doubling map with hole [s, 1] is a left hole
+    # whichever family builds it (9004/9007 passes the orbit cap: enclosed)
+    custom = CustomFamily(build_d_adic(2), lambda s: Hole([(s, 1)]))
+    assert entropy_at(custom, s, "kneading") == entropy_at(LeftHoleFamily(), s,
+                                                           "kneading")
+
+
+def test_a_custom_family_of_left_holes_on_the_tent_map_is_refused():
+    half = F(1, 2)
+    tent = PiecewiseMap(IntervalOpen(0, 1),
+                        (Branch(IntervalOpen(0, half), Affine(2, 0)),
+                         Branch(IntervalOpen(half, 1), Affine(-2, 2))))
+    custom = CustomFamily(tent, lambda s: Hole([(s, 1)]))
+    with pytest.raises(InvalidParameterError, match="kneading engine needs"):
+        entropy_at(custom, F(3, 4), "kneading")
+
+
+def test_solve_returns_the_engine_result_and_its_reading():
+    m, hole = build_d_adic(2), Hole([(F(3, 4), 1)])
+    res, reading = solve("kneading", m, hole)
+    assert reading == (res.entropy, 1, res.entropy_bound)
+    assert res.entropy == entropy_left_hole(F(3, 4)).entropy
+    res, reading = solve("markov", m, hole, tol=1e-9)
+    assert reading == (res.entropy, res.report.pole_order_p, res.error_bound)
+    assert res.entropy == entropy_markov(m, hole, tol=1e-9).entropy
+    tree, reading = solve("oracle", m, hole, 12)
+    assert reading == (entropy_estimate(tree, 12), None, None)
+    assert tree.count(12) == 377
+
+
+def test_solve_refuses_an_unknown_engine():
+    with pytest.raises(InvalidParameterError, match="unknown engine 'bogus'"):
+        solve("bogus", build_d_adic(2), Hole([(F(3, 4), 1)]))
+
+
+def test_the_cylinder_engine_imports_no_other_engine():
+    # the engine table lives in regularity; cylinders only counts survivors
+    src = Path(regularity.__file__).with_name("cylinders.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(src)):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[-1] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            if not node.module:  # from . import x
+                imported.update(a.name for a in node.names)
+    assert not imported & {"kneading", "markov", "regularity"}, imported
 
 
 # -- emitters ------------------------------------------------------------------------
