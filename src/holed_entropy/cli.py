@@ -121,7 +121,7 @@ def _emit_json(obj, path: str | None):
 def _cmd_entropy(args) -> int:
     pmap, hole = _map_and_hole(args)
     if args.engine == "compare":
-        rep = compare_engines(pmap, hole, args.depth)
+        rep = compare_engines(pmap, hole, args.depth, args.tol)
         _emit_json({**asdict(rep), "applicable": rep.applicable_engines()},
                    args.json)
         return 0
@@ -277,7 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--engine", default="kneading", choices=[*ENGINES, "compare"])
     p.add_argument("--depth", type=int, default=20, help="oracle/compare level")
-    p.add_argument("--tol", type=float, help="default: the engine's own")
+    p.add_argument("--tol", type=float,
+                   help="root tolerance (not oracle); default: the engine's own")
     p.set_defaults(fn=_cmd_entropy)
 
     p = sub.add_parser("tower", help="boundary-orbit determinant for hole [a,1]")

@@ -77,10 +77,6 @@ class Cylinder:
     components: tuple[IntervalOpen, ...]
 
     @property
-    def level(self) -> int:
-        return len(self.itinerary)
-
-    @property
     def hull(self) -> IntervalOpen:
         return IntervalOpen(self.components[0].lo, self.components[-1].hi)
 
@@ -287,6 +283,24 @@ def _pair_run(los, his, ylo, yhi) -> tuple[int, int, bool, bool]:
     return s, e, clip_first, u * q > p * v
 
 
+def _window_runs(windows, run, columns: tuple, n: int, cap: int) -> tuple[list, int]:
+    """The runs of level n that each window pulls back, as (branch, window
+    lo, window hi, s, e, clip_first, clip_last) with ``run(*columns, ylo,
+    yhi)`` the run ``s:e`` and its clips (:func:`_pair_run`), and their
+    total length; raises when that passes ``cap``."""
+    runs = []
+    total = 0
+    for b, wins in enumerate(windows):
+        for wlo, whi, ylo, yhi in wins:
+            s, e, clip_first, clip_last = run(*columns, ylo, yhi)
+            if s < e:
+                runs.append((b, wlo, whi, s, e, clip_first, clip_last))
+                total += e - s
+    if total > cap:
+        raise _cap_exceeded(cap, n + 1)
+    return runs, total
+
+
 class _PairKernel:
     """Python lists of integer (num, den) endpoint pairs, den > 0; any map.
 
@@ -321,16 +335,7 @@ class _PairKernel:
     def step(self, cur: _Level, n: int, cap: int) -> _Level:
         """Level n+1 from level n, one window at a time."""
         los, his = cur.pairs()
-        runs = []
-        total = 0
-        for b, wins in enumerate(self.windows):
-            for wlo, whi, ylo, yhi in wins:
-                s, e, clip_first, clip_last = _pair_run(los, his, ylo, yhi)
-                if s < e:
-                    runs.append((b, wlo, whi, s, e, clip_first, clip_last))
-                    total += e - s
-        if total > cap:
-            raise _cap_exceeded(cap, n + 1)
+        runs, _ = _window_runs(self.windows, _pair_run, (los, his), n, cap)
         nxt = _Level()
         for b, wlo, whi, s, e, clip_first, clip_last in runs:
             A, B, C, D = self.mats[b]
@@ -492,18 +497,7 @@ class _ArrayKernel:
         np = self.np
         lo, hi, den = columns
         nden = None if den is None else den * self.delta
-        runs = []
-        total = 0
-        for b, wins in enumerate(self.windows):
-            for wlo, whi, ylo, yhi in wins:
-                s, e, clip_first, clip_last = self.run(lo, hi, den, ylo, yhi)
-                if s < e:
-                    if nden is not None:   # the window ends at scale nden
-                        wlo, whi = (u * (nden // v) for u, v in (wlo, whi))
-                    runs.append((b, wlo, whi, s, e, clip_first, clip_last))
-                    total += e - s
-        if total > cap:
-            raise _cap_exceeded(cap, n + 1)
+        runs, total = _window_runs(self.windows, self.run, (lo, hi, den), n, cap)
         rows = () if den is not None else (2,)
         parent_type = np.int32 if len(cur) <= np.iinfo(np.int32).max else np.int64
         nlo = np.empty(rows + (total,), dtype=np.int64)
@@ -512,6 +506,8 @@ class _ArrayKernel:
         branch = np.empty(total, dtype=self.branch_type)
         k = 0
         for b, wlo, whi, s, e, clip_first, clip_last in runs:
+            if nden is not None:   # the window ends at scale nden
+                wlo, whi = (u * (nden // v) for u, v in (wlo, whi))
             j = k + e - s
             if self.signs[b] > 0:
                 self.pull(b, den, lo[..., s:e], nlo[..., k:j])

@@ -20,17 +20,15 @@ factor; the value 1 never contributes a coefficient.
 
 For a = p/q the orbit stays on the points k/q, so the orbit runs on the
 integer numerators and builds the Fraction points only when they are read.
-The polynomial has few nonzero terms (all small integers), and every
-evaluation runs on that sparse form.  Every sign that steers the root search
-comes from the exact dyadic helper :func:`polyexact.sign_at_dyadic`:
+This module keeps the orbit and the determinant; the root is found by
+:func:`polyexact.sparse_root`, which searches the sparse polynomial (few
+nonzero terms, all small integers) with float Newton from the middle of
+(0, 1), checks the bracket around it by exact dyadic signs, and falls back
+to exact-sign bisection.  :func:`leading_root` wraps its bracket as a
+:class:`RootResult`, and :attr:`LeftHoleEntropy.interval` is
+:func:`polyexact.log_bracket` of it, negated.
 
-* float Newton steps from the middle of (0, 1) give r, and the bracket of
-  width at most ``tol`` around r (adjacent floats when ``tol`` is below the
-  float spacing at r) is confirmed by the exact helper at both ends;
-* where that check fails, bisection of (0, 1) on the exact sign takes over,
-  so its bracket holds the root by construction.
-
-``certified`` means the exact helper found d > 0 at the lower end of the
+``certified`` means the exact sign was d > 0 at the lower end of the
 bracket and d < 0 at the upper end (or d = 0 at a zero-width bracket), so the
 root lies inside it.
 
@@ -54,9 +52,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .errors import InvalidParameterError, NoRootError, ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError
 from .mapmodel import _exact
-from .polyexact import poly_trim, sign_at_dyadic
+from .polyexact import log_bracket, poly_trim, sparse_root
 
 DEFAULT_TRUNCATION = 4096
 DEFAULT_TOL = 1e-14
@@ -64,9 +62,6 @@ DEFAULT_TOL = 1e-14
 DEFAULT_EPSILON = 1e-12
 # the most orbit steps build_orbit takes while looking for a repeat
 ORBIT_CAP = 4096
-
-# the most Newton steps that leading_root takes
-_NEWTON_STEPS = 16
 
 _HALF = Fraction(1, 2)
 
@@ -112,16 +107,6 @@ class TowerOrbit:
     def points(self) -> tuple:
         q = self.q
         return (self.a,) + tuple(Fraction(x, q) for x in self.nums[1:])
-
-
-def _t_left_exact(x: Fraction) -> Fraction:
-    """T(x^-) on Fractions; build_orbit runs the same map on the integer
-    numerators of k/q, and the tests check it against this form."""
-    if x < _HALF:
-        return 2 * x
-    if x == _HALF:
-        return Fraction(1)
-    return 2 * x - 1
 
 
 def build_orbit(a) -> TowerOrbit:
@@ -253,118 +238,11 @@ class RootResult:
     certified: bool = False
 
 
-class _SparseForm:
-    """The nonzero terms of a polynomial, evaluated at floats x in [0, 1].
-
-    ``exact`` is the exact sign.  ``value_slope`` and ``newton`` are plain
-    float arithmetic, for estimates that the exact sign then confirms.
-    """
-
-    def __init__(self, polynomial):
-        self.terms = [(k, c) for k, c in enumerate(polynomial) if c]
-        # Horner steps up from each term: gap to the next exponent, and c
-        self.ups = [(hi - lo, c) for (lo, c), (hi, _) in zip(self.terms, self.terms[1:])]
-
-    def exact(self, x: float) -> int:
-        num, den = x.as_integer_ratio()
-        return sign_at_dyadic(self.terms, num, den.bit_length() - 1)
-
-    def value_slope(self, x: float) -> tuple[float, float]:
-        """The float value and derivative at x, in one sparse Horner pass."""
-        acc, slope = float(self.terms[-1][1]), 0.0
-        for g, c in reversed(self.ups):
-            xg = x ** g
-            slope = slope * xg + g * acc * x ** (g - 1)
-            acc = acc * xg + c
-        bottom = self.terms[0][0]
-        if bottom:
-            xb = x ** bottom
-            slope = slope * xb + bottom * acc * x ** (bottom - 1)
-            acc *= xb
-        return acc, slope
-
-    def newton(self, lo: float, hi: float) -> float:
-        """Float Newton from the middle of [lo, hi] until an iterate repeats
-        (a fixed point, or a two-cycle in the rounding noise); a step that
-        would leave the bracket goes halfway to the end it crosses instead."""
-        r = 0.5 * (lo + hi)
-        before = None
-        for _ in range(_NEWTON_STEPS):
-            v, dv = self.value_slope(r)
-            if not dv:
-                break
-            cand = r - v / dv
-            if cand < lo:
-                cand = 0.5 * (r + lo)
-            elif cand > hi:
-                cand = 0.5 * (r + hi)
-            if cand == r or cand == before:
-                return cand
-            before, r = r, cand
-        return r
-
-
-def _bisect(sign, lo: float, hi: float, tol: float):
-    """Bisection of [lo, hi], sign > 0 at lo and < 0 at hi.
-
-    Stops at width <= tol, when lo and hi are adjacent floats (the midpoint
-    rounds onto an end), or at a midpoint that is an exact root, which it
-    returns as a zero-width bracket.
-    """
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        s = sign(mid)
-        if s > 0:
-            lo = mid
-        elif s < 0:
-            hi = mid
-        else:
-            return mid, mid
-    return lo, hi
-
-
-def _newton_bracket(exact, r: float, lo: float, hi: float, tol: float):
-    """The bracket of width <= tol around r inside [lo, hi], or the adjacent
-    floats around the root next to r when tol is below the float spacing
-    there, if the exact sign confirms it; otherwise None."""
-    # ulp(r) pays for rounding r -+ half outward, so the width stays <= tol
-    half = 0.5 * tol - math.ulp(r)
-    lo, hi = max(lo, r - half), min(hi, r + half)
-    if not lo < hi:
-        s = exact(r)
-        if s == 0:
-            return r, r
-        lo, hi = (r, math.nextafter(r, 1.0)) if s > 0 else (math.nextafter(r, 0.0), r)
-    if exact(lo) > 0 > exact(hi):
-        return lo, hi
-    return None
-
-
 def leading_root(series: DeterminantSeries, tol: float = DEFAULT_TOL) -> RootResult:
-    """Locate the unique sign change of the determinant in (0, 1).
-
-    Float Newton on the sparse form from the middle of (0, 1) gives r, and
-    the bracket of width <= tol around r is checked at both ends by the
-    exact helper (:func:`polyexact.sign_at_dyadic`).  If that check fails,
-    bisection of (0, 1) on the exact sign runs until its width is <= tol or
-    its ends are adjacent floats; d(0) = 1 > 0 and the exact sign at the
-    upper end is negative, so that bracket holds the root by construction.
-    The reported error bound is the width of the bracket.
-    """
-    if not 0 < tol < math.inf:
-        raise InvalidParameterError("tol must be positive and finite")
-    form = _SparseForm(series.polynomial)
-    hi = 1.0 - min(tol, 1e-9)
-    if form.exact(hi) > 0:
-        raise NoRootError("determinant stays positive on (0, 1); entropy 0")
-    r = form.newton(0.0, hi)
-    bracket = _newton_bracket(form.exact, r, 0.0, hi, tol)
-    if bracket is None:
-        bracket = _bisect(form.exact, 0.0, hi, tol)
-        r = min(max(r, bracket[0]), bracket[1])
-    lo, hi = bracket
+    """The root of the determinant in (0, 1), by :func:`polyexact.sparse_root`
+    on its polynomial; the reported error bound is the width of the
+    bracket."""
+    r, lo, hi = sparse_root(series.polynomial, tol)
     return RootResult(r, -math.log(r), hi - lo, (lo, hi), series.exact)
 
 
@@ -394,9 +272,8 @@ class LeftHoleEntropy:
         """[-log hi, -log lo] over the root bracket, each end widened outward
         by one ulp to cover the rounding of log.  It holds the entropy, and
         for an enclosure the entropy of every parameter within eps of a."""
-        lo, hi = self.root.bracket
-        return (math.nextafter(-math.log(hi), -math.inf),
-                math.nextafter(-math.log(lo), math.inf))
+        lo, hi = log_bracket(*self.root.bracket)
+        return -hi, -lo
 
     @property
     def entropy_bound(self) -> float:

@@ -54,8 +54,8 @@ from .errors import (InvalidParameterError, NotFinitelyMarkovError,
                      ResourceLimitError)
 from .mapmodel import Hole, PiecewiseMap, _int_pair
 from .polyexact import (CHAR_POLY_SIZE_CAP, _holds_root, berkowitz_char_poly,
-                        int_matmul, int_matrix_rank, largest_real_root, poly_mul,
-                        poly_trim, seeded_root, square_free_decomposition)
+                        int_matmul, int_matrix_rank, largest_real_root, log_bracket,
+                        poly_mul, poly_trim, seeded_root, square_free_decomposition)
 
 DEFAULT_TOL = 1e-13
 # the prime of the square-free certificate of SpectralReport._decomposition
@@ -513,12 +513,12 @@ class MarkovEntropy:
     def error_bound(self) -> float:
         """Bound on |entropy - max(log rho, 0)| for the true rho: the exact
         rho bracket mapped through max(log x, 0), each end rounded outward
-        by one ulp.  0 when there is no bracket (no surviving states)."""
+        by one ulp (:func:`polyexact.log_bracket`).  0 when there is no
+        bracket (no surviving states)."""
         if self.report.rho_bracket is None:
             return 0.0
         lo, hi = self.report.rho_bracket
-        h_lo = math.nextafter(math.log(lo), -math.inf) if lo > 1 else 0.0
-        h_hi = math.nextafter(math.log(hi), math.inf) if hi > 1 else 0.0
+        h_lo, h_hi = log_bracket(max(lo, 1), hi) if hi > 1 else (0.0, 0.0)
         return math.nextafter(h_hi - max(h_lo, 0.0), math.inf)
 
     def to_json(self) -> dict:

@@ -11,6 +11,20 @@ Sparse polynomials, given as ``(exponent, coefficient)`` pairs, take their
 signs at dyadic points from :func:`sign_at_dyadic`: a 96-bit fixed-point pass
 with a counted truncation error, and shift-Horner when that cannot decide.
 
+Both entropy engines get their certified roots here, and both fall back to
+one exact-sign bisection loop (:func:`_bisect`), whose midpoint is an
+argument: floats for the tower, integers on a dyadic grid for the Markov
+engine.  :func:`log_bracket` rounds the log of either root bracket outward,
+so both engines bound their entropy the same way.
+
+:func:`sparse_root` finds the sign change in (0, 1) of the tower
+determinant, a sparse polynomial of degree up to a few thousand with
+d(0) > 0.  Float Newton on the sparse form, from the middle of (0, 1),
+gives r, and :func:`sign_at_dyadic` checks the bracket of width at most
+``tol`` around r (adjacent floats when ``tol`` is below the float spacing
+at r) at both ends.  Where that check fails, bisection of (0, 1) on the
+exact sign takes over, so its bracket holds the root by construction.
+
 :func:`largest_real_root` finds the largest root in [0, inf), the only range
 a Perron root can lie in, on the dyadic grid ``2**-e``, with ``e`` the
 smallest exponent whose step is at most ``tol``.  The grid-scaled polynomial
@@ -34,7 +48,8 @@ of ``(0, 2**b]``, ``b`` the integer Cauchy bound.  Both brackets end in one
 integer bisection on the grid.  With a seed, the halving first runs on the
 seed alone, and two exact signs certify the cell it predicts: the one root
 of the bracket strictly inside that cell puts every midpoint on the side
-the seed put it, so exact bisection would end in the same cell.  The seed
+the seed put it, so exact bisection would end in the same cell; when they
+do not, the exact loop runs.  The seed
 certificate counts roots with multiplicity, so it also runs alone
 (:func:`seeded_root`) on a polynomial that may not be square-free: the
 Markov engine tries it first on the characteristic polynomial with all but
@@ -54,7 +69,7 @@ import math
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError, NoRootError, ResourceLimitError
 
 Poly = list
 
@@ -306,11 +321,35 @@ def _grid_poly(p: Poly, e: int) -> Poly:
     return [c * (1 << (e * (deg - k))) for k, c in enumerate(p)]
 
 
-def _bisect(scaled: Poly, lo: int, hi: int, width: int,
-            guess: tuple[int, int] | None = None) -> tuple[int, int]:
+def _bisect(sign, lo, hi, width, midpoint):
+    """Bisection of the bracket [lo, hi] of one sign change, ``sign`` > 0
+    below it and < 0 above it, exact.  ``midpoint(lo, hi)`` halves the
+    bracket: floats or grid integers.
+
+    Stops at width <= ``width``, at a midpoint that rounds onto an end
+    (adjacent floats; never for integers with ``width`` >= 1), or at a
+    midpoint where the sign is 0, the root, returned as a zero-width
+    bracket.
+    """
+    while hi - lo > width:
+        mid = midpoint(lo, hi)
+        if not lo < mid < hi:
+            break
+        s = sign(mid)
+        if s > 0:
+            lo = mid
+        elif s < 0:
+            hi = mid
+        else:
+            return mid, mid
+    return lo, hi
+
+
+def _grid_bisect(scaled: Poly, lo: int, hi: int, width: int,
+                 guess: tuple[int, int] | None = None) -> tuple[int, int]:
     """Halve the integer bracket (lo, hi] of the one root of ``scaled`` in
-    it until it spans at most ``width``.  ``scaled`` is nonzero at lo and
-    changes sign on the bracket; a midpoint where it vanishes is the root.
+    it until it spans at most ``width`` (:func:`_bisect`).  ``scaled`` is
+    nonzero at lo and changes sign on the bracket.
 
     With a ``guess`` of the root, the rational num/den in the units of the
     bracket, the same halving first runs on the guess, with no sign, and
@@ -322,6 +361,7 @@ def _bisect(scaled: Poly, lo: int, hi: int, width: int,
     s_lo = sign_at(scaled, lo)
     if guess is not None:
         num, den = guess
+        # inline: through _bisect, two calls a step made spectral_report ~3% slower
         a, b = lo, hi
         while b - a > width:
             mid = (a + b) >> 1
@@ -331,16 +371,8 @@ def _bisect(scaled: Poly, lo: int, hi: int, width: int,
                 b = mid
         if sign_at(scaled, a) == s_lo and sign_at(scaled, b) == -s_lo:
             return a, b
-    while hi - lo > width:
-        mid = (lo + hi) >> 1
-        s = sign_at(scaled, mid)
-        if s == 0:
-            return mid, mid
-        if s == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    return _bisect(lambda m: s_lo * sign_at(scaled, m), lo, hi, width,
+                   lambda a, b: (a + b) >> 1)
 
 
 def _newton_seed(p: Poly) -> float | None:
@@ -462,13 +494,13 @@ def _refine(p: Poly, grid: tuple[int, int, int, float | None], e: int,
     hi, f, seed), of the one root of p in it to at most ``width`` steps of
     2**-e, and polish a float inside it with three guarded Newton steps.
     A float seed (None for none) predicts the cell the bisection ends in,
-    and two exact signs certify it (:func:`_bisect`)."""
+    and two exact signs certify it (:func:`_grid_bisect`)."""
     lo_z, hi_z, f, seed = grid
     guess = None
     if seed is not None:
         num, den = seed.as_integer_ratio()
         guess = num << f, den
-    lo_z, hi_z = _bisect(_grid_poly(p, f), lo_z, hi_z, width << (f - e), guess)
+    lo_z, hi_z = _grid_bisect(_grid_poly(p, f), lo_z, hi_z, width << (f - e), guess)
     lo, hi = Fraction(lo_z, 1 << f), Fraction(hi_z, 1 << f)
     r = float((lo + hi) / 2)
     dp = poly_deriv(p)
@@ -536,6 +568,117 @@ def _holds_root(p: Poly, lo: Fraction, hi: Fraction) -> bool:
     s_lo = sign_at(p, lo.numerator, lo.denominator)
     s_hi = sign_at(p, hi.numerator, hi.denominator)
     return s_hi == 0 or s_lo * s_hi < 0
+
+
+# ---------------------------------------------------------------------------
+# the sign change in (0, 1) of a sparse polynomial
+# ---------------------------------------------------------------------------
+
+# the most Newton steps that sparse_root takes
+_NEWTON_STEPS = 16
+
+
+class _SparseForm:
+    """The nonzero terms of a polynomial, evaluated at floats x in [0, 1].
+
+    ``exact`` is the exact sign.  ``value_slope`` and ``newton`` are plain
+    float arithmetic, for estimates that the exact sign then confirms.
+    """
+
+    def __init__(self, polynomial):
+        self.terms = [(k, c) for k, c in enumerate(polynomial) if c]
+        # Horner steps up from each term: gap to the next exponent, and c
+        self.ups = [(hi - lo, c) for (lo, c), (hi, _) in zip(self.terms, self.terms[1:])]
+
+    def exact(self, x: float) -> int:
+        num, den = x.as_integer_ratio()
+        return sign_at_dyadic(self.terms, num, den.bit_length() - 1)
+
+    def value_slope(self, x: float) -> tuple[float, float]:
+        """The float value and derivative at x, in one sparse Horner pass."""
+        acc, slope = float(self.terms[-1][1]), 0.0
+        for g, c in reversed(self.ups):
+            xg = x ** g
+            slope = slope * xg + g * acc * x ** (g - 1)
+            acc = acc * xg + c
+        bottom = self.terms[0][0]
+        if bottom:
+            xb = x ** bottom
+            slope = slope * xb + bottom * acc * x ** (bottom - 1)
+            acc *= xb
+        return acc, slope
+
+    def newton(self, lo: float, hi: float) -> float:
+        """Float Newton from the middle of [lo, hi] until an iterate repeats
+        (a fixed point, or a two-cycle in the rounding noise); a step that
+        would leave the bracket goes halfway to the end it crosses instead."""
+        r = 0.5 * (lo + hi)
+        before = None
+        for _ in range(_NEWTON_STEPS):
+            v, dv = self.value_slope(r)
+            if not dv:
+                break
+            cand = r - v / dv
+            if cand < lo:
+                cand = 0.5 * (r + lo)
+            elif cand > hi:
+                cand = 0.5 * (r + hi)
+            if cand == r or cand == before:
+                return cand
+            before, r = r, cand
+        return r
+
+
+def _newton_bracket(exact, r: float, lo: float, hi: float, tol: float):
+    """The bracket of width <= tol around r inside [lo, hi], or the adjacent
+    floats around the root next to r when tol is below the float spacing
+    there, if the exact sign confirms it; otherwise None."""
+    # ulp(r) pays for rounding r -+ half outward, so the width stays <= tol
+    half = 0.5 * tol - math.ulp(r)
+    lo, hi = max(lo, r - half), min(hi, r + half)
+    if not lo < hi:
+        s = exact(r)
+        if s == 0:
+            return r, r
+        lo, hi = (r, math.nextafter(r, 1.0)) if s > 0 else (math.nextafter(r, 0.0), r)
+    if exact(lo) > 0 > exact(hi):
+        return lo, hi
+    return None
+
+
+def sparse_root(polynomial, tol: float) -> tuple[float, float, float]:
+    """The sign change in (0, 1) of a polynomial with p(0) > 0 and few
+    nonzero terms, as (r, lo, hi): floats with lo <= r <= hi, p(lo) > 0 >
+    p(hi) or lo = hi a root, and hi - lo <= tol (adjacent floats when tol
+    is below the float spacing there).
+
+    Float Newton on the sparse form from the middle of (0, 1) gives r, and
+    the bracket of width <= tol around r is checked at both ends by
+    :func:`sign_at_dyadic`.  If that check fails, bisection of (0, 1) on
+    the exact sign (:func:`_bisect`) runs instead; p(0) > 0 and the exact
+    sign at its upper end is negative, so its bracket holds the root by
+    construction.  The upper end is 1 - min(tol, 1e-9), and p > 0 there
+    raises :class:`NoRootError`.
+    """
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError("tol must be positive and finite")
+    form = _SparseForm(polynomial)
+    hi = 1.0 - min(tol, 1e-9)
+    if form.exact(hi) > 0:
+        raise NoRootError("determinant stays positive on (0, 1); entropy 0")
+    r = form.newton(0.0, hi)
+    bracket = _newton_bracket(form.exact, r, 0.0, hi, tol)
+    if bracket is None:
+        bracket = _bisect(form.exact, 0.0, hi, tol, lambda a, b: 0.5 * (a + b))
+        r = min(max(r, bracket[0]), bracket[1])
+    return (r,) + bracket
+
+
+def log_bracket(lo, hi) -> tuple[float, float]:
+    """Floats below and above log x for every x in the root bracket
+    [lo, hi], 0 < lo <= hi: the log of each end, widened outward by one ulp
+    to cover the rounding of math.log."""
+    return math.nextafter(math.log(lo), -math.inf), math.nextafter(math.log(hi), math.inf)
 
 
 # ---------------------------------------------------------------------------

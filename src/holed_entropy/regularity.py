@@ -132,7 +132,7 @@ def solve(engine: str, pmap: PiecewiseMap, hole: Hole, depth: int = 20,
     ``RefinementTree``) and its reading (entropy, pole order if known, bound
     on the entropy's error if known).  ``depth`` is the oracle engine's
     refinement level, ``tol`` the tower or Markov engine's root tolerance
-    (None: the engine's default)."""
+    (None: the engine's default; the oracle engine takes none)."""
     kw = {} if tol is None else {"tol": tol}
     if engine == "kneading":
         res = entropy_left_hole(_tower_parameter(pmap, hole), **kw)
@@ -141,6 +141,8 @@ def solve(engine: str, pmap: PiecewiseMap, hole: Hole, depth: int = 20,
         res = entropy_markov(pmap, hole, **kw)
         return res, (res.entropy, res.report.pole_order_p, res.error_bound)
     if engine == "oracle":
+        if tol is not None:
+            raise InvalidParameterError("the oracle engine takes no tol")
         tree = refine(pmap, hole, depth)
         return tree, (entropy_estimate(tree, depth), None, None)
     raise InvalidParameterError(f"unknown engine {engine!r}")
@@ -178,17 +180,20 @@ class EngineComparison:
         return out
 
 
-def compare_engines(pmap: PiecewiseMap, hole: Hole, n: int) -> EngineComparison:
-    """Run every applicable engine and report absolute differences.
+def compare_engines(pmap: PiecewiseMap, hole: Hole, n: int,
+                    tol: Optional[float] = None) -> EngineComparison:
+    """Run every applicable engine and report absolute differences: the
+    oracle at level n, the tower and Markov engines at root tolerance
+    ``tol`` (None: each engine's default).
 
     Inapplicable engines are reported as absent, never as errors.
     """
     tree, (oracle_h, _, _) = solve("oracle", pmap, hole, n)
     h = {"oracle": oracle_h, "kneading": None, "markov": None}
     if left_hole_parameter(pmap, hole) is not None:
-        h["kneading"] = solve("kneading", pmap, hole)[1][0]
+        h["kneading"] = solve("kneading", pmap, hole, tol=tol)[1][0]
     try:
-        h["markov"] = solve("markov", pmap, hole)[1][0]
+        h["markov"] = solve("markov", pmap, hole, tol=tol)[1][0]
     except (NotFinitelyMarkovError, ResourceLimitError):
         pass
     diffs = {f"{a}_vs_{b}": abs(h[a] - h[b]) for a, b in combinations(h, 2)

@@ -588,3 +588,29 @@ def test_compare_skips_markov_on_farey_below_half(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["markov_entropy"] is None and rep["applicable"] == ["oracle"]
+
+
+def test_compare_passes_tol_to_the_tower_and_markov_rows(capsys, tmp_path):
+    # at tol 0.1 the Markov rho is polished from a bracket of width 1/16, so
+    # it differs from the default's; compare reports each engine's own run
+    rows = {}
+    for engine in ("kneading", "markov", "compare"):
+        path = tmp_path / f"{engine}.json"
+        code, _, _ = run(capsys, "entropy", "--engine", engine, "--map", "doubling",
+                         "--hole", "3/4,1", "--depth", "12", "--tol", "0.1",
+                         "--json", str(path))
+        assert code == 0
+        rows[engine] = json.loads(path.read_text())
+    assert rows["compare"]["kneading_entropy"] == rows["kneading"]["entropy"]
+    assert rows["compare"]["markov_entropy"] == rows["markov"]["entropy"]
+    # a tol no engine takes is refused, not ignored
+    code, _, err = run(capsys, "entropy", "--engine", "compare", "--map", "doubling",
+                       "--hole", "3/4,1", "--depth", "12", "--tol", "0")
+    assert code == 2 and "tol must be positive" in err
+
+
+def test_oracle_refuses_tol(capsys):
+    code, out, err = run(capsys, "entropy", "--engine", "oracle", "--map", "doubling",
+                         "--hole", "3/4,1", "--depth", "12", "--tol", "1e-9")
+    assert code == 2 and out == ""
+    assert err == "error: the oracle engine takes no tol\n"

@@ -17,9 +17,9 @@ from holed_entropy import (Hole, InvalidParameterError, NoRootError,
                            build_orbit, determinant, entropy_estimate,
                            entropy_left_hole, entropy_markov, leading_root,
                            refine)
-from holed_entropy import kneading
-from holed_entropy.kneading import DeterminantSeries, _SparseForm, _t_left_exact
-from holed_entropy.polyexact import sign_at
+from holed_entropy import kneading, polyexact
+from holed_entropy.kneading import DeterminantSeries
+from holed_entropy.polyexact import _SparseForm, sign_at
 
 GOLDEN_ROOT = (math.sqrt(5) - 1) / 2
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
@@ -27,6 +27,16 @@ LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 
 def ex(x):
     return Fraction(x)
+
+
+def _t_left_exact(x: Fraction) -> Fraction:
+    """T(x^-) on Fractions, the reference for the numerator step of
+    build_orbit."""
+    if x < Fraction(1, 2):
+        return 2 * x
+    if x == Fraction(1, 2):
+        return Fraction(1)
+    return 2 * x - 1
 
 
 # -- left-limit evaluation ------------------------------------------------------
@@ -366,7 +376,7 @@ def test_left_hole_brackets_certified_property(q, data):
 
 
 def test_every_left_hole_below_denominator_80_matches_the_reference():
-    with mock.patch.object(kneading, "_bisect", wraps=kneading._bisect) as spy:
+    with mock.patch.object(polyexact, "_bisect", wraps=polyexact._bisect) as spy:
         for q in range(3, 80):
             for p in range(q // 2 + 1, q):
                 if math.gcd(p, q) == 1:
@@ -451,12 +461,12 @@ def test_tol_below_the_float_spacing_returns_adjacent_floats():
         "import json\n"
         "from fractions import Fraction\n"
         "from unittest import mock\n"
-        "from holed_entropy import entropy_left_hole, kneading\n"
+        "from holed_entropy import entropy_left_hole, polyexact\n"
         "rows = []\n"
         "for fallback in (False, True):\n"
-        "    newton = (lambda self, lo, hi: lo) if fallback else kneading._SparseForm.newton\n"
-        "    with mock.patch.object(kneading._SparseForm, 'newton', newton), \\\n"
-        "            mock.patch.object(kneading, '_bisect', wraps=kneading._bisect) as spy:\n"
+        "    newton = (lambda self, lo, hi: lo) if fallback else polyexact._SparseForm.newton\n"
+        "    with mock.patch.object(polyexact._SparseForm, 'newton', newton), \\\n"
+        "            mock.patch.object(polyexact, '_bisect', wraps=polyexact._bisect) as spy:\n"
         "        for a in ('2/3', '3/4', '7/8', '11/20'):\n"
         "            for tol in (1e-16, 1e-17, 1e-20):\n"
         "                res = entropy_left_hole(Fraction(a), tol=tol)\n"

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -548,6 +549,57 @@ def test_a_seed_on_a_triple_rho_takes_the_full_path(monkeypatch):
     assert (rep.algebraic_multiplicity, rep.geometric_multiplicity,
             rep.pole_order_p) == (3, 1, 3)
     assert rep.rho == 2.0 and "_decomposition" in vars(rep)
+
+
+@pytest.mark.parametrize("hole", [H((F(3, 4), F(1))), H((F(7, 10), F(7, 10) + F(1, 12))),
+                                  H((F(3, 4), F(5, 6)))], ids=str)
+def test_a_wrong_seed_cell_gives_the_same_report(monkeypatch, hole):
+    # a seed moved by 1e-9 passes the Descartes certificate but predicts the
+    # wrong cell, so the exact bisection loop runs after the guess; the
+    # double pole at [3/4, 5/6] gets there through the square-free part
+    M = transition_matrix(refine_markov(build_d_adic(2), hole))
+    want = spectral_report(M)
+    seed_of = polyexact._newton_seed
+
+    def moved(p):
+        seed = seed_of(p)
+        return seed and seed * (1 + 1e-9)
+
+    monkeypatch.setattr(polyexact, "_newton_seed", moved)
+    with patch.object(polyexact, "_bisect", wraps=polyexact._bisect) as spy:
+        got = spectral_report(M)
+    assert spy.call_count == 1
+    assert (got.rho, got.rho_bracket, got.algebraic_multiplicity,
+            got.geometric_multiplicity, got.pole_order_p) == \
+        (want.rho, want.rho_bracket, want.algebraic_multiplicity,
+         want.geometric_multiplicity, want.pole_order_p)
+
+
+def _reference_error_bound(lo, hi):
+    """max(log x, 0) over the rho bracket, each end rounded outward by one
+    ulp, written out end by end."""
+    h_lo = math.nextafter(math.log(lo), -math.inf) if lo > 1 else 0.0
+    h_hi = math.nextafter(math.log(hi), math.inf) if hi > 1 else 0.0
+    return math.nextafter(h_hi - max(h_lo, 0.0), math.inf)
+
+
+# dyadic rho brackets below, across and above 1, as the grid gives them
+_dyadic_brackets = st.integers(0, 70).flatmap(lambda k: st.tuples(
+    st.integers(0, 4 << k), st.integers(0, 4 << k)).map(
+        lambda ab: tuple(F(x, 1 << k) for x in sorted(ab))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bracket=_dyadic_brackets)
+@example(bracket=(F(0), F(0)))  # no survivors of rho 0
+@example(bracket=(F(0), F(1)))
+@example(bracket=(F(1), F(1)))  # the exact root 1
+@example(bracket=(F(1), F(2)))
+@example(bracket=(F(2), F(2)))
+def test_error_bound_matches_the_end_by_end_rounding(bracket):
+    report = SimpleNamespace(rho_bracket=bracket)
+    got = markov.MarkovEntropy(None, None, report, 0.0).error_bound
+    assert got == _reference_error_bound(*bracket)
 
 
 def test_spectral_report_compares_exact_brackets():

@@ -684,6 +684,70 @@ def test_sign_at_dyadic_near_root_and_edges():
     assert sign_at_dyadic([(0, 0), (1, 1)], 1, 200) == 1
 
 
+def _with_sign_change(p):
+    """p with its constant made positive and one more top term that brings
+    p(1) to -1, so p(0) > 0 > p(1)."""
+    q = [abs(p[0]) or 1] + p[1:]
+    return q + [-sum(q) - 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly=_sparse_polys.map(_with_sign_change), tol=st.floats(1e-20, 0.1))
+@example(poly=[1, -2], tol=1e-3)  # the first midpoint is the root 1/2
+@example(poly=[3, 0, -4], tol=1e-20)  # an irrational root, below the spacing
+@example(poly=[3, -4], tol=1e-20)  # the dyadic root 3/4
+def test_float_bisection_holds_the_sign_change(poly, tol):
+    # the exact-sign bisection on floats that the tower falls back to: it
+    # ends at width <= tol, at adjacent floats, or at an exact zero, and it
+    # holds a sign change of the polynomial, by dense integer Horner
+    lo, hi = polyexact._bisect(polyexact._SparseForm(poly).exact, 0.0, 1.0, tol,
+                               lambda a, b: 0.5 * (a + b))
+    s_lo, s_hi = (sign_at(poly, *x.as_integer_ratio()) for x in (lo, hi))
+    if lo == hi:
+        assert s_lo == 0
+    else:
+        assert 0 <= lo < hi <= 1
+        assert hi - lo <= tol or math.nextafter(lo, 1.0) == hi
+        assert s_lo > 0 > s_hi
+
+
+@pytest.mark.parametrize("p", [
+    [-1, -1, 1],  # golden: x^2 - x - 1
+    [-1, -1, -1, 1],  # tribonacci
+    [-3, 0, 1],  # sqrt 3
+    [-1, -1] + [0] * 398 + [1],  # x^400 - x - 1
+])
+def test_a_wrong_seed_cell_falls_back_to_the_exact_loop(monkeypatch, p):
+    # the seed moved by 1e-9 still passes the Descartes certificate (pad
+    # 1e-7), but the cell of width 2**-44 that it predicts misses the root:
+    # the two certifying signs fail, and the exact loop ends in the true
+    # seed's cell, the one cell of one grid unit that holds the root
+    e, width = polyexact._grid(1e-13)
+    true = polyexact._seed_bracket(p, e)
+    with mock.patch.object(polyexact, "_bisect", wraps=polyexact._bisect) as spy:
+        want = polyexact._refine(p, true, e, width)
+    assert spy.call_count == 0  # the predicted cell is certified
+    lo, hi, f, seed = true
+    with mock.patch.object(polyexact, "_bisect", wraps=polyexact._bisect) as spy:
+        got = polyexact._refine(p, (lo, hi, f, seed * (1 + 1e-9)), e, width)
+    assert spy.call_count == 1  # the exact loop runs after the guess
+    assert got == want
+    # so does seeded_root when Newton itself returns the moved seed
+    seed_of = polyexact._newton_seed
+    monkeypatch.setattr(polyexact, "_newton_seed", lambda q: seed_of(q) * (1 + 1e-9))
+    assert polyexact.seeded_root(p, tol=1e-13) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(1e-300, 1.0, exclude_max=True))
+def test_negated_log_bracket_is_the_tower_interval(x):
+    # the tower's interval is log_bracket negated and swapped; negation is
+    # exact and nextafter is symmetric, so it equals the direct rounding
+    below, above = polyexact.log_bracket(x, x)
+    assert -above == math.nextafter(-math.log(x), -math.inf)
+    assert -below == math.nextafter(-math.log(x), math.inf)
+
+
 def test_vca_root_zero_on_the_left_end():
     # x (17x - 1)(x^2 + 1): the search starts on (0, 2**b], whose left end
     # is the root 0, so it splits until the interval of 1/17 excludes it

@@ -18,7 +18,7 @@ from holed_entropy import regularity
 from holed_entropy.cylinders import entropy_estimate
 from holed_entropy.mapmodel import Affine, Branch, IntervalOpen, PiecewiseMap
 from holed_entropy.markov import entropy_markov
-from holed_entropy.regularity import entropy_at, solve
+from holed_entropy.regularity import compare_engines, entropy_at, solve
 
 LOG2 = math.log(2)
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
@@ -352,6 +352,19 @@ def test_solve_returns_the_engine_result_and_its_reading():
     tree, reading = solve("oracle", m, hole, 12)
     assert reading == (entropy_estimate(tree, 12), None, None)
     assert tree.count(12) == 377
+
+
+def test_solve_refuses_a_tol_for_the_oracle():
+    with pytest.raises(InvalidParameterError, match="oracle engine takes no tol"):
+        solve("oracle", build_d_adic(2), Hole([(F(3, 4), 1)]), 12, tol=1e-9)
+
+
+def test_compare_engines_runs_the_tower_and_markov_rows_at_tol():
+    m, hole = build_d_adic(2), Hole([(F(3, 4), 1)])
+    rep = compare_engines(m, hole, 12, tol=0.1)
+    assert rep.kneading_entropy == entropy_left_hole(F(3, 4), tol=0.1).entropy
+    assert rep.markov_entropy == entropy_markov(m, hole, tol=0.1).entropy
+    assert rep.markov_entropy != entropy_markov(m, hole).entropy
 
 
 def test_solve_refuses_an_unknown_engine():
