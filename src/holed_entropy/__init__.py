@@ -23,7 +23,8 @@ from .mapmodel import (Affine, Branch, Hole, IntervalOpen, Moebius,
                        map_from_config, map_to_config, restrict_partition)
 from .markov import (MarkovEntropy, MarkovRefinement, SpectralReport,
                      TransitionMatrix, entropy_markov, refine_markov,
-                     spectral_report, to_dot, transition_matrix)
+                     spectral_report, spectrum_markov, to_dot,
+                     transition_matrix)
 from .regularity import (CustomFamily, EngineComparison, HolderBoundReport,
                          HolderEstimate, LeftHoleFamily, SlidingHoleFamily,
                          SweepResult, SweepRow, SweepSpec, compare_engines,

@@ -31,7 +31,7 @@ from .errors import (HoledEntropyError, InvalidParameterError, NoRootError,
 from .kneading import entropy_left_hole
 from .mapmodel import (Hole, PiecewiseMap, build_d_adic, build_scaled_farey,
                        load_map_config, map_to_config, parse_rational)
-from .markov import entropy_markov, to_dot
+from .markov import spectrum_markov, to_dot
 from .regularity import (ENGINES, LeftHoleFamily, SlidingHoleFamily, SweepSpec,
                          compare_engines, emit_csv, emit_svg_plot,
                          holder_estimate, run_sweep, solve)
@@ -129,14 +129,16 @@ def _cmd_entropy(args) -> int:
     if args.engine == "oracle":
         count = res.count(args.depth)
         detail = f"level={args.depth}, count={count}"
-        report = {"level": args.depth, "count": count, "entropy": h}
+    elif args.engine == "kneading":
+        detail = f"p={p}, error_bound={bound:.3g}"
     else:
-        detail = (f"p={p}, error_bound={bound:.3g}" if args.engine == "kneading"
-                  else f"p={p}, rho={res.report.rho:.15g}")
-        report = res.to_json()
+        detail = f"p={p}, rho={res.report.rho:.15g}"
     print(f"entropy = {h:.15g}  (engine={args.engine}, {detail})")
     if args.json:
-        _emit_json(report, args.json)
+        # built only here: the Markov report reads min_poly, which takes
+        # minutes for a rho of degree ~400
+        _emit_json({"level": args.depth, "count": count, "entropy": h}
+                   if args.engine == "oracle" else res.to_json(), args.json)
     return 0
 
 
@@ -149,7 +151,7 @@ def _cmd_tower(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     pmap, hole = _map_and_hole(args)
-    res = entropy_markov(pmap, hole, tol=args.tol)
+    res = spectrum_markov(pmap, hole, tol=args.tol)
     _emit_json(res.to_json(), args.json)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:

@@ -16,7 +16,22 @@ states pass the characteristic-polynomial cap (400), the one size limit of
 the engine, or its points pass a fixed bit budget.  The transition matrix
 is 0/1 over the surviving states; a state's image, mapped through the same
 matrices, covers one contiguous run of states, read from one dict keyed by
-breakpoint pairs.  Its characteristic polynomial x^k q (q(0) != 0) comes
+breakpoint pairs, and the matrix is kept as these runs.
+
+The entropy path (:func:`entropy_markov`) reads rho off the strongly
+connected classes of the matrix (:mod:`.perron`): a single state has
+radius 1 with a loop and 0 without, and a larger class gets a certified
+Collatz-Wielandt bracket, min (A v)_i / v_i <= rho(A) <= max (A v)_i / v_i
+for any v > 0, from a float Perron vector scaled to integers and exact
+integer products.
+When one class's bracket lies strictly above every other class's, rho is
+simple, alg = geo = p = 1, and no characteristic polynomial is built.
+Every other case (tied classes, such as the [3/4, 5/6] double pole, a
+bracket wider than the tolerance, a float vector that is not positive)
+falls back to the characteristic-polynomial path, which
+:func:`spectrum_markov` (the ``spectrum`` command) always takes.
+
+The characteristic polynomial x^k q (q(0) != 0) is built on first read,
 from Newton's identities on the traces of M, M^2, ..., M^n, float64
 products that are exact: their entries are sums of nonnegative integers, so
 a product whose largest entry lies below 2**53 has no rounded partial sum.
@@ -54,8 +69,9 @@ from .errors import (InvalidParameterError, NotFinitelyMarkovError,
                      ResourceLimitError)
 from .mapmodel import Hole, PiecewiseMap, _int_pair
 from .polyexact import (CHAR_POLY_SIZE_CAP, _holds_root, berkowitz_char_poly,
-                        int_matmul, int_matrix_rank, largest_real_root, log_bracket,
-                        poly_mul, poly_trim, seeded_root, square_free_decomposition)
+                        check_tol, int_matmul, int_matrix_rank, largest_real_root,
+                        log_bracket, poly_mul, poly_trim, seeded_root,
+                        square_free_decomposition)
 
 DEFAULT_TOL = 1e-13
 # the prime of the square-free certificate of SpectralReport._decomposition
@@ -217,20 +233,49 @@ def refine_markov(pmap: PiecewiseMap, hole: Hole) -> MarkovRefinement:
     return MarkovRefinement(pmap, hole, tuple(points), state_start, state_branch)
 
 
-@dataclass(frozen=True)
 class TransitionMatrix:
     """0/1 matrix over surviving states: entry (i, j) says state j is covered
-    by the image of state i.  The characteristic polynomial det(xI - M) is
-    exact with integer coefficients, ascending order."""
+    by the image of state i.
 
-    size: int
-    entries: tuple[tuple[int, ...], ...]
-    char_poly: tuple[int, ...]
+    ``runs[i] = (first, end)`` when row i is one run of ones, columns first
+    to end - 1, as every row of :func:`transition_matrix` is; None for a
+    matrix given by its ``entries``.  ``entries`` (the dense rows) and
+    ``char_poly`` (det(xI - M), exact with integer coefficients, ascending)
+    are built on first read when they are not given.
+    """
+
+    def __init__(self, size: int, entries=None, char_poly=None, runs=None):
+        self.size = size
+        self.runs = runs
+        if entries is not None:
+            self.entries = entries
+        if char_poly is not None:
+            self.char_poly = char_poly
+
+    def __eq__(self, other) -> bool:
+        """The same entries: the characteristic polynomial follows."""
+        return (isinstance(other, TransitionMatrix) and self.size == other.size
+                and self.entries == other.entries)
+
+    def __repr__(self) -> str:
+        return f"TransitionMatrix({self.size}, {self.entries})"
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        rows = []
+        for first, end in self.runs:
+            row = [0] * self.size
+            row[first:end] = [1] * (end - first)
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def char_poly(self) -> tuple[int, ...]:
+        return tuple(_char_poly(self.entries))
 
 
 def transition_matrix(ref: MarkovRefinement) -> TransitionMatrix:
-    """0/1 transition matrix of a Markov refinement and its characteristic
-    polynomial.
+    """0/1 transition matrix of a Markov refinement, kept as its rows' runs.
 
     States are disjoint and sorted, and each lies between two consecutive
     breakpoints, so the states covered by the image ``[w1, w2]`` of a state
@@ -255,7 +300,7 @@ def transition_matrix(ref: MarkovRefinement) -> TransitionMatrix:
         if i < n and ref.state_start[i] == k:
             i += 1
     mats = {b: ref.map.branches[b].integer_matrix() for b in set(ref.state_branch)}
-    rows = []
+    runs = []
     for k, b in zip(ref.state_start, ref.state_branch):
         m, u, v = mats[b], pairs[k], pairs[k + 1]
         w1, w2 = _image(m, *u), _image(m, *v)
@@ -267,10 +312,8 @@ def transition_matrix(ref: MarkovRefinement) -> TransitionMatrix:
                 f"state ({Fraction(*u)}, {Fraction(*v)}) maps onto "
                 f"({Fraction(*w1)}, {Fraction(*w2)}) "
                 "which is not breakpoint-aligned; refinement is not Markov")
-        row = [0] * n
-        row[first:end] = [1] * (end - first)
-        rows.append(row)
-    return TransitionMatrix(n, tuple(tuple(r) for r in rows), tuple(_char_poly(rows)))
+        runs.append((first, end))
+    return TransitionMatrix(n, runs=tuple(runs))
 
 
 def _power_traces(rows) -> list[int]:
@@ -327,7 +370,8 @@ class SpectralReport:
     stabilizes, i.e. the size of the largest Jordan block of rho.
     ``rho_bracket`` is an exact bracket of rho that holds no other root of
     ``char_poly``, the characteristic polynomial (ascending, integer); it is
-    None for the empty matrix.
+    None for the empty matrix.  (The class-structure report of the entropy
+    path, :class:`_ClassReport`, has a bracket that holds rho only.)
 
     ``rho_factor``, ``second_eigenvalue_modulus`` and ``min_poly`` are
     computed from these on first read and cached on the instance, so a
@@ -467,8 +511,7 @@ def spectral_report(M: TransitionMatrix, tol: float = DEFAULT_TOL) -> SpectralRe
     its minimal polynomial m (which seeds ``min_poly``) and the ranks of
     powers of the integer matrix m(M) (:func:`_jordan_data`).
     """
-    if not 0 < tol < math.inf:
-        raise InvalidParameterError("tol must be positive and finite")
+    check_tol(tol)
     if M.size == 0:
         return SpectralReport(0.0, 0, 0, 0)
     char = list(M.char_poly)
@@ -498,6 +541,45 @@ def spectral_report(M: TransitionMatrix, tol: float = DEFAULT_TOL) -> SpectralRe
     # seed the cached properties from the work done here
     report.__dict__.update(_decomposition=decomp, rho_factor=tuple(factor))
     return report
+
+
+class _ClassReport(SpectralReport):
+    """The report of a rho that :func:`.perron.perron_bracket` certifies
+    simple: alg = geo = p = 1, and ``rho_bracket`` is the Collatz-Wielandt
+    bracket.  That bracket holds rho but is not proven free of other roots
+    of the characteristic polynomial, so ``char_poly`` and the fields read
+    off it come from :func:`spectral_report` on the same matrix, which
+    isolates rho on the characteristic polynomial itself; both run on first
+    read."""
+
+    def __init__(self, matrix: TransitionMatrix, tol: float, rho: float,
+                 lo: float, hi: float):
+        # SpectralReport's own __init__ would store a char_poly
+        for name, value in (("rho", rho), ("algebraic_multiplicity", 1),
+                            ("geometric_multiplicity", 1), ("pole_order_p", 1),
+                            ("rho_bracket", (Fraction(lo), Fraction(hi))),
+                            ("_matrix", matrix), ("_tol", tol)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def char_poly(self) -> tuple[int, ...]:
+        return self._matrix.char_poly
+
+    @cached_property
+    def _exact(self) -> SpectralReport:
+        return spectral_report(self._matrix, self._tol)
+
+    @cached_property
+    def _decomposition(self) -> list[tuple[list[int], int]]:
+        return self._exact._decomposition
+
+    @cached_property
+    def rho_factor(self) -> Optional[tuple[int, ...]]:
+        return self._exact.rho_factor
+
+    @cached_property
+    def min_poly(self) -> Optional[tuple[int, ...]]:
+        return self._exact.min_poly
 
 
 @dataclass(frozen=True)
@@ -538,10 +620,35 @@ class MarkovEntropy:
 
 def entropy_markov(pmap: PiecewiseMap, hole: Hole,
                    tol: float = DEFAULT_TOL) -> MarkovEntropy:
-    """max{log rho, 0} over the exact Markov refinement; 0 on total escape."""
+    """max{log rho, 0} over the exact Markov refinement; 0 on total escape.
+
+    rho comes from the class structure (:func:`.perron.perron_bracket`)
+    when it certifies rho simple; otherwise, and for the empty matrix, from
+    :func:`spectral_report`.  ``tol`` is checked before the closure.
+    """
+    from .perron import perron_bracket
+    check_tol(tol)
     ref = refine_markov(pmap, hole)
     M = transition_matrix(ref)
-    report = spectral_report(M, tol)
+    perron = perron_bracket(M.runs, tol)
+    report = (spectral_report(M, tol) if perron is None
+              else _ClassReport(M, tol, *perron))
+    return _entropy(ref, M, report)
+
+
+def spectrum_markov(pmap: PiecewiseMap, hole: Hole,
+                    tol: float = DEFAULT_TOL) -> MarkovEntropy:
+    """:func:`entropy_markov` with rho always from :func:`spectral_report`,
+    that is from the characteristic polynomial: the ``spectrum`` command's
+    path."""
+    check_tol(tol)
+    ref = refine_markov(pmap, hole)
+    M = transition_matrix(ref)
+    return _entropy(ref, M, spectral_report(M, tol))
+
+
+def _entropy(ref: MarkovRefinement, M: TransitionMatrix,
+             report: SpectralReport) -> MarkovEntropy:
     h = max(math.log(report.rho), 0.0) if report.rho > 0 else 0.0
     return MarkovEntropy(ref, M, report, h)
 

@@ -479,11 +479,16 @@ def _vca_bracket(p: Poly, e: int) -> tuple[int, int, int, None] | None:
     return None
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a root tolerance that is not positive and finite."""
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError("tol must be positive and finite")
+
+
 def _grid(tol: float) -> tuple[int, int]:
     """The exponent e of the grid step 2**-e <= tol, and the bracket width,
     in steps, that bisection stops at."""
-    if not 0 < tol < math.inf:
-        raise InvalidParameterError("tol must be positive and finite")
+    check_tol(tol)
     e = max(0, 1 - math.frexp(tol)[1])
     return e, max(1, math.floor(Fraction(tol) * (1 << e)))
 
@@ -660,8 +665,7 @@ def sparse_root(polynomial, tol: float) -> tuple[float, float, float]:
     construction.  The upper end is 1 - min(tol, 1e-9), and p > 0 there
     raises :class:`NoRootError`.
     """
-    if not 0 < tol < math.inf:
-        raise InvalidParameterError("tol must be positive and finite")
+    check_tol(tol)
     form = _SparseForm(polynomial)
     hi = 1.0 - min(tol, 1e-9)
     if form.exact(hi) > 0:

@@ -28,6 +28,7 @@ from .errors import (HoledEntropyError, InvalidParameterError,
 from .kneading import entropy_left_hole
 from .mapmodel import Hole, PiecewiseMap, build_doubling, d_adic_degree
 from .markov import entropy_markov
+from .polyexact import check_tol
 
 # the doubling-map families share one map, built once (PiecewiseMap is frozen)
 _DOUBLING = build_doubling()
@@ -132,7 +133,10 @@ def solve(engine: str, pmap: PiecewiseMap, hole: Hole, depth: int = 20,
     ``RefinementTree``) and its reading (entropy, pole order if known, bound
     on the entropy's error if known).  ``depth`` is the oracle engine's
     refinement level, ``tol`` the tower or Markov engine's root tolerance
-    (None: the engine's default; the oracle engine takes none)."""
+    (None: the engine's default; the oracle engine takes none).  A tol
+    that is not positive and finite is refused before any engine runs."""
+    if tol is not None:
+        check_tol(tol)
     kw = {} if tol is None else {"tol": tol}
     if engine == "kneading":
         res = entropy_left_hole(_tower_parameter(pmap, hole), **kw)
@@ -186,8 +190,11 @@ def compare_engines(pmap: PiecewiseMap, hole: Hole, n: int,
     oracle at level n, the tower and Markov engines at root tolerance
     ``tol`` (None: each engine's default).
 
-    Inapplicable engines are reported as absent, never as errors.
+    Inapplicable engines are reported as absent, never as errors; a bad
+    ``tol`` is refused before the oracle runs.
     """
+    if tol is not None:
+        check_tol(tol)
     tree, (oracle_h, _, _) = solve("oracle", pmap, hole, n)
     h = {"oracle": oracle_h, "kneading": None, "markov": None}
     if left_hole_parameter(pmap, hole) is not None:

@@ -591,8 +591,7 @@ def test_compare_skips_markov_on_farey_below_half(capsys):
 
 
 def test_compare_passes_tol_to_the_tower_and_markov_rows(capsys, tmp_path):
-    # at tol 0.1 the Markov rho is polished from a bracket of width 1/16, so
-    # it differs from the default's; compare reports each engine's own run
+    # compare reports each engine's own run at the given tol
     rows = {}
     for engine in ("kneading", "markov", "compare"):
         path = tmp_path / f"{engine}.json"
@@ -614,3 +613,32 @@ def test_oracle_refuses_tol(capsys):
                          "--hole", "3/4,1", "--depth", "12", "--tol", "1e-9")
     assert code == 2 and out == ""
     assert err == "error: the oracle engine takes no tol\n"
+
+
+def test_entropy_markov_reads_no_min_poly_without_json(capsys, monkeypatch):
+    # the report, and with it min_poly, is built only for --json
+    from holed_entropy import minpoly
+
+    def refused(*args):
+        raise AssertionError("min_poly was read")
+    monkeypatch.setattr(minpoly, "min_poly_of_root", refused)
+    code, out, _ = run(capsys, "entropy", "--engine", "markov", "--map", "doubling",
+                       "--hole", "7/10,47/60")
+    assert code == 0 and "p=1" in out
+
+
+def test_entropy_markov_on_the_cap_hole(capsys):
+    # 395 states in one class: the class bracket, no characteristic polynomial
+    code, out, _ = run(capsys, "entropy", "--engine", "markov", "--map", "doubling",
+                       "--hole", "30001/100003,30201/100003")
+    assert code == 0 and "p=1, rho=1.99601365069933" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--engine", "compare", "--map", "farey", "--param", "0.4", "--depth", "8"],
+    ["--engine", "markov", "--map", "farey", "--param", "0.4", "--hole", "0,0"],
+], ids=["compare", "markov-refused-closure"])
+def test_a_bad_tol_is_refused_before_any_engine_runs(capsys, argv):
+    code, out, err = run(capsys, "entropy", *argv, "--tol", "0")
+    assert code == 2 and out == ""
+    assert err == "error: tol must be positive and finite\n"

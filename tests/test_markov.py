@@ -13,11 +13,12 @@ from holed_entropy import (Hole, InvalidParameterError, NotFinitelyMarkovError,
                            build_scaled_farey, entropy_left_hole, entropy_markov,
                            refine, refine_markov, spectral_report, to_dot,
                            transition_matrix)
-from holed_entropy import markov, polyexact
+from holed_entropy import markov, perron, polyexact
 from holed_entropy.mapmodel import (Affine, Branch, IntervalOpen, Moebius,
                                     PiecewiseMap, map_from_config)
 from holed_entropy.markov import MarkovRefinement, TransitionMatrix
 from holed_entropy.minpoly import certify_irreducible, strip_cyclotomic
+from holed_entropy.perron import perron_bracket
 from holed_entropy.polyexact import (CHAR_POLY_SIZE_CAP, berkowitz_char_poly,
                                      poly_eval, poly_mul,
                                      square_free_decomposition)
@@ -397,7 +398,9 @@ def test_cap_hole_falls_back_to_berkowitz_within_60_products(monkeypatch):
                         lambda rows: fallback.append(len(rows)) or [0] * len(rows) + [1])
     M = transition_matrix(refine_markov(build_d_adic(2),
                                         H((F(30001, 100003), F(30201, 100003)))))
-    assert M.size == 395 and fallback == [395]
+    assert M.size == 395 and fallback == []  # built on first read only
+    M.char_poly
+    assert fallback == [395]
     # one product per trace after the first, and the one that passed 2**53
     assert len(markov._power_traces([list(r) for r in M.entries])) <= 60
 
@@ -813,6 +816,148 @@ def test_perron_domination():
         res = entropy_markov(build_d_adic(2), hole)
         roots = np.roots(list(map(float, reversed(res.matrix.char_poly))))
         assert all(abs(z) <= res.report.rho + 1e-9 for z in roots)
+
+
+# -- the class-structure Perron path ---------------------------------------------
+
+PERRON_MAPS = {
+    "doubling": build_d_adic(2), "tripling": build_d_adic(3),
+    "tent": CLOSURE_MAPS["tent"], "farey-1": CLOSURE_MAPS["farey-1"],
+    "farey-9/10": build_scaled_farey(F(9, 10)), "farey-4/5": build_scaled_farey(F(4, 5)),
+}
+
+
+def _overlap(a, b):
+    return a[0] <= b[1] and b[0] <= a[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(PERRON_MAPS)), hole=exact_holes())
+@example(name="doubling", hole=H((F(7, 10), F(7, 10) + F(1, 12))))
+@example(name="farey-9/10", hole=H((F(19, 31), F(51, 62))))  # the old bracket was wide
+@example(name="doubling", hole=H((F(1, 2), F(1))))  # one state with a loop: rho = 1
+def test_class_bracket_agrees_with_the_characteristic_polynomial(name, hole):
+    try:
+        M = transition_matrix(refine_markov(PERRON_MAPS[name], hole))
+    except (NotFinitelyMarkovError, ResourceLimitError):
+        return
+    perron = perron_bracket(M.runs, markov.DEFAULT_TOL)
+    res = entropy_markov(PERRON_MAPS[name], hole)
+    assert isinstance(res.report, markov._ClassReport) == (perron is not None)
+    if perron is None:
+        return
+    rho, lo, hi = perron
+    assert (res.report.rho, res.report.rho_bracket) == (rho, (Fraction(lo), Fraction(hi)))
+    assert 0 <= lo <= rho <= hi and hi - lo <= markov.DEFAULT_TOL
+    exact = spectral_report(M)
+    assert (exact.algebraic_multiplicity, exact.geometric_multiplicity,
+            exact.pole_order_p) == (1, 1, 1)
+    assert _overlap((Fraction(lo), Fraction(hi)), exact.rho_bracket)
+
+
+def test_the_double_pole_falls_back_to_the_characteristic_polynomial():
+    M = transition_matrix(refine_markov(build_d_adic(2), H((F(3, 4), F(5, 6)))))
+    assert perron_bracket(M.runs, markov.DEFAULT_TOL) is None  # two golden classes
+    rep = entropy_markov(build_d_adic(2), H((F(3, 4), F(5, 6)))).report
+    assert type(rep) is markov.SpectralReport
+    assert (rep.algebraic_multiplicity, rep.pole_order_p) == (2, 2)
+
+
+def test_a_tol_below_the_class_bracket_falls_back():
+    hole = H((F(7, 10), F(7, 10) + F(1, 12)))
+    M = transition_matrix(refine_markov(build_d_adic(2), hole))
+    _, lo, hi = perron_bracket(M.runs, markov.DEFAULT_TOL)
+    assert 0 < hi - lo and perron_bracket(M.runs, 1e-16) is None
+    rep = entropy_markov(build_d_adic(2), hole, tol=1e-16).report
+    assert type(rep) is markov.SpectralReport
+    lo, hi = rep.rho_bracket
+    assert hi - lo <= 1e-16
+
+
+def test_the_top_class_need_not_be_found_first():
+    # {0, 1, 2} reaches the golden class {3, 4}, which Tarjan closes first
+    runs = ((0, 4), (0, 3), (0, 2), (3, 5), (3, 4))
+    assert perron.classes(runs) == [[3, 4], [0, 1, 2]]
+    rho, lo, hi = perron_bracket(runs, markov.DEFAULT_TOL)
+    exact = spectral_report(TransitionMatrix(5, runs=runs))
+    assert abs(rho - exact.rho) < 1e-15
+    assert _overlap((Fraction(lo), Fraction(hi)), exact.rho_bracket)
+    assert lo > (1 + 5 ** 0.5) / 2 and exact.algebraic_multiplicity == 1
+
+
+@pytest.mark.parametrize("runs, want", [
+    (((0, 1), (0, 1)), (1.0, 1, 1)),  # a loop above a loopless state
+    (((0, 0),), (0.0, 0, 0)),  # one loopless state
+])
+def test_single_states_have_exact_radii(runs, want):
+    assert perron_bracket(runs, 1e-13) == want
+
+
+@pytest.mark.parametrize("runs", [
+    ((0, 1), (1, 2)),  # two loops: rho = 1 twice
+    ((1, 2), (2, 2), (0, 0)),  # loopless states only: rho = 0 three times
+    ((0, 3), (0, 1), (2, 4), (2, 3)),  # golden classes in a chain
+], ids=["two-loops", "loopless", "golden-chain"])
+def test_tied_classes_fall_back(runs):
+    assert perron_bracket(runs, 1e-13) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=8))
+def test_classes_match_mutual_reachability(ends):
+    n = len(ends)
+    runs = tuple((min(a, n), min(max(a, b), n)) for a, b in ends)
+    reach = [{i} for i in range(n)]
+    for _ in range(n):
+        for i, (first, end) in enumerate(runs):
+            for j in range(first, end):
+                reach[i] |= reach[j]
+    want = sorted({tuple(j for j in range(n) if j in reach[i] and i in reach[j])
+                   for i in range(n)})
+    assert sorted(map(tuple, perron.classes(runs))) == want
+
+
+def test_the_sweep_builds_no_characteristic_polynomial_off_the_double_pole(monkeypatch):
+    built, char_poly = [], markov._char_poly
+    monkeypatch.setattr(markov, "_char_poly",
+                        lambda rows: built.append(len(rows)) or char_poly(rows))
+    for s in (F(7, 10), F(29, 40), F(3, 4), F(4, 5) - F(1, 1280)):
+        entropy_markov(build_d_adic(2), H((s, s + F(1, 12))))
+    assert len(built) == 1  # the [3/4, 5/6] fallback
+
+
+def test_class_report_reads_the_characteristic_polynomial_on_demand():
+    hole = H((F(7, 10), F(7, 10) + F(1, 12)))
+    res = entropy_markov(build_d_adic(2), hole)
+    rep = res.report
+    assert isinstance(rep, markov._ClassReport)
+    assert "char_poly" not in vars(res.matrix) and "_exact" not in vars(rep)
+    exact = spectral_report(transition_matrix(refine_markov(build_d_adic(2), hole)))
+    assert rep.char_poly == exact.char_poly
+    assert (rep.rho_factor, rep.min_poly) == (exact.rho_factor, exact.min_poly)
+    assert rep.second_eigenvalue_modulus == exact.second_eigenvalue_modulus
+
+
+def test_cap_hole_takes_the_class_path():
+    res = entropy_markov(build_d_adic(2), H((F(30001, 100003), F(30201, 100003))))
+    assert res.matrix.size == 395 and isinstance(res.report, markov._ClassReport)
+    assert f"{res.report.rho:.15g}" == "1.99601365069933" and res.report.pole_order_p == 1
+    assert res.error_bound < 1e-14
+    assert "char_poly" not in vars(res.matrix)
+
+
+def test_spectrum_markov_keeps_the_characteristic_polynomial_path():
+    hole = H((F(7, 10), F(7, 10) + F(1, 12)))
+    res = markov.spectrum_markov(build_d_adic(2), hole)
+    assert type(res.report) is markov.SpectralReport
+    assert res.report == spectral_report(res.matrix)
+
+
+@pytest.mark.parametrize("tol", (0.0, -1e-12, math.inf, math.nan))
+def test_entropy_markov_checks_tol_before_the_closure(monkeypatch, tol):
+    monkeypatch.setattr(markov, "refine_markov", None)
+    with pytest.raises(InvalidParameterError, match="tol must be positive"):
+        entropy_markov(build_d_adic(2), H((F(3, 4), F(5, 6))), tol=tol)
 
 
 # -- entropy -----------------------------------------------------------------------

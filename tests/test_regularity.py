@@ -359,12 +359,34 @@ def test_solve_refuses_a_tol_for_the_oracle():
         solve("oracle", build_d_adic(2), Hole([(F(3, 4), 1)]), 12, tol=1e-9)
 
 
-def test_compare_engines_runs_the_tower_and_markov_rows_at_tol():
+@pytest.mark.parametrize("tol", (0.0, -1.0, math.inf, math.nan))
+def test_a_bad_tol_is_refused_before_any_engine_runs(monkeypatch, tol):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an engine ran")
+    for name in ("refine", "entropy_left_hole", "entropy_markov"):
+        monkeypatch.setattr(regularity, name, unreachable)
     m, hole = build_d_adic(2), Hole([(F(3, 4), 1)])
+    for engine in ("kneading", "markov"):
+        with pytest.raises(InvalidParameterError, match="tol must be positive"):
+            solve(engine, m, hole, tol=tol)
+    with pytest.raises(InvalidParameterError, match="tol must be positive"):
+        compare_engines(m, hole, 12, tol=tol)
+
+
+def test_compare_engines_runs_the_tower_and_markov_rows_at_tol(monkeypatch):
+    m, hole = build_d_adic(2), Hole([(F(3, 4), 1)])
+    # the class-structure bracket of rho is as narrow at tol 0.1 as at the
+    # default, so the Markov row's tol is read off its call
+    tols = []
+
+    def recorded(pmap, hole, tol):
+        tols.append(tol)
+        return entropy_markov(pmap, hole, tol)
+    monkeypatch.setattr(regularity, "entropy_markov", recorded)
     rep = compare_engines(m, hole, 12, tol=0.1)
+    assert tols == [0.1]
     assert rep.kneading_entropy == entropy_left_hole(F(3, 4), tol=0.1).entropy
     assert rep.markov_entropy == entropy_markov(m, hole, tol=0.1).entropy
-    assert rep.markov_entropy != entropy_markov(m, hole).entropy
 
 
 def test_solve_refuses_an_unknown_engine():
