@@ -31,30 +31,21 @@ bracket wider than the tolerance, a float vector that is not positive)
 falls back to the characteristic-polynomial path, which
 :func:`spectrum_markov` (the ``spectrum`` command) always takes.
 
-The characteristic polynomial x^k q (q(0) != 0) is built on first read,
-from Newton's identities on the traces of M, M^2, ..., M^n, float64
-products that are exact: their entries are sums of nonnegative integers, so
-a product whose largest entry lies below 2**53 has no rounded partial sum.
-Once an entry reaches 2**53 (a large matrix, or a large rho), Berkowitz over
-the nonzero entries computes it instead.  rho is bracketed first on
-P0 = x^min(k,1) q by the Descartes certificate of its Newton seed, which
-counts roots with multiplicity: when it certifies, rho is simple,
-alg = geo = p = 1, and nothing is decomposed.  The seed is float Newton
-from above Fujiwara's root bound: every eigenvalue has modulus at most rho,
-so by Gauss-Lucas P0, P0' and P0'' are positive on (rho, inf) and the
-iterates decrease to rho.  Otherwise rho is bracketed
-once as a root of the square-free part of the characteristic polynomial,
-and the square-free factor that changes sign on that bracket holds it.  For
-a multiple rho, the geometric multiplicity and the pole order are read off
-the ranks of powers of m(M), m the minimal polynomial of rho: an integer
-matrix, so the ranks come from fraction-free elimination.  The factor of
-rho, the second eigenvalue modulus and m are derived from the square-free
-decomposition on first read; when q is square-free modulo a prime, the
-decomposition is read off k without being run.  m comes from integers too
-(:mod:`.minpoly`): the factor x and the cyclotomic factors are divided out
-of the factor of rho, and Musser's degree-set test proves the rest
-irreducible.  sympy (an optional extra) is imported only for a factor that
-test leaves unproved.
+The characteristic polynomial x^k q (q(0) != 0) is built on first read by
+Berkowitz's division-free recursion (:func:`.berkowitz_char_poly`), exact
+over the integers at every size.  Its square-free parts come next: when q
+is square-free modulo a prime they are read off k, and otherwise the
+square-free decomposition runs.  rho is bracketed once, as the largest root
+in [0, inf) of their product (:func:`.largest_real_root`), and the
+square-free factor that changes sign on that bracket holds it; its power is
+the algebraic multiplicity.  For a multiple rho, the geometric multiplicity
+and the pole order are read off the ranks of powers of m(M), m the minimal
+polynomial of rho: an integer matrix, so the ranks come from fraction-free
+elimination.  For a simple rho, m is derived on first read.  m comes from
+integers too (:mod:`.minpoly`): the factor x and the cyclotomic factors are
+divided out of the factor of rho, and Musser's degree-set test proves the
+rest irreducible.  sympy (an optional extra) is imported only for a factor
+that test leaves unproved.
 """
 
 from __future__ import annotations
@@ -70,11 +61,11 @@ from .errors import (InvalidParameterError, NotFinitelyMarkovError,
 from .mapmodel import Hole, PiecewiseMap, _int_pair
 from .polyexact import (CHAR_POLY_SIZE_CAP, _holds_root, berkowitz_char_poly,
                         check_tol, int_matmul, int_matrix_rank, largest_real_root,
-                        log_bracket, poly_mul, poly_trim, seeded_root,
+                        log_bracket, poly_mul, poly_trim,
                         square_free_decomposition)
 
 DEFAULT_TOL = 1e-13
-# the prime of the square-free certificate of SpectralReport._decomposition
+# the prime of the square-free certificate of _square_free_parts
 _SQUARE_FREE_PRIME = 2 ** 31 - 1
 # the closure's memory budget: numerator plus denominator bits summed over
 # its points
@@ -240,8 +231,9 @@ class TransitionMatrix:
     ``runs[i] = (first, end)`` when row i is one run of ones, columns first
     to end - 1, as every row of :func:`transition_matrix` is; None for a
     matrix given by its ``entries``.  ``entries`` (the dense rows) and
-    ``char_poly`` (det(xI - M), exact with integer coefficients, ascending)
-    are built on first read when they are not given.
+    ``char_poly`` (det(xI - M), exact with integer coefficients, ascending,
+    from :func:`.berkowitz_char_poly`) are built on first read when they
+    are not given.
     """
 
     def __init__(self, size: int, entries=None, char_poly=None, runs=None):
@@ -271,7 +263,7 @@ class TransitionMatrix:
 
     @cached_property
     def char_poly(self) -> tuple[int, ...]:
-        return tuple(_char_poly(self.entries))
+        return tuple(berkowitz_char_poly(self.entries))
 
 
 def transition_matrix(ref: MarkovRefinement) -> TransitionMatrix:
@@ -316,52 +308,6 @@ def transition_matrix(ref: MarkovRefinement) -> TransitionMatrix:
     return TransitionMatrix(n, runs=tuple(runs))
 
 
-def _power_traces(rows) -> list[int]:
-    """tr(M^k), k = 1, 2, ..., of a 0/1 matrix M, up to k = n or up to the
-    last power whose entries all lie below 2**53.
-
-    The powers are float64 products P @ M.  Every entry of M^k is a sum of
-    nonnegative integers, so each partial sum is at most the entry: when
-    the largest computed entry lies below 2**53, every partial sum was an
-    exact integer and the product is exact (by induction from M).  Each
-    trace is summed as Python ints, since it may pass 2**53 when no entry
-    does.
-    """
-    if not rows:
-        return []
-    import numpy as np
-    M = np.array(rows, dtype=np.float64)
-    P, traces = M, []
-    while True:
-        traces.append(sum(map(int, P.diagonal().tolist())))
-        if len(traces) == len(rows):
-            return traces
-        P = P @ M
-        if P.max() >= 2.0 ** 53:
-            return traces
-
-
-def _char_poly(rows) -> list[int]:
-    """det(xI - M), ascending, of an n x n 0/1 matrix M.
-
-    From the n traces t_k = tr(M^k) (:func:`_power_traces`) by Newton's
-    identities, k c_k = -(t_k + c_1 t_(k-1) + ... + c_(k-1) t_1) for the
-    coefficient c_k of x^(n-k); an inexact division by k raises
-    AssertionError.  When a power reaches 2**53 before M^n, Berkowitz
-    (:func:`.berkowitz_char_poly`) computes it instead.
-    """
-    traces = _power_traces(rows)
-    if len(traces) < len(rows):
-        return berkowitz_char_poly(rows)
-    c = [1]
-    for k in range(1, len(traces) + 1):
-        q, r = divmod(sum(a * t for a, t in zip(c, reversed(traces[:k]))), k)
-        if r:
-            raise AssertionError(f"Newton's identity at k = {k} is not an integer")
-        c.append(-q)
-    return c[::-1]
-
-
 @dataclass(frozen=True)
 class SpectralReport:
     """Perron root with its Jordan data.
@@ -374,11 +320,11 @@ class SpectralReport:
     path, :class:`_ClassReport`, has a bracket that holds rho only.)
 
     ``rho_factor``, ``second_eigenvalue_modulus`` and ``min_poly`` are
-    computed from these on first read and cached on the instance, so a
-    caller that reads only rho and the Jordan data (a sweep) never
-    decomposes the characteristic polynomial when rho is simple.  When
-    :func:`spectral_report` needed the decomposition itself, it seeds these
-    caches from it.
+    computed from these on first read and cached on the instance.
+    :func:`spectral_report` seeds the square-free parts and ``rho_factor``
+    from its own work, and ``min_poly`` when rho is multiple, so for a
+    simple rho a caller that does not read ``min_poly`` (a sweep, or
+    ``entropy`` without ``--json``) never computes it.
     """
 
     rho: float
@@ -390,29 +336,7 @@ class SpectralReport:
 
     @cached_property
     def _decomposition(self) -> list[tuple[list[int], int]]:
-        """Square-free decomposition of ``char_poly``: (factor, power) pairs,
-        as :func:`.square_free_decomposition` returns them.
-
-        Write the monic ``char_poly`` as x^k q with q(0) != 0.  When gcd(q,
-        q') is 1 modulo the prime ``_SQUARE_FREE_PRIME``, q is square-free:
-        a repeated factor of the monic q over the integers stays one
-        modulo every prime.  The pairs are then read off k.  Otherwise
-        (a repeated factor, or a prime dividing the discriminant of q)
-        the decomposition runs.
-        """
-        char = list(self.char_poly)
-        k = next((i for i, c in enumerate(char) if c), 0)
-        q = char[k:]
-        if len(q) > 1 and q[-1] == 1:
-            from .minpoly import _gf_gcd
-            ell = _SQUARE_FREE_PRIME
-            qm = [c % ell for c in q]
-            dq = poly_trim([j * c % ell for j, c in enumerate(qm)][1:])
-            if len(_gf_gcd(qm, dq, ell)) == 1:
-                if k < 2:
-                    return [([0] * k + q, 1)]
-                return [(q, 1), ([0, 1], k)]
-        return square_free_decomposition(char)
+        return _square_free_parts(self.char_poly)
 
     @cached_property
     def rho_factor(self) -> Optional[tuple[int, ...]]:
@@ -492,35 +416,48 @@ def _jordan_data(entries, minpoly, alg: int) -> tuple[int, int]:
     return dims[1], p
 
 
+def _square_free_parts(char) -> list[tuple[list[int], int]]:
+    """Square-free decomposition of a monic characteristic polynomial:
+    (factor, power) pairs, as :func:`.square_free_decomposition` returns
+    them.
+
+    Write it as x^k q with q(0) != 0.  When gcd(q, q') is 1 modulo the prime
+    ``_SQUARE_FREE_PRIME``, q is square-free: a repeated factor of the monic
+    q over the integers stays one modulo every prime.  The pairs are then
+    read off k.  Otherwise (a repeated factor, or a prime dividing the
+    discriminant of q) the decomposition runs.
+    """
+    char = list(char)
+    k = next((i for i, c in enumerate(char) if c), 0)
+    q = char[k:]
+    if len(q) > 1 and q[-1] == 1:
+        from .minpoly import _gf_gcd
+        ell = _SQUARE_FREE_PRIME
+        qm = [c % ell for c in q]
+        dq = poly_trim([j * c % ell for j, c in enumerate(qm)][1:])
+        if len(_gf_gcd(qm, dq, ell)) == 1:
+            if k < 2:
+                return [([0] * k + q, 1)]
+            return [(q, 1), ([0, 1], k)]
+    return square_free_decomposition(char)
+
+
 def spectral_report(M: TransitionMatrix, tol: float = DEFAULT_TOL) -> SpectralReport:
     """Perron root, multiplicities, and pole order of a transition matrix.
 
-    The characteristic polynomial is x^k q with q(0) != 0.  First the
-    Descartes certificate of the Newton seed runs on P0 = x^min(k,1) q
-    (:func:`seeded_root`), which has the roots of the square-free part.  A
-    certified bracket has exactly one root of P0 above its left end, counted
-    with multiplicity, and that end is >= 0: rho is simple, so alg = geo =
-    p = 1 and nothing is decomposed (the lazy fields of
-    :class:`SpectralReport` do it on read).
-
-    Otherwise (a multiple rho, roots the seed pad cannot separate, rho = 0)
-    rho is the largest root in [0, inf) of the product of the square-free
-    factors, bracketed once with :func:`largest_real_root`.  The bracket
-    holds no other root, so one factor changes sign on it: ``rho_factor``,
-    whose power is the algebraic multiplicity.  Only a multiple root needs
-    its minimal polynomial m (which seeds ``min_poly``) and the ranks of
-    powers of the integer matrix m(M) (:func:`_jordan_data`).
+    The square-free parts of the characteristic polynomial come first
+    (:func:`_square_free_parts`), and rho is the largest root in [0, inf)
+    of their product, bracketed once with :func:`largest_real_root`.  The
+    bracket holds no other root, so one factor changes sign on it:
+    ``rho_factor``, whose power is the algebraic multiplicity.  A simple
+    rho has alg = geo = p = 1; only a multiple root needs its minimal
+    polynomial m (which seeds ``min_poly``) and the ranks of powers of the
+    integer matrix m(M) (:func:`_jordan_data`).
     """
     check_tol(tol)
     if M.size == 0:
         return SpectralReport(0.0, 0, 0, 0)
-    char = list(M.char_poly)
-    k = next((i for i, c in enumerate(char) if c), 0)
-    seeded = seeded_root(char[max(k - 1, 0):], tol=tol)
-    if seeded is not None:
-        rho, lo, hi = seeded
-        return SpectralReport(rho, 1, 1, 1, (lo, hi), M.char_poly)
-    decomp = square_free_decomposition(char)
+    decomp = _square_free_parts(M.char_poly)
     square_free = reduce(poly_mul, (f for f, _ in decomp))
     try:
         rho, lo, hi = largest_real_root(square_free, tol=tol)

@@ -11,10 +11,10 @@ Sparse polynomials, given as ``(exponent, coefficient)`` pairs, take their
 signs at dyadic points from :func:`sign_at_dyadic`: a 96-bit fixed-point pass
 with a counted truncation error, and shift-Horner when that cannot decide.
 
-Both entropy engines get their certified roots here, and both fall back to
-one exact-sign bisection loop (:func:`_bisect`), whose midpoint is an
-argument: floats for the tower, integers on a dyadic grid for the Markov
-engine.  :func:`log_bracket` rounds the log of either root bracket outward,
+Both entropy engines get their certified roots here, and both bisect in
+one exact-sign loop (:func:`_bisect`), whose midpoint is an argument:
+floats for the tower's fallback, integers on a dyadic grid for every Markov
+root.  :func:`log_bracket` rounds the log of either root bracket outward,
 so both engines bound their entropy the same way.
 
 :func:`sparse_root` finds the sign change in (0, 1) of the tower
@@ -45,15 +45,9 @@ it there.  When there is no positive seed or the variation count is not one
 right of ``lo``), Vincent-Collins-Akritas bisection isolates the root
 instead: Descartes' rule on integer Taylor shifts over the dyadic intervals
 of ``(0, 2**b]``, ``b`` the integer Cauchy bound.  Both brackets end in one
-integer bisection on the grid.  With a seed, the halving first runs on the
-seed alone, and two exact signs certify the cell it predicts: the one root
-of the bracket strictly inside that cell puts every midpoint on the side
-the seed put it, so exact bisection would end in the same cell; when they
-do not, the exact loop runs.  The seed
-certificate counts roots with multiplicity, so it also runs alone
-(:func:`seeded_root`) on a polynomial that may not be square-free: the
-Markov engine tries it first on the characteristic polynomial with all but
-one factor x removed, and searches the square-free part only when it fails.
+integer bisection on exact signs (:func:`_bisect`) down to the grid step.
+The Markov engine calls it once, on the square-free part of the
+characteristic polynomial.
 
 The square-free decomposition divides only by primitive integer gcds, so by
 Gauss's lemma every quotient is an integer polynomial and the division is
@@ -345,36 +339,6 @@ def _bisect(sign, lo, hi, width, midpoint):
     return lo, hi
 
 
-def _grid_bisect(scaled: Poly, lo: int, hi: int, width: int,
-                 guess: tuple[int, int] | None = None) -> tuple[int, int]:
-    """Halve the integer bracket (lo, hi] of the one root of ``scaled`` in
-    it until it spans at most ``width`` (:func:`_bisect`).  ``scaled`` is
-    nonzero at lo and changes sign on the bracket.
-
-    With a ``guess`` of the root, the rational num/den in the units of the
-    bracket, the same halving first runs on the guess, with no sign, and
-    two signs certify the cell (lo', hi') it ends in: s(lo') = s(lo) and
-    s(hi') = -s(lo) put the one root strictly inside, so every midpoint on
-    the way lies on the side the guess put it, and exact bisection ends in
-    the same cell.  Otherwise (a sign of 0 included) it bisects on exact
-    signs."""
-    s_lo = sign_at(scaled, lo)
-    if guess is not None:
-        num, den = guess
-        # inline: through _bisect, two calls a step made spectral_report ~3% slower
-        a, b = lo, hi
-        while b - a > width:
-            mid = (a + b) >> 1
-            if mid * den < num:
-                a = mid
-            else:
-                b = mid
-        if sign_at(scaled, a) == s_lo and sign_at(scaled, b) == -s_lo:
-            return a, b
-    return _bisect(lambda m: s_lo * sign_at(scaled, m), lo, hi, width,
-                   lambda a, b: (a + b) >> 1)
-
-
 def _newton_seed(p: Poly) -> float | None:
     """Float Newton from above for the largest real root of p; None when
     the iteration leaves its premises or its step budget.
@@ -418,10 +382,10 @@ def _newton_seed(p: Poly) -> float | None:
     return None
 
 
-def _seed_bracket(p: Poly, e: int) -> tuple[int, int, int, float] | None:
+def _seed_bracket(p: Poly, e: int) -> tuple[int, int, int] | None:
     """Grid bracket (lo, hi] of the largest positive root of p around its
-    Newton seed (:func:`_newton_seed`), in units of 2**-e, with lo >= 0, e
-    and the seed.  None when there is no positive seed or the Descartes
+    Newton seed (:func:`_newton_seed`), in units of 2**-e with lo >= 0,
+    and e; None when there is no positive seed or the Descartes
     certificate fails.
 
     The certificate is one sign variation of p(x + lo): exactly one root of
@@ -443,12 +407,12 @@ def _seed_bracket(p: Poly, e: int) -> tuple[int, int, int, float] | None:
     s_hi = sign_at(scaled, hi)
     if s_hi == (1 if shifted[0] > 0 else -1):
         return None  # the root lies above hi
-    return (hi, hi, e, seed) if s_hi == 0 else (lo, hi, e, seed)
+    return (hi, hi, e) if s_hi == 0 else (lo, hi, e)
 
 
-def _vca_bracket(p: Poly, e: int) -> tuple[int, int, int, None] | None:
+def _vca_bracket(p: Poly, e: int) -> tuple[int, int, int] | None:
     """Grid bracket (lo, hi] of the largest positive root of a square-free
-    p, in units of 2**-f, f and no seed; None when p has no positive root.
+    p, in units of 2**-f, and f; None when p has no positive root.
 
     Vincent-Collins-Akritas bisection: every root lies below 2**b (Cauchy's
     bound 1 + max|p_k| / |p_deg|), and the dyadic intervals of (0, 2**b]
@@ -470,10 +434,10 @@ def _vca_bracket(p: Poly, e: int) -> tuple[int, int, int, None] | None:
         f = max(e, j - b)
         shift = f + b - j
         if sum(q) == 0:  # q(1) = 0
-            return (a + 1) << shift, (a + 1) << shift, f, None
+            return (a + 1) << shift, (a + 1) << shift, f
         variations = _variations(taylor_shift(q[::-1], 1))
         if variations == 1 and q[0]:
-            return a << shift, (a + 1) << shift, f, None
+            return a << shift, (a + 1) << shift, f
         if variations:
             stack += [(2 * a, j + 1), (2 * a + 1, j + 1)]
     return None
@@ -493,19 +457,17 @@ def _grid(tol: float) -> tuple[int, int]:
     return e, max(1, math.floor(Fraction(tol) * (1 << e)))
 
 
-def _refine(p: Poly, grid: tuple[int, int, int, float | None], e: int,
+def _refine(p: Poly, grid: tuple[int, int, int], e: int,
             width: int) -> tuple[float, Fraction, Fraction]:
     """Bisect the grid bracket (lo, hi] in units of 2**-f, ``grid`` = (lo,
-    hi, f, seed), of the one root of p in it to at most ``width`` steps of
-    2**-e, and polish a float inside it with three guarded Newton steps.
-    A float seed (None for none) predicts the cell the bisection ends in,
-    and two exact signs certify it (:func:`_grid_bisect`)."""
-    lo_z, hi_z, f, seed = grid
-    guess = None
-    if seed is not None:
-        num, den = seed.as_integer_ratio()
-        guess = num << f, den
-    lo_z, hi_z = _grid_bisect(_grid_poly(p, f), lo_z, hi_z, width << (f - e), guess)
+    hi, f), of the one root of p in it on exact signs (:func:`_bisect`) to
+    at most ``width`` steps of 2**-e, and polish a float inside it with
+    three guarded Newton steps.  p is nonzero at lo, or lo = hi."""
+    lo_z, hi_z, f = grid
+    scaled = _grid_poly(p, f)
+    s_lo = sign_at(scaled, lo_z)
+    lo_z, hi_z = _bisect(lambda m: s_lo * sign_at(scaled, m), lo_z, hi_z,
+                         width << (f - e), lambda a, b: (a + b) >> 1)
     lo, hi = Fraction(lo_z, 1 << f), Fraction(hi_z, 1 << f)
     r = float((lo + hi) / 2)
     dp = poly_deriv(p)
@@ -519,22 +481,6 @@ def _refine(p: Poly, grid: tuple[int, int, int, float | None], e: int,
     return r, lo, hi
 
 
-def seeded_root(p: Poly, tol: float) -> tuple[float, Fraction, Fraction] | None:
-    """Largest root in [0, inf) of an integer polynomial p, as
-    :func:`largest_real_root` gives it, when the Descartes certificate of
-    the Newton seed (:func:`_newton_seed`) isolates it; None otherwise.
-
-    p need not be square-free: a certified seed bracket has exactly one root
-    of p above its left end, counted with multiplicity, so the root found is
-    simple.  When the certificate fails (a multiple largest root, roots
-    closer than the seed pad, no positive seed) the caller decides what to
-    search instead.
-    """
-    e, width = _grid(tol)
-    grid = _seed_bracket(p, e)
-    return None if grid is None else _refine(p, grid, e, width)
-
-
 def largest_real_root(p: Poly, tol: float = 1e-14) -> tuple[float, Fraction, Fraction]:
     """Largest root in [0, inf) of a squarefree integer polynomial.
 
@@ -542,15 +488,14 @@ def largest_real_root(p: Poly, tol: float = 1e-14) -> tuple[float, Fraction, Fra
     0 <= lo, hi - lo <= tol and the float inside the bracket; the bracket
     holds no other root and is dyadic.  A float Newton seed, started above
     every root at Fujiwara's bound and certified by Descartes' rule, gives
-    the bracket (:func:`seeded_root`, which needs no square-free p).  When
-    p divides the characteristic polynomial of a nonnegative matrix and
-    vanishes at its Perron root rho, every root of p, p' and p'' has real
-    part at most rho (Perron-Frobenius, Gauss-Lucas), so with a positive
-    lead they are positive on (rho, inf) and the iterates decrease to rho.
-    For any other p a poor seed only fails the certificate, and
-    Vincent-Collins-Akritas bisection isolates the root.  Both share one
-    tail: integer bisection of the bracket and a guarded Newton polish of
-    its float.
+    the bracket (:func:`_seed_bracket`).  When p divides the characteristic
+    polynomial of a nonnegative matrix and vanishes at its Perron root rho,
+    every root of p, p' and p'' has real part at most rho
+    (Perron-Frobenius, Gauss-Lucas), so with a positive lead they are
+    positive on (rho, inf) and the iterates decrease to rho.  For any other
+    p a poor seed only fails the certificate, and Vincent-Collins-Akritas
+    bisection isolates the root.  Both share one tail: exact integer
+    bisection of the bracket and a guarded Newton polish of its float.
     Raises InvalidParameterError when p has no root in [0, inf).
     """
     p = poly_trim(list(p))
@@ -563,7 +508,7 @@ def largest_real_root(p: Poly, tol: float = 1e-14) -> tuple[float, Fraction, Fra
     if grid is None:
         if p[0]:
             raise InvalidParameterError("polynomial has no root in [0, inf)")
-        grid = 0, 0, e, None  # the root 0
+        grid = 0, 0, e  # the root 0
     return _refine(p, grid, e, width)
 
 

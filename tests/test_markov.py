@@ -13,14 +13,14 @@ from holed_entropy import (Hole, InvalidParameterError, NotFinitelyMarkovError,
                            build_scaled_farey, entropy_left_hole, entropy_markov,
                            refine, refine_markov, spectral_report, to_dot,
                            transition_matrix)
-from holed_entropy import markov, perron, polyexact
+from holed_entropy import markov, minpoly, perron, polyexact
 from holed_entropy.mapmodel import (Affine, Branch, IntervalOpen, Moebius,
                                     PiecewiseMap, map_from_config)
 from holed_entropy.markov import MarkovRefinement, TransitionMatrix
 from holed_entropy.minpoly import certify_irreducible, strip_cyclotomic
 from holed_entropy.perron import perron_bracket
 from holed_entropy.polyexact import (CHAR_POLY_SIZE_CAP, berkowitz_char_poly,
-                                     poly_eval, poly_mul,
+                                     int_matmul, poly_eval, poly_mul,
                                      square_free_decomposition)
 from test_polyexact import (_cauchy_bound, _int_sturm_chain, _sturm_count,
                             char_poly_cofactor)
@@ -310,8 +310,6 @@ def test_transition_matrix_checks_the_cap_before_building_rows(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a characteristic-polynomial path reached")
 
-    # neither the power traces nor their Berkowitz fallback
-    monkeypatch.setattr(markov, "_power_traces", unreachable)
     monkeypatch.setattr(markov, "berkowitz_char_poly", unreachable)
     hole = H((F(1, 1019), F(2, 1019)))
     with pytest.raises(ResourceLimitError, match="passed 400 states"):
@@ -342,67 +340,31 @@ def test_matrix_interior_hole_char_poly():
     assert list(M.char_poly) == char_poly_cofactor([list(r) for r in M.entries])
 
 
-@st.composite
-def _01_matrices(draw, max_n):
-    """0/1 matrices of 0..max_n states whose rows are sparse (at most three
-    ones, as in transition matrices) or dense (each entry a coin flip): the
-    powers of a matrix with dense rows pass 2**53 and take Berkowitz."""
-    n = draw(st.integers(0, max_n))
-    rows = []
-    for _ in range(n):
-        if draw(st.booleans()):
-            cols = draw(st.sets(st.integers(0, n - 1), max_size=3))
-            rows.append([int(j in cols) for j in range(n)])
-        else:
-            rows.append(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-    return rows
+def _exact_traces(rows):
+    """tr(M^k), k = 1..n, over Python ints."""
+    P, traces = rows, []
+    for _ in rows:
+        traces.append(sum(P[i][i] for i in range(len(rows))))
+        P = int_matmul(P, rows)
+    return traces
 
 
-@settings(max_examples=60, deadline=None)
-@given(M=st.one_of(_01_matrices(6), _01_matrices(40)))
-@example(M=[[1] * 40 for _ in range(40)])  # J^11 has entries 40^10 > 2**53
-def test_trace_char_poly_matches_berkowitz_and_cofactor(M):
-    char = markov._char_poly(M)
-    assert char == berkowitz_char_poly(M)
-    if len(M) <= 6:
-        assert char == char_poly_cofactor(M)
-
-
-def test_power_traces_stop_below_2_53():
-    # J^k has entries 40^(k-1), and 40^9 < 2**53 <= 40^10
-    J = [[1] * 40 for _ in range(40)]
-    assert markov._power_traces(J) == [40 ** k for k in range(1, 11)]
-    # a block [[1, 1], [1, 1]] among 55 states: B^k has entries 2^(k-1), so
-    # B^53 (entries 2^52) is the last power kept and B^54 (2^53) is refused
-    rows = [[int(i < 2 and j < 2) for j in range(55)] for i in range(55)]
-    assert markov._power_traces(rows) == [2 ** k for k in range(1, 54)]
-    assert markov._char_poly(rows) == [0] * 54 + [-2, 1]
-
-
-def test_trace_char_poly_sums_traces_past_2_53():
+def test_char_poly_of_a_matrix_whose_trace_passes_2_53():
     # every entry of M^37 lies below 2**53, but its trace is 1.6e17
     M = transition_matrix(refine_markov(build_d_adic(3), H((F(12, 37), F(13, 37)))))
-    rows = [list(r) for r in M.entries]
-    traces = markov._power_traces(rows)
-    assert len(traces) == M.size == 37 and traces[-1] == 157761515382330707
+    traces = _exact_traces([list(r) for r in M.entries])
+    assert len(traces) == 37 and traces[-1] == 157761515382330707
     assert M.char_poly == (0, 1, 0, -1, 2, 0, 2, 0, 0, 0, -1, 3, -3, 2, 2, 0, -1, 0,
                            3, -2, 0, 1, -2, 0, -2, 0, 0, 0, 1, -3, 3, -2, -2, 0, 1,
                            0, -3, 1)
-    assert list(M.char_poly) == berkowitz_char_poly(rows)
-
-
-def test_cap_hole_falls_back_to_berkowitz_within_60_products(monkeypatch):
-    # the 395-state hole: a power passes 2**53 long before M^395
-    fallback = []
-    monkeypatch.setattr(markov, "berkowitz_char_poly",
-                        lambda rows: fallback.append(len(rows)) or [0] * len(rows) + [1])
-    M = transition_matrix(refine_markov(build_d_adic(2),
-                                        H((F(30001, 100003), F(30201, 100003)))))
-    assert M.size == 395 and fallback == []  # built on first read only
-    M.char_poly
-    assert fallback == [395]
-    # one product per trace after the first, and the one that passed 2**53
-    assert len(markov._power_traces([list(r) for r in M.entries])) <= 60
+    # Newton's identities on the exact traces: k c_k = -(t_k + c_1 t_(k-1)
+    # + ... + c_(k-1) t_1) for the coefficient c_k of x^(n-k)
+    c = [1]
+    for k in range(1, 38):
+        q, r = divmod(sum(a * t for a, t in zip(c, reversed(traces[:k]))), k)
+        assert r == 0
+        c.append(-q)
+    assert M.char_poly == tuple(reversed(c))
 
 
 def test_column_sums_bounded_by_branch_count():
@@ -543,8 +505,8 @@ def test_spectral_jordan_table(rows, rho, jordan):
 
 def test_a_seed_on_a_triple_rho_takes_the_full_path(monkeypatch):
     # a seed right on a root of odd multiplicity sees a sign change across
-    # its bracket; only the three sign variations of P0(x + lo), not one,
-    # keep the fast path from calling rho simple
+    # its bracket; the root search runs on the square-free part x - 2, and
+    # the power 3 of that factor makes rho triple
     monkeypatch.setattr(polyexact, "_newton_seed", lambda p: 2.0)
     rows = [[2, 1, 0], [0, 2, 1], [0, 0, 2]]
     rep = spectral_report(TransitionMatrix(3, tuple(map(tuple, rows)),
@@ -557,8 +519,8 @@ def test_a_seed_on_a_triple_rho_takes_the_full_path(monkeypatch):
 @pytest.mark.parametrize("hole", [H((F(3, 4), F(1))), H((F(7, 10), F(7, 10) + F(1, 12))),
                                   H((F(3, 4), F(5, 6)))], ids=str)
 def test_a_wrong_seed_cell_gives_the_same_report(monkeypatch, hole):
-    # a seed moved by 1e-9 passes the Descartes certificate but predicts the
-    # wrong cell, so the exact bisection loop runs after the guess; the
+    # a seed moved by 1e-9 passes the Descartes certificate with another
+    # bracket, and the one exact bisection ends in the same grid cell; the
     # double pole at [3/4, 5/6] gets there through the square-free part
     M = transition_matrix(refine_markov(build_d_adic(2), hole))
     want = spectral_report(M)
@@ -654,60 +616,6 @@ def test_rho_factor_holds_the_largest_root_of_the_square_free_part(hole, d):
                         _cauchy_bound(square_free)) == 0
 
 
-def _full_path_report(M):
-    """spectral_report with the seed fast path off: the eager path that
-    decomposes the characteristic polynomial first."""
-    with patch.object(markov, "seeded_root", return_value=None):
-        return spectral_report(M)
-
-
-def _is_square_free(p):
-    return all(mult == 1 for _, mult in square_free_decomposition(p))
-
-
-@settings(max_examples=80, deadline=None)
-@given(hole=exact_holes(max_pieces=1, max_q=40), d=st.sampled_from([2, 3]))
-@example(hole=H((F(7, 10), F(7, 10) + F(1, 12))), d=2)
-@example(hole=H((F(1, 7), F(5, 28))), d=2)  # a repeated factor besides rho's
-@example(hole=H((F(1, 6), F(5, 18))), d=2)  # min_poly needs sympy
-@example(hole=H((F(1, 8), F(1, 3))), d=3)  # rho = 2: a zero-width bracket
-def test_seeded_fast_path_matches_the_full_path(hole, d):
-    try:
-        M = transition_matrix(refine_markov(build_d_adic(d), hole))
-    except (NotFinitelyMarkovError, ResourceLimitError):
-        return
-    fast, full = spectral_report(M), _full_path_report(M)
-    assert (fast.algebraic_multiplicity, fast.geometric_multiplicity,
-            fast.pole_order_p) == (full.algebraic_multiplicity,
-                                   full.geometric_multiplicity, full.pole_order_p)
-    if M.size == 0 or "_decomposition" in vars(fast):
-        assert fast == full  # no states, or the seed did not certify
-        return
-    assert (fast.algebraic_multiplicity, fast.pole_order_p) == (1, 1)
-    assert not {"rho_factor", "second_eigenvalue_modulus", "min_poly"} & set(vars(fast))
-    lo, hi = fast.rho_bracket
-    assert 0 <= lo and float(lo) <= fast.rho <= float(hi)
-    factor = list(full.rho_factor)
-    if lo == hi:
-        assert poly_eval(factor, lo) == 0
-    else:
-        assert _sturm_count(_int_sturm_chain(factor), lo, hi) == 1
-    char = list(M.char_poly)
-    if _is_square_free(char[next(k for k, c in enumerate(char) if c):]):
-        # the fast path searched the very polynomial the full path searches
-        assert (fast.rho, fast.rho_bracket) == (full.rho, full.rho_bracket)
-    # the lazy fields read what the eager path computed
-    assert fast.rho_factor == full.rho_factor
-    assert fast.second_eigenvalue_modulus == full.second_eigenvalue_modulus
-    try:
-        want = full.min_poly
-    except ResourceLimitError:  # an unproved factor, and no sympy installed
-        with pytest.raises(ResourceLimitError):
-            fast.min_poly
-    else:
-        assert fast.min_poly == want
-
-
 def _counting_decomposition(monkeypatch):
     calls = []
 
@@ -718,17 +626,20 @@ def _counting_decomposition(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("field", ("rho_factor", "second_eigenvalue_modulus", "min_poly"))
-def test_simple_rho_decomposes_only_on_read(monkeypatch, field):
-    calls = _counting_decomposition(monkeypatch)
+def test_simple_rho_computes_min_poly_only_on_read(monkeypatch):
+    # the entropy command without --json reads no min_poly, so a simple rho
+    # must not compute one before it is read
+    calls = []
+    real = minpoly.min_poly_of_root
+    monkeypatch.setattr(minpoly, "min_poly_of_root",
+                        lambda *args: calls.append(args) or real(*args))
     M = transition_matrix(refine_markov(build_d_adic(2), H((F(7, 10), F(7, 10) + F(1, 12)))))
     rep = spectral_report(M)
     assert (rep.algebraic_multiplicity, rep.pole_order_p) == (1, 1)
-    assert calls == []
-    getattr(rep, field)
-    assert calls == [list(M.char_poly)]
-    rep.rho_factor, rep.second_eigenvalue_modulus, rep.min_poly
-    assert len(calls) == 1  # one decomposition serves all three
+    rep.rho_factor, rep.second_eigenvalue_modulus
+    assert calls == [] and "min_poly" not in vars(rep)
+    assert rep.min_poly == rep.min_poly == tuple(real(rep.rho_factor, *rep.rho_bracket))
+    assert len(calls) == 1
 
 
 def test_double_pole_takes_the_full_path(monkeypatch):
@@ -918,8 +829,8 @@ def test_classes_match_mutual_reachability(ends):
 
 
 def test_the_sweep_builds_no_characteristic_polynomial_off_the_double_pole(monkeypatch):
-    built, char_poly = [], markov._char_poly
-    monkeypatch.setattr(markov, "_char_poly",
+    built, char_poly = [], markov.berkowitz_char_poly
+    monkeypatch.setattr(markov, "berkowitz_char_poly",
                         lambda rows: built.append(len(rows)) or char_poly(rows))
     for s in (F(7, 10), F(29, 40), F(3, 4), F(4, 5) - F(1, 1280)):
         entropy_markov(build_d_adic(2), H((s, s + F(1, 12))))
@@ -951,6 +862,34 @@ def test_spectrum_markov_keeps_the_characteristic_polynomial_path():
     res = markov.spectrum_markov(build_d_adic(2), hole)
     assert type(res.report) is markov.SpectralReport
     assert res.report == spectral_report(res.matrix)
+
+
+@pytest.mark.parametrize("pmap, hole", [
+    (build_d_adic(2), H((F(3, 4), F(5, 6)))),
+    (build_scaled_farey(F(4, 5)), H((F(1, 4), F(3, 8)))),
+], ids=["doubling", "farey-4/5"])
+def test_spectrum_rounds_the_golden_ratio_correctly(pmap, hole):
+    # rho is the golden ratio on both holes; the Farey hole's characteristic
+    # polynomial has a repeated factor besides rho's, and the float polish
+    # runs on the square-free part, as for the double pole
+    res = markov.spectrum_markov(pmap, hole)
+    assert res.report.min_poly == (-1, -1, 1)
+    assert res.report.rho == 1.618033988749895 == (1 + math.sqrt(5)) / 2
+    assert res.entropy == math.log(1.618033988749895)
+
+
+def test_entropy_markov_looks_up_spectral_report_at_call_time(monkeypatch):
+    # the benchmark wraps markov.spectral_report by name and counts the rows
+    # whose report has alg > 1: the double pole reaches it exactly once
+    reports, real = [], markov.spectral_report
+
+    def spy(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+    monkeypatch.setattr(markov, "spectral_report", spy)
+    res = entropy_markov(build_d_adic(2), H((F(3, 4), F(5, 6))))
+    assert len(reports) == 1 and res.report is reports[0]
+    assert (res.report.algebraic_multiplicity, res.report.pole_order_p) == (2, 2)
 
 
 @pytest.mark.parametrize("tol", (0.0, -1e-12, math.inf, math.nan))

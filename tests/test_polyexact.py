@@ -436,49 +436,6 @@ def test_largest_real_root_matches_sturm_reference(roots, quad, tol, seeded):
         _assert_brackets_same_root(p, tol)
 
 
-def _counting_signs(monkeypatch):
-    calls = []
-    real = polyexact.sign_at
-
-    def counted(p, num, den=1):
-        calls.append(num)
-        return real(p, num, den)
-    monkeypatch.setattr(polyexact, "sign_at", counted)
-    return calls
-
-
-@settings(max_examples=80, deadline=None)
-@given(roots=_rational_roots, tol=st.sampled_from([1e-8, 1e-13, 1e-14]))
-@example(roots=[Fraction(1, 2)], tol=1e-13)  # the root is the first midpoint
-@example(roots=[Fraction(-1, 3), Fraction(5, 8)], tol=1e-8)
-def test_refine_certifies_the_predicted_cell(roots, tol):
-    # distinct roots with denominators up to 64 lie more than 2**-12 apart,
-    # so the grid bracket (lo, hi], 2**-14 wide, holds the largest alone
-    p = _product([_clear_denominators([-r, 1]) for r in roots])
-    root = max(roots)
-    e, width = polyexact._grid(tol)
-    lo = math.floor(root * 2 ** e) - 2 ** (e - 15)
-    hi = lo + 2 ** (e - 14)
-
-    def refine(seed):
-        return polyexact._refine(p, (lo, hi, e, seed), e, width)
-
-    with pytest.MonkeyPatch.context() as patched:
-        calls = _counting_signs(patched)
-        plain = refine(None)
-        _, a, b = plain
-        cell = b - a
-        if a < b:  # a guess inside the cell: two signs besides s(lo)
-            calls.clear()
-            assert refine(float((a + b) / 2)) == plain
-            assert len(calls) <= 3
-        # a guess in the next cell on either side, beyond the bracket, or on
-        # the root when it lies on a bisection midpoint (a == b == root)
-        for seed in (a - cell / 2, b + cell / 2, Fraction(lo - 1, 2 ** e),
-                     Fraction(hi + 1, 2 ** e), root):
-            assert refine(float(seed)) == plain
-
-
 @settings(max_examples=20, deadline=None)
 @given(base=st.fractions(min_value=-4, max_value=4, max_denominator=64),
        gap=st.integers(1, 10), quad=_irreducible_quadratics())
@@ -535,20 +492,23 @@ def _01_matrices(max_n):
         st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n))
 
 
+def _seed_only():
+    """Refuse the Vincent-Collins-Akritas bisection, so largest_real_root
+    must take the bracket of the Newton seed."""
+    return mock.patch.object(polyexact, "_vca_bracket", side_effect=AssertionError)
+
+
 @settings(max_examples=80, deadline=None)
 @given(M=st.one_of(_01_matrices(14), _sparse_01_matrices(14, 2)))
 def test_seeded_root_of_a_01_matrix_is_the_perron_root(M):
-    # P0 = x^min(k,1) q as the Markov engine seeds it: whenever the Newton
-    # seed certifies, its bracket is the one the square-free part gets, and
-    # it holds numpy's largest real eigenvalue (up to numpy's rounding)
+    # the square-free part of the characteristic polynomial, as the Markov
+    # engine searches it: its largest root in [0, inf) is numpy's largest
+    # real eigenvalue (up to numpy's rounding), and the bracket holds no
+    # other root of it
     char = berkowitz_char_poly(M)
-    k = next(i for i, c in enumerate(char) if c)
-    seeded = polyexact.seeded_root(char[max(k - 1, 0):], tol=1e-13)
-    if seeded is None:
-        return
-    rho, lo, hi = seeded
     square_free = _product(f for f, _ in square_free_decomposition(char))
-    assert largest_real_root(square_free, tol=1e-13)[1:] == (lo, hi)
+    rho, lo, hi = largest_real_root(square_free, tol=1e-13)
+    assert lo == hi or _sturm_count(_sturm_chain(square_free), lo, hi) == 1
     eig = np.linalg.eigvals(np.array(M, dtype=float))
     top = max(z.real for z in eig if abs(z.imag) <= 1e-9)
     assert float(lo) - 1e-9 <= top <= float(hi) + 1e-9
@@ -562,7 +522,8 @@ def test_seeded_root_of_a_reversed_tower_polynomial():
     res = entropy_left_hole(Fraction(316, 317))
     rev = poly_trim(list(res.series.polynomial)[::-1])
     assert len(rev) - 1 >= 300
-    rho, lo, hi = polyexact.seeded_root(rev, tol=1e-13)
+    with _seed_only():
+        rho, lo, hi = largest_real_root(rev, tol=1e-13)
     r_lo, r_hi = res.root.bracket
     assert lo <= 1 / Fraction(r_lo) and 1 / Fraction(r_hi) <= hi
     assert abs(rho - 1 / res.root.r) < 1e-12
@@ -573,7 +534,8 @@ def test_newton_budget_grows_with_the_degree():
     # chord: from Fujiwara's start 2 a step shrinks the gap to rho = 1.0017
     # by about 1 - 1/400, so Newton needs ~280 steps, past a fixed 200
     p = [-1, -1] + [0] * 398 + [1]
-    rho, lo, hi = polyexact.seeded_root(p, tol=1e-13)
+    with _seed_only():
+        rho, lo, hi = largest_real_root(p, tol=1e-13)
     assert 1 < lo and hi - lo <= Fraction(1e-13) and float(lo) <= rho <= float(hi)
     assert sign_at(p, lo.numerator, lo.denominator) < 0 < sign_at(p, hi.numerator, hi.denominator)
 
@@ -719,23 +681,17 @@ def test_float_bisection_holds_the_sign_change(poly, tol):
 ])
 def test_a_wrong_seed_cell_falls_back_to_the_exact_loop(monkeypatch, p):
     # the seed moved by 1e-9 still passes the Descartes certificate (pad
-    # 1e-7), but the cell of width 2**-44 that it predicts misses the root:
-    # the two certifying signs fail, and the exact loop ends in the true
-    # seed's cell, the one cell of one grid unit that holds the root
-    e, width = polyexact._grid(1e-13)
-    true = polyexact._seed_bracket(p, e)
-    with mock.patch.object(polyexact, "_bisect", wraps=polyexact._bisect) as spy:
-        want = polyexact._refine(p, true, e, width)
-    assert spy.call_count == 0  # the predicted cell is certified
-    lo, hi, f, seed = true
-    with mock.patch.object(polyexact, "_bisect", wraps=polyexact._bisect) as spy:
-        got = polyexact._refine(p, (lo, hi, f, seed * (1 + 1e-9)), e, width)
-    assert spy.call_count == 1  # the exact loop runs after the guess
-    assert got == want
-    # so does seeded_root when Newton itself returns the moved seed
+    # 1e-7), with another bracket; exact bisection ends in the same cell,
+    # the one cell of one grid unit that holds the root
+    want = largest_real_root(p, tol=1e-13)
+    assert want[2] - want[1] == Fraction(1, 2 ** 44)
     seed_of = polyexact._newton_seed
-    monkeypatch.setattr(polyexact, "_newton_seed", lambda q: seed_of(q) * (1 + 1e-9))
-    assert polyexact.seeded_root(p, tol=1e-13) == want
+    moved = []
+    monkeypatch.setattr(polyexact, "_newton_seed",
+                        lambda q: moved.append(seed_of(q) * (1 + 1e-9)) or moved[-1])
+    with _seed_only():
+        assert largest_real_root(p, tol=1e-13) == want
+    assert len(moved) == 1
 
 
 @settings(max_examples=200, deadline=None)
