@@ -304,7 +304,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="per-level survivor counts")
     common(p)
     p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--component-cap", type=int, default=DEFAULT_COMPONENT_CAP)
+    p.add_argument("--component-cap", type=int, default=DEFAULT_COMPONENT_CAP,
+                   help="cap on each level's component count; only the deepest "
+                        "level keeps its endpoints, so this also bounds the "
+                        "refinement's memory at about two levels of endpoints "
+                        "(16 B per component for a shared den, 32 B for int64 pairs)")
     p.add_argument("--csv", help="write level,count,entropy_estimate rows")
     p.set_defaults(fn=_cmd_oracle)
 

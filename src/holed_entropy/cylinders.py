@@ -13,7 +13,13 @@ level is sorted and disjoint, so every kernel steps window by window: the
 level-n components that meet one window (a branch domain minus the hole,
 pushed forward through the branch) form a run found by two binary
 searches, the window cuts only the first and the last of them, and the
-whole run is pulled back at once.  A level is stored as one of:
+whole run is pulled back at once.
+
+Every level keeps its runs as ``(branch, s, e)``, which link each of its
+components to a parent and a branch; only the deepest level keeps its
+endpoints.  A level's endpoints are dropped once the next level is built, so
+a refinement holds at most two levels of endpoints and the component cap
+bounds its memory.  The endpoints are stored as one of:
 
 * pair lists: Python lists of integer ``(num, den)`` endpoints with
   ``den > 0``, for any map.  Branch inverses are 2x2 integer matrices, so a
@@ -25,14 +31,13 @@ whole run is pulled back at once.  A level is stored as one of:
   endpoints are numerators over one denominator shared by the level,
   which the branch inverses multiply by one common factor per step; a run
   is pulled back with one addition or subtraction per column when the
-  slopes are integers (the d-adic family: ~0.01-0.02 us per component,
-  ~21 bytes per stored component).  Maps with a Moebius branch store
-  ``(num, den)`` columns and pull a run back with the branch inverse
-  matrices (~0.03 us per component, ~37 bytes per stored component);
-  pairs are not reduced, so their heights grow with the level.  Both
-  array forms share one step: it sizes the new level before writing it
-  and fills it run by run, so it holds the new level and one run's
-  temporaries besides the level it reads.
+  slopes are integers (the d-adic family: ~0.01 us and 16 bytes per
+  component).  Maps with a Moebius branch store ``(num, den)`` columns and
+  pull a run back with the branch inverse matrices (~0.03 us and 32 bytes
+  per component); pairs are not reduced, so their heights grow with the
+  level.  Both array forms share one step: it sizes the new level before
+  writing it and fills it run by run, so it holds the new level and one
+  run's temporaries besides the level it reads.
 
 numpy is imported only when it pays: once it is loaded, array steps start
 at ``_ARRAY_MIN_COMPONENTS`` components; before, they wait for a level from
@@ -82,9 +87,17 @@ class Cylinder:
 
 
 class _Level:
-    """One level's components as parallel columns plus parent links.
+    """One level: its runs, and its endpoint columns while it is the deepest.
 
-    A level takes one of three forms:
+    ``runs`` holds one ``(branch, s, e)`` per window run: the level's next
+    ``e - s`` components are the pullbacks of components ``s:e`` of the
+    level before through ``branch``, in reverse order when the branch
+    reverses orientation.  Level 1 has one run ``(branch, -1, 0)`` per
+    window: one component and no parent.  A level is counted by its runs.
+
+    :func:`refine` drops a level's endpoint columns (``lo`` and ``hi`` become
+    None) once the next level is built.  While kept, they take one of three
+    forms:
 
     * pair lists: Python lists, endpoints as integer ``(num, den)`` pairs
       with ``den > 0``, and ``den`` None;
@@ -92,24 +105,16 @@ class _Level:
       ``den`` of the whole level (maps whose branches are all affine);
     * int64 pairs: numpy 2 x n int64 endpoints, numerators in row 0 and
       denominators (> 0) in row 1, and ``den`` None.
-
-    Array levels hold ``parent`` as int32 and ``branch`` as the smallest
-    unsigned type that holds every branch index.  A level is counted by its
-    ``parent`` column: the endpoint columns of int64 pairs have two rows.
     """
 
-    __slots__ = ("den", "lo", "hi", "parent", "branch")
+    __slots__ = ("runs", "size", "den", "lo", "hi")
 
-    def __init__(self, den: Optional[int] = None, lo=None, hi=None,
-                 parent=None, branch=None):
-        self.den = den
-        self.lo = [] if lo is None else lo
-        self.hi = [] if hi is None else hi
-        self.parent = [] if parent is None else parent
-        self.branch = [] if branch is None else branch
+    def __init__(self, runs: list, lo, hi, den: Optional[int] = None):
+        self.runs, self.lo, self.hi, self.den = runs, lo, hi, den
+        self.size = sum(e - s for _, s, e in runs)
 
     def __len__(self):
-        return len(self.parent)
+        return self.size
 
     def pairs(self) -> tuple[list, list]:
         """(lo, hi) columns as lists of (num, den) pairs of Python ints."""
@@ -127,18 +132,24 @@ class _Level:
         lo, hi = self.pairs()
         return [Fraction(u, v) for u, v in lo], [Fraction(u, v) for u, v in hi]
 
-    def links(self) -> tuple[list[int], list[int]]:
-        """(branch, parent) columns as Python ints."""
-        if isinstance(self.branch, list):
-            return self.branch, self.parent
-        return self.branch.tolist(), self.parent.tolist()
+    def links(self, signs: Sequence[int]) -> tuple[list[int], list[int]]:
+        """(branch, parent) columns as Python ints, expanded from the runs;
+        ``signs`` holds each branch's orientation."""
+        branch, parent = [], []
+        for b, s, e in self.runs:
+            branch += [b] * (e - s)
+            parent += range(s, e) if signs[b] > 0 else range(e - 1, s - 1, -1)
+        return branch, parent
 
 
 class RefinementTree:
     """Survivor components per level, with per-level cardinalities.
 
     ``counts`` stops at the first extinct level; deeper counts are zero by
-    convention (``count`` implements that).
+    convention (``count`` implements that).  Every level keeps its runs, so
+    counts and itineraries are read at any level, but only the deepest level
+    keeps its endpoints: reading the endpoints of a shallower level
+    (``component_intervals`` or ``cylinders``) refines again to that level.
     """
 
     def __init__(self, pmap: PiecewiseMap, hole: Hole, levels: list[_Level],
@@ -172,14 +183,18 @@ class RefinementTree:
 
     def component_intervals(self, n: int) -> list[tuple]:
         """Raw (lo, hi) pairs of the level-n components, left to right."""
-        return list(zip(*self._levels[self._stored_level(n) - 1].endpoints()))
+        n = self._stored_level(n)
+        tree = self if n == self.depth else refine(self.map, self.hole, n,
+                                                    max(self.counts[:n]))
+        return list(zip(*tree._levels[-1].endpoints()))
 
     def itineraries(self, n: int) -> list[tuple[int, ...]]:
         n = self._stored_level(n)
+        signs = [b.orientation for b in self.map.branches]
         idx = range(len(self._levels[n - 1]))
         columns = []
         for lv in reversed(self._levels[:n]):
-            branch, parent = lv.links()
+            branch, parent = lv.links(signs)
             columns.append([branch[i] for i in idx])
             idx = [parent[i] for i in idx]
         return list(zip(*columns))
@@ -329,33 +344,28 @@ class _PairKernel:
         ws = [(b, w) for b, wins in enumerate(self.windows) for w in wins]
         if len(ws) > cap:
             raise _cap_exceeded(cap, 1)
-        return _Level(None, [w[0] for _, w in ws], [w[1] for _, w in ws],
-                      [-1] * len(ws), [b for b, _ in ws])
+        return _Level([(b, -1, 0) for b, _ in ws],
+                      [w[0] for _, w in ws], [w[1] for _, w in ws])
 
     def step(self, cur: _Level, n: int, cap: int) -> _Level:
         """Level n+1 from level n, one window at a time."""
         los, his = cur.pairs()
         runs, _ = _window_runs(self.windows, _pair_run, (los, his), n, cap)
-        nxt = _Level()
+        nlo, nhi = [], []
         for b, wlo, whi, s, e, clip_first, clip_last in runs:
             A, B, C, D = self.mats[b]
             lo = [(A * u + B * v, C * u + D * v) for u, v in los[s:e]]
             hi = [(A * u + B * v, C * u + D * v) for u, v in his[s:e]]
-            if self.signs[b] > 0:
-                parents = range(s, e)
-            else:
+            if self.signs[b] < 0:
                 lo, hi = hi[::-1], lo[::-1]
                 clip_first, clip_last = clip_last, clip_first
-                parents = range(e - 1, s - 1, -1)
             if clip_first:
                 lo[0] = wlo
             if clip_last:
                 hi[-1] = whi
-            nxt.lo += lo
-            nxt.hi += hi
-            nxt.parent += parents
-            nxt.branch += [b] * (e - s)
-        return nxt
+            nlo += lo
+            nhi += hi
+        return _Level([(b, s, e) for b, _, _, s, e, _, _ in runs], nlo, nhi)
 
 
 class _ArrayKernel:
@@ -367,8 +377,7 @@ class _ArrayKernel:
     the runs, checks the cap, and writes each run into its slice of the new
     columns, cutting only its first and last component to the window.  It
     holds the new level and no more than one run's temporaries besides:
-    its parent indices (4 bytes per component) and, for int64 pairs, one
-    product column (8 bytes per component).
+    for int64 pairs, one product column (8 bytes per component).
 
     Windows and branch inverses are those of :class:`_PairKernel`.  When
     every inverse (A, B, C, D) is affine (C = 0), it is divided by
@@ -404,7 +413,6 @@ class _ArrayKernel:
         self.np = np
         self.signs = pairs.signs
         self.windows = pairs.windows
-        self.branch_type = np.min_scalar_type(len(pairs.signs) - 1)
         self.mats = pairs.mats
         self.delta = None
         ends = [x for ws in self.windows for w in ws for x in w]
@@ -490,20 +498,17 @@ class _ArrayKernel:
             np.multiply(x, A, out=out)
             out += shift
 
-    def step(self, cur: _Level, columns: tuple, n: int, cap: int) -> _Level:
+    def step(self, columns: tuple, n: int, cap: int) -> _Level:
         """Level n+1 from level n, whose ``columns`` are those of
-        ``self.columns(cur, n)``, one window at a time.  Endpoint columns are
+        :meth:`columns`, one window at a time.  Endpoint columns are
         1-D or 2 x n; ``[..., i]`` indexes both."""
         np = self.np
         lo, hi, den = columns
         nden = None if den is None else den * self.delta
         runs, total = _window_runs(self.windows, self.run, (lo, hi, den), n, cap)
         rows = () if den is not None else (2,)
-        parent_type = np.int32 if len(cur) <= np.iinfo(np.int32).max else np.int64
         nlo = np.empty(rows + (total,), dtype=np.int64)
         nhi = np.empty(rows + (total,), dtype=np.int64)
-        parent = np.empty(total, dtype=parent_type)
-        branch = np.empty(total, dtype=self.branch_type)
         k = 0
         for b, wlo, whi, s, e, clip_first, clip_last in runs:
             if nden is not None:   # the window ends at scale nden
@@ -512,19 +517,16 @@ class _ArrayKernel:
             if self.signs[b] > 0:
                 self.pull(b, den, lo[..., s:e], nlo[..., k:j])
                 self.pull(b, den, hi[..., s:e], nhi[..., k:j])
-                parent[k:j] = np.arange(s, e, dtype=parent_type)
             else:
                 self.pull(b, den, hi[..., s:e][..., ::-1], nlo[..., k:j])
                 self.pull(b, den, lo[..., s:e][..., ::-1], nhi[..., k:j])
                 clip_first, clip_last = clip_last, clip_first
-                parent[k:j] = np.arange(e - 1, s - 1, -1, dtype=parent_type)
             if clip_first:
                 nlo[..., k] = wlo
             if clip_last:
                 nhi[..., j - 1] = whi
-            branch[k:j] = b
             k = j
-        return _Level(nden, nlo, nhi, parent, branch)
+        return _Level([(b, s, e) for b, _, _, s, e, _, _ in runs], nlo, nhi, nden)
 
 
 class _PairColumn:
@@ -559,6 +561,10 @@ def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,
     over a shared denominator when every branch is affine, as (num, den)
     pairs otherwise.  Every other step runs on Python lists of integer
     pairs.  All forms build identical trees.
+
+    Every level keeps its runs, and level n's endpoints are dropped once
+    level n+1 is built, so the cap bounds the memory too: at most two
+    levels of endpoints are held at once.
     """
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
@@ -576,7 +582,8 @@ def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,
             if arrays is not None:
                 columns = arrays.columns(cur, n)
         levels.append(lists.step(cur, n, component_cap) if columns is None
-                      else arrays.step(cur, columns, n, component_cap))
+                      else arrays.step(columns, n, component_cap))
+        cur.lo = cur.hi = None
     return RefinementTree(pmap, hole, levels, len(levels[-1]) == 0)
 
 

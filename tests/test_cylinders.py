@@ -117,16 +117,50 @@ def refine_on(name, pmap, hole, n):
         return refine(pmap, hole, n)
 
 
+class FormLevel(cylinders._Level):
+    """A level that remembers whether it was stored in an int64 form
+    (shared den or pairs) once refine drops its endpoint columns."""
+
+    __slots__ = ("int64",)
+
+    def __init__(self, runs, lo, hi, den=None):
+        super().__init__(runs, lo, hi, den)
+        self.int64 = not isinstance(lo, list)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def record_level_forms():
+    """Every level built in this module is a FormLevel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cylinders, "_Level", FormLevel)
+        yield
+
+
 def int64_levels(tree):
     """Per level, whether it is stored in an int64 form (shared den or
     pairs)."""
-    return [not isinstance(lv.lo, list) for lv in tree._levels]
+    return [lv.int64 for lv in tree._levels]
+
+
+def branch_components(level, branch):
+    """How many of a level's components one branch pulled back."""
+    return sum(e - s for b, s, e in level.runs if b == branch)
 
 
 def assert_same_tree(fast, slow):
+    """``fast`` from refine_on("int64"), ``slow`` from refine_on("generic").
+
+    A tree keeps only its deepest level's endpoints, so every other level
+    is read from a refinement to it on the kernel that built the tree,
+    which stores that level in the same form as the tree did."""
     assert fast.counts == slow.counts
     for n in range(1, fast.depth + 1):
-        assert fast.component_intervals(n) == slow.component_intervals(n)
+        reads = []
+        for tree, name in ((fast, "int64"), (slow, "generic")):
+            at_n = tree if n == tree.depth else refine_on(name, tree.map, tree.hole, n)
+            assert int64_levels(at_n) == int64_levels(tree)[:n]
+            reads.append(at_n.component_intervals(n))
+        assert reads[0] == reads[1]
         assert fast.itineraries(n) == slow.itineraries(n)
 
 
@@ -137,16 +171,13 @@ def test_generic_path_agrees_with_scaled_path():
         slow = refine_on("generic", m, hole, 12)
         assert int64_levels(fast) == [False] + [True] * 11
         assert not any(int64_levels(slow))
-        assert fast.counts == slow.counts
-        for n in (1, 5, 12):
-            assert fast.component_intervals(n) == slow.component_intervals(n)
-            assert fast.itineraries(n) == slow.itineraries(n)
+        assert_same_tree(fast, slow)
 
 
 @st.composite
-def exact_holes(draw, min_pieces=1):
+def exact_holes(draw, min_pieces=1, max_pieces=3):
     pieces = []
-    for _ in range(draw(st.integers(min_pieces, 3))):
+    for _ in range(draw(st.integers(min_pieces, max_pieces))):
         q = draw(st.integers(1, 64))
         lo = draw(st.integers(0, q))
         hi = draw(st.integers(lo, q))
@@ -184,7 +215,7 @@ def test_int64_kernel_splits_one_pullback_across_a_hole():
     for m in (build_d_adic(2), TENT):
         fast = refine_on("int64", m, hole, 8)
         assert all(int64_levels(fast)[1:])
-        branch, parent = fast._levels[1].links()
+        branch, parent = fast._levels[1].links([b.orientation for b in m.branches])
         children = Counter(zip(parent, branch))
         assert children[(1, 0)] == 2 and max(children.values()) == 2
         assert_same_tree(fast, refine_on("generic", m, hole, 8))
@@ -192,8 +223,9 @@ def test_int64_kernel_splits_one_pullback_across_a_hole():
 
 def test_int64_step_holds_little_beyond_the_new_level():
     # a step writes each run straight into the new level's columns, so
-    # beyond what the tree keeps it holds one run's parent indices (about
-    # 0.1x the level); full-size temporaries would pass the bound
+    # beyond what the tree keeps it holds the level it reads (about 0.57x
+    # the new one here, dropped once the step is done) and one run's
+    # temporaries; full-size temporaries would pass the bound
     import numpy  # noqa: F401  (loaded outside the traced region)
     m = build_d_adic(2)
     hole = H((Fraction(13, 16), Fraction(1)))
@@ -205,8 +237,28 @@ def test_int64_step_holds_little_beyond_the_new_level():
         tracemalloc.stop()
     last = tree._levels[-1]
     assert last.den is not None
-    level_bytes = sum(c.nbytes for c in (last.lo, last.hi, last.parent, last.branch))
+    level_bytes = last.lo.nbytes + last.hi.nbytes
     assert peak - retained <= 1.5 * level_bytes
+
+
+def test_refined_tree_keeps_only_the_deepest_endpoints():
+    # every level keeps its runs, a few per level, and only the deepest
+    # level its endpoint columns.  The constant covers the runs and the
+    # pair tuples CPython keeps on its free list (at most 2000 x 56 bytes);
+    # every level's endpoints would be ~2.3x the last level's here
+    import numpy  # noqa: F401  (loaded outside the traced region)
+    m = build_d_adic(2)
+    hole = H((Fraction(13, 16), Fraction(1)))
+    tracemalloc.start()
+    try:
+        tree = refine(m, hole, 20)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    last = tree._levels[-1]
+    assert last.den is not None
+    assert retained <= last.lo.nbytes + last.hi.nbytes + 2 ** 18
+    assert all(lv.lo is None and lv.hi is None for lv in tree._levels[:-1])
 
 
 # x -> 2x - 1/3 on (1/6, 2/3) and 2x - 4/3 on (2/3, 1): the second image
@@ -253,7 +305,8 @@ def test_int64_kernel_hands_back_past_two_to_the_63():
     hole = H((Fraction(-1, 3), Fraction(19, 20)))
     fast = refine_on("int64", FAR_SHIFT, hole, 64)
     assert int64_levels(fast) == [False] + [True] * 56 + [False] * 7
-    assert all(lv.links()[0] == [0, 1] for lv in fast._levels)
+    signs = [b.orientation for b in FAR_SHIFT.branches]
+    assert all(lv.links(signs)[0] == [0, 1] for lv in fast._levels)
     assert_same_tree(fast, refine_on("generic", FAR_SHIFT, hole, 64))
 
 
@@ -414,6 +467,29 @@ def test_int64_pairs_agree_with_pair_lists(hole, pmap, depth):
     assert_same_tree(fast, refine_on("generic", pmap, hole, depth))
 
 
+@settings(max_examples=30, deadline=None)
+@given(hole=exact_holes(max_pieces=2),
+       pmap=st.sampled_from([build_d_adic(2), build_d_adic(3), TENT, AFFINE_5_2,
+                             build_scaled_farey(Fraction(4, 5))]),
+       kernel=st.sampled_from(["int64", "generic"]), depth=st.integers(2, 8))
+def test_deep_tree_reads_every_level_as_a_shallow_refine(hole, pmap, kernel, depth):
+    # only the deepest level keeps its endpoints: a deep tree reads a
+    # shallower level's endpoints by refining again, and its itineraries
+    # from the runs of every level.  "int64" stores shared-den arrays on the
+    # affine maps and int64 pairs on farey 4/5, "generic" pair lists
+    deep = refine_on(kernel, pmap, hole, depth)
+    assert int64_levels(deep) == [False] + [kernel == "int64"] * (deep.depth - 1)
+    for n in range(1, depth + 1):
+        shallow = refine_on(kernel, pmap, hole, n)
+        assert int64_levels(shallow) == int64_levels(deep)[:n]
+        assert deep.count(n) == shallow.count(n)
+        # the deep tree refines again on the same kernel to read level n
+        with only_kernel(kernel):
+            assert deep.component_intervals(n) == shallow.component_intervals(n)
+            assert deep.cylinders(n) == shallow.cylinders(n)
+        assert deep.itineraries(n) == shallow.itineraries(n)
+
+
 def test_int64_pairs_hand_back_to_pair_lists_past_int64():
     # inverse matrix entries near 2^20 add ~21 bits per level: level 3 has
     # 43-bit heights, and 43 + 21 bits would pass int64
@@ -437,7 +513,7 @@ def test_int64_pairs_hand_back_to_pair_lists_past_int64():
     assert not any(int64_levels(fast))
     assert_same_tree(fast, refine_on("generic", farey, hole, 6))
     kernel = cylinders._ArrayKernel(cylinders._PairKernel(farey, hole))
-    assert kernel.columns(cylinders._Level(None, [(1, 8)], [(1, 4)], [-1], [0]), 1) is None
+    assert kernel.columns(cylinders._Level([(0, -1, 0)], [(1, 8)], [(1, 4)]), 1) is None
 
 
 @pytest.mark.parametrize("hole", [Hole.empty(), H((Fraction(1, 3), Fraction(3, 8)))])
@@ -445,15 +521,15 @@ def test_component_cap_inside_an_int64_pairs_step(hole):
     farey = build_scaled_farey(Fraction(4, 5))
     tree = refine_on("int64", farey, hole, 10)
     assert int64_levels(tree)[-1]
-    first = int((tree._levels[-1].branch == 0).sum())
+    first = branch_components(tree._levels[-1], 0)
     assert 0 < first < tree.counts[-1]
     cap = (first + tree.counts[-1]) // 2
     steps, pulled = [], []
     step, pull = cylinders._ArrayKernel.step, cylinders._ArrayKernel.pull
 
-    def recording_step(self, cur, columns, n, cap):
+    def recording_step(self, columns, n, cap):
         steps.append(n)
-        return step(self, cur, columns, n, cap)
+        return step(self, columns, n, cap)
 
     def recording_pull(self, *args):
         pulled.append(steps[-1])
@@ -541,7 +617,7 @@ def test_component_cap_inside_the_second_branch_of_an_int64_step(hole):
     m = build_d_adic(2)
     tree = refine_on("int64", m, hole, 10)
     assert int64_levels(tree)[-1]
-    first = int((tree._levels[-1].branch == 0).sum())
+    first = branch_components(tree._levels[-1], 0)
     assert 0 < first < tree.counts[-1]
     cap = (first + tree.counts[-1]) // 2
     with only_kernel("int64"):
