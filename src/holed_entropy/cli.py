@@ -305,10 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--component-cap", type=int, default=DEFAULT_COMPONENT_CAP,
-                   help="cap on each level's component count; only the deepest "
-                        "level keeps its endpoints, so this also bounds the "
-                        "refinement's memory at about two levels of endpoints "
-                        "(16 B per component for a shared den, 32 B for int64 pairs)")
+                   help="cap on each level's component count; the refinement "
+                        "stores each level's runs only, so its memory does not "
+                        "grow with the counts")
     p.add_argument("--csv", help="write level,count,entropy_estimate rows")
     p.set_defaults(fn=_cmd_oracle)
 

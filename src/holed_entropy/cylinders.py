@@ -6,25 +6,27 @@ branch domain, minus the hole.  Every component therefore has explicit exact
 endpoints, and forward image lengths come from endpoint images of the
 monotone composition.
 
-One driver loop in :func:`refine` owns the levels, extinction and the
-component cap, and builds each level from the previous one with a kernel
-chosen per level.  Maps and holes are exact (see :mod:`.mapmodel`).  A
-level is sorted and disjoint, so every kernel steps window by window: the
-level-n components that meet one window (a branch domain minus the hole,
-pushed forward through the branch) form a run found by two binary
-searches, the window cuts only the first and the last of them, and the
-whole run is pulled back at once.
+A level is sorted and disjoint, so the level-n components that meet one
+window (a piece of a branch domain outside the hole, pushed forward through
+its branch) form a run ``s:e``, and the window pulls the whole run back,
+cutting only its first and its last component to the window.  A level is
+stored as its runs alone; :func:`refine` finds them without writing
+endpoints, by counting (see :class:`_RunSearch`).  As in kneading theory, a
+count of monotone pieces below a point is fixed by the point's forward
+orbit: the level-n components whose ``lo`` (or ``hi``) lies below ``y``
+are those of the windows left of ``y`` plus, in the window holding ``y``,
+the pullbacks of the level-(n-1) components below the image of ``y``.
+A count therefore follows the orbit down the stored runs to one *anchor*
+level that keeps its endpoints, and ends in one binary search there.
 
-Every level keeps its runs as ``(branch, s, e)``, which link each of its
-components to a parent and a branch; only the deepest level keeps its
-endpoints.  A level's endpoints are dropped once the next level is built, so
-a refinement holds at most two levels of endpoints and the component cap
-bounds its memory.  The endpoints are stored as one of:
+Endpoints are read-only data: :meth:`RefinementTree.component_intervals`
+and :meth:`RefinementTree.cylinders` replay the stored runs from level 1.
+A replay step pulls known runs back in one of two forms:
 
 * pair lists: Python lists of integer ``(num, den)`` endpoints with
   ``den > 0``, for any map.  Branch inverses are 2x2 integer matrices, so a
   step does no Fraction arithmetic (~0.5-0.8 us per component); values
-  become Fraction only when a level is read;
+  become Fraction only when the level is returned;
 * int64 arrays, for any map from a level of at least
   ``_ARRAY_MIN_COMPONENTS`` components and while an exact height guard
   says the next level fits in int64.  When every branch is affine, the
@@ -35,15 +37,16 @@ bounds its memory.  The endpoints are stored as one of:
   component).  Maps with a Moebius branch store ``(num, den)`` columns and
   pull a run back with the branch inverse matrices (~0.03 us and 32 bytes
   per component); pairs are not reduced, so their heights grow with the
-  level.  Both array forms share one step: it sizes the new level before
-  writing it and fills it run by run, so it holds the new level and one
-  run's temporaries besides the level it reads.
+  level.  Both array forms share one step: it fills the new level run by
+  run, so it holds the new level and one run's temporaries besides the
+  level it reads.
 
 numpy is imported only when it pays: once it is loaded, array steps start
 at ``_ARRAY_MIN_COMPONENTS`` components; before, they wait for a level from
-which the pair kernel would write ``_NUMPY_WORTH_COMPONENTS`` components by
-the requested depth.  A level is converted exactly when its form changes,
-and all forms build identical trees.
+which the replay writes ``_NUMPY_WORTH_COMPONENTS`` components, which the
+known counts give exactly.  :func:`refine` itself never imports numpy.  A
+level is converted exactly when its form changes, and all forms give
+identical endpoints.
 """
 
 from __future__ import annotations
@@ -87,58 +90,35 @@ class Cylinder:
 
 
 class _Level:
-    """One level: its runs, and its endpoint columns while it is the deepest.
+    """One level as its runs.
 
-    ``runs`` holds one ``(branch, s, e)`` per window run: the level's next
-    ``e - s`` components are the pullbacks of components ``s:e`` of the
-    level before through ``branch``, in reverse order when the branch
-    reverses orientation.  Level 1 has one run ``(branch, -1, 0)`` per
-    window: one component and no parent.  A level is counted by its runs.
-
-    :func:`refine` drops a level's endpoint columns (``lo`` and ``hi`` become
-    None) once the next level is built.  While kept, they take one of three
-    forms:
-
-    * pair lists: Python lists, endpoints as integer ``(num, den)`` pairs
-      with ``den > 0``, and ``den`` None;
-    * shared den: numpy int64 endpoint numerators over the denominator
-      ``den`` of the whole level (maps whose branches are all affine);
-    * int64 pairs: numpy 2 x n int64 endpoints, numerators in row 0 and
-      denominators (> 0) in row 1, and ``den`` None.
+    ``runs`` holds one ``(s, e)`` per window of :class:`_PairKernel`, left
+    to right: the level's components ``starts[k]:starts[k+1]`` are the
+    pullbacks of components ``s:e`` of the level before through window
+    k's branch, in reverse order when the branch reverses orientation, the
+    first and the last cut to the window (``s == e`` when window k pulls
+    nothing back).  Level 1 has ``(-1, 0)`` per window: one component, the
+    window, and no parent.  A level is counted by its runs.
     """
 
-    __slots__ = ("runs", "size", "den", "lo", "hi")
+    __slots__ = ("runs", "starts")
 
-    def __init__(self, runs: list, lo, hi, den: Optional[int] = None):
-        self.runs, self.lo, self.hi, self.den = runs, lo, hi, den
-        self.size = sum(e - s for _, s, e in runs)
+    def __init__(self, runs: list):
+        self.runs = runs
+        self.starts = starts = [0]
+        for s, e in runs:
+            starts.append(starts[-1] + e - s)
 
     def __len__(self):
-        return self.size
+        return self.starts[-1]
 
-    def pairs(self) -> tuple[list, list]:
-        """(lo, hi) columns as lists of (num, den) pairs of Python ints."""
-        if isinstance(self.lo, list):
-            return self.lo, self.hi
-        # tolist() first: numpy integers would overflow silently later on
-        if self.den is not None:
-            den = self.den
-            return ([(u, den) for u in self.lo.tolist()],
-                    [(u, den) for u in self.hi.tolist()])
-        return list(zip(*self.lo.tolist())), list(zip(*self.hi.tolist()))
-
-    def endpoints(self) -> tuple[list, list]:
-        """Raw (lo, hi) columns as reduced Fractions of Python ints."""
-        lo, hi = self.pairs()
-        return [Fraction(u, v) for u, v in lo], [Fraction(u, v) for u, v in hi]
-
-    def links(self, signs: Sequence[int]) -> tuple[list[int], list[int]]:
-        """(branch, parent) columns as Python ints, expanded from the runs;
-        ``signs`` holds each branch's orientation."""
+    def links(self, kernel: _PairKernel) -> tuple[list[int], list[int]]:
+        """(branch, parent) columns as Python ints, expanded from the runs
+        of ``kernel``'s windows."""
         branch, parent = [], []
-        for b, s, e in self.runs:
+        for (b, *_), (s, e) in zip(kernel.windows, self.runs):
             branch += [b] * (e - s)
-            parent += range(s, e) if signs[b] > 0 else range(e - 1, s - 1, -1)
+            parent += range(s, e) if kernel.signs[b] > 0 else range(e - 1, s - 1, -1)
         return branch, parent
 
 
@@ -146,16 +126,17 @@ class RefinementTree:
     """Survivor components per level, with per-level cardinalities.
 
     ``counts`` stops at the first extinct level; deeper counts are zero by
-    convention (``count`` implements that).  Every level keeps its runs, so
-    counts and itineraries are read at any level, but only the deepest level
-    keeps its endpoints: reading the endpoints of a shallower level
-    (``component_intervals`` or ``cylinders``) refines again to that level.
+    convention (``count`` implements that).  The tree holds each level's
+    runs only: counts and itineraries are read from them at any level, and
+    endpoints (``component_intervals`` and ``cylinders``) are replayed from
+    level 1 on every read.
     """
 
-    def __init__(self, pmap: PiecewiseMap, hole: Hole, levels: list[_Level],
-                 extinct: bool):
+    def __init__(self, pmap: PiecewiseMap, hole: Hole, kernel: _PairKernel,
+                 levels: list[_Level], extinct: bool):
         self.map = pmap
         self.hole = hole
+        self._kernel = kernel
         self._levels = levels
         self._extinct = extinct
         self.counts = [len(lv) for lv in levels]
@@ -182,19 +163,39 @@ class RefinementTree:
         return self.counts[self._stored_level(n) - 1]
 
     def component_intervals(self, n: int) -> list[tuple]:
-        """Raw (lo, hi) pairs of the level-n components, left to right."""
+        """Raw (lo, hi) pairs of the level-n components, left to right.
+
+        They are replayed from level 1 through the stored runs.  A step
+        runs on int64 arrays when its level has at least
+        ``_ARRAY_MIN_COMPONENTS`` components, numpy pays for itself (it is
+        loaded, or the replay writes at least ``_NUMPY_WORTH_COMPONENTS``
+        components from there) and the next level fits in int64; every
+        other step runs on pair lists.
+        """
         n = self._stored_level(n)
-        tree = self if n == self.depth else refine(self.map, self.hole, n,
-                                                    max(self.counts[:n]))
-        return list(zip(*tree._levels[-1].endpoints()))
+        kernel, counts = self._kernel, self.counts
+        lo, hi = kernel.ends
+        den = arrays = None
+        for m in range(1, n):
+            columns = None
+            if counts[m - 1] >= _ARRAY_MIN_COMPONENTS and (
+                    arrays is not None or _numpy_loaded()
+                    or sum(counts[m:n]) >= _NUMPY_WORTH_COMPONENTS):
+                arrays = arrays or _ArrayKernel(kernel)
+                columns = arrays.columns(lo, hi, den, m)
+            if columns is None:
+                lo, hi = kernel.pull(self._levels[m], *_pairs(lo, hi, den))
+                den = None
+            else:
+                lo, hi, den = arrays.step(*columns, self._levels[m])
+        return [(Fraction(*a), Fraction(*b)) for a, b in zip(*_pairs(lo, hi, den))]
 
     def itineraries(self, n: int) -> list[tuple[int, ...]]:
         n = self._stored_level(n)
-        signs = [b.orientation for b in self.map.branches]
         idx = range(len(self._levels[n - 1]))
         columns = []
         for lv in reversed(self._levels[:n]):
-            branch, parent = lv.links(signs)
+            branch, parent = lv.links(self._kernel)
             columns.append([branch[i] for i in idx])
             idx = [parent[i] for i in idx]
         return list(zip(*columns))
@@ -208,43 +209,38 @@ class RefinementTree:
 
 
 # ---------------------------------------------------------------------------
-# refinement kernels
+# run search and replay kernels
 # ---------------------------------------------------------------------------
 
-# Array steps run only on levels of at least this many components.  A step
-# on int64 arrays has a fixed cost of ~0.02-0.08 ms (the run searches and a
-# few numpy calls per run); at 10^3 components the pair kernel, at ~0.5-0.8
-# us per component, costs several times that.
+# Replay steps run on int64 arrays only from levels of at least this many
+# components.  An array step has a fixed cost of ~0.02-0.08 ms (a few numpy
+# calls per run); at 10^3 components the pair kernel, at ~0.5-0.8 us per
+# component, costs several times that.
 _ARRAY_MIN_COMPONENTS = 1000
 
 # Importing numpy costs ~0.1 s, as much as ~1.5 * 10^5 components written
 # by the pair kernel.  When numpy is not loaded yet, array steps wait for a
-# level from which the pair kernel would write that many components by the
-# requested depth, were the levels to keep growing at the last step's rate:
-# shallow refinements (farey 4/5 to depth 16 writes ~1.3 * 10^5 components
-# from its first level of 10^3) then start and end without numpy.
+# level from which the replay writes that many components: shallow reads
+# (farey 4/5 to depth 16 writes ~1.3 * 10^5 components from its first level
+# of 10^3) then start and end without numpy.
 _NUMPY_WORTH_COMPONENTS = 150_000
+
+# refine moves the anchor up to the newest level once the orbit steps spent
+# since the last move, anchor searches included, reach 1/_REPLAY_PER_STEP of
+# the components that the move replays (see _RunSearch).  A move replays
+# each level at most once, as a refinement that wrote every level would, so
+# the searches add at most about one step per 8 components written; an
+# orbit step costs about what pulling a few components back does.
+_REPLAY_PER_STEP = 8
+
+# Kinds of count: bit 1 picks the column (0 lo, 1 hi), bit 0 counts the
+# endpoints equal to the point too.  A decreasing branch maps lo < y to
+# hi > T(y), so it flips both bits.
+_LO_BELOW, _LO_UPTO, _HI_BELOW, _HI_UPTO = range(4)
 
 
 def _numpy_loaded() -> bool:
     return "numpy" in sys.modules
-
-
-def _arrays_pay(levels: list[_Level], n_max: int) -> bool:
-    """Whether array steps from the last of ``levels`` on are worth loading
-    numpy (see ``_NUMPY_WORTH_COMPONENTS``)."""
-    if _numpy_loaded():
-        return True
-    size, ahead = len(levels[-1]), 0
-    rate = size / len(levels[-2]) if len(levels) > 1 else 1
-    for _ in range(n_max - len(levels)):
-        size *= rate
-        ahead += size
-        if ahead >= _NUMPY_WORTH_COMPONENTS:
-            return True
-        if size < 1:
-            break
-    return False
 
 
 def _cap_exceeded(cap: int, level: int) -> ResourceLimitError:
@@ -264,60 +260,36 @@ def _inverse_matrix(branch: Branch) -> tuple[int, int, int, int]:
     return s * d, -s * b, -s * c, s * a
 
 
-def _bisect(col, y, strict: bool, lo: int = 0) -> int:
-    """First index i >= lo with col[i] > y (strict) or col[i] >= y; ``col``
-    is a sorted sequence of (num, den) pairs and ``y`` one pair, dens > 0."""
+def _bisect(col, y, upto: int, lo: int, hi: int) -> int:
+    """lo plus the number of entries of ``col[lo:hi]`` below ``y``, or at
+    most ``y`` when ``upto``; ``col`` is a sorted sequence of (num, den)
+    pairs and ``y`` one pair, dens > 0."""
     p, q = y
-    hi = len(col)
     while lo < hi:
         mid = (lo + hi) // 2
         u, v = col[mid]
         d = u * q - p * v
-        if d > 0 or (d == 0 and not strict):
+        if d > 0 or (d == 0 and not upto):
             hi = mid
         else:
             lo = mid + 1
     return lo
 
 
-def _pair_run(los, his, ylo, yhi) -> tuple[int, int, bool, bool]:
-    """The run ``s:e`` of a level that meets the open window image
-    (ylo, yhi), and whether its first and its last component reach past
-    the image and are cut to it.
-
-    ``los`` and ``his`` are the level's sorted (num, den) endpoint
-    sequences, ``ylo`` and ``yhi`` pairs, dens > 0.
-    """
-    s = _bisect(his, ylo, True)
-    e = _bisect(los, yhi, False, s)
-    if s == e:
-        return s, e, False, False
-    (u, v), (p, q) = los[s], ylo
-    clip_first = u * q < p * v
-    (u, v), (p, q) = his[e - 1], yhi
-    return s, e, clip_first, u * q > p * v
-
-
-def _window_runs(windows, run, columns: tuple, n: int, cap: int) -> tuple[list, int]:
-    """The runs of level n that each window pulls back, as (branch, window
-    lo, window hi, s, e, clip_first, clip_last) with ``run(*columns, ylo,
-    yhi)`` the run ``s:e`` and its clips (:func:`_pair_run`), and their
-    total length; raises when that passes ``cap``."""
-    runs = []
-    total = 0
-    for b, wins in enumerate(windows):
-        for wlo, whi, ylo, yhi in wins:
-            s, e, clip_first, clip_last = run(*columns, ylo, yhi)
-            if s < e:
-                runs.append((b, wlo, whi, s, e, clip_first, clip_last))
-                total += e - s
-    if total > cap:
-        raise _cap_exceeded(cap, n + 1)
-    return runs, total
+def _pairs(lo, hi, den) -> tuple[list, list]:
+    """Endpoint columns in any form as lists of (num, den) pairs of Python
+    ints (``den`` is the shared den of int64 numerators, or None)."""
+    if isinstance(lo, list):
+        return lo, hi
+    # tolist() first: numpy integers would overflow silently later on
+    if den is not None:
+        return [(u, den) for u in lo.tolist()], [(u, den) for u in hi.tolist()]
+    return list(zip(*lo.tolist())), list(zip(*hi.tolist()))
 
 
 class _PairKernel:
-    """Python lists of integer (num, den) endpoint pairs, den > 0; any map.
+    """The windows, and replay on Python lists of integer (num, den)
+    endpoint pairs, den > 0; any map.
 
     A branch inverse is the integer matrix of :func:`_inverse_matrix`, so a
     step is integer multiplications and cross-multiplied comparisons only.
@@ -328,56 +300,150 @@ class _PairKernel:
 
     def __init__(self, pmap: PiecewiseMap, hole: Hole):
         self.mats = [_inverse_matrix(b) for b in pmap.branches]
+        self.forward = [b.integer_matrix() for b in pmap.branches]
         self.signs = [b.orientation for b in pmap.branches]
-        # per branch, its domain minus the hole left to right (the pieces of
-        # the level-1 survivor set), each window as (lo, hi, image lo,
-        # image hi) pairs
+        # every branch domain minus the hole, left to right (the pieces of
+        # the level-1 survivor set), each window as (branch, lo, hi, image
+        # lo, image hi) with (num, den) pairs
         self.windows = []
-        for br, (dlo, dhi) in zip(pmap.branches, pmap.branch_domains_raw()):
-            ws = []
+        for b, (br, (dlo, dhi)) in enumerate(zip(pmap.branches, pmap.branch_domains_raw())):
             for lo, hi in subtract_pieces(dlo, dhi, hole.pieces):
                 ylo, yhi = sorted((br.apply_raw(lo), br.apply_raw(hi)))
-                ws.append((_int_pair(lo), _int_pair(hi), _int_pair(ylo), _int_pair(yhi)))
-            self.windows.append(ws)
+                self.windows.append((b, *map(_int_pair, (lo, hi, ylo, yhi))))
+        # the (lo, hi) columns of level 1
+        self.ends = [w[1] for w in self.windows], [w[2] for w in self.windows]
 
-    def first_level(self, cap: int) -> _Level:
-        ws = [(b, w) for b, wins in enumerate(self.windows) for w in wins]
-        if len(ws) > cap:
-            raise _cap_exceeded(cap, 1)
-        return _Level([(b, -1, 0) for b, _ in ws],
-                      [w[0] for _, w in ws], [w[1] for _, w in ws])
-
-    def step(self, cur: _Level, n: int, cap: int) -> _Level:
-        """Level n+1 from level n, one window at a time."""
-        los, his = cur.pairs()
-        runs, _ = _window_runs(self.windows, _pair_run, (los, his), n, cap)
+    def pull(self, level: _Level, lo: list, hi: list) -> tuple[list, list]:
+        """Level ``level``'s (lo, hi) columns from the level before's."""
         nlo, nhi = [], []
-        for b, wlo, whi, s, e, clip_first, clip_last in runs:
+        for (b, wlo, whi, _, _), (s, e) in zip(self.windows, level.runs):
+            if s == e:
+                continue
             A, B, C, D = self.mats[b]
-            lo = [(A * u + B * v, C * u + D * v) for u, v in los[s:e]]
-            hi = [(A * u + B * v, C * u + D * v) for u, v in his[s:e]]
+            plo = [(A * u + B * v, C * u + D * v) for u, v in lo[s:e]]
+            phi = [(A * u + B * v, C * u + D * v) for u, v in hi[s:e]]
             if self.signs[b] < 0:
-                lo, hi = hi[::-1], lo[::-1]
-                clip_first, clip_last = clip_last, clip_first
-            if clip_first:
-                lo[0] = wlo
-            if clip_last:
-                hi[-1] = whi
-            nlo += lo
-            nhi += hi
-        return _Level([(b, s, e) for b, _, _, s, e, _, _ in runs], nlo, nhi)
+                plo, phi = phi[::-1], plo[::-1]
+            (u, v), (p, q) = plo[0], wlo
+            if u * q < p * v:
+                plo[0] = wlo
+            (u, v), (p, q) = phi[-1], whi
+            if u * q > p * v:
+                phi[-1] = whi
+            nlo += plo
+            nhi += phi
+        return nlo, nhi
+
+
+class _RunSearch:
+    """The runs of each next level, from the forward orbits of the window
+    ends (see :func:`refine`).
+
+    Window k's run ``s:e`` at level n+1 holds the level-n components that
+    meet the window image (ylo, yhi): ``s`` counts those with ``hi <= ylo``
+    and ``e`` those with ``lo < yhi``.  A count of kind ``kind`` (column,
+    and whether endpoints equal to the point count) at level n of a point
+    y splits the windows into three: those right of y hold no counted
+    component, those left of y only counted ones, and the one window
+    holding y, if any, counts the level-(n-1) components of its run below
+    the image of y.  The window ends are compared directly: at a window
+    end the window is decided by the kind, and of two windows sharing an
+    end at most one needs the orbit.  The count is then affine in the
+    count one level down, with slope +1 (``starts[k] - s + c``) or, on a
+    decreasing branch, -1 (``starts[k] + e - c``, with the kind flipped).
+    So a count follows one orbit down the stored levels, one forward
+    :meth:`Branch.integer_matrix` step per level, until the orbit leaves
+    the windows or reaches the anchor, where one :func:`_bisect` in the
+    window's slice ends it.
+
+    The orbit of each queried (point, kind) is kept as a chain of
+    ``(k, follow, point, kind)`` entries, one per level below the query,
+    extended as the levels deepen; ``follow`` says whether window k holds
+    the point.  The anchor is level 1 (the window ends) at first; it moves
+    up to the newest level, replayed on pair lists from the anchor, once
+    the orbit steps spent since the last move, anchor searches included,
+    reach ``1 / _REPLAY_PER_STEP`` of the components that replay pulls.
+    Small levels thus keep searching the previous level, and an
+    exponentially growing tree never writes a large level.
+    """
+
+    def __init__(self, kernel: _PairKernel, levels: list[_Level]):
+        self.kernel, self.levels = kernel, levels
+        self.anchor = (1, *kernel.ends)
+        self.steps = self.pending = 0
+        self.increasing = [kernel.signs[w[0]] > 0 for w in kernel.windows]
+        self.queries = [((ylo, _HI_UPTO), (yhi, _LO_BELOW))
+                        for _, _, _, ylo, yhi in kernel.windows]
+        self.chains = {key: [self._locate(*key)]
+                       for key in chain.from_iterable(self.queries)}
+
+    def _locate(self, y, kind) -> tuple:
+        """The chain entry of point ``y`` and ``kind``: the first window
+        k that holds a component not counted, and whether it holds ``y``."""
+        p, q = y
+        for k, (_, (u, v), (r, t), _, _) in enumerate(self.kernel.windows):
+            d = r * q - p * t   # sign of whi - y
+            if d > 0 or (d == 0 and kind == _HI_BELOW):
+                d = u * q - p * v   # sign of wlo - y
+                return k, d < 0 or (d == 0 and kind == _LO_UPTO), y, kind
+        return len(self.kernel.windows), False, y, kind
+
+    def _extend(self, chain: list):
+        k, _, (p, q), kind = chain[-1]
+        A, B, C, D = self.kernel.forward[self.kernel.windows[k][0]]
+        p, q = A * p + B * q, C * p + D * q
+        g = math.gcd(p, q)
+        chain.append(self._locate((p // g, q // g), kind if self.increasing[k] else kind ^ 3))
+
+    def next_level(self, cap: int):
+        """Append the next level, or raise when it passes ``cap``.  First
+        replay the anchor up to the newest level when that is due."""
+        levels = self.levels
+        if self.steps * _REPLAY_PER_STEP >= self.pending:
+            a, lo, hi = self.anchor
+            for lv in levels[a:]:
+                lo, hi = self.kernel.pull(lv, lo, hi)
+            self.anchor = (len(levels), lo, hi)
+            self.steps = self.pending = 0
+        a, lo, hi = self.anchor
+        depth = len(levels) - a   # the levels above the anchor
+        counts = {}   # per queried (point, kind), the components below it
+        for key, chain in self.chains.items():
+            while len(chain) <= depth and chain[-1][1]:
+                self._extend(chain)
+            total, slope = 0, 1
+            for j, (k, follow, y, kind) in enumerate(chain):
+                lv = levels[-1 - j]
+                start = lv.starts[k]
+                if not follow:
+                    break
+                if j == depth:
+                    start = _bisect(hi if kind & 2 else lo, y, kind & 1,
+                                    start, lv.starts[k + 1])
+                    break
+                s, e = lv.runs[k]
+                if self.increasing[k]:
+                    total += slope * (start - s)
+                else:
+                    total += slope * (start + e)
+                    slope = -slope
+            self.steps += j + 1
+            counts[key] = total + slope * start
+        level = _Level([(counts[s], counts[e]) for s, e in self.queries])
+        size = level.starts[-1]
+        if size > cap:
+            raise _cap_exceeded(cap, len(levels) + 1)
+        levels.append(level)
+        self.pending += size
 
 
 class _ArrayKernel:
-    """numpy int64 columns; any map.
+    """Replay on numpy int64 columns; any map.
 
-    A level is sorted and disjoint (``lo[i] < hi[i] <= lo[i+1]``): branch
-    domains are ordered and disjoint, and each branch keeps the order of its
-    pullbacks.  A step finds each window's run, sizes the new level from
-    the runs, checks the cap, and writes each run into its slice of the new
-    columns, cutting only its first and last component to the window.  It
-    holds the new level and no more than one run's temporaries besides:
-    for int64 pairs, one product column (8 bytes per component).
+    A step pulls each known run of the new level into its slice of the new
+    columns and cuts its first and last component to the window.  It holds
+    the new level and no more than one run's temporaries besides the level
+    it reads: for int64 pairs, one product column (8 bytes per component).
 
     Windows and branch inverses are those of :class:`_PairKernel`.  When
     every inverse (A, B, C, D) is affine (C = 0), it is divided by
@@ -411,18 +477,16 @@ class _ArrayKernel:
     def __init__(self, pairs: _PairKernel):
         import numpy as np
         self.np = np
-        self.signs = pairs.signs
-        self.windows = pairs.windows
-        self.mats = pairs.mats
+        self.signs, self.windows, self.mats = pairs.signs, pairs.windows, pairs.mats
         self.delta = None
-        ends = [x for ws in self.windows for w in ws for x in w]
+        ends = [x for w in self.windows for x in w[1:]]
         if all(C == 0 for _, _, C, _ in self.mats):
             reduced = [(A // g, Fraction(B, g), D // g)
                        for A, B, _, D in self.mats for g in (math.gcd(A, D),)]
             delta = self.delta = math.lcm(*(d for _, _, d in reduced))
             scaled = [(a * (delta // d), beta * (delta // d)) for a, beta, d in reduced]
             self.den0 = math.lcm(*(beta.denominator for _, beta in scaled),
-                                 *(v for ws in self.windows for w in ws for _, v in w[:2]))
+                                 *(v for w in self.windows for _, v in w[1:3]))
             reach = max([Fraction(1)] + [abs(Fraction(u, v)) for u, v in ends])
             growth = max(max(reach * abs(a), abs(beta), reach * delta) for a, beta in scaled)
             # beta kept as the integer beta * den0
@@ -433,14 +497,12 @@ class _ArrayKernel:
         self.height_limit = -(-2 ** 63 // growth)
         self.tall = max([abs(x) for pair in ends for x in pair], default=0) >= 2 ** 63
 
-    def columns(self, cur: _Level, n: int) -> Optional[tuple]:
-        """Level n's endpoint columns and shared ``den`` (None for pairs),
-        a level of pair lists converted exactly; None from the first level
-        that fails the height guard."""
+    def columns(self, lo, hi, den, n: int) -> Optional[tuple]:
+        """Level n's endpoint columns (as returned by :meth:`step`, or pair
+        lists converted exactly) and shared ``den`` (None for pairs); None
+        from the first level that fails the height guard."""
         if self.tall:
             return None
-        np = self.np
-        lo, hi, den = cur.lo, cur.hi, cur.den
         if self.delta is None:
             if isinstance(lo, list):
                 try:
@@ -457,28 +519,14 @@ class _ArrayKernel:
         if self.tall:
             return None
         if isinstance(lo, list):   # exact: every endpoint is a multiple of 1/den
-            lo, hi = (np.array([u * den // v for u, v in c], dtype=np.int64)
+            lo, hi = (self.np.array([u * den // v for u, v in c], dtype=self.np.int64)
                       for c in (lo, hi))
         return lo, hi, den
 
     def _pair_array(self, pairs: list):
-        np = self.np
-        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64,
-                           count=2 * len(pairs))
+        flat = self.np.fromiter(chain.from_iterable(pairs), dtype=self.np.int64,
+                                count=2 * len(pairs))
         return flat.reshape(len(pairs), 2).T.copy()
-
-    def run(self, lo, hi, den, ylo, yhi) -> tuple[int, int, bool, bool]:
-        """:func:`_pair_run` on array columns: over a shared ``den``, two
-        ``searchsorted`` calls on the window image scaled to ``den`` and
-        rounded inwards, then the exact clip tests."""
-        if den is None:
-            return _pair_run(_PairColumn(lo), _PairColumn(hi), ylo, yhi)
-        (p, q), (r, t) = ylo, yhi
-        s = int(hi.searchsorted(p * den // q, "right"))
-        e = int(lo.searchsorted(-(-r * den // t), "left"))
-        if s >= e:
-            return s, e, False, False
-        return s, e, int(lo[s]) * q < p * den, int(hi[e - 1]) * t > r * den
 
     def pull(self, b: int, den, x, out):
         """Write branch b's inverse of the endpoint column ``x`` to ``out``."""
@@ -498,21 +546,18 @@ class _ArrayKernel:
             np.multiply(x, A, out=out)
             out += shift
 
-    def step(self, columns: tuple, n: int, cap: int) -> _Level:
-        """Level n+1 from level n, whose ``columns`` are those of
-        :meth:`columns`, one window at a time.  Endpoint columns are
-        1-D or 2 x n; ``[..., i]`` indexes both."""
+    def step(self, lo, hi, den, level: _Level) -> tuple:
+        """Columns and shared den of ``level`` from those of the level
+        before, as :meth:`columns` returns them, one run at a time.
+        Endpoint columns are 1-D or 2 x n; ``[..., i]`` indexes both."""
         np = self.np
-        lo, hi, den = columns
         nden = None if den is None else den * self.delta
-        runs, total = _window_runs(self.windows, self.run, (lo, hi, den), n, cap)
         rows = () if den is not None else (2,)
-        nlo = np.empty(rows + (total,), dtype=np.int64)
-        nhi = np.empty(rows + (total,), dtype=np.int64)
-        k = 0
-        for b, wlo, whi, s, e, clip_first, clip_last in runs:
-            if nden is not None:   # the window ends at scale nden
-                wlo, whi = (u * (nden // v) for u, v in (wlo, whi))
+        nlo = np.empty(rows + (len(level),), dtype=np.int64)
+        nhi = np.empty_like(nlo)
+        for (b, wlo, whi, _, _), (s, e), k in zip(self.windows, level.runs, level.starts):
+            if s == e:
+                continue
             j = k + e - s
             if self.signs[b] > 0:
                 self.pull(b, den, lo[..., s:e], nlo[..., k:j])
@@ -520,71 +565,43 @@ class _ArrayKernel:
             else:
                 self.pull(b, den, hi[..., s:e][..., ::-1], nlo[..., k:j])
                 self.pull(b, den, lo[..., s:e][..., ::-1], nhi[..., k:j])
-                clip_first, clip_last = clip_last, clip_first
-            if clip_first:
-                nlo[..., k] = wlo
-            if clip_last:
-                nhi[..., j - 1] = whi
-            k = j
-        return _Level([(b, s, e) for b, _, _, s, e, _, _ in runs], nlo, nhi, nden)
-
-
-class _PairColumn:
-    """A 2 x n int64 endpoint column read as a sequence of (num, den) pairs
-    of Python ints, for :func:`_pair_run`."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-    def __len__(self):
-        return self.a.shape[1]
-
-    def __getitem__(self, i):
-        return int(self.a[0, i]), int(self.a[1, i])
+            for col, i, (p, q), side in ((nlo, k, wlo, 1), (nhi, j - 1, whi, -1)):
+                u, v = (int(col[i]), nden) if nden else col[:, i].tolist()
+                if side * (p * v - u * q) > 0:   # the end lies outside the window
+                    col[..., i] = p * (nden // q) if nden else (p, q)
+        return nlo, nhi, nden
 
 
 def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,
            component_cap: int = DEFAULT_COMPONENT_CAP) -> RefinementTree:
     """Survivor components for levels 1..n_max.
 
-    Raises :class:`ResourceLimitError` before storing a batch that would
-    take any level past ``component_cap`` components (which must be
-    >= 0).  Stops early (with the zero-count convention) once a level dies
-    out entirely.
+    Raises :class:`ResourceLimitError` before storing a level of more than
+    ``component_cap`` components (which must be >= 0).  Stops early (with
+    the zero-count convention) once a level dies out entirely.
 
-    A step from level n runs on int64 arrays when level n has at least
-    ``_ARRAY_MIN_COMPONENTS`` components, numpy pays for itself (it is
-    loaded, or the refinement has enough levels ahead; see
-    ``_NUMPY_WORTH_COMPONENTS``) and level n+1 fits in int64: as numerators
-    over a shared denominator when every branch is affine, as (num, den)
-    pairs otherwise.  Every other step runs on Python lists of integer
-    pairs.  All forms build identical trees.
-
-    Every level keeps its runs, and level n's endpoints are dropped once
-    level n+1 is built, so the cap bounds the memory too: at most two
-    levels of endpoints are held at once.
+    Each level is found as its runs only (:class:`_RunSearch`): two counts
+    per window, each following one window-image end's forward orbit down
+    the stored runs to the anchor, the one level whose endpoints are kept
+    (as pair lists).  The anchor starts at level 1, the window ends, and
+    moves up to the newest level, replayed from it, once the orbit steps
+    spent since its last move reach ``1 / _REPLAY_PER_STEP`` of the
+    components that the move replays.  No other endpoints are written and
+    numpy is not imported; the tree keeps the runs, a few per level, and
+    replays endpoints when they are read.
     """
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
     if component_cap < 0:
         raise InvalidParameterError("component_cap must be >= 0")
-    lists = _PairKernel(pmap, hole)
-    arrays = None
-    levels = [lists.first_level(component_cap)]
+    kernel = _PairKernel(pmap, hole)
+    if len(kernel.windows) > component_cap:
+        raise _cap_exceeded(component_cap, 1)
+    levels = [_Level([(-1, 0)] * len(kernel.windows))]
+    search = _RunSearch(kernel, levels)
     while len(levels) < n_max and len(levels[-1]):
-        cur, n = levels[-1], len(levels)
-        columns = None
-        if len(cur) >= _ARRAY_MIN_COMPONENTS:
-            if arrays is None and _arrays_pay(levels, n_max):
-                arrays = _ArrayKernel(lists)
-            if arrays is not None:
-                columns = arrays.columns(cur, n)
-        levels.append(lists.step(cur, n, component_cap) if columns is None
-                      else arrays.step(columns, n, component_cap))
-        cur.lo = cur.hi = None
-    return RefinementTree(pmap, hole, levels, len(levels[-1]) == 0)
+        search.next_level(component_cap)
+    return RefinementTree(pmap, hole, kernel, levels, len(levels[-1]) == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +21,8 @@ from holed_entropy import (EmptyPartitionError, Hole, InvalidParameterError,
                            pressure_estimate, refine)
 from holed_entropy import cylinders
 from holed_entropy import mapmodel
-from holed_entropy.mapmodel import Affine, map_from_config, subtract_pieces
+from holed_entropy.mapmodel import (Affine, IntervalOpen, map_from_config,
+                                    subtract_pieces)
 from holed_entropy.regularity import left_hole_parameter
 
 
@@ -97,14 +102,17 @@ def test_interior_hole_level1_components():
         (Fraction(5, 6), Fraction(1))]
 
 
-# -- the two refinement kernels -------------------------------------------------
+# -- the two replay kernels ----------------------------------------------------
+# refine stores each level's runs only; a read replays the endpoints from
+# level 1, on pair lists or on int64 arrays.
 
 @contextmanager
 def only_kernel(name):
-    """The array kernel takes every step it can ("int64"), whether or not
-    numpy is loaded yet, or none ("generic": every step runs on the pair
-    lists).  Its levels are int64 numerators over a shared den when every
-    branch is affine, int64 (num, den) pairs otherwise."""
+    """Reads replay on the array kernel at every step they can ("int64"),
+    whether or not numpy is loaded yet, or at none ("generic": every step
+    runs on the pair lists).  Array levels are int64 numerators over a
+    shared den when every branch is affine, int64 (num, den) pairs
+    otherwise."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cylinders, "_ARRAY_MIN_COMPONENTS",
                    1 if name == "int64" else math.inf)
@@ -112,66 +120,74 @@ def only_kernel(name):
         yield
 
 
-def refine_on(name, pmap, hole, n):
-    with only_kernel(name):
-        return refine(pmap, hole, n)
+def replay(tree, n):
+    """Level n's intervals as ``tree.component_intervals(n)`` reads them,
+    and per replayed level its form: ``(False, None)`` on pair lists,
+    ``(True, den)`` on int64 arrays, ``den`` the shared den or None for
+    int64 pairs.  Level 1, the window ends, is on pair lists."""
+    forms = [(False, None)]
+    step, pull = cylinders._ArrayKernel.step, cylinders._PairKernel.pull
 
+    def array_step(self, *args):
+        out = step(self, *args)
+        forms.append((True, out[2]))
+        return out
 
-class FormLevel(cylinders._Level):
-    """A level that remembers whether it was stored in an int64 form
-    (shared den or pairs) once refine drops its endpoint columns."""
+    def pair_pull(self, *args):
+        forms.append((False, None))
+        return pull(self, *args)
 
-    __slots__ = ("int64",)
-
-    def __init__(self, runs, lo, hi, den=None):
-        super().__init__(runs, lo, hi, den)
-        self.int64 = not isinstance(lo, list)
-
-
-@pytest.fixture(autouse=True, scope="module")
-def record_level_forms():
-    """Every level built in this module is a FormLevel."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cylinders, "_Level", FormLevel)
-        yield
+        mp.setattr(cylinders._ArrayKernel, "step", array_step)
+        mp.setattr(cylinders._PairKernel, "pull", pair_pull)
+        intervals = tree.component_intervals(n)
+    return intervals, forms
 
 
-def int64_levels(tree):
-    """Per level, whether it is stored in an int64 form (shared den or
-    pairs)."""
-    return [lv.int64 for lv in tree._levels]
+def read_forms(tree, kernel=None):
+    """The forms (see ``replay``) of a read of the tree's deepest level, on
+    ``kernel`` when it is given."""
+    if kernel is None:
+        return replay(tree, tree.depth)[1]
+    with only_kernel(kernel):
+        return replay(tree, tree.depth)[1]
 
 
-def branch_components(level, branch):
-    """How many of a level's components one branch pulled back."""
-    return sum(e - s for b, s, e in level.runs if b == branch)
+def int64_levels(tree, kernel=None):
+    """Per level, whether a read of the deepest level stores it in an int64
+    form (shared den or pairs)."""
+    return [int64 for int64, _ in read_forms(tree, kernel)]
 
 
-def assert_same_tree(fast, slow):
-    """``fast`` from refine_on("int64"), ``slow`` from refine_on("generic").
+def branch_components(tree, n, branch):
+    """How many of level n's components one branch pulled back."""
+    runs = tree._levels[n - 1].runs
+    return sum(e - s for (b, *_), (s, e) in zip(tree._kernel.windows, runs) if b == branch)
 
-    A tree keeps only its deepest level's endpoints, so every other level
-    is read from a refinement to it on the kernel that built the tree,
-    which stores that level in the same form as the tree did."""
-    assert fast.counts == slow.counts
-    for n in range(1, fast.depth + 1):
+
+def assert_same_reads(tree):
+    """Every level reads the same on both kernels, and a read of level n
+    stores levels 1..n in the forms that a read of the deepest level does
+    (refine has one path; only reads depend on the kernel)."""
+    deepest = int64_levels(tree, "int64")
+    for n in range(1, tree.depth + 1):
         reads = []
-        for tree, name in ((fast, "int64"), (slow, "generic")):
-            at_n = tree if n == tree.depth else refine_on(name, tree.map, tree.hole, n)
-            assert int64_levels(at_n) == int64_levels(tree)[:n]
-            reads.append(at_n.component_intervals(n))
+        for name in ("int64", "generic"):
+            with only_kernel(name):
+                got, forms = replay(tree, n)
+            reads.append(got)
+            want = deepest[:n] if name == "int64" else [False] * n
+            assert [int64 for int64, _ in forms] == want
         assert reads[0] == reads[1]
-        assert fast.itineraries(n) == slow.itineraries(n)
 
 
 def test_generic_path_agrees_with_scaled_path():
     m = build_d_adic(2)
     for hole in (RIGHT_HOLE, H((Fraction(3, 4), Fraction(5, 6)))):
-        fast = refine_on("int64", m, hole, 12)
-        slow = refine_on("generic", m, hole, 12)
-        assert int64_levels(fast) == [False] + [True] * 11
-        assert not any(int64_levels(slow))
-        assert_same_tree(fast, slow)
+        tree = refine(m, hole, 12)
+        assert int64_levels(tree, "int64") == [False] + [True] * 11
+        assert not any(int64_levels(tree, "generic"))
+        assert_same_reads(tree)
 
 
 @st.composite
@@ -189,10 +205,9 @@ def exact_holes(draw, min_pieces=1, max_pieces=3):
 @given(hole=exact_holes(), d=st.sampled_from([2, 3]))
 def test_kernels_agree_on_random_exact_holes(hole, d):
     depth = 9 if d == 2 else 6
-    m = build_d_adic(d)
-    fast = refine_on("int64", m, hole, depth)
-    assert all(int64_levels(fast)[1:])
-    assert_same_tree(fast, refine_on("generic", m, hole, depth))
+    tree = refine(build_d_adic(d), hole, depth)
+    assert all(int64_levels(tree, "int64")[1:])
+    assert_same_reads(tree)
 
 
 TENT = map_from_config({"codomain": ["0", "1"], "branches": [
@@ -203,9 +218,9 @@ TENT = map_from_config({"codomain": ["0", "1"], "branches": [
 def test_kernels_agree_on_orientation_reversing_map():
     for hole in (Hole.empty(), H((Fraction(3, 5), Fraction(7, 10))),
                  H((Fraction(1, 8), Fraction(1, 6)), (Fraction(5, 6), Fraction(1)))):
-        fast = refine_on("int64", TENT, hole, 10)
-        assert all(int64_levels(fast)[1:])
-        assert_same_tree(fast, refine_on("generic", TENT, hole, 10))
+        tree = refine(TENT, hole, 10)
+        assert all(int64_levels(tree, "int64")[1:])
+        assert_same_reads(tree)
 
 
 def test_int64_kernel_splits_one_pullback_across_a_hole():
@@ -213,52 +228,65 @@ def test_int64_kernel_splits_one_pullback_across_a_hole():
     # the hole: one parent and branch, two children at level 2
     hole = H((Fraction(1, 20), Fraction(1, 19)))
     for m in (build_d_adic(2), TENT):
-        fast = refine_on("int64", m, hole, 8)
-        assert all(int64_levels(fast)[1:])
-        branch, parent = fast._levels[1].links([b.orientation for b in m.branches])
+        tree = refine(m, hole, 8)
+        assert all(int64_levels(tree, "int64")[1:])
+        branch, parent = tree._levels[1].links(tree._kernel)
         children = Counter(zip(parent, branch))
         assert children[(1, 0)] == 2 and max(children.values()) == 2
-        assert_same_tree(fast, refine_on("generic", m, hole, 8))
+        assert_same_reads(tree)
 
 
-def test_int64_step_holds_little_beyond_the_new_level():
-    # a step writes each run straight into the new level's columns, so
-    # beyond what the tree keeps it holds the level it reads (about 0.57x
-    # the new one here, dropped once the step is done) and one run's
+def test_int64_replay_holds_little_beyond_the_new_level():
+    # a replay step writes each run straight into the new level's columns,
+    # so beyond the level it returns it holds the level it reads (about
+    # 0.57x the new one here, dropped once the step is done) and one run's
     # temporaries; full-size temporaries would pass the bound
     import numpy  # noqa: F401  (loaded outside the traced region)
-    m = build_d_adic(2)
-    hole = H((Fraction(13, 16), Fraction(1)))
+    tree = refine(build_d_adic(2), H((Fraction(13, 16), Fraction(1))), 20)
+    arrays = cylinders._ArrayKernel(tree._kernel)
     tracemalloc.start()
     try:
-        tree = refine(m, hole, 20)
+        columns = arrays.columns(*tree._kernel.ends, None, 1)
+        for level in tree._levels[1:]:
+            columns = arrays.step(*columns, level)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    last = tree._levels[-1]
-    assert last.den is not None
-    level_bytes = last.lo.nbytes + last.hi.nbytes
-    assert peak - retained <= 1.5 * level_bytes
+    lo, hi, den = columns
+    assert den is not None and len(lo) == tree.counts[-1]
+    assert peak - retained <= 1.5 * (lo.nbytes + hi.nbytes)
 
 
-def test_refined_tree_keeps_only_the_deepest_endpoints():
-    # every level keeps its runs, a few per level, and only the deepest
-    # level its endpoint columns.  The constant covers the runs and the
-    # pair tuples CPython keeps on its free list (at most 2000 x 56 bytes);
-    # every level's endpoints would be ~2.3x the last level's here
-    import numpy  # noqa: F401  (loaded outside the traced region)
-    m = build_d_adic(2)
-    hole = H((Fraction(13, 16), Fraction(1)))
-    tracemalloc.start()
-    try:
-        tree = refine(m, hole, 20)
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    last = tree._levels[-1]
-    assert last.den is not None
-    assert retained <= last.lo.nbytes + last.hi.nbytes + 2 ** 18
-    assert all(lv.lo is None and lv.hi is None for lv in tree._levels[:-1])
+def test_refine_writes_no_large_level_and_loads_no_numpy():
+    # in a fresh interpreter: refine counts the [13/16, 1] tree to depth 24
+    # (922,111 components at the last level) from the orbits of the window
+    # ends.  The only endpoints it writes are its anchor's, which moves up
+    # only while levels are small, and it imports no numpy.  The tree keeps
+    # a few runs per level: 1000 components' pair endpoints alone would
+    # take ~0.24 MB
+    probe = ("import sys, tracemalloc\n"
+             "from fractions import Fraction\n"
+             "from holed_entropy import Hole, build_d_adic, cylinders, refine\n"
+             "written = []\n"
+             "pull = cylinders._PairKernel.pull\n"
+             "def recording_pull(self, level, lo, hi):\n"
+             "    written.append(len(level))\n"
+             "    return pull(self, level, lo, hi)\n"
+             "cylinders._PairKernel.pull = recording_pull\n"
+             "tracemalloc.start()\n"
+             "tree = refine(build_d_adic(2), Hole([(Fraction(13, 16), 1)]), 24)\n"
+             "retained = tracemalloc.get_traced_memory()[0]\n"
+             "tracemalloc.stop()\n"
+             "assert tree.counts[-1] == 922111, tree.counts\n"
+             "assert 'numpy' not in sys.modules\n"
+             "assert written and max(written) <= 1000, written\n"
+             "assert retained <= 2 ** 15, retained\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # x -> 2x - 1/3 on (1/6, 2/3) and 2x - 4/3 on (2/3, 1): the second image
@@ -282,32 +310,32 @@ def test_int64_kernel_hands_back_past_two_to_the_63():
     # n = 60, so level 61 is the last on int64
     m = build_d_adic(2)
     hole = H((Fraction(1, 4), Fraction(1, 2)))
-    fast = refine_on("int64", m, hole, 64)
-    assert int64_levels(fast) == [False] + [True] * 60 + [False] * 3
-    assert fast._levels[60].den == 2 ** 62
-    slow = refine_on("generic", m, hole, 64)
-    assert_same_tree(fast, slow)
-    assert fast.component_intervals(64)[0][1] == Fraction(1, 2 ** 65)
+    tree = refine(m, hole, 64)
+    forms = read_forms(tree, "int64")
+    assert [int64 for int64, _ in forms] == [False] + [True] * 60 + [False] * 3
+    assert forms[60][1] == 2 ** 62
+    assert_same_reads(tree)
+    assert tree.component_intervals(64)[0][1] == Fraction(1, 2 ** 65)
     # the inverse matrices (3, 1, 0, 6) and (3, 4, 0, 6) of THIRDS reduce
     # by gcd 3 to (y + 1/3) / 2 and (y + 4/3) / 2: den starts at
     # lcm(6, 3) = 6 and doubles per level.  Unreduced, den would be 6**n
     # at level n and level 24 the last on int64
     hole = H((Fraction(5, 6), Fraction(1)))
-    fast = refine_on("int64", THIRDS, hole, 30)
-    assert int64_levels(fast) == [False] + [True] * 29
-    assert fast._levels[29].den == 6 * 2 ** 29
-    assert_same_tree(fast, refine_on("generic", THIRDS, hole, 30))
+    tree = refine(THIRDS, hole, 30)
+    forms = read_forms(tree, "int64")
+    assert [int64 for int64, _ in forms] == [False] + [True] * 29
+    assert forms[29][1] == 6 * 2 ** 29
+    assert_same_reads(tree)
     # FAR_SHIFT has r = 1, delta = 2 and |beta| = 29/10, so growth is 29/10;
     # den starts at lcm(20, 3, 10) = 60, level n has den 30 * 2**n, and the
     # step from level n runs while 87 * 2**n < 2**63: up to n = 56.  Both
     # branches pull a component back at every level, so a guard without
     # |beta| would write beta den past int64 in the step from level 57
     hole = H((Fraction(-1, 3), Fraction(19, 20)))
-    fast = refine_on("int64", FAR_SHIFT, hole, 64)
-    assert int64_levels(fast) == [False] + [True] * 56 + [False] * 7
-    signs = [b.orientation for b in FAR_SHIFT.branches]
-    assert all(lv.links(signs)[0] == [0, 1] for lv in fast._levels)
-    assert_same_tree(fast, refine_on("generic", FAR_SHIFT, hole, 64))
+    tree = refine(FAR_SHIFT, hole, 64)
+    assert int64_levels(tree, "int64") == [False] + [True] * 56 + [False] * 7
+    assert all(lv.links(tree._kernel)[0] == [0, 1] for lv in tree._levels)
+    assert_same_reads(tree)
 
 
 def test_int64_levels_return_python_values():
@@ -335,19 +363,22 @@ def test_int64_levels_return_python_values():
 def reference_refine(pmap, hole, depth):
     """Fraction refinement from the definition: level k+1 pulls every level-k
     component back through each branch (clipped to the branch image) and
-    removes the hole.  Returns per level a list of (lo, hi, itinerary)."""
-    level = [(lo, hi, (b,)) for b, (dlo, dhi) in enumerate(pmap.branch_domains_raw())
+    removes the hole.  Returns per level a list of (lo, hi, itinerary,
+    parent), ``parent`` the index of the level-k component pulled back (-1
+    on level 1)."""
+    level = [(lo, hi, (b,), -1) for b, (dlo, dhi) in enumerate(pmap.branch_domains_raw())
              for lo, hi in subtract_pieces(dlo, dhi, hole.pieces)]
     levels = [level]
     while len(levels) < depth and level:
         level = []
         for b, br in enumerate(pmap.branches):
             ilo, ihi = br.image_raw()
-            for lo, hi, word in levels[-1][::br.orientation]:
+            parents = list(enumerate(levels[-1]))[::br.orientation]
+            for i, (lo, hi, word, _) in parents:
                 ylo, yhi = max(lo, ilo), min(hi, ihi)
                 if ylo < yhi:
                     a, c = sorted((br.invert_raw(ylo), br.invert_raw(yhi)))
-                    level += [(x, y, (b,) + word)
+                    level += [(x, y, (b,) + word, i)
                               for x, y in subtract_pieces(a, c, hole.pieces)]
         levels.append(level)
     return levels
@@ -388,14 +419,14 @@ exact_maps = st.one_of(farey_parameters.map(lambda a: build_scaled_farey(ex(a)))
 @example(pmap=GAP_MAP, hole=H((Fraction(2, 5), Fraction(2, 5)),
                               (Fraction(3, 4), Fraction(3, 4))), depth=6)
 def test_pair_kernel_matches_fraction_reference(pmap, hole, depth):
-    with only_kernel("generic"):
-        tree = refine(pmap, hole, depth)
+    tree = refine(pmap, hole, depth)
     want = reference_refine(pmap, hole, depth)
     assert tree.depth == len(want)
     for n, level in enumerate(want, 1):
-        got = tree.component_intervals(n)
-        assert got == [(lo, hi) for lo, hi, _ in level]
-        assert tree.itineraries(n) == [word for _, _, word in level]
+        with only_kernel("generic"):
+            got = tree.component_intervals(n)
+        assert got == [(lo, hi) for lo, hi, _, _ in level]
+        assert tree.itineraries(n) == [word for _, _, word, _ in level]
         # sorted and disjoint, which the kernels' run search relies on
         assert all(lo < hi for lo, hi in got)
         assert all(a[1] <= b[0] for a, b in zip(got, got[1:]))
@@ -406,9 +437,10 @@ def test_pair_levels_return_python_values():
     for pmap, hole in ((farey, H((Fraction(1, 3), Fraction(3, 8)))),
                        (AFFINE_5_2, Hole.empty()), (build_d_adic(2), RIGHT_HOLE)):
         tree = refine(pmap, hole, 7)
-        assert all(lv.den is None for lv in tree._levels)
         for n in range(1, 8):
-            for lo, hi in tree.component_intervals(n):
+            intervals, forms = replay(tree, n)
+            assert all(den is None for _, den in forms)
+            for lo, hi in intervals:
                 assert type(lo) is Fraction and type(hi) is Fraction
                 assert type(lo.numerator) is int and type(lo.denominator) is int
                 assert type(hi.numerator) is int and type(hi.denominator) is int
@@ -432,6 +464,77 @@ TWO_SLOPES = map_from_config({"codomain": ["0", "1"], "branches": [
     {"domain": ["1/3", "1"], "kind": "affine", "coeffs": ["-3/2", "3/2"]}]})[0]
 
 FAREY_AS = [Fraction(1, 2), Fraction(3, 5), Fraction(4, 5), Fraction(1)]
+
+# every map kind the run search meets: increasing and decreasing, affine
+# and Moebius branches, domain gaps, images inside the codomain, negative
+# endpoints
+REFERENCE_MAPS = [build_d_adic(2), build_d_adic(3), TENT, AFFINE_5_2, GAP_MAP,
+                  DECREASING_MOEBIUS, THIRDS, TWO_SLOPES,
+                  *(build_scaled_farey(a) for a in (Fraction(1), Fraction(4, 5), Fraction(3, 5))),
+                  negated_farey(Fraction(4, 5))]
+
+
+@st.composite
+def maps_and_holes(draw):
+    """A map and 0-3 hole pieces in its codomain.  A piece starts on a
+    branch domain end or on a grid point, and may be a point [a, a]; both
+    make windows that share an end."""
+    pmap = draw(st.sampled_from(REFERENCE_MAPS))
+    lo, hi = pmap.codomain.as_raw()
+    ends = sorted({x for dom in pmap.branch_domains_raw() for x in dom})
+    pieces = []
+    for _ in range(draw(st.integers(0, 3))):
+        q = draw(st.integers(1, 32))
+        a = draw(st.sampled_from(ends) | st.integers(0, q).map(
+            lambda k: lo + (hi - lo) * Fraction(k, q)))
+        width = draw(st.just(0) | st.integers(0, q))
+        pieces.append((a, min(hi, a + (hi - lo) * Fraction(width, 2 * q))))
+    return pmap, Hole(pieces)
+
+
+def reference_cylinders(level):
+    groups = {}
+    for lo, hi, word, _ in level:
+        groups.setdefault(word, []).append(IntervalOpen(lo, hi))
+    return [cylinders.Cylinder(w, tuple(cs)) for w, cs in groups.items()]
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=maps_and_holes(), depth=st.integers(1, 12))
+# a point hole at 1/4 splits the first window in two that share the end 1/4,
+# whose image 1/2 is the end shared by both branch domains
+@example(case=(build_d_adic(2), H((Fraction(1, 4), Fraction(1, 4)))), depth=10)
+# a hole touching the branch boundary 1/2 from the right, and a decreasing
+# Moebius branch whose image ends inside the codomain
+@example(case=(DECREASING_MOEBIUS, H((Fraction(1, 2), Fraction(5, 8)))), depth=10)
+@example(case=(TENT, H((Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 4), Fraction(1)))),
+         depth=12)
+def test_run_search_matches_fraction_reference(case, depth):
+    # the runs refine finds by counting along orbits, and every read of
+    # them, equal the Fraction refinement from the definition
+    pmap, hole = case
+    tree = refine(pmap, hole, depth)
+    # the reference is slow: stop it before a level of 1500 components
+    depth = next((n for n, c in enumerate(tree.counts, 1) if c > 1500), tree.depth + 1) - 1
+    want = reference_refine(pmap, hole, max(depth, 1))
+    tree = refine(pmap, hole, max(depth, 1))
+    assert tree.counts == [len(level) for level in want]
+    windows = tree._kernel.windows
+    for n, level in enumerate(want, 1):
+        lv = tree._levels[n - 1]
+        assert lv.links(tree._kernel) == ([w[0] for _, _, w, _ in level],
+                                            [parent for _, _, _, parent in level])
+        for (b, wlo, whi, _, _), (s, e), k in zip(windows, lv.runs, lv.starts):
+            # window k's run: the parents of the components inside it
+            inside = [parent for lo, hi, w, parent in level if w[0] == b
+                      and Fraction(*wlo) <= lo and hi <= Fraction(*whi)]
+            assert e - s == len(inside)
+            if inside and n > 1:
+                assert (s, e) == (min(inside), max(inside) + 1)
+        assert tree.component_intervals(n) == [(lo, hi) for lo, hi, _, _ in level]
+        assert tree.itineraries(n) == [w for _, _, w, _ in level]
+        assert tree.cylinders(n) == reference_cylinders(level)
+
 
 
 @settings(max_examples=60, deadline=None)
@@ -458,13 +561,14 @@ def test_int64_pairs_agree_with_pair_lists(hole, pmap, depth):
         pmap = build_scaled_farey(pmap)
     elif kind == "negated farey":
         pmap, hole = negated_farey(pmap), negated(hole)
-    fast = refine_on("int64", pmap, hole, depth)
+    tree = refine(pmap, hole, depth)
+    forms = read_forms(tree, "int64")
     # heights stay below 2^40 on these maps to level 11
-    assert int64_levels(fast) == [False] + [True] * (fast.depth - 1)
+    assert [int64 for int64, _ in forms] == [False] + [True] * (tree.depth - 1)
     # a shared den exactly when every branch is affine
     affine = all(isinstance(b.kind, Affine) for b in pmap.branches)
-    assert [lv.den is not None for lv in fast._levels[1:]] == [affine] * (fast.depth - 1)
-    assert_same_tree(fast, refine_on("generic", pmap, hole, depth))
+    assert [den is not None for _, den in forms[1:]] == [affine] * (tree.depth - 1)
+    assert_same_reads(tree)
 
 
 @settings(max_examples=30, deadline=None)
@@ -473,17 +577,17 @@ def test_int64_pairs_agree_with_pair_lists(hole, pmap, depth):
                              build_scaled_farey(Fraction(4, 5))]),
        kernel=st.sampled_from(["int64", "generic"]), depth=st.integers(2, 8))
 def test_deep_tree_reads_every_level_as_a_shallow_refine(hole, pmap, kernel, depth):
-    # only the deepest level keeps its endpoints: a deep tree reads a
-    # shallower level's endpoints by refining again, and its itineraries
-    # from the runs of every level.  "int64" stores shared-den arrays on the
-    # affine maps and int64 pairs on farey 4/5, "generic" pair lists
-    deep = refine_on(kernel, pmap, hole, depth)
-    assert int64_levels(deep) == [False] + [kernel == "int64"] * (deep.depth - 1)
+    # a tree keeps runs only: a deep tree reads a shallower level's
+    # endpoints by replaying the runs from level 1, and its itineraries
+    # from the runs of every level.  "int64" replays shared-den arrays on
+    # the affine maps and int64 pairs on farey 4/5, "generic" pair lists
+    deep = refine(pmap, hole, depth)
+    assert int64_levels(deep, kernel) == [False] + [kernel == "int64"] * (deep.depth - 1)
     for n in range(1, depth + 1):
-        shallow = refine_on(kernel, pmap, hole, n)
-        assert int64_levels(shallow) == int64_levels(deep)[:n]
+        shallow = refine(pmap, hole, n)
+        assert int64_levels(shallow, kernel) == int64_levels(deep, kernel)[:n]
         assert deep.count(n) == shallow.count(n)
-        # the deep tree refines again on the same kernel to read level n
+        # the deep tree replays level n on the same kernel
         with only_kernel(kernel):
             assert deep.component_intervals(n) == shallow.component_intervals(n)
             assert deep.cylinders(n) == shallow.cylinders(n)
@@ -495,61 +599,59 @@ def test_int64_pairs_hand_back_to_pair_lists_past_int64():
     # 43-bit heights, and 43 + 21 bits would pass int64
     farey = build_scaled_farey(Fraction(2 ** 20 - 1, 2 ** 20))
     hole = H((Fraction(1, 3), Fraction(3, 8)))
-    fast = refine_on("int64", farey, hole, 9)
-    assert int64_levels(fast) == [False, True, True] + [False] * 6
-    assert_same_tree(fast, refine_on("generic", farey, hole, 9))
-    for lo, hi in fast.component_intervals(3):
-        assert type(lo.numerator) is int and type(hi.denominator) is int
+    tree = refine(farey, hole, 9)
+    assert int64_levels(tree, "int64") == [False, True, True] + [False] * 6
+    assert_same_reads(tree)
+    with only_kernel("int64"):
+        for lo, hi in tree.component_intervals(3):
+            assert type(lo.numerator) is int and type(hi.denominator) is int
     # the first level of 10^3 components has ~200-bit heights
+    tall = refine(farey, Hole.empty(), 11)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cylinders, "_numpy_loaded", lambda: True)
-        tall = refine(farey, Hole.empty(), 11)
-    assert tall.counts[-2] >= 1000 and not any(int64_levels(tall))
+        assert tall.counts[-2] >= 1000 and not any(int64_levels(tall))
     # a window end past int64 keeps every step on pair lists, also from a
     # level of small heights: the step could cut a run to that end
     farey = build_scaled_farey(Fraction(4, 5))
     hole = H((Fraction(1, 3), Fraction(2 ** 64 + 1, 3 * 2 ** 64)))
-    fast = refine_on("int64", farey, hole, 6)
-    assert not any(int64_levels(fast))
-    assert_same_tree(fast, refine_on("generic", farey, hole, 6))
+    tree = refine(farey, hole, 6)
+    assert not any(int64_levels(tree, "int64"))
+    assert_same_reads(tree)
     kernel = cylinders._ArrayKernel(cylinders._PairKernel(farey, hole))
-    assert kernel.columns(cylinders._Level([(0, -1, 0)], [(1, 8)], [(1, 4)]), 1) is None
+    assert kernel.columns([(1, 8)], [(1, 4)], None, 1) is None
 
 
 @pytest.mark.parametrize("hole", [Hole.empty(), H((Fraction(1, 3), Fraction(3, 8)))])
 def test_component_cap_inside_an_int64_pairs_step(hole):
     farey = build_scaled_farey(Fraction(4, 5))
-    tree = refine_on("int64", farey, hole, 10)
-    assert int64_levels(tree)[-1]
-    first = branch_components(tree._levels[-1], 0)
+    tree = refine(farey, hole, 10)
+    assert int64_levels(tree, "int64")[-1]
+    first = branch_components(tree, 10, 0)
     assert 0 < first < tree.counts[-1]
     cap = (first + tree.counts[-1]) // 2
-    steps, pulled = [], []
-    step, pull = cylinders._ArrayKernel.step, cylinders._ArrayKernel.pull
+    pulled = []
+    pull = cylinders._PairKernel.pull
 
-    def recording_step(self, columns, n, cap):
-        steps.append(n)
-        return step(self, columns, n, cap)
+    def recording_pull(self, level, lo, hi):
+        pulled.append(len(level))
+        return pull(self, level, lo, hi)
 
-    def recording_pull(self, *args):
-        pulled.append(steps[-1])
-        return pull(self, *args)
-
-    with only_kernel("int64"), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cylinders._ArrayKernel, "step", recording_step)
-        mp.setattr(cylinders._ArrayKernel, "pull", recording_pull)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cylinders._PairKernel, "pull", recording_pull)
         with pytest.raises(ResourceLimitError, match=f"cap {cap} exceeded at level 10$"):
             refine(farey, hole, 10, component_cap=cap)
-        # the step to level 10 raised before writing a run
-        assert 8 in pulled and 9 not in pulled
+        # refine raised from the counts of level 10, before writing a run
+        # of it: it wrote endpoints only to move its anchor, on levels far
+        # smaller than the first branch's share of level 10
+        assert pulled and max(pulled) < first
         assert refine(farey, hole, 10, component_cap=tree.counts[-1]).counts == tree.counts
 
 
 @pytest.mark.parametrize("loaded", [False, True])
 def test_array_steps_wait_until_numpy_pays(loaded):
-    # farey 4/5 doubles from 1024 components at level 10: to depth 16 the
-    # pair kernel writes 2^11 + ... + 2^16 < 1.5 * 10^5 components from
-    # there, to depth 17 twice that
+    # farey 4/5 doubles from 1024 components at level 10: to depth 16 a
+    # read replays 2^11 + ... + 2^16 < 1.5 * 10^5 components from there,
+    # to depth 17 twice that
     farey = build_scaled_farey(Fraction(4, 5))
     doubling = build_d_adic(2)
     with pytest.MonkeyPatch.context() as mp:
@@ -615,15 +717,14 @@ def test_component_cap_boundary():
                                     (Fraction(5, 6), Fraction(1)))])
 def test_component_cap_inside_the_second_branch_of_an_int64_step(hole):
     m = build_d_adic(2)
-    tree = refine_on("int64", m, hole, 10)
-    assert int64_levels(tree)[-1]
-    first = branch_components(tree._levels[-1], 0)
+    tree = refine(m, hole, 10)
+    assert int64_levels(tree, "int64")[-1]
+    first = branch_components(tree, 10, 0)
     assert 0 < first < tree.counts[-1]
     cap = (first + tree.counts[-1]) // 2
-    with only_kernel("int64"):
-        with pytest.raises(ResourceLimitError, match=f"cap {cap} exceeded at level 10$"):
-            refine(m, hole, 10, component_cap=cap)
-        assert refine(m, hole, 10, component_cap=tree.counts[-1]).counts == tree.counts
+    with pytest.raises(ResourceLimitError, match=f"cap {cap} exceeded at level 10$"):
+        refine(m, hole, 10, component_cap=cap)
+    assert refine(m, hole, 10, component_cap=tree.counts[-1]).counts == tree.counts
 
 
 def test_count_beyond_depth_requires_extinction():
