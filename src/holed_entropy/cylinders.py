@@ -20,39 +20,18 @@ A count therefore follows the orbit down the stored runs to one *anchor*
 level that keeps its endpoints, and ends in one binary search there.
 
 Endpoints are read-only data: :meth:`RefinementTree.component_intervals`
-and :meth:`RefinementTree.cylinders` replay the stored runs from level 1.
-A replay step pulls known runs back in one of two forms:
-
-* pair lists: Python lists of integer ``(num, den)`` endpoints with
-  ``den > 0``, for any map.  Branch inverses are 2x2 integer matrices, so a
-  step does no Fraction arithmetic (~0.5-0.8 us per component); values
-  become Fraction only when the level is returned;
-* int64 arrays, for any map from a level of at least
-  ``_ARRAY_MIN_COMPONENTS`` components and while an exact height guard
-  says the next level fits in int64.  When every branch is affine, the
-  endpoints are numerators over one denominator shared by the level,
-  which the branch inverses multiply by one common factor per step; a run
-  is pulled back with one addition or subtraction per column when the
-  slopes are integers (the d-adic family: ~0.01 us and 16 bytes per
-  component).  Maps with a Moebius branch store ``(num, den)`` columns and
-  pull a run back with the branch inverse matrices (~0.03 us and 32 bytes
-  per component); pairs are not reduced, so their heights grow with the
-  level.  Both array forms share one step: it fills the new level run by
-  run, so it holds the new level and one run's temporaries besides the
-  level it reads.
-
-numpy is imported only when it pays: once it is loaded, array steps start
-at ``_ARRAY_MIN_COMPONENTS`` components; before, they wait for a level from
-which the replay writes ``_NUMPY_WORTH_COMPONENTS`` components, which the
-known counts give exactly.  :func:`refine` itself never imports numpy.  A
-level is converted exactly when its form changes, and all forms give
-identical endpoints.
+and :meth:`RefinementTree.cylinders` replay the stored runs from level 1,
+as :func:`refine` moves its anchor: on Python lists of integer
+``(num, den)`` endpoints with ``den > 0``, for any map.  Branch inverses
+are 2x2 integer matrices, so a step does no Fraction arithmetic (~0.5-0.8
+us per component, affine or Moebius); values become Fraction only when the
+level is returned.
 """
 
 from __future__ import annotations
 
 import math
-import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -66,14 +45,11 @@ from .mapmodel import (Affine, Branch, Hole, IntervalOpen, PiecewiseMap,
 DEFAULT_COMPONENT_CAP = 10_000_000
 
 
-def _log_ratio(num, den=1) -> float:
-    """log(num/den) for possibly huge exact values."""
+def _log_ratio(num) -> float:
+    """log(num) for a possibly huge exact value."""
+    den = 1
     if isinstance(num, Fraction):
-        num, den2 = num.numerator, num.denominator
-        den = den * den2
-    if isinstance(den, Fraction):
-        num = num * den.denominator
-        den = den.numerator
+        num, den = num.numerator, num.denominator
     return math.log(num) - math.log(den)
 
 
@@ -163,32 +139,13 @@ class RefinementTree:
         return self.counts[self._stored_level(n) - 1]
 
     def component_intervals(self, n: int) -> list[tuple]:
-        """Raw (lo, hi) pairs of the level-n components, left to right.
-
-        They are replayed from level 1 through the stored runs.  A step
-        runs on int64 arrays when its level has at least
-        ``_ARRAY_MIN_COMPONENTS`` components, numpy pays for itself (it is
-        loaded, or the replay writes at least ``_NUMPY_WORTH_COMPONENTS``
-        components from there) and the next level fits in int64; every
-        other step runs on pair lists.
-        """
+        """Raw (lo, hi) pairs of the level-n components, left to right,
+        replayed from level 1 through the stored runs on pair lists."""
         n = self._stored_level(n)
-        kernel, counts = self._kernel, self.counts
-        lo, hi = kernel.ends
-        den = arrays = None
-        for m in range(1, n):
-            columns = None
-            if counts[m - 1] >= _ARRAY_MIN_COMPONENTS and (
-                    arrays is not None or _numpy_loaded()
-                    or sum(counts[m:n]) >= _NUMPY_WORTH_COMPONENTS):
-                arrays = arrays or _ArrayKernel(kernel)
-                columns = arrays.columns(lo, hi, den, m)
-            if columns is None:
-                lo, hi = kernel.pull(self._levels[m], *_pairs(lo, hi, den))
-                den = None
-            else:
-                lo, hi, den = arrays.step(*columns, self._levels[m])
-        return [(Fraction(*a), Fraction(*b)) for a, b in zip(*_pairs(lo, hi, den))]
+        lo, hi = self._kernel.ends
+        for lv in self._levels[1:n]:
+            lo, hi = self._kernel.pull(lv, lo, hi)
+        return [(Fraction(*a), Fraction(*b)) for a, b in zip(lo, hi)]
 
     def itineraries(self, n: int) -> list[tuple[int, ...]]:
         n = self._stored_level(n)
@@ -209,21 +166,8 @@ class RefinementTree:
 
 
 # ---------------------------------------------------------------------------
-# run search and replay kernels
+# run search and replay kernel
 # ---------------------------------------------------------------------------
-
-# Replay steps run on int64 arrays only from levels of at least this many
-# components.  An array step has a fixed cost of ~0.02-0.08 ms (a few numpy
-# calls per run); at 10^3 components the pair kernel, at ~0.5-0.8 us per
-# component, costs several times that.
-_ARRAY_MIN_COMPONENTS = 1000
-
-# Importing numpy costs ~0.1 s, as much as ~1.5 * 10^5 components written
-# by the pair kernel.  When numpy is not loaded yet, array steps wait for a
-# level from which the replay writes that many components: shallow reads
-# (farey 4/5 to depth 16 writes ~1.3 * 10^5 components from its first level
-# of 10^3) then start and end without numpy.
-_NUMPY_WORTH_COMPONENTS = 150_000
 
 # refine moves the anchor up to the newest level once the orbit steps spent
 # since the last move, anchor searches included, reach 1/_REPLAY_PER_STEP of
@@ -237,10 +181,6 @@ _REPLAY_PER_STEP = 8
 # endpoints equal to the point too.  A decreasing branch maps lo < y to
 # hi > T(y), so it flips both bits.
 _LO_BELOW, _LO_UPTO, _HI_BELOW, _HI_UPTO = range(4)
-
-
-def _numpy_loaded() -> bool:
-    return "numpy" in sys.modules
 
 
 def _cap_exceeded(cap: int, level: int) -> ResourceLimitError:
@@ -274,17 +214,6 @@ def _bisect(col, y, upto: int, lo: int, hi: int) -> int:
         else:
             lo = mid + 1
     return lo
-
-
-def _pairs(lo, hi, den) -> tuple[list, list]:
-    """Endpoint columns in any form as lists of (num, den) pairs of Python
-    ints (``den`` is the shared den of int64 numerators, or None)."""
-    if isinstance(lo, list):
-        return lo, hi
-    # tolist() first: numpy integers would overflow silently later on
-    if den is not None:
-        return [(u, den) for u in lo.tolist()], [(u, den) for u in hi.tolist()]
-    return list(zip(*lo.tolist())), list(zip(*hi.tolist()))
 
 
 class _PairKernel:
@@ -437,141 +366,6 @@ class _RunSearch:
         self.pending += size
 
 
-class _ArrayKernel:
-    """Replay on numpy int64 columns; any map.
-
-    A step pulls each known run of the new level into its slice of the new
-    columns and cuts its first and last component to the window.  It holds
-    the new level and no more than one run's temporaries besides the level
-    it reads: for int64 pairs, one product column (8 bytes per component).
-
-    Windows and branch inverses are those of :class:`_PairKernel`.  When
-    every inverse (A, B, C, D) is affine (C = 0), it is divided by
-    g = gcd(A, D) and scaled to the lcm ``delta`` of the reduced D, so it
-    reads y -> (a y + beta) / delta with an integer a and a rational beta;
-    levels then store int64 numerators over one shared ``den``, and a run
-    is pulled back as ``a num + beta den`` over ``delta den``, one addition
-    or subtraction per column when a = +-1 (the d-adic family).  Level n
-    has ``den = den0 * delta**(n-1)``, with ``den0`` the lcm of the window
-    ends' and the betas' denominators: level 1 is made of window ends and
-    each step multiplies ``den`` by ``delta``, while ``beta den`` and every
-    window end at the new level's ``den`` stay integers.  Any other map
-    stores (num, den) pairs as 2 x n columns and pulls a run back with the
-    matrices themselves; pairs are not reduced, so their heights grow with
-    the level (~2.7 bits per level on farey 4/5, which leaves int64 past
-    level 20).
-
-    One exact height guard holds for both forms: a step from a level of
-    height ``M`` runs on int64 while ``M * growth < 2**63`` and every window
-    entry fits in int64; every product, sum and stored value of the step
-    then does.  For pairs, ``M`` is the largest ``|num|`` or ``den``,
-    scanned, and ``growth`` is ``max(|A| + |B|, |C| + |D|)`` over the
-    branches.  For a shared den, ``M`` is ``den`` itself: both levels lie
-    in the windows, whose ends and images are at most ``r >= 1`` in
-    magnitude, so ``growth`` is the largest of ``r |a|``, ``|beta|`` and
-    ``r delta`` over the branches (both terms of ``a num + beta den`` and
-    their sum then fit).  From the first level that fails the guard every
-    step runs on pair lists, and the guard is not tried again.
-    """
-
-    def __init__(self, pairs: _PairKernel):
-        import numpy as np
-        self.np = np
-        self.signs, self.windows, self.mats = pairs.signs, pairs.windows, pairs.mats
-        self.delta = None
-        ends = [x for w in self.windows for x in w[1:]]
-        if all(C == 0 for _, _, C, _ in self.mats):
-            reduced = [(A // g, Fraction(B, g), D // g)
-                       for A, B, _, D in self.mats for g in (math.gcd(A, D),)]
-            delta = self.delta = math.lcm(*(d for _, _, d in reduced))
-            scaled = [(a * (delta // d), beta * (delta // d)) for a, beta, d in reduced]
-            self.den0 = math.lcm(*(beta.denominator for _, beta in scaled),
-                                 *(v for w in self.windows for _, v in w[1:3]))
-            reach = max([Fraction(1)] + [abs(Fraction(u, v)) for u, v in ends])
-            growth = max(max(reach * abs(a), abs(beta), reach * delta) for a, beta in scaled)
-            # beta kept as the integer beta * den0
-            self.mats = [(a, int(beta * self.den0), 0, delta) for a, beta in scaled]
-        else:
-            growth = max(max(abs(A) + abs(B), abs(C) + abs(D)) for A, B, C, D in self.mats)
-        # the least integer height M with M * growth >= 2**63
-        self.height_limit = -(-2 ** 63 // growth)
-        self.tall = max([abs(x) for pair in ends for x in pair], default=0) >= 2 ** 63
-
-    def columns(self, lo, hi, den, n: int) -> Optional[tuple]:
-        """Level n's endpoint columns (as returned by :meth:`step`, or pair
-        lists converted exactly) and shared ``den`` (None for pairs); None
-        from the first level that fails the height guard."""
-        if self.tall:
-            return None
-        if self.delta is None:
-            if isinstance(lo, list):
-                try:
-                    lo, hi = self._pair_array(lo), self._pair_array(hi)
-                except OverflowError:   # a value past int64
-                    self.tall = True
-                    return None
-            height = max(max(int(c.max()), -int(c.min())) for c in (lo, hi))
-        else:
-            if den is None:
-                den = self.den0 * self.delta ** (n - 1)
-            height = den
-        self.tall = height >= self.height_limit
-        if self.tall:
-            return None
-        if isinstance(lo, list):   # exact: every endpoint is a multiple of 1/den
-            lo, hi = (self.np.array([u * den // v for u, v in c], dtype=self.np.int64)
-                      for c in (lo, hi))
-        return lo, hi, den
-
-    def _pair_array(self, pairs: list):
-        flat = self.np.fromiter(chain.from_iterable(pairs), dtype=self.np.int64,
-                                count=2 * len(pairs))
-        return flat.reshape(len(pairs), 2).T.copy()
-
-    def pull(self, b: int, den, x, out):
-        """Write branch b's inverse of the endpoint column ``x`` to ``out``."""
-        np = self.np
-        A, B, C, D = self.mats[b]
-        if den is None:
-            for row, (P, Q) in zip(out, ((A, B), (C, D))):
-                np.multiply(x[0], P, out=row)
-                row += x[1] * Q
-            return
-        shift = B * (den // self.den0)
-        if A == 1:
-            np.add(x, shift, out=out)
-        elif A == -1:
-            np.subtract(shift, x, out=out)
-        else:
-            np.multiply(x, A, out=out)
-            out += shift
-
-    def step(self, lo, hi, den, level: _Level) -> tuple:
-        """Columns and shared den of ``level`` from those of the level
-        before, as :meth:`columns` returns them, one run at a time.
-        Endpoint columns are 1-D or 2 x n; ``[..., i]`` indexes both."""
-        np = self.np
-        nden = None if den is None else den * self.delta
-        rows = () if den is not None else (2,)
-        nlo = np.empty(rows + (len(level),), dtype=np.int64)
-        nhi = np.empty_like(nlo)
-        for (b, wlo, whi, _, _), (s, e), k in zip(self.windows, level.runs, level.starts):
-            if s == e:
-                continue
-            j = k + e - s
-            if self.signs[b] > 0:
-                self.pull(b, den, lo[..., s:e], nlo[..., k:j])
-                self.pull(b, den, hi[..., s:e], nhi[..., k:j])
-            else:
-                self.pull(b, den, hi[..., s:e][..., ::-1], nlo[..., k:j])
-                self.pull(b, den, lo[..., s:e][..., ::-1], nhi[..., k:j])
-            for col, i, (p, q), side in ((nlo, k, wlo, 1), (nhi, j - 1, whi, -1)):
-                u, v = (int(col[i]), nden) if nden else col[:, i].tolist()
-                if side * (p * v - u * q) > 0:   # the end lies outside the window
-                    col[..., i] = p * (nden // q) if nden else (p, q)
-        return nlo, nhi, nden
-
-
 def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,
            component_cap: int = DEFAULT_COMPONENT_CAP) -> RefinementTree:
     """Survivor components for levels 1..n_max.
@@ -586,9 +380,9 @@ def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,
     (as pair lists).  The anchor starts at level 1, the window ends, and
     moves up to the newest level, replayed from it, once the orbit steps
     spent since its last move reach ``1 / _REPLAY_PER_STEP`` of the
-    components that the move replays.  No other endpoints are written and
-    numpy is not imported; the tree keeps the runs, a few per level, and
-    replays endpoints when they are read.
+    components that the move replays.  No other endpoints are written; the
+    tree keeps the runs, a few per level, and replays endpoints when they
+    are read.
     """
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
@@ -643,7 +437,8 @@ def pressure_estimate(pmap: PiecewiseMap, weight: LocallyConstantWeight,
     """(1/n) log of the weighted survivor sum at level n; -inf when it is zero.
 
     The weight is locally constant, so the supremum over a cylinder is the
-    plain product of the branch weights along its itinerary.
+    plain product of the branch weights along its itinerary; the sum counts
+    the level-n components per itinerary and reads no endpoints.
     """
     if n < 1:
         raise InvalidParameterError("level must be >= 1")
@@ -654,8 +449,8 @@ def pressure_estimate(pmap: PiecewiseMap, weight: LocallyConstantWeight,
     if tree.count(n) == 0:
         return float("-inf")
     total = Fraction(0)
-    for cyl in tree.cylinders(n):
-        total += len(cyl.components) * math.prod(vals[w] for w in cyl.itinerary)
+    for word, components in Counter(tree.itineraries(n)).items():
+        total += components * math.prod(vals[w] for w in word)
     if total == 0:
         return float("-inf")
     return _log_ratio(total) / n

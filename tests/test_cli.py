@@ -43,15 +43,15 @@ def cold_oracle(*argv):
 
 
 def test_oracle_cold_start_does_not_import_numpy():
-    # a shallow refine never reaches the int64 kernel, which alone needs numpy
+    # the oracle counts along the window ends' orbits, on Python integers
     out = cold_oracle("--map", "doubling", "--hole", "3/4,1", "--depth", "10")
     assert "level 10: count 144" in out
     assert out.splitlines()[-1] == "False"
 
 
 def test_oracle_on_farey_to_depth_14_does_not_import_numpy():
-    # 3 * 10^4 components from the first level of 10^3 on cost the pair
-    # kernel less than the import would
+    # a Moebius map with 2^14 survivors: refine writes endpoints only for
+    # its small anchor level, on integer pair lists
     out = cold_oracle("--map", "farey", "--param", "4/5", "--depth", "14")
     assert "level 14: count 16384" in out
     assert out.splitlines()[-1] == "False"

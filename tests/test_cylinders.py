@@ -3,9 +3,7 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
 from collections import Counter
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -21,8 +19,7 @@ from holed_entropy import (EmptyPartitionError, Hole, InvalidParameterError,
                            pressure_estimate, refine)
 from holed_entropy import cylinders
 from holed_entropy import mapmodel
-from holed_entropy.mapmodel import (Affine, IntervalOpen, map_from_config,
-                                    subtract_pieces)
+from holed_entropy.mapmodel import IntervalOpen, map_from_config, subtract_pieces
 from holed_entropy.regularity import left_hole_parameter
 
 
@@ -102,263 +99,9 @@ def test_interior_hole_level1_components():
         (Fraction(5, 6), Fraction(1))]
 
 
-# -- the two replay kernels ----------------------------------------------------
+# -- endpoint reads -------------------------------------------------------------
 # refine stores each level's runs only; a read replays the endpoints from
-# level 1, on pair lists or on int64 arrays.
-
-@contextmanager
-def only_kernel(name):
-    """Reads replay on the array kernel at every step they can ("int64"),
-    whether or not numpy is loaded yet, or at none ("generic": every step
-    runs on the pair lists).  Array levels are int64 numerators over a
-    shared den when every branch is affine, int64 (num, den) pairs
-    otherwise."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cylinders, "_ARRAY_MIN_COMPONENTS",
-                   1 if name == "int64" else math.inf)
-        mp.setattr(cylinders, "_numpy_loaded", lambda: name == "int64")
-        yield
-
-
-def replay(tree, n):
-    """Level n's intervals as ``tree.component_intervals(n)`` reads them,
-    and per replayed level its form: ``(False, None)`` on pair lists,
-    ``(True, den)`` on int64 arrays, ``den`` the shared den or None for
-    int64 pairs.  Level 1, the window ends, is on pair lists."""
-    forms = [(False, None)]
-    step, pull = cylinders._ArrayKernel.step, cylinders._PairKernel.pull
-
-    def array_step(self, *args):
-        out = step(self, *args)
-        forms.append((True, out[2]))
-        return out
-
-    def pair_pull(self, *args):
-        forms.append((False, None))
-        return pull(self, *args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cylinders._ArrayKernel, "step", array_step)
-        mp.setattr(cylinders._PairKernel, "pull", pair_pull)
-        intervals = tree.component_intervals(n)
-    return intervals, forms
-
-
-def read_forms(tree, kernel=None):
-    """The forms (see ``replay``) of a read of the tree's deepest level, on
-    ``kernel`` when it is given."""
-    if kernel is None:
-        return replay(tree, tree.depth)[1]
-    with only_kernel(kernel):
-        return replay(tree, tree.depth)[1]
-
-
-def int64_levels(tree, kernel=None):
-    """Per level, whether a read of the deepest level stores it in an int64
-    form (shared den or pairs)."""
-    return [int64 for int64, _ in read_forms(tree, kernel)]
-
-
-def branch_components(tree, n, branch):
-    """How many of level n's components one branch pulled back."""
-    runs = tree._levels[n - 1].runs
-    return sum(e - s for (b, *_), (s, e) in zip(tree._kernel.windows, runs) if b == branch)
-
-
-def assert_same_reads(tree):
-    """Every level reads the same on both kernels, and a read of level n
-    stores levels 1..n in the forms that a read of the deepest level does
-    (refine has one path; only reads depend on the kernel)."""
-    deepest = int64_levels(tree, "int64")
-    for n in range(1, tree.depth + 1):
-        reads = []
-        for name in ("int64", "generic"):
-            with only_kernel(name):
-                got, forms = replay(tree, n)
-            reads.append(got)
-            want = deepest[:n] if name == "int64" else [False] * n
-            assert [int64 for int64, _ in forms] == want
-        assert reads[0] == reads[1]
-
-
-def test_generic_path_agrees_with_scaled_path():
-    m = build_d_adic(2)
-    for hole in (RIGHT_HOLE, H((Fraction(3, 4), Fraction(5, 6)))):
-        tree = refine(m, hole, 12)
-        assert int64_levels(tree, "int64") == [False] + [True] * 11
-        assert not any(int64_levels(tree, "generic"))
-        assert_same_reads(tree)
-
-
-@st.composite
-def exact_holes(draw, min_pieces=1, max_pieces=3):
-    pieces = []
-    for _ in range(draw(st.integers(min_pieces, max_pieces))):
-        q = draw(st.integers(1, 64))
-        lo = draw(st.integers(0, q))
-        hi = draw(st.integers(lo, q))
-        pieces.append((Fraction(lo, q), Fraction(hi, q)))
-    return H(*pieces)
-
-
-@settings(max_examples=25, deadline=None)
-@given(hole=exact_holes(), d=st.sampled_from([2, 3]))
-def test_kernels_agree_on_random_exact_holes(hole, d):
-    depth = 9 if d == 2 else 6
-    tree = refine(build_d_adic(d), hole, depth)
-    assert all(int64_levels(tree, "int64")[1:])
-    assert_same_reads(tree)
-
-
-TENT = map_from_config({"codomain": ["0", "1"], "branches": [
-    {"domain": ["0", "1/2"], "kind": "affine", "coeffs": ["2", "0"]},
-    {"domain": ["1/2", "1"], "kind": "affine", "coeffs": ["-2", "2"]}]})[0]
-
-
-def test_kernels_agree_on_orientation_reversing_map():
-    for hole in (Hole.empty(), H((Fraction(3, 5), Fraction(7, 10))),
-                 H((Fraction(1, 8), Fraction(1, 6)), (Fraction(5, 6), Fraction(1)))):
-        tree = refine(TENT, hole, 10)
-        assert all(int64_levels(tree, "int64")[1:])
-        assert_same_reads(tree)
-
-
-def test_int64_kernel_splits_one_pullback_across_a_hole():
-    # branch 0 pulls level-1 (1/19, 1/2) back to (1/38, 1/4), which contains
-    # the hole: one parent and branch, two children at level 2
-    hole = H((Fraction(1, 20), Fraction(1, 19)))
-    for m in (build_d_adic(2), TENT):
-        tree = refine(m, hole, 8)
-        assert all(int64_levels(tree, "int64")[1:])
-        branch, parent = tree._levels[1].links(tree._kernel)
-        children = Counter(zip(parent, branch))
-        assert children[(1, 0)] == 2 and max(children.values()) == 2
-        assert_same_reads(tree)
-
-
-def test_int64_replay_holds_little_beyond_the_new_level():
-    # a replay step writes each run straight into the new level's columns,
-    # so beyond the level it returns it holds the level it reads (about
-    # 0.57x the new one here, dropped once the step is done) and one run's
-    # temporaries; full-size temporaries would pass the bound
-    import numpy  # noqa: F401  (loaded outside the traced region)
-    tree = refine(build_d_adic(2), H((Fraction(13, 16), Fraction(1))), 20)
-    arrays = cylinders._ArrayKernel(tree._kernel)
-    tracemalloc.start()
-    try:
-        columns = arrays.columns(*tree._kernel.ends, None, 1)
-        for level in tree._levels[1:]:
-            columns = arrays.step(*columns, level)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    lo, hi, den = columns
-    assert den is not None and len(lo) == tree.counts[-1]
-    assert peak - retained <= 1.5 * (lo.nbytes + hi.nbytes)
-
-
-def test_refine_writes_no_large_level_and_loads_no_numpy():
-    # in a fresh interpreter: refine counts the [13/16, 1] tree to depth 24
-    # (922,111 components at the last level) from the orbits of the window
-    # ends.  The only endpoints it writes are its anchor's, which moves up
-    # only while levels are small, and it imports no numpy.  The tree keeps
-    # a few runs per level: 1000 components' pair endpoints alone would
-    # take ~0.24 MB
-    probe = ("import sys, tracemalloc\n"
-             "from fractions import Fraction\n"
-             "from holed_entropy import Hole, build_d_adic, cylinders, refine\n"
-             "written = []\n"
-             "pull = cylinders._PairKernel.pull\n"
-             "def recording_pull(self, level, lo, hi):\n"
-             "    written.append(len(level))\n"
-             "    return pull(self, level, lo, hi)\n"
-             "cylinders._PairKernel.pull = recording_pull\n"
-             "tracemalloc.start()\n"
-             "tree = refine(build_d_adic(2), Hole([(Fraction(13, 16), 1)]), 24)\n"
-             "retained = tracemalloc.get_traced_memory()[0]\n"
-             "tracemalloc.stop()\n"
-             "assert tree.counts[-1] == 922111, tree.counts\n"
-             "assert 'numpy' not in sys.modules\n"
-             "assert written and max(written) <= 1000, written\n"
-             "assert retained <= 2 ** 15, retained\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-
-
-# x -> 2x - 1/3 on (1/6, 2/3) and 2x - 4/3 on (2/3, 1): the second image
-# (0, 2/3) misses 1, and the offsets have denominator 3
-THIRDS = map_from_config({"codomain": ["0", "1"], "branches": [
-    {"domain": ["1/6", "2/3"], "kind": "affine", "coeffs": ["2", "-1/3"]},
-    {"domain": ["2/3", "1"], "kind": "affine", "coeffs": ["2", "-4/3"]}]})[0]
-
-# x -> 2x + 1 on (-1, 0) and 2x - 29/10 on (19/20, 1), on (-1, 1): the
-# second inverse (y + 29/10) / 2 shifts by more than the codomain's width
-FAR_SHIFT = map_from_config({"codomain": ["-1", "1"], "branches": [
-    {"domain": ["-1", "0"], "kind": "affine", "coeffs": ["2", "1"]},
-    {"domain": ["19/20", "1"], "kind": "affine", "coeffs": ["2", "-29/10"]}]})[0]
-
-
-def test_int64_kernel_hands_back_past_two_to_the_63():
-    # level 1 of the doubling map with hole (1/4, 1/2) is (0, 1/4), (1/2, 1):
-    # den starts at lcm(4, 2, 1) = 4 and doubles, so level n has den
-    # 2**(n+1).  The inverses y/2 and (y+1)/2 give growth max(1, 1, 2) = 2,
-    # and the step from level n runs while 2**(n+1) * 2 < 2**63: up to
-    # n = 60, so level 61 is the last on int64
-    m = build_d_adic(2)
-    hole = H((Fraction(1, 4), Fraction(1, 2)))
-    tree = refine(m, hole, 64)
-    forms = read_forms(tree, "int64")
-    assert [int64 for int64, _ in forms] == [False] + [True] * 60 + [False] * 3
-    assert forms[60][1] == 2 ** 62
-    assert_same_reads(tree)
-    assert tree.component_intervals(64)[0][1] == Fraction(1, 2 ** 65)
-    # the inverse matrices (3, 1, 0, 6) and (3, 4, 0, 6) of THIRDS reduce
-    # by gcd 3 to (y + 1/3) / 2 and (y + 4/3) / 2: den starts at
-    # lcm(6, 3) = 6 and doubles per level.  Unreduced, den would be 6**n
-    # at level n and level 24 the last on int64
-    hole = H((Fraction(5, 6), Fraction(1)))
-    tree = refine(THIRDS, hole, 30)
-    forms = read_forms(tree, "int64")
-    assert [int64 for int64, _ in forms] == [False] + [True] * 29
-    assert forms[29][1] == 6 * 2 ** 29
-    assert_same_reads(tree)
-    # FAR_SHIFT has r = 1, delta = 2 and |beta| = 29/10, so growth is 29/10;
-    # den starts at lcm(20, 3, 10) = 60, level n has den 30 * 2**n, and the
-    # step from level n runs while 87 * 2**n < 2**63: up to n = 56.  Both
-    # branches pull a component back at every level, so a guard without
-    # |beta| would write beta den past int64 in the step from level 57
-    hole = H((Fraction(-1, 3), Fraction(19, 20)))
-    tree = refine(FAR_SHIFT, hole, 64)
-    assert int64_levels(tree, "int64") == [False] + [True] * 56 + [False] * 7
-    assert all(lv.links(tree._kernel)[0] == [0, 1] for lv in tree._levels)
-    assert_same_reads(tree)
-
-
-def test_int64_levels_return_python_values():
-    import numpy  # noqa: F401  (array steps start at 10^3 components)
-    m = build_d_adic(2)
-    tree = refine(m, RIGHT_HOLE, 16)   # level 15 has 1597 components
-    assert int64_levels(tree)[-1]
-    for lo, hi in tree.component_intervals(16):
-        assert type(lo) is Fraction and type(hi) is Fraction
-        assert type(lo.numerator) is int and type(lo.denominator) is int
-        assert type(hi.numerator) is int and type(hi.denominator) is int
-    words = tree.itineraries(16)
-    assert all(type(b) is int for w in words for b in w)
-    for cyl in tree.cylinders(16)[:50]:
-        for c in cyl.components:
-            assert type(c.lo) is Fraction and type(c.lo.numerator) is int
-    w = LocallyConstantWeight((ex(Fraction(2, 3)), ex(Fraction(5, 7))))
-    with only_kernel("generic"):
-        want = (pressure_estimate(m, w, RIGHT_HOLE, 16),
-                expansion_diagnostics(m, 16, RIGHT_HOLE, w))
-    assert (pressure_estimate(m, w, RIGHT_HOLE, 16),
-            expansion_diagnostics(m, 16, RIGHT_HOLE, w)) == want
-
+# level 1 on integer pair lists.
 
 def reference_refine(pmap, hole, depth):
     """Fraction refinement from the definition: level k+1 pulls every level-k
@@ -382,6 +125,168 @@ def reference_refine(pmap, hole, depth):
                               for x, y in subtract_pieces(a, c, hole.pieces)]
         levels.append(level)
     return levels
+
+
+def assert_reads_match_reference(tree):
+    """Every level of the tree reads as the Fraction refinement from the
+    definition: counts, endpoints, itineraries and links."""
+    want = reference_refine(tree.map, tree.hole, tree.depth)
+    assert tree.counts == [len(level) for level in want]
+    for n, level in enumerate(want, 1):
+        assert tree.component_intervals(n) == [(lo, hi) for lo, hi, _, _ in level]
+        assert tree.itineraries(n) == [w for _, _, w, _ in level]
+        assert tree._levels[n - 1].links(tree._kernel) == (
+            [w[0] for _, _, w, _ in level], [parent for _, _, _, parent in level])
+
+
+def reference_counts(pmap, hole, depth):
+    return [len(level) for level in reference_refine(pmap, hole, depth)]
+
+
+def branch_components(tree, n, branch):
+    """How many of level n's components one branch pulled back."""
+    runs = tree._levels[n - 1].runs
+    return sum(e - s for (b, *_), (s, e) in zip(tree._kernel.windows, runs) if b == branch)
+
+
+def run_fresh(probe):
+    """Run ``probe`` in a fresh interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_generic_path_agrees_with_scaled_path():
+    m = build_d_adic(2)
+    for hole in (RIGHT_HOLE, H((Fraction(3, 4), Fraction(5, 6)))):
+        assert_reads_match_reference(refine(m, hole, 12))
+
+
+@st.composite
+def exact_holes(draw, min_pieces=1, max_pieces=3):
+    pieces = []
+    for _ in range(draw(st.integers(min_pieces, max_pieces))):
+        q = draw(st.integers(1, 64))
+        lo = draw(st.integers(0, q))
+        hi = draw(st.integers(lo, q))
+        pieces.append((Fraction(lo, q), Fraction(hi, q)))
+    return H(*pieces)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hole=exact_holes(), d=st.sampled_from([2, 3]))
+def test_kernels_agree_on_random_exact_holes(hole, d):
+    depth = 9 if d == 2 else 6
+    assert_reads_match_reference(refine(build_d_adic(d), hole, depth))
+
+
+TENT = map_from_config({"codomain": ["0", "1"], "branches": [
+    {"domain": ["0", "1/2"], "kind": "affine", "coeffs": ["2", "0"]},
+    {"domain": ["1/2", "1"], "kind": "affine", "coeffs": ["-2", "2"]}]})[0]
+
+
+def test_kernels_agree_on_orientation_reversing_map():
+    for hole in (Hole.empty(), H((Fraction(3, 5), Fraction(7, 10))),
+                 H((Fraction(1, 8), Fraction(1, 6)), (Fraction(5, 6), Fraction(1)))):
+        assert_reads_match_reference(refine(TENT, hole, 10))
+
+
+def test_int64_kernel_splits_one_pullback_across_a_hole():
+    # branch 0 pulls level-1 (1/19, 1/2) back to (1/38, 1/4), which contains
+    # the hole: one parent and branch, two children at level 2
+    hole = H((Fraction(1, 20), Fraction(1, 19)))
+    for m in (build_d_adic(2), TENT):
+        tree = refine(m, hole, 8)
+        branch, parent = tree._levels[1].links(tree._kernel)
+        children = Counter(zip(parent, branch))
+        assert children[(1, 0)] == 2 and max(children.values()) == 2
+        assert_reads_match_reference(tree)
+
+
+def test_refine_writes_no_large_level_and_loads_no_numpy():
+    # in a fresh interpreter: refine counts the [13/16, 1] tree to depth 24
+    # (922,111 components at the last level) from the orbits of the window
+    # ends.  The only endpoints it writes are its anchor's, which moves up
+    # only while levels are small, and it imports no numpy.  The tree keeps
+    # a few runs per level: 1000 components' pair endpoints alone would
+    # take ~0.24 MB
+    run_fresh("import sys, tracemalloc\n"
+              "from fractions import Fraction\n"
+              "from holed_entropy import Hole, build_d_adic, cylinders, refine\n"
+              "written = []\n"
+              "pull = cylinders._PairKernel.pull\n"
+              "def recording_pull(self, level, lo, hi):\n"
+              "    written.append(len(level))\n"
+              "    return pull(self, level, lo, hi)\n"
+              "cylinders._PairKernel.pull = recording_pull\n"
+              "tracemalloc.start()\n"
+              "tree = refine(build_d_adic(2), Hole([(Fraction(13, 16), 1)]), 24)\n"
+              "retained = tracemalloc.get_traced_memory()[0]\n"
+              "tracemalloc.stop()\n"
+              "assert tree.counts[-1] == 922111, tree.counts\n"
+              "assert 'numpy' not in sys.modules\n"
+              "assert written and max(written) <= 1000, written\n"
+              "assert retained <= 2 ** 15, retained\n")
+
+
+def test_large_read_loads_no_numpy():
+    # in a fresh interpreter: reading level 20 of the [13/16, 1] tree
+    # replays more than 1.5 * 10^5 components from its first level of 10^3
+    # on, all on pair lists
+    run_fresh("import sys\n"
+              "from fractions import Fraction\n"
+              "from holed_entropy import Hole, build_d_adic, refine\n"
+              "tree = refine(build_d_adic(2), Hole([(Fraction(13, 16), 1)]), 20)\n"
+              "first = next(n for n, c in enumerate(tree.counts) if c >= 1000)\n"
+              "assert sum(tree.counts[first:]) > 150_000, tree.counts\n"
+              "assert len(tree.component_intervals(20)) == tree.counts[-1]\n"
+              "assert 'numpy' not in sys.modules\n")
+
+
+# x -> 2x - 1/3 on (1/6, 2/3) and 2x - 4/3 on (2/3, 1): the second image
+# (0, 2/3) misses 1, and the offsets have denominator 3
+THIRDS = map_from_config({"codomain": ["0", "1"], "branches": [
+    {"domain": ["1/6", "2/3"], "kind": "affine", "coeffs": ["2", "-1/3"]},
+    {"domain": ["2/3", "1"], "kind": "affine", "coeffs": ["2", "-4/3"]}]})[0]
+
+# x -> 2x + 1 on (-1, 0) and 2x - 29/10 on (19/20, 1), on (-1, 1): the
+# second inverse (y + 29/10) / 2 shifts by more than the codomain's width
+FAR_SHIFT = map_from_config({"codomain": ["-1", "1"], "branches": [
+    {"domain": ["-1", "0"], "kind": "affine", "coeffs": ["2", "1"]},
+    {"domain": ["19/20", "1"], "kind": "affine", "coeffs": ["2", "-29/10"]}]})[0]
+
+
+def test_int64_kernel_hands_back_past_two_to_the_63():
+    # level 1 of the doubling map with hole (1/4, 1/2) is (0, 1/4), (1/2, 1),
+    # and level n has endpoints over 2**(n+1): from level 62 on they pass
+    # 2**63, and pair lists keep them exact
+    m = build_d_adic(2)
+    hole = H((Fraction(1, 4), Fraction(1, 2)))
+    tree = refine(m, hole, 64)
+    assert_reads_match_reference(tree)
+    assert tree.component_intervals(64)[0][1] == Fraction(1, 2 ** 65)
+    # the inverses (y + 1/3) / 2 and (y + 4/3) / 2 of THIRDS have offsets
+    # over 3, which no window end of the hole (5/6, 1) needs
+    tree = refine(THIRDS, H((Fraction(5, 6), Fraction(1))), 30)
+    assert_reads_match_reference(tree)
+    # the second inverse of FAR_SHIFT, (y + 29/10) / 2, shifts by more than
+    # the codomain's width, and both branches pull a component back at
+    # every level
+    hole = H((Fraction(-1, 3), Fraction(19, 20)))
+    tree = refine(FAR_SHIFT, hole, 64)
+    assert all(lv.links(tree._kernel)[0] == [0, 1] for lv in tree._levels)
+    assert_reads_match_reference(tree)
+    # inverse matrix entries near 2^20 add ~21 bits per level to the
+    # unreduced pairs of a Moebius map
+    farey = build_scaled_farey(Fraction(2 ** 20 - 1, 2 ** 20))
+    assert_reads_match_reference(refine(farey, H((Fraction(1, 3), Fraction(3, 8))), 9))
+    # a window end past 2**64, on a level of small heights
+    farey = build_scaled_farey(Fraction(4, 5))
+    hole = H((Fraction(1, 3), Fraction(2 ** 64 + 1, 3 * 2 ** 64)))
+    assert_reads_match_reference(refine(farey, hole, 6))
 
 
 # x -> 5x/2 on (0, 2/5), 2 - 5x/2 on (2/5, 4/5), 5x/2 - 5/3 on (4/5, 1): a
@@ -423,11 +328,10 @@ def test_pair_kernel_matches_fraction_reference(pmap, hole, depth):
     want = reference_refine(pmap, hole, depth)
     assert tree.depth == len(want)
     for n, level in enumerate(want, 1):
-        with only_kernel("generic"):
-            got = tree.component_intervals(n)
+        got = tree.component_intervals(n)
         assert got == [(lo, hi) for lo, hi, _, _ in level]
         assert tree.itineraries(n) == [word for _, _, word, _ in level]
-        # sorted and disjoint, which the kernels' run search relies on
+        # sorted and disjoint, which the run search relies on
         assert all(lo < hi for lo, hi in got)
         assert all(a[1] <= b[0] for a, b in zip(got, got[1:]))
 
@@ -438,12 +342,38 @@ def test_pair_levels_return_python_values():
                        (AFFINE_5_2, Hole.empty()), (build_d_adic(2), RIGHT_HOLE)):
         tree = refine(pmap, hole, 7)
         for n in range(1, 8):
-            intervals, forms = replay(tree, n)
-            assert all(den is None for _, den in forms)
-            for lo, hi in intervals:
+            for lo, hi in tree.component_intervals(n):
                 assert type(lo) is Fraction and type(hi) is Fraction
                 assert type(lo.numerator) is int and type(lo.denominator) is int
                 assert type(hi.numerator) is int and type(hi.denominator) is int
+        words = tree.itineraries(7)
+        assert all(type(b) is int for w in words for b in w)
+
+
+def test_int64_levels_return_python_values():
+    m = build_d_adic(2)
+    tree = refine(m, RIGHT_HOLE, 16)   # level 15 has 1597 components
+    for lo, hi in tree.component_intervals(16):
+        assert type(lo) is Fraction and type(hi) is Fraction
+        assert type(lo.numerator) is int and type(lo.denominator) is int
+        assert type(hi.numerator) is int and type(hi.denominator) is int
+    words = tree.itineraries(16)
+    assert all(type(b) is int for w in words for b in w)
+    for cyl in tree.cylinders(16)[:50]:
+        for c in cyl.components:
+            assert type(c.lo) is Fraction and type(c.lo.numerator) is int
+    # the pressure sums the weights of the reference components: level 16
+    # of the doubling map with hole [3/4, 1] has 2584 components, level 12
+    # with hole [3/4, 5/6] 2429, of which 888 itineraries hold two
+    w = LocallyConstantWeight((ex(Fraction(2, 3)), ex(Fraction(5, 7))))
+    for hole, n in ((RIGHT_HOLE, 16), (H((Fraction(3, 4), Fraction(5, 6))), 12)):
+        total = sum(math.prod(w.values[b] for b in word)
+                    for _, _, word, _ in reference_refine(m, hole, n)[-1])
+        assert pressure_estimate(m, w, hole, n) == (
+            math.log(total.numerator) - math.log(total.denominator)) / n
+    diag = expansion_diagnostics(m, 16, RIGHT_HOLE, w)
+    assert all(type(getattr(diag, f)) is float
+               for f in ("theta_n", "lambda_n", "xi_n", "a_n", "A_n"))
 
 
 def negated_farey(a):
@@ -561,71 +491,32 @@ def test_int64_pairs_agree_with_pair_lists(hole, pmap, depth):
         pmap = build_scaled_farey(pmap)
     elif kind == "negated farey":
         pmap, hole = negated_farey(pmap), negated(hole)
-    tree = refine(pmap, hole, depth)
-    forms = read_forms(tree, "int64")
-    # heights stay below 2^40 on these maps to level 11
-    assert [int64 for int64, _ in forms] == [False] + [True] * (tree.depth - 1)
-    # a shared den exactly when every branch is affine
-    affine = all(isinstance(b.kind, Affine) for b in pmap.branches)
-    assert [den is not None for _, den in forms[1:]] == [affine] * (tree.depth - 1)
-    assert_same_reads(tree)
+    assert_reads_match_reference(refine(pmap, hole, depth))
 
 
 @settings(max_examples=30, deadline=None)
 @given(hole=exact_holes(max_pieces=2),
        pmap=st.sampled_from([build_d_adic(2), build_d_adic(3), TENT, AFFINE_5_2,
                              build_scaled_farey(Fraction(4, 5))]),
-       kernel=st.sampled_from(["int64", "generic"]), depth=st.integers(2, 8))
-def test_deep_tree_reads_every_level_as_a_shallow_refine(hole, pmap, kernel, depth):
+       depth=st.integers(2, 8))
+def test_deep_tree_reads_every_level_as_a_shallow_refine(hole, pmap, depth):
     # a tree keeps runs only: a deep tree reads a shallower level's
     # endpoints by replaying the runs from level 1, and its itineraries
-    # from the runs of every level.  "int64" replays shared-den arrays on
-    # the affine maps and int64 pairs on farey 4/5, "generic" pair lists
+    # from the runs of every level
     deep = refine(pmap, hole, depth)
-    assert int64_levels(deep, kernel) == [False] + [kernel == "int64"] * (deep.depth - 1)
     for n in range(1, depth + 1):
         shallow = refine(pmap, hole, n)
-        assert int64_levels(shallow, kernel) == int64_levels(deep, kernel)[:n]
         assert deep.count(n) == shallow.count(n)
-        # the deep tree replays level n on the same kernel
-        with only_kernel(kernel):
-            assert deep.component_intervals(n) == shallow.component_intervals(n)
-            assert deep.cylinders(n) == shallow.cylinders(n)
+        assert deep.component_intervals(n) == shallow.component_intervals(n)
+        assert deep.cylinders(n) == shallow.cylinders(n)
         assert deep.itineraries(n) == shallow.itineraries(n)
-
-
-def test_int64_pairs_hand_back_to_pair_lists_past_int64():
-    # inverse matrix entries near 2^20 add ~21 bits per level: level 3 has
-    # 43-bit heights, and 43 + 21 bits would pass int64
-    farey = build_scaled_farey(Fraction(2 ** 20 - 1, 2 ** 20))
-    hole = H((Fraction(1, 3), Fraction(3, 8)))
-    tree = refine(farey, hole, 9)
-    assert int64_levels(tree, "int64") == [False, True, True] + [False] * 6
-    assert_same_reads(tree)
-    with only_kernel("int64"):
-        for lo, hi in tree.component_intervals(3):
-            assert type(lo.numerator) is int and type(hi.denominator) is int
-    # the first level of 10^3 components has ~200-bit heights
-    tall = refine(farey, Hole.empty(), 11)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cylinders, "_numpy_loaded", lambda: True)
-        assert tall.counts[-2] >= 1000 and not any(int64_levels(tall))
-    # a window end past int64 keeps every step on pair lists, also from a
-    # level of small heights: the step could cut a run to that end
-    farey = build_scaled_farey(Fraction(4, 5))
-    hole = H((Fraction(1, 3), Fraction(2 ** 64 + 1, 3 * 2 ** 64)))
-    tree = refine(farey, hole, 6)
-    assert not any(int64_levels(tree, "int64"))
-    assert_same_reads(tree)
-    kernel = cylinders._ArrayKernel(cylinders._PairKernel(farey, hole))
-    assert kernel.columns([(1, 8)], [(1, 4)], None, 1) is None
 
 
 @pytest.mark.parametrize("hole", [Hole.empty(), H((Fraction(1, 3), Fraction(3, 8)))])
 def test_component_cap_inside_an_int64_pairs_step(hole):
     farey = build_scaled_farey(Fraction(4, 5))
     tree = refine(farey, hole, 10)
-    assert int64_levels(tree, "int64")[-1]
+    assert tree.counts == reference_counts(farey, hole, 10)
     first = branch_components(tree, 10, 0)
     assert 0 < first < tree.counts[-1]
     cap = (first + tree.counts[-1]) // 2
@@ -645,24 +536,6 @@ def test_component_cap_inside_an_int64_pairs_step(hole):
         # smaller than the first branch's share of level 10
         assert pulled and max(pulled) < first
         assert refine(farey, hole, 10, component_cap=tree.counts[-1]).counts == tree.counts
-
-
-@pytest.mark.parametrize("loaded", [False, True])
-def test_array_steps_wait_until_numpy_pays(loaded):
-    # farey 4/5 doubles from 1024 components at level 10: to depth 16 a
-    # read replays 2^11 + ... + 2^16 < 1.5 * 10^5 components from there,
-    # to depth 17 twice that
-    farey = build_scaled_farey(Fraction(4, 5))
-    doubling = build_d_adic(2)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cylinders, "_numpy_loaded", lambda: loaded)
-        for pmap, hole, depth, first in ((farey, Hole.empty(), 16, 10),
-                                         (farey, Hole.empty(), 17, 10),
-                                         (doubling, H((Fraction(13, 16), Fraction(1))), 20, 12)):
-            tree = refine(pmap, hole, depth)
-            pays = loaded or depth != 16
-            assert int64_levels(tree) == [False] * first + [pays] * (depth - first)
-            assert tree.counts[first - 1] >= 1000 > tree.counts[first - 2]
 
 
 def test_component_cap():
@@ -686,7 +559,7 @@ def test_negative_component_cap_is_an_input_error():
 def test_component_cap_on_a_moebius_map(hole):
     farey = build_scaled_farey(ex(Fraction(4, 5)))
     tree = refine(farey, hole, 9)
-    assert not any(int64_levels(tree))
+    assert tree.counts == reference_counts(farey, hole, 9)
     for n in (2, 5, 9):
         cap = tree.count(n) - 1
         with pytest.raises(ResourceLimitError, match=f"cap {cap} exceeded at level {n}$"):
@@ -695,15 +568,12 @@ def test_component_cap_on_a_moebius_map(hole):
 
 
 def test_component_cap_boundary():
-    # with numpy loaded, levels up to 10 of the full shift come from the
-    # pair kernel, levels 11 and 12 from the int64 kernel
-    import numpy  # noqa: F401
     tree = refine(build_d_adic(2), Hole.empty(), 9, component_cap=512)
-    assert not any(int64_levels(tree))
+    assert tree.counts == [2 ** n for n in range(1, 10)]
     with pytest.raises(ResourceLimitError, match="cap 511 exceeded at level 9$"):
         refine(build_d_adic(2), Hole.empty(), 9, component_cap=511)
     tree = refine(build_d_adic(2), Hole.empty(), 12, component_cap=4096)
-    assert max(tree.counts) == 4096 and int64_levels(tree)[-1]
+    assert max(tree.counts) == 4096 and tree.counts == [2 ** n for n in range(1, 13)]
     with pytest.raises(ResourceLimitError, match="cap 4095 exceeded at level 12$"):
         refine(build_d_adic(2), Hole.empty(), 12, component_cap=4095)
     tree = refine(build_d_adic(2), RIGHT_HOLE, 18, component_cap=FIB_COUNTS[17])
@@ -718,7 +588,7 @@ def test_component_cap_boundary():
 def test_component_cap_inside_the_second_branch_of_an_int64_step(hole):
     m = build_d_adic(2)
     tree = refine(m, hole, 10)
-    assert int64_levels(tree, "int64")[-1]
+    assert tree.counts == reference_counts(m, hole, 10)
     first = branch_components(tree, 10, 0)
     assert 0 < first < tree.counts[-1]
     cap = (first + tree.counts[-1]) // 2
