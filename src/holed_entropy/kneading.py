@@ -23,8 +23,11 @@ integer numerators and builds the Fraction points only when they are read.
 This module keeps the orbit and the determinant; the root is found by
 :func:`polyexact.sparse_root`, which searches the sparse polynomial (few
 nonzero terms, all small integers) with float Newton from the middle of
-(0, 1), checks the bracket around it by exact dyadic signs, and falls back
-to exact-sign bisection.  :func:`leading_root` wraps its bracket as a
+(0, 1) and checks the bracket around it by two exact dyadic signs.  d
+decreases strictly on [0, 1), so it has one sign change there and a
+checked bracket needs no sign at the upper end of the search.  That sign
+is read only when the check fails, before the fallback to exact-sign
+bisection.  :func:`leading_root` wraps its bracket as a
 :class:`RootResult`, and :attr:`LeftHoleEntropy.interval` is
 :func:`polyexact.log_bracket` of it, negated.
 

@@ -2,7 +2,9 @@
 polynomial, in integers wherever a proof can be had.
 
 An integer root r gives x - r.  Otherwise :func:`strip_cyclotomic` divides
-out the factor x and the cyclotomic factors, and :func:`certify_irreducible`
+out the factor x and the cyclotomic factors: complex-float Horner in plain
+Python picks the candidates, so no read of a minimal polynomial imports
+numpy, and exact division decides each.  :func:`certify_irreducible` then
 proves the rest irreducible by Musser's degree-set test (D. R. Musser, "On
 the efficiency of a polynomial irreducibility test", J. ACM 25, 1978):
 distinct-degree factorisation modulo a few small primes.  Only a rest that
@@ -14,6 +16,7 @@ polynomial, so no other command compiles it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -102,10 +105,12 @@ def strip_cyclotomic(p: Poly) -> Poly:
     The float value of p at exp(2 pi i / n), for every n <= 6 deg p (that
     is every order with phi(n) <= deg p, as n < 6 phi(n) for n < 2 * 10**8),
     picks the candidates: a cyclotomic factor makes it zero up to rounding,
-    and the tolerance is far above the rounding error of Horner's rule.
-    Each candidate Phi_n is then divided out only when it divides exactly.
+    and the tolerance is far above the rounding error of Horner's rule in
+    complex floats.  Each candidate Phi_n is then divided out only when it
+    divides exactly, so the screen never decides a factor: a missed
+    candidate would only leave a cyclotomic factor that
+    :func:`certify_irreducible` cannot certify.
     """
-    import numpy as np
     p = poly_trim(list(p))
     while len(p) > 1 and p[0] == 0:
         p = p[1:]
@@ -113,15 +118,18 @@ def strip_cyclotomic(p: Poly) -> Poly:
     if deg < 1:
         return p
     top = max(abs(c) for c in p)
-    a = np.array([c / top for c in reversed(p)])  # exact int / int rounding
-    orders = np.arange(1, 6 * deg + 1)
-    values = np.abs(np.polyval(a, np.exp(2j * np.pi / orders)))
-    for n in orders[values <= (deg + 1) ** 2 * 2.0 ** -40 * np.abs(a).sum()]:
-        phi = cyclotomic(int(n))
-        if len(phi) <= len(p):
-            quot, rem = poly_divmod_int(p, phi)
-            if not any(rem):
-                p = quot
+    a = [c / top for c in reversed(p)]  # exact int / int rounding
+    tol = (deg + 1) ** 2 * 2.0 ** -40 * sum(abs(c) for c in a)
+    for n in range(1, 6 * deg + 1):
+        z, value = cmath.exp(2j * math.pi / n), 0j
+        for c in a:
+            value = value * z + c
+        if abs(value) <= tol:
+            phi = cyclotomic(n)
+            if len(phi) <= len(p):
+                quot, rem = poly_divmod_int(p, phi)
+                if not any(rem):
+                    p = quot
     return p
 
 

@@ -19,11 +19,13 @@ so both engines bound their entropy the same way.
 
 :func:`sparse_root` finds the sign change in (0, 1) of the tower
 determinant, a sparse polynomial of degree up to a few thousand with
-d(0) > 0.  Float Newton on the sparse form, from the middle of (0, 1),
-gives r, and :func:`sign_at_dyadic` checks the bracket of width at most
-``tol`` around r (adjacent floats when ``tol`` is below the float spacing
-at r) at both ends.  Where that check fails, bisection of (0, 1) on the
-exact sign takes over, so its bracket holds the root by construction.
+d(0) > 0 and one sign change in (0, 1).  Float Newton on the sparse form,
+from the middle of (0, 1), gives r, and :func:`sign_at_dyadic` checks the
+bracket of width at most ``tol`` around r (adjacent floats when ``tol`` is
+below the float spacing at r) at both ends, two exact signs in all.  Only
+where that check fails is the sign at the upper end of the search read:
+positive means no root, and otherwise bisection of (0, 1) on the exact
+sign takes over, so its bracket holds the root by construction.
 
 :func:`largest_real_root` finds the largest root in [0, inf), the only range
 a Perron root can lie in, on the dyadic grid ``2**-e``, with ``e`` the
@@ -597,27 +599,30 @@ def _newton_bracket(exact, r: float, lo: float, hi: float, tol: float):
 
 
 def sparse_root(polynomial, tol: float) -> tuple[float, float, float]:
-    """The sign change in (0, 1) of a polynomial with p(0) > 0 and few
-    nonzero terms, as (r, lo, hi): floats with lo <= r <= hi, p(lo) > 0 >
-    p(hi) or lo = hi a root, and hi - lo <= tol (adjacent floats when tol
-    is below the float spacing there).
+    """The sign change in (0, 1) of a polynomial with p(0) > 0, few nonzero
+    terms and at most one sign change in (0, 1), as (r, lo, hi): floats
+    with lo <= r <= hi, p(lo) > 0 > p(hi) or lo = hi a root, and hi - lo <=
+    tol (adjacent floats when tol is below the float spacing there).
 
-    Float Newton on the sparse form from the middle of (0, 1) gives r, and
-    the bracket of width <= tol around r is checked at both ends by
-    :func:`sign_at_dyadic`.  If that check fails, bisection of (0, 1) on
-    the exact sign (:func:`_bisect`) runs instead; p(0) > 0 and the exact
-    sign at its upper end is negative, so its bracket holds the root by
-    construction.  The upper end is 1 - min(tol, 1e-9), and p > 0 there
-    raises :class:`NoRootError`.
+    The search runs on (0, hi) with hi = 1 - min(tol, 1e-9).  Float Newton
+    on the sparse form from the middle of (0, hi) gives r, and the bracket
+    of width <= tol around r is checked at both ends by
+    :func:`sign_at_dyadic`.  With one sign change in (0, 1), a bracket that
+    passes already puts p(hi) < 0, so the exact sign at hi is read only when
+    the check fails: p > 0 there raises :class:`NoRootError`, and otherwise
+    bisection of (0, hi) on the exact sign (:func:`_bisect`) runs, whose
+    bracket holds the root by construction.  Every tower determinant, d(z)
+    or (1 - z**P) d(z) with d = 1 - sum m_k z**(k+1), every m_k >= 0, has
+    the one sign change, as d decreases strictly on [0, 1).
     """
     check_tol(tol)
     form = _SparseForm(polynomial)
     hi = 1.0 - min(tol, 1e-9)
-    if form.exact(hi) > 0:
-        raise NoRootError("determinant stays positive on (0, 1); entropy 0")
     r = form.newton(0.0, hi)
     bracket = _newton_bracket(form.exact, r, 0.0, hi, tol)
     if bracket is None:
+        if form.exact(hi) > 0:
+            raise NoRootError("determinant stays positive on (0, 1); entropy 0")
         bracket = _bisect(form.exact, 0.0, hi, tol, lambda a, b: 0.5 * (a + b))
         r = min(max(r, bracket[0]), bracket[1])
     return (r,) + bracket

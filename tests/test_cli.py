@@ -23,10 +23,11 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def cold_oracle(*argv):
-    """stdout of a fresh ``oracle`` run, then whether it imported numpy."""
+def cold_cli(command, *argv):
+    """stdout of a fresh run of one CLI command, then whether it imported
+    numpy."""
     probe = ("import runpy, sys\n"
-             f"sys.argv = ['holed_entropy.cli', 'oracle', *{list(argv)!r}]\n"
+             f"sys.argv = ['holed_entropy.cli', {command!r}, *{list(argv)!r}]\n"
              "try:\n"
              "    runpy.run_module('holed_entropy.cli', run_name='__main__')\n"
              "except SystemExit as exc:\n"
@@ -44,7 +45,7 @@ def cold_oracle(*argv):
 
 def test_oracle_cold_start_does_not_import_numpy():
     # the oracle counts along the window ends' orbits, on Python integers
-    out = cold_oracle("--map", "doubling", "--hole", "3/4,1", "--depth", "10")
+    out = cold_cli("oracle", "--map", "doubling", "--hole", "3/4,1", "--depth", "10")
     assert "level 10: count 144" in out
     assert out.splitlines()[-1] == "False"
 
@@ -52,9 +53,19 @@ def test_oracle_cold_start_does_not_import_numpy():
 def test_oracle_on_farey_to_depth_14_does_not_import_numpy():
     # a Moebius map with 2^14 survivors: refine writes endpoints only for
     # its small anchor level, on integer pair lists
-    out = cold_oracle("--map", "farey", "--param", "4/5", "--depth", "14")
+    out = cold_cli("oracle", "--map", "farey", "--param", "4/5", "--depth", "14")
     assert "level 14: count 16384" in out
     assert out.splitlines()[-1] == "False"
+
+
+def test_double_pole_spectrum_does_not_import_numpy():
+    # spectrum reads rho and p from the characteristic polynomial, and
+    # min_poly screens its cyclotomic candidates in plain Python
+    out = cold_cli("spectrum", "--map", "doubling", "--hole", "3/4,5/6")
+    *report, numpy_loaded = out.splitlines()
+    d = json.loads("\n".join(report))
+    assert (d["p"], d["alg_mult"], d["min_poly"]) == (2, 2, [-1, -1, 1])
+    assert numpy_loaded == "False"
 
 
 def test_entropy_kneading(capsys):

@@ -280,9 +280,24 @@ def test_leading_root_rejects_bad_tol(tol):
 
 
 def test_leading_root_no_root():
-    ser = DeterminantSeries(0, (1, -1), True, None)
-    with pytest.raises(NoRootError):
-        leading_root(ser, 1e-12)
+    # 1 - z and 1 - z + z^2 stay positive on (0, 1): the Newton bracket
+    # fails its check, and the sign at the upper end refuses
+    for poly in ((1, -1), (1, -1, 1)):
+        ser = DeterminantSeries(0, poly, True, None)
+        with pytest.raises(NoRootError):
+            leading_root(ser, 1e-12)
+
+
+@pytest.mark.parametrize("a", (Fraction(2, 3), Fraction(3, 4), Fraction(351, 355), 0.7),
+                         ids=str)
+def test_certified_row_reads_two_exact_signs(a):
+    # d decreases on [0, 1), so the checked Newton bracket is the whole
+    # certificate: one exact sign at each end, none at the end of the search
+    with mock.patch.object(_SparseForm, "exact", autospec=True,
+                           side_effect=_SparseForm.exact) as spy:
+        res = entropy_left_hole(a)
+    assert res.root.certified is True
+    assert spy.call_count == 2 * len(res.ends or (res,))
 
 
 def _sign_by_integer_horner(poly, x: float) -> int:

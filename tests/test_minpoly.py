@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from holed_entropy import minpoly
 from holed_entropy.minpoly import (certify_irreducible, cyclotomic,
                                    min_poly_of_root, strip_cyclotomic)
-from holed_entropy.polyexact import poly_mul, poly_primitive
+from holed_entropy.polyexact import poly_divmod_int, poly_mul, poly_primitive
 
 
 def _product(factors):
@@ -32,6 +32,32 @@ def test_strip_cyclotomic_keeps_only_the_rest(orders, with_x, rest):
 
 _nonconstant_polys = st.lists(st.integers(-5, 5), min_size=2, max_size=5).filter(
     lambda f: f[-1] != 0)
+
+
+def _trial_division(p):
+    """p without its factors x, then divided by every Phi_n, n <= 6 deg p,
+    that divides it exactly: the screen-free reference."""
+    while len(p) > 1 and p[0] == 0:
+        p = p[1:]
+    for n in range(1, 6 * (len(p) - 1) + 1):
+        phi = cyclotomic(n)
+        if len(phi) <= len(p):
+            quot, rem = poly_divmod_int(p, phi)
+            if not any(rem):
+                p = quot
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders=st.sets(st.integers(1, 40), max_size=4), x_power=st.integers(0, 2),
+       others=st.lists(_nonconstant_polys, min_size=1, max_size=2))
+@example(orders={1, 2, 3}, x_power=0, others=[[1, 0, 1]])  # Phi_4 among the others
+@example(orders={5}, x_power=1, others=[[-1, -1, 1], [-1, -1, 1]])  # not square-free
+def test_strip_cyclotomic_is_exact_trial_division(orders, x_power, others):
+    # the float screen only picks candidates, so it divides out exactly the
+    # Phi_n that trial division finds, cyclotomic factors of the others too
+    p = _product([cyclotomic(n) for n in orders] + others + [[0, 1]] * x_power)
+    assert strip_cyclotomic(p) == _trial_division(p)
 
 
 @settings(max_examples=80, deadline=None)
