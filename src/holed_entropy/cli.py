@@ -22,19 +22,11 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from . import __version__
-from . import kneading, markov
-from .cylinders import (DEFAULT_COMPONENT_CAP, entropy_estimate,
-                        expansion_diagnostics, export_level_counts, refine)
+from . import ENGINES, __version__
 from .errors import (HoledEntropyError, InvalidParameterError, NoRootError,
                      NotFinitelyMarkovError, ResourceLimitError)
-from .kneading import entropy_left_hole
 from .mapmodel import (Hole, PiecewiseMap, build_d_adic, build_scaled_farey,
                        load_map_config, map_to_config, parse_rational)
-from .markov import spectrum_markov, to_dot
-from .regularity import (ENGINES, LeftHoleFamily, SlidingHoleFamily, SweepSpec,
-                         compare_engines, emit_csv, emit_svg_plot,
-                         holder_estimate, run_sweep, solve)
 
 _ENGINE_ERRORS = (NotFinitelyMarkovError, ResourceLimitError, NoRootError)
 
@@ -115,10 +107,12 @@ def _emit_json(obj, path: str | None):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each imports only the engine it runs, and resolves the
+# defaults that the engine defines
 # ---------------------------------------------------------------------------
 
 def _cmd_entropy(args) -> int:
+    from .regularity import compare_engines, solve
     pmap, hole = _map_and_hole(args)
     if args.engine == "compare":
         rep = compare_engines(pmap, hole, args.depth, args.tol)
@@ -143,15 +137,20 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_tower(args) -> int:
-    a = _parse_tower_a(args.a, args.epsilon)
-    res = entropy_left_hole(a, tol=args.tol, epsilon=args.epsilon)
+    from .kneading import DEFAULT_EPSILON, DEFAULT_TOL, entropy_left_hole
+    epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
+    tol = DEFAULT_TOL if args.tol is None else args.tol
+    a = _parse_tower_a(args.a, epsilon)
+    res = entropy_left_hole(a, tol=tol, epsilon=epsilon)
     _emit_json(res.to_json(), args.json)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
+    from .markov import DEFAULT_TOL, spectrum_markov, to_dot
     pmap, hole = _map_and_hole(args)
-    res = spectrum_markov(pmap, hole, tol=args.tol)
+    res = spectrum_markov(pmap, hole,
+                          tol=DEFAULT_TOL if args.tol is None else args.tol)
     _emit_json(res.to_json(), args.json)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -160,8 +159,12 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .cylinders import (DEFAULT_COMPONENT_CAP, entropy_estimate,
+                            export_level_counts, refine)
     pmap, hole = _map_and_hole(args)
-    tree = refine(pmap, hole, args.depth, args.component_cap)
+    cap = (DEFAULT_COMPONENT_CAP if args.component_cap is None
+           else args.component_cap)
+    tree = refine(pmap, hole, args.depth, cap)
     levels = [{"level": n, "count": tree.count(n), "entropy": entropy_estimate(tree, n)}
               for n in range(1, args.depth + 1)]
     for lv in levels:
@@ -175,6 +178,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _make_family(args):
+    from .regularity import LeftHoleFamily, SlidingHoleFamily
     if args.family == "left":
         return LeftHoleFamily()
     if args.family == "sliding":
@@ -185,6 +189,7 @@ def _make_family(args):
 
 
 def _cmd_sweep(args) -> int:
+    from .regularity import SweepSpec, emit_csv, emit_svg_plot, run_sweep
     family = _make_family(args)
     extra = tuple(parse_rational(x) for x in (args.extra or []))
     spec = SweepSpec(family, parse_rational(args.start),
@@ -209,6 +214,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_holder(args) -> int:
+    from .regularity import holder_estimate
     family = _make_family(args)
     t = parse_rational(args.t)
     xi = args.xi if args.xi is not None else math.log(2)
@@ -239,6 +245,7 @@ def _cmd_holder(args) -> int:
 
 
 def _cmd_diag(args) -> int:
+    from .cylinders import expansion_diagnostics
     pmap, hole = _map_and_hole(args)
     if args.dump_config:
         _emit_json(map_to_config(pmap, None if hole.is_empty else hole), args.json)
@@ -288,23 +295,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True,
                    help="num/den; a bare decimal gives a certified entropy "
                         "interval over [a - epsilon, a + epsilon]")
-    p.add_argument("--epsilon", type=float, default=kneading.DEFAULT_EPSILON,
+    p.add_argument("--epsilon", type=float,
                    help="radius of the certified ball around a decimal --a, "
                         "the one float input (decimals elsewhere are exact); "
                         "unused for num/den")
-    p.add_argument("--tol", type=float, default=kneading.DEFAULT_TOL)
+    p.add_argument("--tol", type=float)
     p.set_defaults(fn=_cmd_tower)
 
     p = sub.add_parser("spectrum", help="exact Markov transition spectrum")
     common(p)
-    p.add_argument("--tol", type=float, default=markov.DEFAULT_TOL)
+    p.add_argument("--tol", type=float)
     p.add_argument("--dot", help="write the transition graph in DOT format")
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("oracle", help="per-level survivor counts")
     common(p)
     p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--component-cap", type=int, default=DEFAULT_COMPONENT_CAP,
+    p.add_argument("--component-cap", type=int,
                    help="cap on each level's component count; the refinement "
                         "stores each level's runs only, so its memory does not "
                         "grow with the counts")

@@ -30,6 +30,7 @@ level is returned.
 
 from __future__ import annotations
 
+import gc
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -140,12 +141,20 @@ class RefinementTree:
 
     def component_intervals(self, n: int) -> list[tuple]:
         """Raw (lo, hi) pairs of the level-n components, left to right,
-        replayed from level 1 through the stored runs on pair lists."""
+        replayed from level 1 through the stored runs on pair lists.  The
+        replay builds tuples by the million and frees no cycle, so cyclic
+        GC, which would only rescan them, is paused for it."""
         n = self._stored_level(n)
-        lo, hi = self._kernel.ends
-        for lv in self._levels[1:n]:
-            lo, hi = self._kernel.pull(lv, lo, hi)
-        return [(Fraction(*a), Fraction(*b)) for a, b in zip(lo, hi)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            lo, hi = self._kernel.ends
+            for lv in self._levels[1:n]:
+                lo, hi = self._kernel.pull(lv, lo, hi)
+            return [(Fraction(*a), Fraction(*b)) for a, b in zip(lo, hi)]
+        finally:
+            if enabled:
+                gc.enable()
 
     def itineraries(self, n: int) -> list[tuple[int, ...]]:
         n = self._stored_level(n)

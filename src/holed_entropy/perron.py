@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import mul
 from typing import Optional
 
@@ -107,22 +107,23 @@ def _class_bracket(runs, members: list[int]
     import numpy as np
     spans = [(bisect_left(members, runs[i][0]), bisect_left(members, runs[i][1]))
              for i in members]  # row i of A, as positions in members
-    B = np.eye(len(members))
-    for row, (a, b) in zip(B, spans):
-        row[a:b] += 1.0
+    size = len(members)
+    B = np.eye(size)
+    B.ravel()[[i * size + j for i, (a, b) in enumerate(spans)
+               for j in range(a, b)]] += 1.0
     for _ in range(_PERRON_ROUNDS):
         for _ in range(4):
             B = B @ B
         B /= B.max()
-    v, w = B.sum(axis=1), B.sum(axis=0)
-    # min() is nan if any entry is, and a product that overflowed is inf
-    if not (v.min() > 0 and w.min() > 0):
+    v, w = B.sum(axis=1).tolist(), B.sum(axis=0).tolist()
+    # nan fails every comparison, and a product that overflowed is inf
+    if not all(x > 0 for x in chain(v, w)):
         return None
-    v *= 2.0 ** 52 / v.min()
-    w *= 2.0 ** 52 / w.min()
-    if not (v.max() < math.inf and w.max() < math.inf):
+    scale_v, scale_w = 2.0 ** 52 / min(v), 2.0 ** 52 / min(w)
+    v, w = [x * scale_v for x in v], [x * scale_w for x in w]
+    if not (max(v) < math.inf and max(w) < math.inf):
         return None
-    v, w = [int(x) for x in v.tolist()], [int(x) for x in w.tolist()]
+    v, w = [int(x) for x in v], [int(x) for x in w]
     prefix = [0, *accumulate(v)]
     av = [prefix[b] - prefix[a] for a, b in spans]
     lo = hi = None  # the (A v)_i, v_i pairs of the least and greatest ratio

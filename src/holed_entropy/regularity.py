@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
+from . import ENGINES
 from .cylinders import entropy_estimate, refine
 from .errors import (HoledEntropyError, InvalidParameterError,
                      NotFinitelyMarkovError, ResourceLimitError)
@@ -33,8 +34,6 @@ from .polyexact import check_tol
 # the doubling-map families share one map, built once (PiecewiseMap is frozen)
 _DOUBLING = build_doubling()
 _HALF = Fraction(1, 2)
-
-ENGINES = ("kneading", "markov", "oracle")
 
 # a genuine Hoelder exponent keeps the per-mesh constants within this factor
 # of each other across the ladder

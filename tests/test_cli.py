@@ -24,48 +24,77 @@ def run(capsys, *argv):
 
 
 def cold_cli(command, *argv):
-    """stdout of a fresh run of one CLI command, then whether it imported
-    numpy."""
-    probe = ("import runpy, sys\n"
+    """stdout of a fresh run of one CLI command, then the modules it loaded:
+    its ``holed_entropy.*`` modules, and numpy if it imported numpy."""
+    probe = ("import json, runpy, sys\n"
              f"sys.argv = ['holed_entropy.cli', {command!r}, *{list(argv)!r}]\n"
              "try:\n"
              "    runpy.run_module('holed_entropy.cli', run_name='__main__')\n"
              "except SystemExit as exc:\n"
              "    assert not exc.code, exc.code\n"
-             "import holed_entropy\n"
-             "print('numpy' in sys.modules)\n")
+             "print(json.dumps(sorted(m for m in sys.modules if m == 'numpy'\n"
+             "                        or m.startswith('holed_entropy.'))))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    out, _, loaded = proc.stdout.rstrip("\n").rpartition("\n")
+    return out, set(json.loads(loaded))
+
+
+def engines(loaded):
+    """The package's own modules among ``loaded``, without the prefix."""
+    return {m.split(".", 1)[1] for m in loaded if m.startswith("holed_entropy.")}
 
 
 def test_oracle_cold_start_does_not_import_numpy():
-    # the oracle counts along the window ends' orbits, on Python integers
-    out = cold_cli("oracle", "--map", "doubling", "--hole", "3/4,1", "--depth", "10")
+    # the oracle counts along the window ends' orbits, on Python integers,
+    # and loads only the map model and the cylinder engine
+    out, loaded = cold_cli("oracle", "--map", "doubling", "--hole", "3/4,1", "--depth", "10")
     assert "level 10: count 144" in out
-    assert out.splitlines()[-1] == "False"
+    assert "numpy" not in loaded
+    assert engines(loaded) == {"cylinders", "errors", "mapmodel"}
 
 
 def test_oracle_on_farey_to_depth_14_does_not_import_numpy():
     # a Moebius map with 2^14 survivors: refine writes endpoints only for
     # its small anchor level, on integer pair lists
-    out = cold_cli("oracle", "--map", "farey", "--param", "4/5", "--depth", "14")
+    out, loaded = cold_cli("oracle", "--map", "farey", "--param", "4/5", "--depth", "14")
     assert "level 14: count 16384" in out
-    assert out.splitlines()[-1] == "False"
+    assert "numpy" not in loaded
 
 
 def test_double_pole_spectrum_does_not_import_numpy():
     # spectrum reads rho and p from the characteristic polynomial, and
-    # min_poly screens its cyclotomic candidates in plain Python
-    out = cold_cli("spectrum", "--map", "doubling", "--hole", "3/4,5/6")
-    *report, numpy_loaded = out.splitlines()
-    d = json.loads("\n".join(report))
+    # min_poly screens its cyclotomic candidates in plain Python; it loads
+    # the Markov engine and no other
+    out, loaded = cold_cli("spectrum", "--map", "doubling", "--hole", "3/4,5/6")
+    d = json.loads(out)
     assert (d["p"], d["alg_mult"], d["min_poly"]) == (2, 2, [-1, -1, 1])
-    assert numpy_loaded == "False"
+    assert "numpy" not in loaded
+    assert engines(loaded) == {"errors", "mapmodel", "markov", "minpoly",
+                               "polyexact"}
+
+
+def test_tower_cold_start_loads_only_the_tower_engine():
+    out, loaded = cold_cli("tower", "--a", "2/3")
+    assert json.loads(out)["certified"] is True
+    assert "numpy" not in loaded
+    assert engines(loaded) == {"errors", "kneading", "mapmodel", "polyexact"}
+
+
+@pytest.mark.parametrize("command", [None, "entropy", "tower", "spectrum",
+                                     "oracle", "sweep", "holder", "diag"])
+def test_help_is_unchanged(capsys, monkeypatch, command):
+    # the parser is built without any engine, and its defaults are resolved
+    # in the commands, so every help text stays as stored
+    monkeypatch.setenv("COLUMNS", "80")
+    stored = Path(__file__).parent / "cli_help" / f"{command or 'holed-entropy'}.txt"
+    code, out, _ = run(capsys, *[c for c in [command] if c], "--help")
+    assert code == 0
+    assert out == stored.read_text(encoding="utf-8")
 
 
 def test_entropy_kneading(capsys):

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import random
@@ -88,6 +89,19 @@ def test_total_escape():
     assert tree.count(1) == 0
     assert tree.count(5) == 0
     assert entropy_estimate(tree, 3) == 0.0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_component_intervals_restores_the_gc_state(enabled):
+    # the replay pauses cyclic GC and leaves it as it found it
+    tree = refine(build_d_adic(2), H((Fraction(3, 4), Fraction(1))), 8)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert len(tree.component_intervals(8)) == tree.count(8)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_interior_hole_level1_components():
