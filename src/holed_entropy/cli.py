@@ -159,12 +159,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .cylinders import (DEFAULT_COMPONENT_CAP, entropy_estimate,
-                            export_level_counts, refine)
+    from .cylinders import entropy_estimate, export_level_counts, refine
     pmap, hole = _map_and_hole(args)
-    cap = (DEFAULT_COMPONENT_CAP if args.component_cap is None
-           else args.component_cap)
-    tree = refine(pmap, hole, args.depth, cap)
+    tree = refine(pmap, hole, args.depth)
     levels = [{"level": n, "count": tree.count(n), "entropy": entropy_estimate(tree, n)}
               for n in range(1, args.depth + 1)]
     for lv in levels:
@@ -311,10 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="per-level survivor counts")
     common(p)
     p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--component-cap", type=int,
-                   help="cap on each level's component count; the refinement "
-                        "stores each level's runs only, so its memory does not "
-                        "grow with the counts")
     p.add_argument("--csv", help="write level,count,entropy_estimate rows")
     p.set_defaults(fn=_cmd_oracle)
 

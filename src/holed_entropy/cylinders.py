@@ -16,16 +16,17 @@ count of monotone pieces below a point is fixed by the point's forward
 orbit: the level-n components whose ``lo`` (or ``hi``) lies below ``y``
 are those of the windows left of ``y`` plus, in the window holding ``y``,
 the pullbacks of the level-(n-1) components below the image of ``y``.
-A count therefore follows the orbit down the stored runs to one *anchor*
-level that keeps its endpoints, and ends in one binary search there.
+A count therefore follows the orbit down the stored runs to level 1, where
+each window is one component.
 
 Endpoints are read-only data: :meth:`RefinementTree.component_intervals`
-and :meth:`RefinementTree.cylinders` replay the stored runs from level 1,
-as :func:`refine` moves its anchor: on Python lists of integer
-``(num, den)`` endpoints with ``den > 0``, for any map.  Branch inverses
-are 2x2 integer matrices, so a step does no Fraction arithmetic (~0.5-0.8
-us per component, affine or Moebius); values become Fraction only when the
-level is returned.
+and :meth:`RefinementTree.cylinders` replay the stored runs from level 1 on
+Python lists of integer ``(num, den)`` endpoints with ``den > 0``, for any
+map.  Branch inverses are 2x2 integer matrices, so a step does no Fraction
+arithmetic (~0.5-0.8 us per component, affine or Moebius); values become
+Fraction only when the level is returned.  Those reads, and the itineraries,
+build per-component data, so they refuse a level past ``COMPONENT_CAP``
+components; counts are not capped.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ from .errors import (EmptyPartitionError, InvalidParameterError,
 from .mapmodel import (Affine, Branch, Hole, IntervalOpen, PiecewiseMap,
                        _exact, _int_pair, d_adic_degree, subtract_pieces)
 
-DEFAULT_COMPONENT_CAP = 10_000_000
+# the most components per level that a read building per-component data
+# (endpoints or itineraries) accepts
+COMPONENT_CAP = 10_000_000
 
 
 def _log_ratio(num) -> float:
@@ -75,7 +78,7 @@ class _Level:
     k's branch, in reverse order when the branch reverses orientation, the
     first and the last cut to the window (``s == e`` when window k pulls
     nothing back).  Level 1 has ``(-1, 0)`` per window: one component, the
-    window, and no parent.  A level is counted by its runs.
+    window, and no parent.  ``starts[-1]`` is the level's count.
     """
 
     __slots__ = ("runs", "starts")
@@ -85,9 +88,6 @@ class _Level:
         self.starts = starts = [0]
         for s, e in runs:
             starts.append(starts[-1] + e - s)
-
-    def __len__(self):
-        return self.starts[-1]
 
     def links(self, kernel: _PairKernel) -> tuple[list[int], list[int]]:
         """(branch, parent) columns as Python ints, expanded from the runs
@@ -106,7 +106,8 @@ class RefinementTree:
     convention (``count`` implements that).  The tree holds each level's
     runs only: counts and itineraries are read from them at any level, and
     endpoints (``component_intervals`` and ``cylinders``) are replayed from
-    level 1 on every read.
+    level 1 on every read.  Counts are uncapped; the reads that build
+    per-component data refuse a level past ``COMPONENT_CAP`` components.
     """
 
     def __init__(self, pmap: PiecewiseMap, hole: Hole, kernel: _PairKernel,
@@ -116,7 +117,7 @@ class RefinementTree:
         self._kernel = kernel
         self._levels = levels
         self._extinct = extinct
-        self.counts = [len(lv) for lv in levels]
+        self.counts = [lv.starts[-1] for lv in levels]
 
     @property
     def depth(self) -> int:
@@ -139,12 +140,22 @@ class RefinementTree:
     def count(self, n: int) -> int:
         return self.counts[self._stored_level(n) - 1]
 
+    def _capped_level(self, n: int) -> int:
+        """:meth:`_stored_level`, refused when a level up to it holds more
+        than ``COMPONENT_CAP`` components (a read builds them all)."""
+        n = self._stored_level(n)
+        for level, count in enumerate(self.counts[:n], 1):
+            if count > COMPONENT_CAP:
+                raise ResourceLimitError(
+                    f"component cap {COMPONENT_CAP} exceeded at level {level}")
+        return n
+
     def component_intervals(self, n: int) -> list[tuple]:
         """Raw (lo, hi) pairs of the level-n components, left to right,
         replayed from level 1 through the stored runs on pair lists.  The
         replay builds tuples by the million and frees no cycle, so cyclic
         GC, which would only rescan them, is paused for it."""
-        n = self._stored_level(n)
+        n = self._capped_level(n)
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -157,8 +168,8 @@ class RefinementTree:
                 gc.enable()
 
     def itineraries(self, n: int) -> list[tuple[int, ...]]:
-        n = self._stored_level(n)
-        idx = range(len(self._levels[n - 1]))
+        n = self._capped_level(n)
+        idx = range(self.counts[n - 1])
         columns = []
         for lv in reversed(self._levels[:n]):
             branch, parent = lv.links(self._kernel)
@@ -178,22 +189,10 @@ class RefinementTree:
 # run search and replay kernel
 # ---------------------------------------------------------------------------
 
-# refine moves the anchor up to the newest level once the orbit steps spent
-# since the last move, anchor searches included, reach 1/_REPLAY_PER_STEP of
-# the components that the move replays (see _RunSearch).  A move replays
-# each level at most once, as a refinement that wrote every level would, so
-# the searches add at most about one step per 8 components written; an
-# orbit step costs about what pulling a few components back does.
-_REPLAY_PER_STEP = 8
-
 # Kinds of count: bit 1 picks the column (0 lo, 1 hi), bit 0 counts the
 # endpoints equal to the point too.  A decreasing branch maps lo < y to
 # hi > T(y), so it flips both bits.
 _LO_BELOW, _LO_UPTO, _HI_BELOW, _HI_UPTO = range(4)
-
-
-def _cap_exceeded(cap: int, level: int) -> ResourceLimitError:
-    return ResourceLimitError(f"component cap {cap} exceeded at level {level}")
 
 
 def _inverse_matrix(branch: Branch) -> tuple[int, int, int, int]:
@@ -209,25 +208,9 @@ def _inverse_matrix(branch: Branch) -> tuple[int, int, int, int]:
     return s * d, -s * b, -s * c, s * a
 
 
-def _bisect(col, y, upto: int, lo: int, hi: int) -> int:
-    """lo plus the number of entries of ``col[lo:hi]`` below ``y``, or at
-    most ``y`` when ``upto``; ``col`` is a sorted sequence of (num, den)
-    pairs and ``y`` one pair, dens > 0."""
-    p, q = y
-    while lo < hi:
-        mid = (lo + hi) // 2
-        u, v = col[mid]
-        d = u * q - p * v
-        if d > 0 or (d == 0 and not upto):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 class _PairKernel:
-    """The windows, and replay on Python lists of integer (num, den)
-    endpoint pairs, den > 0; any map.
+    """The windows, and the endpoint reads' replay on Python lists of
+    integer (num, den) endpoint pairs, den > 0; any map.
 
     A branch inverse is the integer matrix of :func:`_inverse_matrix`, so a
     step is integer multiplications and cross-multiplied comparisons only.
@@ -291,29 +274,23 @@ class _RunSearch:
     decreasing branch, -1 (``starts[k] + e - c``, with the kind flipped).
     So a count follows one orbit down the stored levels, one forward
     :meth:`Branch.integer_matrix` step per level, until the orbit leaves
-    the windows or reaches the anchor, where one :func:`_bisect` in the
-    window's slice ends it.
+    the windows or reaches level 1, where window k is one component: the
+    count is ``starts[k]`` plus that component when its ``lo`` is counted.
 
     The orbit of each queried (point, kind) is kept as a chain of
     ``(k, follow, point, kind)`` entries, one per level below the query,
     extended as the levels deepen; ``follow`` says whether window k holds
-    the point.  The anchor is level 1 (the window ends) at first; it moves
-    up to the newest level, replayed on pair lists from the anchor, once
-    the orbit steps spent since the last move, anchor searches included,
-    reach ``1 / _REPLAY_PER_STEP`` of the components that replay pulls.
-    Small levels thus keep searching the previous level, and an
-    exponentially growing tree never writes a large level.
+    the point.  Each distinct (point, kind) is located once.  No level's
+    endpoints are written.
     """
 
     def __init__(self, kernel: _PairKernel, levels: list[_Level]):
         self.kernel, self.levels = kernel, levels
-        self.anchor = (1, *kernel.ends)
-        self.steps = self.pending = 0
         self.increasing = [kernel.signs[w[0]] > 0 for w in kernel.windows]
         self.queries = [((ylo, _HI_UPTO), (yhi, _LO_BELOW))
                         for _, _, _, ylo, yhi in kernel.windows]
-        self.chains = {key: [self._locate(*key)]
-                       for key in chain.from_iterable(self.queries)}
+        keys = dict.fromkeys(chain.from_iterable(self.queries))
+        self.chains = {key: [self._locate(*key)] for key in keys}
 
     def _locate(self, y, kind) -> tuple:
         """The chain entry of point ``y`` and ``kind``: the first window
@@ -333,31 +310,23 @@ class _RunSearch:
         g = math.gcd(p, q)
         chain.append(self._locate((p // g, q // g), kind if self.increasing[k] else kind ^ 3))
 
-    def next_level(self, cap: int):
-        """Append the next level, or raise when it passes ``cap``.  First
-        replay the anchor up to the newest level when that is due."""
+    def next_level(self):
+        """Append the next level."""
         levels = self.levels
-        if self.steps * _REPLAY_PER_STEP >= self.pending:
-            a, lo, hi = self.anchor
-            for lv in levels[a:]:
-                lo, hi = self.kernel.pull(lv, lo, hi)
-            self.anchor = (len(levels), lo, hi)
-            self.steps = self.pending = 0
-        a, lo, hi = self.anchor
-        depth = len(levels) - a   # the levels above the anchor
+        depth = len(levels) - 1   # the levels above level 1
         counts = {}   # per queried (point, kind), the components below it
         for key, chain in self.chains.items():
             while len(chain) <= depth and chain[-1][1]:
                 self._extend(chain)
             total, slope = 0, 1
-            for j, (k, follow, y, kind) in enumerate(chain):
+            for j, (k, follow, _, kind) in enumerate(chain):
                 lv = levels[-1 - j]
                 start = lv.starts[k]
                 if not follow:
                     break
                 if j == depth:
-                    start = _bisect(hi if kind & 2 else lo, y, kind & 1,
-                                    start, lv.starts[k + 1])
+                    # window k is one component and holds y: its lo counts, its hi not
+                    start += not kind & 2
                     break
                 s, e = lv.runs[k]
                 if self.increasing[k]:
@@ -365,46 +334,28 @@ class _RunSearch:
                 else:
                     total += slope * (start + e)
                     slope = -slope
-            self.steps += j + 1
             counts[key] = total + slope * start
-        level = _Level([(counts[s], counts[e]) for s, e in self.queries])
-        size = level.starts[-1]
-        if size > cap:
-            raise _cap_exceeded(cap, len(levels) + 1)
-        levels.append(level)
-        self.pending += size
+        levels.append(_Level([(counts[s], counts[e]) for s, e in self.queries]))
 
 
-def refine(pmap: PiecewiseMap, hole: Hole, n_max: int,
-           component_cap: int = DEFAULT_COMPONENT_CAP) -> RefinementTree:
+def refine(pmap: PiecewiseMap, hole: Hole, n_max: int) -> RefinementTree:
     """Survivor components for levels 1..n_max.
 
-    Raises :class:`ResourceLimitError` before storing a level of more than
-    ``component_cap`` components (which must be >= 0).  Stops early (with
-    the zero-count convention) once a level dies out entirely.
-
-    Each level is found as its runs only (:class:`_RunSearch`): two counts
-    per window, each following one window-image end's forward orbit down
-    the stored runs to the anchor, the one level whose endpoints are kept
-    (as pair lists).  The anchor starts at level 1, the window ends, and
-    moves up to the newest level, replayed from it, once the orbit steps
-    spent since its last move reach ``1 / _REPLAY_PER_STEP`` of the
-    components that the move replays.  No other endpoints are written; the
-    tree keeps the runs, a few per level, and replays endpoints when they
-    are read.
+    Stops early (with the zero-count convention) once a level dies out
+    entirely.  Each level is found as its runs only (:class:`_RunSearch`):
+    two counts per window, each following one window-image end's forward
+    orbit down the stored runs to level 1.  No endpoints are written and no
+    count is capped; the tree keeps the runs, a few per level, and replays
+    endpoints when they are read.
     """
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
-    if component_cap < 0:
-        raise InvalidParameterError("component_cap must be >= 0")
     kernel = _PairKernel(pmap, hole)
-    if len(kernel.windows) > component_cap:
-        raise _cap_exceeded(component_cap, 1)
     levels = [_Level([(-1, 0)] * len(kernel.windows))]
     search = _RunSearch(kernel, levels)
-    while len(levels) < n_max and len(levels[-1]):
-        search.next_level(component_cap)
-    return RefinementTree(pmap, hole, kernel, levels, len(levels[-1]) == 0)
+    while len(levels) < n_max and levels[-1].starts[-1]:
+        search.next_level()
+    return RefinementTree(pmap, hole, kernel, levels, levels[-1].starts[-1] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +406,6 @@ def pressure_estimate(pmap: PiecewiseMap, weight: LocallyConstantWeight,
         raise InvalidParameterError("weight needs one value per branch")
     vals = weight.values
     tree = refine(pmap, hole, n)
-    if tree.count(n) == 0:
-        return float("-inf")
     total = Fraction(0)
     for word, components in Counter(tree.itineraries(n)).items():
         total += components * math.prod(vals[w] for w in word)

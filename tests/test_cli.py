@@ -59,8 +59,8 @@ def test_oracle_cold_start_does_not_import_numpy():
 
 
 def test_oracle_on_farey_to_depth_14_does_not_import_numpy():
-    # a Moebius map with 2^14 survivors: refine writes endpoints only for
-    # its small anchor level, on integer pair lists
+    # a Moebius map with 2^14 survivors: refine counts them along the
+    # orbits of the window ends and writes no endpoints
     out, loaded = cold_cli("oracle", "--map", "farey", "--param", "4/5", "--depth", "14")
     assert "level 14: count 16384" in out
     assert "numpy" not in loaded
@@ -351,11 +351,16 @@ def test_exit_code_2_on_bad_input(capsys):
     assert "error" in err
 
 
-def test_exit_code_2_on_a_negative_component_cap(capsys):
-    code, out, err = run(capsys, "oracle", "--map", "doubling", "--depth", "3",
-                         "--component-cap", "-1")
-    assert code == 2 and out == ""
-    assert err == "error: component_cap must be >= 0\n"
+def test_oracle_counts_past_the_component_cap_that_diag_keeps(capsys):
+    # counts are uncapped; diag reads components and refuses where it did
+    code, out, _ = run(capsys, "oracle", "--map", "doubling", "--hole", "3/4,5/6",
+                       "--depth", "40")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("level 40: count 5080977751, ")
+    code, out, err = run(capsys, "diag", "--map", "doubling", "--hole", "3/4,5/6",
+                         "--n", "28")
+    assert code == 3 and out == ""
+    assert "component cap 10000000 exceeded at level 28" in err
 
 
 def test_exit_code_2_on_a_sweep_at_oracle_depth_0(capsys):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -223,17 +224,16 @@ def test_int64_kernel_splits_one_pullback_across_a_hole():
 def test_refine_writes_no_large_level_and_loads_no_numpy():
     # in a fresh interpreter: refine counts the [13/16, 1] tree to depth 24
     # (922,111 components at the last level) from the orbits of the window
-    # ends.  The only endpoints it writes are its anchor's, which moves up
-    # only while levels are small, and it imports no numpy.  The tree keeps
-    # a few runs per level: 1000 components' pair endpoints alone would
-    # take ~0.24 MB
+    # ends down to level 1.  It pulls no level's endpoints back and imports
+    # no numpy.  The tree keeps a few runs per level: 1000 components' pair
+    # endpoints alone would take ~0.24 MB
     run_fresh("import sys, tracemalloc\n"
               "from fractions import Fraction\n"
               "from holed_entropy import Hole, build_d_adic, cylinders, refine\n"
               "written = []\n"
               "pull = cylinders._PairKernel.pull\n"
               "def recording_pull(self, level, lo, hi):\n"
-              "    written.append(len(level))\n"
+              "    written.append(level)\n"
               "    return pull(self, level, lo, hi)\n"
               "cylinders._PairKernel.pull = recording_pull\n"
               "tracemalloc.start()\n"
@@ -242,8 +242,25 @@ def test_refine_writes_no_large_level_and_loads_no_numpy():
               "tracemalloc.stop()\n"
               "assert tree.counts[-1] == 922111, tree.counts\n"
               "assert 'numpy' not in sys.modules\n"
-              "assert written and max(written) <= 1000, written\n"
+              "assert written == [], len(written)\n"
               "assert retained <= 2 ** 15, retained\n")
+
+
+def test_wide_map_locates_each_window_end_once(monkeypatch):
+    # the 2000 window-image ends of d-adic:1000 are 0 and 1, which no
+    # window holds: the run search locates each (point, kind) once, not
+    # 2000 times at O(W) each, and follows no orbit
+    calls = []
+    locate = cylinders._RunSearch._locate
+
+    def counting_locate(self, y, kind):
+        calls.append((y, kind))
+        return locate(self, y, kind)
+
+    monkeypatch.setattr(cylinders._RunSearch, "_locate", counting_locate)
+    tree = refine(build_d_adic(1000), Hole.empty(), 2)
+    assert tree.counts == [1000, 1000 ** 2]
+    assert calls == [((0, 1), cylinders._HI_UPTO), ((1, 1), cylinders._LO_BELOW)]
 
 
 def test_large_read_loads_no_numpy():
@@ -526,89 +543,143 @@ def test_deep_tree_reads_every_level_as_a_shallow_refine(hole, pmap, depth):
         assert deep.itineraries(n) == shallow.itineraries(n)
 
 
+# -- the component cap -----------------------------------------------------------
+# refine counts every level uncapped; a read that builds per-component data
+# (endpoints, itineraries, cylinders) refuses a level n when a level up to n
+# holds more than COMPONENT_CAP components, naming the first such level.
+
+CAPPED_READS = ("component_intervals", "itineraries", "cylinders")
+
+
+@contextmanager
+def building_nothing():
+    """Replaying endpoints or expanding a level's links fails at once: a
+    read refused from the counts builds neither, and a read that the cap
+    misses fails before it takes the memory."""
+    def fail(*args):
+        raise AssertionError("a capped read built per-component data")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cylinders._PairKernel, "pull", fail)
+        mp.setattr(cylinders._Level, "links", fail)
+        yield
+
+
+def assert_reads_refused(tree, n, cap, level):
+    """Every capped read of level n refuses, naming ``level``, before it
+    builds anything."""
+    with building_nothing():
+        for read in CAPPED_READS:
+            with pytest.raises(ResourceLimitError,
+                               match=f"^component cap {cap} exceeded at level {level}$"):
+                read_level(tree, read, n)
+
+
+def test_counts_are_uncapped_while_reads_are_capped():
+    # 2^24 > 10^7 > 2^23: every level is counted, reads stop at level 23
+    tree = refine(build_d_adic(2), Hole.empty(), 40)
+    assert tree.counts == [2 ** n for n in range(1, 41)]
+    for n in (24, 40):
+        assert_reads_refused(tree, n, cylinders.COMPONENT_CAP, 24)
+    assert len(tree.itineraries(12)) == 2 ** 12
+    # the estimators that read components refuse where refine refused when
+    # it capped counts: [3/4, 5/6] first passes 10^7 components at level 28
+    hole = H((Fraction(3, 4), Fraction(5, 6)))
+    assert refine(build_d_adic(2), hole, 40).count(40) == 5080977751
+    message = "^component cap 10000000 exceeded at level 28$"
+    with building_nothing():
+        with pytest.raises(ResourceLimitError, match=message):
+            pressure_estimate(build_d_adic(2), LocallyConstantWeight.ones(2), hole, 28)
+        with pytest.raises(ResourceLimitError, match=message):
+            expansion_diagnostics(build_d_adic(2), 28, hole=hole)
+
+
+def test_counts_pass_2_to_the_63():
+    # a level's count is the last of its starts, a Python int of any size
+    tree = refine(build_d_adic(2), Hole.empty(), 70)
+    assert tree.counts == [2 ** n for n in range(1, 71)]
+    assert entropy_estimate(tree, 70) == pytest.approx(math.log(2))
+
+
 @pytest.mark.parametrize("hole", [Hole.empty(), H((Fraction(1, 3), Fraction(3, 8)))])
-def test_component_cap_inside_an_int64_pairs_step(hole):
+def test_component_cap_inside_an_int64_pairs_step(hole, monkeypatch):
     farey = build_scaled_farey(Fraction(4, 5))
     tree = refine(farey, hole, 10)
     assert tree.counts == reference_counts(farey, hole, 10)
     first = branch_components(tree, 10, 0)
     assert 0 < first < tree.counts[-1]
     cap = (first + tree.counts[-1]) // 2
-    pulled = []
-    pull = cylinders._PairKernel.pull
-
-    def recording_pull(self, level, lo, hi):
-        pulled.append(len(level))
-        return pull(self, level, lo, hi)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cylinders._PairKernel, "pull", recording_pull)
-        with pytest.raises(ResourceLimitError, match=f"cap {cap} exceeded at level 10$"):
-            refine(farey, hole, 10, component_cap=cap)
-        # refine raised from the counts of level 10, before writing a run
-        # of it: it wrote endpoints only to move its anchor, on levels far
-        # smaller than the first branch's share of level 10
-        assert pulled and max(pulled) < first
-        assert refine(farey, hole, 10, component_cap=tree.counts[-1]).counts == tree.counts
+    monkeypatch.setattr(cylinders, "COMPONENT_CAP", cap)
+    # refused from the counts, before the replay pulls any level back
+    assert_reads_refused(tree, 10, cap, 10)
+    assert len(tree.component_intervals(9)) == tree.count(9)
+    monkeypatch.setattr(cylinders, "COMPONENT_CAP", tree.counts[-1])
+    assert_reads_match_reference(tree)
 
 
-def test_component_cap():
+def test_component_cap(monkeypatch):
+    tree = refine(build_d_adic(2), Hole.empty(), 12)
+    monkeypatch.setattr(cylinders, "COMPONENT_CAP", 100)
     with pytest.raises(ResourceLimitError):
-        refine(build_d_adic(2), Hole.empty(), 12, component_cap=100)
+        tree.component_intervals(12)
+    assert tree.count(12) == 4096
 
 
-def test_component_cap_at_level_one():
-    with pytest.raises(ResourceLimitError, match="^component cap 3 exceeded at level 1$"):
-        refine(build_d_adic(5), Hole.empty(), 2, component_cap=3)
-    assert refine(build_d_adic(5), Hole.empty(), 1, component_cap=5).counts == [5]
-
-
-def test_negative_component_cap_is_an_input_error():
-    # refused before level 1 is built, not reported as a cap exceeded there
-    with pytest.raises(InvalidParameterError, match="^component_cap must be >= 0$"):
-        refine(build_d_adic(2), Hole.empty(), 3, component_cap=-1)
+def test_component_cap_at_level_one(monkeypatch):
+    monkeypatch.setattr(cylinders, "COMPONENT_CAP", 3)
+    assert_reads_refused(refine(build_d_adic(5), Hole.empty(), 2), 2, 3, 1)
+    monkeypatch.setattr(cylinders, "COMPONENT_CAP", 5)
+    tree = refine(build_d_adic(5), Hole.empty(), 1)
+    assert tree.counts == [5] and len(tree.cylinders(1)) == 5
 
 
 @pytest.mark.parametrize("hole", [Hole.empty(), H((Fraction(1, 3), Fraction(3, 8)))])
-def test_component_cap_on_a_moebius_map(hole):
+def test_component_cap_on_a_moebius_map(hole, monkeypatch):
     farey = build_scaled_farey(ex(Fraction(4, 5)))
     tree = refine(farey, hole, 9)
     assert tree.counts == reference_counts(farey, hole, 9)
     for n in (2, 5, 9):
         cap = tree.count(n) - 1
-        with pytest.raises(ResourceLimitError, match=f"cap {cap} exceeded at level {n}$"):
-            refine(farey, hole, 9, component_cap=cap)
-    assert refine(farey, hole, 9, component_cap=max(tree.counts)).counts == tree.counts
+        monkeypatch.setattr(cylinders, "COMPONENT_CAP", cap)
+        assert_reads_refused(tree, 9, cap, n)
+    monkeypatch.setattr(cylinders, "COMPONENT_CAP", max(tree.counts))
+    assert_reads_match_reference(tree)
 
 
-def test_component_cap_boundary():
-    tree = refine(build_d_adic(2), Hole.empty(), 9, component_cap=512)
-    assert tree.counts == [2 ** n for n in range(1, 10)]
+def test_component_cap_boundary(monkeypatch):
+    def reads(tree, n, cap):
+        monkeypatch.setattr(cylinders, "COMPONENT_CAP", cap)
+        return [read_level(tree, read, n) for read in CAPPED_READS]
+
+    tree = refine(build_d_adic(2), Hole.empty(), 12)
+    assert tree.counts == [2 ** n for n in range(1, 13)]
+    assert all(len(r) == 512 for r in reads(tree, 9, 512))
     with pytest.raises(ResourceLimitError, match="cap 511 exceeded at level 9$"):
-        refine(build_d_adic(2), Hole.empty(), 9, component_cap=511)
-    tree = refine(build_d_adic(2), Hole.empty(), 12, component_cap=4096)
-    assert max(tree.counts) == 4096 and tree.counts == [2 ** n for n in range(1, 13)]
+        reads(tree, 9, 511)
+    assert all(len(r) == 4096 for r in reads(tree, 12, 4096))
     with pytest.raises(ResourceLimitError, match="cap 4095 exceeded at level 12$"):
-        refine(build_d_adic(2), Hole.empty(), 12, component_cap=4095)
-    tree = refine(build_d_adic(2), RIGHT_HOLE, 18, component_cap=FIB_COUNTS[17])
+        reads(tree, 12, 4095)
+    tree = refine(build_d_adic(2), RIGHT_HOLE, 18)
     assert tree.counts == FIB_COUNTS[:18]
+    assert len(reads(tree, 18, FIB_COUNTS[17])[0]) == FIB_COUNTS[17]
     with pytest.raises(ResourceLimitError, match="at level 18$"):
-        refine(build_d_adic(2), RIGHT_HOLE, 18, component_cap=FIB_COUNTS[17] - 1)
+        reads(tree, 18, FIB_COUNTS[17] - 1)
 
 
 @pytest.mark.parametrize("hole", [RIGHT_HOLE,
                                   H((Fraction(1, 8), Fraction(1, 6)),
                                     (Fraction(5, 6), Fraction(1)))])
-def test_component_cap_inside_the_second_branch_of_an_int64_step(hole):
+def test_component_cap_inside_the_second_branch_of_an_int64_step(hole, monkeypatch):
     m = build_d_adic(2)
     tree = refine(m, hole, 10)
     assert tree.counts == reference_counts(m, hole, 10)
     first = branch_components(tree, 10, 0)
     assert 0 < first < tree.counts[-1]
     cap = (first + tree.counts[-1]) // 2
-    with pytest.raises(ResourceLimitError, match=f"cap {cap} exceeded at level 10$"):
-        refine(m, hole, 10, component_cap=cap)
-    assert refine(m, hole, 10, component_cap=tree.counts[-1]).counts == tree.counts
+    monkeypatch.setattr(cylinders, "COMPONENT_CAP", cap)
+    assert_reads_refused(tree, 10, cap, 10)
+    monkeypatch.setattr(cylinders, "COMPONENT_CAP", tree.counts[-1])
+    assert_reads_match_reference(tree)
 
 
 def test_count_beyond_depth_requires_extinction():
